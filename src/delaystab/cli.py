@@ -170,7 +170,7 @@ def cmd_equilibrium(args, tol: float) -> int:
         raise UsageError("equilibrium analysis needs a two-layer document "
                          f"(got kind '{parsed.kind}')")
     spec = parsed.spec
-    existence = equilibrium_exists(spec, tol=tol)
+    existence = equilibrium_exists(spec)
     report = _base_report("equilibrium", args.document, parsed, tol)
     report["existence"] = {
         "exists_unique": existence.exists_unique,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, ConvergenceError, spectral_radius
+from .linalg import spectral_radius
 from .systems import BamSpec, require_valid
 
 # sup-norm step threshold; at equilibria of magnitude ~1e4 a tighter value
@@ -112,13 +112,9 @@ def build_existence_matrices(bam: BamSpec) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _norm_conditions(mat: np.ndarray, label: str, start: int,
-                     tol: float) -> list[ExistenceCondition]:
+def _norm_conditions(mat: np.ndarray, label: str, start: int) -> list[ExistenceCondition]:
     out = []
-    try:
-        r = spectral_radius(mat, tol=tol)
-    except ConvergenceError as exc:
-        r = exc.last_estimate if exc.last_estimate is not None else np.inf
+    r = spectral_radius(mat)
     out.append(ExistenceCondition(start, f"spectral radius of {label} < 1",
                                   float(r), bool(r < 1.0)))
     row = float(np.abs(mat).sum(axis=1).max())
@@ -133,10 +129,10 @@ def _norm_conditions(mat: np.ndarray, label: str, start: int,
     return out
 
 
-def equilibrium_exists(bam: BamSpec, tol: float = DEFAULT_TOL) -> ExistenceReport:
+def equilibrium_exists(bam: BamSpec) -> ExistenceReport:
     """Evaluate the eight sufficient conditions; any one settles existence."""
     first, second = build_existence_matrices(bam)
-    conditions = _norm_conditions(first, "A", 1, tol) + _norm_conditions(second, "B", 5, tol)
+    conditions = _norm_conditions(first, "A", 1) + _norm_conditions(second, "B", 5)
     return ExistenceReport(tuple(conditions), any(c.holds for c in conditions))
 
 

@@ -1,17 +1,17 @@
 """Dense linear algebra for small stability test matrices.
 
-Everything here operates on small square numpy arrays (dimensions in the
-single or low double digits).  The M-matrix classifier is the workhorse: a
-square matrix with nonpositive off-diagonal entries is classified through the
-signs of its leading principal minors, and a positive inverse witness vector
-is attached when the classification succeeds.
+The M-matrix classifier is the workhorse.  A Z-matrix (off-diagonal entries
+<= 0) is a nonsingular M-matrix exactly when Gaussian elimination without
+row exchanges produces only positive pivots, and its leading principal minors
+are the running products of those pivots (Fiedler & Ptak, 1962; Berman &
+Plemmons, ch. 6).  One elimination therefore decides the property and yields
+the minors; a positive witness vector C^-1 1 is attached when it succeeds.
 
 All functions are pure and hold no global state.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,37 +29,21 @@ class LinalgInputError(ValueError):
     """Raised for inputs that violate a precondition (shape, finiteness, sign)."""
 
 
-class SingularMatrixError(ArithmeticError):
-    """Raised when elimination hits a pivot at or below the pivot tolerance."""
-
-    def __init__(self, pivot_index: int, pivot: float):
-        self.pivot_index = pivot_index
-        self.pivot = pivot
-        super().__init__(
-            f"singular to working tolerance: pivot {pivot_index} has magnitude {abs(pivot):.3e}"
-        )
-
-
-class ConvergenceError(ArithmeticError):
-    """Raised when an iteration exhausts its budget; carries the last estimate."""
-
-    def __init__(self, message: str, last_estimate: float):
-        self.last_estimate = last_estimate
-        super().__init__(f"{message} (last estimate {last_estimate:.12e})")
-
-
 @dataclass(frozen=True)
 class MMatrixReport:
     """Outcome of the nonsingular M-matrix classification.
 
-    margin is the smallest leading principal minor; witness_xi is the row-sum
-    vector of the inverse (a positive vector whenever the classification
-    succeeds) and None otherwise.  screen_passed records which sufficient
-    dominance screen fired, or None when the sign pattern already failed.
+    pivots_ok records whether every elimination pivot exceeds tol times the
+    largest magnitude in its row; is_m_matrix additionally needs the sign
+    pattern.  margin is the smallest leading principal minor; witness_xi is
+    C^-1 1 (a positive vector whenever the classification succeeds) and None
+    otherwise.  screen_passed records which sufficient dominance screen
+    fired, or None when the sign pattern already failed.
     """
 
     is_m_matrix: bool
     off_diagonal_ok: bool
+    pivots_ok: bool
     minors: np.ndarray
     margin: float
     witness_xi: np.ndarray | None
@@ -77,185 +61,113 @@ def as_square(a) -> np.ndarray:
     return arr
 
 
-def _lu(a: np.ndarray, pivot_tol: float):
-    """LU factorization with partial pivoting.
-
-    Returns (lu, perm, sign, singular_at).  When a pivot column is at or below
-    pivot_tol in magnitude, elimination stops and singular_at reports the
-    offending pivot index (the caller decides whether that is an error).
-    """
-    lu = a.copy()
-    n = lu.shape[0]
-    perm = np.arange(n)
-    sign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        pivot = lu[p, k]
-        if abs(pivot) <= pivot_tol:
-            return lu, perm, sign, k
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            sign = -sign
-        lu[k + 1:, k] /= lu[k, k]
-        lu[k + 1:, k + 1:] -= np.outer(lu[k + 1:, k], lu[k, k + 1:])
-    return lu, perm, sign, None
-
-
-def determinant(a) -> float:
-    """Determinant via LU with partial pivoting; exact zero pivots yield 0."""
-    arr = as_square(a)
-    lu, _, sign, singular_at = _lu(arr, 0.0)
-    if singular_at is not None:
-        return 0.0
-    return float(sign * np.prod(np.diag(lu)))
-
-
 def leading_principal_minors(a) -> np.ndarray:
     """Determinants of the k-by-k top-left submatrices, k = 1..n."""
     arr = as_square(a)
-    n = arr.shape[0]
-    return np.array([determinant(arr[: k + 1, : k + 1]) for k in range(n)])
+    return np.array([np.linalg.det(arr[:k, :k]) for k in range(1, arr.shape[0] + 1)])
 
 
-def _solve_factored(lu, perm, b):
-    y = b[perm].astype(float, copy=True)
-    n = lu.shape[0]
-    for k in range(1, n):
-        y[k] -= lu[k, :k] @ y[:k]
-    x = y
-    for k in range(n - 1, -1, -1):
-        x[k] = (x[k] - lu[k, k + 1:] @ x[k + 1:]) / lu[k, k]
-    return x
+def _pivots(arr: np.ndarray) -> np.ndarray:
+    """Pivots of Gaussian elimination without row exchanges.
 
-
-def solve_linear(a, rhs, pivot_tol: float | None = None) -> np.ndarray:
-    """Solve a x = rhs by LU with partial pivoting plus one refinement pass.
-
-    Raises SingularMatrixError naming the failing pivot index when the matrix
-    is singular to the pivot tolerance (default: DEFAULT_TOL scaled by the
-    max-norm of a).  Warns with a condition estimate if the refined residual
-    is still poor relative to the data.
+    Elimination cannot pass a zero pivot, so the result stops at the first
+    one and is then shorter than the dimension.
     """
-    arr = as_square(a)
-    b = np.asarray(rhs, dtype=float)
-    if b.shape != (arr.shape[0],):
-        raise LinalgInputError(f"rhs shape {b.shape} does not match matrix dimension {arr.shape[0]}")
-    if not np.isfinite(b).all():
-        raise LinalgInputError("rhs has a non-finite entry")
-    scale = np.abs(arr).max()
-    if pivot_tol is None:
-        pivot_tol = DEFAULT_TOL * max(1.0, scale)
-    lu, perm, _, singular_at = _lu(arr, pivot_tol)
-    if singular_at is not None:
-        raise SingularMatrixError(singular_at, lu[singular_at, singular_at])
-    x = _solve_factored(lu, perm, b)
-    # one step of iterative refinement keeps well-conditioned solves near 1e-16
-    r = b - arr @ x
-    x = x + _solve_factored(lu, perm, r)
-    r = b - arr @ x
-    ref = np.abs(b).max() + scale * np.abs(x).max()
-    if ref > 0 and np.abs(r).max() > 1e-10 * ref:
-        warnings.warn(
-            f"poorly conditioned solve (condition estimate {condition_estimate(arr):.3e})",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return x
-
-
-def invert(a) -> np.ndarray:
-    arr = as_square(a)
     n = arr.shape[0]
-    scale = np.abs(arr).max()
-    lu, perm, _, singular_at = _lu(arr, DEFAULT_TOL * max(1.0, scale))
-    if singular_at is not None:
-        raise SingularMatrixError(singular_at, lu[singular_at, singular_at])
-    cols = [_solve_factored(lu, perm, e) for e in np.eye(n)]
-    return np.column_stack(cols)
+    u = arr.copy()
+    pivots = np.empty(n)
+    for k in range(n):
+        p = pivots[k] = u[k, k]
+        if p == 0.0:
+            return pivots[:k + 1]
+        u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k] / p, u[k, k + 1:])
+    return pivots
 
 
-def condition_estimate(a) -> float:
-    """Max-norm condition number ||a|| * ||a^-1||; inf when singular."""
-    arr = as_square(a)
-    try:
-        inv = invert(arr)
-    except SingularMatrixError:
-        return float("inf")
-    norm = np.abs(arr).sum(axis=1).max()
-    inorm = np.abs(inv).sum(axis=1).max()
-    return float(norm * inorm)
+def _plain_screen(arr: np.ndarray, tol: float) -> str | None:
+    diag = np.diag(arr)
+    absoff = np.abs(arr - np.diag(diag))
+    if (diag - absoff.sum(axis=1) > tol).all():
+        return SCREEN_ROW
+    if (diag - absoff.sum(axis=0) > tol).all():
+        return SCREEN_COLUMN
+    return None
 
 
 def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
     """Cheap sufficient screens for the M-matrix property.
 
     Checks, in order: strict row diagonal dominance, strict column dominance,
-    then the same two with positive weights.  When no weights are supplied they
-    are taken as the row sums of the inverse, provided the matrix is
-    nonsingular with a nonnegative inverse; otherwise the weighted checks are
-    skipped.  Returns the tag of the first screen that passes, or "none".
+    then the same two with positive weights.  When no weights are supplied
+    they are taken as xi = a^-1 1, provided that vector exists and is
+    positive (for a Z-matrix: exactly when it is a nonsingular M-matrix);
+    otherwise the weighted checks are skipped.  Returns the tag of the first
+    screen that passes, or "none".
 
     Off-diagonal entries must be nonpositive.
     """
     arr = as_square(a)
     n = arr.shape[0]
-    off = arr - np.diag(np.diag(arr))
-    if (off > 0).any():
+    if (arr - np.diag(np.diag(arr)) > 0).any():
         raise LinalgInputError("dominance screens require nonpositive off-diagonal entries")
-    diag = np.diag(arr)
-    absoff = np.abs(off)
-    if (diag - absoff.sum(axis=1) > tol).all():
-        return SCREEN_ROW
-    if (diag - absoff.sum(axis=0) > tol).all():
-        return SCREEN_COLUMN
-    xi = None
+    plain = _plain_screen(arr, tol)
+    if plain is not None:
+        return plain
     if weights is not None:
         xi = np.asarray(weights, dtype=float)
         if xi.shape != (n,) or not np.isfinite(xi).all() or (xi <= 0).any():
             raise LinalgInputError("weights must be a positive vector matching the dimension")
     else:
         try:
-            inv = invert(arr)
-        except SingularMatrixError:
-            inv = None
-        if inv is not None and (inv >= -tol).all():
-            xi = inv @ np.ones(n)
-    if xi is not None:
-        if (xi * diag - absoff @ xi > tol).all():
-            return SCREEN_WEIGHTED_ROW
-        if (xi * diag - absoff.T @ xi > tol).all():
-            return SCREEN_WEIGHTED_COLUMN
+            xi = np.linalg.solve(arr, np.ones(n))
+        except np.linalg.LinAlgError:
+            return SCREEN_NONE
+        if not (xi > 0).all():
+            return SCREEN_NONE
+    diag = np.diag(arr)
+    absoff = np.abs(arr - np.diag(diag))
+    if (xi * diag - absoff @ xi > tol).all():
+        return SCREEN_WEIGHTED_ROW
+    if (xi * diag - absoff.T @ xi > tol).all():
+        return SCREEN_WEIGHTED_COLUMN
     return SCREEN_NONE
 
 
 def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
-    """Classify a as a nonsingular M-matrix via leading principal minors.
+    """Classify a as a nonsingular M-matrix by one elimination.
 
     The sign pattern (off-diagonal entries <= 0) is required; given that, the
-    matrix qualifies iff every leading principal minor exceeds tol.  Matrices
-    sitting exactly on the boundary (a zero minor) are classified negative,
-    with the margin left for the caller to inspect.
+    matrix qualifies iff every pivot of elimination without row exchanges
+    exceeds tol times the largest magnitude in its row of a.  The test is
+    thereby invariant under positive row scaling, and the minors (running
+    pivot products) may be far below tol on a matrix that qualifies.
+    Matrices sitting exactly on the boundary (a zero pivot) are classified
+    negative, with the margin left for the caller to inspect.
+
+    screen_passed is row or column dominance when one holds, else
+    "weighted-row" for a qualifying matrix (the weights C^-1 1 give
+    C xi = 1) and "none" otherwise.
     """
     arr = as_square(a)
-    off = arr - np.diag(np.diag(arr))
-    off_ok = bool((off <= 0).all())
-    minors = leading_principal_minors(arr)
-    verdict = off_ok and bool((minors > tol).all())
-    witness = None
+    n = arr.shape[0]
+    off_ok = bool((arr - np.diag(np.diag(arr)) <= 0).all())
+    pivots = _pivots(arr)
+    if pivots.size == n:
+        pivots_ok = bool((pivots > tol * np.abs(arr).max(axis=1)).all())
+        with np.errstate(over="ignore", under="ignore"):
+            minors = np.cumprod(pivots)
+    else:
+        pivots_ok = False
+        minors = leading_principal_minors(arr)
+    verdict = off_ok and pivots_ok
+    witness = np.linalg.solve(arr, np.ones(n)) if verdict else None
     screen = None
     if off_ok:
-        screen = dominance_screen(arr, None, tol)
-    if verdict:
-        try:
-            witness = solve_linear(arr, np.ones(arr.shape[0]))
-        except SingularMatrixError:
-            # minors cleared tol but a pivot ratio is at working precision;
-            # the verdict stands on the minors, just without a witness vector
-            witness = None
+        screen = _plain_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if verdict else SCREEN_NONE)
     return MMatrixReport(
         is_m_matrix=verdict,
         off_diagonal_ok=off_ok,
+        pivots_ok=pivots_ok,
         minors=minors,
         margin=float(minors.min()),
         witness_xi=witness,
@@ -263,44 +175,9 @@ def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     )
 
 
-def spectral_radius(a, tol: float = DEFAULT_TOL, max_iter: int = 50_000) -> float:
-    """Spectral radius of an entrywise nonnegative matrix by power iteration.
-
-    Iterates from the all-ones vector on the shifted matrix a + tol*I (the
-    shift separates the dominant eigenvalue on reducible and sign-symmetric
-    spectra).  The estimate is the geometric mean of the last two norm growth
-    factors, which also converges when the iterates settle into a two-cycle;
-    the shift is subtracted from the accepted estimate.
-    """
+def spectral_radius(a) -> float:
+    """Spectral radius of an entrywise nonnegative matrix."""
     arr = as_square(a)
     if (arr < 0).any():
-        raise LinalgInputError("spectral radius estimator expects nonnegative entries")
-    if not tol > 0:
-        raise LinalgInputError("tol must be positive")
-    n = arr.shape[0]
-    shifted = arr + tol * np.eye(n)
-    v = np.ones(n) / np.sqrt(n)
-    prev_growth = None
-    prev_est = None
-    stable = 0
-    est = 0.0
-    for _ in range(max_iter):
-        w = shifted @ v
-        growth = float(np.linalg.norm(w))
-        if growth == 0.0:
-            return 0.0
-        est = float(np.sqrt(growth * prev_growth)) if prev_growth is not None else growth
-        v = w / growth
-        if prev_est is not None and abs(est - prev_est) <= tol:
-            stable += 1
-            if stable >= 3:
-                r = max(est - tol, 0.0)
-                slack = max(1e-8, 1e-8 * np.abs(arr).sum(axis=1).max())
-                assert r >= np.diag(arr).max() - slack
-                assert r <= np.abs(arr).sum(axis=1).max() + slack
-                return r
-        else:
-            stable = 0
-        prev_est = est
-        prev_growth = growth
-    raise ConvergenceError("power iteration did not stabilize", max(est - tol, 0.0))
+        raise LinalgInputError("spectral radius expects nonnegative entries")
+    return float(np.max(np.abs(np.linalg.eigvals(arr))))

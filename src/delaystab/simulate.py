@@ -118,8 +118,11 @@ class _Integrator:
             return float(self.stage_x[comp])
         t0 = self.cfg.t0
         if tq <= t0:
-            assert tq >= t0 - self.system.max_lag_bound - 1e-9, \
-                "delayed lookup before the retained history"
+            start = t0 - self.system.max_lag_bound
+            if tq < start - 1e-9:
+                raise SimulationError(
+                    f"delayed lookup at t={tq:.6g} lies before the retained "
+                    f"history, which starts at t={start:.6g}", float(self.stage_t))
             return float(np.asarray(self.phi(tq), dtype=float)[comp])
         h = self.cfg.h
         pos = (tq - t0) / h

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from delaystab import criteria
 from delaystab import (
     BamSpec,
     FamilyError,
@@ -441,3 +442,20 @@ def test_closed_form_coupling_antimonotone():
         v = two_neuron_closed_form(s)
         margins.append(v.margins["coupling_determinant"])
     assert margins[0] > margins[1] > margins[2]
+
+
+def test_comparison_inconsistency_raises(monkeypatch):
+    # a per-unit pass with a failing product form can only come from
+    # rounding; it must surface as an error, not as two disagreeing verdicts
+    real = criteria._check
+
+    def skewed(name, lhs, rhs, tol):
+        return real(name, rhs if name == "coupling_product" else lhs, rhs, tol)
+
+    s = two_neuron_spec(a=1.0, b=1.0, coupling_xy=0.1, coupling_yx=0.1,
+                        Lf=0.5, Lg=0.5, tau_x=0.1, tau_y=0.1,
+                        sigma_x=0.1, sigma_y=0.1)
+    assert two_neuron_comparison(s)[0].stable
+    monkeypatch.setattr(criteria, "_check", skewed)
+    with pytest.raises(ArithmeticError):
+        two_neuron_comparison(s)

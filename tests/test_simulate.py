@@ -14,6 +14,7 @@ from delaystab import (
     LinearConcrete,
     LinearSystemSpec,
     SimConfig,
+    SimulationError,
     fit_decay,
     simulate,
     write_csv,
@@ -153,6 +154,25 @@ def test_runtime_delay_violation_caught():
                            [[None]], [[None]], [1.0])
     with pytest.raises(DelayBoundError):
         simulate(sys_, SimConfig(0.0, 4.0, 0.05))
+
+
+def test_lookup_before_history_window_raises():
+    # a system that reads further back than its declared largest lag
+    class ReachesTooFar:
+        dim = 1
+        max_lag_bound = 0.5
+        min_positive_lag_bound = 0.5
+
+        @staticmethod
+        def history(t):
+            return np.ones(1)
+
+        def derivative(self, t, value_at):
+            return np.array([-value_at(0, t - 1.0)])
+
+    with pytest.raises(SimulationError) as exc:
+        simulate(ReachesTooFar(), SimConfig(0.0, 1.0, 0.05))
+    assert exc.value.time == 0.0
 
 
 def test_negative_lag_rejected():
