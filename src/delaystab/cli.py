@@ -44,9 +44,9 @@ from .simulate import (
     simulate,
     write_csv,
 )
-from .specio import DocumentError, parse_file, set_parameter
+from .specio import load_json, parse_file, set_parameter
 from .sweep import default_step, find_failure_threshold, fit_reference, sweep
-from .systems import BamSpec, FamilyError, InvalidSpecError
+from .systems import BamSpec
 
 
 class UsageError(Exception):
@@ -245,14 +245,7 @@ def cmd_simulate(args, tol: float) -> int:
 
 
 def cmd_sweep(args, tol: float) -> int:
-    try:
-        with open(args.document) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise DocumentError(f"cannot read {args.document}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DocumentError(f"{args.document}: invalid JSON at line {exc.lineno}, "
-                            f"column {exc.colno}: {exc.msg}") from exc
+    doc = load_json(args.document)
     try:
         values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
@@ -385,16 +378,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         tol = _resolve_tol(args)
         return args.func(args, tol)
-    except UsageError as exc:
-        _say(f"error: {exc}")
-        return 1
-    except (DocumentError, InvalidSpecError, FamilyError) as exc:
-        _say(f"error: {exc}")
-        return 1
-    except ValueError as exc:
-        _say(f"error: {exc}")
-        return 1
-    except OSError as exc:
+    except (UsageError, ValueError, OSError) as exc:
+        # DocumentError, InvalidSpecError and FamilyError are ValueErrors
         _say(f"error: {exc}")
         return 1
 

@@ -30,6 +30,7 @@ from .systems import (
     GeneralSystemSpec,
     LinearSystemSpec,
     bam_to_general,
+    merged_bounds,
     require_valid,
 )
 
@@ -210,21 +211,24 @@ def test_matrix_linear_undelayed(spec: LinearSystemSpec) -> np.ndarray:
 
 
 def test_matrix_bam(bam: BamSpec) -> np.ndarray:
-    """Comparison matrix for the two-layer network, built blockwise.
+    """Comparison matrix for the two-layer network.
 
-    Equals the no-self-coupling matrix of the merged spec entry for entry;
-    the hatted arrays below are formed with the same operations in the same
-    order as `bam_to_general`.
+    The no-self-coupling matrix of the merged spec, built from the same
+    arrays `bam_to_general` uses, so the two agree entry for entry.
     """
-    require_valid(bam)
-    n = bam.n
-    alpha = np.concatenate([bam.r_lo * bam.a, bam.p_lo * bam.b])
-    upper = np.concatenate([bam.r_hi * bam.a, bam.p_hi * bam.b])
-    tau = np.concatenate([bam.tau_x, bam.tau_y])
-    L = np.zeros((2 * n, 2 * n))
-    L[:n, n:] = np.abs(bam.a_conn) * bam.r_hi[:, None] * bam.Lf[None, :]
-    L[n:, :n] = np.abs(bam.b_conn) * bam.p_hi[:, None] * bam.Lg[None, :]
-    return _no_self_entries(alpha, upper, tau, L)
+    return _no_self_entries(*merged_bounds(bam))
+
+
+# tag -> matrix builder; the lambdas look the builders up at call time, so a
+# rebound module global (a profiler's timing wrapper, say) sees every call
+_BUILDERS = {
+    TAG_GENERAL: lambda spec: test_matrix_general(spec),
+    TAG_NO_SELF: lambda spec: test_matrix_no_self_coupling(spec),
+    TAG_UNDELAYED_DECAY: lambda spec: test_matrix_undelayed_decay(spec),
+    TAG_LINEAR: lambda spec: test_matrix_linear(spec),
+    TAG_LINEAR_UNDELAYED: lambda spec: test_matrix_linear_undelayed(spec),
+    TAG_BAM: lambda spec: test_matrix_bam(spec),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -270,33 +274,18 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
         raise FamilyError(f"unknown criterion tag {tag!r}")
     if tag in ("cor4", "cor5", "cor6", "cor7"):
         return two_dim_verdict(spec, which=int(tag[3]), tol=tol)
-    if tag.startswith("cor9-"):
-        return bam_dominance_verdict(spec, which=int(tag[5]), tol=tol)
-    if tag.startswith("cor10-"):
-        return bam_undelayed_dominance_verdict(spec, which=int(tag[6]), tol=tol)
+    if tag.startswith(("cor9-", "cor10-")):
+        family, which = tag.split("-")
+        return _bam_dominance(spec, family, int(which), None, tol)
     if tag == "cor11":
         return two_neuron_closed_form(spec, tol=tol)
-    if tag == "gopalsamy17":
-        return two_neuron_comparison(spec, tol=tol)[0]
-    if tag == "criterion18":
-        return two_neuron_comparison(spec, tol=tol)[1]
-    if tag == TAG_BAM:
-        if not isinstance(spec, BamSpec):
-            raise FamilyError("this criterion needs a two-layer network spec")
-        return _matrix_verdict(test_matrix_bam(spec), tag, tol)
+    if tag in ("gopalsamy17", "criterion18"):
+        return two_neuron_comparison(spec, tol=tol)[tag == "criterion18"]
+    if tag == TAG_BAM and not isinstance(spec, BamSpec):
+        raise FamilyError("this criterion needs a two-layer network spec")
     if isinstance(spec, BamSpec) and tag in (TAG_GENERAL, TAG_NO_SELF):
         spec = bam_to_general(spec)
-    if tag == TAG_GENERAL:
-        return _matrix_verdict(test_matrix_general(spec), tag, tol)
-    if tag == TAG_NO_SELF:
-        return _matrix_verdict(test_matrix_no_self_coupling(spec), tag, tol)
-    if tag == TAG_UNDELAYED_DECAY:
-        return _matrix_verdict(test_matrix_undelayed_decay(spec), tag, tol)
-    if tag == TAG_LINEAR:
-        return _matrix_verdict(test_matrix_linear(spec), tag, tol)
-    if tag == TAG_LINEAR_UNDELAYED:
-        return _matrix_verdict(test_matrix_linear_undelayed(spec), tag, tol)
-    raise FamilyError(f"unknown criterion tag {tag!r}")
+    return _matrix_verdict(_BUILDERS[tag](spec), tag, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -374,49 +363,31 @@ def two_dim_verdict(spec, which: int | None = None,
         raise FamilyError(f"dimension must be 2, got {spec.m}")
 
     al, up = spec.alpha, spec.A
-    if which == 4:
-        L, tau = spec.L, spec.tau
-        x1 = up[0] * (up[0] + L[0, 0]) * tau[0] + L[0, 0]
-        x2 = up[1] * (up[1] + L[1, 1]) * tau[1] + L[1, 1]
-        coupling = (up[0] * L[0, 1] * tau[0] + L[0, 1]) * (up[1] * L[1, 0] * tau[1] + L[1, 0])
-        checks = (
-            _check("decay_margin_1", x1, al[0], tol),
-            _check("decay_margin_2", x2, al[1], tol),
-            _check("coupling_determinant", coupling, (al[0] - x1) * (al[1] - x2), tol),
-        )
-        matrix = test_matrix_general(spec) if family == TAG_GENERAL \
-            else test_matrix_no_self_coupling(spec)
-        tag = "cor4"
-    elif which == 5:
-        L = spec.L
-        checks = (
-            _check("decay_margin_1", L[0, 0], al[0], tol),
-            _check("decay_margin_2", L[1, 1], al[1], tol),
-            _check("coupling_determinant", L[0, 1] * L[1, 0],
-                   (al[0] - L[0, 0]) * (al[1] - L[1, 1]), tol),
-        )
-        matrix, tag = test_matrix_undelayed_decay(spec), "cor5"
-    elif which == 6:
-        off, sd = spec.A_off, spec.sigma.diagonal()
-        x1 = up[0] * up[0] * sd[0]
-        x2 = up[1] * up[1] * sd[1]
-        coupling = (up[0] * off[0, 1] * sd[0] + off[0, 1]) * (up[1] * off[1, 0] * sd[1] + off[1, 0])
-        checks = (
-            _check("decay_margin_1", x1, al[0], tol),
-            _check("decay_margin_2", x2, al[1], tol),
-            _check("coupling_determinant", coupling, (al[0] - x1) * (al[1] - x2), tol),
-        )
-        matrix, tag = test_matrix_linear(spec), "cor6"
-    elif which == 7:
+    if which == 7:
         off = spec.A_off
         checks = (
             _check("coupling_determinant", off[0, 1] * off[1, 0], al[0] * al[1], tol),
         )
-        matrix, tag = test_matrix_linear_undelayed(spec), "cor7"
     else:
-        raise FamilyError(f"which must be one of 4, 5, 6, 7 (got {which})")
+        # one formula for 4-6: x_i = A_i (A_i + s_i) d_i + s_i against alpha_i,
+        # and the coupling product (A_0 k_01 d_0 + k_01)(A_1 k_10 d_1 + k_10);
+        # d = 0 and s = 0 drop their terms exactly
+        zero = np.zeros(2)
+        if which == 4:
+            k, d, s = spec.L, spec.tau, spec.L.diagonal()
+        elif which == 5:
+            k, d, s = spec.L, zero, spec.L.diagonal()
+        else:
+            k, d, s = spec.A_off, spec.sigma.diagonal(), zero
+        x = up * (up + s) * d + s
+        coupling = (up[0] * k[0, 1] * d[0] + k[0, 1]) * (up[1] * k[1, 0] * d[1] + k[1, 0])
+        checks = (
+            _check("decay_margin_1", x[0], al[0], tol),
+            _check("decay_margin_2", x[1], al[1], tol),
+            _check("coupling_determinant", coupling, (al[0] - x[0]) * (al[1] - x[1]), tol),
+        )
     status = STATUS_STABLE if all(c.satisfied for c in checks) else STATUS_INCONCLUSIVE
-    return StabilityVerdict(status, tag, matrix, None, checks)
+    return StabilityVerdict(status, f"cor{which}", _BUILDERS[family](spec), None, checks)
 
 
 # ---------------------------------------------------------------------------
@@ -458,6 +429,24 @@ def _dominance_checks(c: np.ndarray, which: int, weights, tol: float):
     raise FamilyError(f"which must be one of 1, 2, 3, 4 (got {which})")
 
 
+def _bam_dominance(bam, family: str, which: int, weights, tol: float) -> StabilityVerdict:
+    # family "cor9" is the general two-layer case, "cor10" the one without
+    # leakage delays
+    bam = _require_bam(bam)
+    if family == "cor10" and (np.any(bam.tau_x != 0.0) or np.any(bam.tau_y != 0.0)):
+        raise FamilyError("this test needs zero leakage delays "
+                          "(tau_x = tau_y = 0)")
+    c = test_matrix_bam(bam)
+    checks, failed_report = _dominance_checks(c, which, weights, tol)
+    tag = f"{family}-{which}"
+    if checks is None:
+        witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
+        return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, failed_report,
+                                (witness_gap,))
+    status = STATUS_STABLE if all(ck.satisfied for ck in checks) else STATUS_INCONCLUSIVE
+    return StabilityVerdict(status, tag, c, None, checks)
+
+
 def bam_dominance_verdict(bam: BamSpec, which: int, weights=None,
                           tol: float = DEFAULT_TOL) -> StabilityVerdict:
     """Dominance sufficient conditions on the two-layer comparison matrix.
@@ -468,16 +457,7 @@ def bam_dominance_verdict(bam: BamSpec, which: int, weights=None,
     inconclusive classification leaves no witness and the weighted conditions
     are reported unsatisfied).
     """
-    bam = _require_bam(bam)
-    c = test_matrix_bam(bam)
-    checks, failed_report = _dominance_checks(c, which, weights, tol)
-    tag = f"cor9-{which}"
-    if checks is None:
-        witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
-        return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, failed_report,
-                                (witness_gap,))
-    status = STATUS_STABLE if all(ck.satisfied for ck in checks) else STATUS_INCONCLUSIVE
-    return StabilityVerdict(status, tag, c, None, checks)
+    return _bam_dominance(bam, "cor9", which, weights, tol)
 
 
 def bam_undelayed_dominance_verdict(bam: BamSpec, which: int, weights=None,
@@ -487,19 +467,7 @@ def bam_undelayed_dominance_verdict(bam: BamSpec, which: int, weights=None,
     With zero leakage delays the comparison matrix has unit diagonal, so the
     conditions reduce to (weighted) coupling sums staying below 1.
     """
-    bam = _require_bam(bam)
-    if np.any(bam.tau_x != 0.0) or np.any(bam.tau_y != 0.0):
-        raise FamilyError("this test needs zero leakage delays "
-                          "(tau_x = tau_y = 0)")
-    c = test_matrix_bam(bam)
-    checks, failed_report = _dominance_checks(c, which, weights, tol)
-    tag = f"cor10-{which}"
-    if checks is None:
-        witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
-        return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, failed_report,
-                                (witness_gap,))
-    status = STATUS_STABLE if all(ck.satisfied for ck in checks) else STATUS_INCONCLUSIVE
-    return StabilityVerdict(status, tag, c, None, checks)
+    return _bam_dominance(bam, "cor10", which, weights, tol)
 
 
 def two_neuron_closed_form(bam: BamSpec, tol: float = DEFAULT_TOL) -> StabilityVerdict:

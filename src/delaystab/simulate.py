@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import InvalidSpecError
+from .systems import as_history
 
 
 class SimulationError(RuntimeError):
@@ -73,15 +73,6 @@ class DecayFit:
     r_squared: float
 
 
-def _resolve_history(history, dim: int):
-    if callable(history):
-        return history
-    vec = np.asarray(history, dtype=float)
-    if vec.shape != (dim,):
-        raise InvalidSpecError([f"history must have shape ({dim},), got {vec.shape}"])
-    return lambda t: vec
-
-
 class _Integrator:
     def __init__(self, system, cfg: SimConfig):
         if cfg.h <= 0:
@@ -104,8 +95,8 @@ class _Integrator:
         self.cfg = cfg
         self.n_steps = n_steps
         self.dim = system.dim
-        self.phi = _resolve_history(cfg.history, self.dim) if cfg.history is not None \
-            else system.history
+        self.phi = system.history if cfg.history is None \
+            else as_history(cfg.history, self.dim)
         self.times = cfg.t0 + np.arange(n_steps + 1) * cfg.h
         self.states = np.empty((n_steps + 1, self.dim))
         self.derivs = np.empty((n_steps + 1, self.dim))

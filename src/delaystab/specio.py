@@ -29,7 +29,8 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from .systems import (
     InvalidSpecError,
     LinearConcrete,
     LinearSystemSpec,
-    validate,
+    require_valid,
 )
 
 KINDS = ("general", "linear", "bam", "two_neuron")
@@ -192,13 +193,15 @@ def _build_fn(node, catalog: dict, path: str, allow_null: bool = False):
     if not isinstance(node, dict) or "type" not in node:
         _fail(path, "expected a function object with a 'type' field")
     kind = node["type"]
-    if kind not in catalog:
+    if not isinstance(kind, str) or kind not in catalog:
         _fail(f"{path}.type",
               f"unknown function '{kind}' (choose from: {', '.join(sorted(catalog))})")
     cls, param_names = catalog[kind]
     _check_keys(node, path, allowed=("type",) + param_names, required=param_names)
-    kwargs = {name: _num(node[name], f"{path}.{name}") for name in param_names}
-    return cls(**kwargs)
+    fn = cls(**{name: _num(node[name], f"{path}.{name}") for name in param_names})
+    if catalog is LAG_CATALOG and fn.lower < 0:
+        _fail(path, f"lag must stay nonnegative (minimum {fn.lower})")
+    return fn
 
 
 def _fn_list(node, catalog, path, length, allow_null=False):
@@ -221,10 +224,10 @@ def _fn_matrix(node, catalog, path, size, allow_null=False):
 
 
 def _require_spec_valid(spec):
-    problems = validate(spec)
-    if problems:
-        raise DocumentError("; ".join(f"spec.{p}" for p in problems))
-    return spec
+    try:
+        return require_valid(spec)
+    except InvalidSpecError as exc:
+        raise DocumentError("; ".join(f"spec.{p}" for p in exc.violations)) from exc
 
 
 def _history_vec(doc: dict, dim: int, required: bool) -> np.ndarray | None:
@@ -243,35 +246,7 @@ def _lag_bound(fn) -> float:
     return 0.0 if fn is None else fn.bound
 
 
-def _parse_general(doc: dict) -> ParsedInput:
-    spec_node = doc.get("spec")
-    if not isinstance(spec_node, dict):
-        _fail("spec", "expected an object")
-    dyn = doc.get("dynamics")
-    flag = spec_node.get("diagonal_delay_free", False)
-    if not isinstance(flag, bool):
-        _fail("spec.diagonal_delay_free", "expected true or false")
-    if dyn is None:
-        _check_keys(spec_node, "spec",
-                    allowed=("alpha", "A", "tau", "sigma", "L", "diagonal_delay_free"),
-                    required=("alpha", "A", "tau", "sigma", "L"))
-        alpha = _num_list(spec_node["alpha"], "spec.alpha")
-        m = len(alpha)
-        spec = GeneralSystemSpec(
-            alpha=alpha,
-            A=_num_list(spec_node["A"], "spec.A", m),
-            tau=_num_list(spec_node["tau"], "spec.tau", m),
-            sigma=_num_matrix(spec_node["sigma"], "spec.sigma", m),
-            L=_num_matrix(spec_node["L"], "spec.L", m),
-            diagonal_delay_free=flag,
-        )
-        _require_spec_valid(spec)
-        history = _history_vec(doc, m, required=False)
-        return _finish(doc, "general", spec, None, history, None)
-
-    _check_keys(spec_node, "spec", allowed=("diagonal_delay_free",))
-    if not isinstance(dyn, dict):
-        _fail("dynamics", "expected an object")
+def _general_dynamics(dyn: dict, flag: bool):
     _check_keys(dyn, "dynamics",
                 allowed=("coefficients", "leak_lags", "coupling_lags", "couplings"),
                 required=("coefficients", "leak_lags", "coupling_lags", "couplings"))
@@ -297,40 +272,10 @@ def _parse_general(doc: dict) -> ParsedInput:
         L=[[0.0 if f is None else f.lipschitz for f in row] for row in coups],
         diagonal_delay_free=flag,
     )
-    _require_spec_valid(spec)
-    history = _history_vec(doc, m, required=True)
-    concrete = GeneralConcrete(spec, coeffs, leak, clags, coups, history)
-    return _finish(doc, "general", spec, concrete, history, None)
+    return spec, partial(GeneralConcrete, spec, coeffs, leak, clags, coups)
 
 
-def _parse_linear(doc: dict) -> ParsedInput:
-    spec_node = doc.get("spec")
-    if not isinstance(spec_node, dict):
-        _fail("spec", "expected an object")
-    dyn = doc.get("dynamics")
-    flag = spec_node.get("diagonal_delay_free", False)
-    if not isinstance(flag, bool):
-        _fail("spec.diagonal_delay_free", "expected true or false")
-    if dyn is None:
-        _check_keys(spec_node, "spec",
-                    allowed=("alpha", "A", "A_off", "sigma", "diagonal_delay_free"),
-                    required=("alpha", "A", "A_off", "sigma"))
-        alpha = _num_list(spec_node["alpha"], "spec.alpha")
-        m = len(alpha)
-        spec = LinearSystemSpec(
-            alpha=alpha,
-            A=_num_list(spec_node["A"], "spec.A", m),
-            A_off=_num_matrix(spec_node["A_off"], "spec.A_off", m),
-            sigma=_num_matrix(spec_node["sigma"], "spec.sigma", m),
-            diagonal_delay_free=flag,
-        )
-        _require_spec_valid(spec)
-        history = _history_vec(doc, m, required=False)
-        return _finish(doc, "linear", spec, None, history, None)
-
-    _check_keys(spec_node, "spec", allowed=("diagonal_delay_free",))
-    if not isinstance(dyn, dict):
-        _fail("dynamics", "expected an object")
+def _linear_dynamics(dyn: dict, flag: bool):
     _check_keys(dyn, "dynamics", allowed=("coefficients", "lags"),
                 required=("coefficients", "lags"))
     if not isinstance(dyn["coefficients"], list):
@@ -353,10 +298,43 @@ def _parse_linear(doc: dict) -> ParsedInput:
         sigma=[[_lag_bound(f) for f in row] for row in lags],
         diagonal_delay_free=flag,
     )
+    return spec, partial(LinearConcrete, spec, coeffs, lags)
+
+
+# flat kinds: spec class, bounds-only vector and matrix fields (alpha first),
+# and the parser of the dynamics section
+_FLAT_KINDS = {
+    "general": (GeneralSystemSpec, ("alpha", "A", "tau"), ("sigma", "L"), _general_dynamics),
+    "linear": (LinearSystemSpec, ("alpha", "A"), ("A_off", "sigma"), _linear_dynamics),
+}
+
+
+def _parse_flat(doc: dict, kind: str) -> ParsedInput:
+    spec_node = doc.get("spec")
+    if not isinstance(spec_node, dict):
+        _fail("spec", "expected an object")
+    dyn = doc.get("dynamics")
+    flag = spec_node.get("diagonal_delay_free", False)
+    if not isinstance(flag, bool):
+        _fail("spec.diagonal_delay_free", "expected true or false")
+    cls, vec_keys, mat_keys, parse_dynamics = _FLAT_KINDS[kind]
+    if dyn is None:
+        _check_keys(spec_node, "spec", allowed=vec_keys + mat_keys + ("diagonal_delay_free",),
+                    required=vec_keys + mat_keys)
+        alpha = _num_list(spec_node["alpha"], "spec.alpha")
+        m = len(alpha)
+        bounds = {key: _num_list(spec_node[key], f"spec.{key}", m) for key in vec_keys[1:]}
+        bounds.update({key: _num_matrix(spec_node[key], f"spec.{key}", m) for key in mat_keys})
+        spec, make_concrete = cls(alpha=alpha, diagonal_delay_free=flag, **bounds), None
+    else:
+        _check_keys(spec_node, "spec", allowed=("diagonal_delay_free",))
+        if not isinstance(dyn, dict):
+            _fail("dynamics", "expected an object")
+        spec, make_concrete = parse_dynamics(dyn, flag)
     _require_spec_valid(spec)
-    history = _history_vec(doc, m, required=True)
-    concrete = LinearConcrete(spec, coeffs, lags, history)
-    return _finish(doc, "linear", spec, concrete, history, None)
+    history = _history_vec(doc, spec.m, required=dyn is not None)
+    concrete = None if make_concrete is None else make_concrete(history)
+    return _finish(doc, kind, spec, concrete, history, None)
 
 
 _BAM_BOUND_KEYS = ("Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
@@ -464,58 +442,36 @@ def parse_document(doc: dict) -> ParsedInput:
         _fail("kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
     resolved, _ = resolve_parameters(doc)
     try:
-        if kind == "general":
-            return _parse_general(resolved)
-        if kind == "linear":
-            return _parse_linear(resolved)
+        if kind in _FLAT_KINDS:
+            return _parse_flat(resolved, kind)
         return _parse_bam_like(resolved, kind)
     except InvalidSpecError as exc:
         raise DocumentError("; ".join(exc.violations)) from exc
 
 
-def parse_file(path: str) -> ParsedInput:
+def load_json(path: str):
+    """Read a JSON file; unreadable or malformed files raise DocumentError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    return parse_document(doc)
 
 
-def _listify(arr: np.ndarray):
-    if arr.ndim == 2:
-        return [[float(v) for v in row] for row in arr]
-    return [float(v) for v in arr]
+def parse_file(path: str) -> ParsedInput:
+    return parse_document(load_json(path))
 
 
 def serialize_spec(spec) -> dict:
     """Bounds-only document for a spec; parse_document round-trips it."""
-    if isinstance(spec, GeneralSystemSpec):
-        return {"kind": "general", "spec": {
-            "alpha": _listify(spec.alpha), "A": _listify(spec.A),
-            "tau": _listify(spec.tau), "sigma": _listify(spec.sigma),
-            "L": _listify(spec.L),
-            "diagonal_delay_free": spec.diagonal_delay_free,
-        }}
-    if isinstance(spec, LinearSystemSpec):
-        return {"kind": "linear", "spec": {
-            "alpha": _listify(spec.alpha), "A": _listify(spec.A),
-            "A_off": _listify(spec.A_off), "sigma": _listify(spec.sigma),
-            "diagonal_delay_free": spec.diagonal_delay_free,
-        }}
-    if isinstance(spec, BamSpec):
-        return {"kind": "bam", "spec": {
-            "a": _listify(spec.a), "b": _listify(spec.b),
-            "a_conn": _listify(spec.a_conn), "b_conn": _listify(spec.b_conn),
-            "Lf": _listify(spec.Lf), "Lg": _listify(spec.Lg),
-            "r_lo": _listify(spec.r_lo), "r_hi": _listify(spec.r_hi),
-            "p_lo": _listify(spec.p_lo), "p_hi": _listify(spec.p_hi),
-            "tau_x": _listify(spec.tau_x), "tau_y": _listify(spec.tau_y),
-            "sigma_x": _listify(spec.sigma_x), "sigma_y": _listify(spec.sigma_y),
-            "I": _listify(spec.I), "J": _listify(spec.J),
-        }}
-    raise TypeError(f"cannot serialize {type(spec).__name__}")
+    kind = {GeneralSystemSpec: "general", LinearSystemSpec: "linear",
+            BamSpec: "bam"}.get(type(spec))
+    if kind is None:
+        raise TypeError(f"cannot serialize {type(spec).__name__}")
+    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    return {"kind": kind, "spec": {
+        name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}}

@@ -15,8 +15,8 @@ from .criteria import (
     two_neuron_closed_form,
 )
 from .equilibrium import DivergenceError, solve_equilibrium
-from .linalg import DEFAULT_TOL
-from .simulate import FitInapplicableError, SimConfig, fit_decay, simulate
+from .linalg import DEFAULT_TOL, LinalgInputError
+from .simulate import FitInapplicableError, SimConfig, SimulationError, fit_decay, simulate
 from .specio import DocumentError, parse_document, set_parameter
 from .systems import BamSpec, InvalidSpecError
 
@@ -65,7 +65,8 @@ def sweep(document: dict, path: str, values, *, tol: float = DEFAULT_TOL,
     (or whose simulation cannot run) gets status "error" with the message;
     the rest of the sweep continues.  When `simulate_until` is set, each
     point with concrete dynamics is also integrated from its history and the
-    observed decay rate toward the equilibrium is fitted.
+    observed decay rate toward the equilibrium is fitted; a run that blows up
+    or does not decay keeps its row, with lambda_hat None.
     """
     rows = []
     for value in values:
@@ -91,12 +92,10 @@ def sweep(document: dict, path: str, values, *, tol: float = DEFAULT_TOL,
 
 def _simulated_rate(parsed, t_end: float, step: float | None) -> float | None:
     h = step if step is not None else default_step(parsed.concrete, 0.0, t_end)
-    traj = simulate(parsed.concrete, SimConfig(t0=0.0, t_end=t_end, h=h))
-    if not np.all(np.isfinite(traj.states)):
-        return None
     try:
+        traj = simulate(parsed.concrete, SimConfig(t0=0.0, t_end=t_end, h=h))
         return fit_decay(traj, fit_reference(parsed)).lambda_hat
-    except (FitInapplicableError, DivergenceError):
+    except (SimulationError, FitInapplicableError, DivergenceError):
         return None
 
 
@@ -145,7 +144,7 @@ def find_failure_threshold(document: dict, path: str, *, start: float = 0.0,
             if isinstance(spec, BamSpec) and spec.n == 1:
                 return two_neuron_closed_form(spec, tol=tol).stable
             return stability_verdict(spec, tol=tol).stable
-        except (DocumentError, InvalidSpecError, FamilyError, ValueError):
+        except (DocumentError, InvalidSpecError, FamilyError, LinalgInputError):
             return False
 
     if not certified(start):

@@ -95,6 +95,10 @@ class ConstantLag:
         return self.value
 
     @property
+    def lower(self) -> float:
+        return self.value
+
+    @property
     def bound(self) -> float:
         return self.value
 
@@ -110,13 +114,17 @@ class SinSquaredLag:
         return self.amp * s * s
 
     @property
+    def lower(self) -> float:
+        return min(self.amp, 0.0)
+
+    @property
     def bound(self) -> float:
         return self.amp
 
 
 @dataclass(frozen=True)
 class ShiftedAbsSinLag:
-    """base + amp*|sin(t)|, bounded by base + amp."""
+    """base + amp*|sin(t)|, ranging over [base + min(amp, 0), base + max(amp, 0)]."""
 
     base: float
     amp: float
@@ -125,21 +133,20 @@ class ShiftedAbsSinLag:
         return self.base + self.amp * abs(math.sin(t))
 
     @property
-    def bound(self) -> float:
-        return self.base + self.amp
-
-
-@dataclass(frozen=True)
-class ShiftedAbsCosLag:
-    base: float
-    amp: float
-
-    def __call__(self, t: float) -> float:
-        return self.base + self.amp * abs(math.cos(t))
+    def lower(self) -> float:
+        return self.base + min(self.amp, 0.0)
 
     @property
     def bound(self) -> float:
-        return self.base + self.amp
+        return self.base + max(self.amp, 0.0)
+
+
+@dataclass(frozen=True)
+class ShiftedAbsCosLag(ShiftedAbsSinLag):
+    """base + amp*|cos(t)|, with the same range as the sine variant."""
+
+    def __call__(self, t: float) -> float:
+        return self.base + self.amp * abs(math.cos(t))
 
 
 @dataclass(frozen=True)
@@ -242,6 +249,17 @@ def _mat(value, m: int, name: str) -> np.ndarray:
     return _freeze(arr)
 
 
+def _set_arrays(spec, vecs, mats):
+    # the first vector fixes the dimension; arrays are converted in order
+    shape = np.asarray(getattr(spec, vecs[0]), dtype=float).shape
+    if len(shape) != 1 or shape[0] == 0:
+        raise InvalidSpecError([f"{vecs[0]} must be a nonempty vector"])
+    for name in vecs:
+        object.__setattr__(spec, name, _vec(getattr(spec, name), shape[0], name))
+    for name in mats:
+        object.__setattr__(spec, name, _mat(getattr(spec, name), shape[0], name))
+
+
 def _eq(a, b) -> bool:
     if type(a) is not type(b):
         return NotImplemented
@@ -274,15 +292,7 @@ class GeneralSystemSpec:
     diagonal_delay_free: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.alpha, dtype=float).shape
-        if len(m) != 1 or m[0] == 0:
-            raise InvalidSpecError(["alpha must be a nonempty vector"])
-        m = m[0]
-        object.__setattr__(self, "alpha", _vec(self.alpha, m, "alpha"))
-        object.__setattr__(self, "A", _vec(self.A, m, "A"))
-        object.__setattr__(self, "tau", _vec(self.tau, m, "tau"))
-        object.__setattr__(self, "sigma", _mat(self.sigma, m, "sigma"))
-        object.__setattr__(self, "L", _mat(self.L, m, "L"))
+        _set_arrays(self, ("alpha", "A", "tau"), ("sigma", "L"))
         object.__setattr__(self, "diagonal_delay_free", bool(self.diagonal_delay_free))
 
     __eq__ = _eq
@@ -308,14 +318,7 @@ class LinearSystemSpec:
     diagonal_delay_free: bool = False
 
     def __post_init__(self):
-        m = np.asarray(self.alpha, dtype=float).shape
-        if len(m) != 1 or m[0] == 0:
-            raise InvalidSpecError(["alpha must be a nonempty vector"])
-        m = m[0]
-        object.__setattr__(self, "alpha", _vec(self.alpha, m, "alpha"))
-        object.__setattr__(self, "A", _vec(self.A, m, "A"))
-        object.__setattr__(self, "A_off", _mat(self.A_off, m, "A_off"))
-        object.__setattr__(self, "sigma", _mat(self.sigma, m, "sigma"))
+        _set_arrays(self, ("alpha", "A"), ("A_off", "sigma"))
         object.__setattr__(self, "diagonal_delay_free", bool(self.diagonal_delay_free))
 
     __eq__ = _eq
@@ -355,15 +358,9 @@ class BamSpec:
     J: np.ndarray
 
     def __post_init__(self):
-        shape = np.asarray(self.a, dtype=float).shape
-        if len(shape) != 1 or shape[0] == 0:
-            raise InvalidSpecError(["a must be a nonempty vector"])
-        n = shape[0]
-        for name in ("a", "b", "Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
-                     "tau_x", "tau_y", "sigma_x", "sigma_y", "I", "J"):
-            object.__setattr__(self, name, _vec(getattr(self, name), n, name))
-        for name in ("a_conn", "b_conn"):
-            object.__setattr__(self, name, _mat(getattr(self, name), n, name))
+        _set_arrays(self, ("a", "b", "Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
+                           "tau_x", "tau_y", "sigma_x", "sigma_y", "I", "J"),
+                    ("a_conn", "b_conn"))
 
     __eq__ = _eq
 
@@ -376,26 +373,28 @@ class BamSpec:
 # validation
 # ---------------------------------------------------------------------------
 
-def _check_vec(out: list[str], arr: np.ndarray, name: str, relation: str, other=None):
-    for i, v in enumerate(arr):
-        if not np.isfinite(v):
-            out.append(f"{name}[{i + 1}] must be finite (got {v})")
-        elif relation == ">0" and not v > 0:
-            out.append(f"{name}[{i + 1}] must be > 0 (got {v})")
-        elif relation == ">=0" and not v >= 0:
-            out.append(f"{name}[{i + 1}] must be >= 0 (got {v})")
-        elif relation == "<=" and not v <= other[i]:
-            out.append(f"{name}[{i + 1}] must be <= its upper partner (got {v} > {other[i]})")
-
-
-def _check_mat(out: list[str], arr: np.ndarray, name: str):
-    for i in range(arr.shape[0]):
-        for j in range(arr.shape[1]):
-            v = arr[i, j]
-            if not np.isfinite(v):
-                out.append(f"{name}[{i + 1}][{j + 1}] must be finite (got {v})")
-            elif not v >= 0:
-                out.append(f"{name}[{i + 1}][{j + 1}] must be >= 0 (got {v})")
+def _check(out: list[str], arr: np.ndarray, name: str, rule: str | None,
+           other=None):
+    # rule is "> 0", ">= 0", "<=" (against `other`) or None (finite only);
+    # numpy finds the failing entries and only those are formatted
+    finite = np.isfinite(arr)
+    if rule == "> 0":
+        ok = arr > 0
+    elif rule == ">= 0":
+        ok = arr >= 0
+    elif rule == "<=":
+        ok = arr <= other
+    else:
+        ok = True
+    for idx in zip(*np.nonzero(~(finite & ok))):
+        v = arr[idx]
+        where = name + "".join(f"[{k + 1}]" for k in idx)
+        if not finite[idx]:
+            out.append(f"{where} must be finite (got {v})")
+        elif rule == "<=":
+            out.append(f"{where} must be <= its upper partner (got {v} > {other[idx]})")
+        else:
+            out.append(f"{where} must be {rule} (got {v})")
 
 
 def validate(spec) -> list[str]:
@@ -404,60 +403,62 @@ def validate(spec) -> list[str]:
     Never raises; string entries carry field paths with 1-based indices.
     """
     out: list[str] = []
-    if isinstance(spec, GeneralSystemSpec):
-        _check_vec(out, spec.alpha, "alpha", ">0")
-        _check_vec(out, spec.A, "A", ">=0")
-        _check_vec(out, spec.alpha, "alpha", "<=", spec.A)
-        _check_vec(out, spec.tau, "tau", ">=0")
-        _check_mat(out, spec.sigma, "sigma")
-        _check_mat(out, spec.L, "L")
-    elif isinstance(spec, LinearSystemSpec):
-        _check_vec(out, spec.alpha, "alpha", ">0")
-        _check_vec(out, spec.A, "A", ">=0")
-        _check_vec(out, spec.alpha, "alpha", "<=", spec.A)
-        _check_mat(out, spec.A_off, "A_off")
-        _check_mat(out, spec.sigma, "sigma")
+    if isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
+        _check(out, spec.alpha, "alpha", "> 0")
+        _check(out, spec.A, "A", ">= 0")
+        _check(out, spec.alpha, "alpha", "<=", spec.A)
+        if isinstance(spec, GeneralSystemSpec):
+            _check(out, spec.tau, "tau", ">= 0")
+            _check(out, spec.sigma, "sigma", ">= 0")
+            _check(out, spec.L, "L", ">= 0")
+        else:
+            _check(out, spec.A_off, "A_off", ">= 0")
+            _check(out, spec.sigma, "sigma", ">= 0")
     elif isinstance(spec, BamSpec):
-        _check_vec(out, spec.a, "a", ">0")
-        _check_vec(out, spec.b, "b", ">0")
-        _check_vec(out, spec.r_lo, "r_lo", ">0")
-        _check_vec(out, spec.r_hi, "r_hi", ">0")
-        _check_vec(out, spec.r_lo, "r_lo", "<=", spec.r_hi)
-        _check_vec(out, spec.p_lo, "p_lo", ">0")
-        _check_vec(out, spec.p_hi, "p_hi", ">0")
-        _check_vec(out, spec.p_lo, "p_lo", "<=", spec.p_hi)
-        _check_vec(out, spec.Lf, "Lf", ">=0")
-        _check_vec(out, spec.Lg, "Lg", ">=0")
-        _check_vec(out, spec.tau_x, "tau_x", ">=0")
-        _check_vec(out, spec.tau_y, "tau_y", ">=0")
-        _check_vec(out, spec.sigma_x, "sigma_x", ">=0")
-        _check_vec(out, spec.sigma_y, "sigma_y", ">=0")
-        for name in ("I", "J"):
-            arr = getattr(spec, name)
-            for i, v in enumerate(arr):
-                if not np.isfinite(v):
-                    out.append(f"{name}[{i + 1}] must be finite (got {v})")
-        for name in ("a_conn", "b_conn"):
-            arr = getattr(spec, name)
-            for i in range(arr.shape[0]):
-                for j in range(arr.shape[1]):
-                    if not np.isfinite(arr[i, j]):
-                        out.append(f"{name}[{i + 1}][{j + 1}] must be finite (got {arr[i, j]})")
+        _check(out, spec.a, "a", "> 0")
+        _check(out, spec.b, "b", "> 0")
+        for lo, hi in (("r_lo", "r_hi"), ("p_lo", "p_hi")):
+            _check(out, getattr(spec, lo), lo, "> 0")
+            _check(out, getattr(spec, hi), hi, "> 0")
+            _check(out, getattr(spec, lo), lo, "<=", getattr(spec, hi))
+        for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"):
+            _check(out, getattr(spec, name), name, ">= 0")
+        for name in ("I", "J", "a_conn", "b_conn"):
+            _check(out, getattr(spec, name), name, None)
     else:
         out.append(f"unknown spec type {type(spec).__name__}")
     return out
 
 
 def require_valid(spec):
-    violations = validate(spec)
-    if violations:
-        raise InvalidSpecError(violations)
+    """Return `spec`, or raise InvalidSpecError listing its violations.
+
+    Specs are immutable, so one that passed is marked and not checked again.
+    """
+    if not getattr(spec, "_valid", False):
+        violations = validate(spec)
+        if violations:
+            raise InvalidSpecError(violations)
+        object.__setattr__(spec, "_valid", True)
     return spec
 
 
 # ---------------------------------------------------------------------------
 # reductions and constructors
 # ---------------------------------------------------------------------------
+
+def merged_bounds(bam: BamSpec):
+    """(alpha, A, tau, L) of the two-layer network merged into dimension 2n."""
+    require_valid(bam)
+    n = bam.n
+    alpha = np.concatenate([bam.r_lo * bam.a, bam.p_lo * bam.b])
+    upper = np.concatenate([bam.r_hi * bam.a, bam.p_hi * bam.b])
+    tau = np.concatenate([bam.tau_x, bam.tau_y])
+    L = np.zeros((2 * n, 2 * n))
+    L[:n, n:] = np.abs(bam.a_conn) * bam.r_hi[:, None] * bam.Lf[None, :]
+    L[n:, :n] = np.abs(bam.b_conn) * bam.p_hi[:, None] * bam.Lg[None, :]
+    return alpha, upper, tau, L
+
 
 def bam_to_general(bam: BamSpec) -> GeneralSystemSpec:
     """Merge the two layers into one general spec of dimension 2n.
@@ -467,17 +468,11 @@ def bam_to_general(bam: BamSpec) -> GeneralSystemSpec:
     inherits the connection magnitude scaled by the source activation's
     Lipschitz constant and the destination row's upper rate.
 
-    The expression ordering here is deliberately mirrored by the direct
-    two-layer test-matrix builder so both routes agree to the last bit.
+    The direct two-layer test-matrix builder uses the same arrays (from
+    `merged_bounds`), so both routes agree to the last bit.
     """
-    require_valid(bam)
+    alpha, upper, tau, L = merged_bounds(bam)
     n = bam.n
-    alpha = np.concatenate([bam.r_lo * bam.a, bam.p_lo * bam.b])
-    upper = np.concatenate([bam.r_hi * bam.a, bam.p_hi * bam.b])
-    tau = np.concatenate([bam.tau_x, bam.tau_y])
-    L = np.zeros((2 * n, 2 * n))
-    L[:n, n:] = np.abs(bam.a_conn) * bam.r_hi[:, None] * bam.Lf[None, :]
-    L[n:, :n] = np.abs(bam.b_conn) * bam.p_hi[:, None] * bam.Lg[None, :]
     sigma = np.zeros((2 * n, 2 * n))
     sigma[:n, n:] = np.broadcast_to(bam.sigma_y[None, :], (n, n))
     sigma[n:, :n] = np.broadcast_to(bam.sigma_x[None, :], (n, n))
@@ -524,7 +519,8 @@ def _check_lag(value: float, bound: float, t: float, label: str) -> float:
     return value
 
 
-def _as_history(history, dim: int):
+def as_history(history, dim: int):
+    """A callable t -> state from a constant vector or a callable."""
     if callable(history):
         return history
     vec = np.asarray(history, dtype=float)
@@ -537,11 +533,18 @@ def _as_history(history, dim: int):
     return phi
 
 
-def _lag_bounds(lags) -> list[float]:
-    return [f.bound for f in lags if f is not None]
+class _Concrete:
+    def _set_common(self, dim: int, history, lags):
+        # `lags` lists every lag function of the system, None where a term
+        # has no delay
+        self.dim = dim
+        self.history = as_history(history, dim)
+        bounds = [f.bound for f in lags if f is not None]
+        self.max_lag_bound = max(bounds, default=0.0)
+        self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
 
 
-class GeneralConcrete:
+class GeneralConcrete(_Concrete):
     """A realization of a GeneralSystemSpec with catalog functions.
 
     coeffs: per-component decay coefficient functions (range within
@@ -577,18 +580,11 @@ class GeneralConcrete:
         if problems:
             raise InvalidSpecError(problems)
         self.spec = spec
-        self.dim = m
         self.coeffs = list(coeffs)
         self.leak_lags = list(leak_lags)
         self.coupling_lags = [list(row) for row in coupling_lags]
         self.couplings = [list(row) for row in couplings]
-        self.history = _as_history(history, m)
-        bounds = _lag_bounds(self.leak_lags)
-        for row in self.coupling_lags:
-            bounds.extend(_lag_bounds(row))
-        self.max_lag_bound = max(bounds, default=0.0)
-        positive = [bb for bb in bounds if bb > 0]
-        self.min_positive_lag_bound = min(positive) if positive else None
+        self._set_common(m, history, self.leak_lags + sum(self.coupling_lags, []))
 
     def derivative(self, t: float, value_at) -> np.ndarray:
         out = np.empty(self.dim)
@@ -608,7 +604,7 @@ class GeneralConcrete:
         return out
 
 
-class LinearConcrete:
+class LinearConcrete(_Concrete):
     """A realization of a LinearSystemSpec: dx_i = sum_j c_ij(t) x_j(t - lag_ij)."""
 
     def __init__(self, spec: LinearSystemSpec, coeffs, lags, history):
@@ -631,16 +627,9 @@ class LinearConcrete:
         if problems:
             raise InvalidSpecError(problems)
         self.spec = spec
-        self.dim = m
         self.coeffs = [list(row) for row in coeffs]
         self.lags = [list(row) for row in lags]
-        self.history = _as_history(history, m)
-        bounds: list[float] = []
-        for row in self.lags:
-            bounds.extend(_lag_bounds(row))
-        self.max_lag_bound = max(bounds, default=0.0)
-        positive = [bb for bb in bounds if bb > 0]
-        self.min_positive_lag_bound = min(positive) if positive else None
+        self._set_common(m, history, sum(self.lags, []))
 
     def derivative(self, t: float, value_at) -> np.ndarray:
         out = np.empty(self.dim)
@@ -655,7 +644,7 @@ class LinearConcrete:
         return out
 
 
-class BamConcrete:
+class BamConcrete(_Concrete):
     """A realization of a BamSpec; state is (x_1..x_n, y_1..y_n).
 
     rates r/p modulate each layer's whole right-hand side; leak lags delay the
@@ -688,16 +677,11 @@ class BamConcrete:
         if problems:
             raise InvalidSpecError(problems)
         self.bam = bam
-        self.dim = 2 * n
         self.r, self.p = list(r), list(p)
         self.leak_x, self.leak_y = list(leak_x), list(leak_y)
         self.trans_x, self.trans_y = list(trans_x), list(trans_y)
         self.f, self.g = list(f), list(g)
-        self.history = _as_history(history, 2 * n)
-        bounds = [fn.bound for fn in self.leak_x + self.leak_y + self.trans_x + self.trans_y]
-        self.max_lag_bound = max(bounds, default=0.0)
-        positive = [bb for bb in bounds if bb > 0]
-        self.min_positive_lag_bound = min(positive) if positive else None
+        self._set_common(2 * n, history, self.leak_x + self.leak_y + self.trans_x + self.trans_y)
 
     def derivative(self, t: float, value_at) -> np.ndarray:
         bam = self.bam

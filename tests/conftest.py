@@ -1,12 +1,20 @@
 import json
+import os
 import pathlib
 
 import numpy as np
 import pytest
 
+import delaystab
 from delaystab import BamSpec, GeneralSystemSpec, LinearSystemSpec
 
 INPUTS = pathlib.Path(__file__).resolve().parent.parent / "inputs"
+
+# CLI tests run `python -m delaystab` in a subprocess; let it import the same
+# package as this process, also when that comes from pytest's `pythonpath`
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(pathlib.Path(delaystab.__file__).parent.parent),
+                  os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture

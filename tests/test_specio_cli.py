@@ -383,3 +383,38 @@ def test_cli_version():
     res = run_cli("--version")
     assert res.returncode == 0
     assert "delaystab" in res.stdout
+
+
+def test_lag_with_negative_amplitude_is_bounded_by_its_base(tmp_path, two_neuron_doc):
+    two_neuron_doc["dynamics"]["leak_x"] = {"type": "shifted_abs_sin",
+                                            "base": 0.5, "amp": -0.2}
+    parsed = parse_document(two_neuron_doc)
+    assert parsed.spec.tau_x[0] == 0.5
+    path = tmp_path / "lag.json"
+    path.write_text(json.dumps(two_neuron_doc))
+    res = run_cli("simulate", str(path), "--t-end", "2")
+    assert res.returncode == 0, res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_lag_with_negative_minimum_is_rejected(tmp_path, two_neuron_doc):
+    two_neuron_doc["dynamics"]["trans_y"] = {"type": "shifted_abs_cos",
+                                             "base": -0.1, "amp": 0.5}
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(two_neuron_doc))
+    res = run_cli("analyze", str(path))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: dynamics.trans_y:")
+    assert "nonnegative" in res.stderr
+
+
+@pytest.mark.parametrize("content", [None, '{"kind": "general",'])
+def test_analyze_and_sweep_share_the_file_loader(tmp_path, content):
+    path = tmp_path / "doc.json"
+    if content is not None:
+        path.write_text(content)
+    analyze = run_cli("analyze", str(path))
+    swept = run_cli("sweep", str(path), "--param", "spec.a", "--values", "1")
+    assert analyze.returncode == swept.returncode == 1
+    assert analyze.stderr.startswith("error:")
+    assert analyze.stderr == swept.stderr

@@ -269,3 +269,43 @@ def test_history_callable_and_vector():
     sys_fn = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
                              [[None]], [[None]], lambda t: np.array([np.sin(t)]))
     assert abs(sys_fn.history(-0.25)[0] - np.sin(-0.25)) < 1e-15
+
+
+def test_validate_messages_and_order_for_every_rule():
+    nan, inf = float("nan"), float("inf")
+    bad = BamSpec(a=[0.0, 1.0], b=[1.0, nan], a_conn=[[inf, 0.0], [0.0, -2.0]],
+                  b_conn=[[0.0, 0.0], [nan, 0.0]], Lf=[-1.0, 0.5], Lg=[0.5, 0.5],
+                  r_lo=[2.0, 1.0], r_hi=[1.0, 1.0], p_lo=[1.0, -1.0], p_hi=[1.0, 1.0],
+                  tau_x=[0.0, -0.5], tau_y=[0.0, 0.0], sigma_x=[0.0, 0.0],
+                  sigma_y=[inf, 0.0], I=[0.0, -inf], J=[0.0, 0.0])
+    assert validate(bad) == [
+        "a[1] must be > 0 (got 0.0)",
+        "b[2] must be finite (got nan)",
+        "r_lo[1] must be <= its upper partner (got 2.0 > 1.0)",
+        "p_lo[2] must be > 0 (got -1.0)",
+        "Lf[1] must be >= 0 (got -1.0)",
+        "tau_x[2] must be >= 0 (got -0.5)",
+        "sigma_y[1] must be finite (got inf)",
+        "I[2] must be finite (got -inf)",
+        "a_conn[1][1] must be finite (got inf)",
+        "b_conn[2][1] must be finite (got nan)",
+    ]
+    general = GeneralSystemSpec(alpha=[nan, 2.0], A=[1.0, 1.0], tau=[0.0, 0.0],
+                                sigma=[[0.0, -1.0], [0.0, 0.0]], L=[[0.0, 0.0], [inf, 0.0]])
+    assert validate(general) == [
+        "alpha[1] must be finite (got nan)",
+        "alpha[1] must be finite (got nan)",
+        "alpha[2] must be <= its upper partner (got 2.0 > 1.0)",
+        "sigma[1][2] must be >= 0 (got -1.0)",
+        "L[2][1] must be finite (got inf)",
+    ]
+
+
+def test_shifted_abs_lag_bound_is_the_true_maximum():
+    for cls in (ShiftedAbsSinLag, ShiftedAbsCosLag):
+        lag = cls(0.5, -0.2)
+        values = [lag(t) for t in np.linspace(0.0, 7.0, 701)]
+        assert lag.bound == 0.5 and lag.lower == pytest.approx(0.3)
+        assert max(values) <= lag.bound and min(values) >= lag.lower - 1e-15
+        assert cls(0.1, 0.3).bound == pytest.approx(0.4) and cls(0.1, 0.3).lower == 0.1
+    assert SinSquaredLag(-1.0).lower == -1.0 and ConstantLag(0.2).lower == 0.2
