@@ -3,7 +3,9 @@
 `golden_cli.json` holds the exit status and the JSON report of `analyze`
 (auto-selected and with each criterion tag forced), `certify-rate` and
 `equilibrium` for each `inputs/*.json`, as produced before the M-matrix
-classifier was rewritten as a single elimination.  Strings, booleans,
+classifier was rewritten as a single elimination, and the reports of a few
+`simulate` and `sweep` runs (`EXTRA_INVOCATIONS`), frozen before the
+certification layer shared one bisection.  Strings, booleans,
 integers and nulls must match exactly; floats must agree to rtol 1e-9.
 The one exception is a certificate's `boundary_margin`: it is the smallest
 minor at the last rate that passed, so it sits at the decision threshold
@@ -31,6 +33,19 @@ GOLDEN = Path(__file__).resolve().parent / "golden_cli.json"
 RTOL = 1e-9
 # absolute tolerance for fields that sit at the tolerance by construction
 ATOL = {"boundary_margin": 1e-11}
+# simulate and sweep outputs, frozen before the certification layer shared
+# one bisection and one dominance body
+EXTRA_INVOCATIONS = (
+    "sweep inputs/bam_modulated.json --param parameters.mu --values 0,9,18 "
+    "--threshold-start 18",
+    "sweep inputs/linear_coupled.json --param parameters.s --values 0.5,0.9,50 "
+    "--simulate --t-end 20",
+    "sweep inputs/linear_coupled.json --param parameters.s --values 0.5 "
+    "--threshold-start 0.5",
+    "simulate inputs/two_neuron_sample.json --t-end 5 --record-every 10",
+    "simulate inputs/bam_modulated.json --t-end 0.05",
+    "simulate inputs/linear_coupled.json --t-end 5",
+)
 
 
 def _invocations():
@@ -41,6 +56,7 @@ def _invocations():
             yield ["analyze", path, "--criterion", tag]
         yield ["certify-rate", path]
         yield ["equilibrium", path]
+    yield from (argv.split() for argv in EXTRA_INVOCATIONS)
 
 
 def _run(argv):
