@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, MMatrixReport, is_m_matrix
+from .linalg import DEFAULT_TOL, MMatrixReport, dominance_sums, is_m_matrix, sign_and_pivot_test
 from .systems import (
     BamSpec,
     FamilyError,
@@ -33,6 +33,9 @@ from .systems import (
     merged_bounds,
     require_valid,
 )
+
+# halvings in every bisection: decay rate and sweep failure threshold
+BISECT_STEPS = 60
 
 STATUS_STABLE = "stable_certified"
 STATUS_INCONCLUSIVE = "inconclusive"
@@ -292,12 +295,25 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
 # decay-rate certification
 # ---------------------------------------------------------------------------
 
+def bisect(passes, lo: float, hi: float) -> tuple[float, float]:
+    """Halve [lo, hi] BISECT_STEPS times for a monotone test that passes at
+    lo and fails at hi; returns the final (last pass, first fail)."""
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     """Bisect for the largest rate at which the rate-parametrized test passes.
 
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
-    Runs a fixed 60 bisection steps; the returned rate is the last passing
-    iterate, so the true switchover lies within bracket_width above it.
+    Trial rates are decided by `sign_and_pivot_test` alone.  Runs a fixed
+    BISECT_STEPS steps; the returned rate is the last passing iterate, so
+    the true switchover lies within bracket_width above it.
     """
     if isinstance(spec, BamSpec):
         spec = bam_to_general(spec)
@@ -314,25 +330,19 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
             "not certified stable: the rate-zero test matrix is not an "
             f"M-matrix (margin {base.margin:.3e})")
 
-    def report_at(rate: float) -> MMatrixReport:
-        return is_m_matrix(_rate_matrix(spec, rate), tol=tol)
+    def passes(rate: float) -> bool:
+        off_ok, pivots_ok, _ = sign_and_pivot_test(_rate_matrix(spec, rate), tol)
+        return off_ok and pivots_ok
 
     top = float(np.min(spec.alpha)) - tol
-    top_report = report_at(top)
-    if top_report.is_m_matrix:
-        return DecayCertificate(lambda0=top, boundary_margin=float(top_report.margin),
-                                iterations=0, bracket_width=0.0, upper_failed=False)
-    lo, hi = 0.0, top
-    lo_report = base
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        mid_report = report_at(mid)
-        if mid_report.is_m_matrix:
-            lo, lo_report = mid, mid_report
-        else:
-            hi = mid
-    return DecayCertificate(lambda0=lo, boundary_margin=float(lo_report.margin),
-                            iterations=60, bracket_width=hi - lo, upper_failed=True)
+    if passes(top):
+        lo, hi, iterations = top, top, 0
+    else:
+        (lo, hi), iterations = bisect(passes, 0.0, top), BISECT_STEPS
+    boundary = is_m_matrix(_rate_matrix(spec, lo), tol=tol)
+    return DecayCertificate(lambda0=lo, boundary_margin=float(boundary.margin),
+                            iterations=iterations, bracket_width=hi - lo,
+                            upper_failed=iterations > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -401,34 +411,6 @@ def _require_bam(spec) -> BamSpec:
     return spec
 
 
-def _dominance_checks(c: np.ndarray, which: int, weights, tol: float):
-    m = c.shape[0]
-    absoff = np.abs(c - np.diag(c.diagonal()))
-    diag = c.diagonal()
-    if which in (1, 2):
-        if which == 1:
-            sums, label, scale = absoff.sum(axis=1), "row", diag
-        else:
-            sums, label, scale = absoff.sum(axis=0), "column", diag
-        return tuple(_check(f"{label}_{k + 1}", sums[k], scale[k], tol) for k in range(m)), None
-    if weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (m,) or not np.all(w > 0):
-            raise ValueError(f"weights must be {m} positive numbers")
-    else:
-        report = is_m_matrix(c, tol=tol)
-        if report.witness_xi is None:
-            return None, report
-        w = report.witness_xi
-    if which == 3:
-        return tuple(_check(f"weighted_row_{k + 1}", float(absoff[k] @ w),
-                            w[k] * diag[k], tol) for k in range(m)), None
-    if which == 4:
-        return tuple(_check(f"weighted_column_{k + 1}", float(absoff[:, k] @ w),
-                            w[k] * diag[k], tol) for k in range(m)), None
-    raise FamilyError(f"which must be one of 1, 2, 3, 4 (got {which})")
-
-
 def _bam_dominance(bam, family: str, which: int, weights, tol: float) -> StabilityVerdict:
     # family "cor9" is the general two-layer case, "cor10" the one without
     # leakage delays
@@ -437,12 +419,26 @@ def _bam_dominance(bam, family: str, which: int, weights, tol: float) -> Stabili
         raise FamilyError("this test needs zero leakage delays "
                           "(tau_x = tau_y = 0)")
     c = test_matrix_bam(bam)
-    checks, failed_report = _dominance_checks(c, which, weights, tol)
+    m = c.shape[0]
     tag = f"{family}-{which}"
-    if checks is None:
-        witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
-        return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, failed_report,
-                                (witness_gap,))
+    if which in (1, 2):
+        w = None
+    elif weights is not None:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (m,) or not np.all(w > 0):
+            raise ValueError(f"weights must be {m} positive numbers")
+    else:
+        report = is_m_matrix(c, tol=tol)
+        if report.witness_xi is None:
+            witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
+            return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, report, (witness_gap,))
+        w = report.witness_xi
+    if which not in (1, 2, 3, 4):
+        raise FamilyError(f"which must be one of 1, 2, 3, 4 (got {which})")
+    row, column, bound = dominance_sums(c, w)
+    sums = row if which in (1, 3) else column
+    label = ("row", "column", "weighted_row", "weighted_column")[which - 1]
+    checks = tuple(_check(f"{label}_{k + 1}", sums[k], bound[k], tol) for k in range(m))
     status = STATUS_STABLE if all(ck.satisfied for ck in checks) else STATUS_INCONCLUSIVE
     return StabilityVerdict(status, tag, c, None, checks)
 

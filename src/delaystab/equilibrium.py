@@ -22,7 +22,8 @@ from .systems import BamSpec, require_valid
 
 # sup-norm step threshold; at equilibria of magnitude ~1e4 a tighter value
 # would sit below float spacing and the loop could cycle forever
-DEFAULT_STEP_TOL = 1e-11
+STEP_TOL = 1e-11
+MAX_ITER = 10_000
 
 
 class DivergenceError(RuntimeError):
@@ -65,9 +66,9 @@ class Equilibrium:
 class FixedPointSystem:
     """The merged fixed-point map u = F(u) + offset in scaled coordinates.
 
-    State layout is (u_1..u_n, v_1..v_n).  `lipschitz` bounds the map's
-    componentwise sensitivity; its nonzero pattern is block-anti-diagonal
-    because each layer only reads the other.
+    State layout is (u_1..u_n, v_1..v_n).  Each layer reads only the other,
+    so the map's componentwise sensitivity is block-anti-diagonal: it is
+    bounded by the second matrix of `build_existence_matrices`.
     """
 
     def __init__(self, bam: BamSpec, f, g):
@@ -78,14 +79,9 @@ class FixedPointSystem:
                              f"got {len(f)} and {len(g)}")
         self.bam = bam
         self.n = n
-        self.dim = 2 * n
         self.f = list(f)
         self.g = list(g)
         self.offset = np.concatenate([bam.I, bam.J])
-        lip = np.zeros((2 * n, 2 * n))
-        lip[:n, n:] = np.abs(bam.a_conn) * (bam.Lf / bam.b)[None, :]
-        lip[n:, :n] = np.abs(bam.b_conn) * (bam.Lg / bam.a)[None, :]
-        self.lipschitz = lip
 
     def apply(self, w: np.ndarray) -> np.ndarray:
         bam, n = self.bam, self.n
@@ -113,20 +109,12 @@ def build_existence_matrices(bam: BamSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _norm_conditions(mat: np.ndarray, label: str, start: int) -> list[ExistenceCondition]:
-    out = []
-    r = spectral_radius(mat)
-    out.append(ExistenceCondition(start, f"spectral radius of {label} < 1",
-                                  float(r), bool(r < 1.0)))
-    row = float(np.abs(mat).sum(axis=1).max())
-    out.append(ExistenceCondition(start + 1, f"max row sum of {label} < 1",
-                                  row, bool(row < 1.0)))
-    col = float(np.abs(mat).sum(axis=0).max())
-    out.append(ExistenceCondition(start + 2, f"max column sum of {label} < 1",
-                                  col, bool(col < 1.0)))
-    frob = float((mat * mat).sum())
-    out.append(ExistenceCondition(start + 3, f"squared-entry sum of {label} < 1",
-                                  frob, bool(frob < 1.0)))
-    return out
+    norms = {"spectral radius": spectral_radius(mat),
+             "max row sum": np.abs(mat).sum(axis=1).max(),
+             "max column sum": np.abs(mat).sum(axis=0).max(),
+             "squared-entry sum": (mat * mat).sum()}
+    return [ExistenceCondition(start + i, f"{name} of {label} < 1", float(v), bool(v < 1.0))
+            for i, (name, v) in enumerate(norms.items())]
 
 
 def equilibrium_exists(bam: BamSpec) -> ExistenceReport:
@@ -136,17 +124,17 @@ def equilibrium_exists(bam: BamSpec) -> ExistenceReport:
     return ExistenceReport(tuple(conditions), any(c.holds for c in conditions))
 
 
-def solve_equilibrium(bam: BamSpec, f, g, tol: float = DEFAULT_STEP_TOL,
-                      max_iter: int = 10_000) -> Equilibrium:
+def solve_equilibrium(bam: BamSpec, f, g) -> Equilibrium:
     """Fixed-point iteration for the equilibrium, started from the inputs.
 
     f and g are the activation functions of each layer (catalog objects or
-    plain callables).  Iterates until the sup-norm step drops below tol,
-    then back-substitutes x = u/a, y = v/b and reports the residual of the
-    original equilibrium equations, which comes out below 10*tol.
+    plain callables).  Iterates until the sup-norm step drops below
+    STEP_TOL, then back-substitutes x = u/a, y = v/b and reports the
+    residual of the original equilibrium equations, which comes out below
+    10*STEP_TOL.
 
     Raises DivergenceError when steps grow for 10 consecutive iterations or
-    max_iter is exhausted.
+    MAX_ITER iterations are exhausted.
     """
     fixed_point = FixedPointSystem(bam, f, g)
     report = equilibrium_exists(bam)
@@ -159,9 +147,7 @@ def solve_equilibrium(bam: BamSpec, f, g, tol: float = DEFAULT_STEP_TOL,
     prev_step = np.inf
     ratio = 0.0
     growing = 0
-    iterations = 0
-    converged = False
-    for iterations in range(1, max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         w_new = fixed_point.apply(w)
         step = float(np.max(np.abs(w_new - w)))
         ratio = step / prev_step if np.isfinite(prev_step) and prev_step > 0 else 0.0
@@ -178,12 +164,11 @@ def solve_equilibrium(bam: BamSpec, f, g, tol: float = DEFAULT_STEP_TOL,
         else:
             growing = 0
         w = w_new
-        if step < tol:
-            converged = True
+        if step < STEP_TOL:
             break
         prev_step = step
-    if not converged:
-        raise DivergenceError(f"no convergence within {max_iter} iterations "
+    else:
+        raise DivergenceError(f"no convergence within {MAX_ITER} iterations "
                               f"(last step {prev_step:.3e})",
                               w[:n] / bam.a, w[n:] / bam.b, ratio)
     x = w[:n] / bam.a
@@ -194,7 +179,7 @@ def solve_equilibrium(bam: BamSpec, f, g, tol: float = DEFAULT_STEP_TOL,
         float(np.max(np.abs(bam.a * x - bam.a_conn @ fv - bam.I))),
         float(np.max(np.abs(bam.b * y - bam.b_conn @ gu - bam.J))),
     )
-    if residual > 10.0 * tol * max(1.0, float(np.max(np.abs(w)))):
+    if residual > 10.0 * STEP_TOL * max(1.0, float(np.max(np.abs(w)))):
         raise DivergenceError(
             f"iteration settled but the residual {residual:.3e} is "
             "inconsistent with the step tolerance", x, y, ratio)

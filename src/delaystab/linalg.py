@@ -84,13 +84,24 @@ def _pivots(arr: np.ndarray) -> np.ndarray:
     return pivots
 
 
-def _plain_screen(arr: np.ndarray, tol: float) -> str | None:
+def dominance_sums(arr: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row and column sums of off-diagonal magnitudes, and their bound.
+
+    Strict dominance is bound - sums > 0.  With weights xi the sums are
+    |off| xi and |off|^T xi and the bound is xi * diag, else the diagonal."""
     diag = np.diag(arr)
     absoff = np.abs(arr - np.diag(diag))
-    if (diag - absoff.sum(axis=1) > tol).all():
-        return SCREEN_ROW
-    if (diag - absoff.sum(axis=0) > tol).all():
-        return SCREEN_COLUMN
+    if weights is None:
+        return absoff.sum(axis=1), absoff.sum(axis=0), diag
+    return absoff @ weights, absoff.T @ weights, weights * diag
+
+
+def _passed_screen(arr: np.ndarray, tol: float, weights=None,
+                   tags=(SCREEN_ROW, SCREEN_COLUMN)) -> str | None:
+    row, column, bound = dominance_sums(arr, weights)
+    for sums, tag in zip((row, column), tags):
+        if (bound - sums > tol).all():
+            return tag
     return None
 
 
@@ -110,7 +121,7 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
     n = arr.shape[0]
     if (arr - np.diag(np.diag(arr)) > 0).any():
         raise LinalgInputError("dominance screens require nonpositive off-diagonal entries")
-    plain = _plain_screen(arr, tol)
+    plain = _passed_screen(arr, tol)
     if plain is not None:
         return plain
     if weights is not None:
@@ -124,25 +135,31 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
             return SCREEN_NONE
         if not (xi > 0).all():
             return SCREEN_NONE
-    diag = np.diag(arr)
-    absoff = np.abs(arr - np.diag(diag))
-    if (xi * diag - absoff @ xi > tol).all():
-        return SCREEN_WEIGHTED_ROW
-    if (xi * diag - absoff.T @ xi > tol).all():
-        return SCREEN_WEIGHTED_COLUMN
-    return SCREEN_NONE
+    return _passed_screen(arr, tol, xi, (SCREEN_WEIGHTED_ROW, SCREEN_WEIGHTED_COLUMN)) \
+        or SCREEN_NONE
+
+
+def sign_and_pivot_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, np.ndarray]:
+    """The nonsingular M-matrix test: (off_diagonal_ok, pivots_ok, pivots).
+
+    a qualifies iff both flags hold.  Each pivot of elimination without row
+    exchanges must exceed tol times the largest magnitude in its row of a,
+    so the test is invariant under positive row scaling."""
+    arr = as_square(a)
+    off_ok = bool((arr - np.diag(np.diag(arr)) <= 0).all())
+    pivots = _pivots(arr)
+    pivots_ok = pivots.size == arr.shape[0] \
+        and bool((pivots > tol * np.abs(arr).max(axis=1)).all())
+    return off_ok, pivots_ok, pivots
 
 
 def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     """Classify a as a nonsingular M-matrix by one elimination.
 
-    The sign pattern (off-diagonal entries <= 0) is required; given that, the
-    matrix qualifies iff every pivot of elimination without row exchanges
-    exceeds tol times the largest magnitude in its row of a.  The test is
-    thereby invariant under positive row scaling, and the minors (running
-    pivot products) may be far below tol on a matrix that qualifies.
-    Matrices sitting exactly on the boundary (a zero pivot) are classified
-    negative, with the margin left for the caller to inspect.
+    The verdict is `sign_and_pivot_test`; the minors (running pivot
+    products) may be far below tol on a matrix that qualifies.  Matrices
+    sitting exactly on the boundary (a zero pivot) are classified negative,
+    with the margin left for the caller to inspect.
 
     screen_passed is row or column dominance when one holds, else
     "weighted-row" for a qualifying matrix (the weights C^-1 1 give
@@ -150,20 +167,17 @@ def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     """
     arr = as_square(a)
     n = arr.shape[0]
-    off_ok = bool((arr - np.diag(np.diag(arr)) <= 0).all())
-    pivots = _pivots(arr)
+    off_ok, pivots_ok, pivots = sign_and_pivot_test(arr, tol)
     if pivots.size == n:
-        pivots_ok = bool((pivots > tol * np.abs(arr).max(axis=1)).all())
         with np.errstate(over="ignore", under="ignore"):
             minors = np.cumprod(pivots)
     else:
-        pivots_ok = False
         minors = leading_principal_minors(arr)
     verdict = off_ok and pivots_ok
     witness = np.linalg.solve(arr, np.ones(n)) if verdict else None
     screen = None
     if off_ok:
-        screen = _plain_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if verdict else SCREEN_NONE)
+        screen = _passed_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if verdict else SCREEN_NONE)
     return MMatrixReport(
         is_m_matrix=verdict,
         off_diagonal_ok=off_ok,

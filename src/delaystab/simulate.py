@@ -140,25 +140,27 @@ class _Integrator:
 
     def run(self) -> Trajectory:
         h = self.cfg.h
-        self.states[0] = np.asarray(self.phi(self.cfg.t0), dtype=float)
-        self.derivs[0] = self._eval(self.cfg.t0, self.states[0])
-        for k in range(self.n_steps):
-            self.frontier = k
-            t = self.times[k]
-            x = self.states[k]
-            k1 = self.derivs[k]
-            k2 = self._eval(t + 0.5 * h, x + (0.5 * h) * k1)
-            k3 = self._eval(t + 0.5 * h, x + (0.5 * h) * k2)
-            k4 = self._eval(self.times[k + 1], x + h * k3)
-            x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.all(np.isfinite(x_next)):
-                raise SimulationError(
-                    f"state became non-finite at t={self.times[k + 1]:.6g}",
-                    float(self.times[k + 1]))
-            self.states[k + 1] = x_next
-            # node derivative, stored for cubic lookups and reused as the
-            # next step's first stage; sub-step lags still see frontier k
-            self.derivs[k + 1] = self._eval(self.times[k + 1], x_next)
+        # a blow-up is reported by the finiteness check, not by numpy
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.states[0] = np.asarray(self.phi(self.cfg.t0), dtype=float)
+            self.derivs[0] = self._eval(self.cfg.t0, self.states[0])
+            for k in range(self.n_steps):
+                self.frontier = k
+                t = self.times[k]
+                x = self.states[k]
+                k1 = self.derivs[k]
+                k2 = self._eval(t + 0.5 * h, x + (0.5 * h) * k1)
+                k3 = self._eval(t + 0.5 * h, x + (0.5 * h) * k2)
+                k4 = self._eval(self.times[k + 1], x + h * k3)
+                x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not np.all(np.isfinite(x_next)):
+                    raise SimulationError(
+                        f"state became non-finite at t={self.times[k + 1]:.6g}",
+                        float(self.times[k + 1]))
+                self.states[k + 1] = x_next
+                # node derivative, stored for cubic lookups and reused as the
+                # next step's first stage; sub-step lags still see frontier k
+                self.derivs[k + 1] = self._eval(self.times[k + 1], x_next)
         every = self.cfg.record_every
         meta = {
             "t0": self.cfg.t0, "t_end": self.cfg.t_end, "h": h,

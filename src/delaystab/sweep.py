@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -10,6 +10,7 @@ from .criteria import (
     STATUS_STABLE,
     FamilyError,
     NotCertifiedError,
+    bisect,
     certify_decay_rate,
     stability_verdict,
     two_neuron_closed_form,
@@ -19,6 +20,12 @@ from .linalg import DEFAULT_TOL, LinalgInputError
 from .simulate import FitInapplicableError, SimConfig, SimulationError, fit_decay, simulate
 from .specio import DocumentError, parse_document, set_parameter
 from .systems import BamSpec, InvalidSpecError
+
+COARSEST_STEP = 0.01
+THRESHOLD_STRIDE = 1.0
+MAX_EXPAND = 60
+# what a document unusable at one parameter value raises
+_POINT_ERRORS = (DocumentError, InvalidSpecError, FamilyError, LinalgInputError)
 
 
 @dataclass(frozen=True)
@@ -37,9 +44,7 @@ class SweepRow:
         return self.status == STATUS_STABLE
 
     def as_dict(self) -> dict:
-        return {"value": self.value, "status": self.status,
-                "criterion": self.criterion, "lambda0": self.lambda0,
-                "lambda_hat": self.lambda_hat, "error": self.error}
+        return asdict(self)
 
 
 def fit_reference(parsed) -> np.ndarray:
@@ -62,11 +67,12 @@ def sweep(document: dict, path: str, values, *, tol: float = DEFAULT_TOL,
     """Re-run certification for each value of one scalar document field.
 
     Rows keep the order of `values`.  A value whose document fails to parse
-    (or whose simulation cannot run) gets status "error" with the message;
-    the rest of the sweep continues.  When `simulate_until` is set, each
-    point with concrete dynamics is also integrated from its history and the
-    observed decay rate toward the equilibrium is fitted; a run that blows up
-    or does not decay keeps its row, with lambda_hat None.
+    or fit the test, or whose simulation cannot start, gets status "error"
+    with the message; the rest of the sweep continues.  When
+    `simulate_until` is set, each point with concrete dynamics is also
+    integrated from its history and the observed decay rate toward the
+    equilibrium is fitted; a run that blows up or does not decay keeps its
+    row, with lambda_hat None.
     """
     rows = []
     for value in values:
@@ -82,9 +88,11 @@ def sweep(document: dict, path: str, values, *, tol: float = DEFAULT_TOL,
                 except (FamilyError, NotCertifiedError):
                     lam0 = None
             if simulate_until is not None and parsed.concrete is not None:
-                lam_hat = _simulated_rate(parsed, simulate_until, step)
-        except (DocumentError, InvalidSpecError, FamilyError, DivergenceError,
-                ValueError) as exc:
+                try:
+                    lam_hat = _simulated_rate(parsed, simulate_until, step)
+                except ValueError as exc:  # unusable step or span
+                    status, error = "error", str(exc)
+        except _POINT_ERRORS as exc:
             status, error = "error", str(exc)
         rows.append(SweepRow(value, status, tag, lam0, lam_hat, error))
     return rows
@@ -99,12 +107,13 @@ def _simulated_rate(parsed, t_end: float, step: float | None) -> float | None:
         return None
 
 
-def default_step(system, t0: float, t_end: float, coarsest: float = 0.01) -> float:
-    """A step that divides the span and respects the delay-resolution cap."""
+def default_step(system, t0: float, t_end: float) -> float:
+    """A step that divides the span, at most COARSEST_STEP and a tenth of
+    the smallest positive delay bound."""
     span = t_end - t0
     if span <= 0:
         raise ValueError("t_end must exceed t0")
-    h_cap = coarsest
+    h_cap = COARSEST_STEP
     bound = system.min_positive_lag_bound
     if bound is not None:
         h_cap = min(h_cap, bound / 10.0)
@@ -122,16 +131,15 @@ class Threshold:
 
 
 def find_failure_threshold(document: dict, path: str, *, start: float = 0.0,
-                           step: float = 1.0, tol: float = DEFAULT_TOL,
-                           bisect_steps: int = 60,
-                           max_expand: int = 60) -> Threshold:
+                           tol: float = DEFAULT_TOL) -> Threshold:
     """Locate where certification first fails along one scalar parameter.
 
-    Walks up from `start` (which must certify) doubling the stride until a
-    failing value is found, then bisects the bracket.  Documents that fail
-    to parse at a trial value count as failures, so the search also finds
-    validity edges.  Scalar two-layer documents are judged by the closed
-    form; everything else by the auto-selected matrix test.
+    Walks up from `start` (which must certify) by THRESHOLD_STRIDE, doubling
+    the stride up to MAX_EXPAND times until a value fails, then bisects the
+    bracket.  Documents that fail to parse at a trial value count as
+    failures, so the search also finds validity edges.  Scalar two-layer
+    documents are judged by the closed form; everything else by the
+    auto-selected matrix test.
     """
     evals = 0
 
@@ -144,24 +152,18 @@ def find_failure_threshold(document: dict, path: str, *, start: float = 0.0,
             if isinstance(spec, BamSpec) and spec.n == 1:
                 return two_neuron_closed_form(spec, tol=tol).stable
             return stability_verdict(spec, tol=tol).stable
-        except (DocumentError, InvalidSpecError, FamilyError, LinalgInputError):
+        except _POINT_ERRORS:
             return False
 
     if not certified(start):
         raise ValueError(f"starting value {start} is not certified stable")
-    lo, width = float(start), float(step)
-    for _ in range(max_expand):
+    lo, width = float(start), THRESHOLD_STRIDE
+    for _ in range(MAX_EXPAND):
         if not certified(lo + width):
             break
         lo, width = lo + width, 2.0 * width
     else:
         raise ValueError(
-            f"no failure found up to {lo + width} after {max_expand} expansions")
-    hi = lo + width
-    for _ in range(bisect_steps):
-        mid = 0.5 * (lo + hi)
-        if certified(mid):
-            lo = mid
-        else:
-            hi = mid
+            f"no failure found up to {lo + width} after {MAX_EXPAND} expansions")
+    lo, hi = bisect(certified, lo, lo + width)
     return Threshold(value=lo, bracket=(lo, hi), evaluations=evals)

@@ -178,6 +178,21 @@ def test_certified_rate_brackets(general_2x2):
     assert cert.lambda0 < float(np.min(general_2x2.alpha))
 
 
+def test_certificate_builds_full_reports_only_at_zero_and_lambda0(monkeypatch, general_2x2):
+    # the trial rates are decided by the pivot test alone; the full report
+    # (witness solve and screens) is built for the base and the boundary
+    calls = []
+
+    def counting(a, tol=criteria.DEFAULT_TOL):
+        calls.append(len(a))
+        return is_m_matrix(a, tol=tol)
+
+    monkeypatch.setattr(criteria, "is_m_matrix", counting)
+    cert = certify_decay_rate(general_2x2)
+    assert cert.upper_failed and cert.iterations == 60
+    assert len(calls) <= 2
+
+
 def test_certify_requires_stable_base():
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[0.0], sigma=[[0.0]],
                              L=[[2.0]])
