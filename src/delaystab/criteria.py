@@ -414,6 +414,8 @@ def _require_bam(spec) -> BamSpec:
 def _bam_dominance(bam, family: str, which: int, weights, tol: float) -> StabilityVerdict:
     # family "cor9" is the general two-layer case, "cor10" the one without
     # leakage delays
+    if which not in (1, 2, 3, 4):
+        raise FamilyError(f"which must be one of 1, 2, 3, 4 (got {which})")
     bam = _require_bam(bam)
     if family == "cor10" and (np.any(bam.tau_x != 0.0) or np.any(bam.tau_y != 0.0)):
         raise FamilyError("this test needs zero leakage delays "
@@ -433,8 +435,6 @@ def _bam_dominance(bam, family: str, which: int, weights, tol: float) -> Stabili
             witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
             return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, report, (witness_gap,))
         w = report.witness_xi
-    if which not in (1, 2, 3, 4):
-        raise FamilyError(f"which must be one of 1, 2, 3, 4 (got {which})")
     row, column, bound = dominance_sums(c, w)
     sums = row if which in (1, 3) else column
     label = ("row", "column", "weighted_row", "weighted_column")[which - 1]

@@ -1,19 +1,33 @@
 """Fixed-step integration of concrete delay systems and decay fitting.
 
 Integration is classical explicit fourth-order Runge-Kutta marching on a
-uniform grid, with delayed arguments served from the stored solution:
+uniform grid (the method of steps with a continuous extension).  A system
+lists its delayed reads in a table, (component, lag, bound, label) each, and
+evaluates its right-hand side from the vector of read values.
 
-* lookups at the current stage time return the stage state (so zero-delay
-  terms reduce to the classical ODE method),
-* lookups inside the step being built (lag below one step) fall back to the
-  last completed grid point,
-* lookups in completed intervals use cubic interpolation from the stored
+One RK4 step evaluates the right-hand side four times but at only two new
+stage times, t + h/2 and t + h.  The reads are resolved once per stage time:
+each lag is evaluated once and range-checked against its declared bound, and
+every read time t - lag(t) falls in one of five classes:
+
+* stage: the lag is zero, so the read takes the state of each evaluation
+  (zero-delay terms reduce to the classical ODE method),
+* history: at or before the start time, from the initial history,
+* node: on a completed grid point, its stored value,
+* Hermite: inside a completed step, cubic interpolation from the stored
   node values and node derivatives, which keeps the interpolation error at
   the same order as the integrator's own truncation error,
-* lookups before the start time evaluate the initial history.
+* sub-step: inside the step being built (lag below one step), the last
+  completed grid point; this fallback is only first-order accurate, and the
+  number of such reads is reported as `meta["substep_lookups"]`.
 
-Every delay evaluation is range-checked against its declared bound, and a
-non-finite state aborts the run with the blow-up time.
+All but the stage reads depend only on the stage time and the completed
+steps, so the same stage time gives the same values to every evaluation.
+When no read at a stage time is a stage read, the evaluation does not depend
+on the stage state and is reused exactly: k3 is k2, and the node derivative
+(stored for the Hermite reads and the next step's first stage) is k4.
+
+A non-finite state aborts the run with the blow-up time.
 """
 
 from __future__ import annotations
@@ -23,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import as_history
+from .systems import as_history, read_time
 
 
 class SimulationError(RuntimeError):
@@ -91,7 +105,6 @@ class _Integrator:
         if cfg.record_every < 1 or n_steps % cfg.record_every != 0:
             raise ValueError("record_every must be a positive divisor of the "
                              "step count")
-        self.system = system
         self.cfg = cfg
         self.n_steps = n_steps
         self.dim = system.dim
@@ -100,74 +113,96 @@ class _Integrator:
         self.times = cfg.t0 + np.arange(n_steps + 1) * cfg.h
         self.states = np.empty((n_steps + 1, self.dim))
         self.derivs = np.empty((n_steps + 1, self.dim))
-        self.frontier = 0
-        self.stage_t = cfg.t0
-        self.stage_x = np.zeros(self.dim)
+        # lookups read Python floats straight from the stored arrays
+        self.states_view = memoryview(self.states)
+        self.derivs_view = memoryview(self.derivs)
+        self.reads = system.reads
+        self.rhs = system.rhs
+        self.history_start = cfg.t0 - system.max_lag_bound
+        self.substep_lookups = 0
 
-    def _value_at(self, comp: int, tq: float) -> float:
-        if abs(tq - self.stage_t) <= 1e-12 * max(1.0, abs(self.stage_t)):
-            return float(self.stage_x[comp])
-        t0 = self.cfg.t0
-        if tq <= t0:
-            start = t0 - self.system.max_lag_bound
-            if tq < start - 1e-9:
-                raise SimulationError(
-                    f"delayed lookup at t={tq:.6g} lies before the retained "
-                    f"history, which starts at t={start:.6g}", float(self.stage_t))
-            return float(np.asarray(self.phi(tq), dtype=float)[comp])
-        h = self.cfg.h
-        pos = (tq - t0) / h
-        node = int(round(pos))
-        if abs(pos - node) <= 1e-9 and node <= self.frontier:
-            return float(self.states[node, comp])
-        if pos >= self.frontier:
-            # inside the step being built: last completed grid point
-            return float(self.states[self.frontier, comp])
-        j = min(int(pos), self.frontier - 1)
-        theta = pos - j
-        om = 1.0 - theta
-        h00 = (1.0 + 2.0 * theta) * om * om
-        h10 = theta * om * om
-        h01 = theta * theta * (3.0 - 2.0 * theta)
-        h11 = theta * theta * (theta - 1.0)
-        return float(h00 * self.states[j, comp] + h10 * h * self.derivs[j, comp]
-                     + h01 * self.states[j + 1, comp] + h11 * h * self.derivs[j + 1, comp])
+    def _resolve(self, t: float, frontier: int):
+        """Read every delayed value at stage time t, the last completed node
+        being `frontier`; returns the value list and the (slot, component)
+        pairs of the stage reads, whose slots each evaluation fills."""
+        t0, h, states, derivs = self.cfg.t0, self.cfg.h, self.states_view, self.derivs_view
+        near = 1e-12 * max(1.0, abs(t))
+        values = []
+        stage = []
+        for slot, (comp, lag, bound, label) in enumerate(self.reads):
+            tq = read_time(t, lag, bound, label)
+            if abs(tq - t) <= near:
+                stage.append((slot, comp))
+                values.append(0.0)
+                continue
+            if tq <= t0:
+                if tq < self.history_start - 1e-9:
+                    raise SimulationError(
+                        f"delayed lookup at t={tq:.6g} lies before the retained "
+                        f"history, which starts at t={self.history_start:.6g}", t)
+                values.append(float(np.asarray(self.phi(tq), dtype=float)[comp]))
+                continue
+            pos = (tq - t0) / h
+            node = int(round(pos))
+            if abs(pos - node) <= 1e-9 and node <= frontier:
+                values.append(states[node, comp])
+            elif pos >= frontier:
+                # inside the step being built: last completed grid point
+                self.substep_lookups += 1
+                values.append(states[frontier, comp])
+            else:
+                j = min(int(pos), frontier - 1)
+                theta = pos - j
+                om = 1.0 - theta
+                h00 = (1.0 + 2.0 * theta) * om * om
+                h10 = theta * om * om
+                h01 = theta * theta * (3.0 - 2.0 * theta)
+                h11 = theta * theta * (theta - 1.0)
+                values.append(h00 * states[j, comp] + h10 * h * derivs[j, comp]
+                              + h01 * states[j + 1, comp] + h11 * h * derivs[j + 1, comp])
+        return values, stage
 
-    def _eval(self, t: float, x: np.ndarray) -> np.ndarray:
-        self.stage_t = t
-        self.stage_x = x
-        return self.system.derivative(t, self._value_at)
+    def _eval(self, t: float, values: list, stage: list, x: np.ndarray) -> np.ndarray:
+        if stage:
+            xs = x.tolist()
+            for slot, comp in stage:
+                values[slot] = xs[comp]
+        return self.rhs(t, values)
 
     def run(self) -> Trajectory:
         h = self.cfg.h
+        times, states, derivs = self.times, self.states, self.derivs
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            self.states[0] = np.asarray(self.phi(self.cfg.t0), dtype=float)
-            self.derivs[0] = self._eval(self.cfg.t0, self.states[0])
+            t = self.cfg.t0
+            states[0] = np.asarray(self.phi(t), dtype=float)
+            derivs[0] = self._eval(t, *self._resolve(t, 0), states[0])
             for k in range(self.n_steps):
-                self.frontier = k
-                t = self.times[k]
-                x = self.states[k]
-                k1 = self.derivs[k]
-                k2 = self._eval(t + 0.5 * h, x + (0.5 * h) * k1)
-                k3 = self._eval(t + 0.5 * h, x + (0.5 * h) * k2)
-                k4 = self._eval(self.times[k + 1], x + h * k3)
+                t = float(times[k])
+                t_mid, t_next = t + 0.5 * h, float(times[k + 1])
+                x = states[k]
+                k1 = derivs[k]
+                values, stage = self._resolve(t_mid, k)
+                k2 = self._eval(t_mid, values, stage, x + (0.5 * h) * k1)
+                k3 = self._eval(t_mid, values, stage, x + (0.5 * h) * k2) if stage else k2
+                values, stage = self._resolve(t_next, k)
+                k4 = self._eval(t_next, values, stage, x + h * k3)
                 x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if not np.all(np.isfinite(x_next)):
-                    raise SimulationError(
-                        f"state became non-finite at t={self.times[k + 1]:.6g}",
-                        float(self.times[k + 1]))
-                self.states[k + 1] = x_next
-                # node derivative, stored for cubic lookups and reused as the
-                # next step's first stage; sub-step lags still see frontier k
-                self.derivs[k + 1] = self._eval(self.times[k + 1], x_next)
+                    raise SimulationError(f"state became non-finite at t={t_next:.6g}", t_next)
+                states[k + 1] = x_next
+                # node derivative, stored for Hermite reads and reused as the
+                # next step's first stage; the reads at t_next are still those
+                # of k4, which never look at node k + 1
+                derivs[k + 1] = self._eval(t_next, values, stage, x_next) if stage else k4
         every = self.cfg.record_every
         meta = {
             "t0": self.cfg.t0, "t_end": self.cfg.t_end, "h": h,
             "record_every": every, "dim": self.dim,
+            "substep_lookups": self.substep_lookups,
         }
-        return Trajectory(self.times[::every].copy(), self.states[::every].copy(),
-                          self.derivs[::every].copy(), meta)
+        return Trajectory(times[::every].copy(), states[::every].copy(),
+                          derivs[::every].copy(), meta)
 
 
 def simulate(system, cfg: SimConfig, meta: dict | None = None) -> Trajectory:

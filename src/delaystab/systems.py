@@ -509,14 +509,22 @@ class DelayBoundError(RuntimeError):
     """A delay function left its declared bound during evaluation."""
 
 
-def _check_lag(value: float, bound: float, t: float, label: str) -> float:
+def read_time(t: float, lag, bound: float, label: str) -> float:
+    """The time t - lag(t) of a delayed read (t when `lag` is None).
+
+    Raises DelayBoundError, naming the read by `label`, when the lag value
+    leaves [0, bound].
+    """
+    if lag is None:
+        return t
+    value = lag(t)
     if value < -1e-12:
         raise DelayBoundError(f"{label} evaluates to a negative lag {value:.3e} at t={t:.6g}")
     if value > bound + 1e-9 * max(1.0, bound):
         raise DelayBoundError(
             f"{label} exceeds its declared bound {bound:.6g} at t={t:.6g} (got {value:.6g})"
         )
-    return value
+    return t - value
 
 
 def as_history(history, dim: int):
@@ -534,7 +542,14 @@ def as_history(history, dim: int):
 
 
 class _Concrete:
-    def _set_common(self, dim: int, history, lags):
+    """Common part of the concrete systems.
+
+    `reads` is the table of delayed reads, in the order `rhs(t, values)`
+    consumes them: (component, lag function or None, declared bound, label).
+    A read at time t takes the component at `read_time(t, lag, bound, label)`.
+    """
+
+    def _set_common(self, dim: int, history, lags, reads):
         # `lags` lists every lag function of the system, None where a term
         # has no delay
         self.dim = dim
@@ -542,6 +557,12 @@ class _Concrete:
         bounds = [f.bound for f in lags if f is not None]
         self.max_lag_bound = max(bounds, default=0.0)
         self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
+        self.reads = tuple((comp, lag, float(bound), label) for comp, lag, bound, label in reads)
+
+    def derivative(self, t: float, value_at) -> np.ndarray:
+        """The right-hand side at t, delayed values from value_at(component, time)."""
+        return self.rhs(t, [value_at(comp, read_time(t, lag, bound, label))
+                            for comp, lag, bound, label in self.reads])
 
 
 class GeneralConcrete(_Concrete):
@@ -584,22 +605,23 @@ class GeneralConcrete(_Concrete):
         self.leak_lags = list(leak_lags)
         self.coupling_lags = [list(row) for row in coupling_lags]
         self.couplings = [list(row) for row in couplings]
-        self._set_common(m, history, self.leak_lags + sum(self.coupling_lags, []))
+        # per row: the self-decay read, then one read per present coupling
+        reads = []
+        for i in range(m):
+            reads.append((i, self.leak_lags[i], spec.tau[i], f"leak_lag[{i + 1}]"))
+            reads += [(j, self.coupling_lags[i][j], spec.sigma[i, j],
+                       f"coupling_lag[{i + 1}][{j + 1}]")
+                      for j in range(m) if self.couplings[i][j] is not None]
+        self._row_fns = [[fn for fn in row if fn is not None] for row in self.couplings]
+        self._set_common(m, history, self.leak_lags + sum(self.coupling_lags, []), reads)
 
-    def derivative(self, t: float, value_at) -> np.ndarray:
+    def rhs(self, t: float, values) -> np.ndarray:
         out = np.empty(self.dim)
-        for i in range(self.dim):
-            lag = self.leak_lags[i]
-            d = 0.0 if lag is None else _check_lag(lag(t), self.spec.tau[i], t, f"leak_lag[{i + 1}]")
-            acc = -self.coeffs[i](t) * value_at(i, t - d)
-            for j in range(self.dim):
-                fn = self.couplings[i][j]
-                if fn is None:
-                    continue
-                clag = self.coupling_lags[i][j]
-                dj = 0.0 if clag is None else _check_lag(
-                    clag(t), self.spec.sigma[i, j], t, f"coupling_lag[{i + 1}][{j + 1}]")
-                acc += fn(value_at(j, t - dj))
+        it = iter(values)
+        for i, fns in enumerate(self._row_fns):
+            acc = -self.coeffs[i](t) * next(it)
+            for fn in fns:
+                acc += fn(next(it))
             out[i] = acc
         return out
 
@@ -629,17 +651,17 @@ class LinearConcrete(_Concrete):
         self.spec = spec
         self.coeffs = [list(row) for row in coeffs]
         self.lags = [list(row) for row in lags]
-        self._set_common(m, history, sum(self.lags, []))
+        self._set_common(m, history, sum(self.lags, []),
+                         [(j, self.lags[i][j], spec.sigma[i, j], f"lags[{i + 1}][{j + 1}]")
+                          for i in range(m) for j in range(m)])
 
-    def derivative(self, t: float, value_at) -> np.ndarray:
+    def rhs(self, t: float, values) -> np.ndarray:
         out = np.empty(self.dim)
-        for i in range(self.dim):
+        it = iter(values)
+        for i, row in enumerate(self.coeffs):
             acc = 0.0
-            for j in range(self.dim):
-                lag = self.lags[i][j]
-                d = 0.0 if lag is None else _check_lag(
-                    lag(t), self.spec.sigma[i, j], t, f"lags[{i + 1}][{j + 1}]")
-                acc += self.coeffs[i][j](t) * value_at(j, t - d)
+            for c in row:
+                acc += c(t) * next(it)
             out[i] = acc
         return out
 
@@ -681,26 +703,26 @@ class BamConcrete(_Concrete):
         self.leak_x, self.leak_y = list(leak_x), list(leak_y)
         self.trans_x, self.trans_y = list(trans_x), list(trans_y)
         self.f, self.g = list(f), list(g)
-        self._set_common(2 * n, history, self.leak_x + self.leak_y + self.trans_x + self.trans_y)
+        # transmissions (y into x, x into y) per unit, then leaks per unit
+        reads = []
+        for j in range(n):
+            reads += [(n + j, trans_y[j], bam.sigma_y[j], f"trans_y[{j + 1}]"),
+                      (j, trans_x[j], bam.sigma_x[j], f"trans_x[{j + 1}]")]
+        for i in range(n):
+            reads += [(i, leak_x[i], bam.tau_x[i], f"leak_x[{i + 1}]"),
+                      (n + i, leak_y[i], bam.tau_y[i], f"leak_y[{i + 1}]")]
+        self._set_common(2 * n, history, self.leak_x + self.leak_y + self.trans_x + self.trans_y,
+                         reads)
 
-    def derivative(self, t: float, value_at) -> np.ndarray:
+    def rhs(self, t: float, values) -> np.ndarray:
         bam = self.bam
         n = bam.n
+        fy = np.array([f(v) for f, v in zip(self.f, values[0:2 * n:2])])
+        gx = np.array([g(v) for g, v in zip(self.g, values[1:2 * n:2])])
         out = np.empty(2 * n)
-        fy = np.empty(n)
-        gx = np.empty(n)
-        for j in range(n):
-            dy = _check_lag(self.trans_y[j](t), bam.sigma_y[j], t, f"trans_y[{j + 1}]")
-            fy[j] = self.f[j](value_at(n + j, t - dy))
-            dx = _check_lag(self.trans_x[j](t), bam.sigma_x[j], t, f"trans_x[{j + 1}]")
-            gx[j] = self.g[j](value_at(j, t - dx))
         for i in range(n):
-            dx = _check_lag(self.leak_x[i](t), bam.tau_x[i], t, f"leak_x[{i + 1}]")
             out[i] = self.r[i](t) * (
-                -bam.a[i] * value_at(i, t - dx) + float(bam.a_conn[i] @ fy) + bam.I[i]
-            )
-            dy = _check_lag(self.leak_y[i](t), bam.tau_y[i], t, f"leak_y[{i + 1}]")
+                -bam.a[i] * values[2 * (n + i)] + float(bam.a_conn[i] @ fy) + bam.I[i])
             out[n + i] = self.p[i](t) * (
-                -bam.b[i] * value_at(n + i, t - dy) + float(bam.b_conn[i] @ gx) + bam.J[i]
-            )
+                -bam.b[i] * values[2 * (n + i) + 1] + float(bam.b_conn[i] @ gx) + bam.J[i])
         return out

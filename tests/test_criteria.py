@@ -322,6 +322,17 @@ def test_bam_dominance_brute_force_agreement():
     assert checked == 1200
 
 
+def test_bam_dominance_rejects_unknown_which_first():
+    # couplings of 5 make the comparison matrix fail, so no witness exists;
+    # the unknown variant must be refused before any witness is sought
+    weak = two_neuron_spec(a=1.0, b=1.0, coupling_xy=5.0, coupling_yx=5.0,
+                           Lf=1.0, Lg=1.0, tau_x=0.0, tau_y=0.0,
+                           sigma_x=0.1, sigma_y=0.1)
+    for verdict in (bam_dominance_verdict, bam_undelayed_dominance_verdict):
+        with pytest.raises(FamilyError, match="which must be one of"):
+            verdict(weak, 5)
+
+
 def test_bam_dominance_implies_matrix_verdict():
     rng = np.random.default_rng(601)
     hits = 0

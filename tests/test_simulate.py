@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from delaystab import (
+    BamConcrete,
     DelayBoundError,
     FitInapplicableError,
     GeneralConcrete,
@@ -17,9 +18,11 @@ from delaystab import (
     SimulationError,
     fit_decay,
     simulate,
+    two_neuron_spec,
     write_csv,
 )
-from delaystab.systems import ConstantCoeff, ConstantLag, LinearActivation
+from delaystab.systems import (ConstantCoeff, ConstantLag, LinearActivation, SinSquaredLag,
+                               TanhActivation)
 
 
 def pure_delay_system(tau=1.0, history=1.0):
@@ -152,27 +155,34 @@ def test_runtime_delay_violation_caught():
 
     sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [DriftingLag()],
                            [[None]], [[None]], [1.0])
-    with pytest.raises(DelayBoundError):
+    with pytest.raises(DelayBoundError) as exc:
         simulate(sys_, SimConfig(0.0, 4.0, 0.05))
+    assert str(exc.value) == ("leak_lag[1] exceeds its declared bound 0.5 at t=2.025 "
+                              "(got 0.50125)")
 
 
 def test_lookup_before_history_window_raises():
-    # a system that reads further back than its declared largest lag
+    # a system that reads further back than its declared largest lag: its
+    # one read has lag 1 (within that read's own bound) while the system
+    # keeps only 0.5 of history
     class ReachesTooFar:
         dim = 1
         max_lag_bound = 0.5
         min_positive_lag_bound = 0.5
+        reads = ((0, ConstantLag(1.0), 1.0, "lag"),)
 
         @staticmethod
         def history(t):
             return np.ones(1)
 
-        def derivative(self, t, value_at):
-            return np.array([-value_at(0, t - 1.0)])
+        def rhs(self, t, values):
+            return np.array([-values[0]])
 
     with pytest.raises(SimulationError) as exc:
         simulate(ReachesTooFar(), SimConfig(0.0, 1.0, 0.05))
     assert exc.value.time == 0.0
+    assert str(exc.value) == ("delayed lookup at t=-1 lies before the retained history, "
+                              "which starts at t=-0.5")
 
 
 def test_negative_lag_rejected():
@@ -187,8 +197,73 @@ def test_negative_lag_rejected():
 
     sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [NegativeLag()],
                            [[None]], [[None]], [1.0])
-    with pytest.raises(DelayBoundError):
+    with pytest.raises(DelayBoundError) as exc:
         simulate(sys_, SimConfig(0.0, 1.0, 0.05))
+    assert str(exc.value) == "leak_lag[1] evaluates to a negative lag -1.000e-01 at t=0"
+
+
+# --- evaluation counts and sub-step reporting --------------------------------
+
+class CountingLag(ConstantLag):
+    """A constant lag that counts its evaluations in `calls`."""
+
+    def __call__(self, t):
+        object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
+        return self.value
+
+
+class CountingCoeff(ConstantCoeff):
+    """A constant coefficient that counts its evaluations in `calls`."""
+
+    def __call__(self, t):
+        object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
+        return self.value
+
+
+def two_neuron_system(trans_x, trans_y, rate=None):
+    spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                           Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                           sigma_x=0.4, sigma_y=0.5)
+    return BamConcrete(spec, [rate or ConstantCoeff(1.0)], [ConstantCoeff(1.0)],
+                       [ConstantLag(0.5)], [ConstantLag(0.4)], [trans_x], [trans_y],
+                       [TanhActivation(0.5)], [TanhActivation(0.2)], [1.0, -0.5])
+
+
+def test_positive_lags_are_evaluated_once_per_stage_time():
+    n_steps = 50
+    lags = [CountingLag(0.4), CountingLag(0.5)]
+    rate = CountingCoeff(1.0)
+    simulate(two_neuron_system(*lags, rate=rate), SimConfig(0.0, 0.04 * n_steps, 0.04))
+    # the start plus two new stage times per step (t + h/2 and t + h); with
+    # no zero lag every evaluation at a stage time is the same one
+    assert [lag.calls for lag in lags] == [2 * n_steps + 1] * 2
+    assert rate.calls == 2 * n_steps + 1
+
+
+def test_undelayed_reads_keep_four_evaluations_per_step():
+    n_steps = 50
+    spec = LinearSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0],
+                            A_off=[[0.0, 0.3], [0.3, 0.0]],
+                            sigma=[[0.2, 0.0], [0.3, 0.2]])
+    coeffs = [[CountingCoeff(-1.0), CountingCoeff(0.3)],
+              [CountingCoeff(0.3), CountingCoeff(-1.0)]]
+    lags = [CountingLag(0.2), CountingLag(0.3), CountingLag(0.2)]
+    sys_ = LinearConcrete(spec, coeffs, [[lags[0], None], lags[1:]], [1.0, -0.5])
+    simulate(sys_, SimConfig(0.0, 0.02 * n_steps, 0.02))
+    # the null lag reads each evaluation's stage state: nothing is reused,
+    # but each lag is still evaluated once per stage time
+    assert [c.calls for row in coeffs for c in row] == [4 * n_steps + 1] * 4
+    assert [lag.calls for lag in lags] == [2 * n_steps + 1] * 3
+
+
+def test_substep_fallbacks_are_reported():
+    # sin^2 lags fall below one step around t = pi
+    crossing = simulate(two_neuron_system(SinSquaredLag(0.4), SinSquaredLag(0.5)),
+                        SimConfig(0.0, 4.0, 0.01))
+    assert crossing.meta["substep_lookups"] > 0
+    constant = simulate(two_neuron_system(ConstantLag(0.4), ConstantLag(0.5)),
+                        SimConfig(0.0, 4.0, 0.01))
+    assert constant.meta["substep_lookups"] == 0
 
 
 # --- decay fitting ----------------------------------------------------------
