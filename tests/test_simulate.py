@@ -204,20 +204,20 @@ def test_negative_lag_rejected():
 
 # --- evaluation counts and sub-step reporting --------------------------------
 
-class CountingLag(ConstantLag):
-    """A constant lag that counts its evaluations in `calls`."""
+class Counting:
+    """Mixin for a constant catalog function: counts evaluations in `calls`."""
 
     def __call__(self, t):
         object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
         return self.value
 
 
-class CountingCoeff(ConstantCoeff):
-    """A constant coefficient that counts its evaluations in `calls`."""
+class CountingLag(Counting, ConstantLag):
+    pass
 
-    def __call__(self, t):
-        object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
-        return self.value
+
+class CountingCoeff(Counting, ConstantCoeff):
+    pass
 
 
 def two_neuron_system(trans_x, trans_y, rate=None):
