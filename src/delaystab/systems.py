@@ -549,15 +549,14 @@ class _Concrete:
     A read at time t takes the component at `read_time(t, lag, bound, label)`.
     """
 
-    def _set_common(self, dim: int, history, lags, reads):
-        # `lags` lists every lag function of the system, None where a term
-        # has no delay
+    def _set_common(self, dim: int, history, reads):
+        # the lag bounds count only lags that are read; an absent term's lag is not
         self.dim = dim
         self.history = as_history(history, dim)
-        bounds = [f.bound for f in lags if f is not None]
+        self.reads = tuple((comp, lag, float(bound), label) for comp, lag, bound, label in reads)
+        bounds = [lag.bound for _, lag, _, _ in self.reads if lag is not None]
         self.max_lag_bound = max(bounds, default=0.0)
         self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
-        self.reads = tuple((comp, lag, float(bound), label) for comp, lag, bound, label in reads)
 
     def derivative(self, t: float, value_at) -> np.ndarray:
         """The right-hand side at t, delayed values from value_at(component, time)."""
@@ -613,7 +612,7 @@ class GeneralConcrete(_Concrete):
                        f"coupling_lag[{i + 1}][{j + 1}]")
                       for j in range(m) if self.couplings[i][j] is not None]
         self._row_fns = [[fn for fn in row if fn is not None] for row in self.couplings]
-        self._set_common(m, history, self.leak_lags + sum(self.coupling_lags, []), reads)
+        self._set_common(m, history, reads)
 
     def rhs(self, t: float, values) -> np.ndarray:
         out = np.empty(self.dim)
@@ -651,7 +650,7 @@ class LinearConcrete(_Concrete):
         self.spec = spec
         self.coeffs = [list(row) for row in coeffs]
         self.lags = [list(row) for row in lags]
-        self._set_common(m, history, sum(self.lags, []),
+        self._set_common(m, history,
                          [(j, self.lags[i][j], spec.sigma[i, j], f"lags[{i + 1}][{j + 1}]")
                           for i in range(m) for j in range(m)])
 
@@ -711,8 +710,7 @@ class BamConcrete(_Concrete):
         for i in range(n):
             reads += [(i, leak_x[i], bam.tau_x[i], f"leak_x[{i + 1}]"),
                       (n + i, leak_y[i], bam.tau_y[i], f"leak_y[{i + 1}]")]
-        self._set_common(2 * n, history, self.leak_x + self.leak_y + self.trans_x + self.trans_y,
-                         reads)
+        self._set_common(2 * n, history, reads)
 
     def rhs(self, t: float, values) -> np.ndarray:
         bam = self.bam

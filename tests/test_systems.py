@@ -19,6 +19,7 @@ from delaystab import (
     two_neuron_spec,
     validate,
 )
+from delaystab.sweep import default_step
 from delaystab.systems import (
     ConstantCoeff,
     ConstantLag,
@@ -243,6 +244,24 @@ def test_min_positive_lag_bound():
                            [1.0, 1.0])
     assert abs(sys_.min_positive_lag_bound - 0.2) < 1e-15
     assert abs(sys_.max_lag_bound - 0.5) < 1e-15
+
+
+def test_lag_of_absent_coupling_sets_no_bound():
+    # coupling 1 <- 2 is absent, so its short lag is never read and must not
+    # shrink the default step
+    spec = GeneralSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0], tau=[0.0, 0.3],
+                             sigma=[[0.0, 0.02], [0.5, 0.0]],
+                             L=[[0.0, 0.0], [0.1, 0.0]])
+    sys_ = GeneralConcrete(spec,
+                           [ConstantCoeff(1.0), ConstantCoeff(1.0)],
+                           [None, ConstantLag(0.3)],
+                           [[None, ConstantLag(0.02)], [ConstantLag(0.5), None]],
+                           [[None, None], [LinearActivation(0.1), None]],
+                           [1.0, 1.0])
+    assert len(sys_.reads) == 3
+    assert sys_.min_positive_lag_bound == 0.3
+    assert sys_.max_lag_bound == 0.5
+    assert default_step(sys_, 0.0, 1.0) == 0.01
 
 
 def test_linear_concrete_matches_matrix_product():
