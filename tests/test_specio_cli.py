@@ -161,6 +161,33 @@ def test_non_numeric_value(two_neuron_doc):
     assert "spec.a" in str(exc.value)
 
 
+@pytest.mark.parametrize("field, index, value, message", [
+    ("alpha", [1], True, "spec.alpha[1]: expected a number, got True"),
+    ("L", [0, 1], "x", "spec.L[0][1]: expected a number, got 'x'"),
+    ("L", [0, 1], "$x", "spec.L[0][1]: unknown parameter reference '$x'"),
+    ("L", [1], [0.1, 0.1], "spec.L[1]: expected 3 entries, got 2"),
+])
+def test_diagnostic_names_the_entry(inputs_dir, field, index, value, message):
+    doc = json.loads((inputs_dir / "general_sample.json").read_text())
+    node = doc["spec"][field]
+    for i in index[:-1]:
+        node = node[i]
+    node[index[-1]] = value
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == message
+
+
+def test_reference_inside_numeric_list_resolves(inputs_dir):
+    doc = json.loads((inputs_dir / "general_sample.json").read_text())
+    doc["parameters"] = {"k": 0.05}
+    doc["spec"]["tau"][1] = "$k"
+    doc["spec"]["L"][2][0] = "$k"
+    spec = parse_document(doc).spec
+    assert spec.tau.tolist() == [0.1, 0.05, 0.1]
+    assert spec.L[2].tolist() == [0.05, 0.15, 0.1]
+
+
 # --- parameter editing ------------------------------------------------------
 
 def test_set_parameter_top_level(modulated_doc):
