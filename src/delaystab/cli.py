@@ -20,10 +20,11 @@ DELAYSTAB_TOL environment variable, else 1e-12.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, is_dataclass
+from dataclasses import asdict
+from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 import numpy as np
 
@@ -63,28 +64,52 @@ def _say(message: str):
     print(message, file=sys.stderr)
 
 
-def _clean(value):
-    """Make a report JSON-safe: arrays to lists, non-finite floats to null."""
-    if is_dataclass(value) and not isinstance(value, type):
-        return _clean(asdict(value))
-    if isinstance(value, dict):
-        return {k: _clean(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_clean(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return _clean(value.tolist())
+def _json(value, pad: str = "") -> str:
+    """`json.dumps(value, indent=2)` of a report made JSON-safe on the way.
+
+    Arrays become lists, numpy scalars Python numbers, and NaN or infinity
+    null.  A list of plain floats and ints is written by one join over
+    their reprs; "inf" and "nan" are the only such reprs with an "n".
+    Containers must be exactly dict, list or tuple, with string keys.
+    """
+    kind = type(value)
+    if kind is float:
+        return repr(value) if isfinite(value) else "null"
+    if kind is str:
+        return _quote(value)
+    if kind is np.ndarray:
+        return _json(value.tolist(), pad)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = (",\n" + inner).join([f"{_quote(k)}: {_json(v, inner)}"
+                                     for k, v in value.items()])
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        sep = ",\n" + inner
+        body = None
+        if all(type(v) is float or type(v) is int for v in value):
+            body = sep.join(map(repr, value))
+        if body is None or "n" in body:
+            body = sep.join([_json(v, inner) for v in value])
+        return f"[\n{inner}{body}\n{pad}]"
+    if value is None:
+        return "null"
     if isinstance(value, (bool, np.bool_)):
-        return bool(value)
+        return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
-        return int(value)
+        return repr(int(value))
     if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if np.isfinite(v) else None
-    return value
+        return _json(float(value))
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _emit(report: dict):
-    print(json.dumps(_clean(report), indent=2))
+    print(_json(report))
 
 
 def _base_report(command: str, path: str, parsed, tol: float) -> dict:

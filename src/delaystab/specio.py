@@ -21,7 +21,9 @@ section then only carries the structural constants.  Without dynamics the
 bounds are given explicitly and the document supports analysis only, not
 simulation.
 
-All diagnostics carry the JSON field path of the offending value.
+All diagnostics carry the JSON field path of the offending value.  A list
+of plain numbers is checked in one pass, and the field paths of its entries
+are formatted only when that check fails and a diagnostic is to be raised.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import copy
 import hashlib
 import json
 from dataclasses import dataclass, fields
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -63,8 +65,12 @@ class ParsedInput:
     history: np.ndarray | None
     activations: tuple | None
     document: dict
-    sha256: str
     parameters: dict
+
+    @cached_property
+    def sha256(self) -> str:
+        """`document_sha256` of the resolved document, computed on first read."""
+        return document_sha256(self.document)
 
 
 def _fail(path: str, message: str):
@@ -73,6 +79,11 @@ def _fail(path: str, message: str):
 
 def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _plain_numbers(x: list) -> bool:
+    """True when every entry is exactly an int or a float (no bools)."""
+    return all(type(v) is float or type(v) is int for v in x)
 
 
 def _num(x, path: str) -> float:
@@ -86,6 +97,8 @@ def _num_list(x, path: str, length: int | None = None) -> list[float]:
         _fail(path, f"expected a list of numbers, got {type(x).__name__}")
     if length is not None and len(x) != length:
         _fail(path, f"expected {length} entries, got {len(x)}")
+    if _plain_numbers(x):
+        return list(map(float, x))
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(x)]
 
 
@@ -127,6 +140,8 @@ def resolve_parameters(doc: dict) -> tuple[dict, dict]:
         if isinstance(node, dict):
             return {k: walk(v, f"{path}.{k}" if path else k) for k, v in node.items()}
         if isinstance(node, list):
+            if _plain_numbers(node):
+                return node[:]
             return [walk(v, f"{path}[{i}]") for i, v in enumerate(node)]
         return node
 
@@ -424,7 +439,6 @@ def _parse_bam_like(doc: dict, kind: str) -> ParsedInput:
 def _finish(doc, kind, spec, concrete, history, activations) -> ParsedInput:
     return ParsedInput(kind=kind, spec=spec, concrete=concrete, history=history,
                        activations=activations, document=doc,
-                       sha256=document_sha256(doc),
                        parameters=doc.get("parameters", {}))
 
 

@@ -2,7 +2,9 @@
 
 `test_golden_cli.py` compares decoded reports with a float tolerance; this
 file pins the encoding itself: every report is `json.dumps(report,
-indent=2)` of its JSON-safe form followed by one newline.  (Invocations
+indent=2)` of its JSON-safe form followed by one newline.  The CLI's
+writer is checked against that definition on random reports, with the
+cleaner it replaced as the reference.  (Invocations
 that end in exit status 1 print no report.)
 """
 
@@ -11,9 +13,12 @@ import io
 import json
 import os
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from delaystab.cli import main
+from delaystab.cli import _json, main
 
 from test_golden_cli import GOLDEN, ROOT, _invocations
 
@@ -44,3 +49,47 @@ def test_golden_reports_are_indent_2_json(stdouts):
     golden = json.loads(GOLDEN.read_text())
     assert reports.keys() == {k for k, v in golden.items() if v["report"] is not None}
     assert not wrong, wrong
+
+
+def reference_clean(value):
+    """The report cleaner the writer replaced, kept as its reference."""
+    if isinstance(value, dict):
+        return {k: reference_clean(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [reference_clean(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return reference_clean(value.tolist())
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    if isinstance(value, (int, np.integer)):
+        return int(value)
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        return v if np.isfinite(v) else None
+    return value
+
+
+_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [float("nan"), float("inf"), -float("inf"), -0.0])
+_arrays = hnp.arrays(
+    dtype=st.sampled_from([np.float64, np.int64]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+_leaves = (
+    _floats | st.integers() | st.booleans() | st.none()
+    | st.text(st.characters(codec="utf-8"))
+    | _floats.map(np.float64) | st.floats(width=32).map(np.float32)
+    | st.integers(-2**63, 2**63 - 1).map(np.int64) | st.booleans().map(np.bool_)
+    | _arrays
+    | st.lists(_floats | st.integers())
+)
+_reports = st.recursive(
+    _leaves,
+    lambda inner: st.lists(inner) | st.lists(inner).map(tuple)
+    | st.dictionaries(st.text(st.characters(codec="utf-8")), inner),
+    max_leaves=30)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_reports)
+def test_writer_matches_json_dumps_of_the_cleaned_report(report):
+    assert _json(report) == json.dumps(reference_clean(report), indent=2)
