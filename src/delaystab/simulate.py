@@ -87,8 +87,16 @@ class DecayFit:
     r_squared: float
 
 
+def require_finite(**values: float) -> None:
+    """Raise ValueError naming the first of the given times that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 class _Integrator:
     def __init__(self, system, cfg: SimConfig):
+        require_finite(t0=cfg.t0, t_end=cfg.t_end, step=cfg.h)
         if cfg.h <= 0:
             raise ValueError(f"step size must be positive, got {cfg.h}")
         if cfg.t_end <= cfg.t0:

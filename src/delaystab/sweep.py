@@ -17,7 +17,14 @@ from .criteria import (
 )
 from .equilibrium import DivergenceError, solve_equilibrium
 from .linalg import DEFAULT_TOL, LinalgInputError
-from .simulate import FitInapplicableError, SimConfig, SimulationError, fit_decay, simulate
+from .simulate import (
+    FitInapplicableError,
+    SimConfig,
+    SimulationError,
+    fit_decay,
+    require_finite,
+    simulate,
+)
 from .specio import DocumentError, parse_document, set_parameter
 from .systems import BamSpec, InvalidSpecError
 
@@ -110,6 +117,7 @@ def _simulated_rate(parsed, t_end: float, step: float | None) -> float | None:
 def default_step(system, t0: float, t_end: float) -> float:
     """A step that divides the span, at most COARSEST_STEP and a tenth of
     the smallest positive delay bound."""
+    require_finite(t0=t0, t_end=t_end)
     span = t_end - t0
     if span <= 0:
         raise ValueError("t_end must exceed t0")

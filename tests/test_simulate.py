@@ -117,6 +117,20 @@ def test_invalid_config_rejected():
         simulate(pure_delay_system(), SimConfig(0.0, 1.0, 0.05, record_every=7))
 
 
+@pytest.mark.parametrize("t0, t_end, h, message", [
+    (0.0, math.inf, 0.05, "t_end must be finite, got inf"),
+    (0.0, math.nan, 0.05, "t_end must be finite, got nan"),
+    (math.nan, 1.0, 0.05, "t0 must be finite, got nan"),
+    (-math.inf, 1.0, 0.05, "t0 must be finite, got -inf"),
+    (0.0, 1.0, math.nan, "step must be finite, got nan"),
+    (0.0, 1.0, math.inf, "step must be finite, got inf"),
+])
+def test_non_finite_times_rejected(t0, t_end, h, message):
+    with pytest.raises(ValueError) as exc:
+        simulate(pure_delay_system(), SimConfig(t0, t_end, h))
+    assert str(exc.value) == message
+
+
 def test_record_every_decimates():
     full = simulate(pure_delay_system(), SimConfig(0.0, 2.0, 0.05))
     thin = simulate(pure_delay_system(), SimConfig(0.0, 2.0, 0.05, record_every=4))

@@ -20,6 +20,7 @@ from delaystab import (
     serialize_spec,
     set_parameter,
 )
+from delaystab.cli import main
 
 
 # --- parsing ----------------------------------------------------------------
@@ -325,6 +326,18 @@ def test_cli_simulate_csv(tmp_path, inputs_dir):
     assert len(lines) == 103  # header + 101 rows + trailing newline
     first = lines[1].split(",")
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-end", "inf"], "t_end must be finite, got inf"),
+    (["--t-end", "nan"], "t_end must be finite, got nan"),
+    (["--t-end", "1", "--t0", "nan"], "t0 must be finite, got nan"),
+    (["--t-end", "1", "--step", "nan"], "step must be finite, got nan"),
+])
+def test_cli_simulate_rejects_non_finite_times(capsys, inputs_dir, flags, message):
+    rc = main(["simulate", str(inputs_dir / "two_neuron_sample.json"), *flags])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_cli_simulate_requires_dynamics(inputs_dir):

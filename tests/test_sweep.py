@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from delaystab import find_failure_threshold
+from delaystab.cli import main
 
 # the package re-exports the function `sweep`, which shadows the module name
 sweep_module = importlib.import_module("delaystab.sweep")
@@ -38,6 +39,18 @@ def test_unusable_simulation_step_gives_error_rows(inputs_dir):
     rows = json.loads(res.stdout)["rows"]
     assert [r["status"] for r in rows] == ["error", "error"]
     assert all("step size 0.5 too large" in r["error"] for r in rows)
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--t-end", "inf"], "t_end must be finite, got inf"),
+    (["--t-end", "1", "--step", "nan"], "step must be finite, got nan"),
+])
+def test_non_finite_simulation_times_give_error_rows(capsys, inputs_dir, flags, message):
+    rc = main(["sweep", str(inputs_dir / "linear_coupled.json"), "--param", "parameters.s",
+               "--values", "0.5", "--simulate", *flags])
+    assert rc == 2
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["status"] == "error" and row["error"] == message
 
 
 def test_threshold_search_propagates_programming_errors(monkeypatch, modulated_doc):
