@@ -2,19 +2,17 @@
 
 `test_golden_cli.py` compares decoded reports with a float tolerance; this
 file pins the encoding itself: every report is `json.dumps(report,
-indent=2)` of its JSON-safe form followed by one newline.  The CLI's
-writer is checked against that definition on random reports, with the
-cleaner it replaced as the reference.  (Invocations
-that end in exit status 1 print no report.)
+indent=2)` of its JSON-safe form followed by one newline (invocations
+that exit with status 1 print no report).  The CLI's writer is checked
+against that definition on random reports, with the cleaner it replaced
+as the reference.
 """
 
 import contextlib
 import io
 import json
-import os
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -22,28 +20,16 @@ from delaystab.cli import _json, main
 
 from test_golden_cli import GOLDEN, ROOT, _invocations
 
-INVOCATIONS = [" ".join(argv) for argv in _invocations()]
 
-
-@pytest.fixture(scope="module")
-def stdouts():
-    cwd = os.getcwd()
-    os.chdir(ROOT)
-    try:
-        out = {}
-        for argv in INVOCATIONS:
-            buf = io.StringIO()
-            with contextlib.redirect_stdout(buf), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                main(argv.split())
-            out[argv] = buf.getvalue()
-        return out
-    finally:
-        os.chdir(cwd)
-
-
-def test_golden_reports_are_indent_2_json(stdouts):
-    reports = {argv: text for argv, text in stdouts.items() if text}
+def test_golden_reports_are_indent_2_json(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    reports = {}
+    for argv in _invocations():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        if out.getvalue():
+            reports[" ".join(argv)] = out.getvalue()
     wrong = [argv for argv, text in reports.items()
              if text != json.dumps(json.loads(text), indent=2) + "\n"]
     golden = json.loads(GOLDEN.read_text())
