@@ -83,8 +83,6 @@ def main(argv=None) -> int:
                         help="workload name; give once per workload")
     parser.add_argument("--seeds", action="append", required=True, type=seeds_arg,
                         help="seeds of the preceding --workload, e.g. 11-20")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="run length (default: run_seconds of BENCHMARK.json)")
     parser.add_argument("--trace-seed", type=int, default=None,
                         help="also run one traced pair on this seed per workload")
     parser.add_argument("--note", default="", help="where the runs were made")
@@ -94,7 +92,7 @@ def main(argv=None) -> int:
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         bench = json.load(fh)
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     sides = dict(zip(("parent", "change"), (export(args.parent), export(args.change))))
 
