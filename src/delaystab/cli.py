@@ -20,6 +20,7 @@ DELAYSTAB_TOL environment variable, else 1e-12.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from dataclasses import asdict
@@ -321,7 +322,9 @@ def cmd_sweep(args, tol: float) -> int:
 # wiring
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process on first use."""
     parser = _Parser(prog="delaystab",
                      description="Stability certificates for delayed "
                                  "nonautonomous systems.")

@@ -10,7 +10,10 @@ sufficient conditions.
 
 The rate-parametrized matrix family underlying `certify_decay_rate` is
 entrywise nonincreasing in the rate, so a pass at some rate guarantees a pass
-at every smaller rate; bisection on the rate is therefore sound.
+at every smaller rate (Fiedler & Ptak, 1962); bisection on the rate is
+therefore sound.  The certificate is that of a fixed number of halvings, and
+those halvings are decided from a pass/fail bracket that a safeguarded
+root-finder on the pivot slack finds in far fewer eliminations.
 
 Criterion tags (the wire-format strings carried by verdicts and reports) are
 fixed identifiers; forcing a tag that does not fit the spec family raises
@@ -20,6 +23,7 @@ FamilyError.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf, nan, nextafter, ulp
 
 import numpy as np
 
@@ -99,8 +103,11 @@ class DecayCertificate:
 
     lambda0 is the last rate at which the test matrix passed; boundary_margin
     is the smallest leading minor there.  bracket_width bounds the distance to
-    the first observed failure; upper_failed records whether the top of the
-    search range failed at all (when it passes, lambda0 is simply that top).
+    the first failure; upper_failed records whether the top of the search
+    range failed at all (when it passes, lambda0 is simply that top).
+    iterations counts the bisection's halvings (BISECT_STEPS, or 0 when the
+    top passes); most of them are decided from the root-finder's bracket
+    rather than by an elimination of their own.
     """
 
     lambda0: float
@@ -307,13 +314,62 @@ def bisect(passes, lo: float, hi: float) -> tuple[float, float]:
     return lo, hi
 
 
+def _switch_bracket(trial, top: float, slack_top: float) -> tuple[float, float]:
+    """Shrink [0, top] around the pass/fail switch of a monotone rate test
+    that passes at 0 and fails at top; returns (last pass, first fail).
+
+    ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with their
+    kappa1 = 0.2 / top, kappa2 = 2 and n0 = 1, on an Illinois regula falsi
+    estimate.  It stops where the bisection's bracket would end: at adjacent
+    floats or at width top / 2**BISECT_STEPS.  The projection keeps it
+    within one step more than bisection takes to get there, whatever the
+    slack does.  `trial(rate)` returns (verdict, slack); the verdict alone
+    moves the bracket, the slack only picks the next trial rate.  The slack
+    at 0 is not computed, so the search halves until it first sees a pass.
+    A slack that is not finite or has the wrong sign also means a halving.
+    """
+    lo, hi, g_lo, g_hi = 0.0, top, nan, slack_top
+    floor = top * 0.5 ** BISECT_STEPS
+    n_max = BISECT_STEPS + 1
+    kept = 0    # +1 after a pass, -1 after a fail
+    for j in range(n_max):
+        width = hi - lo
+        done = max(floor, ulp(lo))
+        if width <= done:
+            break
+        x = mid = 0.5 * (lo + hi)
+        if 0.0 < g_lo < inf and -inf < g_hi <= 0.0:
+            x_f = lo + width * (g_lo / (g_lo - g_hi))
+            delta = 0.2 / top * width * width
+            side = 1.0 if mid >= x_f else -1.0
+            x_t = x_f + side * delta if delta <= abs(mid - x_f) else mid
+            reach = done * 2.0 ** (n_max - j - 1) - 0.5 * width
+            x = x_t if abs(x_t - mid) <= reach else mid - side * reach
+            if not lo < x < hi:     # an estimate within an ulp of an end
+                x = nextafter(lo, hi) if x <= lo else nextafter(hi, lo)
+        ok, slack = trial(x)
+        if ok:
+            if kept > 0:
+                g_hi *= 0.5
+            lo, g_lo, kept = x, slack, 1
+        else:
+            if kept < 0:
+                g_lo *= 0.5
+            hi, g_hi, kept = x, slack, -1
+    return lo, hi
+
+
 def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     """Bisect for the largest rate at which the rate-parametrized test passes.
 
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
-    Trial rates are decided by `sign_and_pivot_test` alone.  Runs a fixed
-    BISECT_STEPS steps; the returned rate is the last passing iterate, so
-    the true switchover lies within bracket_width above it.
+    Trial rates are decided by `sign_and_pivot_test` alone.  The certificate
+    is that of BISECT_STEPS halvings of [0, top], but the halvings are
+    decided from a bracket that `_switch_bracket` finds first: a rate at or
+    below its last pass passes, one at or above its first fail fails, and
+    only a rate strictly between them is tried.  The returned rate is the
+    last passing iterate, so the true switchover lies within bracket_width
+    above it; the full report built there must certify it.
     """
     if isinstance(spec, BamSpec):
         spec = bam_to_general(spec)
@@ -330,16 +386,35 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
             "not certified stable: the rate-zero test matrix is not an "
             f"M-matrix (margin {base.margin:.3e})")
 
-    def passes(rate: float) -> bool:
-        off_ok, pivots_ok, _ = sign_and_pivot_test(_rate_matrix(spec, rate), tol)
-        return off_ok and pivots_ok
+    def trial(rate: float) -> tuple[bool, float]:
+        # the verdict, and the product of the scaled pivot slacks
+        # p_k / max|row_k| - tol: positive on a pass, and smooth through the
+        # switch, where one slack crosses zero and their minimum has a kink
+        c = _rate_matrix(spec, rate)
+        off_ok, pivots_ok, pivots = sign_and_pivot_test(c, tol)
+        with np.errstate(all="ignore"):
+            slack = np.prod(pivots / np.abs(c[:pivots.size]).max(axis=1) - tol)
+        return off_ok and pivots_ok, float(slack)
 
     top = float(np.min(spec.alpha)) - tol
-    if passes(top):
+    top_passes, slack_top = trial(top)
+    if top_passes:
         lo, hi, iterations = top, top, 0
     else:
+        last_pass, first_fail = _switch_bracket(trial, top, slack_top)
+
+        def passes(rate: float) -> bool:
+            if rate <= last_pass:
+                return True
+            return rate < first_fail and trial(rate)[0]
+
         (lo, hi), iterations = bisect(passes, 0.0, top), BISECT_STEPS
     boundary = is_m_matrix(_rate_matrix(spec, lo), tol=tol)
+    if not boundary.is_m_matrix:
+        # the test is monotone in the rate, so a rate below a pass passes
+        raise ArithmeticError(
+            f"decay rate {lo!r} was inferred to pass but its test matrix is "
+            f"not an M-matrix (margin {boundary.margin:.3e})")
     return DecayCertificate(lambda0=lo, boundary_margin=float(boundary.margin),
                             iterations=iterations, bracket_width=hi - lo,
                             upper_failed=iterations > 0)

@@ -80,7 +80,7 @@ def _pivots(arr: np.ndarray) -> np.ndarray:
         p = pivots[k] = u[k, k]
         if p == 0.0:
             return pivots[:k + 1]
-        u[k + 1:, k + 1:] -= np.outer(u[k + 1:, k] / p, u[k, k + 1:])
+        u[k + 1:, k + 1:] -= (u[k + 1:, k] / p)[:, None] * u[k, k + 1:]
     return pivots
 
 

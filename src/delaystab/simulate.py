@@ -118,9 +118,13 @@ class _Integrator:
         self.dim = system.dim
         self.phi = system.history if cfg.history is None \
             else as_history(cfg.history, self.dim)
-        self.times = cfg.t0 + np.arange(n_steps + 1) * cfg.h
-        self.states = np.empty((n_steps + 1, self.dim))
-        self.derivs = np.empty((n_steps + 1, self.dim))
+        try:
+            self.times = cfg.t0 + np.arange(n_steps + 1) * cfg.h
+            self.states = np.empty((n_steps + 1, self.dim))
+            self.derivs = np.empty((n_steps + 1, self.dim))
+        except MemoryError:
+            raise ValueError(f"cannot allocate the grid of {n_steps} steps of size "
+                             f"{cfg.h:g}; shorten the span or enlarge the step") from None
         # lookups read Python floats straight from the stored arrays
         self.states_view = memoryview(self.states)
         self.derivs_view = memoryview(self.derivs)

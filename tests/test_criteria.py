@@ -1,7 +1,12 @@
 """Comparison matrices, verdicts, decay-rate certification, closed forms."""
 
+from dataclasses import astuple
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaystab import criteria
 from delaystab import (
@@ -13,8 +18,10 @@ from delaystab import (
     bam_dominance_verdict,
     bam_to_general,
     bam_undelayed_dominance_verdict,
+    DecayCertificate,
     certify_decay_rate,
     is_m_matrix,
+    parse_file,
     stability_verdict,
     two_dim_verdict,
     two_neuron_closed_form,
@@ -29,6 +36,8 @@ from delaystab import test_matrix_linear as build_linear
 from delaystab import test_matrix_linear_undelayed as build_linear_undelayed
 from delaystab import test_matrix_no_self_coupling as build_no_self
 from delaystab import test_matrix_undelayed_decay as build_undelayed
+
+from delaystab.linalg import sign_and_pivot_test
 
 from conftest import random_bam, random_general
 
@@ -224,6 +233,140 @@ def test_certificate_monotone_in_coupling_strength():
         spec = GeneralSystemSpec(L=[[0.0, L01], [L01, 0.0]], **base)
         rates.append(certify_decay_rate(spec).lambda0)
     assert rates[0] > rates[1] > rates[2]
+
+
+def sixty_halvings(spec, tol=criteria.DEFAULT_TOL) -> DecayCertificate:
+    """The certificate as it was computed before the bracketing search: every
+    one of the 60 halvings runs its own elimination."""
+    if isinstance(spec, BamSpec):
+        spec = bam_to_general(spec)
+    if spec.diagonal_delay_free:
+        spec = GeneralSystemSpec(alpha=spec.alpha, A=spec.A, tau=np.zeros(spec.m),
+                                 sigma=spec.sigma, L=spec.L)
+    if not is_m_matrix(build_general(spec), tol=tol).is_m_matrix:
+        raise NotCertifiedError("rate zero does not pass")
+
+    def passes(rate):
+        off_ok, pivots_ok, _ = sign_and_pivot_test(criteria._rate_matrix(spec, rate), tol)
+        return off_ok and pivots_ok
+
+    top = float(np.min(spec.alpha)) - tol
+    if passes(top):
+        lo, hi, iterations = top, top, 0
+    else:
+        lo, hi, iterations = 0.0, top, 60
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if passes(mid):
+                lo = mid
+            else:
+                hi = mid
+    boundary = is_m_matrix(criteria._rate_matrix(spec, lo), tol=tol)
+    return DecayCertificate(lo, float(boundary.margin), iterations, hi - lo, iterations > 0)
+
+
+def bits(cert: DecayCertificate) -> list:
+    return [(type(v), v.hex() if isinstance(v, float) else v) for v in astuple(cert)]
+
+
+def counted_certificate(spec):
+    """(certificate or the exception class it raised, trial eliminations)."""
+    calls = []
+
+    def counting(a, tol=criteria.DEFAULT_TOL):
+        calls.append(len(a))
+        return sign_and_pivot_test(a, tol)
+
+    with mock.patch.object(criteria, "sign_and_pivot_test", counting):
+        try:
+            cert = certify_decay_rate(spec)
+        except NotCertifiedError:
+            cert = NotCertifiedError
+    return cert, len(calls)
+
+
+@st.composite
+def rate_specs(draw):
+    """General specs (m up to 64, rescaled in time by 1e-6..1e3, with either
+    decay family) and two-layer specs; about two thirds certify at rate 0."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return random_bam(rng, n=draw(st.integers(1, 8)))
+    spec = random_general(rng, draw(st.integers(1, 64)),
+                          coupling_scale=draw(st.floats(0.1, 1.5)))
+    s = 10.0 ** draw(st.floats(-6.0, 3.0))
+    return GeneralSystemSpec(alpha=spec.alpha * s, A=spec.A * s, tau=spec.tau / s,
+                             sigma=spec.sigma / s, L=spec.L * s,
+                             diagonal_delay_free=draw(st.booleans()))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(rate_specs())
+def test_certificate_equals_sixty_halvings_bit_for_bit(spec):
+    try:
+        want = bits(sixty_halvings(spec))
+    except NotCertifiedError:
+        want = NotCertifiedError
+    cert, trials = counted_certificate(spec)
+    assert (cert if cert is NotCertifiedError else bits(cert)) == want
+    # the halvings took 61 eliminations; the search never needs more than 63
+    assert trials <= 63
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(1e-6, 1e3),
+       st.sampled_from(["sign", "toward_pass", "toward_fail", "noise"]),
+       st.integers(0, 2**32 - 1))
+def test_switch_search_is_never_slower_than_bisection_by_more_than_one_step(
+        where, top, slack, seed):
+    # a slack without information, or one that misleads, costs at most one
+    # step more than bisection
+    switch = where * top
+    rng = np.random.default_rng(seed)
+    made = {"sign": lambda ok: 1.0 if ok else -1.0,
+            "toward_pass": lambda ok: 1e-300 if ok else -1e300,
+            "toward_fail": lambda ok: 1e300 if ok else -1e-300,
+            "noise": lambda ok: (1.0 if ok else -1.0) * 10.0 ** rng.uniform(-300, 300)}[slack]
+    calls = []
+
+    def trial(rate):
+        calls.append(rate)
+        return rate < switch, made(rate < switch)
+
+    lo, hi = criteria._switch_bracket(trial, top, -1.0)
+    assert (lo == 0.0 or lo < switch) and switch <= hi
+    # the halvings then try only the rates strictly inside the bracket; with
+    # the trial at the top of the range that makes at most 63 eliminations
+    inside = []
+
+    def passes(rate):
+        if lo < rate < hi:
+            inside.append(rate)
+        return rate < switch
+
+    criteria.bisect(passes, 0.0, top)
+    assert len(calls) <= criteria.BISECT_STEPS + 1
+    assert len(calls) + len(inside) <= criteria.BISECT_STEPS + 2
+
+
+@pytest.mark.parametrize("name, trials", [
+    ("bam_modulated", 15), ("general_sample", 13), ("two_neuron_sample", 16)])
+def test_input_certificates_take_few_trials(name, trials):
+    spec = parse_file(Path(__file__).resolve().parent.parent / "inputs" / f"{name}.json").spec
+    cert, count = counted_certificate(spec)
+    assert bits(cert) == bits(sixty_halvings(spec))
+    assert count == trials
+
+
+def test_inferred_rate_must_pass_its_full_report(monkeypatch, general_2x2):
+    # a bracket whose "last pass" lies above the switch makes the halvings
+    # infer a pass where the test fails; the boundary report refuses it
+    def wrong(trial, top, slack_top):
+        return 0.999 * top, top
+
+    monkeypatch.setattr(criteria, "_switch_bracket", wrong)
+    with pytest.raises(ArithmeticError, match="inferred to pass"):
+        certify_decay_rate(general_2x2)
 
 
 # --- two-dimensional closed forms -------------------------------------------

@@ -22,10 +22,11 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
-from delaystab.cli import main
+from delaystab.cli import build_parser, main
 from delaystab.criteria import ALL_TAGS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,6 +115,25 @@ def test_cli_reports_match_golden_outputs():
     assert got.keys() == want.keys()
     mismatches = [d for key in want if (d := _diff(got[key], want[key], key))]
     assert not mismatches, "\n".join(mismatches)
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(monkeypatch):
+    assert build_parser() is build_parser()
+    monkeypatch.chdir(ROOT)
+    argv = ["certify-rate", "inputs/two_neuron_sample.json"]
+    fresh = subprocess.run([sys.executable, "-m", "delaystab", *argv],
+                           capture_output=True, text=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["certify-rate", "--bogus"]) == 1
+    assert "error:" in err.getvalue()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        rc = main(argv)
+    want = json.loads(GOLDEN.read_text())[" ".join(argv)]
+    assert rc == fresh.returncode == want["exit"]
+    assert out.getvalue() == fresh.stdout
+    assert _diff(json.loads(out.getvalue()), want["report"], "report") is None
 
 
 if __name__ == "__main__":

@@ -340,6 +340,16 @@ def test_cli_simulate_rejects_non_finite_times(capsys, inputs_dir, flags, messag
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
+def test_cli_simulate_reports_a_grid_too_large_to_allocate(capsys, inputs_dir):
+    # 1e17 steps cannot be allocated at all, so this fails at once
+    rc = main(["simulate", str(inputs_dir / "two_neuron_sample.json"),
+               "--t-end", "1e15", "--step", "0.01"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: cannot allocate the grid of 100000000000000000 steps")
+    assert err.count("\n") == 1
+
+
 def test_cli_simulate_requires_dynamics(inputs_dir):
     res = run_cli("simulate", str(inputs_dir / "general_sample.json"),
                   "--t-end", "10")

@@ -53,6 +53,16 @@ def test_non_finite_simulation_times_give_error_rows(capsys, inputs_dir, flags, 
     assert row["status"] == "error" and row["error"] == message
 
 
+def test_grid_too_large_to_allocate_gives_an_error_row(capsys, inputs_dir):
+    # 1e17 steps cannot be allocated at all, so this fails at once
+    rc = main(["sweep", str(inputs_dir / "linear_coupled.json"), "--param", "parameters.s",
+               "--values", "0.5", "--simulate", "--t-end", "1e15", "--step", "0.01"])
+    assert rc == 2
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert row["status"] == "error"
+    assert row["error"].startswith("cannot allocate the grid of 100000000000000000 steps")
+
+
 def test_threshold_search_propagates_programming_errors(monkeypatch, modulated_doc):
     def broken(spec, tol=None, criterion=None):
         raise ValueError("bug inside a criterion")
