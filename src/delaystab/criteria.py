@@ -334,6 +334,8 @@ def _switch_bracket(trial, top: float, slack_top: float) -> tuple[float, float]:
     kept = 0    # +1 after a pass, -1 after a fail
     for j in range(n_max):
         width = hi - lo
+        # bisection's stop; above its floor it grows with lo, and so does
+        # the reach the projection leaves for interpolated steps
         done = max(floor, ulp(lo))
         if width <= done:
             break
@@ -348,6 +350,7 @@ def _switch_bracket(trial, top: float, slack_top: float) -> tuple[float, float]:
             if not lo < x < hi:     # an estimate within an ulp of an end
                 x = nextafter(lo, hi) if x <= lo else nextafter(hi, lo)
         ok, slack = trial(x)
+        # Illinois: an end kept for a second step in a row has its slack halved
         if ok:
             if kept > 0:
                 g_hi *= 0.5
