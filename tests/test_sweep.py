@@ -80,3 +80,54 @@ def test_sweep_propagates_programming_errors(monkeypatch, linear_doc):
     monkeypatch.setattr(sweep_module, "stability_verdict", broken)
     with pytest.raises(ValueError, match="bug inside a criterion"):
         sweep_module.sweep(linear_doc, "parameters.s", [0.5])
+
+
+# value-independent errors: every point gets the same error row
+_BAD_DOCUMENTS = [
+    ("parameters.zz", lambda doc: doc, "parameters.zz: no such field"),
+    ("spec.alpha", lambda doc: doc, "spec.alpha: no such field"),
+    ("parameters.s", lambda doc: dict(doc, kind="bogus"),
+     "kind: expected one of general, linear, bam, two_neuron, got 'bogus'"),
+    ("parameters.s", lambda doc: dict(doc, dynamics=dict(
+        doc["dynamics"], coefficients=[
+            [{"type": "constant", "value": -1.0}, {"type": "constant", "value": "$q"}],
+            [{"type": "constant", "value": "$s"}, {"type": "constant", "value": -1.0}]])),
+     "dynamics.coefficients[0][1].value: unknown parameter reference '$q'"),
+]
+
+
+@pytest.mark.parametrize("path, edit, message", _BAD_DOCUMENTS)
+def test_sweep_gives_one_error_row_per_value_for_a_bad_document(linear_doc, path, edit,
+                                                                message):
+    rows = sweep_module.sweep(edit(linear_doc), path, [0.5, -1.0, 2.0])
+    assert [r.value for r in rows] == [0.5, -1.0, 2.0]
+    for r in rows:
+        assert (r.status, r.criterion, r.lambda0, r.lambda_hat, r.error) == \
+            ("error", None, None, None, message)
+
+
+def test_threshold_search_with_a_bad_path_rejects_the_start(linear_doc):
+    with pytest.raises(ValueError, match=r"^starting value 0\.1 is not certified stable$"):
+        find_failure_threshold(linear_doc, "parameters.zz", start=0.1)
+
+
+def _coupled_general():
+    return {"kind": "general", "parameters": {"k": 0.1},
+            "spec": {"alpha": [1.0, 1.0], "A": [1.2, 1.1], "tau": [0.1, 0.2],
+                     "sigma": [[0.0, 0.3], [0.2, 0.0]], "L": [[0.0, "$k"], ["$k", 0.0]]}}
+
+
+def test_sweep_reports_a_value_that_makes_the_spec_invalid():
+    rows = sweep_module.sweep(_coupled_general(), "parameters.k", [0.1, -0.5, float("nan")])
+    assert rows[0].status == "stable_certified" and rows[0].criterion == "cor0"
+    assert rows[0].lambda0 == 0.5106213191930471
+    assert [r.error for r in rows[1:]] == [
+        "spec.L[1][2] must be >= 0 (got -0.5); spec.L[2][1] must be >= 0 (got -0.5)",
+        "spec.L[1][2] must be finite (got nan); spec.L[2][1] must be finite (got nan)"]
+    assert all(r.status == "error" and r.criterion is None for r in rows[1:])
+
+
+def test_threshold_search_counts_invalid_values_as_failures():
+    t = find_failure_threshold(_coupled_general(), "parameters.k", start=0.1)
+    assert (t.value, t.bracket, t.evaluations) == \
+        (0.6891004896072784, (0.6891004896072784, 0.6891004896072785), 62)
