@@ -291,11 +291,24 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
         return two_neuron_closed_form(spec, tol=tol)
     if tag in ("gopalsamy17", "criterion18"):
         return two_neuron_comparison(spec, tol=tol)[tag == "criterion18"]
+    return _matrix_verdict(comparison_matrix(spec, tag), tag, tol)
+
+
+def comparison_matrix(spec, tag: str | None = None) -> np.ndarray:
+    """Test matrix of a matrix-based criterion tag, auto-selected when None.
+
+    The spec passes that criterion exactly when `sign_and_pivot_test` of
+    this matrix passes both of its tests.
+    """
+    if tag is None:
+        tag = _auto_tag(spec)
+    if tag not in _BUILDERS:
+        raise FamilyError(f"{tag!r} is not a matrix-based criterion tag")
     if tag == TAG_BAM and not isinstance(spec, BamSpec):
         raise FamilyError("this criterion needs a two-layer network spec")
     if isinstance(spec, BamSpec) and tag in (TAG_GENERAL, TAG_NO_SELF):
         spec = bam_to_general(spec)
-    return _matrix_verdict(_BUILDERS[tag](spec), tag, tol)
+    return _BUILDERS[tag](spec)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +409,12 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
         c = _rate_matrix(spec, rate)
         off_ok, pivots_ok, pivots = sign_and_pivot_test(c, tol)
         with np.errstate(all="ignore"):
-            slack = np.prod(pivots / np.abs(c[:pivots.size]).max(axis=1) - tol)
+            if c.shape[0] == 1:
+                # one component: p / |p| - tol is +-(1 + tol) and carries
+                # only the sign, so interpolate on p - tol |p| instead
+                slack = pivots[0] - tol * abs(pivots[0])
+            else:
+                slack = np.prod(pivots / np.abs(c[:pivots.size]).max(axis=1) - tol)
         return off_ok and pivots_ok, float(slack)
 
     top = float(np.min(spec.alpha)) - tol

@@ -446,7 +446,9 @@ def _finish(doc, kind, spec, concrete, history, activations) -> ParsedInput:
 # entry points
 # ---------------------------------------------------------------------------
 
-def parse_document(doc: dict) -> ParsedInput:
+def _root_kind(doc) -> str:
+    # the root object, its keys and its kind: the checks made before the
+    # parameter references are resolved
     if not isinstance(doc, dict):
         raise DocumentError("document root must be a JSON object")
     _check_keys(doc, "", allowed=("kind", "parameters", "spec", "dynamics", "history"),
@@ -454,13 +456,99 @@ def parse_document(doc: dict) -> ParsedInput:
     kind = doc["kind"]
     if kind not in KINDS:
         _fail("kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
-    resolved, _ = resolve_parameters(doc)
+    return kind
+
+
+def _build(resolved: dict, kind: str) -> ParsedInput:
+    # the per-kind parser of a resolved document
     try:
         if kind in _FLAT_KINDS:
             return _parse_flat(resolved, kind)
         return _parse_bam_like(resolved, kind)
     except InvalidSpecError as exc:
         raise DocumentError("; ".join(exc.violations)) from exc
+
+
+def parse_document(doc: dict) -> ParsedInput:
+    kind = _root_kind(doc)
+    resolved, _ = resolve_parameters(doc)
+    return _build(resolved, kind)
+
+
+def _paths_to(node, hit, keys: tuple = ()):
+    # key paths below a container of every child for which hit(container,
+    # key, child) holds; hits are not descended into
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        if hit(node, key, child):
+            yield keys + (key,)
+        elif isinstance(child, (dict, list)):
+            yield from _paths_to(child, hit, keys + (key,))
+
+
+def _overlay(node, trie: dict, value: float):
+    # copy of node with `value` at the trie's leaves; only the containers on
+    # the trie's paths are copied, everything else is shared with node
+    out = node.copy()
+    for key, sub in trie.items():
+        out[key] = value if sub is None else _overlay(node[key], sub, value)
+    return out
+
+
+def _failing(exc: DocumentError):
+    args = exc.args
+
+    def fail(value):
+        raise DocumentError(*args)
+    return fail
+
+
+def point_parser(doc: dict, path: str):
+    """Return `value -> parse_document(set_parameter(doc, path, value))`.
+
+    The document is checked and its parameter references resolved once, with
+    a placeholder at `path`; each call then copies only the containers on the
+    paths where the value lands (the leaf, and for `parameters.NAME` every
+    "$NAME" leaf too) and runs the per-kind parser.  Containers off those
+    paths are shared between the documents of different values, so treat
+    `ParsedInput.document` as read only.  An error that does not depend on
+    the value (a bad path, root key or kind, or an unknown reference) is
+    raised again, with the same text, at every call.
+    """
+    try:
+        template = set_parameter(doc, path, 0.0)
+    except DocumentError as exc:
+        return _failing(exc)
+    parts = path.split(".")
+    node = template
+    for part in parts[:-1]:
+        node = node[int(part) if isinstance(node, list) else part]
+    leaf = int(parts[-1]) if isinstance(node, list) else parts[-1]
+    # every way to reach the leaf, in case a container appears more than once
+    spots = list(_paths_to(template, lambda at, key, _: at is node and key == leaf))
+    if any(keys[0] == "kind" for keys in spots):
+        # `kind` is then never valid, and its error names the value
+        return lambda value: parse_document(set_parameter(doc, path, value))
+    refs = {"$" + keys[1] for keys in spots if len(keys) == 2 and keys[0] == "parameters"}
+    if refs:
+        spots += _paths_to(template,
+                           lambda at, key, child: isinstance(child, str) and child in refs)
+    try:
+        kind = _root_kind(template)
+        resolved, _ = resolve_parameters(template)
+    except DocumentError as exc:
+        return _failing(exc)
+    trie: dict = {}
+    for keys in spots:
+        branch = trie
+        for key in keys[:-1]:
+            branch = branch.setdefault(key, {})
+        branch[keys[-1]] = None
+
+    def parse_at(value: float) -> ParsedInput:
+        return _build(_overlay(resolved, trie, float(value)), kind)
+
+    return parse_at
 
 
 def load_json(path: str):

@@ -12,11 +12,12 @@ from .criteria import (
     NotCertifiedError,
     bisect,
     certify_decay_rate,
+    comparison_matrix,
     stability_verdict,
     two_neuron_closed_form,
 )
 from .equilibrium import DivergenceError, solve_equilibrium
-from .linalg import DEFAULT_TOL, LinalgInputError
+from .linalg import DEFAULT_TOL, LinalgInputError, sign_and_pivot_test
 from .simulate import (
     FitInapplicableError,
     SimConfig,
@@ -25,7 +26,7 @@ from .simulate import (
     require_finite,
     simulate,
 )
-from .specio import DocumentError, parse_document, set_parameter
+from .specio import DocumentError, point_parser
 from .systems import BamSpec, InvalidSpecError
 
 COARSEST_STEP = 0.01
@@ -81,12 +82,13 @@ def sweep(document: dict, path: str, values, *, tol: float = DEFAULT_TOL,
     equilibrium is fitted; a run that blows up or does not decay keeps its
     row, with lambda_hat None.
     """
+    parse_at = point_parser(document, path)
     rows = []
     for value in values:
         value = float(value)
         status, tag, lam0, lam_hat, error = "error", None, None, None, None
         try:
-            parsed = parse_document(set_parameter(document, path, value))
+            parsed = parse_at(value)
             verdict = stability_verdict(parsed.spec, tol=tol, criterion=criterion)
             status, tag = verdict.status, verdict.criterion_used
             if verdict.stable:
@@ -147,19 +149,21 @@ def find_failure_threshold(document: dict, path: str, *, start: float = 0.0,
     bracket.  Documents that fail to parse at a trial value count as
     failures, so the search also finds validity edges.  Scalar two-layer
     documents are judged by the closed form; everything else by the
-    auto-selected matrix test.
+    auto-selected matrix test, whose verdict is the sign and pivot test of
+    its comparison matrix.
     """
+    parse_at = point_parser(document, path)
     evals = 0
 
     def certified(value: float) -> bool:
         nonlocal evals
         evals += 1
         try:
-            parsed = parse_document(set_parameter(document, path, value))
-            spec = parsed.spec
+            spec = parse_at(value).spec
             if isinstance(spec, BamSpec) and spec.n == 1:
                 return two_neuron_closed_form(spec, tol=tol).stable
-            return stability_verdict(spec, tol=tol).stable
+            off_ok, pivots_ok, _ = sign_and_pivot_test(comparison_matrix(spec), tol)
+            return off_ok and pivots_ok
         except _POINT_ERRORS:
             return False
 

@@ -397,36 +397,62 @@ def _check(out: list[str], arr: np.ndarray, name: str, rule: str | None,
             out.append(f"{where} must be {rule} (got {v})")
 
 
+# the rules of each spec type, in message order: (field, rule, partner), with
+# rule "> 0", ">= 0", "<=" (against the partner field) or None (finite only)
+_RULES = {
+    GeneralSystemSpec: (("alpha", "> 0", None), ("A", ">= 0", None), ("alpha", "<=", "A"),
+                        ("tau", ">= 0", None), ("sigma", ">= 0", None), ("L", ">= 0", None)),
+    LinearSystemSpec: (("alpha", "> 0", None), ("A", ">= 0", None), ("alpha", "<=", "A"),
+                       ("A_off", ">= 0", None), ("sigma", ">= 0", None)),
+    BamSpec: (("a", "> 0", None), ("b", "> 0", None),
+              ("r_lo", "> 0", None), ("r_hi", "> 0", None), ("r_lo", "<=", "r_hi"),
+              ("p_lo", "> 0", None), ("p_hi", "> 0", None), ("p_lo", "<=", "p_hi"))
+    + tuple((name, ">= 0", None)
+            for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"))
+    + tuple((name, None, None) for name in ("I", "J", "a_conn", "b_conn")),
+}
+
+
+def _rule_groups(rules) -> tuple[list[str], ...]:
+    # field names per test of the one-pass check: finite (every field),
+    # "> 0", ">= 0", and the two sides of "<="
+    def names(*wanted):
+        return [name for name, rule, _ in rules if rule in wanted]
+
+    return ([name for name, _, _ in rules], names("> 0"), names(">= 0"), names("<="),
+            [other for _, rule, other in rules if rule == "<="])
+
+
+_GROUPS = {cls: _rule_groups(rules) for cls, rules in _RULES.items()}
+
+
+def _passes(spec, groups) -> bool:
+    # every rule at once: each group's arrays joined and tested in one call
+    finite, positive, nonnegative, lower, upper = (
+        np.concatenate([getattr(spec, name) for name in names], axis=None)
+        for names in groups)
+    return bool(np.isfinite(finite).all() and (positive > 0).all()
+                and (nonnegative >= 0).all() and (lower <= upper).all())
+
+
 def validate(spec) -> list[str]:
     """Return the list of constraint violations; empty means valid.
 
     Never raises; string entries carry field paths with 1-based indices.
+    All rules are first tested together; only a spec that fails is checked
+    field by field, for the messages.
     """
-    out: list[str] = []
-    if isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
-        _check(out, spec.alpha, "alpha", "> 0")
-        _check(out, spec.A, "A", ">= 0")
-        _check(out, spec.alpha, "alpha", "<=", spec.A)
-        if isinstance(spec, GeneralSystemSpec):
-            _check(out, spec.tau, "tau", ">= 0")
-            _check(out, spec.sigma, "sigma", ">= 0")
-            _check(out, spec.L, "L", ">= 0")
-        else:
-            _check(out, spec.A_off, "A_off", ">= 0")
-            _check(out, spec.sigma, "sigma", ">= 0")
-    elif isinstance(spec, BamSpec):
-        _check(out, spec.a, "a", "> 0")
-        _check(out, spec.b, "b", "> 0")
-        for lo, hi in (("r_lo", "r_hi"), ("p_lo", "p_hi")):
-            _check(out, getattr(spec, lo), lo, "> 0")
-            _check(out, getattr(spec, hi), hi, "> 0")
-            _check(out, getattr(spec, lo), lo, "<=", getattr(spec, hi))
-        for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"):
-            _check(out, getattr(spec, name), name, ">= 0")
-        for name in ("I", "J", "a_conn", "b_conn"):
-            _check(out, getattr(spec, name), name, None)
+    for cls, rules in _RULES.items():
+        if isinstance(spec, cls):
+            break
     else:
-        out.append(f"unknown spec type {type(spec).__name__}")
+        return [f"unknown spec type {type(spec).__name__}"]
+    if _passes(spec, _GROUPS[cls]):
+        return []
+    out: list[str] = []
+    for name, rule, other in rules:
+        _check(out, getattr(spec, name), name, rule,
+               None if other is None else getattr(spec, other))
     return out
 
 

@@ -347,6 +347,30 @@ def test_switch_search_is_never_slower_than_bisection_by_more_than_one_step(
     assert len(calls) + len(inside) <= criteria.BISECT_STEPS + 2
 
 
+def test_one_component_search_interpolates_on_the_unscaled_slack():
+    # with m = 1 the scaled slack p / |p| - tol carries only the sign; the
+    # search took a median of 58 trials on these specs with it
+    rng = np.random.default_rng(2024)
+    counts = []
+    for _ in range(200):
+        spec = random_general(rng, 1, coupling_scale=rng.uniform(0.1, 1.5))
+        s = 10.0 ** rng.uniform(-6.0, 3.0)
+        spec = GeneralSystemSpec(alpha=spec.alpha * s, A=spec.A * s, tau=spec.tau / s,
+                                 sigma=spec.sigma / s, L=spec.L * s,
+                                 diagonal_delay_free=bool(rng.integers(2)))
+        try:
+            want = bits(sixty_halvings(spec))
+        except NotCertifiedError:
+            want = NotCertifiedError
+        cert, trials = counted_certificate(spec)
+        assert (cert if cert is NotCertifiedError else bits(cert)) == want
+        if cert is not NotCertifiedError:
+            assert trials <= 63
+            counts.append(trials)
+    assert len(counts) > 150
+    assert np.median(counts) <= 20
+
+
 # each took 61 trial eliminations when every halving ran its own
 @pytest.mark.parametrize("name, trials", [
     ("bam_modulated", 15), ("general_sample", 13), ("two_neuron_sample", 16)])

@@ -1,9 +1,11 @@
 """Spec containers, validation, the two-layer merge, concrete realizations."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaystab import (
     BamConcrete,
@@ -32,6 +34,7 @@ from delaystab.systems import (
     SinSquaredLag,
     Sinusoid,
     TanhActivation,
+    _check,
 )
 
 from conftest import random_bam
@@ -328,3 +331,68 @@ def test_shifted_abs_lag_bound_is_the_true_maximum():
         assert max(values) <= lag.bound and min(values) >= lag.lower - 1e-15
         assert cls(0.1, 0.3).bound == pytest.approx(0.4) and cls(0.1, 0.3).lower == 0.1
     assert SinSquaredLag(-1.0).lower == -1.0 and ConstantLag(0.2).lower == 0.2
+
+
+def field_by_field(spec) -> list[str]:
+    """`validate` as it was written before the rules became one table: one
+    `_check` call per rule, in message order."""
+    out: list[str] = []
+    if isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
+        _check(out, spec.alpha, "alpha", "> 0")
+        _check(out, spec.A, "A", ">= 0")
+        _check(out, spec.alpha, "alpha", "<=", spec.A)
+        if isinstance(spec, GeneralSystemSpec):
+            _check(out, spec.tau, "tau", ">= 0")
+            _check(out, spec.sigma, "sigma", ">= 0")
+            _check(out, spec.L, "L", ">= 0")
+        else:
+            _check(out, spec.A_off, "A_off", ">= 0")
+            _check(out, spec.sigma, "sigma", ">= 0")
+    elif isinstance(spec, BamSpec):
+        _check(out, spec.a, "a", "> 0")
+        _check(out, spec.b, "b", "> 0")
+        for lo, hi in (("r_lo", "r_hi"), ("p_lo", "p_hi")):
+            _check(out, getattr(spec, lo), lo, "> 0")
+            _check(out, getattr(spec, hi), hi, "> 0")
+            _check(out, getattr(spec, lo), lo, "<=", getattr(spec, hi))
+        for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"):
+            _check(out, getattr(spec, name), name, ">= 0")
+        for name in ("I", "J", "a_conn", "b_conn"):
+            _check(out, getattr(spec, name), name, None)
+    else:
+        out.append(f"unknown spec type {type(spec).__name__}")
+    return out
+
+
+_ODD = np.array([float("nan"), float("inf"), -float("inf"), -1.0, -0.0, 0.0, -1e-300,
+                 0.25, 5.0])
+
+
+@st.composite
+def specs_with_odd_entries(draw):
+    """Specs of every type in which a few fields have some entries replaced
+    by NaN, an infinity, zero, a negative number, or a value below or above
+    its partner's range."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cls = draw(st.sampled_from([GeneralSystemSpec, LinearSystemSpec, BamSpec]))
+    m = draw(st.integers(1, 4))
+    names = [f.name for f in dataclasses.fields(cls) if f.name != "diagonal_delay_free"]
+    odd_fields = rng.choice(names, size=draw(st.integers(0, 3)), replace=False)
+    odd = draw(st.sampled_from([0.3, 1.0]))
+    values = {}
+    for name in names:
+        square = name in ("sigma", "L", "A_off", "a_conn", "b_conn")
+        arr = rng.uniform(0.5, 2.0, (m, m) if square else m)
+        if name in ("A", "r_hi", "p_hi"):
+            arr += 2.0      # above its lower partner unless made odd
+        if name in odd_fields:
+            swap = rng.random(arr.shape) < odd
+            arr[swap] = rng.choice(_ODD, size=int(swap.sum()))
+        values[name] = arr
+    return cls(**values)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(specs_with_odd_entries())
+def test_validate_equals_the_field_by_field_checks(spec):
+    assert validate(spec) == field_by_field(spec)

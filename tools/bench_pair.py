@@ -14,8 +14,10 @@ is its JSON result.
 The output holds, per workload: the seeds and which side ran first, every
 run's end-to-end metrics, each side's median and quartiles per metric,
 how many pairs the change won per metric (ties count for neither side),
-and failed/attempted operations.  With --trace-seed, one traced run per
-side (`--trace 1`) adds the per-layer metrics.
+failed/attempted operations, and a verdict per metric (see `verdict`).
+With --trace-seed, one traced run per side (`--trace 1`) adds the
+per-layer metrics.  The exported commits are removed when the script
+ends, also when a run fails.
 """
 
 from __future__ import annotations
@@ -52,8 +54,12 @@ def export(rev: str) -> tuple[str, str]:
     shutil.rmtree(dest, ignore_errors=True)
     archive = subprocess.run(["git", "archive", sha], cwd=ROOT, check=True,
                              capture_output=True).stdout
-    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-        tar.extractall(dest, filter="data")
+    try:
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(dest, filter="data")
+    except BaseException:
+        shutil.rmtree(dest, ignore_errors=True)
+        raise
     return sha, dest
 
 
@@ -74,28 +80,40 @@ def summary(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--pr", required=True, help="number in the output file name")
-    parser.add_argument("--parent", required=True, help="commit to compare against")
-    parser.add_argument("--change", default="HEAD", help="commit under test")
-    parser.add_argument("--workload", action="append", required=True,
-                        help="workload name; give once per workload")
-    parser.add_argument("--seeds", action="append", required=True, type=seeds_arg,
-                        help="seeds of the preceding --workload, e.g. 11-20")
-    parser.add_argument("--trace-seed", type=int, default=None,
-                        help="also run one traced pair on this seed per workload")
-    parser.add_argument("--note", default="", help="where the runs were made")
-    args = parser.parse_args(argv)
-    if len(args.seeds) != len(args.workload):
-        parser.error("give one --seeds after each --workload")
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change reads better; ties count for neither side."""
+    sign = 1.0 if better == "higher" else -1.0
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
 
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
-        bench = json.load(fh)
-    seconds = bench["run_seconds"]
-    better = {m["name"]: m["better"] for m in bench["end_to_end"]}
-    sides = dict(zip(("parent", "change"), (export(args.parent), export(args.change))))
 
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """Judge one end-to-end metric from paired runs (pair i is parent[i],
+    change[i]); `bound` is the worsening allowed, as a fraction of the
+    parent's median.
+
+    "gain": the change wins at least 9 in 10 pairs (ties count for neither
+    side) and its median is better by more than the parent's interquartile
+    range.  "regression": its median is worse by more than the bound.
+    "unresolved": neither, but one side's interquartile range is wider than
+    the bound, unless every change run is better than every parent run.
+    "within bound" otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    ps, cs = summary(parent), summary(change)
+    ahead = sign * (cs["median"] - ps["median"])
+    if 10 * wins(parent, change, better) >= 9 * len(parent) and ahead > ps["q3"] - ps["q1"]:
+        return "gain"
+    allowed = bound * abs(ps["median"])
+    if -ahead > allowed:
+        return "regression"
+    spread = max(ps["q3"] - ps["q1"], cs["q3"] - cs["q1"])
+    if spread > allowed and not min(sign * c for c in change) > max(sign * p for p in parent):
+        return "unresolved"
+    return "within bound"
+
+
+def compare(args, sides: dict, seconds: float, metrics: dict) -> dict:
+    """Run every pair and summarise it; `sides` maps parent/change to (sha, checkout)."""
     out = {
         "pr": args.pr,
         "parent": sides["parent"][0], "change": sides["change"][0],
@@ -117,24 +135,57 @@ def main(argv=None) -> int:
             runs.append(pair)
         entry = {"seeds": seeds, "pairs": len(runs), "runs": runs}
         for side in sides:
-            metrics = runs[0][side]["metrics"]
             entry[side] = {
                 "attempted": sum(r[side]["attempted"] for r in runs),
                 "failed": sum(r[side]["failed"] for r in runs),
-                "metrics": {m: summary([r[side]["metrics"][m] for r in runs]) for m in metrics},
+                "metrics": {m: summary([r[side]["metrics"][m] for r in runs])
+                            for m in runs[0][side]["metrics"]},
             }
-        entry["change_wins"] = {
-            m: sum((r["change"]["metrics"][m] > r["parent"]["metrics"][m]) if way == "higher"
-                   else (r["change"]["metrics"][m] < r["parent"]["metrics"][m]) for r in runs)
-            for m, way in better.items() if m in runs[0]["parent"]["metrics"]}
+        paired = {m: ([r["parent"]["metrics"][m] for r in runs],
+                      [r["change"]["metrics"][m] for r in runs])
+                  for m in metrics if m in runs[0]["parent"]["metrics"]}
+        entry["change_wins"] = {m: wins(*pv, metrics[m]["better"]) for m, pv in paired.items()}
+        entry["verdicts"] = {m: verdict(*pv, metrics[m]["better"], metrics[m]["bound"])
+                             for m, pv in paired.items()}
+        share = {side: entry[side]["failed"] / max(1, entry[side]["attempted"]) for side in sides}
+        entry["verdicts"]["failed_share"] = \
+            "regression" if share["change"] > share["parent"] else "within bound"
         if args.trace_seed is not None:
             entry["trace"] = {"seed": args.trace_seed, **{
                 side: run(sides[side][1], workload, args.trace_seed, seconds, trace=1)
                 for side in sides}}
         out["workloads"][workload] = entry
+    return out
 
-    for _, checkout in sides.values():
-        shutil.rmtree(checkout, ignore_errors=True)
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", required=True, help="number in the output file name")
+    parser.add_argument("--parent", required=True, help="commit to compare against")
+    parser.add_argument("--change", default="HEAD", help="commit under test")
+    parser.add_argument("--workload", action="append", required=True,
+                        help="workload name; give once per workload")
+    parser.add_argument("--seeds", action="append", required=True, type=seeds_arg,
+                        help="seeds of the preceding --workload, e.g. 11-20")
+    parser.add_argument("--trace-seed", type=int, default=None,
+                        help="also run one traced pair on this seed per workload")
+    parser.add_argument("--note", default="", help="where the runs were made")
+    args = parser.parse_args(argv)
+    if len(args.seeds) != len(args.workload):
+        parser.error("give one --seeds after each --workload")
+
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        bench = json.load(fh)
+    seconds = bench["run_seconds"]
+    metrics = {m["name"]: m for m in bench["end_to_end"]}
+    exports = []
+    try:
+        for rev in (args.parent, args.change):
+            exports.append(export(rev))
+        out = compare(args, dict(zip(("parent", "change"), exports)), seconds, metrics)
+    finally:
+        for _, checkout in exports:
+            shutil.rmtree(checkout, ignore_errors=True)
     path = os.path.join(ROOT, f"BENCH_{args.pr}.json")
     with open(path, "w") as fh:
         json.dump(out, fh, indent=1)
