@@ -411,8 +411,12 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
         with np.errstate(all="ignore"):
             if c.shape[0] == 1:
                 # one component: p / |p| - tol is +-(1 + tol) and carries
-                # only the sign, so interpolate on p - tol |p| instead
-                slack = pivots[0] - tol * abs(pivots[0])
+                # only the sign.  p - tol |p| carries more: a passing p lies
+                # in (0, 1], as every diagonal is 1 minus a nonnegative
+                # term.  Near the pole at the top of the range p tends to
+                # -inf, so a p below -1 is divided by |p|
+                p = pivots[0]
+                slack = (p - tol * abs(p)) / max(1.0, abs(p))
             else:
                 slack = np.prod(pivots / np.abs(c[:pivots.size]).max(axis=1) - tol)
         return off_ok and pivots_ok, float(slack)

@@ -13,7 +13,8 @@ A document is a single JSON object:
 Any number inside spec/dynamics/history may be written as the string "$name"
 to reference an entry of "parameters"; references are resolved before
 parsing, so one scalar can drive several coefficients at once (handy for
-parameter sweeps).
+parameter sweeps).  A sweep resolves the document once through
+`point_parser` and re-runs only the per-kind parser at each value.
 
 When "dynamics" is present the analytic bounds (decay brackets, delay
 bounds, Lipschitz constants) are derived from the named functions; the spec

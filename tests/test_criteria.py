@@ -349,7 +349,9 @@ def test_switch_search_is_never_slower_than_bisection_by_more_than_one_step(
 
 def test_one_component_search_interpolates_on_the_unscaled_slack():
     # with m = 1 the scaled slack p / |p| - tol carries only the sign; the
-    # search took a median of 58 trials on these specs with it
+    # search took a median of 58 trials on these specs with it.  Unscaled,
+    # p - tol |p| tends to -inf near the top of the range, which held the
+    # 90th percentile at 62 until a failing |p| > 1 was scaled back to -1
     rng = np.random.default_rng(2024)
     counts = []
     for _ in range(200):
@@ -368,7 +370,7 @@ def test_one_component_search_interpolates_on_the_unscaled_slack():
             assert trials <= 63
             counts.append(trials)
     assert len(counts) > 150
-    assert np.median(counts) <= 20
+    assert np.median(counts) <= 20 and np.percentile(counts, 90) <= 25
 
 
 # each took 61 trial eliminations when every halving ran its own
