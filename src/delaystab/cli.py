@@ -23,6 +23,7 @@ import argparse
 import functools
 import os
 import sys
+import warnings
 from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
@@ -400,16 +401,23 @@ def _resolve_tol(args) -> float:
     return tol
 
 
+def _show_warning(message, *_):
+    # a library warning is one stderr line, without its source file and code line
+    _say(f"warning: {message}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        tol = _resolve_tol(args)
-        return args.func(args, tol)
-    except (UsageError, ValueError, OSError) as exc:
-        # DocumentError, InvalidSpecError and FamilyError are ValueErrors
-        _say(f"error: {exc}")
-        return 1
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            tol = _resolve_tol(args)
+            return args.func(args, tol)
+        except (UsageError, ValueError, OSError) as exc:
+            # DocumentError, InvalidSpecError and FamilyError are ValueErrors
+            _say(f"error: {exc}")
+            return 1
 
 
 def entry():

@@ -179,8 +179,8 @@ def test_matrix_general(spec: GeneralSystemSpec) -> np.ndarray:
 
 def _no_self_entries(alpha: np.ndarray, upper: np.ndarray, tau: np.ndarray,
                      L: np.ndarray) -> np.ndarray:
-    # shared by the no-self-coupling and two-layer builders so that the
-    # two-layer matrix and the merged-spec matrix agree entry for entry
+    # shared by the no-self-coupling, delayed linear and two-layer builders,
+    # so the two-layer matrix and the merged-spec matrix agree entry for entry
     diag = 1.0 - (upper * upper) * tau / alpha
     c = -(((upper * tau)[:, None] * L) + L) / alpha[:, None]
     np.fill_diagonal(c, diag)
@@ -195,29 +195,29 @@ def test_matrix_no_self_coupling(spec: GeneralSystemSpec) -> np.ndarray:
     return _no_self_entries(spec.alpha, spec.A, spec.tau, spec.L)
 
 
+def _undelayed_entries(alpha: np.ndarray, L: np.ndarray, self_gain) -> np.ndarray:
+    # both undelayed-decay builders; the linear self-gain 0.0 gives exactly 1.0
+    c = -(L / alpha[:, None])
+    np.fill_diagonal(c, 1.0 - self_gain / alpha)
+    return c
+
+
 def test_matrix_undelayed_decay(spec: GeneralSystemSpec) -> np.ndarray:
     """Comparison matrix when the self-decay acts on the undelayed state."""
     spec = _require_general(spec, delayed=False)
-    b = -(spec.L / spec.alpha[:, None])
-    np.fill_diagonal(b, 1.0 - spec.L.diagonal() / spec.alpha)
-    return b
+    return _undelayed_entries(spec.alpha, spec.L, spec.L.diagonal())
 
 
 def test_matrix_linear(spec: LinearSystemSpec) -> np.ndarray:
     """Comparison matrix for the linear family with delayed diagonal terms."""
     spec = _require_linear(spec, delayed=True)
-    sd = spec.sigma.diagonal()
-    d = -(((spec.A * sd)[:, None] * spec.A_off) + spec.A_off) / spec.alpha[:, None]
-    np.fill_diagonal(d, 1.0 - spec.A * spec.A * sd / spec.alpha)
-    return d
+    return _no_self_entries(spec.alpha, spec.A, spec.sigma.diagonal(), spec.A_off)
 
 
 def test_matrix_linear_undelayed(spec: LinearSystemSpec) -> np.ndarray:
     """Comparison matrix for the linear family with undelayed diagonal terms."""
     spec = _require_linear(spec, delayed=False)
-    f = -(spec.A_off / spec.alpha[:, None])
-    np.fill_diagonal(f, 1.0)
-    return f
+    return _undelayed_entries(spec.alpha, spec.A_off, 0.0)
 
 
 def test_matrix_bam(bam: BamSpec) -> np.ndarray:

@@ -63,34 +63,6 @@ class Equilibrium:
     contraction_ratio: float
 
 
-class FixedPointSystem:
-    """The merged fixed-point map u = F(u) + offset in scaled coordinates.
-
-    State layout is (u_1..u_n, v_1..v_n).  Each layer reads only the other,
-    so the map's componentwise sensitivity is block-anti-diagonal: it is
-    bounded by the second matrix of `build_existence_matrices`.
-    """
-
-    def __init__(self, bam: BamSpec, f, g):
-        require_valid(bam)
-        n = bam.n
-        if len(f) != n or len(g) != n:
-            raise ValueError(f"need {n} activations per layer, "
-                             f"got {len(f)} and {len(g)}")
-        self.bam = bam
-        self.n = n
-        self.f = list(f)
-        self.g = list(g)
-        self.offset = np.concatenate([bam.I, bam.J])
-
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        bam, n = self.bam, self.n
-        fv = np.array([self.f[j](w[n + j] / bam.b[j]) for j in range(n)])
-        gu = np.array([self.g[j](w[j] / bam.a[j]) for j in range(n)])
-        return np.concatenate([bam.a_conn @ fv + bam.I,
-                               bam.b_conn @ gu + bam.J])
-
-
 def build_existence_matrices(bam: BamSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative bound matrices controlling equilibrium existence.
 
@@ -136,19 +108,29 @@ def solve_equilibrium(bam: BamSpec, f, g) -> Equilibrium:
     Raises DivergenceError when steps grow for 10 consecutive iterations or
     MAX_ITER iterations are exhausted.
     """
-    fixed_point = FixedPointSystem(bam, f, g)
+    require_valid(bam)
+    n = bam.n
+    if len(f) != n or len(g) != n:
+        raise ValueError(f"need {n} activations per layer, "
+                         f"got {len(f)} and {len(g)}")
     report = equilibrium_exists(bam)
     if not report.exists_unique:
         warnings.warn("none of the existence conditions holds; iterating "
                       "with a divergence guard", RuntimeWarning, stacklevel=2)
-    bam = fixed_point.bam
-    n = bam.n
-    w = fixed_point.offset.copy()
+
+    def apply(w: np.ndarray) -> np.ndarray:
+        # the map w -> F(w) + offset on the scaled state (u_1..u_n, v_1..v_n)
+        fv = np.array([f[j](w[n + j] / bam.b[j]) for j in range(n)])
+        gu = np.array([g[j](w[j] / bam.a[j]) for j in range(n)])
+        return np.concatenate([bam.a_conn @ fv + bam.I,
+                               bam.b_conn @ gu + bam.J])
+
+    w = np.concatenate([bam.I, bam.J])
     prev_step = np.inf
     ratio = 0.0
     growing = 0
     for iterations in range(1, MAX_ITER + 1):
-        w_new = fixed_point.apply(w)
+        w_new = apply(w)
         step = float(np.max(np.abs(w_new - w)))
         ratio = step / prev_step if np.isfinite(prev_step) and prev_step > 0 else 0.0
         if not np.isfinite(step):

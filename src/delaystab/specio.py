@@ -151,6 +151,28 @@ def resolve_parameters(doc: dict) -> tuple[dict, dict]:
     return resolved, params
 
 
+def _leaf(doc, path: str):
+    # (container, key) of the one scalar field that the dotted path addresses
+    parts = path.split(".")
+    node = doc
+    for i, part in enumerate(parts):
+        where = ".".join(parts[: i + 1])
+        if isinstance(node, list):
+            if not part.isdigit() or int(part) >= len(node):
+                _fail(where, "no such list index")
+            key = int(part)
+        elif isinstance(node, dict):
+            if part not in node:
+                _fail(where, "no such field")
+            key = part
+        else:
+            _fail(where, "path descends through a scalar")
+        parent, node = node, node[key]
+    if not (_is_number(node) or (isinstance(node, str) and node.startswith("$"))):
+        _fail(path, "parameter path must address one scalar field")
+    return parent, key
+
+
 def set_parameter(doc: dict, path: str, value: float) -> dict:
     """Return a copy of the document with one scalar leaf replaced.
 
@@ -158,37 +180,8 @@ def set_parameter(doc: dict, path: str, value: float) -> dict:
     lists (for example "dynamics.rate_x.amp" or "spec.A_off.0.1").
     """
     out = copy.deepcopy(doc)
-    parts = path.split(".")
-    node = out
-    for i, part in enumerate(parts[:-1]):
-        where = ".".join(parts[: i + 1])
-        if isinstance(node, list):
-            if not part.isdigit() or int(part) >= len(node):
-                _fail(where, "no such list index")
-            node = node[int(part)]
-        elif isinstance(node, dict):
-            if part not in node:
-                _fail(where, "no such field")
-            node = node[part]
-        else:
-            _fail(where, "path descends through a scalar")
-    leaf = parts[-1]
-    if isinstance(node, list):
-        if not leaf.isdigit() or int(leaf) >= len(node):
-            _fail(path, "no such list index")
-        old = node[int(leaf)]
-    elif isinstance(node, dict):
-        if leaf not in node:
-            _fail(path, "no such field")
-        old = node[leaf]
-    else:
-        _fail(path, "path descends through a scalar")
-    if not (_is_number(old) or (isinstance(old, str) and old.startswith("$"))):
-        _fail(path, "parameter path must address one scalar field")
-    if isinstance(node, list):
-        node[int(leaf)] = float(value)
-    else:
-        node[leaf] = float(value)
+    node, key = _leaf(out, path)
+    node[key] = float(value)
     return out
 
 
@@ -251,7 +244,11 @@ def _history_vec(doc: dict, dim: int, required: bool) -> np.ndarray | None:
         if required:
             _fail("history", "required when dynamics is present")
         return None
-    return np.asarray(_num_list(doc["history"], "history", dim), dtype=float)
+    history = np.asarray(_num_list(doc["history"], "history", dim), dtype=float)
+    if not np.isfinite(history).all():
+        i = int(np.argmin(np.isfinite(history)))
+        _fail(f"history[{i}]", f"expected a finite number, got {history[i]}")
+    return history
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +322,7 @@ _FLAT_KINDS = {
 }
 
 
-def _parse_flat(doc: dict, kind: str) -> ParsedInput:
+def _parse_flat(doc: dict, kind: str):
     spec_node = doc.get("spec")
     if not isinstance(spec_node, dict):
         _fail("spec", "expected an object")
@@ -347,10 +344,7 @@ def _parse_flat(doc: dict, kind: str) -> ParsedInput:
         if not isinstance(dyn, dict):
             _fail("dynamics", "expected an object")
         spec, make_concrete = parse_dynamics(dyn, flag)
-    _require_spec_valid(spec)
-    history = _history_vec(doc, spec.m, required=dyn is not None)
-    concrete = None if make_concrete is None else make_concrete(history)
-    return _finish(doc, kind, spec, concrete, history, None)
+    return spec, spec.m, make_concrete, None
 
 
 _BAM_BOUND_KEYS = ("Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
@@ -359,7 +353,7 @@ _BAM_DYN_KEYS = ("rate_x", "rate_y", "leak_x", "leak_y", "trans_x", "trans_y",
                  "f", "g")
 
 
-def _parse_bam_like(doc: dict, kind: str) -> ParsedInput:
+def _parse_bam_like(doc: dict, kind: str):
     spec_node = doc.get("spec")
     if not isinstance(spec_node, dict):
         _fail("spec", "expected an object")
@@ -395,9 +389,7 @@ def _parse_bam_like(doc: dict, kind: str) -> ParsedInput:
         bounds = {key: values(key, f"spec.{key}", n) for key in _BAM_BOUND_KEYS}
         spec = BamSpec(a=a, b=b, a_conn=a_conn, b_conn=b_conn,
                        I=inputs_i, J=inputs_j, **bounds)
-        _require_spec_valid(spec)
-        history = _history_vec(doc, 2 * n, required=False)
-        return _finish(doc, kind, spec, None, history, None)
+        return spec, 2 * n, None, None
 
     if not isinstance(dyn, dict):
         _fail("dynamics", "expected an object")
@@ -430,17 +422,8 @@ def _parse_bam_like(doc: dict, kind: str) -> ParsedInput:
         sigma_x=[f.bound for f in trans_x], sigma_y=[f.bound for f in trans_y],
         I=inputs_i, J=inputs_j,
     )
-    _require_spec_valid(spec)
-    history = _history_vec(doc, 2 * n, required=True)
-    concrete = BamConcrete(spec, rate_x, rate_y, leak_x, leak_y, trans_x, trans_y,
-                           act_f, act_g, history)
-    return _finish(doc, kind, spec, concrete, history, (act_f, act_g))
-
-
-def _finish(doc, kind, spec, concrete, history, activations) -> ParsedInput:
-    return ParsedInput(kind=kind, spec=spec, concrete=concrete, history=history,
-                       activations=activations, document=doc,
-                       parameters=doc.get("parameters", {}))
+    return (spec, 2 * n, partial(BamConcrete, spec, rate_x, rate_y, leak_x, leak_y,
+                                 trans_x, trans_y, act_f, act_g), (act_f, act_g))
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +444,19 @@ def _root_kind(doc) -> str:
 
 
 def _build(resolved: dict, kind: str) -> ParsedInput:
-    # the per-kind parser of a resolved document
+    # the per-kind parser of a resolved document, then the spec check, the
+    # history (required with dynamics) and the concrete system
+    parse = _parse_flat if kind in _FLAT_KINDS else _parse_bam_like
     try:
-        if kind in _FLAT_KINDS:
-            return _parse_flat(resolved, kind)
-        return _parse_bam_like(resolved, kind)
+        spec, dim, make_concrete, activations = parse(resolved, kind)
+        _require_spec_valid(spec)
+        history = _history_vec(resolved, dim, required=make_concrete is not None)
+        concrete = None if make_concrete is None else make_concrete(history)
     except InvalidSpecError as exc:
         raise DocumentError("; ".join(exc.violations)) from exc
+    return ParsedInput(kind=kind, spec=spec, concrete=concrete, history=history,
+                       activations=activations, document=resolved,
+                       parameters=resolved.get("parameters", {}))
 
 
 def parse_document(doc: dict) -> ParsedInput:
@@ -516,15 +505,12 @@ def point_parser(doc: dict, path: str):
     the value (a bad path, root key or kind, or an unknown reference) is
     raised again, with the same text, at every call.
     """
+    template = copy.deepcopy(doc)
     try:
-        template = set_parameter(doc, path, 0.0)
+        node, leaf = _leaf(template, path)
     except DocumentError as exc:
         return _failing(exc)
-    parts = path.split(".")
-    node = template
-    for part in parts[:-1]:
-        node = node[int(part) if isinstance(node, list) else part]
-    leaf = int(parts[-1]) if isinstance(node, list) else parts[-1]
+    node[leaf] = 0.0
     # every way to reach the leaf, in case a container appears more than once
     spots = list(_paths_to(template, lambda at, key, _: at is node and key == leaf))
     if any(keys[0] == "kind" for keys in spots):

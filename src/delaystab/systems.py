@@ -71,20 +71,11 @@ class Sinusoid:
 
 
 @dataclass(frozen=True)
-class Cosinusoid:
-    base: float
-    amp: float
+class Cosinusoid(Sinusoid):
+    """base + amp*cos(t), with the same range as the sine variant."""
 
     def __call__(self, t: float) -> float:
         return self.base + self.amp * math.cos(t)
-
-    @property
-    def lower(self) -> float:
-        return self.base - abs(self.amp)
-
-    @property
-    def upper(self) -> float:
-        return self.base + abs(self.amp)
 
 
 @dataclass(frozen=True)
@@ -150,11 +141,10 @@ class ShiftedAbsCosLag(ShiftedAbsSinLag):
 
 
 @dataclass(frozen=True)
-class LinearActivation:
-    k: float
+class _Activation:
+    """k*phi(u) for a fixed phi of slope at most 1, hence Lipschitz constant |k|."""
 
-    def __call__(self, u: float) -> float:
-        return self.k * u
+    k: float
 
     @property
     def lipschitz(self) -> float:
@@ -162,36 +152,28 @@ class LinearActivation:
 
 
 @dataclass(frozen=True)
-class TanhActivation:
-    """k*tanh(u): slope k at the origin, |value| <= |k u|."""
+class LinearActivation(_Activation):
+    def __call__(self, u: float) -> float:
+        return self.k * u
 
-    k: float
+
+@dataclass(frozen=True)
+class TanhActivation(_Activation):
+    """k*tanh(u): slope k at the origin, |value| <= |k u|."""
 
     def __call__(self, u: float) -> float:
         return self.k * math.tanh(u)
 
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.k)
-
 
 @dataclass(frozen=True)
-class SinActivation:
-    k: float
-
+class SinActivation(_Activation):
     def __call__(self, u: float) -> float:
         return self.k * math.sin(u)
 
-    @property
-    def lipschitz(self) -> float:
-        return abs(self.k)
-
 
 @dataclass(frozen=True)
-class LogisticActivation:
+class LogisticActivation(_Activation):
     """k*(sigmoid(u) - 1/2): zero at zero, max slope k/4."""
-
-    k: float
 
     def __call__(self, u: float) -> float:
         # branch keeps exp() from overflowing for large negative u
@@ -235,17 +217,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _vec(value, m: int, name: str) -> np.ndarray:
+def _array(value, shape: tuple, name: str) -> np.ndarray:
     arr = np.asarray(value, dtype=float)
-    if arr.shape != (m,):
-        raise InvalidSpecError([f"{name} must have shape ({m},), got {arr.shape}"])
-    return _freeze(arr)
-
-
-def _mat(value, m: int, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (m, m):
-        raise InvalidSpecError([f"{name} must have shape ({m}, {m}), got {arr.shape}"])
+    if arr.shape != shape:
+        raise InvalidSpecError([f"{name} must have shape {shape}, got {arr.shape}"])
     return _freeze(arr)
 
 
@@ -254,10 +229,9 @@ def _set_arrays(spec, vecs, mats):
     shape = np.asarray(getattr(spec, vecs[0]), dtype=float).shape
     if len(shape) != 1 or shape[0] == 0:
         raise InvalidSpecError([f"{vecs[0]} must be a nonempty vector"])
-    for name in vecs:
-        object.__setattr__(spec, name, _vec(getattr(spec, name), shape[0], name))
-    for name in mats:
-        object.__setattr__(spec, name, _mat(getattr(spec, name), shape[0], name))
+    for names, dims in ((vecs, shape), (mats, shape + shape)):
+        for name in names:
+            object.__setattr__(spec, name, _array(getattr(spec, name), dims, name))
 
 
 def _eq(a, b) -> bool:
@@ -583,11 +557,6 @@ class _Concrete:
         bounds = [lag.bound for _, lag, _, _ in self.reads if lag is not None]
         self.max_lag_bound = max(bounds, default=0.0)
         self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
-
-    def derivative(self, t: float, value_at) -> np.ndarray:
-        """The right-hand side at t, delayed values from value_at(component, time)."""
-        return self.rhs(t, [value_at(comp, read_time(t, lag, bound, label))
-                            for comp, lag, bound, label in self.reads])
 
 
 class GeneralConcrete(_Concrete):

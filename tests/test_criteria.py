@@ -76,6 +76,48 @@ def test_linear_undelayed_matrix():
     assert np.max(np.abs(c - np.array([[1.0, -0.5], [-0.4, 1.0]]))) < 1e-15
 
 
+@st.composite
+def bound_arrays(draw):
+    """alpha, A, a vector and two matrices of random bounds (m = 1..12).
+
+    Each field has its own scale, from 1e-6 to 1e3, and its own share of
+    zero entries, diagonals included.
+    """
+    m = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def field(shape, low=0.0):
+        values = rng.uniform(low, 1.0, shape) * 10.0 ** draw(st.integers(-6, 3))
+        values[rng.random(shape) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+        return values
+
+    alpha = np.maximum(field(m, low=0.1), 1e-7)
+    return alpha, alpha + field(m), field(m), field((m, m)), field((m, m))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(bound_arrays())
+def test_shared_builder_bodies_equal_the_separate_formulas(bounds):
+    alpha, upper, tau, sigma, coupling = bounds
+    general = GeneralSystemSpec(alpha=alpha, A=upper, tau=tau, sigma=sigma, L=coupling,
+                                diagonal_delay_free=True)
+    linear = LinearSystemSpec(alpha=alpha, A=upper, A_off=coupling, sigma=sigma)
+    flat = LinearSystemSpec(alpha=alpha, A=upper, A_off=coupling, sigma=sigma,
+                            diagonal_delay_free=True)
+    # the separate bodies these three builders had before they shared one
+    undelayed = -(general.L / general.alpha[:, None])
+    np.fill_diagonal(undelayed, 1.0 - general.L.diagonal() / general.alpha)
+    sd = linear.sigma.diagonal()
+    delayed = -(((linear.A * sd)[:, None] * linear.A_off) + linear.A_off) / linear.alpha[:, None]
+    np.fill_diagonal(delayed, 1.0 - linear.A * linear.A * sd / linear.alpha)
+    unit = -(flat.A_off / flat.alpha[:, None])
+    np.fill_diagonal(unit, 1.0)
+    for got, want in ((build_undelayed(general), undelayed), (build_linear(linear), delayed),
+                      (build_linear_undelayed(flat), unit)):
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
 def test_no_self_coupling_requires_zero_diagonal(general_2x2):
     with pytest.raises(FamilyError):
         build_no_self(general_2x2)

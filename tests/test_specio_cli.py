@@ -3,6 +3,7 @@
 import copy
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -127,6 +128,25 @@ def test_history_length_checked(two_neuron_doc):
     doc["history"] = [1.0, 1.0, 1.0]
     with pytest.raises(DocumentError):
         parse_document(doc)
+
+
+@pytest.mark.parametrize("history, index, shown", [
+    ("[NaN, 1.0]", 0, "nan"), ("[1.0, Infinity]", 1, "inf"), ("[1.0, -1e999]", 1, "-inf")])
+def test_non_finite_history_is_a_document_error(tmp_path, two_neuron_doc, history, index, shown):
+    # Python's json reads NaN, Infinity and overflowing literals as floats
+    doc = dict(two_neuron_doc, history="HISTORY")
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc).replace('"HISTORY"', history))
+    message = f"history[{index}]: expected a finite number, got {shown}"
+    with pytest.raises(DocumentError, match=re.escape(message)):
+        parse_file(str(path))
+    res = run_cli("simulate", str(path), "--t-end", "1")
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+    res = run_cli("sweep", str(path), "--param", "spec.a", "--values", "1",
+                  "--simulate", "--t-end", "1")
+    assert res.returncode == 2, res.stderr
+    [row] = json.loads(res.stdout)["rows"]
+    assert (row["status"], row["error"]) == ("error", message)
 
 
 def test_bounds_only_bam_document():

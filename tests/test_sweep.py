@@ -29,6 +29,26 @@ def test_diverging_simulation_keeps_its_row(inputs_dir):
     assert "RuntimeWarning" not in res.stderr
 
 
+def test_library_warning_is_one_line_without_a_source_location(tmp_path, inputs_dir):
+    # couplings of 9 meet none of the equilibrium existence conditions, so
+    # solve_equilibrium warns at every point and in the equilibrium verb
+    warning = ("warning: none of the existence conditions holds; "
+               "iterating with a divergence guard")
+    doc = json.loads((inputs_dir / "two_neuron_sample.json").read_text())
+    doc["spec"].update(coupling_xy=9.0, coupling_yx=9.0)
+    strong = tmp_path / "strong.json"
+    strong.write_text(json.dumps(doc))
+    for args in (["sweep", str(inputs_dir / "two_neuron_sample.json"), "--param",
+                  "spec.coupling_xy", "--values", "9,10", "--simulate", "--t-end", "2"],
+                 ["equilibrium", str(strong)]):
+        res = subprocess.run([sys.executable, "-m", "delaystab", *args],
+                             capture_output=True, text=True)
+        assert res.returncode in (0, 2), res.stderr
+        lines = res.stderr.splitlines()
+        assert [line for line in lines if line.startswith("warning")] == [warning]
+        assert ".py:" not in res.stderr and "RuntimeWarning" not in res.stderr
+
+
 def test_unusable_simulation_step_gives_error_rows(inputs_dir):
     res = subprocess.run(
         [sys.executable, "-m", "delaystab", "sweep", str(inputs_dir / "bam_modulated.json"),

@@ -35,6 +35,7 @@ from delaystab.systems import (
     Sinusoid,
     TanhActivation,
     _check,
+    read_time,
 )
 
 from conftest import random_bam
@@ -50,6 +51,51 @@ def test_sinusoid_range_and_values():
     g = Cosinusoid(base=40.0, amp=-3.0)  # negative amp, same envelope
     assert abs(g.lower - 37.0) < 1e-15 and abs(g.upper - 43.0) < 1e-15
     assert abs(g(0.0) - 37.0) < 1e-15
+
+
+# every catalog entry at its parameters: the value at t (or u), then its
+# range (lower, upper), (lower, bound) or its Lipschitz constant
+CATALOG_CASES = [
+    (ConstantCoeff(1.5), lambda t: 1.5, (1.5, 1.5)),
+    (Sinusoid(2.0, -0.5), lambda t: 2.0 - 0.5 * math.sin(t), (1.5, 2.5)),
+    (Cosinusoid(2.0, -0.5), lambda t: 2.0 - 0.5 * math.cos(t), (1.5, 2.5)),
+    (ConstantLag(0.25), lambda t: 0.25, (0.25, 0.25)),
+    (SinSquaredLag(0.3), lambda t: 0.3 * math.sin(t) ** 2, (0.0, 0.3)),
+    (ShiftedAbsSinLag(0.5, -0.25), lambda t: 0.5 - 0.25 * abs(math.sin(t)), (0.25, 0.5)),
+    (ShiftedAbsCosLag(0.5, 0.25), lambda t: 0.5 + 0.25 * abs(math.cos(t)), (0.5, 0.75)),
+    (LinearActivation(-1.5), lambda u: -1.5 * u, 1.5),
+    (TanhActivation(-1.5), lambda u: -1.5 * math.tanh(u), 1.5),
+    (SinActivation(-1.5), lambda u: -1.5 * math.sin(u), 1.5),
+    (LogisticActivation(-1.5), lambda u: -1.5 * (1.0 / (1.0 + math.exp(-u)) - 0.5), 0.375),
+]
+
+
+@pytest.mark.parametrize("fn, value, bounds", CATALOG_CASES,
+                         ids=[type(case[0]).__name__ for case in CATALOG_CASES])
+def test_catalog_entry_values_ranges_and_identity(fn, value, bounds):
+    params = dataclasses.astuple(fn)
+    assert repr(fn) == f"{type(fn).__name__}(" + ", ".join(
+        f"{f.name}={v!r}" for f, v in zip(dataclasses.fields(fn), params)) + ")"
+    twin = type(fn)(*params)
+    assert fn == twin and hash(fn) == hash(twin)
+    for other, _, _ in CATALOG_CASES:
+        if type(other) is not type(fn) and len(dataclasses.fields(other)) == len(params):
+            assert fn != type(other)(*params)
+    for x in (-3.0, -0.7, 0.0, 0.4, 2.5):
+        assert abs(fn(x) - value(x)) <= 1e-15 * max(1.0, abs(value(x)))
+    if isinstance(bounds, tuple):
+        top = fn.upper if hasattr(fn, "upper") else fn.bound
+        assert (fn.lower, top) == bounds
+    else:
+        assert fn.lipschitz == bounds
+
+
+def test_catalog_variants_differ_from_their_base():
+    assert Cosinusoid(1.0, 2.0) != Sinusoid(1.0, 2.0)
+    assert ShiftedAbsCosLag(1.0, 2.0) != ShiftedAbsSinLag(1.0, 2.0)
+    assert LinearActivation(1.0) != TanhActivation(1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        Cosinusoid(1.0, 2.0).amp = 3.0
 
 
 def test_lag_bounds_are_sharp():
@@ -180,13 +226,19 @@ def test_bam_to_general_random_dims():
 
 # --- concrete systems -------------------------------------------------------
 
+def rhs_over_reads(system, t, value_at):
+    """The right-hand side at t, each delayed read taken from value_at(component, time)."""
+    return system.rhs(t, [value_at(comp, read_time(t, lag, bound, label))
+                          for comp, lag, bound, label in system.reads])
+
+
 def test_general_concrete_derivative_known_value():
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]],
                              L=[[0.0]])
     sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
                            [[None]], [[None]], [1.0])
     # pure delayed decay: xdot = -x(t-1)
-    out = sys_.derivative(0.5, lambda i, t: np.cos(t))
+    out = rhs_over_reads(sys_, 0.5, lambda i, t: np.cos(t))
     assert abs(out[0] + np.cos(-0.5)) < 1e-15
 
 
@@ -200,7 +252,7 @@ def test_bam_concrete_derivative_known_value():
                        [TanhActivation(0.5)], [TanhActivation(0.2)],
                        [1.0, 1.0])
     value_at = lambda i, t: 2.0 if i == 0 else -1.0
-    out = sys_.derivative(10.0, value_at)
+    out = rhs_over_reads(sys_, 10.0, value_at)
     want_x = -0.8 * 2.0 + 0.5 * math.tanh(-1.0)
     want_y = -0.5 * (-1.0) + 0.2 * math.tanh(2.0)
     assert abs(out[0] - want_x) < 1e-14
@@ -231,7 +283,7 @@ def test_lag_bound_violation_raises_at_runtime():
     sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [LyingLag()],
                            [[None]], [[None]], [1.0])
     with pytest.raises(DelayBoundError):
-        sys_.derivative(0.0, lambda i, t: 1.0)
+        rhs_over_reads(sys_, 0.0, lambda i, t: 1.0)
 
 
 def test_min_positive_lag_bound():
@@ -277,7 +329,7 @@ def test_linear_concrete_matches_matrix_product():
     lags = [[None, None], [None, None]]
     sys_ = LinearConcrete(spec, coeffs, lags, [1.0, 2.0])
     state = np.array([0.3, -0.7])
-    out = sys_.derivative(1.0, lambda i, t: state[i])
+    out = rhs_over_reads(sys_, 1.0, lambda i, t: state[i])
     ref = np.array([[-1.0, 0.9], [0.9, -1.0]]) @ state
     assert np.max(np.abs(out - ref)) < 1e-15
 
