@@ -137,8 +137,7 @@ def _verdict_dict(verdict) -> dict:
     out["m_matrix"] = None if rep is None else {
         "is_m_matrix": rep.is_m_matrix,
         "off_diagonal_ok": rep.off_diagonal_ok,
-        "minors": rep.minors,
-        "min_minor_margin": rep.margin,
+        "min_pivot_slack": rep.margin,
         "witness": rep.witness_xi,
         "screen": rep.screen_passed,
     }
@@ -239,7 +238,7 @@ def cmd_simulate(args, tol: float) -> int:
     cfg = SimConfig(t0=t0, t_end=args.t_end, h=h, record_every=args.record_every)
     report = _base_report("simulate", args.document, parsed, tol)
     try:
-        traj = simulate(system, cfg, meta={"input_sha256": parsed.sha256})
+        traj = simulate(system, cfg)
     except SimulationError as exc:
         report["simulation"] = {"error": str(exc), "failed_at": exc.time}
         _emit(report)

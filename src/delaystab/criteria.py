@@ -10,10 +10,10 @@ sufficient conditions.
 
 The rate-parametrized matrix family underlying `certify_decay_rate` is
 entrywise nonincreasing in the rate, so a pass at some rate guarantees a pass
-at every smaller rate (Fiedler & Ptak, 1962); bisection on the rate is
-therefore sound.  The certificate is that of a fixed number of halvings, and
-those halvings are decided from a pass/fail bracket that a safeguarded
-root-finder on the pivot slack finds in far fewer eliminations.
+at every smaller rate (Fiedler & Ptak, 1962); a bracketing search on the
+rate is therefore sound.  The certificate is the pass/fail bracket that a
+safeguarded root-finder on the pivot slacks finds, down to adjacent floats
+or the width of a fixed number of halvings.
 
 Criterion tags (the wire-format strings carried by verdicts and reports) are
 fixed identifiers; forcing a tag that does not fit the spec family raises
@@ -38,7 +38,8 @@ from .systems import (
     require_valid,
 )
 
-# halvings in every bisection: decay rate and sweep failure threshold
+# halvings in the threshold bisection, and the width at which the decay-rate
+# search stops: top / 2**BISECT_STEPS
 BISECT_STEPS = 60
 
 STATUS_STABLE = "stable_certified"
@@ -99,15 +100,14 @@ class StabilityVerdict:
 
 @dataclass(frozen=True)
 class DecayCertificate:
-    """A bisection-certified decay rate.
+    """A decay rate certified by the last pass of a pass/fail bracket.
 
     lambda0 is the last rate at which the test matrix passed; boundary_margin
-    is the smallest leading minor there.  bracket_width bounds the distance to
-    the first failure; upper_failed records whether the top of the search
-    range failed at all (when it passes, lambda0 is simply that top).
-    iterations counts the bisection's halvings (BISECT_STEPS, or 0 when the
-    top passes); most of them are decided from the root-finder's bracket
-    rather than by an elimination of their own.
+    is its smallest scaled pivot slack there.  bracket_width bounds the
+    distance to the first failure; upper_failed records whether the top of
+    the search range failed at all (when it passes, lambda0 is simply that
+    top).  iterations counts the eliminations run: rate 0, the top and each
+    step of the search.
     """
 
     lambda0: float
@@ -251,7 +251,7 @@ def _matrix_verdict(matrix: np.ndarray, tag: str, tol: float) -> StabilityVerdic
     checks = (
         Check("off_diagonal_signs", float(off.max()), 0.0,
               float(-off.max()), bool(report.off_diagonal_ok)),
-        Check("min_leading_minor", 0.0, float(report.margin),
+        Check("min_pivot_slack", 0.0, float(report.margin),
               float(report.margin), report.pivots_ok),
     )
     status = STATUS_STABLE if report.is_m_matrix else STATUS_INCONCLUSIVE
@@ -338,7 +338,7 @@ def _switch_bracket(trial, top: float, slack_top: float) -> tuple[float, float]:
     within one step more than bisection takes to get there, whatever the
     slack does.  `trial(rate)` returns (verdict, slack); the verdict alone
     moves the bracket, the slack only picks the next trial rate.  The slack
-    at 0 is not computed, so the search halves until it first sees a pass.
+    at 0 is not used, so the search halves until it first sees a pass.
     A slack that is not finite or has the wrong sign also means a halving.
     """
     lo, hi, g_lo, g_hi = 0.0, top, nan, slack_top
@@ -376,16 +376,13 @@ def _switch_bracket(trial, top: float, slack_top: float) -> tuple[float, float]:
 
 
 def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
-    """Bisect for the largest rate at which the rate-parametrized test passes.
+    """Find the largest rate at which the rate-parametrized test passes.
 
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
-    Trial rates are decided by `sign_and_pivot_test` alone.  The certificate
-    is that of BISECT_STEPS halvings of [0, top], but the halvings are
-    decided from a bracket that `_switch_bracket` finds first: a rate at or
-    below its last pass passes, one at or above its first fail fails, and
-    only a rate strictly between them is tried.  The returned rate is the
-    last passing iterate, so the true switchover lies within bracket_width
-    above it; the full report built there must certify it.
+    Every rate tried, 0 and the top of the range included, is decided by
+    one elimination (`sign_and_pivot_test`).  When the top fails, the
+    certificate is the bracket `_switch_bracket` finds: lambda0 is its last
+    pass, and the true switchover lies within bracket_width above it.
     """
     if isinstance(spec, BamSpec):
         spec = bam_to_general(spec)
@@ -396,18 +393,16 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
         spec = GeneralSystemSpec(alpha=spec.alpha, A=spec.A,
                                  tau=np.zeros(spec.m), sigma=spec.sigma,
                                  L=spec.L, diagonal_delay_free=False)
-    base = is_m_matrix(test_matrix_general(spec), tol=tol)
-    if not base.is_m_matrix:
-        raise NotCertifiedError(
-            "not certified stable: the rate-zero test matrix is not an "
-            f"M-matrix (margin {base.margin:.3e})")
+    spec = _require_general(spec, delayed=True)
+    tried = []      # (rate, smallest scaled pivot slack) of each elimination
 
     def trial(rate: float) -> tuple[bool, float]:
-        # the verdict, and the product of the scaled pivot slacks
-        # p_k / max|row_k| - tol: positive on a pass, and smooth through the
-        # switch, where one slack crosses zero and their minimum has a kink
+        # the verdict, and the product of the scaled pivot slacks: positive
+        # on a pass, and smooth through the switch, where one slack crosses
+        # zero and their minimum has a kink
         c = _rate_matrix(spec, rate)
-        off_ok, pivots_ok, pivots = sign_and_pivot_test(c, tol)
+        off_ok, pivots_ok, slacks = sign_and_pivot_test(c, tol)
+        tried.append((rate, float(slacks.min())))
         with np.errstate(all="ignore"):
             if c.shape[0] == 1:
                 # one component: p / |p| - tol is +-(1 + tol) and carries
@@ -415,34 +410,22 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
                 # in (0, 1], as every diagonal is 1 minus a nonnegative
                 # term.  Near the pole at the top of the range p tends to
                 # -inf, so a p below -1 is divided by |p|
-                p = pivots[0]
+                p = c[0, 0]
                 slack = (p - tol * abs(p)) / max(1.0, abs(p))
             else:
-                slack = np.prod(pivots / np.abs(c[:pivots.size]).max(axis=1) - tol)
+                slack = np.prod(slacks)
         return off_ok and pivots_ok, float(slack)
 
+    if not trial(0.0)[0]:
+        raise NotCertifiedError(
+            "not certified stable: the rate-zero test matrix is not an "
+            f"M-matrix (margin {tried[0][1]:.3e})")
     top = float(np.min(spec.alpha)) - tol
     top_passes, slack_top = trial(top)
-    if top_passes:
-        lo, hi, iterations = top, top, 0
-    else:
-        last_pass, first_fail = _switch_bracket(trial, top, slack_top)
-
-        def passes(rate: float) -> bool:
-            if rate <= last_pass:
-                return True
-            return rate < first_fail and trial(rate)[0]
-
-        (lo, hi), iterations = bisect(passes, 0.0, top), BISECT_STEPS
-    boundary = is_m_matrix(_rate_matrix(spec, lo), tol=tol)
-    if not boundary.is_m_matrix:
-        # the test is monotone in the rate, so a rate below a pass passes
-        raise ArithmeticError(
-            f"decay rate {lo!r} was inferred to pass but its test matrix is "
-            f"not an M-matrix (margin {boundary.margin:.3e})")
-    return DecayCertificate(lambda0=lo, boundary_margin=float(boundary.margin),
-                            iterations=iterations, bracket_width=hi - lo,
-                            upper_failed=iterations > 0)
+    lo, hi = (top, top) if top_passes else _switch_bracket(trial, top, slack_top)
+    return DecayCertificate(lambda0=lo, boundary_margin=dict(tried)[lo],
+                            iterations=len(tried), bracket_width=hi - lo,
+                            upper_failed=not top_passes)
 
 
 # ---------------------------------------------------------------------------

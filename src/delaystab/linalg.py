@@ -2,10 +2,10 @@
 
 The M-matrix classifier is the workhorse.  A Z-matrix (off-diagonal entries
 <= 0) is a nonsingular M-matrix exactly when Gaussian elimination without
-row exchanges produces only positive pivots, and its leading principal minors
-are the running products of those pivots (Fiedler & Ptak, 1962; Berman &
-Plemmons, ch. 6).  One elimination therefore decides the property and yields
-the minors; a positive witness vector C^-1 1 is attached when it succeeds.
+row exchanges produces only positive pivots (Fiedler & Ptak, 1962; Berman &
+Plemmons, ch. 6).  One elimination therefore decides the property, and each
+pivot's slack against its row scale says by how much; a positive witness
+vector C^-1 1 is attached when it succeeds.
 
 All functions are pure and hold no global state.
 """
@@ -35,16 +35,16 @@ class MMatrixReport:
 
     pivots_ok records whether every elimination pivot exceeds tol times the
     largest magnitude in its row; is_m_matrix additionally needs the sign
-    pattern.  margin is the smallest leading principal minor; witness_xi is
-    C^-1 1 (a positive vector whenever the classification succeeds) and None
-    otherwise.  screen_passed records which sufficient dominance screen
-    fired, or None when the sign pattern already failed.
+    pattern.  margin is the smallest scaled pivot slack (see
+    `sign_and_pivot_test`); witness_xi is C^-1 1 (a positive vector whenever
+    the classification succeeds) and None otherwise.  screen_passed records
+    which sufficient dominance screen fired, or None when the sign pattern
+    already failed.
     """
 
     is_m_matrix: bool
     off_diagonal_ok: bool
     pivots_ok: bool
-    minors: np.ndarray
     margin: float
     witness_xi: np.ndarray | None
     screen_passed: str | None
@@ -140,26 +140,29 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
 
 
 def sign_and_pivot_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, np.ndarray]:
-    """The nonsingular M-matrix test: (off_diagonal_ok, pivots_ok, pivots).
+    """The nonsingular M-matrix test: (off_diagonal_ok, pivots_ok, slacks).
 
-    a qualifies iff both flags hold.  Each pivot of elimination without row
-    exchanges must exceed tol times the largest magnitude in its row of a,
-    so the test is invariant under positive row scaling."""
+    a qualifies iff both flags hold.  Each pivot p_k of elimination without
+    row exchanges must exceed tol times the largest magnitude r_k in its row
+    of a, so the test is invariant under positive row scaling.  The slacks
+    p_k / r_k - tol (-tol for a zero row) measure that rule scale-free, one
+    per pivot reached; a zero pivot ends them early."""
     arr = as_square(a)
     off_ok = bool((arr - np.diag(np.diag(arr)) <= 0).all())
+    rows = np.abs(arr).max(axis=1)
     pivots = _pivots(arr)
-    pivots_ok = pivots.size == arr.shape[0] \
-        and bool((pivots > tol * np.abs(arr).max(axis=1)).all())
-    return off_ok, pivots_ok, pivots
+    pivots_ok = pivots.size == arr.shape[0] and bool((pivots > tol * rows).all())
+    scale = rows[:pivots.size]
+    slacks = np.divide(pivots, scale, out=np.zeros(pivots.size), where=scale > 0) - tol
+    return off_ok, pivots_ok, slacks
 
 
 def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     """Classify a as a nonsingular M-matrix by one elimination.
 
-    The verdict is `sign_and_pivot_test`; the minors (running pivot
-    products) may be far below tol on a matrix that qualifies.  Matrices
-    sitting exactly on the boundary (a zero pivot) are classified negative,
-    with the margin left for the caller to inspect.
+    The verdict is `sign_and_pivot_test`, and the margin its smallest slack.
+    Matrices sitting exactly on the boundary (a zero pivot) are classified
+    negative, with a margin of at most -tol.
 
     screen_passed is row or column dominance when one holds, else
     "weighted-row" for a qualifying matrix (the weights C^-1 1 give
@@ -167,12 +170,7 @@ def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     """
     arr = as_square(a)
     n = arr.shape[0]
-    off_ok, pivots_ok, pivots = sign_and_pivot_test(arr, tol)
-    if pivots.size == n:
-        with np.errstate(over="ignore", under="ignore"):
-            minors = np.cumprod(pivots)
-    else:
-        minors = leading_principal_minors(arr)
+    off_ok, pivots_ok, slacks = sign_and_pivot_test(arr, tol)
     verdict = off_ok and pivots_ok
     witness = np.linalg.solve(arr, np.ones(n)) if verdict else None
     screen = None
@@ -182,8 +180,7 @@ def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
         is_m_matrix=verdict,
         off_diagonal_ok=off_ok,
         pivots_ok=pivots_ok,
-        minors=minors,
-        margin=float(minors.min()),
+        margin=float(slacks.min()),
         witness_xi=witness,
         screen_passed=screen,
     )

@@ -217,19 +217,12 @@ class _Integrator:
                           derivs[::every].copy(), meta)
 
 
-def simulate(system, cfg: SimConfig, meta: dict | None = None) -> Trajectory:
+def simulate(system, cfg: SimConfig) -> Trajectory:
     """Integrate a concrete system over the configured span.
 
     Identical system + config always produce bit-identical trajectories.
-    Extra `meta` entries (say, a spec hash) are merged into the result's
-    metadata.
     """
-    traj = _Integrator(system, cfg).run()
-    if meta:
-        merged = dict(traj.meta)
-        merged.update(meta)
-        traj = Trajectory(traj.times, traj.states, traj.derivatives, merged)
-    return traj
+    return _Integrator(system, cfg).run()
 
 
 def fit_decay(traj: Trajectory, reference) -> DecayFit:

@@ -112,6 +112,17 @@ def test_divergence_detected():
             solve_equilibrium(s, [LinearActivation(1.0)], [LinearActivation(1.0)])
 
 
+def test_iteration_cap_stops_a_slow_contraction():
+    # loop gain 0.99995**2: the existence conditions hold, so no warning,
+    # but the steps shrink too slowly to settle within the cap
+    s = two_neuron_spec(a=1.0, b=1.0, coupling_xy=0.99995, coupling_yx=0.99995,
+                        Lf=1.0, Lg=1.0, tau_x=0.1, tau_y=0.1,
+                        sigma_x=0.1, sigma_y=0.1, input_x=1.0, input_y=1.0)
+    with pytest.raises(DivergenceError, match=r"^no convergence within 10000 iterations ") as info:
+        solve_equilibrium(s, [LinearActivation(1.0)], [LinearActivation(1.0)])
+    assert abs(info.value.ratio - 0.99995) < 1e-6
+
+
 def test_solver_deterministic():
     s = modulated_pair()
     f, g = [LinearActivation(1.0)], [LinearActivation(1.0)]

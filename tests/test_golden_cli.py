@@ -5,11 +5,14 @@
 `equilibrium` for each `inputs/*.json`, as produced before the M-matrix
 classifier was rewritten as a single elimination, and the reports of a few
 `simulate` and `sweep` runs (`EXTRA_INVOCATIONS`), frozen before the
-certification layer shared one bisection.  Strings, booleans,
+certification layer shared one bisection.  The M-matrix margins and the
+certificates' `boundary_margin` and `iterations` were re-recorded, alone,
+when the margin became the smallest scaled pivot slack and the certificate
+the search's own bracket.  Strings, booleans,
 integers and nulls must match exactly; floats must agree to rtol 1e-9.
 The one exception is a certificate's `boundary_margin`: it is the smallest
-minor at the last rate that passed, so it sits at the decision threshold
-(about the tolerance) by construction, and only its order of magnitude is
+scaled pivot slack at the last rate that passed, so it sits at the decision
+threshold (zero) by construction, and only its order of magnitude is
 pinned.
 
 Regenerate (only when a change of output is intended and explained):

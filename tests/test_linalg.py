@@ -41,7 +41,7 @@ def test_known_m_matrix_with_witness():
     rep = is_m_matrix(a)
     assert rep.is_m_matrix
     assert rep.off_diagonal_ok
-    assert np.allclose(rep.minors, [2.0, 3.0], atol=1e-13)
+    assert np.allclose(leading_principal_minors(a), [2.0, 3.0], atol=1e-13)
     # witness solves A xi = 1 and must be strictly positive
     assert np.max(np.abs(a @ rep.witness_xi - 1.0)) < 1e-12
     assert (rep.witness_xi > 0).all()
@@ -68,7 +68,7 @@ def test_m_matrix_agrees_with_inverse_positivity():
         a = -rng.uniform(0.0, 2.0, (n, n))
         np.fill_diagonal(a, rng.uniform(0.0, 4.0, n))
         rep = is_m_matrix(a)
-        if np.min(np.abs(rep.minors)) <= 1e-8:
+        if np.min(np.abs(leading_principal_minors(a))) <= 1e-8:
             continue
         try:
             inv_ok = bool((np.linalg.inv(a) >= -1e-9).all())

@@ -12,9 +12,11 @@ import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from delaystab import (
+    DEFAULT_TOL,
     GeneralSystemSpec,
     certify_decay_rate,
     is_m_matrix,
+    leading_principal_minors,
     stability_verdict,
 )
 from delaystab.criteria import test_matrix_at_rate as build_at_rate
@@ -86,17 +88,20 @@ def test_verdict_invariant_under_symmetric_permutation(seed, m, shift, log_scale
 
 def test_small_diagonal_identity_is_m_matrix():
     # the leading minors 0.1**k of 0.1 I(20) fall below 1e-12 from k = 13 on
-    report = is_m_matrix(0.1 * np.eye(20))
-    assert report.is_m_matrix
-    assert report.screen_passed == "row-dominance"
-    assert report.margin < 1e-12
+    # (and to 0.0 in floats at 0.1 I(400)); every scaled pivot slack is 1 - tol
+    assert leading_principal_minors(0.1 * np.eye(20)).min() < 1e-12
+    for m in (20, 400):
+        report = is_m_matrix(0.1 * np.eye(m))
+        assert report.is_m_matrix
+        assert report.screen_passed == "row-dominance"
+        assert 0.1 < report.margin <= 1.0
 
 
 def test_zero_pivot_keeps_true_minors():
-    # elimination stops at the zero pivot; the later minor is still reported
+    # elimination stops at the zero pivot, whose scaled slack is -tol
     report = is_m_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
     assert not report.is_m_matrix and not report.pivots_ok
-    assert np.allclose(report.minors, [0.0, -1.0])
+    assert report.margin == -DEFAULT_TOL
 
 
 def test_45_unit_spec_is_certified():
@@ -107,7 +112,8 @@ def test_45_unit_spec_is_certified():
     assert verdict.status == "stable_certified"
     # the listed checks must agree with the verdict, minors far below tol or not
     assert all(c.satisfied for c in verdict.checks)
-    assert verdict.report.margin < 1e-12
+    assert leading_principal_minors(verdict.test_matrix).min() < 1e-12
+    assert 0.1 < verdict.report.margin <= 1.0
 
     cert = certify_decay_rate(spec)
     assert cert.lambda0 > 0.0 and cert.upper_failed

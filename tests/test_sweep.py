@@ -147,6 +147,28 @@ def test_sweep_reports_a_value_that_makes_the_spec_invalid():
     assert all(r.status == "error" and r.criterion is None for r in rows[1:])
 
 
+def test_threshold_search_doubles_its_stride():
+    # the same spec ten times faster: 1.1 and 3.1 pass, 7.1 fails
+    doc = _coupled_general()
+    spec = doc["spec"]
+    spec["alpha"] = [10.0 * v for v in spec["alpha"]]
+    spec["A"] = [10.0 * v for v in spec["A"]]
+    spec["tau"] = [v / 10.0 for v in spec["tau"]]
+    spec["sigma"] = [[v / 10.0 for v in row] for row in spec["sigma"]]
+    t = find_failure_threshold(doc, "parameters.k", start=0.1)
+    assert t.bracket[0] == t.value == 6.8910048960727845
+    assert 3.1 < t.value < t.bracket[1] < 7.1
+    assert t.evaluations == 64
+
+
+def test_threshold_search_gives_up_after_its_expansions():
+    doc = _coupled_general()
+    doc["parameters"]["unused"] = 0.0
+    with pytest.raises(ValueError, match=r"^no failure found up to 2\.305843009213694e\+18 "
+                                         r"after 60 expansions$"):
+        find_failure_threshold(doc, "parameters.unused", start=0.1)
+
+
 def test_threshold_search_counts_invalid_values_as_failures():
     t = find_failure_threshold(_coupled_general(), "parameters.k", start=0.1)
     assert (t.value, t.bracket, t.evaluations) == \
