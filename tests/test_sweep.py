@@ -173,3 +173,12 @@ def test_threshold_search_counts_invalid_values_as_failures():
     t = find_failure_threshold(_coupled_general(), "parameters.k", start=0.1)
     assert (t.value, t.bracket, t.evaluations) == \
         (0.6891004896072784, (0.6891004896072784, 0.6891004896072785), 62)
+
+
+def test_threshold_search_on_the_closed_form(two_neuron_doc):
+    # a one-unit-per-layer document is judged by the cor11 inequalities,
+    # not by a comparison matrix
+    t = find_failure_threshold(two_neuron_doc, "spec.coupling_xy", start=0.1)
+    assert t.value == 1.1428571428547618
+    assert t.bracket == (1.1428571428547618, 1.142857142854762)
+    assert t.evaluations == 63
