@@ -345,7 +345,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("certify-rate", parents=[common],
-                       help="bisect for a certified exponential decay rate")
+                       help="search for a certified exponential decay rate")
     p.set_defaults(func=cmd_certify_rate)
 
     p = sub.add_parser("equilibrium", parents=[common],

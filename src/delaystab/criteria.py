@@ -13,7 +13,8 @@ entrywise nonincreasing in the rate, so a pass at some rate guarantees a pass
 at every smaller rate (Fiedler & Ptak, 1962); a bracketing search on the
 rate is therefore sound.  The certificate is the pass/fail bracket that a
 safeguarded root-finder on the pivot slacks finds, down to adjacent floats
-or the width of a fixed number of halvings.
+or the width of a fixed number of halvings; the same search
+(`switch_bracket`) finds failure thresholds along a swept parameter.
 
 Criterion tags (the wire-format strings carried by verdicts and reports) are
 fixed identifiers; forcing a tag that does not fit the spec family raises
@@ -38,8 +39,8 @@ from .systems import (
     require_valid,
 )
 
-# halvings in the threshold bisection, and the width at which the decay-rate
-# search stops: top / 2**BISECT_STEPS
+# `switch_bracket` stops at width (hi - lo) / 2**BISECT_STEPS, and within
+# BISECT_STEPS + 1 trials
 BISECT_STEPS = 60
 
 STATUS_STABLE = "stable_certified"
@@ -312,66 +313,58 @@ def comparison_matrix(spec, tag: str | None = None) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# decay-rate certification
+# pass/fail bracketing and decay-rate certification
 # ---------------------------------------------------------------------------
 
-def bisect(passes, lo: float, hi: float) -> tuple[float, float]:
-    """Halve [lo, hi] BISECT_STEPS times for a monotone test that passes at
-    lo and fails at hi; returns the final (last pass, first fail)."""
-    for _ in range(BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if passes(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo, hi
-
-
-def _switch_bracket(trial, top: float, slack_top: float) -> tuple[float, float]:
-    """Shrink [0, top] around the pass/fail switch of a monotone rate test
-    that passes at 0 and fails at top; returns (last pass, first fail).
+def switch_bracket(trial, lo: float, hi: float, slack_lo: float,
+                   slack_hi: float) -> tuple[float, float]:
+    """Shrink [lo, hi] around the pass/fail switch of a monotone test that
+    passes at lo and fails at hi; returns (last pass, first fail).
 
     ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with their
-    kappa1 = 0.2 / top, kappa2 = 2 and n0 = 1, on an Illinois regula falsi
-    estimate.  It stops where the bisection's bracket would end: at adjacent
-    floats or at width top / 2**BISECT_STEPS.  The projection keeps it
-    within one step more than bisection takes to get there, whatever the
-    slack does.  `trial(rate)` returns (verdict, slack); the verdict alone
-    moves the bracket, the slack only picks the next trial rate.  The slack
-    at 0 is not used, so the search halves until it first sees a pass.
-    A slack that is not finite or has the wrong sign also means a halving.
+    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1, on an Illinois regula
+    falsi estimate.  It stops at adjacent floats or at width
+    (hi - lo) / 2**BISECT_STEPS, where that many halvings would end, and
+    the projection keeps it within one step more than they take, whatever
+    the slack does.  `trial(x)` returns (verdict, slack); the verdict alone
+    moves the bracket, the slack only picks the next trial.  A slack that is
+    not finite or has the wrong sign (a NaN `slack_lo`, say) means a halving.
     """
-    lo, hi, g_lo, g_hi = 0.0, top, nan, slack_top
-    floor = top * 0.5 ** BISECT_STEPS
+    floor, kappa1 = (hi - lo) * 0.5 ** BISECT_STEPS, 0.2 / (hi - lo)
     n_max = BISECT_STEPS + 1
     kept = 0    # +1 after a pass, -1 after a fail
     for j in range(n_max):
         width = hi - lo
-        # bisection's stop; above its floor it grows with lo, and so does
-        # the reach the projection leaves for interpolated steps
-        done = max(floor, ulp(lo))
+        # the halvings' stop: their floor, or the float spacing at the end
+        # nearest zero, which only grows as the bracket shrinks
+        done = max(floor, ulp(lo) if lo >= 0.0 else ulp(hi) if hi <= 0.0 else 0.0)
         if width <= done:
             break
         x = mid = 0.5 * (lo + hi)
-        if 0.0 < g_lo < inf and -inf < g_hi <= 0.0:
-            x_f = lo + width * (g_lo / (g_lo - g_hi))
-            delta = 0.2 / top * width * width
+        allowed = done * 2.0 ** (n_max - j - 1)    # the width after this trial
+        if 0.0 < slack_lo < inf and -inf < slack_hi <= 0.0:
+            x_f = lo + width * (slack_lo / (slack_lo - slack_hi))
+            delta = kappa1 * width * width
             side = 1.0 if mid >= x_f else -1.0
             x_t = x_f + side * delta if delta <= abs(mid - x_f) else mid
-            reach = done * 2.0 ** (n_max - j - 1) - 0.5 * width
+            reach = allowed - 0.5 * width
             x = x_t if abs(x_t - mid) <= reach else mid - side * reach
-            if not lo < x < hi:     # an estimate within an ulp of an end
-                x = nextafter(lo, hi) if x <= lo else nextafter(hi, lo)
+        if x - lo > allowed:        # rounded a float too far on one side
+            x = nextafter(x, lo)
+        elif hi - x > allowed:
+            x = nextafter(x, hi)
+        if not lo < x < hi:         # an estimate within an ulp of an end
+            x = nextafter(lo, hi) if x <= lo else nextafter(hi, lo)
         ok, slack = trial(x)
         # Illinois: an end kept for a second step in a row has its slack halved
         if ok:
             if kept > 0:
-                g_hi *= 0.5
-            lo, g_lo, kept = x, slack, 1
+                slack_hi *= 0.5
+            lo, slack_lo, kept = x, slack, 1
         else:
             if kept < 0:
-                g_lo *= 0.5
-            hi, g_hi, kept = x, slack, -1
+                slack_lo *= 0.5
+            hi, slack_hi, kept = x, slack, -1
     return lo, hi
 
 
@@ -381,7 +374,7 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
     Every rate tried, 0 and the top of the range included, is decided by
     one elimination (`sign_and_pivot_test`).  When the top fails, the
-    certificate is the bracket `_switch_bracket` finds: lambda0 is its last
+    certificate is the bracket `switch_bracket` finds: lambda0 is its last
     pass, and the true switchover lies within bracket_width above it.
     """
     if isinstance(spec, BamSpec):
@@ -422,7 +415,7 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
             f"M-matrix (margin {tried[0][1]:.3e})")
     top = float(np.min(spec.alpha)) - tol
     top_passes, slack_top = trial(top)
-    lo, hi = (top, top) if top_passes else _switch_bracket(trial, top, slack_top)
+    lo, hi = (top, top) if top_passes else switch_bracket(trial, 0.0, top, nan, slack_top)
     return DecayCertificate(lambda0=lo, boundary_margin=dict(tried)[lo],
                             iterations=len(tried), bracket_width=hi - lo,
                             upper_failed=not top_passes)

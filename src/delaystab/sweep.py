@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from math import nan
 
 import numpy as np
 
@@ -10,10 +11,10 @@ from .criteria import (
     STATUS_STABLE,
     FamilyError,
     NotCertifiedError,
-    bisect,
     certify_decay_rate,
     comparison_matrix,
     stability_verdict,
+    switch_bracket,
     two_neuron_closed_form,
 )
 from .equilibrium import DivergenceError, solve_equilibrium
@@ -133,7 +134,7 @@ def default_step(system, t0: float, t_end: float) -> float:
 
 @dataclass(frozen=True)
 class Threshold:
-    """Largest certified-stable parameter value with its failure bracket."""
+    """Largest certified-stable value, its (pass, fail) bracket and the values tried."""
 
     value: float
     bracket: tuple[float, float]
@@ -145,37 +146,41 @@ def find_failure_threshold(document: dict, path: str, *, start: float = 0.0,
     """Locate where certification first fails along one scalar parameter.
 
     Walks up from `start` (which must certify) by THRESHOLD_STRIDE, doubling
-    the stride up to MAX_EXPAND times until a value fails, then bisects the
-    bracket.  Documents that fail to parse at a trial value count as
+    the stride up to MAX_EXPAND times until a value fails, then narrows the
+    last stride with `switch_bracket`, the search behind decay-rate
+    certificates.  Documents that fail to parse at a trial value count as
     failures, so the search also finds validity edges.  Scalar two-layer
-    documents are judged by the closed form; everything else by the
-    auto-selected matrix test, whose verdict is the sign and pivot test of
-    its comparison matrix.
+    documents are judged by the closed form (slack: the smallest check
+    margin less tol); everything else by the sign and pivot test of the
+    auto-selected comparison matrix (slack: the product of the pivot slacks).
     """
     parse_at = point_parser(document, path)
     evals = 0
 
-    def certified(value: float) -> bool:
+    def trial(value: float) -> tuple[bool, float]:
         nonlocal evals
         evals += 1
         try:
             spec = parse_at(value).spec
             if isinstance(spec, BamSpec) and spec.n == 1:
-                return two_neuron_closed_form(spec, tol=tol).stable
-            off_ok, pivots_ok, _ = sign_and_pivot_test(comparison_matrix(spec), tol)
-            return off_ok and pivots_ok
+                verdict = two_neuron_closed_form(spec, tol=tol)
+                return verdict.stable, min(c.margin for c in verdict.checks) - tol
+            off_ok, pivots_ok, slacks = sign_and_pivot_test(comparison_matrix(spec), tol)
         except _POINT_ERRORS:
-            return False
+            return False, nan
+        with np.errstate(all="ignore"):
+            return off_ok and pivots_ok, float(np.prod(slacks)) if off_ok else nan
 
-    if not certified(start):
+    ok, slack_lo = trial(start)
+    if not ok:
         raise ValueError(f"starting value {start} is not certified stable")
     lo, width = float(start), THRESHOLD_STRIDE
     for _ in range(MAX_EXPAND):
-        if not certified(lo + width):
+        ok, slack_hi = trial(lo + width)
+        if not ok:
             break
-        lo, width = lo + width, 2.0 * width
+        lo, width, slack_lo = lo + width, 2.0 * width, slack_hi
     else:
-        raise ValueError(
-            f"no failure found up to {lo + width} after {MAX_EXPAND} expansions")
-    lo, hi = bisect(certified, lo, lo + width)
+        raise ValueError(f"no failure found up to {lo} after {MAX_EXPAND} expansions")
+    lo, hi = switch_bracket(trial, lo, lo + width, slack_lo, slack_hi)
     return Threshold(value=lo, bracket=(lo, hi), evaluations=evals)

@@ -1,12 +1,12 @@
 """Comparison matrices, verdicts, decay-rate certification, closed forms."""
 
 from dataclasses import asdict, replace
-from math import inf, nextafter, ulp
+from math import inf, nan, nextafter, ulp
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from delaystab import criteria
 from delaystab.linalg import leading_principal_minors, sign_and_pivot_test
@@ -309,6 +309,18 @@ def passes_at(spec, rate, tol=criteria.DEFAULT_TOL) -> bool:
     return off_ok and pivots_ok
 
 
+def halvings(passes, lo: float, hi: float) -> tuple[float, float]:
+    """The oracle bracket: 60 halvings of [lo, hi] for a monotone test that
+    passes at lo and fails at hi; returns (last pass, first fail)."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if passes(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def sixty_halvings(spec, tol=criteria.DEFAULT_TOL) -> DecayCertificate:
     """The certificate as it was computed before the bracketing search: every
     one of the 60 halvings runs its own elimination."""
@@ -323,13 +335,7 @@ def sixty_halvings(spec, tol=criteria.DEFAULT_TOL) -> DecayCertificate:
     if passes(top):
         lo, hi, iterations = top, top, 0
     else:
-        lo, hi, iterations = 0.0, top, 60
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if passes(mid):
-                lo = mid
-            else:
-                hi = mid
+        (lo, hi), iterations = halvings(passes, 0.0, top), 60
     boundary = is_m_matrix(criteria._rate_matrix(spec, lo), tol=tol)
     return DecayCertificate(lo, float(boundary.margin), iterations, hi - lo, iterations > 0)
 
@@ -424,40 +430,47 @@ def test_certificate_far_below_the_top_is_a_sound_bracket(k):
     assert 0.0 < cert.lambda0 < 1e-3
 
 
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(st.floats(0.0, 1.0, exclude_max=True), st.floats(1e-6, 1e3),
-       st.sampled_from(["sign", "toward_pass", "toward_fail", "noise"]),
-       st.integers(0, 2**32 - 1))
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 6.0), st.floats(-6.0, 3.0),
+       st.floats(0.0, 1.0, exclude_max=True),
+       st.sampled_from(["sign", "distance", "toward_pass", "toward_fail", "noise"]),
+       st.booleans(), st.integers(0, 2**32 - 1))
+# a slack that pulls every estimate to the passing end spends the projection's
+# whole allowance; rounding the projected step then cost a last halving
+@example(1.0, 0.1, 2.2, 0.9999999999999999, "toward_pass", False, 0)
+@example(1.0, -6.4, -5.3, 0.9999999999999999, "toward_pass", False, 0)
 def test_switch_search_is_never_slower_than_bisection_by_more_than_one_step(
-        where, top, slack, seed):
+        sign, log_lo, log_width, where, slack, nan_at_lo, seed):
     # a slack without information, or one that misleads, costs at most one
-    # step more than bisection
-    switch = where * top
+    # step more than bisection, on brackets below, above and across zero
+    lo, width = sign * 10.0 ** log_lo, 10.0 ** log_width
+    hi = lo + width
+    switch = max(lo + where * width, nextafter(lo, inf))     # passes below
     rng = np.random.default_rng(seed)
-    made = {"sign": lambda ok: 1.0 if ok else -1.0,
-            "toward_pass": lambda ok: 1e-300 if ok else -1e300,
-            "toward_fail": lambda ok: 1e300 if ok else -1e-300,
-            "noise": lambda ok: (1.0 if ok else -1.0) * 10.0 ** rng.uniform(-300, 300)}[slack]
+    made = {"sign": lambda x, ok: 1.0 if ok else -1.0,
+            "distance": lambda x, ok: switch - x,
+            "toward_pass": lambda x, ok: 1e-300 if ok else -1e300,
+            "toward_fail": lambda x, ok: 1e300 if ok else -1e-300,
+            "noise": lambda x, ok: (1.0 if ok else -1.0) * 10.0 ** rng.uniform(-300, 300)}[slack]
     calls = []
 
-    def trial(rate):
-        calls.append(rate)
-        return rate < switch, made(rate < switch)
+    def trial(x):
+        calls.append(x)
+        return x < switch, made(x, x < switch)
 
-    lo, hi = criteria._switch_bracket(trial, top, -1.0)
-    assert (lo == 0.0 or lo < switch) and switch <= hi
-    # the halvings then try only the rates strictly inside the bracket; with
-    # the trial at the top of the range that makes at most 63 eliminations
-    inside = []
-
-    def passes(rate):
-        if lo < rate < hi:
-            inside.append(rate)
-        return rate < switch
-
-    criteria.bisect(passes, 0.0, top)
+    slack_lo = nan if nan_at_lo else made(lo, True)
+    a, b = criteria.switch_bracket(trial, lo, hi, slack_lo, made(hi, False))
     assert len(calls) <= criteria.BISECT_STEPS + 1
-    assert len(calls) + len(inside) <= criteria.BISECT_STEPS + 2
+    floor = (hi - lo) * 0.5 ** criteria.BISECT_STEPS
+    if (lo > 0.0 and floor <= ulp(lo)) or (hi < 0.0 and floor <= ulp(hi)):
+        # the halvings end on adjacent floats, the one bracket around the switch
+        want = halvings(lambda x: x < switch, lo, hi)
+        assert [a.hex(), b.hex()] == [want[0].hex(), want[1].hex()]
+    else:
+        # the floor lies between floats; the last steps round to them, as
+        # the halvings' own do, so the width may pass it by a few spacings
+        assert a < switch <= b
+        assert b - a <= floor + 3.0 * max(ulp(a), ulp(b))
 
 
 def test_one_component_search_interpolates_on_the_unscaled_slack():

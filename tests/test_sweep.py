@@ -164,7 +164,8 @@ def test_threshold_search_doubles_its_stride():
 def test_threshold_search_gives_up_after_its_expansions():
     doc = _coupled_general()
     doc["parameters"]["unused"] = 0.0
-    with pytest.raises(ValueError, match=r"^no failure found up to 2\.305843009213694e\+18 "
+    # the largest value tried, 0.1 + 1 + 2 + ... + 2**59
+    with pytest.raises(ValueError, match=r"^no failure found up to 1\.152921504606847e\+18 "
                                          r"after 60 expansions$"):
         find_failure_threshold(doc, "parameters.unused", start=0.1)
 
