@@ -5,11 +5,13 @@
 `equilibrium` for each `inputs/*.json`, as produced before the M-matrix
 classifier was rewritten as a single elimination, and the reports of a few
 `simulate` and `sweep` runs (`EXTRA_INVOCATIONS`), frozen before the
-certification layer shared one bisection.  The M-matrix margins and the
-certificates' `boundary_margin` and `iterations` were re-recorded, alone,
-when the margin became the smallest scaled pivot slack and the certificate
-the search's own bracket.  Strings, booleans,
-integers and nulls must match exactly; floats must agree to rtol 1e-9.
+certification layer shared one body per concept.  The M-matrix margins and
+the certificates' `boundary_margin` and `iterations` were re-recorded,
+alone, when the margin became the smallest scaled pivot slack and the
+certificate the search's own bracket; the sweeps' `threshold.evaluations`,
+alone, when failure thresholds moved to that same bracket search.  Strings,
+booleans, integers and nulls must match exactly; floats must agree to
+rtol 1e-9.
 The one exception is a certificate's `boundary_margin`: it is the smallest
 scaled pivot slack at the last rate that passed, so it sits at the decision
 threshold (zero) by construction, and only its order of magnitude is
@@ -38,7 +40,7 @@ RTOL = 1e-9
 # absolute tolerance for fields that sit at the tolerance by construction
 ATOL = {"boundary_margin": 1e-11}
 # simulate and sweep outputs, frozen before the certification layer shared
-# one bisection and one dominance body
+# one search and one dominance body
 EXTRA_INVOCATIONS = (
     "sweep inputs/bam_modulated.json --param parameters.mu --values 0,9,18 "
     "--threshold-start 18",

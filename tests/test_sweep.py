@@ -158,7 +158,7 @@ def test_threshold_search_doubles_its_stride():
     t = find_failure_threshold(doc, "parameters.k", start=0.1)
     assert t.bracket[0] == t.value == 6.8910048960727845
     assert 3.1 < t.value < t.bracket[1] < 7.1
-    assert t.evaluations == 64
+    assert t.evaluations == 14
 
 
 def test_threshold_search_gives_up_after_its_expansions():
@@ -173,7 +173,7 @@ def test_threshold_search_gives_up_after_its_expansions():
 def test_threshold_search_counts_invalid_values_as_failures():
     t = find_failure_threshold(_coupled_general(), "parameters.k", start=0.1)
     assert (t.value, t.bracket, t.evaluations) == \
-        (0.6891004896072784, (0.6891004896072784, 0.6891004896072785), 62)
+        (0.6891004896072784, (0.6891004896072784, 0.6891004896072785), 12)
 
 
 def test_threshold_search_on_the_closed_form(two_neuron_doc):
@@ -182,4 +182,4 @@ def test_threshold_search_on_the_closed_form(two_neuron_doc):
     t = find_failure_threshold(two_neuron_doc, "spec.coupling_xy", start=0.1)
     assert t.value == 1.1428571428547618
     assert t.bracket == (1.1428571428547618, 1.142857142854762)
-    assert t.evaluations == 63
+    assert t.evaluations == 12
