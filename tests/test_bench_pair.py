@@ -1,5 +1,6 @@
-"""The verdict rule of tools/bench_pair.py, on hand-made runs."""
+"""The verdict rule and the output of tools/bench_pair.py, on hand-made runs."""
 
+import argparse
 import importlib.util
 import pathlib
 
@@ -69,3 +70,20 @@ def test_a_failed_run_leaves_no_export_behind(monkeypatch, tmp_path):
         bench_pair.main(["--pr", "0", "--parent", "p", "--change", "c",
                          "--workload", "sweep", "--seeds", "1"])
     assert len(made) == 2 and not any(path.exists() for path in made)
+
+
+def test_output_counts_each_sides_source_lines(monkeypatch, tmp_path):
+    sides = {}
+    for side, files in (("parent", {"a.py": "x\ny\n", "b.py": "z\n"}),
+                        ("change", {"a.py": "x\n", "notes.txt": "not\ncounted\n"})):
+        pkg = tmp_path / side / "src" / "delaystab"
+        pkg.mkdir(parents=True)
+        for name, text in files.items():
+            (pkg / name).write_text(text)
+        sides[side] = (side, str(tmp_path / side))
+    result = {"attempted": 1, "failed": 0, "metrics": {"ops_per_s": 1.0}}
+    monkeypatch.setattr(bench_pair, "run", lambda *args, **kwargs: result)
+    args = argparse.Namespace(pr=0, note="", workload=["sweep"], seeds=[[1]], trace_seed=None)
+    out = bench_pair.compare(args, sides, 1.0,
+                             {"ops_per_s": {"better": "higher", "bound": 0.15}})
+    assert out["source_lines"] == {"parent": 3, "change": 1}

@@ -15,6 +15,7 @@ The output holds, per workload: the seeds and which side ran first, every
 run's end-to-end metrics, each side's median and quartiles per metric,
 how many pairs the change won per metric (ties count for neither side),
 failed/attempted operations, and a verdict per metric (see `verdict`).
+`source_lines` gives each side's `wc -l src/delaystab/*.py`.
 With --trace-seed, one traced run per side (`--trace 1`) adds the
 per-layer metrics.  The exported commits are removed when the script
 ends, also when a run fails.
@@ -23,6 +24,7 @@ ends, also when a run fails.
 from __future__ import annotations
 
 import argparse
+import glob
 import io
 import json
 import os
@@ -61,6 +63,15 @@ def export(rev: str) -> tuple[str, str]:
         shutil.rmtree(dest, ignore_errors=True)
         raise
     return sha, dest
+
+
+def source_lines(checkout: str) -> int:
+    """Line total of the package sources in a checkout, as `wc -l` counts."""
+    total = 0
+    for path in glob.glob(os.path.join(checkout, "src", "delaystab", "*.py")):
+        with open(path, "rb") as fh:
+            total += fh.read().count(b"\n")
+    return total
 
 
 def run(checkout: str, workload: str, seed: int, seconds: float, trace: int) -> dict:
@@ -120,6 +131,7 @@ def compare(args, sides: dict, seconds: float, metrics: dict) -> dict:
         "command": f"python3 perfbench/run.py --workload W --seed S --seconds {seconds:g}",
         "vm": {"note": args.note, "cpus": os.cpu_count(), "python": platform.python_version(),
                "machine": platform.machine()},
+        "source_lines": {side: source_lines(checkout) for side, (_, checkout) in sides.items()},
         "workloads": {},
     }
     for workload, seeds in zip(args.workload, args.seeds):
