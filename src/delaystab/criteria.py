@@ -323,12 +323,12 @@ def switch_bracket(trial, lo: float, hi: float, slack_lo: float,
 
     ITP search (Oliveira & Takahashi, ACM TOMS 47(1), 2020) with their
     kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1, on an Illinois regula
-    falsi estimate.  It stops at adjacent floats or at width
-    (hi - lo) / 2**BISECT_STEPS, where that many halvings would end, and
-    the projection keeps it within one step more than they take, whatever
-    the slack does.  `trial(x)` returns (verdict, slack); the verdict alone
-    moves the bracket, the slack only picks the next trial.  A slack that is
-    not finite or has the wrong sign (a NaN `slack_lo`, say) means a halving.
+    falsi estimate.  It stops at adjacent floats or, up to the rounding of
+    its last steps, at width (hi - lo) / 2**BISECT_STEPS, and the projection
+    keeps it within one trial more than that many halvings, whatever the
+    slack does.  `trial(x)` returns (verdict, slack); the verdict alone moves
+    the bracket, the slack only picks the next trial.  A non-finite or
+    wrong-signed slack (a NaN `slack_lo`, say) means a halving.
     """
     floor, kappa1 = (hi - lo) * 0.5 ** BISECT_STEPS, 0.2 / (hi - lo)
     n_max = BISECT_STEPS + 1
