@@ -47,7 +47,7 @@ from .simulate import (
     simulate,
     write_csv,
 )
-from .specio import load_json, parse_file, set_parameter
+from .specio import load_json, parse_file, point_parser
 from .sweep import default_step, find_failure_threshold, fit_reference, sweep
 from .systems import BamSpec
 
@@ -279,11 +279,11 @@ def cmd_sweep(args, tol: float) -> int:
                          f"({exc})") from exc
     if not values:
         raise UsageError("--values is empty")
-    set_parameter(doc, args.param, values[0])  # fail fast on a bad path
+    points = point_parser(doc, args.param)  # raises what no value can fix
     simulate_until = args.t_end if args.simulate else None
     if args.simulate and args.t_end is None:
         raise UsageError("--simulate needs --t-end")
-    rows = sweep(doc, args.param, values, tol=tol, criterion=args.criterion,
+    rows = sweep(points, values, tol=tol, criterion=args.criterion,
                  simulate_until=simulate_until, step=args.step)
     report = {
         "tool": "delaystab", "version": __version__, "command": "sweep",
@@ -293,8 +293,7 @@ def cmd_sweep(args, tol: float) -> int:
     }
     threshold = None
     if args.threshold_start is not None:
-        threshold = find_failure_threshold(doc, args.param,
-                                           start=args.threshold_start, tol=tol)
+        threshold = find_failure_threshold(points, start=args.threshold_start, tol=tol)
         report["threshold"] = {"value": threshold.value,
                                "bracket": list(threshold.bracket),
                                "evaluations": threshold.evaluations}

@@ -368,6 +368,25 @@ def switch_bracket(trial, lo: float, hi: float, slack_lo: float,
     return lo, hi
 
 
+def pivot_trial(c: np.ndarray, tol: float) -> tuple[bool, float, np.ndarray]:
+    """(verdict, slack, slacks) of `sign_and_pivot_test`, a bracket search's trial.
+
+    The slack is the product of the scaled pivot slacks: positive on a pass,
+    and smooth through the switch, where one slack crosses zero and their
+    minimum has a kink.  It is NaN, which means a halving, when the sign
+    test fails.
+    """
+    off_ok, pivots_ok, slacks = sign_and_pivot_test(c, tol)
+    p = c[0, 0]
+    with np.errstate(all="ignore"):
+        # one component: p / |p| - tol is +-(1 + tol) and carries only the sign.
+        # p - tol |p| carries more: a passing rate matrix has p in (0, 1], as every
+        # diagonal is 1 minus a nonnegative term.  Near the pole at the top of the
+        # rate range p tends to -inf, so a p below -1 is divided by |p|
+        slack = np.prod(slacks) if len(c) > 1 else (p - tol * abs(p)) / max(1.0, abs(p))
+    return off_ok and pivots_ok, float(slack) if off_ok else nan, slacks
+
+
 def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     """Find the largest rate at which the rate-parametrized test passes.
 
@@ -390,24 +409,9 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     tried = []      # (rate, smallest scaled pivot slack) of each elimination
 
     def trial(rate: float) -> tuple[bool, float]:
-        # the verdict, and the product of the scaled pivot slacks: positive
-        # on a pass, and smooth through the switch, where one slack crosses
-        # zero and their minimum has a kink
-        c = _rate_matrix(spec, rate)
-        off_ok, pivots_ok, slacks = sign_and_pivot_test(c, tol)
+        ok, slack, slacks = pivot_trial(_rate_matrix(spec, rate), tol)
         tried.append((rate, float(slacks.min())))
-        with np.errstate(all="ignore"):
-            if c.shape[0] == 1:
-                # one component: p / |p| - tol is +-(1 + tol) and carries
-                # only the sign.  p - tol |p| carries more: a passing p lies
-                # in (0, 1], as every diagonal is 1 minus a nonnegative
-                # term.  Near the pole at the top of the range p tends to
-                # -inf, so a p below -1 is divided by |p|
-                p = c[0, 0]
-                slack = (p - tol * abs(p)) / max(1.0, abs(p))
-            else:
-                slack = np.prod(slacks)
-        return off_ok and pivots_ok, float(slack)
+        return ok, slack
 
     if not trial(0.0)[0]:
         raise NotCertifiedError(

@@ -158,7 +158,8 @@ def _leaf(doc, path: str):
     for i, part in enumerate(parts):
         where = ".".join(parts[: i + 1])
         if isinstance(node, list):
-            if not part.isdigit() or int(part) >= len(node):
+            # ASCII only: int() reads other decimal digits too, and '²' not at all
+            if not (part.isascii() and part.isdigit()) or int(part) >= len(node):
                 _fail(where, "no such list index")
             key = int(part)
         elif isinstance(node, dict):
@@ -176,8 +177,8 @@ def _leaf(doc, path: str):
 def set_parameter(doc: dict, path: str, value: float) -> dict:
     """Return a copy of the document with one scalar leaf replaced.
 
-    The dotted path addresses nested objects; integer components index
-    lists (for example "dynamics.rate_x.amp" or "spec.A_off.0.1").
+    The dotted path addresses nested objects; components of ASCII digits
+    index lists (for example "dynamics.rate_x.amp" or "spec.A_off.0.1").
     """
     out = copy.deepcopy(doc)
     node, key = _leaf(out, path)
@@ -485,46 +486,30 @@ def _overlay(node, trie: dict, value: float):
     return out
 
 
-def _failing(exc: DocumentError):
-    args = exc.args
-
-    def fail(value):
-        raise DocumentError(*args)
-    return fail
-
-
 def point_parser(doc: dict, path: str):
     """Return `value -> parse_document(set_parameter(doc, path, value))`.
 
-    The document is checked and its parameter references resolved once, with
-    a placeholder at `path`; each call then copies only the containers on the
+    What no value can change is checked here, once, in the order the composed
+    parse meets it, and raises DocumentError with the same text: the path; the
+    root object, its keys and kind (as given, so a path into a non-string kind
+    names that kind, not the value); then `parameters` and every reference,
+    with a placeholder at `path`.  Each call copies only the containers on the
     paths where the value lands (the leaf, and for `parameters.NAME` every
     "$NAME" leaf too) and runs the per-kind parser.  Containers off those
     paths are shared between the documents of different values, so treat
-    `ParsedInput.document` as read only.  An error that does not depend on
-    the value (a bad path, root key or kind, or an unknown reference) is
-    raised again, with the same text, at every call.
+    `ParsedInput.document` as read only.
     """
     template = copy.deepcopy(doc)
-    try:
-        node, leaf = _leaf(template, path)
-    except DocumentError as exc:
-        return _failing(exc)
+    node, leaf = _leaf(template, path)
+    kind = _root_kind(template)
     node[leaf] = 0.0
     # every way to reach the leaf, in case a container appears more than once
     spots = list(_paths_to(template, lambda at, key, _: at is node and key == leaf))
-    if any(keys[0] == "kind" for keys in spots):
-        # `kind` is then never valid, and its error names the value
-        return lambda value: parse_document(set_parameter(doc, path, value))
     refs = {"$" + keys[1] for keys in spots if len(keys) == 2 and keys[0] == "parameters"}
     if refs:
         spots += _paths_to(template,
                            lambda at, key, child: isinstance(child, str) and child in refs)
-    try:
-        kind = _root_kind(template)
-        resolved, _ = resolve_parameters(template)
-    except DocumentError as exc:
-        return _failing(exc)
+    resolved, _ = resolve_parameters(template)
     trie: dict = {}
     for keys in spots:
         branch = trie

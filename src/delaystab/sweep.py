@@ -13,12 +13,13 @@ from .criteria import (
     NotCertifiedError,
     certify_decay_rate,
     comparison_matrix,
+    pivot_trial,
     stability_verdict,
     switch_bracket,
     two_neuron_closed_form,
 )
 from .equilibrium import DivergenceError, solve_equilibrium
-from .linalg import DEFAULT_TOL, LinalgInputError, sign_and_pivot_test
+from .linalg import DEFAULT_TOL, LinalgInputError
 from .simulate import (
     FitInapplicableError,
     SimConfig,
@@ -27,7 +28,7 @@ from .simulate import (
     require_finite,
     simulate,
 )
-from .specio import DocumentError, point_parser
+from .specio import DocumentError
 from .systems import BamSpec, InvalidSpecError
 
 COARSEST_STEP = 0.01
@@ -70,26 +71,25 @@ def fit_reference(parsed) -> np.ndarray:
     return np.zeros(parsed.concrete.dim)
 
 
-def sweep(document: dict, path: str, values, *, tol: float = DEFAULT_TOL,
-          criterion: str | None = None, simulate_until: float | None = None,
-          step: float | None = None) -> list[SweepRow]:
+def sweep(points, values, *, tol: float = DEFAULT_TOL, criterion: str | None = None,
+          simulate_until: float | None = None, step: float | None = None) -> list[SweepRow]:
     """Re-run certification for each value of one scalar document field.
 
-    Rows keep the order of `values`.  A value whose document fails to parse
-    or fit the test, or whose simulation cannot start, gets status "error"
-    with the message; the rest of the sweep continues.  When
-    `simulate_until` is set, each point with concrete dynamics is also
-    integrated from its history and the observed decay rate toward the
-    equilibrium is fitted; a run that blows up or does not decay keeps its
-    row, with lambda_hat None.
+    `points` is the document's `point_parser` for that field, which has
+    already raised any error that no value can fix.  Rows keep the order
+    of `values`.  A value whose document fails to parse or fit the test, or
+    whose simulation cannot start, gets status "error" with the message;
+    the rest of the sweep continues.  When `simulate_until` is set, each
+    point with concrete dynamics is also integrated from its history and
+    the observed decay rate toward the equilibrium is fitted; a run that
+    blows up or does not decay keeps its row, with lambda_hat None.
     """
-    parse_at = point_parser(document, path)
     rows = []
     for value in values:
         value = float(value)
         status, tag, lam0, lam_hat, error = "error", None, None, None, None
         try:
-            parsed = parse_at(value)
+            parsed = points(value)
             verdict = stability_verdict(parsed.spec, tol=tol, criterion=criterion)
             status, tag = verdict.status, verdict.criterion_used
             if verdict.stable:
@@ -141,35 +141,32 @@ class Threshold:
     evaluations: int
 
 
-def find_failure_threshold(document: dict, path: str, *, start: float = 0.0,
-                           tol: float = DEFAULT_TOL) -> Threshold:
+def find_failure_threshold(points, *, start: float = 0.0, tol: float = DEFAULT_TOL) -> Threshold:
     """Locate where certification first fails along one scalar parameter.
 
-    Walks up from `start` (which must certify) by THRESHOLD_STRIDE, doubling
-    the stride up to MAX_EXPAND times until a value fails, then narrows the
+    `points` is the document's `point_parser` for that parameter.  Walks
+    up from `start` (which must certify) by THRESHOLD_STRIDE, doubling the
+    stride up to MAX_EXPAND times until a value fails, then narrows the
     last stride with `switch_bracket`, the search behind decay-rate
     certificates.  Documents that fail to parse at a trial value count as
     failures, so the search also finds validity edges.  Scalar two-layer
     documents are judged by the closed form (slack: the smallest check
     margin less tol); everything else by the sign and pivot test of the
-    auto-selected comparison matrix (slack: the product of the pivot slacks).
+    auto-selected comparison matrix (slack: that of `pivot_trial`).
     """
-    parse_at = point_parser(document, path)
     evals = 0
 
     def trial(value: float) -> tuple[bool, float]:
         nonlocal evals
         evals += 1
         try:
-            spec = parse_at(value).spec
+            spec = points(value).spec
             if isinstance(spec, BamSpec) and spec.n == 1:
                 verdict = two_neuron_closed_form(spec, tol=tol)
                 return verdict.stable, min(c.margin for c in verdict.checks) - tol
-            off_ok, pivots_ok, slacks = sign_and_pivot_test(comparison_matrix(spec), tol)
+            return pivot_trial(comparison_matrix(spec), tol)[:2]
         except _POINT_ERRORS:
             return False, nan
-        with np.errstate(all="ignore"):
-            return off_ok and pivots_ok, float(np.prod(slacks)) if off_ok else nan
 
     ok, slack_lo = trial(start)
     if not ok:

@@ -28,6 +28,7 @@ from delaystab import (
     is_m_matrix,
     parse_document,
     parse_file,
+    point_parser,
     set_parameter,
     simulate,
     solve_equilibrium,
@@ -117,7 +118,7 @@ def test_3_modulation_depth_family():
             assert closed.stable and matrix.stable, f"mu={mu}"
             assert closed.stable == matrix.stable
 
-        thr = find_failure_threshold(doc, "parameters.mu", start=18.0)
+        thr = find_failure_threshold(point_parser(doc, "parameters.mu"), start=18.0)
         assert thr.value > 18.0
         assert thr.bracket[0] <= thr.value <= thr.bracket[1]
         assert thr.bracket[1] - thr.bracket[0] < 1e-9

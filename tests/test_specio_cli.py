@@ -18,6 +18,7 @@ from delaystab import (
     document_sha256,
     parse_document,
     parse_file,
+    point_parser,
     serialize_spec,
     set_parameter,
 )
@@ -232,6 +233,25 @@ def test_set_parameter_bad_path(linear_doc):
         set_parameter(linear_doc, "dynamics.coefficients.0.1", 1.0)
 
 
+@pytest.mark.parametrize("digit", ["²", "٣"], ids=["superscript_two", "arabic_indic_three"])
+def test_parameter_path_indices_are_ascii_digits(tmp_path, digit):
+    # str.isdigit() holds for both, but int() fails on "²" and reads "٣" as 3
+    doc = {"kind": "general", "spec": {"alpha": [1.0] * 4, "A": [1.0] * 4, "tau": [0.1] * 4,
+                                       "sigma": [[0.2] * 4] * 4, "L": [[0.1] * 4] * 4}}
+    path = f"spec.alpha.{digit}"
+    message = f"{path}: no such list index"
+    with pytest.raises(DocumentError) as exc:
+        set_parameter(doc, path, 0.5)
+    assert str(exc.value) == message
+    with pytest.raises(DocumentError) as exc:
+        point_parser(doc, path)
+    assert str(exc.value) == message
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    res = run_cli("sweep", str(file), "--param", path, "--values", "0.5")
+    assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
+
+
 def test_sha_stable_and_sensitive(two_neuron_doc):
     a = document_sha256(two_neuron_doc)
     b = document_sha256(copy.deepcopy(two_neuron_doc))
@@ -407,6 +427,24 @@ def test_cli_sweep_bad_param(inputs_dir):
     res = run_cli("sweep", str(inputs_dir / "linear_coupled.json"),
                   "--param", "parameters.zeta", "--values", "0.5")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: dict(doc, extra=1),
+    lambda doc: dict(doc, kind="nonlinear"),
+    lambda doc: dict(doc, history=[1.0, "$q"]),
+    lambda doc: dict(doc, parameters={"s": 0.9, "t": "x"}),
+], ids=["root_key", "kind", "reference", "other_parameter"])
+def test_cli_sweep_of_a_malformed_document_is_exit_one(tmp_path, linear_doc, edit):
+    # malformed whatever the swept value: one error line, as analyze gives
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(edit(linear_doc)))
+    analyze = run_cli("analyze", str(path))
+    assert analyze.returncode == 1 and analyze.stderr.startswith("error: ")
+    for extra in ([], ["--threshold-start", "0.1"]):
+        res = run_cli("sweep", str(path), "--param", "parameters.s", "--values", "0.5,2",
+                      *extra)
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", analyze.stderr)
 
 
 def test_cli_missing_file():

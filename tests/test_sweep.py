@@ -5,9 +5,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from delaystab import find_failure_threshold
+from delaystab import DocumentError, find_failure_threshold, point_parser, stability_verdict
 from delaystab.cli import main
 
 # the package re-exports the function `sweep`, which shadows the module name
@@ -90,7 +91,7 @@ def test_threshold_search_propagates_programming_errors(monkeypatch, modulated_d
     monkeypatch.setattr(sweep_module, "stability_verdict", broken)
     monkeypatch.setattr(sweep_module, "two_neuron_closed_form", broken)
     with pytest.raises(ValueError, match="bug inside a criterion"):
-        find_failure_threshold(modulated_doc, "parameters.mu", start=0.0)
+        find_failure_threshold(point_parser(modulated_doc, "parameters.mu"), start=0.0)
 
 
 def test_sweep_propagates_programming_errors(monkeypatch, linear_doc):
@@ -99,10 +100,10 @@ def test_sweep_propagates_programming_errors(monkeypatch, linear_doc):
 
     monkeypatch.setattr(sweep_module, "stability_verdict", broken)
     with pytest.raises(ValueError, match="bug inside a criterion"):
-        sweep_module.sweep(linear_doc, "parameters.s", [0.5])
+        sweep_module.sweep(point_parser(linear_doc, "parameters.s"), [0.5])
 
 
-# value-independent errors: every point gets the same error row
+# value-independent errors: the parser raises them once, before any value
 _BAD_DOCUMENTS = [
     ("parameters.zz", lambda doc: doc, "parameters.zz: no such field"),
     ("spec.alpha", lambda doc: doc, "spec.alpha: no such field"),
@@ -119,16 +120,16 @@ _BAD_DOCUMENTS = [
 @pytest.mark.parametrize("path, edit, message", _BAD_DOCUMENTS)
 def test_sweep_gives_one_error_row_per_value_for_a_bad_document(linear_doc, path, edit,
                                                                 message):
-    rows = sweep_module.sweep(edit(linear_doc), path, [0.5, -1.0, 2.0])
-    assert [r.value for r in rows] == [0.5, -1.0, 2.0]
-    for r in rows:
-        assert (r.status, r.criterion, r.lambda0, r.lambda_hat, r.error) == \
-            ("error", None, None, None, message)
+    # no rows at all: the error is raised once, with the text every row had
+    with pytest.raises(DocumentError) as exc:
+        point_parser(edit(linear_doc), path)
+    assert str(exc.value) == message
 
 
 def test_threshold_search_with_a_bad_path_rejects_the_start(linear_doc):
-    with pytest.raises(ValueError, match=r"^starting value 0\.1 is not certified stable$"):
-        find_failure_threshold(linear_doc, "parameters.zz", start=0.1)
+    # the path is rejected before the search can try its start
+    with pytest.raises(DocumentError, match=r"^parameters\.zz: no such field$"):
+        point_parser(linear_doc, "parameters.zz")
 
 
 def _coupled_general():
@@ -138,7 +139,8 @@ def _coupled_general():
 
 
 def test_sweep_reports_a_value_that_makes_the_spec_invalid():
-    rows = sweep_module.sweep(_coupled_general(), "parameters.k", [0.1, -0.5, float("nan")])
+    rows = sweep_module.sweep(point_parser(_coupled_general(), "parameters.k"),
+                              [0.1, -0.5, float("nan")])
     assert rows[0].status == "stable_certified" and rows[0].criterion == "cor0"
     assert rows[0].lambda0 == 0.5106213191930471
     assert [r.error for r in rows[1:]] == [
@@ -155,7 +157,7 @@ def test_threshold_search_doubles_its_stride():
     spec["A"] = [10.0 * v for v in spec["A"]]
     spec["tau"] = [v / 10.0 for v in spec["tau"]]
     spec["sigma"] = [[v / 10.0 for v in row] for row in spec["sigma"]]
-    t = find_failure_threshold(doc, "parameters.k", start=0.1)
+    t = find_failure_threshold(point_parser(doc, "parameters.k"), start=0.1)
     assert t.bracket[0] == t.value == 6.8910048960727845
     assert 3.1 < t.value < t.bracket[1] < 7.1
     assert t.evaluations == 14
@@ -167,11 +169,11 @@ def test_threshold_search_gives_up_after_its_expansions():
     # the largest value tried, 0.1 + 1 + 2 + ... + 2**59
     with pytest.raises(ValueError, match=r"^no failure found up to 1\.152921504606847e\+18 "
                                          r"after 60 expansions$"):
-        find_failure_threshold(doc, "parameters.unused", start=0.1)
+        find_failure_threshold(point_parser(doc, "parameters.unused"), start=0.1)
 
 
 def test_threshold_search_counts_invalid_values_as_failures():
-    t = find_failure_threshold(_coupled_general(), "parameters.k", start=0.1)
+    t = find_failure_threshold(point_parser(_coupled_general(), "parameters.k"), start=0.1)
     assert (t.value, t.bracket, t.evaluations) == \
         (0.6891004896072784, (0.6891004896072784, 0.6891004896072785), 12)
 
@@ -179,7 +181,33 @@ def test_threshold_search_counts_invalid_values_as_failures():
 def test_threshold_search_on_the_closed_form(two_neuron_doc):
     # a one-unit-per-layer document is judged by the cor11 inequalities,
     # not by a comparison matrix
-    t = find_failure_threshold(two_neuron_doc, "spec.coupling_xy", start=0.1)
+    t = find_failure_threshold(point_parser(two_neuron_doc, "spec.coupling_xy"), start=0.1)
     assert t.value == 1.1428571428547618
     assert t.bracket == (1.1428571428547618, 1.142857142854762)
     assert t.evaluations == 12
+
+
+def _one_component_general(rng):
+    # passes at k = 0 with room to spare; "$k" is the coupling or the delay
+    alpha = rng.uniform(0.5, 2.0)
+    upper = alpha * rng.uniform(1.0, 1.5)
+    spec = {"alpha": [alpha], "A": [upper], "tau": [rng.uniform(0.0, 0.5) * alpha / upper**2],
+            "sigma": [[rng.uniform(0.0, 0.5)]], "L": [[rng.uniform(0.0, 0.5) * alpha]]}
+    if rng.uniform() < 0.5:
+        spec["L"] = [["$k"]]
+    else:
+        spec["tau"] = ["$k"]
+    return {"kind": "general", "parameters": {"k": 0.0}, "spec": spec}
+
+
+def test_one_component_threshold_search_interpolates_on_the_pivot():
+    # a 1x1 matrix has one pivot p; the search steers on p, not on its sign
+    rng = np.random.default_rng(12)
+    evaluations = []
+    for _ in range(40):
+        points = point_parser(_one_component_general(rng), "parameters.k")
+        t = find_failure_threshold(points, start=0.0)
+        assert stability_verdict(points(t.value).spec).stable
+        assert not stability_verdict(points(t.bracket[1]).spec).stable
+        evaluations.append(t.evaluations)
+    assert np.median(evaluations) <= 20
