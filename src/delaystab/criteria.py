@@ -3,10 +3,12 @@
 Every test here follows one mechanism: build a comparison matrix whose
 diagonal measures how strongly each component damps itself and whose
 off-diagonal entries bound how hard its neighbours can push it, then ask
-whether that matrix is a nonsingular M-matrix.  The closed-form tests for
-small dimensions spell out the same leading-minor inequalities by hand, and
-the dominance variants replace the minors test with the cheaper row/column
-sufficient conditions.
+whether that matrix is a nonsingular M-matrix.  Every matrix criterion is
+Theorem 1's matrix of its family's bounds, computed by one body
+(`_rate_matrix`): undelayed decay is tau = 0, and no self-coupling is a
+zero diagonal of L.  The closed-form tests for small dimensions spell out
+the same leading-minor inequalities by hand, and the dominance variants
+replace the minors test with the cheaper row/column sufficient conditions.
 
 The rate-parametrized matrix family underlying `certify_decay_rate` is
 entrywise nonincreasing in the rate, so a pass at some rate guarantees a pass
@@ -148,27 +150,28 @@ def _require_linear(spec, delayed: bool) -> LinearSystemSpec:
 def test_matrix_at_rate(spec: GeneralSystemSpec, rate: float) -> np.ndarray:
     """Comparison matrix of the delayed-decay family at a trial decay rate.
 
-    At rate 0 this reduces (with identical expression ordering, hence exact
-    float equality) to the base test matrix.  Each entry is nonincreasing in
+    At rate 0 this is the base test matrix.  Each entry is nonincreasing in
     the rate.
     """
     spec = _require_general(spec, delayed=True)
     if not 0.0 <= rate < float(np.min(spec.alpha)):
         raise ValueError(
             f"rate must lie in [0, {np.min(spec.alpha)}), got {rate}")
-    return _rate_matrix(spec, rate)
+    return _rate_matrix(spec.alpha, spec.A, spec.tau, spec.L, spec.sigma, rate)
 
 
-def _rate_matrix(spec: GeneralSystemSpec, rate: float) -> np.ndarray:
-    # unvalidated body of test_matrix_at_rate, shared with the rate bisection
-    # so that a certificate validates its spec once, not once per trial rate
-    e_tau = np.exp(rate * spec.tau)
-    e_sig = np.exp(rate * spec.sigma)
-    denom = spec.alpha - rate
-    ae = spec.A * e_tau
-    self_gain = e_sig.diagonal() * spec.L.diagonal()
-    diag = 1.0 - (ae * (rate + ae + self_gain) * spec.tau + self_gain) / denom
-    c = -(e_sig * spec.L * (ae * spec.tau + 1.0)[:, None]) / denom[:, None]
+def _rate_matrix(alpha: np.ndarray, A: np.ndarray, tau: np.ndarray | float, L: np.ndarray,
+                 sigma: np.ndarray | None = None, rate: float = 0.0) -> np.ndarray:
+    # Theorem 1's matrix of the bounds, the one body of every matrix
+    # criterion; unvalidated, so that a certificate validates its spec once,
+    # not once per trial rate.  L's diagonal is the self-coupling gain
+    if rate:    # at rate 0 the weights exp(rate * delay) are exactly 1
+        A = A * np.exp(rate * tau)
+        L = np.exp(rate * sigma) * L
+    denom = alpha - rate
+    self_gain = L.diagonal()
+    diag = 1.0 - (A * (rate + A + self_gain) * tau + self_gain) / denom
+    c = -(L * (A * tau + 1.0)[:, None]) / denom[:, None]
     np.fill_diagonal(c, diag)
     return c
 
@@ -178,56 +181,45 @@ def test_matrix_general(spec: GeneralSystemSpec) -> np.ndarray:
     return test_matrix_at_rate(spec, 0.0)
 
 
-def _no_self_entries(alpha: np.ndarray, upper: np.ndarray, tau: np.ndarray,
-                     L: np.ndarray) -> np.ndarray:
-    # shared by the no-self-coupling, delayed linear and two-layer builders,
-    # so the two-layer matrix and the merged-spec matrix agree entry for entry
-    diag = 1.0 - (upper * upper) * tau / alpha
-    c = -(((upper * tau)[:, None] * L) + L) / alpha[:, None]
-    np.fill_diagonal(c, diag)
-    return c
-
-
 def test_matrix_no_self_coupling(spec: GeneralSystemSpec) -> np.ndarray:
     """Comparison matrix for the subfamily without self-coupling terms."""
     spec = _require_general(spec, delayed=True)
     if np.any(spec.L.diagonal() != 0.0):
         raise FamilyError("self-coupling constants must be zero for this test")
-    return _no_self_entries(spec.alpha, spec.A, spec.tau, spec.L)
-
-
-def _undelayed_entries(alpha: np.ndarray, L: np.ndarray, self_gain) -> np.ndarray:
-    # both undelayed-decay builders; the linear self-gain 0.0 gives exactly 1.0
-    c = -(L / alpha[:, None])
-    np.fill_diagonal(c, 1.0 - self_gain / alpha)
-    return c
+    return _rate_matrix(spec.alpha, spec.A, spec.tau, spec.L)
 
 
 def test_matrix_undelayed_decay(spec: GeneralSystemSpec) -> np.ndarray:
     """Comparison matrix when the self-decay acts on the undelayed state."""
     spec = _require_general(spec, delayed=False)
-    return _undelayed_entries(spec.alpha, spec.L, spec.L.diagonal())
+    return _rate_matrix(spec.alpha, spec.A, 0.0, spec.L)
+
+
+def _off_diagonal(spec: LinearSystemSpec) -> np.ndarray:
+    # the linear couplings as L: A_off's diagonal bounds nothing, so it is zeroed
+    return spec.A_off - np.diag(spec.A_off.diagonal())
 
 
 def test_matrix_linear(spec: LinearSystemSpec) -> np.ndarray:
     """Comparison matrix for the linear family with delayed diagonal terms."""
     spec = _require_linear(spec, delayed=True)
-    return _no_self_entries(spec.alpha, spec.A, spec.sigma.diagonal(), spec.A_off)
+    return _rate_matrix(spec.alpha, spec.A, spec.sigma.diagonal(), _off_diagonal(spec))
 
 
 def test_matrix_linear_undelayed(spec: LinearSystemSpec) -> np.ndarray:
     """Comparison matrix for the linear family with undelayed diagonal terms."""
     spec = _require_linear(spec, delayed=False)
-    return _undelayed_entries(spec.alpha, spec.A_off, 0.0)
+    return _rate_matrix(spec.alpha, spec.A, 0.0, _off_diagonal(spec))
 
 
 def test_matrix_bam(bam: BamSpec) -> np.ndarray:
     """Comparison matrix for the two-layer network.
 
-    The no-self-coupling matrix of the merged spec, built from the same
-    arrays `bam_to_general` uses, so the two agree entry for entry.
+    Theorem 1's matrix of the merged bounds, which `bam_to_general` uses
+    too, so it equals the merged spec's matrix and its rate-0 certificate
+    trial entry for entry.
     """
-    return _no_self_entries(*merged_bounds(bam))
+    return _rate_matrix(*merged_bounds(bam))
 
 
 # tag -> matrix builder; the lambdas look the builders up at call time, so a
@@ -406,10 +398,11 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
                                  tau=np.zeros(spec.m), sigma=spec.sigma,
                                  L=spec.L, diagonal_delay_free=False)
     spec = _require_general(spec, delayed=True)
+    bounds = (spec.alpha, spec.A, spec.tau, spec.L, spec.sigma)
     tried = []      # (rate, smallest scaled pivot slack) of each elimination
 
     def trial(rate: float) -> tuple[bool, float]:
-        ok, slack, slacks = pivot_trial(_rate_matrix(spec, rate), tol)
+        ok, slack, slacks = pivot_trial(_rate_matrix(*bounds, rate), tol)
         tried.append((rate, float(slacks.min())))
         return ok, slack
 

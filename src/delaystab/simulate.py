@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import as_history, read_time
+from .systems import read_time
 
 
 class SimulationError(RuntimeError):
@@ -54,17 +54,12 @@ class FitInapplicableError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time span, step size, output decimation, and optional history override.
-
-    `history` may be a constant vector or a callable t -> vector; left as
-    None, the concrete system's own history is used.
-    """
+    """Time span, step size and output decimation."""
 
     t0: float
     t_end: float
     h: float
     record_every: int = 1
-    history: object = None
 
 
 @dataclass(frozen=True)
@@ -116,8 +111,7 @@ class _Integrator:
         self.cfg = cfg
         self.n_steps = n_steps
         self.dim = system.dim
-        self.phi = system.history if cfg.history is None \
-            else as_history(cfg.history, self.dim)
+        self.phi = system.history
         try:
             self.times = cfg.t0 + np.arange(n_steps + 1) * cfg.h
             self.states = np.empty((n_steps + 1, self.dim))

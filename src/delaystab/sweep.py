@@ -16,7 +16,6 @@ from .criteria import (
     pivot_trial,
     stability_verdict,
     switch_bracket,
-    two_neuron_closed_form,
 )
 from .equilibrium import DivergenceError, solve_equilibrium
 from .linalg import DEFAULT_TOL, LinalgInputError
@@ -149,10 +148,9 @@ def find_failure_threshold(points, *, start: float = 0.0, tol: float = DEFAULT_T
     stride up to MAX_EXPAND times until a value fails, then narrows the
     last stride with `switch_bracket`, the search behind decay-rate
     certificates.  Documents that fail to parse at a trial value count as
-    failures, so the search also finds validity edges.  Scalar two-layer
-    documents are judged by the closed form (slack: the smallest check
-    margin less tol); everything else by the sign and pivot test of the
-    auto-selected comparison matrix (slack: that of `pivot_trial`).
+    failures, so the search also finds validity edges.  Every value is
+    judged by the sign and pivot test of the comparison matrix that
+    `stability_verdict` auto-selects (slack: that of `pivot_trial`).
     """
     evals = 0
 
@@ -160,11 +158,7 @@ def find_failure_threshold(points, *, start: float = 0.0, tol: float = DEFAULT_T
         nonlocal evals
         evals += 1
         try:
-            spec = points(value).spec
-            if isinstance(spec, BamSpec) and spec.n == 1:
-                verdict = two_neuron_closed_form(spec, tol=tol)
-                return verdict.stable, min(c.margin for c in verdict.checks) - tol
-            return pivot_trial(comparison_matrix(spec), tol)[:2]
+            return pivot_trial(comparison_matrix(points(value).spec), tol)[:2]
         except _POINT_ERRORS:
             return False, nan
 

@@ -97,20 +97,34 @@ def bound_arrays(draw):
     return alpha, alpha + field(m), field(m), field((m, m)), field((m, m))
 
 
+def certificate_rate_zero_matrix(spec) -> np.ndarray:
+    """The matrix that `certify_decay_rate` decides first, at rate 0."""
+    decided = []
+
+    def fail(c, tol):
+        decided.append(c)
+        return False, nan, np.array([nan])
+
+    with mock.patch.object(criteria, "pivot_trial", fail), pytest.raises(NotCertifiedError):
+        certify_decay_rate(spec)
+    return decided[0]
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
-@given(bound_arrays())
-def test_shared_builder_bodies_equal_the_separate_formulas(bounds):
+@given(bound_arrays(), st.integers(0, 2**32 - 1))
+def test_shared_builder_bodies_equal_the_separate_formulas(bounds, seed):
     alpha, upper, tau, sigma, coupling = bounds
     general = GeneralSystemSpec(alpha=alpha, A=upper, tau=tau, sigma=sigma, L=coupling,
                                 diagonal_delay_free=True)
     linear = LinearSystemSpec(alpha=alpha, A=upper, A_off=coupling, sigma=sigma)
     flat = LinearSystemSpec(alpha=alpha, A=upper, A_off=coupling, sigma=sigma,
                             diagonal_delay_free=True)
-    # the separate bodies these three builders had before they shared one
+    # each family's matrix written out on its own: Theorem 1's entries with
+    # the bounds the family sets to zero dropped
     undelayed = -(general.L / general.alpha[:, None])
     np.fill_diagonal(undelayed, 1.0 - general.L.diagonal() / general.alpha)
     sd = linear.sigma.diagonal()
-    delayed = -(((linear.A * sd)[:, None] * linear.A_off) + linear.A_off) / linear.alpha[:, None]
+    delayed = -(linear.A_off * (linear.A * sd + 1.0)[:, None]) / linear.alpha[:, None]
     np.fill_diagonal(delayed, 1.0 - linear.A * linear.A * sd / linear.alpha)
     unit = -(flat.A_off / flat.alpha[:, None])
     np.fill_diagonal(unit, 1.0)
@@ -118,6 +132,14 @@ def test_shared_builder_bodies_equal_the_separate_formulas(bounds):
                       (build_linear_undelayed(flat), unit)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
+    # a verdict and the certificate that follows it decide on one matrix
+    no_self = coupling - np.diag(coupling.diagonal())
+    specs = [GeneralSystemSpec(alpha=alpha, A=upper, tau=tau, sigma=sigma, L=L,
+                               diagonal_delay_free=free)
+             for L in (coupling, no_self) for free in (False, True)]
+    for spec in specs + [random_bam(np.random.default_rng(seed), n=len(alpha))]:
+        assert np.array_equal(stability_verdict(spec).test_matrix,
+                              certificate_rate_zero_matrix(spec))
 
 
 def test_no_self_coupling_requires_zero_diagonal(general_2x2):
@@ -304,8 +326,13 @@ def rate_family(spec) -> GeneralSystemSpec:
     return spec
 
 
+def rate_matrix(spec, rate):
+    """The unvalidated matrix that a certificate's trial at this rate decides."""
+    return criteria._rate_matrix(spec.alpha, spec.A, spec.tau, spec.L, spec.sigma, rate)
+
+
 def passes_at(spec, rate, tol=criteria.DEFAULT_TOL) -> bool:
-    off_ok, pivots_ok, _ = sign_and_pivot_test(criteria._rate_matrix(spec, rate), tol)
+    off_ok, pivots_ok, _ = sign_and_pivot_test(rate_matrix(spec, rate), tol)
     return off_ok and pivots_ok
 
 
@@ -336,7 +363,7 @@ def sixty_halvings(spec, tol=criteria.DEFAULT_TOL) -> DecayCertificate:
         lo, hi, iterations = top, top, 0
     else:
         (lo, hi), iterations = halvings(passes, 0.0, top), 60
-    boundary = is_m_matrix(criteria._rate_matrix(spec, lo), tol=tol)
+    boundary = is_m_matrix(rate_matrix(spec, lo), tol=tol)
     return DecayCertificate(lo, float(boundary.margin), iterations, hi - lo, iterations > 0)
 
 
@@ -406,7 +433,7 @@ def certificate_against_sixty_halvings(spec):
         assert cert.upper_failed and want.upper_failed
         assert passes_at(family, lam) and not passes_at(family, lam + width)
         assert 0.0 < width <= max(top * 0.5 ** 60, ulp(lam))
-        slack = sign_and_pivot_test(criteria._rate_matrix(family, lam))[2].min()
+        slack = sign_and_pivot_test(rate_matrix(family, lam))[2].min()
         assert cert.boundary_margin == slack
     return cert, trials
 

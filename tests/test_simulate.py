@@ -139,9 +139,11 @@ def test_record_every_decimates():
     assert abs(thin.times[-1] - 2.0) < 1e-12
 
 
-def test_history_override_in_config():
-    traj = simulate(pure_delay_system(history=1.0),
-                    SimConfig(0.0, 1.0, 0.05, history=lambda t: np.array([2.0])))
+def test_callable_history_of_the_system():
+    spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]], L=[[0.0]])
+    system = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
+                             [[None]], [[None]], lambda t: np.array([2.0]))
+    traj = simulate(system, SimConfig(0.0, 1.0, 0.05))
     assert np.max(np.abs(traj.states[:, 0] - (2.0 - 2.0 * traj.times))) < 1e-12
 
 

@@ -16,3 +16,26 @@ def test_package_source_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _bound_names(node) -> list[str]:
+    # `import a.b` binds `a`; `from m import x as y` binds `y`
+    if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+        return []
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def test_package_modules_use_every_name_they_import():
+    # the benchmark's tracer rebinds module globals by name, so a leftover
+    # import would keep a wrapped name alive that the module never calls;
+    # __init__.py imports only to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}:{node.lineno} {name}"
+                  for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+                  for name in _bound_names(node) if name not in used]
+    assert found == []

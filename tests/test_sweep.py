@@ -85,11 +85,10 @@ def test_grid_too_large_to_allocate_gives_an_error_row(capsys, inputs_dir):
 
 
 def test_threshold_search_propagates_programming_errors(monkeypatch, modulated_doc):
-    def broken(spec, tol=None, criterion=None):
+    def broken(spec, tag=None):
         raise ValueError("bug inside a criterion")
 
-    monkeypatch.setattr(sweep_module, "stability_verdict", broken)
-    monkeypatch.setattr(sweep_module, "two_neuron_closed_form", broken)
+    monkeypatch.setattr(sweep_module, "comparison_matrix", broken)
     with pytest.raises(ValueError, match="bug inside a criterion"):
         find_failure_threshold(point_parser(modulated_doc, "parameters.mu"), start=0.0)
 
@@ -158,9 +157,9 @@ def test_threshold_search_doubles_its_stride():
     spec["tau"] = [v / 10.0 for v in spec["tau"]]
     spec["sigma"] = [[v / 10.0 for v in row] for row in spec["sigma"]]
     t = find_failure_threshold(point_parser(doc, "parameters.k"), start=0.1)
-    assert t.bracket[0] == t.value == 6.8910048960727845
+    assert t.bracket[0] == t.value == 6.891004896072784
     assert 3.1 < t.value < t.bracket[1] < 7.1
-    assert t.evaluations == 14
+    assert t.evaluations == 13
 
 
 def test_threshold_search_gives_up_after_its_expansions():
@@ -178,13 +177,17 @@ def test_threshold_search_counts_invalid_values_as_failures():
         (0.6891004896072784, (0.6891004896072784, 0.6891004896072785), 12)
 
 
-def test_threshold_search_on_the_closed_form(two_neuron_doc):
-    # a one-unit-per-layer document is judged by the cor11 inequalities,
-    # not by a comparison matrix
-    t = find_failure_threshold(point_parser(two_neuron_doc, "spec.coupling_xy"), start=0.1)
-    assert t.value == 1.1428571428547618
-    assert t.bracket == (1.1428571428547618, 1.142857142854762)
-    assert t.evaluations == 12
+def test_threshold_search_on_a_one_unit_network_uses_the_matrix_verdict(two_neuron_doc):
+    # a one-unit-per-layer document is judged like any other, by the thm3
+    # matrix that `analyze` auto-selects
+    points = point_parser(two_neuron_doc, "spec.coupling_xy")
+    t = find_failure_threshold(points, start=0.1)
+    assert t.value == 1.142857142856
+    assert t.bracket == (1.142857142856, 1.1428571428560002)
+    assert t.evaluations == 13
+    assert [stability_verdict(points(v).spec).criterion_used for v in t.bracket] == ["thm3"] * 2
+    assert stability_verdict(points(t.value).spec).stable
+    assert not stability_verdict(points(t.bracket[1]).spec).stable
 
 
 def _one_component_general(rng):
