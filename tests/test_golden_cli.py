@@ -9,9 +9,10 @@ certification layer shared one body per concept.  The M-matrix margins and
 the certificates' `boundary_margin` and `iterations` were re-recorded,
 alone, when the margin became the smallest scaled pivot slack and the
 certificate the search's own bracket; the sweeps' `threshold.evaluations`,
-alone, when failure thresholds moved to that same bracket search.  Strings,
-booleans, integers and nulls must match exactly; floats must agree to
-rtol 1e-9.
+alone, when failure thresholds moved to that same bracket search, and the
+`bam_modulated` sweep's again when one-unit networks moved from the
+closed form to the matrix trial.  Strings, booleans, integers and nulls
+must match exactly; floats must agree to rtol 1e-9.
 The one exception is a certificate's `boundary_margin`: it is the smallest
 scaled pivot slack at the last rate that passed, so it sits at the decision
 threshold (zero) by construction, and only its order of magnitude is
