@@ -6,9 +6,10 @@ off-diagonal entries bound how hard its neighbours can push it, then ask
 whether that matrix is a nonsingular M-matrix.  Every matrix criterion is
 Theorem 1's matrix of its family's bounds, computed by one body
 (`_rate_matrix`): undelayed decay is tau = 0, and no self-coupling is a
-zero diagonal of L.  The closed-form tests for small dimensions spell out
-the same leading-minor inequalities by hand, and the dominance variants
-replace the minors test with the cheaper row/column sufficient conditions.
+zero diagonal of L.  The closed-form corollaries for two components (4-7,
+and 11 for a one-unit two-layer network) are that matrix's leading-minor
+inequalities, so they are decided by the same pivot test; the dominance
+variants replace it with the cheaper row/column sufficient conditions.
 
 The rate-parametrized matrix family underlying `certify_decay_rate` is
 entrywise nonincreasing in the rate, so a pass at some rate guarantees a pass
@@ -424,12 +425,15 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 
 def two_dim_verdict(spec, which: int | None = None,
                     tol: float = DEFAULT_TOL) -> StabilityVerdict:
-    """Closed-form leading-minor test for two-component specs.
+    """Corollaries 4-7: the matrix test of a two-component spec.
 
     which selects the family variant: 4 = delayed decay, 5 = undelayed decay,
     6 = delayed linear, 7 = undelayed linear.  Omitted, it is inferred from
-    the spec.  These are the 2x2 minors inequalities written out, so the
-    verdict agrees with the matrix-based classification.
+    the spec.  For two components the corollaries' inequalities are the
+    positivity of the leading minors of the family's test matrix C, so the
+    verdict is the pivot test of C; their sides are C's alpha-scaled
+    entries: x_i = alpha_i (1 - C_ii) against alpha_i, and the coupling
+    product alpha_0 alpha_1 C_01 C_10 against alpha_0 alpha_1 C_00 C_11.
     """
     family = _auto_tag(spec)
     inferred = {TAG_GENERAL: 4, TAG_NO_SELF: 4, TAG_UNDELAYED_DECAY: 5,
@@ -444,33 +448,7 @@ def two_dim_verdict(spec, which: int | None = None,
                           f"(expected {inferred})")
     if spec.m != 2:
         raise FamilyError(f"dimension must be 2, got {spec.m}")
-
-    al, up = spec.alpha, spec.A
-    if which == 7:
-        off = spec.A_off
-        checks = (
-            _check("coupling_determinant", off[0, 1] * off[1, 0], al[0] * al[1], tol),
-        )
-    else:
-        # one formula for 4-6: x_i = A_i (A_i + s_i) d_i + s_i against alpha_i,
-        # and the coupling product (A_0 k_01 d_0 + k_01)(A_1 k_10 d_1 + k_10);
-        # d = 0 and s = 0 drop their terms exactly
-        zero = np.zeros(2)
-        if which == 4:
-            k, d, s = spec.L, spec.tau, spec.L.diagonal()
-        elif which == 5:
-            k, d, s = spec.L, zero, spec.L.diagonal()
-        else:
-            k, d, s = spec.A_off, spec.sigma.diagonal(), zero
-        x = up * (up + s) * d + s
-        coupling = (up[0] * k[0, 1] * d[0] + k[0, 1]) * (up[1] * k[1, 0] * d[1] + k[1, 0])
-        checks = (
-            _check("decay_margin_1", x[0], al[0], tol),
-            _check("decay_margin_2", x[1], al[1], tol),
-            _check("coupling_determinant", coupling, (al[0] - x[0]) * (al[1] - x[1]), tol),
-        )
-    status = STATUS_STABLE if all(c.satisfied for c in checks) else STATUS_INCONCLUSIVE
-    return StabilityVerdict(status, f"cor{which}", _BUILDERS[family](spec), None, checks)
+    return _matrix_verdict(_BUILDERS[family](spec), f"cor{which}", tol)
 
 
 # ---------------------------------------------------------------------------
@@ -540,31 +518,18 @@ def bam_undelayed_dominance_verdict(bam: BamSpec, which: int, weights=None,
 
 
 def two_neuron_closed_form(bam: BamSpec, tol: float = DEFAULT_TOL) -> StabilityVerdict:
-    """Scalar stability inequalities for a one-unit-per-layer network.
+    """Corollary 11: the matrix test of a one-unit-per-layer network.
 
-    The three checks are the 2x2 leading-minor conditions of the two-layer
-    comparison matrix written in the original network parameters.
+    Its three inequalities in the network parameters are the 2x2
+    leading-minor conditions of the two-layer comparison matrix C, so the
+    verdict is the pivot test of C; the sides are C's entries:
+    a rh^2 tau_x / rl = 1 - C_00 (and likewise for y) against 1, and the
+    coupling product C_01 C_10 against C_00 C_11.
     """
     bam = _require_bam(bam)
     if bam.n != 1:
         raise FamilyError(f"closed form needs one unit per layer, got n={bam.n}")
-    a, b = bam.a[0], bam.b[0]
-    rl, rh = bam.r_lo[0], bam.r_hi[0]
-    pl, ph = bam.p_lo[0], bam.p_hi[0]
-    t1, t2 = bam.tau_x[0], bam.tau_y[0]
-    k_xy, k_yx = abs(bam.a_conn[0, 0]), abs(bam.b_conn[0, 0])
-    lf, lg = bam.Lf[0], bam.Lg[0]
-    d1 = a * rh * rh * t1 / rl
-    d2 = b * ph * ph * t2 / pl
-    coupling = (k_xy * k_yx * rh * ph * lf * lg
-                * (a * rh * t1 + 1.0) * (b * ph * t2 + 1.0)) / (rl * pl * a * b)
-    checks = (
-        _check("x_decay", d1, 1.0, tol),
-        _check("y_decay", d2, 1.0, tol),
-        _check("coupling_determinant", coupling, (1.0 - d1) * (1.0 - d2), tol),
-    )
-    status = STATUS_STABLE if all(c.satisfied for c in checks) else STATUS_INCONCLUSIVE
-    return StabilityVerdict(status, "cor11", test_matrix_bam(bam), None, checks)
+    return _matrix_verdict(test_matrix_bam(bam), "cor11", tol)
 
 
 def two_neuron_comparison(bam: BamSpec,

@@ -97,6 +97,7 @@ class _Integrator:
         if cfg.t_end <= cfg.t0:
             raise ValueError("t_end must exceed t0")
         span = cfg.t_end - cfg.t0
+        require_finite(step_count=span / cfg.h)
         n_steps = int(round(span / cfg.h))
         if n_steps < 1 or abs(n_steps * cfg.h - span) > 1e-6 * cfg.h:
             raise ValueError("t_end - t0 must be an integer number of steps")

@@ -52,6 +52,8 @@ from .systems import (
 )
 
 KINDS = ("general", "linear", "bam", "two_neuron")
+# a document deeper than the interpreter's recursion limit is malformed
+_TOO_DEEP = "document nests too deeply"
 
 
 class DocumentError(ValueError):
@@ -462,7 +464,10 @@ def _build(resolved: dict, kind: str) -> ParsedInput:
 
 def parse_document(doc: dict) -> ParsedInput:
     kind = _root_kind(doc)
-    resolved, _ = resolve_parameters(doc)
+    try:
+        resolved, _ = resolve_parameters(doc)
+    except RecursionError:
+        raise DocumentError(_TOO_DEEP) from None
     return _build(resolved, kind)
 
 
@@ -499,17 +504,20 @@ def point_parser(doc: dict, path: str):
     paths are shared between the documents of different values, so treat
     `ParsedInput.document` as read only.
     """
-    template = copy.deepcopy(doc)
-    node, leaf = _leaf(template, path)
-    kind = _root_kind(template)
-    node[leaf] = 0.0
-    # every way to reach the leaf, in case a container appears more than once
-    spots = list(_paths_to(template, lambda at, key, _: at is node and key == leaf))
-    refs = {"$" + keys[1] for keys in spots if len(keys) == 2 and keys[0] == "parameters"}
-    if refs:
-        spots += _paths_to(template,
-                           lambda at, key, child: isinstance(child, str) and child in refs)
-    resolved, _ = resolve_parameters(template)
+    try:
+        template = copy.deepcopy(doc)
+        node, leaf = _leaf(template, path)
+        kind = _root_kind(template)
+        node[leaf] = 0.0
+        # every way to reach the leaf, in case a container appears more than once
+        spots = list(_paths_to(template, lambda at, key, _: at is node and key == leaf))
+        refs = {"$" + keys[1] for keys in spots if len(keys) == 2 and keys[0] == "parameters"}
+        if refs:
+            spots += _paths_to(template,
+                               lambda at, key, child: isinstance(child, str) and child in refs)
+        resolved, _ = resolve_parameters(template)
+    except RecursionError:
+        raise DocumentError(_TOO_DEEP) from None
     trie: dict = {}
     for keys in spots:
         branch = trie
@@ -534,6 +542,8 @@ def load_json(path: str):
         raise DocumentError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except RecursionError:
+        raise DocumentError(f"{path}: {_TOO_DEEP}") from None
 
 
 def parse_file(path: str) -> ParsedInput:

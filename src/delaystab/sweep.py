@@ -127,6 +127,7 @@ def default_step(system, t0: float, t_end: float) -> float:
     bound = system.min_positive_lag_bound
     if bound is not None:
         h_cap = min(h_cap, bound / 10.0)
+    require_finite(step_count=span / h_cap)
     n = max(1, int(np.ceil(span / h_cap - 1e-9)))
     return span / n
 

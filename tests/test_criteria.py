@@ -532,6 +532,36 @@ def test_input_certificates_take_few_trials(inputs_dir, name, trials):
 
 # --- two-dimensional closed forms -------------------------------------------
 
+def alpha_scaled_sides(v, alpha):
+    """The sides of Corollaries 4-7 read off the verdict's test matrix C:
+    x_i = alpha_i (1 - C_ii), the coupling product alpha_0 alpha_1 C_01 C_10
+    and the decay product alpha_0 alpha_1 C_00 C_11."""
+    c = v.test_matrix
+    x = alpha * (1.0 - c.diagonal())
+    scale = alpha[0] * alpha[1]
+    return x[0], x[1], scale * c[0, 1] * c[1, 0], scale * c[0, 0] * c[1, 1]
+
+
+def published_two_dim(spec, which) -> bool:
+    """Corollaries 4-7 as published, in the spec's own bounds.
+
+    4-6: x_i = A_i (A_i + s_i) d_i + s_i < alpha_i and
+    (A_0 k_01 d_0 + k_01)(A_1 k_10 d_1 + k_10) < (alpha_0 - x_0)(alpha_1 - x_1),
+    with (k, d, s) = (L, tau, diag L) for 4, (L, 0, diag L) for 5 and
+    (A_off, diag sigma, 0) for 6; 7: A_off_01 A_off_10 < alpha_0 alpha_1.
+    """
+    al, up = spec.alpha, spec.A
+    if which == 7:
+        return spec.A_off[0, 1] * spec.A_off[1, 0] < al[0] * al[1]
+    zero = np.zeros(2)
+    k, d, s = ((spec.L, spec.tau, spec.L.diagonal()) if which == 4 else
+               (spec.L, zero, spec.L.diagonal()) if which == 5 else
+               (spec.A_off, spec.sigma.diagonal(), zero))
+    x = up * (up + s) * d + s
+    coupling = (up[0] * k[0, 1] * d[0] + k[0, 1]) * (up[1] * k[1, 0] * d[1] + k[1, 0])
+    return bool(x[0] < al[0] and x[1] < al[1] and coupling < (al[0] - x[0]) * (al[1] - x[1]))
+
+
 def test_two_dim_frozen_sides():
     # merged textbook pair: hand-checked determinant sides 0.168 < 0.192
     s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
@@ -539,52 +569,48 @@ def test_two_dim_frozen_sides():
                         sigma_x=0.4, sigma_y=0.5)
     spec = bam_to_general(s)
     v = two_dim_verdict(spec)
-    m = {c.name: c for c in v.checks}
-    assert abs(m["decay_margin_1"].lhs - 0.32) < 1e-15   # 0.8^2 * 0.5
-    assert abs(m["decay_margin_2"].lhs - 0.1) < 1e-15    # 0.5^2 * 0.4
-    assert abs(m["coupling_determinant"].lhs - 0.168) < 1e-15
-    assert abs(m["coupling_determinant"].rhs - 0.192) < 1e-15
+    x0, x1, coupling, decay = alpha_scaled_sides(v, spec.alpha)
+    assert abs(x0 - 0.32) < 1e-15   # 0.8^2 * 0.5
+    assert abs(x1 - 0.1) < 1e-15    # 0.5^2 * 0.4
+    assert abs(coupling - 0.168) < 1e-15
+    assert abs(decay - 0.192) < 1e-15
     assert v.criterion_used == "cor4"
-    assert v.stable
+    assert v.stable and v.report.is_m_matrix
 
 
-def test_two_dim_agrees_with_matrix_test():
+def test_two_dim_agrees_with_published_corollaries():
     rng = np.random.default_rng(333)
-    agree = free_stable = 0
+    free_stable = 0
     for _ in range(1000):
         spec = random_general(rng, m=2, coupling_scale=rng.uniform(0.5, 4.0))
         closed = two_dim_verdict(spec)
-        matrix = stability_verdict(spec,
-                                   criterion="theorem1"
-                                   if not np.all(spec.L.diagonal() == 0.0)
-                                   else "cor0")
-        assert closed.stable == matrix.stable
+        assert closed.criterion_used == "cor4"
+        assert closed.stable == published_two_dim(spec, 4)
         # the delay-free copy is the undelayed-decay case, closed form 5
         free = replace(spec, diagonal_delay_free=True)
         closed_free = two_dim_verdict(free)
         assert closed_free.criterion_used == "cor5"
-        assert closed_free.stable == stability_verdict(free, criterion="cor1").stable
+        assert closed_free.stable == published_two_dim(free, 5)
         free_stable += closed_free.stable
-        agree += 1
-    assert agree == 1000
     assert 100 < free_stable < 900
 
 
 def test_two_dim_linear_variants_agree():
     rng = np.random.default_rng(77)
+    stable = 0
     for _ in range(300):
         alpha = rng.uniform(0.5, 2.0, 2)
         off = rng.uniform(0.0, 2.0, (2, 2))
         np.fill_diagonal(off, 0.0)
         spec = LinearSystemSpec(alpha=alpha, A=alpha + rng.uniform(0, 0.5, 2),
                                 A_off=off, sigma=rng.uniform(0.0, 0.3, (2, 2)))
-        assert two_dim_verdict(spec).stable == stability_verdict(
-            spec, criterion="cor2").stable
+        assert two_dim_verdict(spec).stable == published_two_dim(spec, 6)
         flat = LinearSystemSpec(alpha=alpha, A=alpha, A_off=off,
                                 sigma=np.zeros((2, 2)),
                                 diagonal_delay_free=True)
-        assert two_dim_verdict(flat).stable == stability_verdict(
-            flat, criterion="cor3").stable
+        assert two_dim_verdict(flat).stable == published_two_dim(flat, 7)
+        stable += two_dim_verdict(flat).stable
+    assert 30 < stable < 270
 
 
 def test_two_dim_wrong_dimension():
@@ -687,17 +713,28 @@ def test_bam_undelayed_dominance_unit_diagonal():
 
 # --- scalar closed forms ----------------------------------------------------
 
+def cor11_sides(v):
+    """The sides of Corollary 11 read off the verdict's test matrix C.
+
+    The corollary divides row i by alpha_i, so its sides are C's entries:
+    a rh^2 tau_x / rl = 1 - C_00 and b ph^2 tau_y / pl = 1 - C_11 against 1,
+    and the coupling product C_01 C_10 against C_00 C_11.
+    """
+    c = v.test_matrix
+    return 1.0 - c[0, 0], 1.0 - c[1, 1], c[0, 1] * c[1, 0], c[0, 0] * c[1, 1]
+
+
 def test_closed_form_textbook_pair():
     s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                         Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                         sigma_x=0.4, sigma_y=0.5)
     v = two_neuron_closed_form(s)
-    m = {c.name: c for c in v.checks}
-    assert abs(m["x_decay"].lhs - 0.4) < 1e-15
-    assert abs(m["y_decay"].lhs - 0.2) < 1e-15
-    assert abs(m["coupling_determinant"].lhs - 0.42) < 1e-12
-    assert abs(m["coupling_determinant"].rhs - 0.48) < 1e-12
-    assert v.stable
+    x_decay, y_decay, coupling, decay = cor11_sides(v)
+    assert abs(x_decay - 0.4) < 1e-15
+    assert abs(y_decay - 0.2) < 1e-15
+    assert abs(coupling - 0.42) < 1e-12
+    assert abs(decay - 0.48) < 1e-12
+    assert v.stable and v.report.is_m_matrix
 
 
 def test_closed_form_modulated_pair_values():
@@ -713,9 +750,9 @@ def test_closed_form_modulated_pair_values():
                             p_lo=40.0 - amp, p_hi=40.0 + amp,
                             input_x=10000.0, input_y=20000.0)
         v = two_neuron_closed_form(s)
-        m = {c.name: c for c in v.checks}
-        assert abs(m["coupling_determinant"].lhs - lhs_want) < 1e-15
-        assert abs(m["coupling_determinant"].rhs - rhs_want) < 1e-12
+        _, _, coupling, decay = cor11_sides(v)
+        assert abs(coupling - lhs_want) < 1e-15
+        assert abs(decay - rhs_want) < 1e-12
         assert v.stable
 
 
@@ -776,8 +813,8 @@ def test_closed_form_coupling_antimonotone():
         s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=k, coupling_yx=1.0,
                             Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                             sigma_x=0.4, sigma_y=0.5)
-        v = two_neuron_closed_form(s)
-        margins.append(v.margins["coupling_determinant"])
+        _, _, coupling, decay = cor11_sides(two_neuron_closed_form(s))
+        margins.append(decay - coupling)
     assert margins[0] > margins[1] > margins[2]
 
 

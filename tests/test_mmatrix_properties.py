@@ -8,18 +8,25 @@ and D a positive diagonal, so C is an M-matrix exactly when s exceeds the
 spectral radius of D^-1 B; `shift` places s on either side of it.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
 from delaystab import (
     DEFAULT_TOL,
+    FamilyError,
     GeneralSystemSpec,
+    LinearSystemSpec,
     certify_decay_rate,
     is_m_matrix,
     leading_principal_minors,
     stability_verdict,
 )
+from delaystab.criteria import ALL_TAGS
 from delaystab.criteria import test_matrix_at_rate as build_at_rate
+
+from conftest import random_bam
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -119,3 +126,66 @@ def test_45_unit_spec_is_certified():
     assert cert.lambda0 > 0.0 and cert.upper_failed
     assert oracle(build_at_rate(spec, cert.lambda0)) is not False
     assert not is_m_matrix(build_at_rate(spec, cert.lambda0 + cert.bracket_width)).is_m_matrix
+
+
+FAMILIES = ("delayed_decay", "undelayed_decay", "delayed_linear", "undelayed_linear",
+            "two_layer")
+
+
+def small_spec(family: str, seed: int):
+    """A random 2-component spec of one family, or a one-unit two-layer spec."""
+    rng = np.random.default_rng(seed)
+    if family == "two_layer":
+        bam = random_bam(rng, n=1)
+        if rng.random() < 0.3:     # fits cor10
+            bam = replace(bam, tau_x=np.zeros(1), tau_y=np.zeros(1))
+        if rng.random() < 0.3:     # fits gopalsamy17 and criterion18
+            bam = replace(bam, r_lo=np.ones(1), r_hi=np.ones(1), p_lo=np.ones(1),
+                          p_hi=np.ones(1))
+        return bam
+    alpha = rng.uniform(0.5, 2.0, 2)
+    delay_free = family.startswith("undelayed")
+    sigma = rng.uniform(0.0, 0.5, (2, 2))
+    if family.endswith("decay"):
+        coupling = rng.uniform(0.0, rng.uniform(0.25, 2.0), (2, 2))
+        if rng.random() < 0.3:     # fits cor0
+            np.fill_diagonal(coupling, 0.0)
+        return GeneralSystemSpec(alpha=alpha, A=alpha + rng.uniform(0.0, 1.0, 2),
+                                 tau=rng.uniform(0.0, 0.3, 2) * (not delay_free),
+                                 sigma=sigma, L=coupling, diagonal_delay_free=delay_free)
+    off = rng.uniform(0.0, 2.0, (2, 2))
+    np.fill_diagonal(off, 0.0)
+    return LinearSystemSpec(alpha=alpha, A=alpha + rng.uniform(0.0, 0.5, 2), A_off=off,
+                            sigma=sigma, diagonal_delay_free=delay_free)
+
+
+def in_time_unit(spec, k: int):
+    """The same spec with time measured in units of 2**-k: rates and couplings
+    times 2**k, delays over 2**k, every product exact in floats."""
+    f = 2.0 ** k
+    if isinstance(spec, GeneralSystemSpec):
+        return replace(spec, alpha=spec.alpha * f, A=spec.A * f, tau=spec.tau / f,
+                       sigma=spec.sigma / f, L=spec.L * f)
+    if isinstance(spec, LinearSystemSpec):
+        return replace(spec, alpha=spec.alpha * f, A=spec.A * f, A_off=spec.A_off * f,
+                       sigma=spec.sigma / f)
+    return replace(spec, a=spec.a * f, b=spec.b * f, a_conn=spec.a_conn * f,
+                   b_conn=spec.b_conn * f, tau_x=spec.tau_x / f, tau_y=spec.tau_y / f,
+                   sigma_x=spec.sigma_x / f, sigma_y=spec.sigma_y / f)
+
+
+def statuses(spec) -> dict:
+    out = {}
+    for tag in ALL_TAGS:
+        try:
+            out[tag] = stability_verdict(spec, criterion=tag).status
+        except FamilyError:
+            pass
+    return out
+
+
+@PROPERTY
+@given(st.sampled_from(FAMILIES), seeds, st.integers(-40, 40))
+def test_every_verdict_is_invariant_under_the_time_unit(family, seed, k):
+    spec = small_spec(family, seed)
+    assert statuses(in_time_unit(spec, k)) == statuses(spec)

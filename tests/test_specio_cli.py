@@ -373,6 +373,8 @@ def test_cli_simulate_csv(tmp_path, inputs_dir):
     (["--t-end", "nan"], "t_end must be finite, got nan"),
     (["--t-end", "1", "--t0", "nan"], "t0 must be finite, got nan"),
     (["--t-end", "1", "--step", "nan"], "step must be finite, got nan"),
+    # 1 / 1e-320 steps overflow to inf
+    (["--t-end", "1", "--step", "1e-320"], "step_count must be finite, got inf"),
 ])
 def test_cli_simulate_rejects_non_finite_times(capsys, inputs_dir, flags, message):
     rc = main(["simulate", str(inputs_dir / "two_neuron_sample.json"), *flags])
@@ -388,6 +390,37 @@ def test_cli_simulate_reports_a_grid_too_large_to_allocate(capsys, inputs_dir):
     assert (rc, out) == (1, "")
     assert err.startswith("error: cannot allocate the grid of 100000000000000000 steps")
     assert err.count("\n") == 1
+
+
+def test_cli_default_step_too_small_to_count_is_an_error(capsys, tmp_path, two_neuron_doc):
+    # a lag bound of 1e-320 caps the default step at 1e-321
+    message = "error: step_count must be finite, got inf\n"
+    two_neuron_doc["dynamics"]["leak_x"] = {"type": "constant", "value": 1e-320}
+    path = tmp_path / "lag.json"
+    path.write_text(json.dumps(two_neuron_doc))
+    rc = main(["simulate", str(path), "--t-end", "1"])
+    assert (rc, *capsys.readouterr()) == (1, "", message)
+    rc = main(["sweep", str(path), "--param", "spec.a", "--values", "0.8",
+               "--simulate", "--t-end", "1"])
+    row, = json.loads(capsys.readouterr().out)["rows"]
+    assert rc == 2
+    assert (row["status"], row["error"]) == ("error", message[len("error: "):-1])
+
+
+@pytest.mark.parametrize("depth", [500, 100_000])
+def test_cli_deeply_nested_document_is_an_error(tmp_path, two_neuron_doc, depth):
+    # deep enough to exhaust the recursion limit in the parameter walk or the
+    # copy (500) and in the JSON decoder itself (100,000)
+    text = json.dumps(dict(two_neuron_doc, history=None))
+    path = tmp_path / "deep.json"
+    path.write_text(text.replace('"history": null', '"history": ' + "[" * depth + "1"
+                                 + "]" * depth))
+    for argv in (["analyze", str(path)],
+                 ["sweep", str(path), "--param", "spec.a", "--values", "1"]):
+        res = run_cli(*argv)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith("error: ") and res.stderr.count("\n") == 1
+        assert "nests too deeply" in res.stderr and "Traceback" not in res.stderr
 
 
 def test_cli_simulate_requires_dynamics(inputs_dir):

@@ -188,6 +188,10 @@ def test_threshold_search_on_a_one_unit_network_uses_the_matrix_verdict(two_neur
     assert [stability_verdict(points(v).spec).criterion_used for v in t.bracket] == ["thm3"] * 2
     assert stability_verdict(points(t.value).spec).stable
     assert not stability_verdict(points(t.bracket[1]).spec).stable
+    # Corollary 11 is the same matrix's pivot test, so it switches there too
+    for v in t.bracket:
+        spec = points(v).spec
+        assert stability_verdict(spec, criterion="cor11").status == stability_verdict(spec).status
 
 
 def _one_component_general(rng):
