@@ -11,8 +11,10 @@ alone, when the margin became the smallest scaled pivot slack and the
 certificate the search's own bracket; the sweeps' `threshold.evaluations`,
 alone, when failure thresholds moved to that same bracket search, and the
 `bam_modulated` sweep's again when one-unit networks moved from the
-closed form to the matrix trial.  Strings, booleans, integers and nulls
-must match exactly; floats must agree to rtol 1e-9.
+closed form to the matrix trial.  The `checks` and `m_matrix` of the
+forced `cor7` and `cor11` verdicts were re-recorded, alone, when the
+closed-form corollaries moved to the pivot test.  Strings, booleans,
+integers and nulls must match exactly; floats must agree to rtol 1e-9.
 The one exception is a certificate's `boundary_margin`: it is the smallest
 scaled pivot slack at the last rate that passed, so it sits at the decision
 threshold (zero) by construction, and only its order of magnitude is
