@@ -204,10 +204,9 @@ def cmd_equilibrium(args, tol: float) -> int:
     }
     held = sum(c.holds for c in existence.conditions)
     solution = None
-    if parsed.activations is not None:
-        f, g = parsed.activations
+    if parsed.concrete is not None:
         try:
-            solution = solve_equilibrium(spec, f, g)
+            solution = solve_equilibrium(spec, parsed.concrete.f, parsed.concrete.g)
             report["equilibrium"] = asdict(solution)
         except DivergenceError as exc:
             report["equilibrium"] = None

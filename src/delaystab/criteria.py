@@ -277,12 +277,28 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
     if tag not in ALL_TAGS:
         raise FamilyError(f"unknown criterion tag {tag!r}")
     if tag in ("cor4", "cor5", "cor6", "cor7"):
-        return two_dim_verdict(spec, which=int(tag[3]), tol=tol)
+        # Corollaries 4-7 are the leading-minor inequalities of a
+        # two-component family's test matrix, so they are its pivot test
+        family = _auto_tag(spec)
+        inferred = {TAG_GENERAL: 4, TAG_NO_SELF: 4, TAG_UNDELAYED_DECAY: 5,
+                    TAG_LINEAR: 6, TAG_LINEAR_UNDELAYED: 7}.get(family)
+        if inferred is None:
+            raise FamilyError("two-dimensional closed forms need a general or "
+                              "linear spec")
+        if tag != f"cor{inferred}":
+            raise FamilyError(f"closed form {tag[3]} does not match this spec "
+                              f"(expected {inferred})")
+        if spec.m != 2:
+            raise FamilyError(f"dimension must be 2, got {spec.m}")
+        return _matrix_verdict(_BUILDERS[family](spec), tag, tol)
     if tag.startswith(("cor9-", "cor10-")):
-        family, which = tag.split("-")
-        return _bam_dominance(spec, family, int(which), None, tol)
+        return _bam_dominance(spec, tag, tol)
     if tag == "cor11":
-        return two_neuron_closed_form(spec, tol=tol)
+        # Corollary 11 is the same for a one-unit-per-layer network
+        bam = _require_bam(spec)
+        if bam.n != 1:
+            raise FamilyError(f"closed form needs one unit per layer, got n={bam.n}")
+        return _matrix_verdict(test_matrix_bam(bam), tag, tol)
     if tag in ("gopalsamy17", "criterion18"):
         return two_neuron_comparison(spec, tol=tol)[tag == "criterion18"]
     return _matrix_verdict(comparison_matrix(spec, tag), tag, tol)
@@ -420,38 +436,6 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 
 
 # ---------------------------------------------------------------------------
-# closed-form two-dimensional tests
-# ---------------------------------------------------------------------------
-
-def two_dim_verdict(spec, which: int | None = None,
-                    tol: float = DEFAULT_TOL) -> StabilityVerdict:
-    """Corollaries 4-7: the matrix test of a two-component spec.
-
-    which selects the family variant: 4 = delayed decay, 5 = undelayed decay,
-    6 = delayed linear, 7 = undelayed linear.  Omitted, it is inferred from
-    the spec.  For two components the corollaries' inequalities are the
-    positivity of the leading minors of the family's test matrix C, so the
-    verdict is the pivot test of C; their sides are C's alpha-scaled
-    entries: x_i = alpha_i (1 - C_ii) against alpha_i, and the coupling
-    product alpha_0 alpha_1 C_01 C_10 against alpha_0 alpha_1 C_00 C_11.
-    """
-    family = _auto_tag(spec)
-    inferred = {TAG_GENERAL: 4, TAG_NO_SELF: 4, TAG_UNDELAYED_DECAY: 5,
-                TAG_LINEAR: 6, TAG_LINEAR_UNDELAYED: 7}.get(family)
-    if inferred is None:
-        raise FamilyError("two-dimensional closed forms need a general or "
-                          "linear spec")
-    if which is None:
-        which = inferred
-    elif which != inferred:
-        raise FamilyError(f"closed form {which} does not match this spec "
-                          f"(expected {inferred})")
-    if spec.m != 2:
-        raise FamilyError(f"dimension must be 2, got {spec.m}")
-    return _matrix_verdict(_BUILDERS[family](spec), f"cor{which}", tol)
-
-
-# ---------------------------------------------------------------------------
 # two-layer dominance and scalar closed forms
 # ---------------------------------------------------------------------------
 
@@ -462,25 +446,22 @@ def _require_bam(spec) -> BamSpec:
     return spec
 
 
-def _bam_dominance(bam, family: str, which: int, weights, tol: float) -> StabilityVerdict:
-    # family "cor9" is the general two-layer case, "cor10" the one without
-    # leakage delays
-    if which not in (1, 2, 3, 4):
-        raise FamilyError(f"which must be one of 1, 2, 3, 4 (got {which})")
+def _bam_dominance(bam, tag: str, tol: float) -> StabilityVerdict:
+    # Corollaries 9 and 10: dominance sufficient conditions on the two-layer
+    # comparison matrix C, cheaper than its pivot test.  Variant 1 is strict
+    # row dominance, 2 strict column dominance, 3/4 the row/column conditions
+    # weighted by the witness C^-1 1 of `is_m_matrix`; when C fails there is
+    # no witness and they are reported unsatisfied.  cor10 is the case
+    # without leakage delays (tau_x = tau_y = 0), where C has unit diagonal
+    family, which = tag.split("-")
+    which = int(which)
     bam = _require_bam(bam)
     if family == "cor10" and (np.any(bam.tau_x != 0.0) or np.any(bam.tau_y != 0.0)):
         raise FamilyError("this test needs zero leakage delays "
                           "(tau_x = tau_y = 0)")
     c = test_matrix_bam(bam)
-    m = c.shape[0]
-    tag = f"{family}-{which}"
-    if which in (1, 2):
-        w = None
-    elif weights is not None:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (m,) or not np.all(w > 0):
-            raise ValueError(f"weights must be {m} positive numbers")
-    else:
+    w = None
+    if which in (3, 4):
         report = is_m_matrix(c, tol=tol)
         if report.witness_xi is None:
             witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
@@ -489,47 +470,9 @@ def _bam_dominance(bam, family: str, which: int, weights, tol: float) -> Stabili
     row, column, bound = dominance_sums(c, w)
     sums = row if which in (1, 3) else column
     label = ("row", "column", "weighted_row", "weighted_column")[which - 1]
-    checks = tuple(_check(f"{label}_{k + 1}", sums[k], bound[k], tol) for k in range(m))
+    checks = tuple(_check(f"{label}_{k + 1}", sums[k], bound[k], tol) for k in range(len(c)))
     status = STATUS_STABLE if all(ck.satisfied for ck in checks) else STATUS_INCONCLUSIVE
     return StabilityVerdict(status, tag, c, None, checks)
-
-
-def bam_dominance_verdict(bam: BamSpec, which: int, weights=None,
-                          tol: float = DEFAULT_TOL) -> StabilityVerdict:
-    """Dominance sufficient conditions on the two-layer comparison matrix.
-
-    which: 1 = strict row dominance, 2 = strict column dominance, 3/4 = the
-    weighted variants.  Without explicit weights, 3 and 4 borrow the witness
-    vector from the full M-matrix classification (when it exists — an
-    inconclusive classification leaves no witness and the weighted conditions
-    are reported unsatisfied).
-    """
-    return _bam_dominance(bam, "cor9", which, weights, tol)
-
-
-def bam_undelayed_dominance_verdict(bam: BamSpec, which: int, weights=None,
-                                    tol: float = DEFAULT_TOL) -> StabilityVerdict:
-    """Dominance conditions for two-layer networks without leakage delays.
-
-    With zero leakage delays the comparison matrix has unit diagonal, so the
-    conditions reduce to (weighted) coupling sums staying below 1.
-    """
-    return _bam_dominance(bam, "cor10", which, weights, tol)
-
-
-def two_neuron_closed_form(bam: BamSpec, tol: float = DEFAULT_TOL) -> StabilityVerdict:
-    """Corollary 11: the matrix test of a one-unit-per-layer network.
-
-    Its three inequalities in the network parameters are the 2x2
-    leading-minor conditions of the two-layer comparison matrix C, so the
-    verdict is the pivot test of C; the sides are C's entries:
-    a rh^2 tau_x / rl = 1 - C_00 (and likewise for y) against 1, and the
-    coupling product C_01 C_10 against C_00 C_11.
-    """
-    bam = _require_bam(bam)
-    if bam.n != 1:
-        raise FamilyError(f"closed form needs one unit per layer, got n={bam.n}")
-    return _matrix_verdict(test_matrix_bam(bam), "cor11", tol)
 
 
 def two_neuron_comparison(bam: BamSpec,

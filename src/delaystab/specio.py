@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import reprlib
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
@@ -65,10 +66,7 @@ class ParsedInput:
     kind: str
     spec: object
     concrete: object | None
-    history: np.ndarray | None
-    activations: tuple | None
     document: dict
-    parameters: dict
 
     @cached_property
     def sha256(self) -> str:
@@ -91,7 +89,8 @@ def _plain_numbers(x: list) -> bool:
 
 def _num(x, path: str) -> float:
     if not _is_number(x):
-        _fail(path, f"expected a number, got {x!r}")
+        # reprlib keeps the line short whatever the value's size or depth
+        _fail(path, f"expected a number, got {reprlib.repr(x)}")
     return float(x)
 
 
@@ -207,7 +206,7 @@ def _build_fn(node, catalog: dict, path: str, allow_null: bool = False):
     kind = node["type"]
     if not isinstance(kind, str) or kind not in catalog:
         _fail(f"{path}.type",
-              f"unknown function '{kind}' (choose from: {', '.join(sorted(catalog))})")
+              f"unknown function {reprlib.repr(kind)} (choose from: {', '.join(sorted(catalog))})")
     cls, param_names = catalog[kind]
     _check_keys(node, path, allowed=("type",) + param_names, required=param_names)
     fn = cls(**{name: _num(node[name], f"{path}.{name}") for name in param_names})
@@ -262,6 +261,15 @@ def _lag_bound(fn) -> float:
     return 0.0 if fn is None else fn.bound
 
 
+def _require_delay_free(diagonal_lags, path: str):
+    # the concrete constructors apply the same rule, but name their own
+    # 1-based labels, not the document's paths
+    for i, fn in enumerate(diagonal_lags):
+        if fn is not None and fn.bound > 1e-12:
+            _fail(path.format(i=i), f"lag must be zero for a delay-free diagonal "
+                                    f"(bound {fn.bound})")
+
+
 def _general_dynamics(dyn: dict, flag: bool):
     _check_keys(dyn, "dynamics",
                 allowed=("coefficients", "leak_lags", "coupling_lags", "couplings"),
@@ -272,6 +280,8 @@ def _general_dynamics(dyn: dict, flag: bool):
     coeffs = _fn_list(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
     leak = _fn_list(dyn["leak_lags"], LAG_CATALOG, "dynamics.leak_lags", m,
                     allow_null=True)
+    if flag:
+        _require_delay_free(leak, "dynamics.leak_lags[{i}]")
     clags = _fn_matrix(dyn["coupling_lags"], LAG_CATALOG, "dynamics.coupling_lags",
                        m, allow_null=True)
     coups = _fn_matrix(dyn["couplings"], ACTIVATION_CATALOG, "dynamics.couplings",
@@ -299,6 +309,8 @@ def _linear_dynamics(dyn: dict, flag: bool):
     m = len(dyn["coefficients"])
     coeffs = _fn_matrix(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
     lags = _fn_matrix(dyn["lags"], LAG_CATALOG, "dynamics.lags", m, allow_null=True)
+    if flag:
+        _require_delay_free([lags[i][i] for i in range(m)], "dynamics.lags[{i}][{i}]")
     alpha, upper, off = [], [], []
     for i in range(m):
         diag = coeffs[i][i]
@@ -347,7 +359,7 @@ def _parse_flat(doc: dict, kind: str):
         if not isinstance(dyn, dict):
             _fail("dynamics", "expected an object")
         spec, make_concrete = parse_dynamics(dyn, flag)
-    return spec, spec.m, make_concrete, None
+    return spec, spec.m, make_concrete
 
 
 _BAM_BOUND_KEYS = ("Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
@@ -392,7 +404,7 @@ def _parse_bam_like(doc: dict, kind: str):
         bounds = {key: values(key, f"spec.{key}", n) for key in _BAM_BOUND_KEYS}
         spec = BamSpec(a=a, b=b, a_conn=a_conn, b_conn=b_conn,
                        I=inputs_i, J=inputs_j, **bounds)
-        return spec, 2 * n, None, None
+        return spec, 2 * n, None
 
     if not isinstance(dyn, dict):
         _fail("dynamics", "expected an object")
@@ -425,8 +437,8 @@ def _parse_bam_like(doc: dict, kind: str):
         sigma_x=[f.bound for f in trans_x], sigma_y=[f.bound for f in trans_y],
         I=inputs_i, J=inputs_j,
     )
-    return (spec, 2 * n, partial(BamConcrete, spec, rate_x, rate_y, leak_x, leak_y,
-                                 trans_x, trans_y, act_f, act_g), (act_f, act_g))
+    return spec, 2 * n, partial(BamConcrete, spec, rate_x, rate_y, leak_x, leak_y,
+                                trans_x, trans_y, act_f, act_g)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +454,7 @@ def _root_kind(doc) -> str:
                 required=("kind", "spec"))
     kind = doc["kind"]
     if kind not in KINDS:
-        _fail("kind", f"expected one of {', '.join(KINDS)}, got {kind!r}")
+        _fail("kind", f"expected one of {', '.join(KINDS)}, got {reprlib.repr(kind)}")
     return kind
 
 
@@ -451,15 +463,13 @@ def _build(resolved: dict, kind: str) -> ParsedInput:
     # history (required with dynamics) and the concrete system
     parse = _parse_flat if kind in _FLAT_KINDS else _parse_bam_like
     try:
-        spec, dim, make_concrete, activations = parse(resolved, kind)
+        spec, dim, make_concrete = parse(resolved, kind)
         _require_spec_valid(spec)
         history = _history_vec(resolved, dim, required=make_concrete is not None)
         concrete = None if make_concrete is None else make_concrete(history)
     except InvalidSpecError as exc:
         raise DocumentError("; ".join(exc.violations)) from exc
-    return ParsedInput(kind=kind, spec=spec, concrete=concrete, history=history,
-                       activations=activations, document=resolved,
-                       parameters=resolved.get("parameters", {}))
+    return ParsedInput(kind=kind, spec=spec, concrete=concrete, document=resolved)
 
 
 def parse_document(doc: dict) -> ParsedInput:

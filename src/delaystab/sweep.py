@@ -57,15 +57,14 @@ class SweepRow:
 
 
 def fit_reference(parsed) -> np.ndarray:
-    """Steady state a decaying trajectory should approach.
+    """Steady state a decaying trajectory of a document with dynamics
+    should approach.
 
-    Two-layer documents with dynamics get their solved equilibrium; the
-    other families have no constant forcing, so zero is the fixed point.
+    Two-layer documents get their solved equilibrium; the other families
+    have no constant forcing, so zero is the fixed point.
     """
-    spec = parsed.spec
-    if isinstance(spec, BamSpec) and parsed.activations is not None:
-        f, g = parsed.activations
-        eq = solve_equilibrium(spec, f, g)
+    if isinstance(parsed.spec, BamSpec):
+        eq = solve_equilibrium(parsed.spec, parsed.concrete.f, parsed.concrete.g)
         return np.concatenate([eq.x_star, eq.y_star])
     return np.zeros(parsed.concrete.dim)
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from delaystab import criteria
 from delaystab.linalg import leading_principal_minors, sign_and_pivot_test
 from delaystab import (
+    ALL_TAGS,
     BamSpec,
     DecayCertificate,
     FamilyError,
@@ -18,15 +19,11 @@ from delaystab import (
     InvalidSpecError,
     LinearSystemSpec,
     NotCertifiedError,
-    bam_dominance_verdict,
     bam_to_general,
-    bam_undelayed_dominance_verdict,
     certify_decay_rate,
     is_m_matrix,
     parse_file,
     stability_verdict,
-    two_dim_verdict,
-    two_neuron_closed_form,
     two_neuron_comparison,
     two_neuron_spec,
 )
@@ -215,6 +212,55 @@ def test_forced_tag_family_mismatch(general_2x2):
         stability_verdict(general_2x2, criterion="cor2")
     with pytest.raises(FamilyError):
         stability_verdict(general_2x2, criterion="no-such-tag")
+
+
+# one unit per layer at unit rates: every two-layer tag fits it but cor10-k
+SCALAR_PAIR = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                              Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                              sigma_x=0.4, sigma_y=0.5)
+
+
+def fitting_specs(general_2x2, linear_2x2) -> dict:
+    """A spec that each criterion tag fits."""
+    general_free = replace(general_2x2, diagonal_delay_free=True)
+    linear_free = LinearSystemSpec(alpha=[1.0, 2.0], A=[1.0, 2.0],
+                                   A_off=[[0.0, 0.5], [0.8, 0.0]],
+                                   sigma=[[0.0, 0.1], [0.1, 0.0]],
+                                   diagonal_delay_free=True)
+    by_tag = {
+        "theorem1": general_2x2, "cor4": general_2x2,
+        "cor0": replace(general_2x2, L=general_2x2.L - np.diag(general_2x2.L.diagonal())),
+        "cor1": general_free, "cor5": general_free,
+        "cor2": linear_2x2, "cor6": linear_2x2,
+        "cor3": linear_free, "cor7": linear_free,
+    }
+    unlagged = replace(SCALAR_PAIR, tau_x=[0.0], tau_y=[0.0])
+    return {tag: by_tag.get(tag, unlagged if tag.startswith("cor10-") else SCALAR_PAIR)
+            for tag in ALL_TAGS}
+
+
+@pytest.mark.parametrize("tag", ALL_TAGS)
+def test_every_tag_is_decided_by_stability_verdict(tag, general_2x2, linear_2x2):
+    spec = fitting_specs(general_2x2, linear_2x2)[tag]
+    assert stability_verdict(spec, criterion=tag).criterion_used == tag
+
+
+@pytest.mark.parametrize("tag, misfit, message", [
+    ("cor4", lambda fits: random_general(np.random.default_rng(2), m=3),
+     "dimension must be 2, got 3"),
+    ("cor7", lambda fits: fits["cor4"],
+     "closed form 7 does not match this spec (expected 4)"),
+    ("cor10-1", lambda fits: fits["cor9-1"],
+     "this test needs zero leakage delays (tau_x = tau_y = 0)"),
+    ("cor11", lambda fits: random_bam(np.random.default_rng(5), n=2),
+     "closed form needs one unit per layer, got n=2"),
+    ("cor9-5", lambda fits: fits["cor9-1"], "unknown criterion tag 'cor9-5'"),
+], ids=["cor4-m3", "cor7-on-cor4-spec", "cor10-1-leak-delays", "cor11-n2", "cor9-5-unknown"])
+def test_forced_tag_misfit_raises_family_error(tag, misfit, message, general_2x2, linear_2x2):
+    spec = misfit(fitting_specs(general_2x2, linear_2x2))
+    with pytest.raises(FamilyError) as exc:
+        stability_verdict(spec, criterion=tag)
+    assert str(exc.value) == message
 
 
 def test_bam_spec_can_run_reduced_criteria():
@@ -568,7 +614,7 @@ def test_two_dim_frozen_sides():
                         Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                         sigma_x=0.4, sigma_y=0.5)
     spec = bam_to_general(s)
-    v = two_dim_verdict(spec)
+    v = stability_verdict(spec, criterion="cor4")
     x0, x1, coupling, decay = alpha_scaled_sides(v, spec.alpha)
     assert abs(x0 - 0.32) < 1e-15   # 0.8^2 * 0.5
     assert abs(x1 - 0.1) < 1e-15    # 0.5^2 * 0.4
@@ -583,12 +629,12 @@ def test_two_dim_agrees_with_published_corollaries():
     free_stable = 0
     for _ in range(1000):
         spec = random_general(rng, m=2, coupling_scale=rng.uniform(0.5, 4.0))
-        closed = two_dim_verdict(spec)
+        closed = stability_verdict(spec, criterion="cor4")
         assert closed.criterion_used == "cor4"
         assert closed.stable == published_two_dim(spec, 4)
         # the delay-free copy is the undelayed-decay case, closed form 5
         free = replace(spec, diagonal_delay_free=True)
-        closed_free = two_dim_verdict(free)
+        closed_free = stability_verdict(free, criterion="cor5")
         assert closed_free.criterion_used == "cor5"
         assert closed_free.stable == published_two_dim(free, 5)
         free_stable += closed_free.stable
@@ -604,24 +650,14 @@ def test_two_dim_linear_variants_agree():
         np.fill_diagonal(off, 0.0)
         spec = LinearSystemSpec(alpha=alpha, A=alpha + rng.uniform(0, 0.5, 2),
                                 A_off=off, sigma=rng.uniform(0.0, 0.3, (2, 2)))
-        assert two_dim_verdict(spec).stable == published_two_dim(spec, 6)
+        assert stability_verdict(spec, criterion="cor6").stable == published_two_dim(spec, 6)
         flat = LinearSystemSpec(alpha=alpha, A=alpha, A_off=off,
                                 sigma=np.zeros((2, 2)),
                                 diagonal_delay_free=True)
-        assert two_dim_verdict(flat).stable == published_two_dim(flat, 7)
-        stable += two_dim_verdict(flat).stable
+        closed_flat = stability_verdict(flat, criterion="cor7")
+        assert closed_flat.stable == published_two_dim(flat, 7)
+        stable += closed_flat.stable
     assert 30 < stable < 270
-
-
-def test_two_dim_wrong_dimension():
-    rng = np.random.default_rng(2)
-    with pytest.raises(FamilyError):
-        two_dim_verdict(random_general(rng, m=3))
-
-
-def test_two_dim_which_mismatch(general_2x2):
-    with pytest.raises(FamilyError):
-        two_dim_verdict(general_2x2, which=7)
 
 
 # --- two-layer dominance families -------------------------------------------
@@ -642,32 +678,28 @@ def _bam_brute_dominance(c, which, weights=None):
 
 def test_bam_dominance_brute_force_agreement():
     rng = np.random.default_rng(600)
-    checked = 0
+    checked = weighted = 0
     for _ in range(300):
         bam = random_bam(rng)
         c = build_bam_matrix(bam)
         for which in (1, 2):
-            v = bam_dominance_verdict(bam, which=which)
+            v = stability_verdict(bam, criterion=f"cor9-{which}")
             assert v.stable == _bam_brute_dominance(c, which)
             assert v.criterion_used == f"cor9-{which}"
             checked += 1
-        w = rng.uniform(0.5, 2.0, 2 * bam.n)
+        # the weighted variants weigh by the witness C^-1 1, which exists
+        # exactly when C is an M-matrix
+        m_matrix = is_m_matrix(c).is_m_matrix
         for which in (3, 4):
-            v = bam_dominance_verdict(bam, which=which, weights=w)
-            assert v.stable == _bam_brute_dominance(c, which, w)
-            checked += 1
-    assert checked == 1200
-
-
-def test_bam_dominance_rejects_unknown_which_first():
-    # couplings of 5 make the comparison matrix fail, so no witness exists;
-    # the unknown variant must be refused before any witness is sought
-    weak = two_neuron_spec(a=1.0, b=1.0, coupling_xy=5.0, coupling_yx=5.0,
-                           Lf=1.0, Lg=1.0, tau_x=0.0, tau_y=0.0,
-                           sigma_x=0.1, sigma_y=0.1)
-    for verdict in (bam_dominance_verdict, bam_undelayed_dominance_verdict):
-        with pytest.raises(FamilyError, match="which must be one of"):
-            verdict(weak, 5)
+            v = stability_verdict(bam, criterion=f"cor9-{which}")
+            if m_matrix:
+                w = np.linalg.solve(c, np.ones(len(c)))
+                assert v.stable == _bam_brute_dominance(c, which, w)
+                weighted += 1
+            else:
+                assert not v.stable
+    assert checked == 600
+    assert weighted > 40
 
 
 def test_bam_dominance_implies_matrix_verdict():
@@ -676,18 +708,10 @@ def test_bam_dominance_implies_matrix_verdict():
     for _ in range(300):
         bam = random_bam(rng)
         for which in (1, 2, 3, 4):
-            if bam_dominance_verdict(bam, which=which).stable:
+            if stability_verdict(bam, criterion=f"cor9-{which}").stable:
                 hits += 1
                 assert stability_verdict(bam).stable
     assert hits > 20
-
-
-def test_bam_undelayed_dominance_needs_zero_leak_delays():
-    rng = np.random.default_rng(602)
-    bam = random_bam(rng)  # has nonzero tau_x almost surely
-    if np.any(bam.tau_x > 0) or np.any(bam.tau_y > 0):
-        with pytest.raises(FamilyError):
-            bam_undelayed_dominance_verdict(bam, which=1)
 
 
 def test_bam_undelayed_dominance_unit_diagonal():
@@ -707,7 +731,7 @@ def test_bam_undelayed_dominance_unit_diagonal():
             I=np.zeros(n), J=np.zeros(n))
         c = build_bam_matrix(bam)
         assert np.max(np.abs(c.diagonal() - 1.0)) < 1e-15
-        v = bam_undelayed_dominance_verdict(bam, which=1)
+        v = stability_verdict(bam, criterion="cor10-1")
         assert v.stable == _bam_brute_dominance(c, 1)
 
 
@@ -728,7 +752,7 @@ def test_closed_form_textbook_pair():
     s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                         Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                         sigma_x=0.4, sigma_y=0.5)
-    v = two_neuron_closed_form(s)
+    v = stability_verdict(s, criterion="cor11")
     x_decay, y_decay, coupling, decay = cor11_sides(v)
     assert abs(x_decay - 0.4) < 1e-15
     assert abs(y_decay - 0.2) < 1e-15
@@ -749,17 +773,11 @@ def test_closed_form_modulated_pair_values():
                             r_lo=20.0 - amp, r_hi=20.0 + amp,
                             p_lo=40.0 - amp, p_hi=40.0 + amp,
                             input_x=10000.0, input_y=20000.0)
-        v = two_neuron_closed_form(s)
+        v = stability_verdict(s, criterion="cor11")
         _, _, coupling, decay = cor11_sides(v)
         assert abs(coupling - lhs_want) < 1e-15
         assert abs(decay - rhs_want) < 1e-12
         assert v.stable
-
-
-def test_closed_form_needs_scalar_network():
-    rng = np.random.default_rng(5)
-    with pytest.raises(FamilyError):
-        two_neuron_closed_form(random_bam(rng, n=2))
 
 
 def test_comparison_pair_frozen_sides():
@@ -813,7 +831,7 @@ def test_closed_form_coupling_antimonotone():
         s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=k, coupling_yx=1.0,
                             Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                             sigma_x=0.4, sigma_y=0.5)
-        _, _, coupling, decay = cor11_sides(two_neuron_closed_form(s))
+        _, _, coupling, decay = cor11_sides(stability_verdict(s, criterion="cor11"))
         margins.append(decay - coupling)
     assert margins[0] > margins[1] > margins[2]
 

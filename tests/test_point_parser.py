@@ -2,8 +2,8 @@
 
 `point_parser(doc, path)(value)` must give what
 `parse_document(set_parameter(doc, path, value))` gives: the same spec,
-concrete system, history, activations, resolved document, parameters and
-hash, or a `DocumentError` with the same text.  An error that no value can
+concrete system (its history included), resolved document and hash, or a
+`DocumentError` with the same text.  An error that no value can
 fix is raised once, by `point_parser` itself, with the text the rewritten
 document gives at every value.
 """
@@ -116,6 +116,9 @@ def describe(x):
         return (type(x).__name__, [describe(v) for v in x])
     if isinstance(x, dict):
         return ("dict", json.dumps(x, sort_keys=True))
+    if callable(x) and getattr(x, "__closure__", None):
+        # a concrete system's history is a closure over the history vector
+        return (type(x).__name__, [describe(cell.cell_contents) for cell in x.__closure__])
     if dataclasses.is_dataclass(x):
         return (type(x).__name__, [(f.name, describe(getattr(x, f.name)))
                                    for f in dataclasses.fields(x)])
@@ -125,8 +128,8 @@ def describe(x):
 
 
 def picture(p):
-    return ("parsed", p.kind, describe(p.spec), describe(p.concrete), describe(p.history),
-            describe(p.activations), describe(p.document), describe(p.parameters), p.sha256)
+    return ("parsed", p.kind, describe(p.spec), describe(p.concrete), describe(p.document),
+            p.sha256)
 
 
 def outcome(parse):

@@ -39,3 +39,12 @@ def test_package_modules_use_every_name_they_import():
                   for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
                   for name in _bound_names(node) if name not in used]
     assert found == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    # a deleted function must not linger in __all__, and nothing is
+    # imported into the package namespace without being exported
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = [name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
+                for name in _bound_names(node)]
+    assert sorted(imported) == sorted(delaystab.__all__)

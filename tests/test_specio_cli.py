@@ -31,7 +31,6 @@ def test_general_bounds_only(inputs_dir):
     parsed = parse_file(str(inputs_dir / "general_sample.json"))
     assert parsed.kind == "general"
     assert parsed.concrete is None
-    assert parsed.history is None
     assert isinstance(parsed.spec, GeneralSystemSpec)
     assert np.array_equal(parsed.spec.alpha, [1.0, 1.0, 1.0])
     assert len(parsed.sha256) == 64
@@ -50,9 +49,8 @@ def test_two_neuron_with_dynamics(inputs_dir, two_neuron_doc):
     assert abs(parsed.spec.tau_y[0] - 0.4) < 1e-15
     assert abs(parsed.spec.sigma_x[0] - 0.4) < 1e-15
     assert abs(parsed.spec.sigma_y[0] - 0.5) < 1e-15
-    assert parsed.concrete is not None
-    assert parsed.activations is not None
-    assert np.array_equal(parsed.history, [1.0, 1.0])
+    # the validated history is handed to the concrete system
+    assert np.array_equal(parsed.concrete.history(0.0), [1.0, 1.0])
 
 
 def test_linear_with_dynamics(linear_doc):
@@ -66,7 +64,7 @@ def test_linear_with_dynamics(linear_doc):
 
 def test_parameter_reference_resolution(modulated_doc):
     parsed = parse_document(modulated_doc)
-    assert parsed.parameters == {"mu": 0.0}
+    assert parsed.document["parameters"] == {"mu": 0.0}
     # mu = 0 zeroes the oscillation amplitudes, so rate bounds collapse
     assert abs(parsed.spec.a[0] - 1.0) < 1e-15
     assert abs(parsed.spec.b[0] - 1.0) < 1e-15
@@ -559,3 +557,60 @@ def test_analyze_and_sweep_share_the_file_loader(tmp_path, content):
     assert analyze.returncode == swept.returncode == 1
     assert analyze.stderr.startswith("error:")
     assert analyze.stderr == swept.stderr
+
+
+
+def _constant(value):
+    return {"type": "constant", "value": value}
+
+
+def _delay_free_doc(kind: str) -> dict:
+    # a delay-free diagonal with one diagonal lag of bound 0.1
+    if kind == "linear":
+        dynamics = {"coefficients": [[_constant(-1.0), _constant("$s")],
+                                     [_constant("$s"), _constant(-1.0)]],
+                    "lags": [[_constant(0.1), None], [None, None]]}
+    else:
+        dynamics = {"coefficients": [_constant(1.0), _constant(1.0)],
+                    "leak_lags": [_constant(0.1), None],
+                    "coupling_lags": [[None, None], [None, None]],
+                    "couplings": [[None, {"type": "linear", "k": "$s"}], [None, None]]}
+    return {"kind": kind, "parameters": {"s": 0.5}, "spec": {"diagonal_delay_free": True},
+            "dynamics": dynamics, "history": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("kind, path", [("linear", "dynamics.lags[0][0]"),
+                                        ("general", "dynamics.leak_lags[0]")])
+def test_delay_free_rule_names_the_document_path(capsys, tmp_path, kind, path):
+    message = f"{path}: lag must be zero for a delay-free diagonal (bound 0.1)"
+    doc = _delay_free_doc(kind)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert main(["analyze", str(file)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    with pytest.raises(DocumentError) as exc:
+        point_parser(doc, "parameters.s")(0.25)
+    assert str(exc.value) == message
+
+
+def _nested(depth: int):
+    return 1.0 if depth == 0 else [_nested(depth - 1)]
+
+
+@pytest.mark.parametrize("where, value", [
+    (("dynamics", "f", "k"), [0.5] * 100_000),
+    (("dynamics", "f", "k"), _nested(480)),
+    (("dynamics", "f", "type"), [0.5] * 100_000),
+    (("kind",), [0.5] * 100_000),
+], ids=["k-100000-numbers", "k-480-deep", "type-100000-numbers", "kind-100000-numbers"])
+def test_error_line_stays_short_whatever_the_value(tmp_path, two_neuron_doc, where, value):
+    node = two_neuron_doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(two_neuron_doc))
+    res = run_cli("analyze", str(path))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert res.stderr.startswith(f"error: {'.'.join(where)}: ")
+    assert res.stderr.count("\n") == 1 and len(res.stderr.encode()) < 200

@@ -16,4 +16,5 @@ def test_tracer_names_missing_from_the_program_are_the_known_ones():
     missing = {f"{module}.{attr}" for module, attr, _ in tracing.WRAPPED
                if not hasattr(importlib.import_module(module), attr)}
     assert missing == {"delaystab.sweep.parse_document", "delaystab.sweep.set_parameter",
-                       "delaystab.cli.set_parameter", "delaystab.sweep.two_neuron_closed_form"}
+                       "delaystab.cli.set_parameter", "delaystab.sweep.two_neuron_closed_form",
+                       "delaystab.criteria.two_neuron_closed_form"}
