@@ -446,3 +446,230 @@ def specs_with_odd_entries(draw):
 @given(specs_with_odd_entries())
 def test_validate_equals_the_field_by_field_checks(spec):
     assert validate(spec) == field_by_field(spec)
+
+
+# --- one bound check for every realization ----------------------------------
+
+def general_system(delay_free=False, **parts):
+    """A two-component general realization whose functions all sit at their
+    spec's bounds, with the entries of `parts` replaced."""
+    at = dict(coeffs=[Sinusoid(1.5, 0.5)] * 2, leak=[ConstantLag(0.5)] * 2,
+              clags=[[ConstantLag(0.3)] * 2] * 2, coups=[[TanhActivation(0.5)] * 2] * 2)
+    at.update(parts)
+    spec = GeneralSystemSpec(alpha=[1.0, 1.0], A=[2.0, 2.0], tau=[0.5, 0.5],
+                             sigma=[[0.3, 0.3], [0.3, 0.3]], L=[[0.5, 0.5], [0.5, 0.5]],
+                             diagonal_delay_free=delay_free)
+    return GeneralConcrete(spec, at["coeffs"], at["leak"], at["clags"], at["coups"], [1.0, 1.0])
+
+
+def linear_system(delay_free=False, **parts):
+    diag, off = Sinusoid(-1.5, 0.5), Cosinusoid(0.0, 0.4)
+    at = dict(coeffs=[[diag, off], [off, diag]], lags=[[ConstantLag(0.3)] * 2] * 2)
+    at.update(parts)
+    spec = LinearSystemSpec(alpha=[1.0, 1.0], A=[2.0, 2.0], A_off=[[0.0, 0.4], [0.4, 0.0]],
+                            sigma=[[0.3, 0.3], [0.3, 0.3]], diagonal_delay_free=delay_free)
+    return LinearConcrete(spec, at["coeffs"], at["lags"], [1.0, 1.0])
+
+
+def bam_system(**parts):
+    at = dict(r=[Sinusoid(1.5, 0.5)] * 2, p=[Cosinusoid(1.5, 0.5)] * 2,
+              leak_x=[ConstantLag(0.5)] * 2, leak_y=[ConstantLag(0.5)] * 2,
+              trans_x=[ConstantLag(0.3)] * 2, trans_y=[ConstantLag(0.3)] * 2,
+              f=[TanhActivation(0.5)] * 2, g=[SinActivation(0.5)] * 2)
+    at.update(parts)
+    spec = BamSpec(a=[1.0, 1.0], b=[1.0, 1.0], a_conn=[[0.2, -0.1], [0.3, 0.2]],
+                   b_conn=[[0.1, 0.4], [-0.2, 0.1]], Lf=[0.5, 0.5], Lg=[0.5, 0.5],
+                   r_lo=[1.0, 1.0], r_hi=[2.0, 2.0], p_lo=[1.0, 1.0], p_hi=[2.0, 2.0],
+                   tau_x=[0.5, 0.5], tau_y=[0.5, 0.5], sigma_x=[0.3, 0.3],
+                   sigma_y=[0.3, 0.3], I=[0.0, 0.0], J=[0.0, 0.0])
+    return BamConcrete(spec, *(at[key] for key in ("r", "p", "leak_x", "leak_y", "trans_x",
+                                                     "trans_y", "f", "g")), [0.0] * 4)
+
+
+# one row per rule that a realization's functions must keep (the two ends of
+# a range each get a row): the system with the first function of the rule
+# moved d past its bound
+BOUND_RULES = {
+    "general coefficient below alpha":
+        lambda d: general_system(coeffs=[Sinusoid(1.5 - d, 0.5), Sinusoid(1.5, 0.5)]),
+    "general coefficient above A":
+        lambda d: general_system(coeffs=[Sinusoid(1.5 + d, 0.5), Sinusoid(1.5, 0.5)]),
+    "general leak lag on a delay-free diagonal":
+        lambda d: general_system(delay_free=True, leak=[ConstantLag(d), None]),
+    "general leak lag above tau":
+        lambda d: general_system(leak=[ConstantLag(0.5 + d), ConstantLag(0.5)]),
+    "general coupling above L":
+        lambda d: general_system(coups=[[TanhActivation(0.5), TanhActivation(0.5 + d)],
+                                        [TanhActivation(0.5)] * 2]),
+    "general coupling lag above sigma":
+        lambda d: general_system(clags=[[ConstantLag(0.3), ConstantLag(0.3 + d)],
+                                        [ConstantLag(0.3)] * 2]),
+    "linear diagonal below -A":
+        lambda d: linear_system(coeffs=[[Sinusoid(-1.5 - d, 0.5), Cosinusoid(0.0, 0.4)],
+                                        [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
+    "linear diagonal above -alpha":
+        lambda d: linear_system(coeffs=[[Sinusoid(-1.5 + d, 0.5), Cosinusoid(0.0, 0.4)],
+                                        [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
+    "linear diagonal lag on a delay-free diagonal":
+        lambda d: linear_system(delay_free=True, lags=[[ConstantLag(d), ConstantLag(0.3)],
+                                                       [ConstantLag(0.3), None]]),
+    "linear off-diagonal below -A_off":
+        lambda d: linear_system(coeffs=[[Sinusoid(-1.5, 0.5), Cosinusoid(-d, 0.4)],
+                                        [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
+    "linear off-diagonal above A_off":
+        lambda d: linear_system(coeffs=[[Sinusoid(-1.5, 0.5), Cosinusoid(d, 0.4)],
+                                        [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
+    "linear lag above sigma":
+        lambda d: linear_system(lags=[[ConstantLag(0.3), ConstantLag(0.3 + d)],
+                                      [ConstantLag(0.3)] * 2]),
+    "bam r below r_lo": lambda d: bam_system(r=[Sinusoid(1.5 - d, 0.5), Sinusoid(1.5, 0.5)]),
+    "bam r above r_hi": lambda d: bam_system(r=[Sinusoid(1.5 + d, 0.5), Sinusoid(1.5, 0.5)]),
+    "bam p below p_lo":
+        lambda d: bam_system(p=[Cosinusoid(1.5 - d, 0.5), Cosinusoid(1.5, 0.5)]),
+    "bam p above p_hi":
+        lambda d: bam_system(p=[Cosinusoid(1.5 + d, 0.5), Cosinusoid(1.5, 0.5)]),
+    "bam leak_x above tau_x":
+        lambda d: bam_system(leak_x=[ConstantLag(0.5 + d), ConstantLag(0.5)]),
+    "bam leak_y above tau_y":
+        lambda d: bam_system(leak_y=[ConstantLag(0.5 + d), ConstantLag(0.5)]),
+    "bam trans_x above sigma_x":
+        lambda d: bam_system(trans_x=[ConstantLag(0.3 + d), ConstantLag(0.3)]),
+    "bam trans_y above sigma_y":
+        lambda d: bam_system(trans_y=[ConstantLag(0.3 + d), ConstantLag(0.3)]),
+    "bam f above Lf":
+        lambda d: bam_system(f=[TanhActivation(0.5 + d), TanhActivation(0.5)]),
+    "bam g above Lg": lambda d: bam_system(g=[SinActivation(0.5 + d), SinActivation(0.5)]),
+}
+
+
+@pytest.mark.parametrize("build", BOUND_RULES.values(), ids=BOUND_RULES.keys())
+def test_each_bound_rule_rejects_just_past_and_accepts_at_its_bound(build):
+    build(0.0)
+    with pytest.raises(InvalidSpecError):
+        build(1e-6)
+
+
+# --- the right-hand side against the equation written out -------------------
+
+def _coeff(rng, base):
+    amp = rng.uniform(-0.4, 0.4)
+    return rng.choice([ConstantCoeff(base), Sinusoid(base, amp), Cosinusoid(base, amp)])
+
+
+def _lag(rng, allow_none=True):
+    kinds = [ConstantLag(rng.uniform(0.0, 1.0)), SinSquaredLag(rng.uniform(0.0, 1.0)),
+             ShiftedAbsSinLag(rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5))]
+    return rng.choice(kinds + [None] * allow_none)
+
+
+def _act(rng):
+    cls = rng.choice([LinearActivation, TanhActivation, SinActivation, LogisticActivation])
+    return cls(rng.uniform(-2.0, 2.0))
+
+
+def _bound(lag):
+    return 0.0 if lag is None else lag.bound
+
+
+@st.composite
+def realizations(draw):
+    """(kind, system, functions, n, t, u, v): a general or linear realization
+    of 1 to 6 components, or a two-layer one of 1 to 6 units per layer, with
+    random catalog functions and the spec their bounds give; each component
+    j reads x_j(s) = u_j + v_j*s at any time s."""
+    kind = draw(st.sampled_from(["general", "linear", "bam"]))
+    n = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    t = rng.uniform(-5.0, 20.0)
+    dim = 2 * n if kind == "bam" else n
+    u, v = rng.uniform(-2.0, 2.0, dim), rng.uniform(-2.0, 2.0, dim)
+    if kind == "general":
+        fns = dict(coeffs=[_coeff(rng, rng.uniform(0.5, 2.0)) for _ in range(n)],
+                   leak=[_lag(rng) for _ in range(n)],
+                   clags=[[_lag(rng) for _ in range(n)] for _ in range(n)],
+                   coups=[[_act(rng) if rng.random() < 0.7 else None for _ in range(n)]
+                          for _ in range(n)])
+        spec = GeneralSystemSpec(
+            alpha=[c.lower for c in fns["coeffs"]], A=[c.upper for c in fns["coeffs"]],
+            tau=[_bound(lag) for lag in fns["leak"]],
+            sigma=[[_bound(lag) for lag in row] for row in fns["clags"]],
+            L=[[0.0 if f is None else f.lipschitz for f in row] for row in fns["coups"]])
+        system = GeneralConcrete(spec, fns["coeffs"], fns["leak"], fns["clags"], fns["coups"], u)
+    elif kind == "linear":
+        fns = dict(coeffs=[[_coeff(rng, -rng.uniform(0.5, 2.0) if i == j
+                                   else rng.uniform(-1.0, 1.0)) for j in range(n)]
+                           for i in range(n)],
+                   lags=[[_lag(rng) for _ in range(n)] for _ in range(n)])
+        c = fns["coeffs"]
+        spec = LinearSystemSpec(
+            alpha=[-c[i][i].upper for i in range(n)], A=[-c[i][i].lower for i in range(n)],
+            A_off=[[0.0 if i == j else max(-c[i][j].lower, c[i][j].upper) for j in range(n)]
+                   for i in range(n)],
+            sigma=[[_bound(lag) for lag in row] for row in fns["lags"]])
+        system = LinearConcrete(spec, c, fns["lags"], u)
+    else:
+        fns = {key: [_coeff(rng, rng.uniform(0.5, 2.0)) for _ in range(n)] for key in "rp"}
+        fns.update({key: [_lag(rng, allow_none=False) for _ in range(n)]
+                    for key in ("leak_x", "leak_y", "trans_x", "trans_y")})
+        fns.update({key: [_act(rng) for _ in range(n)] for key in "fg"})
+        fns.update(a=rng.uniform(0.5, 2.0, n), b=rng.uniform(0.5, 2.0, n),
+                   a_conn=rng.normal(0.0, 1.0, (n, n)), b_conn=rng.normal(0.0, 1.0, (n, n)),
+                   I=rng.normal(0.0, 5.0, n), J=rng.normal(0.0, 5.0, n))
+        spec = BamSpec(
+            a=fns["a"], b=fns["b"], a_conn=fns["a_conn"], b_conn=fns["b_conn"], I=fns["I"],
+            J=fns["J"], Lf=[f.lipschitz for f in fns["f"]], Lg=[g.lipschitz for g in fns["g"]],
+            r_lo=[r.lower for r in fns["r"]], r_hi=[r.upper for r in fns["r"]],
+            p_lo=[p.lower for p in fns["p"]], p_hi=[p.upper for p in fns["p"]],
+            **{bound: [lag.bound for lag in fns[key]] for bound, key in (
+                ("tau_x", "leak_x"), ("tau_y", "leak_y"),
+                ("sigma_x", "trans_x"), ("sigma_y", "trans_y"))})
+        system = BamConcrete(spec, *(fns[key] for key in ("r", "p", "leak_x", "leak_y",
+                                                           "trans_x", "trans_y", "f", "g")), u)
+    return kind, system, fns, n, t, u, v
+
+
+def equation(kind, fns, n, t, u, v):
+    """The right-hand side at t, written out with numpy: (value, the size of
+    its terms, whether it must match bit for bit)."""
+    def delayed(j, lags):
+        # x_j(t - lag(t)) for each lag of a sequence (None: undelayed)
+        return u[j] + v[j] * (t - np.array([0.0 if lag is None else lag(t) for lag in lags]))
+
+    if kind == "general":
+        decay = -np.array([c(t) for c in fns["coeffs"]]) * np.array(
+            [delayed(i, [fns["leak"][i]])[0] for i in range(n)])
+        drive = np.array([[0.0 if f is None else f(delayed(j, [fns["clags"][i][j]])[0])
+                           for j, f in enumerate(row)] for i, row in enumerate(fns["coups"])])
+        return decay + drive.sum(axis=1), np.abs(decay) + np.abs(drive).sum(axis=1), False
+    if kind == "linear":
+        coeff = np.array([[c(t) for c in row] for row in fns["coeffs"]])
+        state = np.array([[delayed(j, [fns["lags"][i][j]])[0] for j in range(n)]
+                          for i in range(n)])
+        # each row summed left to right, as the equation is written
+        terms = coeff * state
+        return np.cumsum(terms, axis=1)[:, -1], np.abs(terms).sum(axis=1), True
+    layers = []
+    for rate, gain, conn, inp, leak, trans, act, own, other in (
+            ("r", "a", "a_conn", "I", "leak_x", "trans_y", "f", 0, n),
+            ("p", "b", "b_conn", "J", "leak_y", "trans_x", "g", n, 0)):
+        mu = np.array([c(t) for c in fns[rate]])
+        decay = -fns[gain] * np.array([delayed(own + i, [fns[leak][i]])[0] for i in range(n)])
+        signal = np.array([f(delayed(other + j, [fns[trans][j]])[0])
+                           for j, f in enumerate(fns[act])])
+        layers.append((mu * (decay + fns[conn] @ signal + fns[inp]),
+                       mu * (np.abs(decay) + np.abs(fns[conn]) @ np.abs(signal)
+                             + np.abs(fns[inp]))))
+    return (np.concatenate([layers[0][0], layers[1][0]]),
+            np.concatenate([layers[0][1], layers[1][1]]), n == 1)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(realizations())
+def test_rhs_is_the_equation_written_out(case):
+    kind, system, fns, n, t, u, v = case
+    got = rhs_over_reads(system, t, lambda j, s: u[j] + v[j] * s)
+    want, size, exact = equation(kind, fns, n, t, u, v)
+    if exact:
+        assert np.array_equal(got, want)
+    else:
+        assert np.all(np.abs(got - want) <= 1e-13 * size)
