@@ -110,11 +110,19 @@ def _num_matrix(x, path: str, size: int) -> list[list[float]]:
     return [_num_list(row, f"{path}[{i}]", size) for i, row in enumerate(x)]
 
 
+def _key_path(path: str, key) -> str:
+    # the field path of a document key; a key longer than 80 characters is
+    # named by its first 40 and its length, so the error line stays short
+    key = str(key)
+    if len(key) > 80:
+        key = f"{key[:40]}... ({len(key)} characters)"
+    return f"{path}.{key}" if path else key
+
+
 def _check_keys(node: dict, path: str, allowed, required=()):
     for key in node:
         if key not in allowed:
-            _fail(f"{path}.{key}" if path else key,
-                  f"unknown field (allowed: {', '.join(sorted(allowed))})")
+            _fail(_key_path(path, key), f"unknown field (allowed: {', '.join(sorted(allowed))})")
     for key in required:
         if key not in node:
             _fail(path or key, f"missing required field '{key}'")
@@ -131,7 +139,7 @@ def resolve_parameters(doc: dict) -> tuple[dict, dict]:
         _fail("parameters", "expected an object of name -> number")
     params = {}
     for name, value in raw.items():
-        params[name] = _num(value, f"parameters.{name}")
+        params[name] = _num(value, _key_path("parameters", name))
 
     def walk(node, path):
         if isinstance(node, str) and node.startswith("$"):
@@ -140,7 +148,7 @@ def resolve_parameters(doc: dict) -> tuple[dict, dict]:
                 _fail(path, f"unknown parameter reference '${name}'")
             return params[name]
         if isinstance(node, dict):
-            return {k: walk(v, f"{path}.{k}" if path else k) for k, v in node.items()}
+            return {k: walk(v, _key_path(path, k)) for k, v in node.items()}
         if isinstance(node, list):
             if _plain_numbers(node):
                 return node[:]

@@ -597,13 +597,17 @@ def _nested(depth: int):
     return 1.0 if depth == 0 else [_nested(depth - 1)]
 
 
-@pytest.mark.parametrize("where, value", [
-    (("dynamics", "f", "k"), [0.5] * 100_000),
-    (("dynamics", "f", "k"), _nested(480)),
-    (("dynamics", "f", "type"), [0.5] * 100_000),
-    (("kind",), [0.5] * 100_000),
-], ids=["k-100000-numbers", "k-480-deep", "type-100000-numbers", "kind-100000-numbers"])
-def test_error_line_stays_short_whatever_the_value(tmp_path, two_neuron_doc, where, value):
+@pytest.mark.parametrize("where, value, shown", [
+    (("dynamics", "f", "k"), [0.5] * 100_000, "dynamics.f.k"),
+    (("dynamics", "f", "k"), _nested(480), "dynamics.f.k"),
+    (("dynamics", "f", "type"), [0.5] * 100_000, "dynamics.f.type"),
+    (("kind",), [0.5] * 100_000, "kind"),
+    # an unknown key is named by its first 40 characters and its length
+    (("spec", "k" * 500_000), 1.0, "spec." + "k" * 40 + "... (500000 characters)"),
+], ids=["k-100000-numbers", "k-480-deep", "type-100000-numbers", "kind-100000-numbers",
+        "key-500000-chars"])
+def test_error_line_stays_short_whatever_the_value(tmp_path, two_neuron_doc, where, value,
+                                                    shown):
     node = two_neuron_doc
     for key in where[:-1]:
         node = node[key]
@@ -612,5 +616,5 @@ def test_error_line_stays_short_whatever_the_value(tmp_path, two_neuron_doc, whe
     path.write_text(json.dumps(two_neuron_doc))
     res = run_cli("analyze", str(path))
     assert (res.returncode, res.stdout) == (1, "")
-    assert res.stderr.startswith(f"error: {'.'.join(where)}: ")
+    assert res.stderr.startswith(f"error: {shown}: ")
     assert res.stderr.count("\n") == 1 and len(res.stderr.encode()) < 200
