@@ -206,7 +206,7 @@ def cmd_equilibrium(args, tol: float) -> int:
     solution = None
     if parsed.concrete is not None:
         try:
-            solution = solve_equilibrium(spec, parsed.concrete.f, parsed.concrete.g)
+            solution = solve_equilibrium(spec, *parsed.concrete.activations)
             report["equilibrium"] = asdict(solution)
         except DivergenceError as exc:
             report["equilibrium"] = None

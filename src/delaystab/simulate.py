@@ -1,9 +1,10 @@
 """Fixed-step integration of concrete delay systems and decay fitting.
 
 Integration is classical explicit fourth-order Runge-Kutta marching on a
-uniform grid (the method of steps with a continuous extension).  A system
-lists its delayed reads in a table, (component, lag, bound, label) each, and
-evaluates its right-hand side from the vector of read values.
+uniform grid (the method of steps with a continuous extension).  A
+`systems.ConcreteSystem` lists its delayed reads in a table, (component,
+lag, bound, label) each, and evaluates its one right-hand side, the same
+for every family, from the list of read values.
 
 One RK4 step evaluates the right-hand side four times but at only two new
 stage times, t + h/2 and t + h.  The reads are resolved once per stage time:

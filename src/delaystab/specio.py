@@ -111,11 +111,10 @@ def _num_matrix(x, path: str, size: int) -> list[list[float]]:
 
 
 def _key_path(path: str, key) -> str:
-    # the field path of a document key; a key longer than 80 characters is
-    # named by its first 40 and its length, so the error line stays short
+    # a key longer than 80 characters is named by its first 40 and its
+    # length, so the error line stays short
     key = str(key)
-    if len(key) > 80:
-        key = f"{key[:40]}... ({len(key)} characters)"
+    key = key if len(key) <= 80 else f"{key[:40]}... ({len(key)} characters)"
     return f"{path}.{key}" if path else key
 
 
@@ -270,8 +269,8 @@ def _lag_bound(fn) -> float:
 
 
 def _require_delay_free(diagonal_lags, path: str):
-    # the concrete constructors apply the same rule, but name their own
-    # 1-based labels, not the document's paths
+    # the concrete system checks these lags against a declared bound of 0,
+    # but names its own 1-based read labels, not the document's paths
     for i, fn in enumerate(diagonal_lags):
         if fn is not None and fn.bound > 1e-12:
             _fail(path.format(i=i), f"lag must be zero for a delay-free diagonal "

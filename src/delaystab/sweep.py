@@ -64,7 +64,7 @@ def fit_reference(parsed) -> np.ndarray:
     have no constant forcing, so zero is the fixed point.
     """
     if isinstance(parsed.spec, BamSpec):
-        eq = solve_equilibrium(parsed.spec, parsed.concrete.f, parsed.concrete.g)
+        eq = solve_equilibrium(parsed.spec, *parsed.concrete.activations)
         return np.concatenate([eq.x_star, eq.y_star])
     return np.zeros(parsed.concrete.dim)
 

@@ -2,10 +2,10 @@
 
 Two layers are kept apart on purpose.  A *spec* carries only the bounds the
 stability tests consume (decay-rate ranges, coupling Lipschitz constants,
-delay bounds).  A *concrete system* additionally fixes actual time functions
-from a small catalog, which is what the simulator integrates.  Specs are
-immutable value objects; their array fields are made read-only at
-construction.
+delay bounds).  A *concrete system* (`ConcreteSystem`, one class for every
+family) fixes actual time functions from a small catalog and is what the
+simulator integrates.  Specs are immutable value objects; their array
+fields are made read-only at construction.
 
 Index conventions in messages are 1-based to match the usual component
 numbering in hand-worked two-neuron examples.
@@ -527,195 +527,134 @@ def read_time(t: float, lag, bound: float, label: str) -> float:
     return t - value
 
 
-def as_history(history, dim: int):
-    """A callable t -> state from a constant vector or a callable."""
-    if callable(history):
-        return history
-    vec = np.asarray(history, dtype=float)
-    if vec.shape != (dim,):
-        raise InvalidSpecError([f"history must have shape ({dim},), got {vec.shape}"])
-
-    def phi(t: float) -> np.ndarray:
-        return vec
-
-    return phi
+# -0.0 is the exact additive identity (x + -0.0 is x, even for x = -0.0): a
+# row sum starts from it and a row without input adds it
+_NO_INPUT = -0.0
 
 
-class _Concrete:
-    """Common part of the concrete systems.
+class ConcreteSystem:
+    """The paper's system realized with catalog functions, in one form:
 
-    `reads` is the table of delayed reads, in the order `rhs(t, values)`
-    consumes them: (component, lag function or None, declared bound, label).
-    A read at time t takes the component at `read_time(t, lag, bound, label)`.
+        dx_i/dt = mu_i(t) * (sum over row i's terms of w * c(t) * phi(x_j(t - lag(t))) + e_i)
+
+    `reads` lists the delayed reads in the order `rhs(t, values)` takes their
+    values: (component j, lag or None, declared bound, label), each read at
+    `read_time(t, lag, bound, label)`; `phis` holds each read's phi (None: the
+    value itself).  `rows` holds per component (mu or None for 1, e, terms),
+    a term being (read index, weight w, coefficient function c or None).
+    `checks` lists (label, realized lower, realized upper, allowed lower,
+    allowed upper) of the functions a spec bounds; each lag's bound is checked
+    against its read's declared bound too.  `activations` is a two-layer
+    realization's (f, g), as `solve_equilibrium` takes them; None otherwise.
     """
 
-    def _set_common(self, dim: int, history, reads):
-        # the lag bounds count only lags that are read; an absent term's lag is not
-        self.dim = dim
-        self.history = as_history(history, dim)
+    def __init__(self, reads, phis, rows, history, checks=(), activations=None):
         self.reads = tuple((comp, lag, float(bound), label) for comp, lag, bound, label in reads)
-        bounds = [lag.bound for _, lag, _, _ in self.reads if lag is not None]
+        # only lags that are read count; an absent term's lag is not
+        lagged = [(label, 0.0, lag.bound, 0.0, bound) for _, lag, bound, label in self.reads
+                  if lag is not None]
+        problems = [f"{label} [{lo:.6g}, {hi:.6g}] lies outside [{low:.6g}, {high:.6g}]"
+                    for label, lo, hi, low, high in [*checks, *lagged]
+                    if lo < low - 1e-9 or hi > high + 1e-9]
+        if problems:
+            raise InvalidSpecError(problems)
+        self.phis, self.rows, self.activations = phis, rows, activations
+        self.dim = len(rows)
+        if not callable(history):
+            vec = np.asarray(history, dtype=float)
+            if vec.shape != (self.dim,):
+                raise InvalidSpecError([f"history must have shape ({self.dim},), got {vec.shape}"])
+
+            def history(t: float) -> np.ndarray:
+                return vec
+        self.history = history
+        bounds = [value for _, _, value, _, _ in lagged]
         self.max_lag_bound = max(bounds, default=0.0)
         self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
 
-
-class GeneralConcrete(_Concrete):
-    """A realization of a GeneralSystemSpec with catalog functions.
-
-    coeffs: per-component decay coefficient functions (range within
-    [alpha_i, A_i]); leak_lags: self-decay lag functions (bound <= tau_i);
-    coupling_lags/couplings: per-pair lag functions and nonlinearities (None
-    where L[i][j] == 0 means the term is absent).
-    """
-
-    def __init__(self, spec: GeneralSystemSpec, coeffs, leak_lags, coupling_lags,
-                 couplings, history):
-        require_valid(spec)
-        m = spec.m
-        problems: list[str] = []
-        for i, c in enumerate(coeffs):
-            if c.lower < spec.alpha[i] - 1e-9 or c.upper > spec.A[i] + 1e-9:
-                problems.append(f"coefficient[{i + 1}] range outside [alpha, A]")
-        for i, lag in enumerate(leak_lags):
-            if spec.diagonal_delay_free:
-                if lag is not None and lag.bound > 1e-12:
-                    problems.append(f"leak_lag[{i + 1}] must be zero for a delay-free diagonal")
-            elif lag is not None and lag.bound > spec.tau[i] + 1e-9:
-                problems.append(f"leak_lag[{i + 1}] bound exceeds tau[{i + 1}]")
-        for i in range(m):
-            for j in range(m):
-                fn = couplings[i][j]
-                lag = coupling_lags[i][j]
-                if fn is None:
-                    continue
-                if fn.lipschitz > spec.L[i, j] + 1e-9:
-                    problems.append(f"coupling[{i + 1}][{j + 1}] growth exceeds L[{i + 1}][{j + 1}]")
-                if lag is not None and lag.bound > spec.sigma[i, j] + 1e-9:
-                    problems.append(f"coupling_lag[{i + 1}][{j + 1}] bound exceeds sigma")
-        if problems:
-            raise InvalidSpecError(problems)
-        self.spec = spec
-        self.coeffs = list(coeffs)
-        self.leak_lags = list(leak_lags)
-        self.coupling_lags = [list(row) for row in coupling_lags]
-        self.couplings = [list(row) for row in couplings]
-        # per row: the self-decay read, then one read per present coupling
-        reads = []
-        for i in range(m):
-            reads.append((i, self.leak_lags[i], spec.tau[i], f"leak_lag[{i + 1}]"))
-            reads += [(j, self.coupling_lags[i][j], spec.sigma[i, j],
-                       f"coupling_lag[{i + 1}][{j + 1}]")
-                      for j in range(m) if self.couplings[i][j] is not None]
-        self._row_fns = [[fn for fn in row if fn is not None] for row in self.couplings]
-        self._set_common(m, history, reads)
-
     def rhs(self, t: float, values) -> np.ndarray:
+        x = [v if phi is None else phi(v) for phi, v in zip(self.phis, values)]
         out = np.empty(self.dim)
-        it = iter(values)
-        for i, fns in enumerate(self._row_fns):
-            acc = -self.coeffs[i](t) * next(it)
-            for fn in fns:
-                acc += fn(next(it))
-            out[i] = acc
+        for i, (mu, e, terms) in enumerate(self.rows):
+            acc = _NO_INPUT
+            for k, w, c in terms:
+                acc += w * x[k] if c is None else w * c(t) * x[k]
+            acc += e
+            out[i] = acc if mu is None else mu(t) * acc
         return out
 
 
-class LinearConcrete(_Concrete):
-    """A realization of a LinearSystemSpec: dx_i = sum_j c_ij(t) x_j(t - lag_ij)."""
+def GeneralConcrete(spec: GeneralSystemSpec, coeffs, leak_lags, coupling_lags, couplings,
+                    history) -> ConcreteSystem:
+    """Realize a GeneralSystemSpec: dx_i = -c_i(t) x_i(t - h_i) + sum_j F_ij(x_j(t - g_ij)).
 
-    def __init__(self, spec: LinearSystemSpec, coeffs, lags, history):
-        require_valid(spec)
-        m = spec.m
-        problems: list[str] = []
-        for i in range(m):
-            for j in range(m):
-                c = coeffs[i][j]
-                if i == j:
-                    if c.upper > -spec.alpha[i] + 1e-9 or c.lower < -spec.A[i] - 1e-9:
-                        problems.append(f"coefficients[{i + 1}][{i + 1}] range outside [-A, -alpha]")
-                    if spec.diagonal_delay_free and lags[i][i] is not None and lags[i][i].bound > 1e-12:
-                        problems.append(f"lags[{i + 1}][{i + 1}] must be zero for a delay-free diagonal")
-                elif max(abs(c.lower), abs(c.upper)) > spec.A_off[i, j] + 1e-9:
-                    problems.append(f"coefficients[{i + 1}][{j + 1}] magnitude exceeds A_off")
-                lag = lags[i][j]
-                if lag is not None and lag.bound > spec.sigma[i, j] + 1e-9:
-                    problems.append(f"lags[{i + 1}][{j + 1}] bound exceeds sigma")
-        if problems:
-            raise InvalidSpecError(problems)
-        self.spec = spec
-        self.coeffs = [list(row) for row in coeffs]
-        self.lags = [list(row) for row in lags]
-        self._set_common(m, history,
-                         [(j, self.lags[i][j], spec.sigma[i, j], f"lags[{i + 1}][{j + 1}]")
-                          for i in range(m) for j in range(m)])
-
-    def rhs(self, t: float, values) -> np.ndarray:
-        out = np.empty(self.dim)
-        it = iter(values)
-        for i, row in enumerate(self.coeffs):
-            acc = 0.0
-            for c in row:
-                acc += c(t) * next(it)
-            out[i] = acc
-        return out
-
-
-class BamConcrete(_Concrete):
-    """A realization of a BamSpec; state is (x_1..x_n, y_1..y_n).
-
-    rates r/p modulate each layer's whole right-hand side; leak lags delay the
-    self-decay argument and transmission lags delay the opposite layer's
-    signal on its way into each sum.
+    A None leak lag reads x_i undelayed; a None coupling (where L[i][j] == 0)
+    is an absent term, whose lag is not read.
     """
+    require_valid(spec)
+    reads, phis, rows, checks = [], [], [], []
+    for i, c in enumerate(coeffs):
+        checks.append((f"coefficient[{i + 1}]", c.lower, c.upper, spec.alpha[i], spec.A[i]))
+        # the self-decay read, then one read per present coupling
+        terms = [(len(reads), -1.0, c)]
+        reads.append((i, leak_lags[i], 0.0 if spec.diagonal_delay_free else spec.tau[i],
+                      f"leak_lag[{i + 1}]"))
+        phis.append(None)
+        for j, fn in enumerate(couplings[i]):
+            if fn is not None:
+                checks.append((f"coupling[{i + 1}][{j + 1}] Lipschitz constant", 0.0,
+                               fn.lipschitz, 0.0, spec.L[i, j]))
+                terms.append((len(reads), 1.0, None))
+                reads.append((j, coupling_lags[i][j], spec.sigma[i, j],
+                              f"coupling_lag[{i + 1}][{j + 1}]"))
+                phis.append(fn)
+        rows.append((None, _NO_INPUT, terms))
+    return ConcreteSystem(reads, phis, rows, history, checks)
 
-    def __init__(self, bam: BamSpec, r, p, leak_x, leak_y, trans_x, trans_y,
-                 f, g, history):
-        require_valid(bam)
-        n = bam.n
-        problems: list[str] = []
-        for i in range(n):
-            if r[i].lower < bam.r_lo[i] - 1e-9 or r[i].upper > bam.r_hi[i] + 1e-9:
-                problems.append(f"r[{i + 1}] range outside [r_lo, r_hi]")
-            if p[i].lower < bam.p_lo[i] - 1e-9 or p[i].upper > bam.p_hi[i] + 1e-9:
-                problems.append(f"p[{i + 1}] range outside [p_lo, p_hi]")
-            if leak_x[i].bound > bam.tau_x[i] + 1e-9:
-                problems.append(f"leak_x[{i + 1}] bound exceeds tau_x[{i + 1}]")
-            if leak_y[i].bound > bam.tau_y[i] + 1e-9:
-                problems.append(f"leak_y[{i + 1}] bound exceeds tau_y[{i + 1}]")
-            if trans_x[i].bound > bam.sigma_x[i] + 1e-9:
-                problems.append(f"trans_x[{i + 1}] bound exceeds sigma_x[{i + 1}]")
-            if trans_y[i].bound > bam.sigma_y[i] + 1e-9:
-                problems.append(f"trans_y[{i + 1}] bound exceeds sigma_y[{i + 1}]")
-            if f[i].lipschitz > bam.Lf[i] + 1e-9:
-                problems.append(f"f[{i + 1}] Lipschitz constant exceeds Lf[{i + 1}]")
-            if g[i].lipschitz > bam.Lg[i] + 1e-9:
-                problems.append(f"g[{i + 1}] Lipschitz constant exceeds Lg[{i + 1}]")
-        if problems:
-            raise InvalidSpecError(problems)
-        self.bam = bam
-        self.r, self.p = list(r), list(p)
-        self.leak_x, self.leak_y = list(leak_x), list(leak_y)
-        self.trans_x, self.trans_y = list(trans_x), list(trans_y)
-        self.f, self.g = list(f), list(g)
-        # transmissions (y into x, x into y) per unit, then leaks per unit
-        reads = []
-        for j in range(n):
-            reads += [(n + j, trans_y[j], bam.sigma_y[j], f"trans_y[{j + 1}]"),
-                      (j, trans_x[j], bam.sigma_x[j], f"trans_x[{j + 1}]")]
-        for i in range(n):
-            reads += [(i, leak_x[i], bam.tau_x[i], f"leak_x[{i + 1}]"),
-                      (n + i, leak_y[i], bam.tau_y[i], f"leak_y[{i + 1}]")]
-        self._set_common(2 * n, history, reads)
 
-    def rhs(self, t: float, values) -> np.ndarray:
-        bam = self.bam
-        n = bam.n
-        fy = np.array([f(v) for f, v in zip(self.f, values[0:2 * n:2])])
-        gx = np.array([g(v) for g, v in zip(self.g, values[1:2 * n:2])])
-        out = np.empty(2 * n)
-        for i in range(n):
-            out[i] = self.r[i](t) * (
-                -bam.a[i] * values[2 * (n + i)] + float(bam.a_conn[i] @ fy) + bam.I[i])
-            out[n + i] = self.p[i](t) * (
-                -bam.b[i] * values[2 * (n + i) + 1] + float(bam.b_conn[i] @ gx) + bam.J[i])
-        return out
+def LinearConcrete(spec: LinearSystemSpec, coeffs, lags, history) -> ConcreteSystem:
+    """Realize a LinearSystemSpec: dx_i = sum_j c_ij(t) x_j(t - lag_ij)."""
+    require_valid(spec)
+    m = spec.m
+    reads, checks = [], []
+    for i in range(m):
+        for j, c in enumerate(coeffs[i]):
+            low, high = ((-spec.A[i], -spec.alpha[i]) if i == j
+                         else (-spec.A_off[i, j], spec.A_off[i, j]))
+            checks.append((f"coefficients[{i + 1}][{j + 1}]", c.lower, c.upper, low, high))
+            bound = 0.0 if i == j and spec.diagonal_delay_free else spec.sigma[i, j]
+            reads.append((j, lags[i][j], bound, f"lags[{i + 1}][{j + 1}]"))
+    rows = [(None, _NO_INPUT, [(i * m + j, 1.0, c) for j, c in enumerate(coeffs[i])])
+            for i in range(m)]
+    return ConcreteSystem(reads, [None] * len(reads), rows, history, checks)
+
+
+def BamConcrete(bam: BamSpec, r, p, leak_x, leak_y, trans_x, trans_y, f, g,
+                history) -> ConcreteSystem:
+    """Realize a BamSpec with state (x_1..x_n, y_1..y_n): dx_i = r_i(t) *
+    (-a_i x_i(t - leak_x_i) + sum_j a_conn[i][j] f_j(y_j(t - trans_y_j)) + I_i),
+    and the y-layer mirrors it with p, b, b_conn, g, leak_y, trans_x and J.
+    """
+    require_valid(bam)
+    n = bam.n
+    # read 2j carries f_j(y_j) into the x-layer and 2j + 1 carries g_j(x_j)
+    # into the y-layer; the leak reads of unit i are 2(n + i) and 2(n + i) + 1
+    reads, phis, checks = [], [], []
+    for j in range(n):
+        reads += [(n + j, trans_y[j], bam.sigma_y[j], f"trans_y[{j + 1}]"),
+                  (j, trans_x[j], bam.sigma_x[j], f"trans_x[{j + 1}]")]
+        phis += [f[j], g[j]]
+    for i in range(n):
+        reads += [(i, leak_x[i], bam.tau_x[i], f"leak_x[{i + 1}]"),
+                  (n + i, leak_y[i], bam.tau_y[i], f"leak_y[{i + 1}]")]
+        phis += [None, None]
+        checks += [(f"r[{i + 1}]", r[i].lower, r[i].upper, bam.r_lo[i], bam.r_hi[i]),
+                   (f"p[{i + 1}]", p[i].lower, p[i].upper, bam.p_lo[i], bam.p_hi[i]),
+                   (f"f[{i + 1}] Lipschitz constant", 0.0, f[i].lipschitz, 0.0, bam.Lf[i]),
+                   (f"g[{i + 1}] Lipschitz constant", 0.0, g[i].lipschitz, 0.0, bam.Lg[i])]
+    rows = [(rate[i], float(inputs[i]), [(2 * (n + i) + s, -float(gain[i]), None)]
+             + [(2 * j + s, float(conn[i, j]), None) for j in range(n)])
+            for s, rate, gain, conn, inputs in ((0, r, bam.a, bam.a_conn, bam.I),
+                                                (1, p, bam.b, bam.b_conn, bam.J))
+            for i in range(n)]
+    return ConcreteSystem(reads, phis, rows, history, checks, activations=(list(f), list(g)))

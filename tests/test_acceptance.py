@@ -179,7 +179,7 @@ def test_6_forced_equilibrium():
     with tally("criterion 6 (forced equilibrium vs direct solve)"):
         parsed = parse_document(load("bam_modulated.json"))
         spec = parsed.spec
-        act_f, act_g = parsed.concrete.f, parsed.concrete.g
+        act_f, act_g = parsed.concrete.activations
 
         report = equilibrium_exists(spec)
         assert report.exists_unique

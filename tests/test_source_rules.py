@@ -48,3 +48,12 @@ def test_package_exports_exactly_what_it_imports():
     imported = [name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
                 for name in _bound_names(node)]
     assert sorted(imported) == sorted(delaystab.__all__)
+
+
+def test_package_defines_one_right_hand_side():
+    # every family is one ConcreteSystem, so a per-kind `rhs` body cannot return
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "rhs"]
+    assert len(found) == 1, found
