@@ -269,8 +269,8 @@ def _lag_bound(fn) -> float:
 
 
 def _require_delay_free(diagonal_lags, path: str):
-    # the concrete system checks these lags against a declared bound of 0,
-    # but names its own 1-based read labels, not the document's paths
+    # the concrete system checks these lags too, against a declared bound of
+    # 0 within its 1e-9 tolerance, but names its own 1-based read labels
     for i, fn in enumerate(diagonal_lags):
         if fn is not None and fn.bound > 1e-12:
             _fail(path.format(i=i), f"lag must be zero for a delay-free diagonal "

@@ -529,7 +529,7 @@ def read_time(t: float, lag, bound: float, label: str) -> float:
 
 # -0.0 is the exact additive identity (x + -0.0 is x, even for x = -0.0): a
 # row sum starts from it and a row without input adds it
-_NO_INPUT = -0.0
+_EXACT_ZERO = -0.0
 
 
 class ConcreteSystem:
@@ -548,7 +548,7 @@ class ConcreteSystem:
     realization's (f, g), as `solve_equilibrium` takes them; None otherwise.
     """
 
-    def __init__(self, reads, phis, rows, history, checks=(), activations=None):
+    def __init__(self, reads, phis, rows, history, checks, activations=None):
         self.reads = tuple((comp, lag, float(bound), label) for comp, lag, bound, label in reads)
         # only lags that are read count; an absent term's lag is not
         lagged = [(label, 0.0, lag.bound, 0.0, bound) for _, lag, bound, label in self.reads
@@ -576,7 +576,7 @@ class ConcreteSystem:
         x = [v if phi is None else phi(v) for phi, v in zip(self.phis, values)]
         out = np.empty(self.dim)
         for i, (mu, e, terms) in enumerate(self.rows):
-            acc = _NO_INPUT
+            acc = _EXACT_ZERO
             for k, w, c in terms:
                 acc += w * x[k] if c is None else w * c(t) * x[k]
             acc += e
@@ -608,7 +608,7 @@ def GeneralConcrete(spec: GeneralSystemSpec, coeffs, leak_lags, coupling_lags, c
                 reads.append((j, coupling_lags[i][j], spec.sigma[i, j],
                               f"coupling_lag[{i + 1}][{j + 1}]"))
                 phis.append(fn)
-        rows.append((None, _NO_INPUT, terms))
+        rows.append((None, _EXACT_ZERO, terms))
     return ConcreteSystem(reads, phis, rows, history, checks)
 
 
@@ -624,7 +624,7 @@ def LinearConcrete(spec: LinearSystemSpec, coeffs, lags, history) -> ConcreteSys
             checks.append((f"coefficients[{i + 1}][{j + 1}]", c.lower, c.upper, low, high))
             bound = 0.0 if i == j and spec.diagonal_delay_free else spec.sigma[i, j]
             reads.append((j, lags[i][j], bound, f"lags[{i + 1}][{j + 1}]"))
-    rows = [(None, _NO_INPUT, [(i * m + j, 1.0, c) for j, c in enumerate(coeffs[i])])
+    rows = [(None, _EXACT_ZERO, [(i * m + j, 1.0, c) for j, c in enumerate(coeffs[i])])
             for i in range(m)]
     return ConcreteSystem(reads, [None] * len(reads), rows, history, checks)
 
