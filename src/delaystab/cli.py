@@ -137,7 +137,7 @@ def _verdict_dict(verdict) -> dict:
     out["m_matrix"] = None if rep is None else {
         "is_m_matrix": rep.is_m_matrix,
         "off_diagonal_ok": rep.off_diagonal_ok,
-        "min_pivot_slack": rep.margin,
+        "witness_margin": rep.margin,
         "witness": rep.witness_xi,
         "screen": rep.screen_passed,
     }

@@ -8,14 +8,14 @@ Theorem 1's matrix of its family's bounds, computed by one body
 (`_rate_matrix`): undelayed decay is tau = 0, and no self-coupling is a
 zero diagonal of L.  The closed-form corollaries for two components (4-7,
 and 11 for a one-unit two-layer network) are that matrix's leading-minor
-inequalities, so they are decided by the same pivot test; the dominance
+inequalities, so they are decided by the same M-matrix test; the dominance
 variants replace it with the cheaper row/column sufficient conditions.
 
 The rate-parametrized matrix family underlying `certify_decay_rate` is
 entrywise nonincreasing in the rate, so a pass at some rate guarantees a pass
 at every smaller rate (Fiedler & Ptak, 1962); a bracketing search on the
 rate is therefore sound.  The certificate is the pass/fail bracket that a
-safeguarded root-finder on the pivot slacks finds, down to adjacent floats
+safeguarded root-finder on the witness margin finds, down to adjacent floats
 or the width of a fixed number of halvings; the same search
 (`switch_bracket`) finds failure thresholds along a swept parameter.
 
@@ -31,7 +31,7 @@ from math import inf, nan, nextafter, ulp
 
 import numpy as np
 
-from .linalg import DEFAULT_TOL, MMatrixReport, dominance_sums, is_m_matrix, sign_and_pivot_test
+from .linalg import DEFAULT_TOL, MMatrixReport, dominance_sums, is_m_matrix, witness_test
 from .systems import (
     BamSpec,
     FamilyError,
@@ -107,11 +107,11 @@ class DecayCertificate:
     """A decay rate certified by the last pass of a pass/fail bracket.
 
     lambda0 is the last rate at which the test matrix passed; boundary_margin
-    is its smallest scaled pivot slack there.  bracket_width bounds the
+    is its witness margin there.  bracket_width bounds the
     distance to the first failure; upper_failed records whether the top of
     the search range failed at all (when it passes, lambda0 is simply that
-    top).  iterations counts the eliminations run: rate 0, the top and each
-    step of the search.
+    top).  iterations counts the M-matrix tests run: rate 0, the top and
+    each step of the search.
     """
 
     lambda0: float
@@ -245,8 +245,8 @@ def _matrix_verdict(matrix: np.ndarray, tag: str, tol: float) -> StabilityVerdic
     checks = (
         Check("off_diagonal_signs", float(off.max()), 0.0,
               float(-off.max()), bool(report.off_diagonal_ok)),
-        Check("min_pivot_slack", 0.0, float(report.margin),
-              float(report.margin), report.pivots_ok),
+        Check("witness_margin", 0.0, float(report.margin),
+              float(report.margin), report.witness_ok),
     )
     status = STATUS_STABLE if report.is_m_matrix else STATUS_INCONCLUSIVE
     return StabilityVerdict(status, tag, matrix, report, checks)
@@ -278,7 +278,7 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
         raise FamilyError(f"unknown criterion tag {tag!r}")
     if tag in ("cor4", "cor5", "cor6", "cor7"):
         # Corollaries 4-7 are the leading-minor inequalities of a
-        # two-component family's test matrix, so they are its pivot test
+        # two-component family's test matrix, so they are its M-matrix test
         family = _auto_tag(spec)
         inferred = {TAG_GENERAL: 4, TAG_NO_SELF: 4, TAG_UNDELAYED_DECAY: 5,
                     TAG_LINEAR: 6, TAG_LINEAR_UNDELAYED: 7}.get(family)
@@ -307,8 +307,8 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
 def comparison_matrix(spec, tag: str | None = None) -> np.ndarray:
     """Test matrix of a matrix-based criterion tag, auto-selected when None.
 
-    The spec passes that criterion exactly when `sign_and_pivot_test` of
-    this matrix passes both of its tests.
+    The spec passes that criterion exactly when `witness_test` accepts this
+    matrix.
     """
     if tag is None:
         tag = _auto_tag(spec)
@@ -377,23 +377,25 @@ def switch_bracket(trial, lo: float, hi: float, slack_lo: float,
     return lo, hi
 
 
-def pivot_trial(c: np.ndarray, tol: float) -> tuple[bool, float, np.ndarray]:
-    """(verdict, slack, slacks) of `sign_and_pivot_test`, a bracket search's trial.
+def witness_trial(c: np.ndarray, tol: float) -> tuple[bool, float, float]:
+    """(verdict, slack, margin) of `witness_test`, a bracket search's trial.
 
-    The slack is the product of the scaled pivot slacks: positive on a pass,
-    and smooth through the switch, where one slack crosses zero and their
-    minimum has a kink.  It is NaN, which means a halving, when the sign
-    test fails.
+    The slack is the margin s - tol, which crosses zero smoothly at the
+    switch, or NaN, which means a halving, when the sign test fails.  A
+    one-component matrix has no magnitude once its row is scaled, so its
+    slack is read off its entry p instead: p - tol |p|, divided by |p| when
+    |p| > 1.  A passing rate matrix has p in (0, 1], as every diagonal is 1
+    minus a nonnegative term; near the pole at the top of the rate range p
+    tends to -inf, and the division keeps it from pulling every estimate
+    to the passing end.
     """
-    off_ok, pivots_ok, slacks = sign_and_pivot_test(c, tol)
-    p = c[0, 0]
-    with np.errstate(all="ignore"):
-        # one component: p / |p| - tol is +-(1 + tol) and carries only the sign.
-        # p - tol |p| carries more: a passing rate matrix has p in (0, 1], as every
-        # diagonal is 1 minus a nonnegative term.  Near the pole at the top of the
-        # rate range p tends to -inf, so a p below -1 is divided by |p|
-        slack = np.prod(slacks) if len(c) > 1 else (p - tol * abs(p)) / max(1.0, abs(p))
-    return off_ok and pivots_ok, float(slack) if off_ok else nan, slacks
+    off_ok, ok, margin, _ = witness_test(c, tol)
+    if not off_ok:
+        return ok, nan, margin
+    if len(c) > 1:
+        return ok, margin, margin
+    p = float(c[0, 0])
+    return ok, (p - tol * abs(p)) / max(1.0, abs(p)), margin
 
 
 def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
@@ -401,7 +403,7 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
     Every rate tried, 0 and the top of the range included, is decided by
-    one elimination (`sign_and_pivot_test`).  When the top fails, the
+    one `witness_trial`.  When the top fails, the
     certificate is the bracket `switch_bracket` finds: lambda0 is its last
     pass, and the true switchover lies within bracket_width above it.
     """
@@ -416,17 +418,17 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
                                  L=spec.L, diagonal_delay_free=False)
     spec = _require_general(spec, delayed=True)
     bounds = (spec.alpha, spec.A, spec.tau, spec.L, spec.sigma)
-    tried = []      # (rate, smallest scaled pivot slack) of each elimination
+    tried = []      # (rate, witness margin) of each trial
 
     def trial(rate: float) -> tuple[bool, float]:
-        ok, slack, slacks = pivot_trial(_rate_matrix(*bounds, rate), tol)
-        tried.append((rate, float(slacks.min())))
+        ok, slack, margin = witness_trial(_rate_matrix(*bounds, rate), tol)
+        tried.append((rate, margin))
         return ok, slack
 
     if not trial(0.0)[0]:
         raise NotCertifiedError(
             "not certified stable: the rate-zero test matrix is not an "
-            f"M-matrix (margin {tried[0][1]:.3e})")
+            f"M-matrix (margin {min(tried[0][1], -tol):.3e})")
     top = float(np.min(spec.alpha)) - tol
     top_passes, slack_top = trial(top)
     lo, hi = (top, top) if top_passes else switch_bracket(trial, 0.0, top, nan, slack_top)
@@ -448,7 +450,7 @@ def _require_bam(spec) -> BamSpec:
 
 def _bam_dominance(bam, tag: str, tol: float) -> StabilityVerdict:
     # Corollaries 9 and 10: dominance sufficient conditions on the two-layer
-    # comparison matrix C, cheaper than its pivot test.  Variant 1 is strict
+    # comparison matrix C, cheaper than its M-matrix test.  Variant 1 is strict
     # row dominance, 2 strict column dominance, 3/4 the row/column conditions
     # weighted by the witness C^-1 1 of `is_m_matrix`; when C fails there is
     # no witness and they are reported unsatisfied.  cor10 is the case

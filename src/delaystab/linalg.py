@@ -1,11 +1,11 @@
 """Dense linear algebra for small stability test matrices.
 
-The M-matrix classifier is the workhorse.  A Z-matrix (off-diagonal entries
-<= 0) is a nonsingular M-matrix exactly when Gaussian elimination without
-row exchanges produces only positive pivots (Fiedler & Ptak, 1962; Berman &
-Plemmons, ch. 6).  One elimination therefore decides the property, and each
-pivot's slack against its row scale says by how much; a positive witness
-vector C^-1 1 is attached when it succeeds.
+The M-matrix classifier is the workhorse.  A Z-matrix C (off-diagonal
+entries <= 0) is a nonsingular M-matrix exactly when some xi > 0 has
+C xi > 0 (Berman & Plemmons, ch. 6).  `witness_test`, the package's only
+M-matrix decision, solves once for such a xi, checks C xi > 0 against the
+rounding of the product that checks it (Higham, *Accuracy and Stability of
+Numerical Algorithms*, ch. 3), and reads its margin off the same solve.
 
 All functions are pure and hold no global state.
 """
@@ -33,18 +33,17 @@ class LinalgInputError(ValueError):
 class MMatrixReport:
     """Outcome of the nonsingular M-matrix classification.
 
-    pivots_ok records whether every elimination pivot exceeds tol times the
-    largest magnitude in its row; is_m_matrix additionally needs the sign
-    pattern.  margin is the smallest scaled pivot slack (see
-    `sign_and_pivot_test`); witness_xi is C^-1 1 (a positive vector whenever
-    the classification succeeds) and None otherwise.  screen_passed records
+    witness_ok records whether `witness_test` accepted its checked witness;
+    is_m_matrix additionally needs the sign pattern.  margin is that test's
+    s - tol; witness_xi is C^-1 1 (a positive vector whenever the
+    classification succeeds) and None otherwise.  screen_passed records
     which sufficient dominance screen fired, or None when the sign pattern
     already failed.
     """
 
     is_m_matrix: bool
     off_diagonal_ok: bool
-    pivots_ok: bool
+    witness_ok: bool
     margin: float
     witness_xi: np.ndarray | None
     screen_passed: str | None
@@ -65,23 +64,6 @@ def leading_principal_minors(a) -> np.ndarray:
     """Determinants of the k-by-k top-left submatrices, k = 1..n."""
     arr = as_square(a)
     return np.array([np.linalg.det(arr[:k, :k]) for k in range(1, arr.shape[0] + 1)])
-
-
-def _pivots(arr: np.ndarray) -> np.ndarray:
-    """Pivots of Gaussian elimination without row exchanges.
-
-    Elimination cannot pass a zero pivot, so the result stops at the first
-    one and is then shorter than the dimension.
-    """
-    n = arr.shape[0]
-    u = arr.copy()
-    pivots = np.empty(n)
-    for k in range(n):
-        p = pivots[k] = u[k, k]
-        if p == 0.0:
-            return pivots[:k + 1]
-        u[k + 1:, k + 1:] -= (u[k + 1:, k] / p)[:, None] * u[k, k + 1:]
-    return pivots
 
 
 def dominance_sums(arr: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -110,10 +92,9 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
 
     Checks, in order: strict row diagonal dominance, strict column dominance,
     then the same two with positive weights.  When no weights are supplied
-    they are taken as xi = a^-1 1, provided that vector exists and is
-    positive (for a Z-matrix: exactly when it is a nonsingular M-matrix);
-    otherwise the weighted checks are skipped.  Returns the tag of the first
-    screen that passes, or "none".
+    they are the witness xi = a^-1 1 of `witness_test`, provided that test
+    accepts a; otherwise the weighted checks are skipped.  Returns the tag
+    of the first screen that passes, or "none".
 
     Off-diagonal entries must be nonpositive.
     """
@@ -129,58 +110,96 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
         if xi.shape != (n,) or not np.isfinite(xi).all() or (xi <= 0).any():
             raise LinalgInputError("weights must be a positive vector matching the dimension")
     else:
-        try:
-            xi = np.linalg.solve(arr, np.ones(n))
-        except np.linalg.LinAlgError:
-            return SCREEN_NONE
-        if not (xi > 0).all():
+        xi = witness_test(arr, tol)[3]
+        if xi is None:
             return SCREEN_NONE
     return _passed_screen(arr, tol, xi, (SCREEN_WEIGHTED_ROW, SCREEN_WEIGHTED_COLUMN)) \
         or SCREEN_NONE
 
 
-def sign_and_pivot_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, np.ndarray]:
-    """The nonsingular M-matrix test: (off_diagonal_ok, pivots_ok, slacks).
+# the unit roundoff u of doubles, and the most roundings `criteria._rate_matrix`
+# puts into one entry (see `witness_test`)
+_U = 2.0 ** -53
+_BUILD_ROUNDINGS = 16
 
-    a qualifies iff both flags hold.  Each pivot p_k of elimination without
-    row exchanges must exceed tol times the largest magnitude r_k in its row
-    of a, so the test is invariant under positive row scaling.  The slacks
-    p_k / r_k - tol (-tol for a zero row) measure that rule scale-free, one
-    per pivot reached; a zero pivot ends them early."""
+
+def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.ndarray | None]:
+    """The nonsingular M-matrix test: (off_diagonal_ok, witness_ok, margin, witness).
+
+    With r_i the largest magnitude in row i of a (a zero row fails), the
+    rows are scaled to b = a / r, which is exact under a 2^k scaling of any
+    row, so the answer does not move under one.  One solve of
+    b [xi, w] = [1, 1/r] gives the trial witness xi and w = a^-1 1, which is
+    returned as `witness` when the test passes.  a passes iff its
+    off-diagonal entries are <= 0, the solve succeeds with a finite xi,
+    xi > 0, fl(b xi) > g fl(|b| xi) componentwise, and margin = s - tol > 0,
+    where s = 1 / (d_k xi_k) with d = diag(b) and k the component of the
+    largest |d_k xi_k|.  On a pass s is min_i 1 / (d_i xi_i), the
+    Collatz-Wielandt lower bound on 1 - rho(D^-1 N) for b = D - N; near the
+    switch it crosses zero smoothly, which the plain minimum would not, so
+    it steers a bracket search.  A singular b or a non-finite xi sits at the
+    switch, s = 0.  On a fail far from the switch s can be positive; it
+    then only steers, and a report gives at most -tol.
+
+    The constant g is chosen so that a pass proves the exact R^-1 C xi > 0,
+    C being the matrix before any rounding and R = diag(r), with
+    g_j = j u / (1 - j u) and u = 2^-53 (Higham, ch. 3), barring underflow:
+    - building C: `criteria._rate_matrix` rounds each entry K = 16 times
+      (exp counted twice, for its own rounding and its argument's), so
+      |C - a| <= g_K |a|.  A diagonal entry 1 - x carries that error
+      relative to 1 + x instead; the margin s > tol covers the difference
+      as long as the diagonal of a exceeds about 2 g_K / s;
+    - dividing the rows adds one: |R^-1 C - b| <= g_(K+1) |b|;
+    - the products: |fl(b xi) - b xi| <= g_m |b| xi in any summation order,
+      fl(|b| xi) >= (1 - g_m) |b| xi, and fl(g q) >= (1 - u) g q.
+    So R^-1 C xi > [g (1 - u)(1 - g_m) - g_(m+K+1)] |b| xi, and
+    g = g_(2m+K+3) makes the bracket nonnegative for every m below 10^7.
+    """
     arr = as_square(a)
-    off_ok = bool((arr - np.diag(np.diag(arr)) <= 0).all())
+    m = arr.shape[0]
+    if (arr - np.diag(arr.diagonal()) > 0).any():
+        return False, False, -tol, None
+    at_switch = True, False, -tol, None     # s = 0
     rows = np.abs(arr).max(axis=1)
-    pivots = _pivots(arr)
-    pivots_ok = pivots.size == arr.shape[0] and bool((pivots > tol * rows).all())
-    scale = rows[:pivots.size]
-    slacks = np.divide(pivots, scale, out=np.zeros(pivots.size), where=scale > 0) - tol
-    return off_ok, pivots_ok, slacks
+    if not rows.all():
+        return at_switch
+    b = arr / rows[:, None]
+    try:
+        x = np.linalg.solve(b, np.column_stack((np.ones(m), 1.0 / rows)))
+    except np.linalg.LinAlgError:
+        return at_switch
+    xi = x[:, 0]
+    if not np.isfinite(xi).all():
+        return at_switch
+    dx = b.diagonal() * xi
+    top = float(dx[np.abs(dx).argmax()])
+    s = 1.0 / top if top else 0.0
+    g = (2 * m + _BUILD_ROUNDINGS + 3) * _U
+    if s - tol > 0.0 and (xi > 0.0).all() and (b @ xi > g / (1.0 - g) * (np.abs(b) @ xi)).all():
+        return True, True, s - tol, x[:, 1]
+    return True, False, s - tol, None
 
 
 def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
-    """Classify a as a nonsingular M-matrix by one elimination.
+    """Classify a as a nonsingular M-matrix by `witness_test`.
 
-    The verdict is `sign_and_pivot_test`, and the margin its smallest slack.
-    Matrices sitting exactly on the boundary (a zero pivot) are classified
-    negative, with a margin of at most -tol.
+    A failed matrix reports a margin of at most -tol; one sitting exactly
+    on the boundary (a singular one) reports -tol.
 
     screen_passed is row or column dominance when one holds, else
     "weighted-row" for a qualifying matrix (the weights C^-1 1 give
     C xi = 1) and "none" otherwise.
     """
     arr = as_square(a)
-    n = arr.shape[0]
-    off_ok, pivots_ok, slacks = sign_and_pivot_test(arr, tol)
-    verdict = off_ok and pivots_ok
-    witness = np.linalg.solve(arr, np.ones(n)) if verdict else None
+    off_ok, ok, margin, witness = witness_test(arr, tol)
     screen = None
     if off_ok:
-        screen = _passed_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if verdict else SCREEN_NONE)
+        screen = _passed_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if ok else SCREEN_NONE)
     return MMatrixReport(
-        is_m_matrix=verdict,
+        is_m_matrix=ok,
         off_diagonal_ok=off_ok,
-        pivots_ok=pivots_ok,
-        margin=float(slacks.min()),
+        witness_ok=ok,
+        margin=margin if ok else min(margin, -tol),
         witness_xi=witness,
         screen_passed=screen,
     )

@@ -13,9 +13,9 @@ from .criteria import (
     NotCertifiedError,
     certify_decay_rate,
     comparison_matrix,
-    pivot_trial,
     stability_verdict,
     switch_bracket,
+    witness_trial,
 )
 from .equilibrium import DivergenceError, solve_equilibrium
 from .linalg import DEFAULT_TOL, LinalgInputError
@@ -149,8 +149,8 @@ def find_failure_threshold(points, *, start: float = 0.0, tol: float = DEFAULT_T
     last stride with `switch_bracket`, the search behind decay-rate
     certificates.  Documents that fail to parse at a trial value count as
     failures, so the search also finds validity edges.  Every value is
-    judged by the sign and pivot test of the comparison matrix that
-    `stability_verdict` auto-selects (slack: that of `pivot_trial`).
+    judged by `witness_trial` on the comparison matrix that
+    `stability_verdict` auto-selects.
     """
     evals = 0
 
@@ -158,7 +158,7 @@ def find_failure_threshold(points, *, start: float = 0.0, tol: float = DEFAULT_T
         nonlocal evals
         evals += 1
         try:
-            return pivot_trial(comparison_matrix(points(value).spec), tol)[:2]
+            return witness_trial(comparison_matrix(points(value).spec), tol)[:2]
         except _POINT_ERRORS:
             return False, nan
 

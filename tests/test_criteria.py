@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delaystab import criteria
-from delaystab.linalg import leading_principal_minors, sign_and_pivot_test
+from delaystab.linalg import leading_principal_minors, witness_test
 from delaystab import (
     ALL_TAGS,
     BamSpec,
@@ -100,9 +100,9 @@ def certificate_rate_zero_matrix(spec) -> np.ndarray:
 
     def fail(c, tol):
         decided.append(c)
-        return False, nan, np.array([nan])
+        return False, nan, nan
 
-    with mock.patch.object(criteria, "pivot_trial", fail), pytest.raises(NotCertifiedError):
+    with mock.patch.object(criteria, "witness_trial", fail), pytest.raises(NotCertifiedError):
         certify_decay_rate(spec)
     return decided[0]
 
@@ -298,9 +298,8 @@ def test_certified_rate_brackets(general_2x2):
 
 
 def test_certificate_builds_full_reports_only_at_zero_and_lambda0(monkeypatch, general_2x2):
-    # every rate, 0 included, is decided by the pivot test alone; no full
-    # report (witness solve and screens) is built, and iterations counts
-    # the eliminations
+    # every rate, 0 included, is decided by the witness test alone; no full
+    # report (screens) is built, and iterations counts the tests
     calls = []
 
     def counting(a, tol=criteria.DEFAULT_TOL):
@@ -378,8 +377,7 @@ def rate_matrix(spec, rate):
 
 
 def passes_at(spec, rate, tol=criteria.DEFAULT_TOL) -> bool:
-    off_ok, pivots_ok, _ = sign_and_pivot_test(rate_matrix(spec, rate), tol)
-    return off_ok and pivots_ok
+    return witness_test(rate_matrix(spec, rate), tol)[1]
 
 
 def halvings(passes, lo: float, hi: float) -> tuple[float, float]:
@@ -396,7 +394,7 @@ def halvings(passes, lo: float, hi: float) -> tuple[float, float]:
 
 def sixty_halvings(spec, tol=criteria.DEFAULT_TOL) -> DecayCertificate:
     """The certificate as it was computed before the bracketing search: every
-    one of the 60 halvings runs its own elimination."""
+    one of the 60 halvings runs its own test."""
     spec = rate_family(spec)
     if not is_m_matrix(build_general(spec), tol=tol).is_m_matrix:
         raise NotCertifiedError("rate zero does not pass")
@@ -415,20 +413,20 @@ def sixty_halvings(spec, tol=criteria.DEFAULT_TOL) -> DecayCertificate:
 
 def bits(cert: DecayCertificate) -> list:
     # every field but iterations, which the halvings fixed at 60 (0 when the
-    # top passes) and the search sets to its eliminations
+    # top passes) and the search sets to its tests
     return [(type(v), v.hex() if isinstance(v, float) else v)
             for name, v in asdict(cert).items() if name != "iterations"]
 
 
 def counted_certificate(spec):
-    """(certificate or the exception class it raised, trial eliminations)."""
+    """(certificate or the exception class it raised, trial tests)."""
     calls = []
 
     def counting(a, tol=criteria.DEFAULT_TOL):
         calls.append(len(a))
-        return sign_and_pivot_test(a, tol)
+        return witness_test(a, tol)
 
-    with mock.patch.object(criteria, "sign_and_pivot_test", counting):
+    with mock.patch.object(criteria, "witness_test", counting):
         try:
             cert = certify_decay_rate(spec)
         except NotCertifiedError:
@@ -452,7 +450,7 @@ def rate_specs(draw):
 
 
 def certificate_against_sixty_halvings(spec):
-    """(certificate or NotCertifiedError, trial eliminations), checked against
+    """(certificate or NotCertifiedError, trial tests), checked against
     the 60 halvings.  Where those end on adjacent floats the bracket around
     the switch is unique, and the certificate equals theirs bit for bit.
     Elsewhere it must still be a sound bracket no wider than theirs could
@@ -463,7 +461,7 @@ def certificate_against_sixty_halvings(spec):
     except NotCertifiedError:
         want = NotCertifiedError
     cert, trials = counted_certificate(spec)
-    # the halvings took 61 eliminations; the search never needs more than 63
+    # the halvings took 61 tests; the search never needs more than 63
     assert trials <= 63
     if want is NotCertifiedError or cert is NotCertifiedError:
         assert cert is want
@@ -479,8 +477,7 @@ def certificate_against_sixty_halvings(spec):
         assert cert.upper_failed and want.upper_failed
         assert passes_at(family, lam) and not passes_at(family, lam + width)
         assert 0.0 < width <= max(top * 0.5 ** 60, ulp(lam))
-        slack = sign_and_pivot_test(rate_matrix(family, lam))[2].min()
-        assert cert.boundary_margin == slack
+        assert cert.boundary_margin == witness_test(rate_matrix(family, lam))[2]
     return cert, trials
 
 
@@ -566,10 +563,10 @@ def test_one_component_search_interpolates_on_the_unscaled_slack():
     assert np.median(counts) <= 20 and np.percentile(counts, 90) <= 25
 
 
-# each took 61 trial eliminations when every halving ran its own; the
+# each took 61 trial tests when every halving ran its own; the
 # counts include the one at rate 0
 @pytest.mark.parametrize("name, trials", [
-    ("bam_modulated", 16), ("general_sample", 14), ("two_neuron_sample", 17)])
+    ("bam_modulated", 16), ("general_sample", 13), ("two_neuron_sample", 18)])
 def test_input_certificates_take_few_trials(inputs_dir, name, trials):
     spec = parse_file(str(inputs_dir / f"{name}.json")).spec
     cert, count = certificate_against_sixty_halvings(spec)

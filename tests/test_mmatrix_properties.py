@@ -1,4 +1,4 @@
-"""Properties of the single-elimination M-matrix test.
+"""Properties of the checked-witness M-matrix test.
 
 The verdict is compared with an independent numpy oracle (a Z-matrix is a
 nonsingular M-matrix iff its inverse is nonnegative and every eigenvalue has
@@ -95,7 +95,7 @@ def test_verdict_invariant_under_symmetric_permutation(seed, m, shift, log_scale
 
 def test_small_diagonal_identity_is_m_matrix():
     # the leading minors 0.1**k of 0.1 I(20) fall below 1e-12 from k = 13 on
-    # (and to 0.0 in floats at 0.1 I(400)); every scaled pivot slack is 1 - tol
+    # (and to 0.0 in floats at 0.1 I(400)); the witness margin is 1 - tol
     assert leading_principal_minors(0.1 * np.eye(20)).min() < 1e-12
     for m in (20, 400):
         report = is_m_matrix(0.1 * np.eye(m))
@@ -105,10 +105,13 @@ def test_small_diagonal_identity_is_m_matrix():
 
 
 def test_zero_pivot_keeps_true_minors():
-    # elimination stops at the zero pivot, whose scaled slack is -tol
-    report = is_m_matrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
-    assert not report.is_m_matrix and not report.pivots_ok
-    assert report.margin == -DEFAULT_TOL
+    # a zero diagonal: the witness xi = -(1, 1) gives diag(b) xi = 0, so the
+    # test sits at the switch, s = 0, and reports the margin -tol
+    c = np.array([[0.0, -1.0], [-1.0, 0.0]])
+    assert list(leading_principal_minors(c)) == [0.0, -1.0]
+    report = is_m_matrix(c)
+    assert not report.is_m_matrix and not report.witness_ok
+    assert report.margin == -DEFAULT_TOL and report.witness_xi is None
 
 
 def test_45_unit_spec_is_certified():

@@ -141,7 +141,7 @@ def test_sweep_reports_a_value_that_makes_the_spec_invalid():
     rows = sweep_module.sweep(point_parser(_coupled_general(), "parameters.k"),
                               [0.1, -0.5, float("nan")])
     assert rows[0].status == "stable_certified" and rows[0].criterion == "cor0"
-    assert rows[0].lambda0 == 0.5106213191930471
+    assert rows[0].lambda0 == 0.510621319193048
     assert [r.error for r in rows[1:]] == [
         "spec.L[1][2] must be >= 0 (got -0.5); spec.L[2][1] must be >= 0 (got -0.5)",
         "spec.L[1][2] must be finite (got nan); spec.L[2][1] must be finite (got nan)"]
@@ -157,9 +157,9 @@ def test_threshold_search_doubles_its_stride():
     spec["tau"] = [v / 10.0 for v in spec["tau"]]
     spec["sigma"] = [[v / 10.0 for v in row] for row in spec["sigma"]]
     t = find_failure_threshold(point_parser(doc, "parameters.k"), start=0.1)
-    assert t.bracket[0] == t.value == 6.891004896072784
+    assert t.bracket[0] == t.value == 6.891004896069715
     assert 3.1 < t.value < t.bracket[1] < 7.1
-    assert t.evaluations == 13
+    assert t.evaluations == 14
 
 
 def test_threshold_search_gives_up_after_its_expansions():
@@ -174,7 +174,7 @@ def test_threshold_search_gives_up_after_its_expansions():
 def test_threshold_search_counts_invalid_values_as_failures():
     t = find_failure_threshold(point_parser(_coupled_general(), "parameters.k"), start=0.1)
     assert (t.value, t.bracket, t.evaluations) == \
-        (0.6891004896072784, (0.6891004896072784, 0.6891004896072785), 12)
+        (0.6891004896069715, (0.6891004896069715, 0.6891004896069716), 12)
 
 
 def test_threshold_search_on_a_one_unit_network_uses_the_matrix_verdict(two_neuron_doc):
@@ -182,13 +182,13 @@ def test_threshold_search_on_a_one_unit_network_uses_the_matrix_verdict(two_neur
     # matrix that `analyze` auto-selects
     points = point_parser(two_neuron_doc, "spec.coupling_xy")
     t = find_failure_threshold(points, start=0.1)
-    assert t.value == 1.142857142856
-    assert t.bracket == (1.142857142856, 1.1428571428560002)
+    assert t.value == 1.142857142854857
+    assert t.bracket == (1.142857142854857, 1.1428571428548573)
     assert t.evaluations == 13
     assert [stability_verdict(points(v).spec).criterion_used for v in t.bracket] == ["thm3"] * 2
     assert stability_verdict(points(t.value).spec).stable
     assert not stability_verdict(points(t.bracket[1]).spec).stable
-    # Corollary 11 is the same matrix's pivot test, so it switches there too
+    # Corollary 11 is the same matrix's M-matrix test, so it switches there too
     for v in t.bracket:
         spec = points(v).spec
         assert stability_verdict(spec, criterion="cor11").status == stability_verdict(spec).status
@@ -208,7 +208,7 @@ def _one_component_general(rng):
 
 
 def test_one_component_threshold_search_interpolates_on_the_pivot():
-    # a 1x1 matrix has one pivot p; the search steers on p, not on its sign
+    # a 1x1 matrix is its one entry p; the search steers on p, not on its sign
     rng = np.random.default_rng(12)
     evaluations = []
     for _ in range(40):
