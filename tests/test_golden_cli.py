@@ -3,20 +3,21 @@
 `golden_cli.json` holds the exit status and the JSON report of `analyze`
 (auto-selected and with each criterion tag forced), `certify-rate` and
 `equilibrium` for each `inputs/*.json`, as produced before the M-matrix
-classifier was rewritten as a single elimination, and the reports of a few
-`simulate` and `sweep` runs (`EXTRA_INVOCATIONS`), frozen before the
-certification layer shared one body per concept.  The M-matrix margins and
-the certificates' `boundary_margin` and `iterations` were re-recorded,
-alone, when the margin became the smallest scaled pivot slack and the
-certificate the search's own bracket; the sweeps' `threshold.evaluations`,
-alone, when failure thresholds moved to that same bracket search, and the
-`bam_modulated` sweep's again when one-unit networks moved from the
-closed form to the matrix trial.  The `checks` and `m_matrix` of the
-forced `cor7` and `cor11` verdicts were re-recorded, alone, when the
-closed-form corollaries moved to the pivot test.  Strings, booleans,
-integers and nulls must match exactly; floats must agree to rtol 1e-9.
-The one exception is a certificate's `boundary_margin`: it is the smallest
-scaled pivot slack at the last rate that passed, so it sits at the decision
+classifier was rewritten, and the reports of a few `simulate` and `sweep`
+runs (`EXTRA_INVOCATIONS`), frozen before the certification layer shared
+one body per concept.  Keys were re-recorded, alone, when the output
+meant something new:
+- the M-matrix margins, the certificates' `boundary_margin` and
+  `iterations`, and the sweeps' `threshold.evaluations`, when the pass/fail
+  bracket search replaced the halvings;
+- the `checks` and `m_matrix` of the forced `cor7` and `cor11` verdicts,
+  when the closed-form corollaries moved to the matrix test;
+- the `m_matrix` margin, now `witness_margin`, the same-named check, two
+  certificates' `iterations` and one sweep's `threshold.evaluations`, when
+  the checked witness solve replaced the elimination.
+Strings, booleans, integers and nulls must match exactly; floats must agree
+to rtol 1e-9.  The one exception is a certificate's `boundary_margin`: it is
+the witness margin at the last rate that passed, so it sits at the decision
 threshold (zero) by construction, and only its order of magnitude is
 pinned.
 
