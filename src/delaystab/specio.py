@@ -110,11 +110,15 @@ def _num_matrix(x, path: str, size: int) -> list[list[float]]:
     return [_num_list(row, f"{path}[{i}]", size) for i, row in enumerate(x)]
 
 
-def _key_path(path: str, key) -> str:
-    # a key longer than 80 characters is named by its first 40 and its
+def _short(name) -> str:
+    # a name longer than 80 characters is shown by its first 40 and its
     # length, so the error line stays short
-    key = str(key)
-    key = key if len(key) <= 80 else f"{key[:40]}... ({len(key)} characters)"
+    name = str(name)
+    return name if len(name) <= 80 else f"{name[:40]}... ({len(name)} characters)"
+
+
+def _key_path(path: str, key) -> str:
+    key = _short(key)
     return f"{path}.{key}" if path else key
 
 
@@ -144,7 +148,7 @@ def resolve_parameters(doc: dict) -> tuple[dict, dict]:
         if isinstance(node, str) and node.startswith("$"):
             name = node[1:]
             if name not in params:
-                _fail(path, f"unknown parameter reference '${name}'")
+                _fail(path, f"unknown parameter reference '${_short(name)}'")
             return params[name]
         if isinstance(node, dict):
             return {k: walk(v, _key_path(path, k)) for k, v in node.items()}

@@ -605,8 +605,10 @@ def _nested(depth: int):
     # an unknown key is named by its first 40 characters and its length
     (("spec", "k" * 500_000), 1.0, "spec." + "k" * 40 + "... (500000 characters)"),
     (("spec", "k" * 500_000), "$nope", "spec." + "k" * 40 + "... (500000 characters)"),
+    # and so is an unknown reference name
+    (("spec", "a"), "$" + "q" * 500_000, "spec.a"),
 ], ids=["k-100000-numbers", "k-480-deep", "type-100000-numbers", "kind-100000-numbers",
-        "key-500000-chars", "reference-key-500000-chars"])
+        "key-500000-chars", "reference-key-500000-chars", "reference-name-500000-chars"])
 def test_error_line_stays_short_whatever_the_value(tmp_path, two_neuron_doc, where, value,
                                                     shown):
     node = two_neuron_doc
