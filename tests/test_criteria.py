@@ -319,6 +319,38 @@ def test_certify_requires_stable_base():
         certify_decay_rate(spec)
 
 
+@pytest.mark.parametrize("k", [1.0, nextafter(1.0, inf)])
+def test_singular_boundary_and_one_ulp_past_it_are_inconclusive(k):
+    # the rate-0 matrix is [[1, -1], [-k, 1]]: exactly singular at k = 1, one
+    # ulp past the boundary above; neither raises, both are refused
+    spec = GeneralSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0], tau=[0.0, 0.0],
+                             sigma=[[0.0, 0.0], [0.0, 0.0]], L=[[0.0, 1.0], [k, 0.0]])
+    verdict = stability_verdict(spec)
+    assert verdict.test_matrix.tolist() == [[1.0, -1.0], [-k, 1.0]]
+    assert verdict.status == "inconclusive"
+    assert verdict.report.margin <= -criteria.DEFAULT_TOL
+    assert verdict.report.witness_xi is None
+    assert not witness_test(verdict.test_matrix, 0.0)[1]
+    with pytest.raises(NotCertifiedError):
+        certify_decay_rate(spec)
+
+
+def test_a_singular_trial_matrix_inside_the_search_is_a_failure(monkeypatch, general_2x2):
+    # above half the top every trial matrix is made exactly singular, the
+    # top's included; each is a failure, and the search still certifies
+    real = criteria._rate_matrix
+    top = float(np.min(general_2x2.alpha)) - criteria.DEFAULT_TOL
+
+    def singular_above_half(alpha, A, tau, L, sigma=None, rate=0.0):
+        if rate > 0.5 * top:
+            return np.array([[1.0, -1.0], [-1.0, 1.0]])
+        return real(alpha, A, tau, L, sigma, rate)
+
+    monkeypatch.setattr(criteria, "_rate_matrix", singular_above_half)
+    cert = certify_decay_rate(general_2x2)
+    assert cert.upper_failed and 0.0 < cert.lambda0 <= 0.5 * top
+
+
 def test_certify_rejects_linear_family(linear_2x2):
     with pytest.raises(FamilyError):
         certify_decay_rate(linear_2x2)

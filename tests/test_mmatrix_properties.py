@@ -9,6 +9,8 @@ spectral radius of D^-1 B; `shift` places s on either side of it.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
@@ -18,15 +20,18 @@ from delaystab import (
     FamilyError,
     GeneralSystemSpec,
     LinearSystemSpec,
+    NotCertifiedError,
     certify_decay_rate,
     is_m_matrix,
     leading_principal_minors,
     stability_verdict,
 )
+from delaystab import criteria
 from delaystab.criteria import ALL_TAGS
 from delaystab.criteria import test_matrix_at_rate as build_at_rate
+from delaystab.linalg import witness_test
 
-from conftest import random_bam
+from conftest import random_bam, random_general
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 
@@ -91,6 +96,93 @@ def test_verdict_invariant_under_symmetric_permutation(seed, m, shift, log_scale
     assume(oracle(c) is not None)
     perm = np.random.default_rng(perm_seed).permutation(m)
     assert is_m_matrix(c[np.ix_(perm, perm)]).is_m_matrix == is_m_matrix(c).is_m_matrix
+
+
+def checked(c, tol=DEFAULT_TOL):
+    """(`witness_test(c, tol)`, b, xi): the test's answer with the scaled
+    matrix b and trial witness xi of its solve, None when it did not solve."""
+    solved = []
+    real = np.linalg.solve
+
+    def solve(b, rhs):
+        x = real(b, rhs)
+        solved.append((b, x[:, 0]))
+        return x
+
+    with mock.patch.object(np.linalg, "solve", solve):
+        answer = witness_test(c, tol)
+    return (answer, *solved[0]) if solved else (answer, None, None)
+
+
+def exactly_positive(a: np.ndarray, xi: np.ndarray) -> bool:
+    """a xi > 0 componentwise, in exact rational arithmetic on the floats."""
+    x = [Fraction(v) for v in xi]
+    return all(sum(Fraction(v) * w for v, w in zip(row, x)) > 0 for row in a)
+
+
+def assert_exactly_checked(c: np.ndarray, b: np.ndarray, xi: np.ndarray):
+    # the float witness proves the float matrix: no rounding in the product
+    # nor in the row scaling can have made a failing c pass
+    assert (xi > 0).all()
+    assert exactly_positive(b, xi) and exactly_positive(c, xi)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 8), st.floats(0.9, 1.1), scales)
+def test_a_passing_witness_is_positive_in_exact_arithmetic(seed, m, shift, log_scale):
+    # shifts near 1 put the matrices close to singular, where rounding matters
+    c = z_matrix(seed, m, shift, log_scale)
+    for tol in (DEFAULT_TOL, 0.0):
+        answer, b, xi = checked(c, tol)
+        if answer[1]:
+            assert_exactly_checked(c, b, xi)
+
+
+@st.composite
+def certified_specs(draw):
+    """General specs (m up to 12, either decay family, time rescaled by
+    1e-6..1e3) and two-layer specs."""
+    rng = np.random.default_rng(draw(seeds))
+    if draw(st.booleans()):
+        return random_bam(rng, n=draw(st.integers(1, 4)))
+    spec = random_general(rng, draw(st.integers(1, 12)),
+                          coupling_scale=draw(st.floats(0.1, 1.5)))
+    s = 10.0 ** draw(scales)
+    return GeneralSystemSpec(alpha=spec.alpha * s, A=spec.A * s, tau=spec.tau / s,
+                             sigma=spec.sigma / s, L=spec.L * s,
+                             diagonal_delay_free=draw(st.booleans()))
+
+
+@PROPERTY
+@given(certified_specs())
+def test_every_certified_rate_is_positive_in_exact_arithmetic(spec):
+    # every trial rate that passes, lambda0 among them, is checked exactly
+    passed = []
+
+    def recording(c, tol):
+        answer, b, xi = checked(c, tol)
+        if answer[1]:
+            passed.append((c, b, xi))
+        return answer
+
+    with mock.patch.object(criteria, "witness_test", recording):
+        try:
+            certify_decay_rate(spec)
+        except NotCertifiedError:
+            assert not passed
+    for c, b, xi in passed:
+        assert_exactly_checked(c, b, xi)
+
+
+@PROPERTY
+@given(seeds, st.integers(1, 8), shifts, scales, seeds)
+def test_witness_test_is_bit_invariant_under_power_of_two_row_scaling(
+        seed, m, shift, log_scale, scale_seed):
+    c = z_matrix(seed, m, shift, log_scale)
+    k = np.random.default_rng(scale_seed).integers(-40, 41, m)
+    off_ok, ok, margin, _ = witness_test(c)
+    scaled = witness_test(np.ldexp(c, k[:, None]))
+    assert scaled[:2] == (off_ok, ok) and scaled[2].hex() == margin.hex()
 
 
 def test_small_diagonal_identity_is_m_matrix():

@@ -57,3 +57,13 @@ def test_package_defines_one_right_hand_side():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "rhs"]
     assert len(found) == 1, found
+
+
+def test_package_solves_one_linear_system():
+    # the checked witness of `linalg.witness_test` is the only M-matrix
+    # decision, so its solve is the package's one `np.linalg.solve` call
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"]
+    assert len(found) == 1, found
