@@ -157,15 +157,15 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     """
     arr = as_square(a)
     m = arr.shape[0]
-    if (arr - np.diag(arr.diagonal()) > 0).any():
-        return False, False, -tol, None
+    if np.count_nonzero(arr > 0.0) > np.count_nonzero(arr.diagonal() > 0.0):
+        return False, False, -tol, None     # a positive off-diagonal entry
     at_switch = True, False, -tol, None     # s = 0
     rows = np.abs(arr).max(axis=1)
     if not rows.all():
         return at_switch
     b = arr / rows[:, None]
     try:
-        x = np.linalg.solve(b, np.column_stack((np.ones(m), 1.0 / rows)))
+        x = np.linalg.solve(b, np.array((np.ones(m), 1.0 / rows)).T)
     except np.linalg.LinAlgError:
         return at_switch
     xi = x[:, 0]
