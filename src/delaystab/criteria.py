@@ -381,7 +381,8 @@ def witness_trial(c: np.ndarray, tol: float) -> tuple[bool, float, float]:
     """(verdict, slack, margin) of `witness_test`, a bracket search's trial.
 
     The slack is the margin s - tol, which crosses zero smoothly at the
-    switch, or NaN, which means a halving, when the sign test fails.  A
+    switch; a positive one on a fail far from the switch, or NaN when the
+    sign test fails, means a halving.  A
     one-component matrix has no magnitude once its row is scaled, so its
     slack is read off its entry p instead: p - tol |p|, divided by |p| when
     |p| > 1.  A passing rate matrix has p in (0, 1], as every diagonal is 1
@@ -403,9 +404,9 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
     Every rate tried, 0 and the top of the range included, is decided by
-    one `witness_trial`.  When the top fails, the
-    certificate is the bracket `switch_bracket` finds: lambda0 is its last
-    pass, and the true switchover lies within bracket_width above it.
+    one `witness_trial`.  When the top fails, the certificate is the
+    bracket `switch_bracket` finds: lambda0 is its last pass, and the true
+    switchover lies within bracket_width above it.
     """
     if isinstance(spec, BamSpec):
         spec = bam_to_general(spec)
