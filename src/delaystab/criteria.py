@@ -107,11 +107,10 @@ class DecayCertificate:
     """A decay rate certified by the last pass of a pass/fail bracket.
 
     lambda0 is the last rate at which the test matrix passed; boundary_margin
-    is its witness margin there.  bracket_width bounds the
-    distance to the first failure; upper_failed records whether the top of
-    the search range failed at all (when it passes, lambda0 is simply that
-    top).  iterations counts the M-matrix tests run: rate 0, the top and
-    each step of the search.
+    is its witness margin there.  bracket_width bounds the distance to the
+    first failure; upper_failed records whether the top of the search range
+    failed at all (when it passes, lambda0 is simply that top).  iterations
+    counts the M-matrix tests run: rate 0, the top and each search step.
     """
 
     lambda0: float
@@ -381,14 +380,12 @@ def witness_trial(c: np.ndarray, tol: float) -> tuple[bool, float, float]:
     """(verdict, slack, margin) of `witness_test`, a bracket search's trial.
 
     The slack is the margin s - tol, which crosses zero smoothly at the
-    switch; a positive one on a fail far from the switch, or NaN when the
-    sign test fails, means a halving.  A
-    one-component matrix has no magnitude once its row is scaled, so its
-    slack is read off its entry p instead: p - tol |p|, divided by |p| when
-    |p| > 1.  A passing rate matrix has p in (0, 1], as every diagonal is 1
-    minus a nonnegative term; near the pole at the top of the rate range p
-    tends to -inf, and the division keeps it from pulling every estimate
-    to the passing end.
+    switch; a positive one on a fail, or NaN when the sign test fails,
+    means a halving.  A 1x1 matrix has no magnitude once its row is scaled,
+    so its slack is p - tol |p| of its entry p, over |p| when |p| > 1: a
+    passing rate matrix has p in (0, 1], and near the pole at the top of
+    the rate range p tends to -inf, which would pull every estimate to
+    the passing end.
     """
     off_ok, ok, margin, _ = witness_test(c, tol)
     if not off_ok:

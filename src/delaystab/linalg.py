@@ -99,57 +99,44 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
     Off-diagonal entries must be nonpositive.
     """
     arr = as_square(a)
-    n = arr.shape[0]
-    if (arr - np.diag(np.diag(arr)) > 0).any():
+    off_ok, _, _, xi = witness_test(arr, tol)
+    if not off_ok:
         raise LinalgInputError("dominance screens require nonpositive off-diagonal entries")
-    plain = _passed_screen(arr, tol)
-    if plain is not None:
-        return plain
     if weights is not None:
         xi = np.asarray(weights, dtype=float)
-        if xi.shape != (n,) or not np.isfinite(xi).all() or (xi <= 0).any():
+        if xi.shape != arr.shape[:1] or not np.isfinite(xi).all() or (xi <= 0).any():
             raise LinalgInputError("weights must be a positive vector matching the dimension")
-    else:
-        xi = witness_test(arr, tol)[3]
-        if xi is None:
-            return SCREEN_NONE
+    plain = _passed_screen(arr, tol)
+    if plain is not None or xi is None:
+        return plain or SCREEN_NONE
     return _passed_screen(arr, tol, xi, (SCREEN_WEIGHTED_ROW, SCREEN_WEIGHTED_COLUMN)) \
         or SCREEN_NONE
-
-
-# the unit roundoff u of doubles, and the most roundings `criteria._rate_matrix`
-# puts into one entry (see `witness_test`)
-_U = 2.0 ** -53
-_BUILD_ROUNDINGS = 16
 
 
 def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.ndarray | None]:
     """The nonsingular M-matrix test: (off_diagonal_ok, witness_ok, margin, witness).
 
-    With r_i the largest magnitude in row i of a (a zero row fails), the
-    rows are scaled to b = a / r, which is exact under a 2^k scaling of any
-    row, so the answer does not move under one.  One solve of
-    b [xi, w] = [1, 1/r] gives the trial witness xi and w = a^-1 1, which is
-    returned as `witness` when the test passes.  a passes iff its
-    off-diagonal entries are <= 0, the solve succeeds with a finite xi,
-    xi > 0, fl(b xi) > g fl(|b| xi) componentwise, and margin = s - tol > 0,
-    where s = 1 / (d_k xi_k) with d = diag(b) and k the component of the
-    largest |d_k xi_k|.  On a pass s is min_i 1 / (d_i xi_i), the
-    Collatz-Wielandt lower bound on 1 - rho(D^-1 N) for b = D - N; near the
-    switch it crosses zero smoothly, which the plain minimum would not, so
-    it steers a bracket search.  A singular b or a non-finite xi sits at the
-    switch, s = 0.  On a fail far from the switch s can be positive; it
-    then only steers, and a report gives at most -tol.
+    The rows are scaled to b = a / r, r_i the largest |a_ij| (a zero row
+    fails), which is exact under a 2^k scaling of a row, so the answer does
+    not move under one.  One solve of b [xi, w] = [1, 1/r] gives the trial
+    witness xi and w = a^-1 1, the `witness` of a pass.  a passes iff its
+    off-diagonal entries are <= 0, the solve gives a finite xi > 0,
+    fl(b xi) > g fl(|b| xi), and margin = s - tol > 0, where s = 1 / (d_k xi_k)
+    for d = diag(b) and the largest |d_k xi_k|.  On a pass s is the
+    Collatz-Wielandt bound min_i 1 / (d_i xi_i) <= 1 - rho(D^-1 N), b = D - N;
+    unlike that minimum it crosses zero smoothly at the switch, so it steers
+    a bracket search.  A singular b or a non-finite xi sits at the switch,
+    s = 0.  A fail far from the switch can have s > 0, which only steers.
 
-    The constant g is chosen so that a pass proves the exact R^-1 C xi > 0,
-    C being the matrix before any rounding and R = diag(r), with
-    g_j = j u / (1 - j u) and u = 2^-53 (Higham, ch. 3), barring underflow:
+    A pass proves the exact R^-1 C xi > 0, for C before any rounding and
+    R = diag(r), barring underflow; with u = 2^-53 and g_j = j u / (1 - j u)
+    (Higham, ch. 3), g covers three roundings:
     - building C: `criteria._rate_matrix` rounds each entry K = 16 times
-      (exp counted twice, for its own rounding and its argument's), so
-      |C - a| <= g_K |a|.  A diagonal entry 1 - x carries that error
-      relative to 1 + x instead; the margin s > tol covers the difference
-      as long as the diagonal of a exceeds about 2 g_K / s;
-    - dividing the rows adds one: |R^-1 C - b| <= g_(K+1) |b|;
+      (exp counts twice, for its own rounding and its argument's), so
+      |C - a| <= g_K |a|.  A diagonal 1 - x carries that error relative to
+      1 + x instead, which s > tol covers while the diagonal of a exceeds
+      about 2 g_K / s;
+    - dividing the rows: |R^-1 C - b| <= g_(K+1) |b|;
     - the products: |fl(b xi) - b xi| <= g_m |b| xi in any summation order,
       fl(|b| xi) >= (1 - g_m) |b| xi, and fl(g q) >= (1 - u) g q.
     So R^-1 C xi > [g (1 - u)(1 - g_m) - g_(m+K+1)] |b| xi, and
@@ -174,18 +161,15 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     dx = b.diagonal() * xi
     top = float(dx[np.abs(dx).argmax()])
     s = 1.0 / top if top else 0.0
-    g = (2 * m + _BUILD_ROUNDINGS + 3) * _U
-    if s - tol > 0.0 and (xi > 0.0).all() and (b @ xi > g / (1.0 - g) * (np.abs(b) @ xi)).all():
-        return True, True, s - tol, x[:, 1]
-    return True, False, s - tol, None
+    j = (2 * m + 16 + 3) * 2.0 ** -53       # (2m + K + 3) u: g = j / (1 - j)
+    ok = s - tol > 0.0 and (xi > 0.0).all() and (b @ xi > j / (1.0 - j) * (np.abs(b) @ xi)).all()
+    return True, bool(ok), s - tol, x[:, 1] if ok else None
 
 
 def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     """Classify a as a nonsingular M-matrix by `witness_test`.
 
-    A failed matrix reports a margin of at most -tol; one sitting exactly
-    on the boundary (a singular one) reports -tol.
-
+    A failed matrix reports a margin of at most -tol, a singular one -tol.
     screen_passed is row or column dominance when one holds, else
     "weighted-row" for a qualifying matrix (the weights C^-1 1 give
     C xi = 1) and "none" otherwise.
@@ -195,14 +179,7 @@ def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     screen = None
     if off_ok:
         screen = _passed_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if ok else SCREEN_NONE)
-    return MMatrixReport(
-        is_m_matrix=ok,
-        off_diagonal_ok=off_ok,
-        witness_ok=ok,
-        margin=margin if ok else min(margin, -tol),
-        witness_xi=witness,
-        screen_passed=screen,
-    )
+    return MMatrixReport(ok, off_ok, ok, margin if ok else min(margin, -tol), witness, screen)
 
 
 def spectral_radius(a) -> float:

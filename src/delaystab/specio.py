@@ -118,8 +118,7 @@ def _short(name) -> str:
 
 
 def _key_path(path: str, key) -> str:
-    key = _short(key)
-    return f"{path}.{key}" if path else key
+    return f"{path}.{_short(key)}" if path else _short(key)
 
 
 def _check_keys(node: dict, path: str, allowed, required=()):
