@@ -121,7 +121,6 @@ def _base_report(command: str, path: str, parsed, tol: float) -> dict:
         "command": command,
         "tolerance": tol,
         "input": {"path": path, "kind": parsed.kind, "sha256": parsed.sha256},
-        "document": parsed.document,
     }
 
 
