@@ -14,7 +14,9 @@ meant something new:
   when the closed-form corollaries moved to the matrix test;
 - the `m_matrix` margin, now `witness_margin`, the same-named check, two
   certificates' `iterations` and one sweep's `threshold.evaluations`, when
-  the checked witness solve replaced the elimination.
+  the checked witness solve replaced the elimination;
+- the `document` echo, deleted from every report (nothing else moved)
+  when reports came to identify their input by `input` alone.
 Strings, booleans, integers and nulls must match exactly; floats must agree
 to rtol 1e-9.  The one exception is a certificate's `boundary_margin`: it is
 the witness margin at the last rate that passed, so it sits at the decision
