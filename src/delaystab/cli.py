@@ -205,7 +205,7 @@ def cmd_equilibrium(args, tol: float) -> int:
     solution = None
     if parsed.concrete is not None:
         try:
-            solution = solve_equilibrium(spec, *parsed.concrete.activations)
+            solution = solve_equilibrium(spec, *parsed.concrete.activations, existence)
             report["equilibrium"] = asdict(solution)
         except DivergenceError as exc:
             report["equilibrium"] = None

@@ -96,14 +96,15 @@ def equilibrium_exists(bam: BamSpec) -> ExistenceReport:
     return ExistenceReport(tuple(conditions), any(c.holds for c in conditions))
 
 
-def solve_equilibrium(bam: BamSpec, f, g) -> Equilibrium:
+def solve_equilibrium(bam: BamSpec, f, g, existence: ExistenceReport | None = None) -> Equilibrium:
     """Fixed-point iteration for the equilibrium, started from the inputs.
 
     f and g are the activation functions of each layer (catalog objects or
-    plain callables).  Iterates until the sup-norm step drops below
-    STEP_TOL, then back-substitutes x = u/a, y = v/b and reports the
-    residual of the original equilibrium equations, which comes out below
-    10*STEP_TOL.
+    plain callables).  Warns when `existence`, by default
+    `equilibrium_exists(bam)`, certifies nothing.  Iterates until the
+    sup-norm step drops below STEP_TOL, then back-substitutes x = u/a,
+    y = v/b and reports the residual of the original equilibrium
+    equations, which comes out below 10*STEP_TOL.
 
     Raises DivergenceError when steps grow for 10 consecutive iterations or
     MAX_ITER iterations are exhausted.
@@ -113,8 +114,7 @@ def solve_equilibrium(bam: BamSpec, f, g) -> Equilibrium:
     if len(f) != n or len(g) != n:
         raise ValueError(f"need {n} activations per layer, "
                          f"got {len(f)} and {len(g)}")
-    report = equilibrium_exists(bam)
-    if not report.exists_unique:
+    if not (existence or equilibrium_exists(bam)).exists_unique:
         warnings.warn("none of the existence conditions holds; iterating "
                       "with a divergence guard", RuntimeWarning, stacklevel=2)
 

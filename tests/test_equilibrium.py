@@ -1,8 +1,13 @@
 """Existence conditions and the fixed-point equilibrium solver."""
 
+import contextlib
+import io
+import warnings
+
 import numpy as np
 import pytest
 
+from delaystab import equilibrium
 from delaystab import (
     DivergenceError,
     build_existence_matrices,
@@ -10,6 +15,7 @@ from delaystab import (
     solve_equilibrium,
     two_neuron_spec,
 )
+from delaystab.cli import main
 from delaystab.systems import LinearActivation, TanhActivation
 
 from conftest import random_bam
@@ -139,3 +145,35 @@ def test_existence_report_on_worked_example():
     spectral = next(c for c in report.conditions if c.index == 1)
     assert abs(spectral.value - 0.00263523) < 1e-6
     assert spectral.holds
+
+
+def _count_existence_matrices(monkeypatch) -> list:
+    calls = []
+    build = equilibrium.build_existence_matrices
+    monkeypatch.setattr(equilibrium, "build_existence_matrices",
+                        lambda bam: calls.append(bam) or build(bam))
+    return calls
+
+
+@pytest.mark.parametrize("doc", ["two_neuron_sample.json", "bam_modulated.json"])
+def test_equilibrium_command_evaluates_the_conditions_once(doc, inputs_dir, monkeypatch):
+    calls = _count_existence_matrices(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["equilibrium", str(inputs_dir / doc)]) == 0
+    assert len(calls) == 1
+
+
+def test_solver_warns_from_the_report_it_is_given(monkeypatch):
+    s = modulated_pair()
+    f, g = [LinearActivation(1.0)], [LinearActivation(1.0)]
+    holds = equilibrium_exists(s)
+    fails = equilibrium.ExistenceReport(holds.conditions, False)
+    calls = _count_existence_matrices(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_equilibrium(s, f, g, holds)
+    with pytest.warns(RuntimeWarning, match="none of the existence conditions holds"):
+        solve_equilibrium(s, f, g, fails)
+    assert calls == []
+    solve_equilibrium(s, f, g)   # without a report the solver evaluates its own
+    assert len(calls) == 1
