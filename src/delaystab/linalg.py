@@ -93,8 +93,8 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
     Checks, in order: strict row diagonal dominance, strict column dominance,
     then the same two with positive weights.  When no weights are supplied
     they are the witness xi = a^-1 1 of `witness_test`, provided that test
-    accepts a; otherwise the weighted checks are skipped.  Returns the tag
-    of the first screen that passes, or "none".
+    accepts a with a finite witness; otherwise the weighted checks are
+    skipped.  Returns the tag of the first screen that passes, or "none".
 
     Off-diagonal entries must be nonpositive.
     """
@@ -107,7 +107,7 @@ def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
         if xi.shape != arr.shape[:1] or not np.isfinite(xi).all() or (xi <= 0).any():
             raise LinalgInputError("weights must be a positive vector matching the dimension")
     plain = _passed_screen(arr, tol)
-    if plain is not None or xi is None:
+    if plain is not None or xi is None or not np.isfinite(xi).all():
         return plain or SCREEN_NONE
     return _passed_screen(arr, tol, xi, (SCREEN_WEIGHTED_ROW, SCREEN_WEIGHTED_COLUMN)) \
         or SCREEN_NONE
@@ -119,7 +119,9 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     The rows are scaled to b = a / r, r_i the largest |a_ij| (a zero row
     fails), which is exact under a 2^k scaling of a row, so the answer does
     not move under one.  One solve of b [xi, w] = [1, 1/r] gives the trial
-    witness xi and w = a^-1 1, the `witness` of a pass.  a passes iff its
+    witness xi and w = a^-1 1, the `witness` of a pass; below r_i = 2^-1022,
+    where 1/r_i may overflow, the solve takes 2^-64/r and w = 2^64 times its
+    second column, infinite where it leaves float range.  a passes iff its
     off-diagonal entries are <= 0, the solve gives a finite xi > 0,
     fl(b xi) > g fl(|b| xi), and margin = s - tol > 0, where s = 1 / (d_k xi_k)
     for d = diag(b) and the largest |d_k xi_k|.  On a pass s is the
@@ -148,11 +150,13 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
         return False, False, -tol, None     # a positive off-diagonal entry
     at_switch = True, False, -tol, None     # s = 0
     rows = np.abs(arr).max(axis=1)
-    if not rows.all():
+    low = rows.min()
+    if not low:
         return at_switch
     b = arr / rows[:, None]
+    scale = 1.0 if low >= 2.0 ** -1022 else 2.0 ** -64      # else 1 / r may overflow
     try:
-        x = np.linalg.solve(b, np.array((np.ones(m), 1.0 / rows)).T)
+        x = np.linalg.solve(b, np.array((np.ones(m), scale / rows)).T)
     except np.linalg.LinAlgError:
         return at_switch
     xi = x[:, 0]
@@ -163,6 +167,9 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     s = 1.0 / top if top else 0.0
     j = (2 * m + 16 + 3) * 2.0 ** -53       # (2m + K + 3) u: g = j / (1 - j)
     ok = s - tol > 0.0 and (xi > 0.0).all() and (b @ xi > j / (1.0 - j) * (np.abs(b) @ xi)).all()
+    if ok and scale != 1.0:
+        with np.errstate(over="ignore"):
+            x[:, 1] /= scale
     return True, bool(ok), s - tol, x[:, 1] if ok else None
 
 

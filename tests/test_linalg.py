@@ -47,6 +47,20 @@ def test_known_m_matrix_with_witness():
     assert (rep.witness_xi > 0).all()
 
 
+def test_subnormal_row_keeps_its_verdict_and_a_witness_without_nan():
+    # 1 / r overflows for a row below about 5.6e-309; the suite turns the
+    # RuntimeWarning that would show it into an error
+    rep = is_m_matrix(np.diag([1e-310, 1.0]))
+    assert rep.is_m_matrix and rep.margin == is_m_matrix(np.eye(2)).margin
+    assert rep.witness_xi.tolist() == [np.inf, 1.0]
+    assert dominance_screen(np.diag([1e-310, 1.0])) == "none"
+    # the verdict reads only b = a / r, so scaling the row into range moves nothing
+    a = np.array([[1e-310, -4e-311], [-0.5, 1.0]])
+    rep, scaled = is_m_matrix(a), is_m_matrix(np.vstack([np.ldexp(a[0], 1030), a[1]]))
+    assert rep.is_m_matrix and rep.margin == scaled.margin
+    assert not np.isnan(rep.witness_xi).any()
+
+
 def test_positive_off_diagonal_disqualifies():
     rep = is_m_matrix(np.array([[2.0, 0.5], [-1.0, 2.0]]))
     assert not rep.is_m_matrix
