@@ -115,13 +115,8 @@ def _emit(report: dict):
 
 
 def _base_report(command: str, path: str, parsed, tol: float) -> dict:
-    return {
-        "tool": "delaystab",
-        "version": __version__,
-        "command": command,
-        "tolerance": tol,
-        "input": {"path": path, "kind": parsed.kind, "sha256": parsed.sha256},
-    }
+    return {"tool": "delaystab", "version": __version__, "command": command, "tolerance": tol,
+            "input": {"path": path, "kind": parsed.kind, "sha256": parsed.sha256}}
 
 
 def _verdict_dict(verdict) -> dict:
@@ -283,12 +278,9 @@ def cmd_sweep(args, tol: float) -> int:
         raise UsageError("--simulate needs --t-end")
     rows = sweep(points, values, tol=tol, criterion=args.criterion,
                  simulate_until=simulate_until, step=args.step)
-    report = {
-        "tool": "delaystab", "version": __version__, "command": "sweep",
-        "tolerance": tol,
-        "input": {"path": args.document, "parameter": args.param},
-        "rows": [r.as_dict() for r in rows],
-    }
+    report = {"tool": "delaystab", "version": __version__, "command": "sweep", "tolerance": tol,
+              "input": {"path": args.document, "parameter": args.param},
+              "rows": [r.as_dict() for r in rows]}
     threshold = None
     if args.threshold_start is not None:
         threshold = find_failure_threshold(points, start=args.threshold_start, tol=tol)

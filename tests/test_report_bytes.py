@@ -1,40 +1,70 @@
-"""The exact bytes of CLI reports.
+"""The exact bytes of CLI reports, and what a report says about its input.
 
 `test_golden_cli.py` compares decoded reports with a float tolerance; this
 file pins the encoding itself: every report is `json.dumps(report,
 indent=2)` of its JSON-safe form followed by one newline (invocations
 that exit with status 1 print no report).  The CLI's writer is checked
 against that definition on random reports, with the cleaner it replaced
-as the reference.
+as the reference.  A report names its input by path, kind and the hash of
+the resolved document, and does not repeat the document.
 """
 
 import contextlib
+import functools
 import io
 import json
+import os
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from delaystab import document_sha256, parse_file
 from delaystab.cli import _json, main
 
 from test_golden_cli import GOLDEN, ROOT, _invocations
 
 
-def test_golden_reports_are_indent_2_json(monkeypatch):
-    monkeypatch.chdir(ROOT)
-    reports = {}
-    for argv in _invocations():
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-            main(argv)
-        if out.getvalue():
-            reports[" ".join(argv)] = out.getvalue()
+@functools.cache
+def _printed() -> dict:
+    """stdout of every golden invocation that prints a report, by argv."""
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        reports = {}
+        for argv in _invocations():
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                main(argv)
+            if out.getvalue():
+                reports[" ".join(argv)] = out.getvalue()
+        return reports
+    finally:
+        os.chdir(cwd)
+
+
+def test_golden_reports_are_indent_2_json():
+    reports = _printed()
     wrong = [argv for argv, text in reports.items()
              if text != json.dumps(json.loads(text), indent=2) + "\n"]
     golden = json.loads(GOLDEN.read_text())
     assert reports.keys() == {k for k, v in golden.items() if v["report"] is not None}
     assert not wrong, wrong
+
+
+def test_reports_identify_their_input_without_echoing_it():
+    seen = set()
+    for argv, text in _printed().items():
+        command, path = argv.split()[:2]
+        if command == "sweep":
+            continue
+        report = json.loads(text)
+        parsed = parse_file(ROOT / path)
+        assert "document" not in report, argv
+        assert report["input"] == {"path": path, "kind": parsed.kind,
+                                   "sha256": document_sha256(parsed.document)}, argv
+        seen.add(command)
+    assert seen == {"analyze", "certify-rate", "equilibrium", "simulate"}
 
 
 def reference_clean(value):
