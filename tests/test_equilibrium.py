@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from delaystab import equilibrium
 from delaystab import (
     DivergenceError,
     build_existence_matrices,
+    equilibrium,
     equilibrium_exists,
     solve_equilibrium,
     two_neuron_spec,
