@@ -21,6 +21,7 @@ from delaystab import (
     SimConfig,
     bam_to_general,
     certify_decay_rate,
+    comparison_matrix,
     dominance_screen,
     equilibrium_exists,
     find_failure_threshold,
@@ -35,12 +36,7 @@ from delaystab import (
     stability_verdict,
     two_neuron_comparison,
 )
-from delaystab.criteria import (
-    test_matrix_at_rate as matrix_at_rate,
-    test_matrix_bam as bam_matrix,
-    test_matrix_general as general_matrix,
-    test_matrix_no_self_coupling as no_self_matrix,
-)
+from delaystab.criteria import test_matrix_at_rate as matrix_at_rate
 from delaystab.linalg import leading_principal_minors
 from delaystab.systems import ConstantCoeff, ConstantLag
 
@@ -163,7 +159,7 @@ def test_5_rate_parametrized_matrix_family():
         while len(stable_specs) < 100:
             spec = random_general(rng, coupling_scale=0.5)
             # rate-zero matrix must coincide with the base matrix exactly
-            assert np.array_equal(matrix_at_rate(spec, 0.0), general_matrix(spec))
+            assert np.array_equal(matrix_at_rate(spec, 0.0), comparison_matrix(spec, "theorem1"))
             if stability_verdict(spec).stable:
                 stable_specs.append(spec)
         for spec in stable_specs:
@@ -241,4 +237,4 @@ def test_8_two_layer_reduction_is_exact():
         for _ in range(1000):
             bam = random_bam(rng)
             merged = bam_to_general(bam)
-            assert np.array_equal(bam_matrix(bam), no_self_matrix(merged))
+            assert np.array_equal(comparison_matrix(bam, "thm3"), comparison_matrix(merged, "cor0"))

@@ -21,6 +21,7 @@ from delaystab import (
     NotCertifiedError,
     bam_to_general,
     certify_decay_rate,
+    comparison_matrix,
     is_m_matrix,
     parse_file,
     stability_verdict,
@@ -29,12 +30,6 @@ from delaystab import (
 )
 # aliased so pytest does not mistake the builders for test functions
 from delaystab import test_matrix_at_rate as build_at_rate
-from delaystab import test_matrix_bam as build_bam_matrix
-from delaystab import test_matrix_general as build_general
-from delaystab import test_matrix_linear as build_linear
-from delaystab import test_matrix_linear_undelayed as build_linear_undelayed
-from delaystab import test_matrix_no_self_coupling as build_no_self
-from delaystab import test_matrix_undelayed_decay as build_undelayed
 
 from conftest import random_bam, random_general
 
@@ -46,7 +41,7 @@ LINEAR_2X2_C = np.array([[0.712, -0.372], [-0.2775, 0.879]])
 
 
 def test_general_matrix_frozen_values(general_2x2):
-    c = build_general(general_2x2)
+    c = comparison_matrix(general_2x2, "theorem1")
     assert np.max(np.abs(c - GENERAL_2X2_C)) < 1e-15
     minors = leading_principal_minors(c)
     assert abs(minors[0] - 0.575) < 1e-15
@@ -57,12 +52,12 @@ def test_undelayed_decay_matrix_frozen_values(general_2x2):
     flat = GeneralSystemSpec(alpha=general_2x2.alpha, A=general_2x2.A,
                              tau=np.zeros(2), sigma=general_2x2.sigma,
                              L=general_2x2.L, diagonal_delay_free=True)
-    c = build_undelayed(flat)
+    c = comparison_matrix(flat, "cor1")
     assert np.max(np.abs(c - np.array([[0.85, -0.2], [-0.08, 0.96]]))) < 1e-15
 
 
 def test_linear_matrix_frozen_values(linear_2x2):
-    c = build_linear(linear_2x2)
+    c = comparison_matrix(linear_2x2, "cor2")
     assert np.max(np.abs(c - LINEAR_2X2_C)) < 1e-15
 
 
@@ -71,7 +66,7 @@ def test_linear_undelayed_matrix():
                             A_off=[[0.0, 0.5], [0.8, 0.0]],
                             sigma=[[0.0, 0.1], [0.1, 0.0]],
                             diagonal_delay_free=True)
-    c = build_linear_undelayed(spec)
+    c = comparison_matrix(spec, "cor3")
     assert np.max(np.abs(c - np.array([[1.0, -0.5], [-0.4, 1.0]]))) < 1e-15
 
 
@@ -125,8 +120,9 @@ def test_shared_builder_bodies_equal_the_separate_formulas(bounds, seed):
     np.fill_diagonal(delayed, 1.0 - linear.A * linear.A * sd / linear.alpha)
     unit = -(flat.A_off / flat.alpha[:, None])
     np.fill_diagonal(unit, 1.0)
-    for got, want in ((build_undelayed(general), undelayed), (build_linear(linear), delayed),
-                      (build_linear_undelayed(flat), unit)):
+    for got, want in ((comparison_matrix(general, "cor1"), undelayed),
+                      (comparison_matrix(linear, "cor2"), delayed),
+                      (comparison_matrix(flat, "cor3"), unit)):
         assert np.array_equal(got, want)
         assert np.array_equal(np.signbit(got), np.signbit(want))
     # a verdict and the certificate that follows it decide on one matrix
@@ -141,7 +137,7 @@ def test_shared_builder_bodies_equal_the_separate_formulas(bounds, seed):
 
 def test_no_self_coupling_requires_zero_diagonal(general_2x2):
     with pytest.raises(FamilyError):
-        build_no_self(general_2x2)
+        comparison_matrix(general_2x2, "cor0")
 
 
 def test_rate_zero_shift_is_identical():
@@ -149,7 +145,7 @@ def test_rate_zero_shift_is_identical():
     for _ in range(100):
         spec = random_general(rng)
         assert np.array_equal(build_at_rate(spec, 0.0),
-                              build_general(spec))
+                              comparison_matrix(spec, "theorem1"))
 
 
 def test_rate_matrix_degrades_monotonically():
@@ -172,8 +168,8 @@ def test_bam_matrix_equals_reduction_exactly():
     rng = np.random.default_rng(911)
     for _ in range(300):
         bam = random_bam(rng)
-        direct = build_bam_matrix(bam)
-        via = build_no_self(bam_to_general(bam))
+        direct = comparison_matrix(bam, "thm3")
+        via = comparison_matrix(bam_to_general(bam), "cor0")
         assert np.array_equal(direct, via)
 
 
@@ -183,7 +179,7 @@ def test_bam_matrix_frozen_modulated_pair():
                         tau_x=0.001, tau_y=0.001, sigma_x=2.0, sigma_y=3.0,
                         r_lo=20.0, r_hi=20.0, p_lo=40.0, p_hi=40.0,
                         input_x=10000.0, input_y=20000.0)
-    c = build_bam_matrix(s)
+    c = comparison_matrix(s, "thm3")
     want = np.array([[0.98, -0.0014166666666666668], [-0.0052, 0.96]])
     assert np.max(np.abs(c - want)) < 1e-15
     det = c[0, 0] * c[1, 1] - c[0, 1] * c[1, 0]
@@ -255,11 +251,30 @@ def test_every_tag_is_decided_by_stability_verdict(tag, general_2x2, linear_2x2)
     ("cor11", lambda fits: random_bam(np.random.default_rng(5), n=2),
      "closed form needs one unit per layer, got n=2"),
     ("cor9-5", lambda fits: fits["cor9-1"], "unknown criterion tag 'cor9-5'"),
-], ids=["cor4-m3", "cor7-on-cor4-spec", "cor10-1-leak-delays", "cor11-n2", "cor9-5-unknown"])
+    ("theorem1", lambda fits: fits["cor2"], "expected a general spec, got LinearSystemSpec"),
+    ("theorem1", lambda fits: fits["cor1"], "this test needs the delayed-decay family; "
+     "use tau = 0 instead of diagonal_delay_free"),
+    ("cor0", lambda fits: fits["theorem1"], "self-coupling constants must be zero for this test"),
+    ("cor1", lambda fits: fits["theorem1"], "this test is for the delay-free-decay family"),
+    ("cor1", lambda fits: fits["thm3"], "expected a general spec, got BamSpec"),
+    ("cor2", lambda fits: fits["theorem1"], "expected a linear spec, got GeneralSystemSpec"),
+    ("cor2", lambda fits: fits["cor3"], "this test needs the delayed linear family"),
+    ("cor3", lambda fits: fits["cor2"], "this test is for the delay-free linear family"),
+    ("thm3", lambda fits: fits["theorem1"], "this criterion needs a two-layer network spec"),
+    ("certify-rate", lambda fits: fits["cor2"],
+     "decay-rate certification needs a general or two-layer spec"),
+], ids=["cor4-m3", "cor7-on-cor4-spec", "cor10-1-leak-delays", "cor11-n2", "cor9-5-unknown",
+        "theorem1-linear", "theorem1-delay-free", "cor0-self-coupling", "cor1-delayed",
+        "cor1-two-layer", "cor2-general", "cor2-delay-free", "cor3-delayed", "thm3-general",
+        "certify-rate-linear"])
 def test_forced_tag_misfit_raises_family_error(tag, misfit, message, general_2x2, linear_2x2):
+    # "certify-rate" stands for `certify_decay_rate`, which takes no tag
     spec = misfit(fitting_specs(general_2x2, linear_2x2))
     with pytest.raises(FamilyError) as exc:
-        stability_verdict(spec, criterion=tag)
+        if tag == "certify-rate":
+            certify_decay_rate(spec)
+        else:
+            stability_verdict(spec, criterion=tag)
     assert str(exc.value) == message
 
 
@@ -428,7 +443,7 @@ def sixty_halvings(spec, tol=criteria.DEFAULT_TOL) -> DecayCertificate:
     """The certificate as it was computed before the bracketing search: every
     one of the 60 halvings runs its own test."""
     spec = rate_family(spec)
-    if not is_m_matrix(build_general(spec), tol=tol).is_m_matrix:
+    if not is_m_matrix(comparison_matrix(spec, "theorem1"), tol=tol).is_m_matrix:
         raise NotCertifiedError("rate zero does not pass")
 
     def passes(rate):
@@ -710,7 +725,7 @@ def test_bam_dominance_brute_force_agreement():
     checked = weighted = 0
     for _ in range(300):
         bam = random_bam(rng)
-        c = build_bam_matrix(bam)
+        c = comparison_matrix(bam, "thm3")
         for which in (1, 2):
             v = stability_verdict(bam, criterion=f"cor9-{which}")
             assert v.stable == _bam_brute_dominance(c, which)
@@ -758,7 +773,7 @@ def test_bam_undelayed_dominance_unit_diagonal():
             tau_x=np.zeros(n), tau_y=np.zeros(n),
             sigma_x=rng.uniform(0.0, 0.5, n), sigma_y=rng.uniform(0.0, 0.5, n),
             I=np.zeros(n), J=np.zeros(n))
-        c = build_bam_matrix(bam)
+        c = comparison_matrix(bam, "thm3")
         assert np.max(np.abs(c.diagonal() - 1.0)) < 1e-15
         v = stability_verdict(bam, criterion="cor10-1")
         assert v.stable == _bam_brute_dominance(c, 1)
