@@ -4,12 +4,15 @@ Every test here follows one mechanism: build a comparison matrix whose
 diagonal measures how strongly each component damps itself and whose
 off-diagonal entries bound how hard its neighbours can push it, then ask
 whether that matrix is a nonsingular M-matrix.  Every matrix criterion is
-Theorem 1's matrix of its family's bounds, computed by one body
-(`_rate_matrix`): undelayed decay is tau = 0, and no self-coupling is a
-zero diagonal of L.  The closed-form corollaries for two components (4-7,
-and 11 for a one-unit two-layer network) are that matrix's leading-minor
-inequalities, so they are decided by the same M-matrix test; the dominance
-variants replace it with the cheaper row/column sufficient conditions.
+Theorem 1's matrix of its family's bounds: one map (`_bounds`) turns each
+spec family into (alpha, A, tau, L, sigma), where undelayed decay is
+tau = 0 and no self-coupling is a zero diagonal of L, and one builder
+(`test_matrix_at_rate`) computes the matrix from them.  A criterion tag
+only checks that the spec fits its family (`comparison_matrix`).  The
+closed-form corollaries for two components (4-7, and 11 for a one-unit
+two-layer network) are that matrix's leading-minor inequalities, so they
+are decided by the same M-matrix test; the dominance variants replace it
+with the cheaper row/column sufficient conditions.
 
 The rate-parametrized matrix family underlying `certify_decay_rate` is
 entrywise nonincreasing in the rate, so a pass at some rate guarantees a pass
@@ -37,7 +40,6 @@ from .systems import (
     FamilyError,
     GeneralSystemSpec,
     LinearSystemSpec,
-    bam_to_general,
     merged_bounds,
     require_valid,
 )
@@ -121,47 +123,42 @@ class DecayCertificate:
 
 
 # ---------------------------------------------------------------------------
-# test-matrix builders
+# the test matrix
 # ---------------------------------------------------------------------------
 
-def _require_general(spec, delayed: bool | None = None) -> GeneralSystemSpec:
-    if not isinstance(spec, GeneralSystemSpec):
-        raise FamilyError(f"expected a general spec, got {type(spec).__name__}")
+def _bounds(spec):
+    # Theorem 1's (alpha, A, tau, L, sigma) of a validated spec, the one map
+    # from a family to its bounds: delay-free decay is tau = 0, the linear
+    # family's diagonal delays are its tau and A_off is its L with the
+    # diagonal, which bounds nothing, zeroed; a two-layer network is merged
+    if isinstance(spec, BamSpec):
+        return merged_bounds(spec)
+    if not isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
+        raise FamilyError(f"unsupported spec type {type(spec).__name__}")
     require_valid(spec)
-    if delayed is True and spec.diagonal_delay_free:
-        raise FamilyError("this test needs the delayed-decay family; "
-                          "use tau = 0 instead of diagonal_delay_free")
-    if delayed is False and not spec.diagonal_delay_free:
-        raise FamilyError("this test is for the delay-free-decay family")
-    return spec
+    if isinstance(spec, GeneralSystemSpec):
+        tau, L = spec.tau, spec.L
+    else:
+        tau, L = spec.sigma.diagonal(), spec.A_off - np.diag(spec.A_off.diagonal())
+    return spec.alpha, spec.A, 0.0 if spec.diagonal_delay_free else tau, L, spec.sigma
 
 
-def _require_linear(spec, delayed: bool) -> LinearSystemSpec:
-    if not isinstance(spec, LinearSystemSpec):
-        raise FamilyError(f"expected a linear spec, got {type(spec).__name__}")
-    require_valid(spec)
-    if delayed and spec.diagonal_delay_free:
-        raise FamilyError("this test needs the delayed linear family")
-    if not delayed and not spec.diagonal_delay_free:
-        raise FamilyError("this test is for the delay-free linear family")
-    return spec
+def test_matrix_at_rate(spec, rate: float) -> np.ndarray:
+    """Theorem 1's comparison matrix of a spec's bounds at a trial decay rate.
 
-
-def test_matrix_at_rate(spec: GeneralSystemSpec, rate: float) -> np.ndarray:
-    """Comparison matrix of the delayed-decay family at a trial decay rate.
-
-    At rate 0 this is the base test matrix.  Each entry is nonincreasing in
-    the rate.
+    At rate 0 this is the spec's test matrix, for every family; a nonzero
+    rate must lie below the smallest decay bound.  Each entry is
+    nonincreasing in the rate.
     """
-    spec = _require_general(spec, delayed=True)
-    if not 0.0 <= rate < float(np.min(spec.alpha)):
-        raise ValueError(
-            f"rate must lie in [0, {np.min(spec.alpha)}), got {rate}")
-    return _rate_matrix(spec.alpha, spec.A, spec.tau, spec.L, spec.sigma, rate)
+    bounds = _bounds(spec)
+    alpha = bounds[0]
+    if rate and not 0.0 <= rate < float(np.min(alpha)):
+        raise ValueError(f"rate must lie in [0, {np.min(alpha)}), got {rate}")
+    return _rate_matrix(*bounds, rate)
 
 
 def _rate_matrix(alpha: np.ndarray, A: np.ndarray, tau: np.ndarray | float, L: np.ndarray,
-                 sigma: np.ndarray | None = None, rate: float = 0.0) -> np.ndarray:
+                 sigma: np.ndarray, rate: float = 0.0) -> np.ndarray:
     # Theorem 1's matrix of the bounds, the one body of every matrix
     # criterion; unvalidated, so that a certificate validates its spec once,
     # not once per trial rate.  L's diagonal is the self-coupling gain
@@ -176,62 +173,23 @@ def _rate_matrix(alpha: np.ndarray, A: np.ndarray, tau: np.ndarray | float, L: n
     return c
 
 
-def test_matrix_general(spec: GeneralSystemSpec) -> np.ndarray:
-    """Base comparison matrix for the delayed-decay family (rate 0)."""
-    return test_matrix_at_rate(spec, 0.0)
-
-
-def test_matrix_no_self_coupling(spec: GeneralSystemSpec) -> np.ndarray:
-    """Comparison matrix for the subfamily without self-coupling terms."""
-    spec = _require_general(spec, delayed=True)
-    if np.any(spec.L.diagonal() != 0.0):
-        raise FamilyError("self-coupling constants must be zero for this test")
-    return _rate_matrix(spec.alpha, spec.A, spec.tau, spec.L)
-
-
-def test_matrix_undelayed_decay(spec: GeneralSystemSpec) -> np.ndarray:
-    """Comparison matrix when the self-decay acts on the undelayed state."""
-    spec = _require_general(spec, delayed=False)
-    return _rate_matrix(spec.alpha, spec.A, 0.0, spec.L)
-
-
-def _off_diagonal(spec: LinearSystemSpec) -> np.ndarray:
-    # the linear couplings as L: A_off's diagonal bounds nothing, so it is zeroed
-    return spec.A_off - np.diag(spec.A_off.diagonal())
-
-
-def test_matrix_linear(spec: LinearSystemSpec) -> np.ndarray:
-    """Comparison matrix for the linear family with delayed diagonal terms."""
-    spec = _require_linear(spec, delayed=True)
-    return _rate_matrix(spec.alpha, spec.A, spec.sigma.diagonal(), _off_diagonal(spec))
-
-
-def test_matrix_linear_undelayed(spec: LinearSystemSpec) -> np.ndarray:
-    """Comparison matrix for the linear family with undelayed diagonal terms."""
-    spec = _require_linear(spec, delayed=False)
-    return _rate_matrix(spec.alpha, spec.A, 0.0, _off_diagonal(spec))
-
-
-def test_matrix_bam(bam: BamSpec) -> np.ndarray:
-    """Comparison matrix for the two-layer network.
-
-    Theorem 1's matrix of the merged bounds, which `bam_to_general` uses
-    too, so it equals the merged spec's matrix and its rate-0 certificate
-    trial entry for entry.
-    """
-    return _rate_matrix(*merged_bounds(bam))
-
-
-# tag -> matrix builder; the lambdas look the builders up at call time, so a
-# rebound module global (a profiler's timing wrapper, say) sees every call
-_BUILDERS = {
-    TAG_GENERAL: lambda spec: test_matrix_general(spec),
-    TAG_NO_SELF: lambda spec: test_matrix_no_self_coupling(spec),
-    TAG_UNDELAYED_DECAY: lambda spec: test_matrix_undelayed_decay(spec),
-    TAG_LINEAR: lambda spec: test_matrix_linear(spec),
-    TAG_LINEAR_UNDELAYED: lambda spec: test_matrix_linear_undelayed(spec),
-    TAG_BAM: lambda spec: test_matrix_bam(spec),
+_GENERAL = "expected a general spec, got {}"
+_LINEAR = "expected a linear spec, got {}"
+# tag -> (spec types, delay-free flag, wrong-type error, wrong-flag error) of
+# the family whose matrix the tag tests; a two-layer network has no flag and
+# fits the delayed general family once merged
+_FAMILIES = {
+    TAG_GENERAL: ((GeneralSystemSpec, BamSpec), False, _GENERAL,
+                  "this test needs the delayed-decay family; "
+                  "use tau = 0 instead of diagonal_delay_free"),
+    TAG_UNDELAYED_DECAY: (GeneralSystemSpec, True, _GENERAL,
+                          "this test is for the delay-free-decay family"),
+    TAG_LINEAR: (LinearSystemSpec, False, _LINEAR, "this test needs the delayed linear family"),
+    TAG_LINEAR_UNDELAYED: (LinearSystemSpec, True, _LINEAR,
+                           "this test is for the delay-free linear family"),
+    TAG_BAM: (BamSpec, False, "this criterion needs a two-layer network spec", None),
 }
+_FAMILIES[TAG_NO_SELF] = _FAMILIES[TAG_GENERAL]
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +247,7 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
                               f"(expected {inferred})")
         if spec.m != 2:
             raise FamilyError(f"dimension must be 2, got {spec.m}")
-        return _matrix_verdict(_BUILDERS[family](spec), tag, tol)
+        return _matrix_verdict(comparison_matrix(spec, family), tag, tol)
     if tag.startswith(("cor9-", "cor10-")):
         return _bam_dominance(spec, tag, tol)
     if tag == "cor11":
@@ -297,7 +255,7 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
         bam = _require_bam(spec)
         if bam.n != 1:
             raise FamilyError(f"closed form needs one unit per layer, got n={bam.n}")
-        return _matrix_verdict(test_matrix_bam(bam), tag, tol)
+        return _matrix_verdict(test_matrix_at_rate(bam, 0.0), tag, tol)
     if tag in ("gopalsamy17", "criterion18"):
         return two_neuron_comparison(spec, tol=tol)[tag == "criterion18"]
     return _matrix_verdict(comparison_matrix(spec, tag), tag, tol)
@@ -306,18 +264,26 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
 def comparison_matrix(spec, tag: str | None = None) -> np.ndarray:
     """Test matrix of a matrix-based criterion tag, auto-selected when None.
 
-    The spec passes that criterion exactly when `witness_test` accepts this
-    matrix.
+    It is `test_matrix_at_rate(spec, 0.0)` for a spec that fits the tag's
+    family (FamilyError otherwise), and the spec passes that criterion
+    exactly when `witness_test` accepts it.
     """
     if tag is None:
         tag = _auto_tag(spec)
-    if tag not in _BUILDERS:
+    if tag not in _FAMILIES:
         raise FamilyError(f"{tag!r} is not a matrix-based criterion tag")
-    if tag == TAG_BAM and not isinstance(spec, BamSpec):
-        raise FamilyError("this criterion needs a two-layer network spec")
-    if isinstance(spec, BamSpec) and tag in (TAG_GENERAL, TAG_NO_SELF):
-        spec = bam_to_general(spec)
-    return _BUILDERS[tag](spec)
+    types, delay_free, type_error, flag_error = _FAMILIES[tag]
+    if not isinstance(spec, types):
+        raise FamilyError(type_error.format(type(spec).__name__))
+    require_valid(spec)
+    if getattr(spec, "diagonal_delay_free", False) != delay_free:
+        raise FamilyError(flag_error)
+    if tag == TAG_NO_SELF and isinstance(spec, GeneralSystemSpec) \
+            and np.any(spec.L.diagonal() != 0.0):
+        raise FamilyError("self-coupling constants must be zero for this test")
+    # looked up at call time, so a rebound module global (a profiler's
+    # timing wrapper, say) sees every verdict's build
+    return test_matrix_at_rate(spec, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -405,17 +371,10 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     bracket `switch_bracket` finds: lambda0 is its last pass, and the true
     switchover lies within bracket_width above it.
     """
-    if isinstance(spec, BamSpec):
-        spec = bam_to_general(spec)
-    if not isinstance(spec, GeneralSystemSpec):
+    if not isinstance(spec, (GeneralSystemSpec, BamSpec)):
         raise FamilyError("decay-rate certification needs a general or "
                           "two-layer spec")
-    if spec.diagonal_delay_free:
-        spec = GeneralSystemSpec(alpha=spec.alpha, A=spec.A,
-                                 tau=np.zeros(spec.m), sigma=spec.sigma,
-                                 L=spec.L, diagonal_delay_free=False)
-    spec = _require_general(spec, delayed=True)
-    bounds = (spec.alpha, spec.A, spec.tau, spec.L, spec.sigma)
+    bounds = _bounds(spec)
     tried = []      # (rate, witness margin) of each trial
 
     def trial(rate: float) -> tuple[bool, float]:
@@ -427,7 +386,7 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
         raise NotCertifiedError(
             "not certified stable: the rate-zero test matrix is not an "
             f"M-matrix (margin {min(tried[0][1], -tol):.3e})")
-    top = float(np.min(spec.alpha)) - tol
+    top = float(np.min(bounds[0])) - tol
     top_passes, slack_top = trial(top)
     lo, hi = (top, top) if top_passes else switch_bracket(trial, 0.0, top, nan, slack_top)
     return DecayCertificate(lambda0=lo, boundary_margin=dict(tried)[lo],
@@ -459,7 +418,7 @@ def _bam_dominance(bam, tag: str, tol: float) -> StabilityVerdict:
     if family == "cor10" and (np.any(bam.tau_x != 0.0) or np.any(bam.tau_y != 0.0)):
         raise FamilyError("this test needs zero leakage delays "
                           "(tau_x = tau_y = 0)")
-    c = test_matrix_bam(bam)
+    c = test_matrix_at_rate(bam, 0.0)
     w = None
     if which in (3, 4):
         report = is_m_matrix(c, tol=tol)

@@ -7,6 +7,11 @@ family) fixes actual time functions from a small catalog and is what the
 simulator integrates.  Specs are immutable value objects; their array
 fields are made read-only at construction.
 
+A two-layer network's bounds merge into the general family's
+(alpha, A, tau, L, sigma) in one place, `merged_bounds`; the stability
+tests read those arrays, and `bam_to_general` wraps the same arrays as a
+general spec.
+
 Index conventions in messages are 1-based to match the usual component
 numbering in hand-worked two-neuron examples.
 """
@@ -448,7 +453,13 @@ def require_valid(spec):
 # ---------------------------------------------------------------------------
 
 def merged_bounds(bam: BamSpec):
-    """(alpha, A, tau, L) of the two-layer network merged into dimension 2n."""
+    """(alpha, A, tau, L, sigma) of the two-layer network merged into dimension 2n.
+
+    The x-layer occupies components 1..n and the y-layer n+1..2n.  Decay
+    bounds absorb the rate modulation brackets, and each cross-layer coupling
+    inherits the connection magnitude scaled by the source activation's
+    Lipschitz constant and the destination row's upper rate.
+    """
     require_valid(bam)
     n = bam.n
     alpha = np.concatenate([bam.r_lo * bam.a, bam.p_lo * bam.b])
@@ -457,27 +468,20 @@ def merged_bounds(bam: BamSpec):
     L = np.zeros((2 * n, 2 * n))
     L[:n, n:] = np.abs(bam.a_conn) * bam.r_hi[:, None] * bam.Lf[None, :]
     L[n:, :n] = np.abs(bam.b_conn) * bam.p_hi[:, None] * bam.Lg[None, :]
-    return alpha, upper, tau, L
+    sigma = np.zeros((2 * n, 2 * n))
+    sigma[:n, n:] = bam.sigma_y
+    sigma[n:, :n] = bam.sigma_x
+    return alpha, upper, tau, L, sigma
 
 
 def bam_to_general(bam: BamSpec) -> GeneralSystemSpec:
     """Merge the two layers into one general spec of dimension 2n.
 
-    The x-layer occupies components 1..n and the y-layer n+1..2n.  Decay
-    bounds absorb the rate modulation brackets, and each cross-layer coupling
-    inherits the connection magnitude scaled by the source activation's
-    Lipschitz constant and the destination row's upper rate.
-
-    The direct two-layer test-matrix builder uses the same arrays (from
-    `merged_bounds`), so both routes agree to the last bit.
+    Its fields are the arrays of `merged_bounds`, which the test matrix of
+    the two-layer spec is built from, so both agree to the last bit.
     """
-    alpha, upper, tau, L = merged_bounds(bam)
-    n = bam.n
-    sigma = np.zeros((2 * n, 2 * n))
-    sigma[:n, n:] = np.broadcast_to(bam.sigma_y[None, :], (n, n))
-    sigma[n:, :n] = np.broadcast_to(bam.sigma_x[None, :], (n, n))
-    return GeneralSystemSpec(alpha=alpha, A=upper, tau=tau, sigma=sigma, L=L,
-                             diagonal_delay_free=False)
+    alpha, upper, tau, L, sigma = merged_bounds(bam)
+    return GeneralSystemSpec(alpha=alpha, A=upper, tau=tau, sigma=sigma, L=L)
 
 
 def two_neuron_spec(a: float, b: float, coupling_xy: float, coupling_yx: float,

@@ -141,11 +141,24 @@ def test_no_self_coupling_requires_zero_diagonal(general_2x2):
 
 
 def test_rate_zero_shift_is_identical():
+    # one builder for every family: its rate-0 matrix is the verdict's
+    # matrix and, where a certificate applies, the certificate's first trial
     rng = np.random.default_rng(7521)
     for _ in range(100):
-        spec = random_general(rng)
-        assert np.array_equal(build_at_rate(spec, 0.0),
-                              comparison_matrix(spec, "theorem1"))
+        base = random_general(rng)
+        m = base.m
+        coupling = rng.uniform(0.0, 1.0 / m, (m, m))
+        for spec in (base, replace(base, diagonal_delay_free=True),
+                     replace(base, L=base.L - np.diag(base.L.diagonal())),
+                     LinearSystemSpec(alpha=base.alpha, A=base.A, A_off=coupling,
+                                      sigma=base.sigma),
+                     LinearSystemSpec(alpha=base.alpha, A=base.A, A_off=coupling,
+                                      sigma=base.sigma, diagonal_delay_free=True),
+                     random_bam(rng)):
+            at_rate = build_at_rate(spec, 0.0).tobytes()
+            assert comparison_matrix(spec).tobytes() == at_rate
+            if not isinstance(spec, LinearSystemSpec):
+                assert certificate_rate_zero_matrix(spec).tobytes() == at_rate
 
 
 def test_rate_matrix_degrades_monotonically():

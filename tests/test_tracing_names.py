@@ -22,7 +22,11 @@ def test_tracer_names_missing_from_the_program_are_the_known_ones():
                if not hasattr(importlib.import_module(module), attr)}
     assert missing == {"delaystab.sweep.parse_document", "delaystab.sweep.set_parameter",
                        "delaystab.cli.set_parameter", "delaystab.sweep.two_neuron_closed_form",
-                       "delaystab.criteria.two_neuron_closed_form"}
+                       "delaystab.criteria.two_neuron_closed_form"} | {
+        # one builder, test_matrix_at_rate, took over from the per-family ones
+        f"delaystab.criteria.test_matrix_{family}" for family in (
+            "general", "no_self_coupling", "undelayed_decay", "linear", "linear_undelayed",
+            "bam")}
 
 
 def test_tracer_sees_the_matrix_build_of_every_matrix_verdict():
