@@ -203,7 +203,7 @@ def _matrix_verdict(matrix: np.ndarray, tag: str, tol: float) -> StabilityVerdic
         Check("off_diagonal_signs", float(off.max()), 0.0,
               float(-off.max()), bool(report.off_diagonal_ok)),
         Check("witness_margin", 0.0, float(report.margin),
-              float(report.margin), report.witness_ok),
+              float(report.margin), report.is_m_matrix),
     )
     status = STATUS_STABLE if report.is_m_matrix else STATUS_INCONCLUSIVE
     return StabilityVerdict(status, tag, matrix, report, checks)
@@ -409,9 +409,10 @@ def _bam_dominance(bam, tag: str, tol: float) -> StabilityVerdict:
     # Corollaries 9 and 10: dominance sufficient conditions on the two-layer
     # comparison matrix C, cheaper than its M-matrix test.  Variant 1 is strict
     # row dominance, 2 strict column dominance, 3/4 the row/column conditions
-    # weighted by the witness C^-1 1 of `is_m_matrix`; when C fails there is
-    # no witness and they are reported unsatisfied.  cor10 is the case
-    # without leakage delays (tau_x = tau_y = 0), where C has unit diagonal
+    # weighted by the witness C^-1 1 of `witness_test`; when C fails there is
+    # no witness, and they are reported unsatisfied with C's `is_m_matrix`
+    # report.  cor10 is the case without leakage delays (tau_x = tau_y = 0),
+    # where C has unit diagonal
     family, which = tag.split("-")
     which = int(which)
     bam = _require_bam(bam)
@@ -421,11 +422,11 @@ def _bam_dominance(bam, tag: str, tol: float) -> StabilityVerdict:
     c = test_matrix_at_rate(bam, 0.0)
     w = None
     if which in (3, 4):
-        report = is_m_matrix(c, tol=tol)
-        if report.witness_xi is None:
+        w = witness_test(c, tol)[3]
+        if w is None:
             witness_gap = Check("weight_witness_available", 1.0, 0.0, -1.0, False)
-            return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, report, (witness_gap,))
-        w = report.witness_xi
+            return StabilityVerdict(STATUS_INCONCLUSIVE, tag, c, is_m_matrix(c, tol=tol),
+                                    (witness_gap,))
     row, column, bound = dominance_sums(c, w)
     sums = row if which in (1, 3) else column
     label = ("row", "column", "weighted_row", "weighted_column")[which - 1]

@@ -33,17 +33,15 @@ class LinalgInputError(ValueError):
 class MMatrixReport:
     """Outcome of the nonsingular M-matrix classification.
 
-    witness_ok records whether `witness_test` accepted its checked witness;
-    is_m_matrix additionally needs the sign pattern.  margin is that test's
-    s - tol; witness_xi is C^-1 1 (a positive vector whenever the
-    classification succeeds) and None otherwise.  screen_passed records
-    which sufficient dominance screen fired, or None when the sign pattern
-    already failed.
+    is_m_matrix records whether `witness_test` accepted its checked witness,
+    which needs the sign pattern too.  margin is that test's s - tol;
+    witness_xi is C^-1 1 (a positive vector whenever the classification
+    succeeds) and None otherwise.  screen_passed records which sufficient
+    dominance screen fired, or None when the sign pattern already failed.
     """
 
     is_m_matrix: bool
     off_diagonal_ok: bool
-    witness_ok: bool
     margin: float
     witness_xi: np.ndarray | None
     screen_passed: str | None
@@ -186,7 +184,7 @@ def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     screen = None
     if off_ok:
         screen = _passed_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if ok else SCREEN_NONE)
-    return MMatrixReport(ok, off_ok, ok, margin if ok else min(margin, -tol), witness, screen)
+    return MMatrixReport(ok, off_ok, margin if ok else min(margin, -tol), witness, screen)
 
 
 def spectral_radius(a) -> float:

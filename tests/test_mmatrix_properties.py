@@ -202,7 +202,7 @@ def test_zero_pivot_keeps_true_minors():
     c = np.array([[0.0, -1.0], [-1.0, 0.0]])
     assert list(leading_principal_minors(c)) == [0.0, -1.0]
     report = is_m_matrix(c)
-    assert not report.is_m_matrix and not report.witness_ok
+    assert not report.is_m_matrix
     assert report.margin == -DEFAULT_TOL and report.witness_xi is None
 
 
