@@ -26,6 +26,9 @@ pinned.
 Regenerate (only when a change of output is intended and explained):
 
     PYTHONPATH=src python tests/test_golden_cli.py
+
+The recorder keeps every frozen value that the comparison accepts, so only
+keys whose output changed beyond the tolerance move.
 """
 
 import contextlib
@@ -120,12 +123,33 @@ def _diff(got, want, where: str):
     return None if got == want else f"{where}: {got!r} != {want!r}"
 
 
+def _kept(got, want, where: str):
+    """`got`, keeping each frozen value of `want` that `_diff` accepts, so a
+    regeneration moves only what changed beyond the tolerance."""
+    if _diff(got, want, where) is None:
+        return want
+    if isinstance(got, dict) and isinstance(want, dict):
+        return {key: _kept(value, want[key], f"{where}.{key}") if key in want else value
+                for key, value in got.items()}
+    if isinstance(got, list) and isinstance(want, list) and len(got) == len(want):
+        return [_kept(g, w, f"{where}[{i}]") for i, (g, w) in enumerate(zip(got, want))]
+    return got
+
+
 def test_cli_reports_match_golden_outputs():
     want = json.loads(GOLDEN.read_text())
     got = record()
     assert got.keys() == want.keys()
     mismatches = [d for key in want if (d := _diff(got[key], want[key], key))]
     assert not mismatches, "\n".join(mismatches)
+
+
+def test_recorder_keeps_the_frozen_values_that_match():
+    want = {"a": 1.0, "b": [2.0, "x"], "c": {"d": 3.0, "e": None}}
+    got = {"a": 1.0 + 1e-12, "b": [2.5, "x"], "c": {"d": 3.0 * (1.0 + 1e-12), "e": 4},
+           "f": 5.0}
+    assert _kept(got, want, "key") == {"a": 1.0, "b": [2.5, "x"], "c": {"d": 3.0, "e": 4},
+                                       "f": 5.0}
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(monkeypatch):
@@ -148,5 +172,8 @@ def test_parser_is_built_once_and_survives_a_usage_error(monkeypatch):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
+    frozen = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {}
+    got = {key: _kept(value, frozen[key], key) if key in frozen else value
+           for key, value in record().items()}
+    GOLDEN.write_text(json.dumps(got, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)
