@@ -458,16 +458,34 @@ def merged_bounds(bam: BamSpec):
     The x-layer occupies components 1..n and the y-layer n+1..2n.  Decay
     bounds absorb the rate modulation brackets, and each cross-layer coupling
     inherits the connection magnitude scaled by the source activation's
-    Lipschitz constant and the destination row's upper rate.
+    Lipschitz constant and the destination row's upper rate.  A product of
+    nonzero factors that underflows to 0 or overflows is an InvalidSpecError.
     """
     require_valid(bam)
     n = bam.n
-    alpha = np.concatenate([bam.r_lo * bam.a, bam.p_lo * bam.b])
-    upper = np.concatenate([bam.r_hi * bam.a, bam.p_hi * bam.b])
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below, with the field names
+        alpha = np.concatenate([bam.r_lo * bam.a, bam.p_lo * bam.b])
+        upper = np.concatenate([bam.r_hi * bam.a, bam.p_hi * bam.b])
+        L = np.zeros((2 * n, 2 * n))
+        L[:n, n:] = np.abs(bam.a_conn) * bam.r_hi[:, None] * bam.Lf[None, :]
+        L[n:, :n] = np.abs(bam.b_conn) * bam.p_hi[:, None] * bam.Lg[None, :]
+    # entry by entry only when a count or a sum says an entry may be out of range
+    couplings = np.count_nonzero(L)
+    if not (alpha.all() and math.isfinite(upper.sum() + L.sum()) and (couplings == 2 * n * n
+            or couplings == np.count_nonzero(bam.a_conn * (bam.Lf != 0))
+            + np.count_nonzero(bam.b_conn * (bam.Lg != 0)))):
+        xy, yx = (bam.a_conn != 0) & (bam.Lf != 0), (bam.b_conn != 0) & (bam.Lg != 0)
+        products = (("r_lo[{i}]*a[{i}]", alpha[:n], True), ("r_hi[{i}]*a[{i}]", upper[:n], True),
+                    ("p_lo[{i}]*b[{i}]", alpha[n:], True), ("p_hi[{i}]*b[{i}]", upper[n:], True),
+                    ("|a_conn[{i}][{j}]|*r_hi[{i}]*Lf[{j}]", L[:n, n:], xy),
+                    ("|b_conn[{i}][{j}]|*p_hi[{i}]*Lg[{j}]", L[n:, :n], yx))
+        problems = [name.format(i=at[0] + 1, j=at[-1] + 1)
+                    + (" overflows" if value[at] else " underflows to 0")
+                    for name, value, nonzero in products
+                    for at in zip(*np.nonzero(~np.isfinite(value) | (value == 0) & nonzero))]
+        if problems:
+            raise InvalidSpecError(problems)
     tau = np.concatenate([bam.tau_x, bam.tau_y])
-    L = np.zeros((2 * n, 2 * n))
-    L[:n, n:] = np.abs(bam.a_conn) * bam.r_hi[:, None] * bam.Lf[None, :]
-    L[n:, :n] = np.abs(bam.b_conn) * bam.p_hi[:, None] * bam.Lg[None, :]
     sigma = np.zeros((2 * n, 2 * n))
     sigma[:n, n:] = bam.sigma_y
     sigma[n:, :n] = bam.sigma_x

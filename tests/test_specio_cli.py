@@ -334,6 +334,21 @@ def test_cli_certify_rate_wrong_family(tmp_path, linear_doc):
     assert "error:" in res.stderr
 
 
+@pytest.mark.parametrize("command", ["analyze", "certify-rate"])
+def test_cli_merged_bound_underflow_is_an_input_error(tmp_path, command):
+    # r_lo * a underflows to 0: an error line naming the product, no traceback
+    spec = {"a": 1e-200, "b": 0.5, "coupling_xy": 1.0, "coupling_yx": 1.0, "Lf": 0.5,
+            "Lg": 0.2, "r_lo": 1e-200, "r_hi": 1e-200, "p_lo": 1.0, "p_hi": 1.0,
+            "tau_x": 0.5, "tau_y": 0.4, "sigma_x": 0.4, "sigma_y": 0.5}
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({"kind": "two_neuron", "spec": spec}))
+    res = run_cli(command, str(path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == ("error: invalid spec: r_lo[1]*a[1] underflows to 0; "
+                          "r_hi[1]*a[1] underflows to 0\n")
+
+
 def test_cli_equilibrium(inputs_dir):
     res = run_cli("equilibrium", str(inputs_dir / "bam_modulated.json"))
     assert res.returncode == 0

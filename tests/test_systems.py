@@ -17,7 +17,9 @@ from delaystab import (
     LinearConcrete,
     LinearSystemSpec,
     bam_to_general,
+    certify_decay_rate,
     require_valid,
+    stability_verdict,
     two_neuron_spec,
     validate,
 )
@@ -35,6 +37,7 @@ from delaystab.systems import (
     Sinusoid,
     TanhActivation,
     _check,
+    merged_bounds,
     read_time,
 )
 
@@ -220,6 +223,46 @@ def test_bam_to_general_random_dims():
         assert np.array_equal(g.L[n:, n:], np.zeros((n, n)))
         assert (g.L >= 0.0).all()
         assert validate(g) == []
+
+
+TWO_NEURON = dict(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0, Lf=0.5, Lg=0.2,
+                  tau_x=0.5, tau_y=0.4, sigma_x=0.4, sigma_y=0.5)
+
+
+@pytest.mark.parametrize("changes, problems", [
+    (dict(a=1e-200, r_lo=1e-200, r_hi=1e-200),
+     ["r_lo[1]*a[1] underflows to 0", "r_hi[1]*a[1] underflows to 0"]),
+    (dict(a=1e200, r_lo=1e100, r_hi=1e200, coupling_xy=1e200),
+     ["r_hi[1]*a[1] overflows", "|a_conn[1][1]|*r_hi[1]*Lf[1] overflows"]),
+    (dict(coupling_yx=1e-300, Lg=1e-30), ["|b_conn[1][1]|*p_hi[1]*Lg[1] underflows to 0"]),
+])
+def test_merged_bounds_outside_float_range_name_the_product(changes, problems):
+    # a merged bound that is 0 or inf although no factor is would reach the
+    # comparison matrix as a non-finite entry; every two-layer user rejects it
+    spec = two_neuron_spec(**dict(TWO_NEURON, **changes))
+    calls = [merged_bounds, bam_to_general, certify_decay_rate, stability_verdict]
+    calls += [lambda s, tag=tag: stability_verdict(s, criterion=tag)
+              for tag in ("thm3", "theorem1", "cor0")]
+    for call in calls:
+        with pytest.raises(InvalidSpecError) as exc:
+            call(spec)
+        assert exc.value.violations == problems
+
+
+def test_merged_bounds_accept_a_zero_factor_and_name_entries_by_position():
+    # a zero connection or Lipschitz constant makes a zero coupling bound,
+    # which is no underflow; the names give 1-based row and column
+    bam = BamSpec(a=[1.0, 1.0], b=[1.0, 1.0], a_conn=[[0.0, 1.0], [1e-300, 1.0]],
+                  b_conn=[[1.0, 1.0], [1.0, 1.0]], Lf=[1e-30, 1.0], Lg=[0.0, 1.0],
+                  r_lo=[1.0, 1.0], r_hi=[1.0, 1.0], p_lo=[1.0, 1.0], p_hi=[1.0, 1.0],
+                  tau_x=[1.0, 1.0], tau_y=[1.0, 1.0], sigma_x=[1.0, 1.0],
+                  sigma_y=[1.0, 1.0], I=[0.0, 0.0], J=[0.0, 0.0])
+    with pytest.raises(InvalidSpecError) as exc:
+        merged_bounds(bam)
+    assert exc.value.violations == ["|a_conn[2][1]|*r_hi[2]*Lf[1] underflows to 0"]
+    fixed = dataclasses.replace(bam, a_conn=[[0.0, 1.0], [1e-200, 1.0]])
+    L = merged_bounds(fixed)[3]
+    assert L[2, 0] == 0.0 and L[0, 2] == 0.0 and L[1, 2] == 1e-230
 
 
 # --- concrete systems -------------------------------------------------------
