@@ -7,26 +7,24 @@ lag, bound, label) each, and evaluates its one right-hand side, the same
 for every family, from the list of read values.
 
 One RK4 step evaluates the right-hand side four times but at only two new
-stage times, t + h/2 and t + h.  The reads are resolved once per stage time:
-each lag is evaluated once and range-checked against its declared bound, and
-every read time t - lag(t) falls in one of five classes:
+stage times, t + c h for c = 1/2 and 1.  A read at t - lag(t) is one of:
 
 * stage: the lag is zero, so the read takes the state of each evaluation
   (zero-delay terms reduce to the classical ODE method),
 * history: at or before the start time, from the initial history,
 * node: on a completed grid point, its stored value,
 * Hermite: inside a completed step, cubic interpolation from the stored
-  node values and node derivatives, which keeps the interpolation error at
-  the same order as the integrator's own truncation error,
+  node values and derivatives, as accurate as the integrator itself,
 * sub-step: inside the step being built (lag below one step), the last
-  completed grid point; this fallback is only first-order accurate, and the
-  number of such reads is reported as `meta["substep_lookups"]`.
+  completed grid point, first-order only; `meta["substep_lookups"]` counts it.
 
-All but the stage reads depend only on the stage time and the completed
-steps, so the same stage time gives the same values to every evaluation.
-When no read at a stage time is a stage read, the evaluation does not depend
-on the stage state and is reused exactly: k3 is k2, and the node derivative
-(stored for the Hermite reads and the next step's first stage) is k4.
+A constant lag of at least one step reads q = c - lag / h steps from node k
+in every step k, so it is range-checked once and each stage offset plans
+its node offset or Hermite weights once, for the steps whose read lies past
+t0 + h; other lags, and constant ones before then, are read anew at each
+stage time.  Only stage reads depend on more than the stage time and the
+completed steps, so a stage time without them evaluates once: k3 is k2,
+and the node derivative (kept for Hermite reads and the next step) is k4.
 
 A non-finite state aborts the run with the blow-up time.
 """
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import read_time
+from .systems import ConstantLag, read_time
 
 
 class SimulationError(RuntimeError):
@@ -90,6 +88,33 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
+def _place(q: float, h: float) -> tuple:
+    """(r, Hermite weights with h folded in or none, sub-step flag) of a read
+    q steps past node k: on node k + r, or between nodes k + r and k + r + 1."""
+    if q > 1e-9 or abs(q - round(q)) <= 1e-9:
+        return min(round(q), 0), (), q > 1e-9
+    r = math.floor(q)
+    theta, om = q - r, 1.0 - (q - r)
+    return r, ((1.0 + 2.0 * theta) * om * om, theta * om * om * h,
+               theta * theta * (3.0 - 2.0 * theta), theta * theta * (theta - 1.0) * h), False
+
+
+class _ReadPlan:
+    """The reads at stage offset c of every step (see the module docstring)."""
+
+    def __init__(self, c: float, h: float, dim: int, reads: tuple):
+        self.stage, self.nodes, self.hermite, self.varying, warm = [], [], [], [], []
+        for slot, (comp, lag, bound, label) in enumerate(reads):
+            if lag is None or isinstance(lag, ConstantLag) and lag.value == 0:
+                self.stage.append((slot, comp))
+            elif not isinstance(lag, ConstantLag) or lag.value < h:  # may be a sub-step read
+                self.varying.append((slot, reads[slot]))
+            else:
+                r, weights, _ = _place(c - lag.value / h, h)
+                warm.append((max(0, 1 - r), (slot, reads[slot]), (slot, r * dim + comp, *weights)))
+        self.queue = sorted(warm, key=lambda entry: -entry[0])  # next warm-up to end on top
+
+
 class _Integrator:
     def __init__(self, system, cfg: SimConfig):
         require_finite(t0=cfg.t0, t_end=cfg.t_end, step=cfg.h)
@@ -121,53 +146,49 @@ class _Integrator:
         except MemoryError:
             raise ValueError(f"cannot allocate the grid of {n_steps} steps of size "
                              f"{cfg.h:g}; shorten the span or enlarge the step") from None
-        # lookups read Python floats straight from the stored arrays
-        self.states_view = memoryview(self.states)
-        self.derivs_view = memoryview(self.derivs)
+        # lookups read Python floats from the flat arrays: x_i(t_j) is at j * dim + i
+        self.flat = memoryview(self.states.reshape(-1)), memoryview(self.derivs.reshape(-1))
         self.reads = system.reads
         self.rhs = system.rhs
         self.history_start = cfg.t0 - system.max_lag_bound
         self.substep_lookups = 0
+        for read in (read for read in self.reads if isinstance(read[1], ConstantLag)):
+            read_time(cfg.t0, *read[1:])  # each constant lag is range-checked once
+        self.plans = [_ReadPlan(c, cfg.h, self.dim, self.reads) for c in (0.5, 1.0)]
 
-    def _resolve(self, t: float, frontier: int):
-        """Read every delayed value at stage time t, the last completed node
-        being `frontier`; returns the value list and the (slot, component)
-        pairs of the stage reads, whose slots each evaluation fills."""
-        t0, h, states, derivs = self.cfg.t0, self.cfg.h, self.states_view, self.derivs_view
-        near = 1e-12 * max(1.0, abs(t))
-        values = []
-        stage = []
-        for slot, (comp, lag, bound, label) in enumerate(self.reads):
-            tq = read_time(t, lag, bound, label)
-            if abs(tq - t) <= near:
-                stage.append((slot, comp))
-                values.append(0.0)
-                continue
-            if tq <= t0:
-                if tq < self.history_start - 1e-9:
-                    raise SimulationError(
-                        f"delayed lookup at t={tq:.6g} lies before the retained "
-                        f"history, which starts at t={self.history_start:.6g}", t)
-                values.append(float(np.asarray(self.phi(tq), dtype=float)[comp]))
-                continue
-            pos = (tq - t0) / h
-            node = int(round(pos))
-            if abs(pos - node) <= 1e-9 and node <= frontier:
-                values.append(states[node, comp])
-            elif pos >= frontier:
-                # inside the step being built: last completed grid point
-                self.substep_lookups += 1
-                values.append(states[frontier, comp])
-            else:
-                j = min(int(pos), frontier - 1)
-                theta = pos - j
-                om = 1.0 - theta
-                h00 = (1.0 + 2.0 * theta) * om * om
-                h10 = theta * om * om
-                h01 = theta * theta * (3.0 - 2.0 * theta)
-                h11 = theta * theta * (theta - 1.0)
-                values.append(h00 * states[j, comp] + h10 * h * derivs[j, comp]
-                              + h01 * states[j + 1, comp] + h11 * h * derivs[j + 1, comp])
+    def _read(self, plan: _ReadPlan, t: float, k: int):
+        """Every read's value at stage time t of step k; the stage reads' (slot, comp)."""
+        while plan.queue and plan.queue[-1][0] <= k:  # its warm-up is over: gathered from now on
+            gather = plan.queue.pop()[2]
+            (plan.hermite if len(gather) > 2 else plan.nodes).append(gather)
+        t0, h, dim, (states, derivs) = self.cfg.t0, self.cfg.h, self.dim, self.flat
+        values = [0.0] * len(self.reads)
+        stage, nodes, hermite = plan.stage, plan.nodes, plan.hermite
+        pending = plan.varying + [entry[1] for entry in plan.queue] if plan.queue else plan.varying
+        if pending:
+            stage, nodes, hermite = stage.copy(), nodes.copy(), hermite.copy()
+            near = 1e-12 * max(1.0, abs(t))
+            for slot, (comp, lag, bound, label) in pending:
+                tq = read_time(t, lag, bound, label)
+                if abs(tq - t) <= near:
+                    stage.append((slot, comp))
+                elif tq <= t0:
+                    if tq < self.history_start - 1e-9:
+                        raise SimulationError(
+                            f"delayed lookup at t={tq:.6g} lies before the retained "
+                            f"history, which starts at t={self.history_start:.6g}", t)
+                    values[slot] = float(np.asarray(self.phi(tq), dtype=float)[comp])
+                else:
+                    r, weights, substep = _place((tq - t0) / h - k, h)
+                    self.substep_lookups += substep
+                    (hermite if weights else nodes).append((slot, r * dim + comp, *weights))
+        base = k * dim
+        for slot, at in nodes:
+            values[slot] = states[base + at]
+        for slot, at, w0, w1, w2, w3 in hermite:
+            at += base
+            values[slot] = (w0 * states[at] + w1 * derivs[at]
+                            + w2 * states[at + dim] + w3 * derivs[at + dim])
         return values, stage
 
     def _eval(self, t: float, values: list, stage: list, x: np.ndarray) -> np.ndarray:
@@ -179,21 +200,22 @@ class _Integrator:
 
     def run(self) -> Trajectory:
         h = self.cfg.h
-        times, states, derivs = self.times, self.states, self.derivs
+        times, states, derivs, (half, whole) = self.times, self.states, self.derivs, self.plans
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             t = self.cfg.t0
             states[0] = np.asarray(self.phi(t), dtype=float)
-            derivs[0] = self._eval(t, *self._resolve(t, 0), states[0])
+            # no plan gathers before step 1, so this reads every lag at t0
+            derivs[0] = self._eval(t, *self._read(half, t, 0), states[0])
             for k in range(self.n_steps):
                 t = float(times[k])
                 t_mid, t_next = t + 0.5 * h, float(times[k + 1])
                 x = states[k]
                 k1 = derivs[k]
-                values, stage = self._resolve(t_mid, k)
+                values, stage = self._read(half, t_mid, k)
                 k2 = self._eval(t_mid, values, stage, x + (0.5 * h) * k1)
                 k3 = self._eval(t_mid, values, stage, x + (0.5 * h) * k2) if stage else k2
-                values, stage = self._resolve(t_next, k)
+                values, stage = self._read(whole, t_next, k)
                 k4 = self._eval(t_next, values, stage, x + h * k3)
                 x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 if not np.all(np.isfinite(x_next)):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaystab import (
     BamConcrete,
@@ -21,8 +22,8 @@ from delaystab import (
     two_neuron_spec,
     write_csv,
 )
-from delaystab.systems import (ConstantCoeff, ConstantLag, LinearActivation, SinSquaredLag,
-                               TanhActivation)
+from delaystab.systems import (ConstantCoeff, ConstantLag, LinearActivation,
+                               ShiftedAbsSinLag, SinSquaredLag, TanhActivation)
 
 
 def pure_delay_system(tau=1.0, history=1.0):
@@ -221,14 +222,18 @@ def test_negative_lag_rejected():
 # --- evaluation counts and sub-step reporting --------------------------------
 
 class Counting:
-    """Mixin for a constant catalog function: counts evaluations in `calls`."""
+    """Mixin for a catalog function: counts evaluations in `calls`."""
 
     def __call__(self, t):
         object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
-        return self.value
+        return super().__call__(t)
 
 
 class CountingLag(Counting, ConstantLag):
+    pass
+
+
+class CountingVaryingLag(Counting, ShiftedAbsSinLag):
     pass
 
 
@@ -246,8 +251,9 @@ def two_neuron_system(trans_x, trans_y, rate=None):
 
 
 def test_positive_lags_are_evaluated_once_per_stage_time():
+    # time-varying lags go through the per-stage-time pass at every stage time
     n_steps = 50
-    lags = [CountingLag(0.4), CountingLag(0.5)]
+    lags = [CountingVaryingLag(0.3, 0.1), CountingVaryingLag(0.4, 0.1)]
     rate = CountingCoeff(1.0)
     simulate(two_neuron_system(*lags, rate=rate), SimConfig(0.0, 0.04 * n_steps, 0.04))
     # the start plus two new stage times per step (t + h/2 and t + h); with
@@ -263,13 +269,41 @@ def test_undelayed_reads_keep_four_evaluations_per_step():
                             sigma=[[0.2, 0.0], [0.3, 0.2]])
     coeffs = [[CountingCoeff(-1.0), CountingCoeff(0.3)],
               [CountingCoeff(0.3), CountingCoeff(-1.0)]]
-    lags = [CountingLag(0.2), CountingLag(0.3), CountingLag(0.2)]
+    lags = [CountingVaryingLag(0.15, 0.05), CountingVaryingLag(0.2, 0.1),
+            CountingVaryingLag(0.15, 0.05)]
     sys_ = LinearConcrete(spec, coeffs, [[lags[0], None], lags[1:]], [1.0, -0.5])
     simulate(sys_, SimConfig(0.0, 0.02 * n_steps, 0.02))
     # the null lag reads each evaluation's stage state: nothing is reused,
     # but each lag is still evaluated once per stage time
     assert [c.calls for row in coeffs for c in row] == [4 * n_steps + 1] * 4
     assert [lag.calls for lag in lags] == [2 * n_steps + 1] * 3
+
+
+def test_constant_lags_are_evaluated_for_the_range_check_and_warm_up_only():
+    # a constant lag of tau = 12 h reads nodes at t + h and Hermite values at
+    # t + h/2, one of 13.5 h the reverse; each is evaluated once for its range
+    # check, once at the start, and at every stage time t_k + c h whose read
+    # lies before t0 + h (k + c - tau / h < 1); after that its read is planned
+    n_steps, h = 64, 1.0 / 32.0
+    lags = [CountingLag(12 * h), CountingLag(13.5 * h)]
+    rate = CountingCoeff(1.0)
+    traj = simulate(two_neuron_system(*lags, rate=rate), SimConfig(0.0, n_steps * h, h))
+    warm_up = [sum(k + c - lag.value / h < 1 for k in range(n_steps) for c in (0.5, 1.0))
+               for lag in lags]
+    assert warm_up == [25, 28]
+    assert [lag.calls for lag in lags] == [2 + n for n in warm_up]
+    assert rate.calls == 2 * n_steps + 1
+    assert traj.meta["substep_lookups"] == 0
+
+
+def test_constant_negative_lag_rejected_naming_the_read():
+    # the range check of a constant lag runs once, before the first step
+    spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[0.5], sigma=[[0.0]], L=[[0.0]])
+    sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(-0.1)],
+                           [[None]], [[None]], [1.0])
+    with pytest.raises(DelayBoundError) as exc:
+        simulate(sys_, SimConfig(2.0, 3.0, 0.05))
+    assert str(exc.value) == "leak_lag[1] evaluates to a negative lag -1.000e-01 at t=2"
 
 
 def test_substep_fallbacks_are_reported():
@@ -280,6 +314,113 @@ def test_substep_fallbacks_are_reported():
     constant = simulate(two_neuron_system(ConstantLag(0.4), ConstantLag(0.5)),
                         SimConfig(0.0, 4.0, 0.01))
     assert constant.meta["substep_lookups"] == 0
+
+
+# --- read plans ---------------------------------------------------------------
+
+# a lag is None, or a delay given in steps of h: zero, or at least ten steps
+# (the step may be at most a tenth of a positive lag): on a node, half-way
+# between nodes, exactly ten steps, or anywhere up to forty steps
+LAG_STEPS = st.one_of(st.none(), st.just(0.0), st.integers(10, 40).map(float),
+                      st.integers(10, 39).map(lambda k: k + 0.5), st.just(10.0),
+                      st.floats(10.0, 40.0))
+
+
+def twin_systems(family: str, lags: list, bound: float):
+    """The same system twice: with ConstantLag delays, whose reads are planned
+    once, and with ShiftedAbsSinLag(tau, 0.0), the same values resolved at
+    every stage time."""
+
+    def history(t):
+        return np.array([math.cos(t), 0.5 * math.sin(2.0 * t)])
+
+    out = []
+    for make in (ConstantLag, lambda tau: ShiftedAbsSinLag(tau, 0.0)):
+        lx, ly, tx, ty = [None if tau is None else make(tau) for tau in lags]
+        if family == "general":
+            spec = GeneralSystemSpec(alpha=[1.0, 0.5], A=[1.0, 0.5], tau=[bound] * 2,
+                                     sigma=[[bound] * 2] * 2, L=[[0.0, 0.5], [0.4, 0.0]])
+            out.append(GeneralConcrete(spec, [ConstantCoeff(1.0), ConstantCoeff(0.5)], [lx, ly],
+                                       [[None, tx], [ty, None]],
+                                       [[None, TanhActivation(0.5)], [LinearActivation(0.4), None]],
+                                       history))
+        elif family == "linear":
+            spec = LinearSystemSpec(alpha=[1.0, 0.8], A=[1.0, 0.8],
+                                    A_off=[[0.0, 0.3], [0.4, 0.0]], sigma=[[bound] * 2] * 2)
+            coeffs = [[ConstantCoeff(-1.0), ConstantCoeff(0.3)],
+                      [ConstantCoeff(-0.4), ConstantCoeff(-0.8)]]
+            out.append(LinearConcrete(spec, coeffs, [[lx, tx], [ty, ly]], history))
+        else:
+            spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=-1.0,
+                                   Lf=0.5, Lg=0.2, tau_x=bound, tau_y=bound,
+                                   sigma_x=bound, sigma_y=bound, input_x=0.3)
+            out.append(BamConcrete(spec, [ConstantCoeff(1.0)], [ConstantCoeff(1.0)], [lx], [ly],
+                                   [tx], [ty], [TanhActivation(0.5)], [LinearActivation(0.2)],
+                                   history))
+    return out
+
+
+def assert_plans_match(family, lag_steps, h, t0, n_steps, every):
+    lags = [None if k is None else k * h for k in lag_steps]
+    bound = max([10.0 * h] + [tau for tau in lags if tau is not None])
+    cfg = SimConfig(t0, t0 + n_steps * h, h, record_every=every)
+    planned, per_stage = (simulate(sys_, cfg) for sys_ in twin_systems(family, lags, bound))
+    assert planned.meta == per_stage.meta
+    assert np.array_equal(planned.times, per_stage.times)
+    for a, b in ((planned.states, per_stage.states),
+                 (planned.derivatives, per_stage.derivatives)):
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("family", ["general", "linear", "bam"])
+@pytest.mark.parametrize("lag_steps", [
+    (12.0, 10.5, 10.0, 33.3),  # node, half-way, ten steps, in between
+    (None, 0.0, 13.0, 20.5),   # undelayed and zero lags beside delayed ones
+    (17.77, 10.0, None, 31.25),
+])
+def test_planned_reads_match_per_stage_time_reads(family, lag_steps):
+    assert_plans_match(family, lag_steps, 0.02, 0.0, 80, 1)
+    assert_plans_match(family, lag_steps, 0.025, -1.3, 60, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["general", "linear", "bam"]),
+       lag_steps=st.lists(LAG_STEPS, min_size=4, max_size=4),
+       h=st.sampled_from([0.01, 0.02, 0.025, 1.0 / 32.0]),
+       t0=st.sampled_from([0.0, 0.7, -2.0, 13.0]),
+       blocks=st.integers(8, 25), every=st.sampled_from([1, 2, 4]))
+def test_planned_reads_match_per_stage_time_reads_property(family, lag_steps, h, t0, blocks,
+                                                           every):
+    assert_plans_match(family, lag_steps, h, t0, 4 * blocks, every)
+
+
+@pytest.mark.parametrize("lag_steps, sub_steps", [(0.3, 200), (0.5, 100), (0.7, 100),
+                                                  (1e-9, 200), (1e-11, 0)])
+def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
+    # a system may declare a step bound that lets a constant lag fall below
+    # one step; such reads fall back to the last node and are counted as for
+    # a time-varying lag, and a lag too small to tell from zero is a stage read
+    def system(lag):
+        class OneRead:
+            dim = 1
+            max_lag_bound = min_positive_lag_bound = 1.0
+            reads = ((0, lag, 1.0, "lag"),)
+
+            @staticmethod
+            def history(t):
+                return np.array([math.cos(t)])
+
+            def rhs(self, t, values):
+                return np.array([-values[0]])
+        return OneRead()
+
+    h = 0.01
+    cfg = SimConfig(0.5, 1.5, h)
+    planned = simulate(system(ConstantLag(lag_steps * h)), cfg)
+    per_stage = simulate(system(ShiftedAbsSinLag(lag_steps * h, 0.0)), cfg)
+    assert planned.meta == per_stage.meta
+    assert planned.meta["substep_lookups"] == sub_steps
+    assert np.max(np.abs(planned.states - per_stage.states)) <= 1e-13
 
 
 # --- decay fitting ----------------------------------------------------------
