@@ -39,16 +39,9 @@ from .criteria import (
 )
 from .equilibrium import DivergenceError, equilibrium_exists, solve_equilibrium
 from .linalg import DEFAULT_TOL
-from .simulate import (
-    FitInapplicableError,
-    SimConfig,
-    SimulationError,
-    fit_decay,
-    simulate,
-    write_csv,
-)
+from .simulate import SimConfig, SimulationError, simulate, write_csv
 from .specio import load_json, parse_file, point_parser
-from .sweep import default_step, find_failure_threshold, fit_reference, sweep
+from .sweep import find_failure_threshold, observed_rate, sweep
 from .systems import BamSpec
 
 
@@ -225,27 +218,20 @@ def cmd_simulate(args, tol: float) -> int:
     parsed = parse_file(args.document)
     if parsed.concrete is None:
         raise UsageError("document has no dynamics section; nothing to integrate")
-    system = parsed.concrete
     t0 = args.t0
-    h = args.step if args.step is not None else default_step(system, t0, args.t_end)
-    cfg = SimConfig(t0=t0, t_end=args.t_end, h=h, record_every=args.record_every)
+    cfg = SimConfig(t0=t0, t_end=args.t_end, h=args.step, record_every=args.record_every)
     report = _base_report("simulate", args.document, parsed, tol)
     try:
-        traj = simulate(system, cfg)
+        traj = simulate(parsed.concrete, cfg)
     except SimulationError as exc:
         report["simulation"] = {"error": str(exc), "failed_at": exc.time}
         _emit(report)
         _say(f"{args.document}: integration failed: {exc}")
         return 2
-    final = traj.states[-1]
-    lam_hat = None
-    try:
-        lam_hat = fit_decay(traj, fit_reference(parsed)).lambda_hat
-    except (FitInapplicableError, DivergenceError):
-        pass
+    final, h, lam_hat = traj.states[-1], traj.meta["h"], observed_rate(parsed, traj)
     summary = {
         "t0": t0, "t_end": args.t_end, "h": h,
-        "steps": int(round((args.t_end - t0) / h)),
+        "steps": (len(traj.times) - 1) * traj.meta["record_every"],
         "recorded_points": len(traj.times), "dim": traj.dim,
         "final_state": final, "final_sup_norm": float(np.max(np.abs(final))),
         "lambda_hat": lam_hat, "csv": args.out,

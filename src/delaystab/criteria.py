@@ -386,7 +386,8 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
         raise NotCertifiedError(
             "not certified stable: the rate-zero test matrix is not an "
             f"M-matrix (margin {min(tried[0][1], -tol):.3e})")
-    top = float(np.min(bounds[0])) - tol
+    low = float(np.min(bounds[0]))
+    top = min(low - tol, nextafter(low, 0.0))  # below the pole at min alpha for any tol
     top_passes, slack_top = trial(top)
     lo, hi = (top, top) if top_passes else switch_bracket(trial, 0.0, top, nan, slack_top)
     return DecayCertificate(lambda0=lo, boundary_margin=dict(tried)[lo],

@@ -58,12 +58,6 @@ def as_square(a) -> np.ndarray:
     return arr
 
 
-def leading_principal_minors(a) -> np.ndarray:
-    """Determinants of the k-by-k top-left submatrices, k = 1..n."""
-    arr = as_square(a)
-    return np.array([np.linalg.det(arr[:k, :k]) for k in range(1, arr.shape[0] + 1)])
-
-
 def dominance_sums(arr: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row and column sums of off-diagonal magnitudes, and their bound.
 

@@ -1,7 +1,10 @@
 """Fixed-step integration of concrete delay systems and decay fitting.
 
 Integration is classical explicit fourth-order Runge-Kutta marching on a
-uniform grid (the method of steps with a continuous extension).  A
+uniform grid (the method of steps with a continuous extension).  Its step
+must divide the span and be at most a tenth of the smallest positive delay
+bound; left out, it is the largest such step that is also at most
+COARSEST_STEP, and this module is the one place that rule lives.  A
 `systems.ConcreteSystem` lists its delayed reads in a table, (component,
 lag, bound, label) each, and evaluates its one right-hand side, the same
 for every family, from the list of read values.
@@ -38,6 +41,8 @@ import numpy as np
 
 from .systems import ConstantLag, read_time
 
+COARSEST_STEP = 0.01
+
 
 class SimulationError(RuntimeError):
     """Integration aborted; `time` holds the failure instant."""
@@ -53,11 +58,15 @@ class FitInapplicableError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Time span, step size and output decimation."""
+    """Time span, step size and output decimation.
+
+    `h` None is the default step: the largest that divides the span and is
+    at most COARSEST_STEP and a tenth of the smallest positive delay bound.
+    """
 
     t0: float
     t_end: float
-    h: float
+    h: float | None = None
     record_every: int = 1
 
 
@@ -117,35 +126,41 @@ class _ReadPlan:
 
 class _Integrator:
     def __init__(self, system, cfg: SimConfig):
-        require_finite(t0=cfg.t0, t_end=cfg.t_end, step=cfg.h)
-        if cfg.h <= 0:
-            raise ValueError(f"step size must be positive, got {cfg.h}")
+        h = cfg.h
+        require_finite(t0=cfg.t0, t_end=cfg.t_end)
+        if h is not None:
+            require_finite(step=h)
+            if h <= 0:
+                raise ValueError(f"step size must be positive, got {h}")
         if cfg.t_end <= cfg.t0:
             raise ValueError("t_end must exceed t0")
         span = cfg.t_end - cfg.t0
-        require_finite(step_count=span / cfg.h)
-        n_steps = int(round(span / cfg.h))
-        if n_steps < 1 or abs(n_steps * cfg.h - span) > 1e-6 * cfg.h:
-            raise ValueError("t_end - t0 must be an integer number of steps")
         min_lag = system.min_positive_lag_bound
-        if min_lag is not None and cfg.h > min_lag / 10.0 + 1e-12:
+        if h is None:  # the default step: the coarsest allowed one that divides the span
+            cap = COARSEST_STEP if min_lag is None else min(COARSEST_STEP, min_lag / 10.0)
+            require_finite(step_count=span / cap)
+            h = span / max(1, math.ceil(span / cap - 1e-9))
+        require_finite(step_count=span / h)
+        n_steps = int(round(span / h))
+        if n_steps < 1 or abs(n_steps * h - span) > 1e-6 * h:
+            raise ValueError("t_end - t0 must be an integer number of steps")
+        if min_lag is not None and h > min_lag / 10.0 + 1e-12:
             raise ValueError(
-                f"step size {cfg.h} too large: must be at most a tenth of "
+                f"step size {h} too large: must be at most a tenth of "
                 f"the smallest positive delay bound ({min_lag / 10.0:.6g})")
         if cfg.record_every < 1 or n_steps % cfg.record_every != 0:
             raise ValueError("record_every must be a positive divisor of the "
                              "step count")
-        self.cfg = cfg
-        self.n_steps = n_steps
+        self.cfg, self.h, self.n_steps = cfg, h, n_steps
         self.dim = system.dim
         self.phi = system.history
         try:
-            self.times = cfg.t0 + np.arange(n_steps + 1) * cfg.h
+            self.times = cfg.t0 + np.arange(n_steps + 1) * h
             self.states = np.empty((n_steps + 1, self.dim))
             self.derivs = np.empty((n_steps + 1, self.dim))
         except MemoryError:
             raise ValueError(f"cannot allocate the grid of {n_steps} steps of size "
-                             f"{cfg.h:g}; shorten the span or enlarge the step") from None
+                             f"{h:g}; shorten the span or enlarge the step") from None
         # lookups read Python floats from the flat arrays: x_i(t_j) is at j * dim + i
         self.flat = memoryview(self.states.reshape(-1)), memoryview(self.derivs.reshape(-1))
         self.reads = system.reads
@@ -154,14 +169,14 @@ class _Integrator:
         self.substep_lookups = 0
         for read in (read for read in self.reads if isinstance(read[1], ConstantLag)):
             read_time(cfg.t0, *read[1:])  # each constant lag is range-checked once
-        self.plans = [_ReadPlan(c, cfg.h, self.dim, self.reads) for c in (0.5, 1.0)]
+        self.plans = [_ReadPlan(c, h, self.dim, self.reads) for c in (0.5, 1.0)]
 
     def _read(self, plan: _ReadPlan, t: float, k: int):
         """Every read's value at stage time t of step k; the stage reads' (slot, comp)."""
         while plan.queue and plan.queue[-1][0] <= k:  # its warm-up is over: gathered from now on
             gather = plan.queue.pop()[2]
             (plan.hermite if len(gather) > 2 else plan.nodes).append(gather)
-        t0, h, dim, (states, derivs) = self.cfg.t0, self.cfg.h, self.dim, self.flat
+        t0, h, dim, (states, derivs) = self.cfg.t0, self.h, self.dim, self.flat
         values = [0.0] * len(self.reads)
         stage, nodes, hermite = plan.stage, plan.nodes, plan.hermite
         pending = plan.varying + [entry[1] for entry in plan.queue] if plan.queue else plan.varying
@@ -199,7 +214,7 @@ class _Integrator:
         return self.rhs(t, values)
 
     def run(self) -> Trajectory:
-        h = self.cfg.h
+        h = self.h
         times, states, derivs, (half, whole) = self.times, self.states, self.derivs, self.plans
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):

@@ -33,7 +33,7 @@ import copy
 import hashlib
 import json
 import reprlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -568,14 +568,3 @@ def load_json(path: str):
 
 def parse_file(path: str) -> ParsedInput:
     return parse_document(load_json(path))
-
-
-def serialize_spec(spec) -> dict:
-    """Bounds-only document for a spec; parse_document round-trips it."""
-    kind = {GeneralSystemSpec: "general", LinearSystemSpec: "linear",
-            BamSpec: "bam"}.get(type(spec))
-    if kind is None:
-        raise TypeError(f"cannot serialize {type(spec).__name__}")
-    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    return {"kind": kind, "spec": {
-        name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}}

@@ -1,4 +1,5 @@
-"""Parameter sweeps over system documents and failure-threshold search."""
+"""Parameter sweeps over system documents, failure-threshold search, and
+the decay rate observed in a simulated trajectory."""
 
 from __future__ import annotations
 
@@ -19,18 +20,10 @@ from .criteria import (
 )
 from .equilibrium import DivergenceError, solve_equilibrium
 from .linalg import DEFAULT_TOL, LinalgInputError
-from .simulate import (
-    FitInapplicableError,
-    SimConfig,
-    SimulationError,
-    fit_decay,
-    require_finite,
-    simulate,
-)
+from .simulate import FitInapplicableError, SimConfig, SimulationError, fit_decay, simulate
 from .specio import DocumentError
 from .systems import BamSpec, InvalidSpecError
 
-COARSEST_STEP = 0.01
 THRESHOLD_STRIDE = 1.0
 MAX_EXPAND = 60
 # what a document unusable at one parameter value raises
@@ -56,17 +49,22 @@ class SweepRow:
         return asdict(self)
 
 
-def fit_reference(parsed) -> np.ndarray:
-    """Steady state a decaying trajectory of a document with dynamics
-    should approach.
+def observed_rate(parsed, traj) -> float | None:
+    """Decay rate fitted to a trajectory of a document with dynamics, toward
+    the steady state it should approach; None when there is no fit.
 
-    Two-layer documents get their solved equilibrium; the other families
-    have no constant forcing, so zero is the fixed point.
+    Two-layer documents decay toward their solved equilibrium; the other
+    families have no constant forcing, so zero is the fixed point.
     """
-    if isinstance(parsed.spec, BamSpec):
-        eq = solve_equilibrium(parsed.spec, *parsed.concrete.activations)
-        return np.concatenate([eq.x_star, eq.y_star])
-    return np.zeros(parsed.concrete.dim)
+    try:
+        if isinstance(parsed.spec, BamSpec):
+            eq = solve_equilibrium(parsed.spec, *parsed.concrete.activations)
+            reference = np.concatenate([eq.x_star, eq.y_star])
+        else:
+            reference = np.zeros(parsed.concrete.dim)
+        return fit_decay(traj, reference).lambda_hat
+    except (FitInapplicableError, DivergenceError):
+        return None
 
 
 def sweep(points, values, *, tol: float = DEFAULT_TOL, criterion: str | None = None,
@@ -78,9 +76,10 @@ def sweep(points, values, *, tol: float = DEFAULT_TOL, criterion: str | None = N
     of `values`.  A value whose document fails to parse or fit the test, or
     whose simulation cannot start, gets status "error" with the message;
     the rest of the sweep continues.  When `simulate_until` is set, each
-    point with concrete dynamics is also integrated from its history and
-    the observed decay rate toward the equilibrium is fitted; a run that
-    blows up or does not decay keeps its row, with lambda_hat None.
+    point with concrete dynamics is also integrated from its history, on
+    `step` or by default on `simulate`'s default step, and its
+    `observed_rate` is fitted; a run that blows up or does not decay keeps
+    its row, with lambda_hat None.
     """
     rows = []
     for value in values:
@@ -107,28 +106,11 @@ def sweep(points, values, *, tol: float = DEFAULT_TOL, criterion: str | None = N
 
 
 def _simulated_rate(parsed, t_end: float, step: float | None) -> float | None:
-    h = step if step is not None else default_step(parsed.concrete, 0.0, t_end)
     try:
-        traj = simulate(parsed.concrete, SimConfig(t0=0.0, t_end=t_end, h=h))
-        return fit_decay(traj, fit_reference(parsed)).lambda_hat
-    except (SimulationError, FitInapplicableError, DivergenceError):
+        traj = simulate(parsed.concrete, SimConfig(t0=0.0, t_end=t_end, h=step))
+    except SimulationError:
         return None
-
-
-def default_step(system, t0: float, t_end: float) -> float:
-    """A step that divides the span, at most COARSEST_STEP and a tenth of
-    the smallest positive delay bound."""
-    require_finite(t0=t0, t_end=t_end)
-    span = t_end - t0
-    if span <= 0:
-        raise ValueError("t_end must exceed t0")
-    h_cap = COARSEST_STEP
-    bound = system.min_positive_lag_bound
-    if bound is not None:
-        h_cap = min(h_cap, bound / 10.0)
-    require_finite(step_count=span / h_cap)
-    n = max(1, int(np.ceil(span / h_cap - 1e-9)))
-    return span / n
+    return observed_rate(parsed, traj)
 
 
 @dataclass(frozen=True)

@@ -37,10 +37,10 @@ from delaystab import (
     two_neuron_comparison,
 )
 from delaystab.criteria import test_matrix_at_rate as matrix_at_rate
-from delaystab.linalg import leading_principal_minors
 from delaystab.systems import ConstantCoeff, ConstantLag
 
 from conftest import random_bam, random_general
+from oracles import leading_principal_minors
 
 INPUTS = Path(__file__).resolve().parent.parent / "inputs"
 

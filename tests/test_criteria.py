@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delaystab import criteria
-from delaystab.linalg import leading_principal_minors, witness_test
+from delaystab.linalg import witness_test
 from delaystab import (
     ALL_TAGS,
     BamSpec,
@@ -30,8 +30,10 @@ from delaystab import (
 )
 # aliased so pytest does not mistake the builders for test functions
 from delaystab import test_matrix_at_rate as build_at_rate
+from delaystab.systems import merged_bounds
 
 from conftest import random_bam, random_general
+from oracles import leading_principal_minors
 
 
 # frozen with exact rational arithmetic, independently of this package
@@ -377,6 +379,18 @@ def test_a_singular_trial_matrix_inside_the_search_is_a_failure(monkeypatch, gen
     monkeypatch.setattr(criteria, "_rate_matrix", singular_above_half)
     cert = certify_decay_rate(general_2x2)
     assert cert.upper_failed and 0.0 < cert.lambda0 <= 0.5 * top
+
+
+@pytest.mark.parametrize("name", ["general_sample", "two_neuron_sample", "bam_modulated"])
+def test_certificate_at_zero_tolerance_stays_below_the_pole(inputs_dir, name):
+    # min(alpha) - 0 is the pole of the rate matrix, so the top trial rate is
+    # one ulp below it; the certificate is still found, and lies below the pole
+    spec = parse_file(str(inputs_dir / f"{name}.json")).spec
+    alpha = merged_bounds(spec)[0] if isinstance(spec, BamSpec) else spec.alpha
+    cert = certify_decay_rate(spec, tol=0.0)
+    assert cert.upper_failed
+    assert 0.0 < cert.lambda0 < float(np.min(alpha))
+    assert cert.lambda0 == pytest.approx(certify_decay_rate(spec).lambda0, rel=1e-9)
 
 
 def test_certify_rejects_linear_family(linear_2x2):

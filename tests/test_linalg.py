@@ -7,9 +7,10 @@ from delaystab import (
     LinalgInputError,
     dominance_screen,
     is_m_matrix,
-    leading_principal_minors,
     spectral_radius,
 )
+
+from oracles import leading_principal_minors
 
 
 def test_leading_minors_of_triangular_matrix():

@@ -23,7 +23,6 @@ from delaystab import (
     NotCertifiedError,
     certify_decay_rate,
     is_m_matrix,
-    leading_principal_minors,
     stability_verdict,
 )
 from delaystab import criteria
@@ -32,6 +31,7 @@ from delaystab.criteria import test_matrix_at_rate as build_at_rate
 from delaystab.linalg import witness_test
 
 from conftest import random_bam, random_general
+from oracles import leading_principal_minors
 
 PROPERTY = settings(derandomize=True, max_examples=60, deadline=None)
 

@@ -132,6 +132,24 @@ def test_non_finite_times_rejected(t0, t_end, h, message):
     assert str(exc.value) == message
 
 
+# a grid of at most span / cap <= 5 / 0.005 = 1,000 steps
+@settings(max_examples=40, deadline=None)
+@given(t0=st.floats(-5.0, 5.0), span=st.floats(1e-3, 5.0),
+       lag=st.one_of(st.none(), st.floats(0.05, 10.0)))
+def test_default_step_is_the_coarsest_that_divides_the_span(t0, span, lag):
+    system = undelayed_decay_system() if lag is None else pure_delay_system(tau=lag)
+    t_end = t0 + span
+    traj = simulate(system, SimConfig(t0, t_end))
+    span = t_end - t0
+    cap = 0.01 if lag is None else min(0.01, lag / 10.0)
+    n = max(1, math.ceil(span / cap - 1e-9))
+    h = traj.meta["h"]
+    assert h == span / n
+    assert len(traj.times) == n + 1 and abs(n * h - span) <= 1e-6 * h
+    again = simulate(system, SimConfig(t0, t_end, h))
+    assert again.meta["h"] == h and np.array_equal(again.states, traj.states)
+
+
 def test_record_every_decimates():
     full = simulate(pure_delay_system(), SimConfig(0.0, 2.0, 0.05))
     thin = simulate(pure_delay_system(), SimConfig(0.0, 2.0, 0.05, record_every=4))

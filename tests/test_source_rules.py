@@ -59,6 +59,25 @@ def test_package_defines_one_right_hand_side():
     assert len(found) == 1, found
 
 
+def test_only_the_integrator_reads_the_smallest_lag_bound():
+    # the bound caps the step, so the module that picks the default step is
+    # the only one that knows the grid rule; systems.py defines it
+    found = {path.name for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "min_positive_lag_bound"}
+    assert found - {"systems.py"} == {"simulate.py"}
+
+
+def test_package_fits_decay_at_one_site():
+    # simulate and sweep --simulate report the same observed rate, so they
+    # share one fit toward one reference
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("fit_decay")]
+    assert len(found) == 1, found
+
+
 def test_package_solves_one_linear_system():
     # the checked witness of `linalg.witness_test` is the only M-matrix
     # decision, so its solve is the package's one `np.linalg.solve` call

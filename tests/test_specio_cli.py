@@ -19,10 +19,12 @@ from delaystab import (
     parse_document,
     parse_file,
     point_parser,
-    serialize_spec,
     set_parameter,
 )
 from delaystab.cli import main
+from delaystab.systems import merged_bounds
+
+from oracles import serialize_spec
 
 
 # --- parsing ----------------------------------------------------------------
@@ -311,6 +313,19 @@ def test_cli_certify_rate(inputs_dir):
     cert = json.loads(res.stdout)["certificate"]
     assert abs(cert["lambda0"] - 0.01646705508628224) < 1e-9
     assert cert["bracket_width"] < 1e-10
+
+
+@pytest.mark.parametrize("name", ["general_sample", "two_neuron_sample", "bam_modulated"])
+def test_cli_certify_rate_at_a_tolerance_below_half_an_ulp(inputs_dir, name):
+    # min(alpha) - 1e-17 rounds back to min(alpha), the pole of the rate
+    # matrix; the top trial rate stays below it, so no division by zero
+    path = str(inputs_dir / f"{name}.json")
+    res = run_cli("certify-rate", path, "--tol", "1e-17")
+    assert res.returncode == 0, res.stderr
+    assert [line for line in res.stderr.splitlines() if line.startswith("warning:")] == []
+    spec = parse_file(path).spec
+    alpha = merged_bounds(spec)[0] if isinstance(spec, BamSpec) else spec.alpha
+    assert 0.0 < json.loads(res.stdout)["certificate"]["lambda0"] < float(np.min(alpha))
 
 
 def test_cli_certify_rate_inconclusive(tmp_path, two_neuron_doc):

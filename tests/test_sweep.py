@@ -84,6 +84,28 @@ def test_grid_too_large_to_allocate_gives_an_error_row(capsys, inputs_dir):
     assert row["error"].startswith("cannot allocate the grid of 100000000000000000 steps")
 
 
+def test_sweep_certifies_rows_at_a_tolerance_below_half_an_ulp(capsys, inputs_dir):
+    rc = main(["sweep", str(inputs_dir / "bam_modulated.json"), "--param", "parameters.mu",
+               "--values", "0,9", "--tol", "1e-17"])
+    out, err = capsys.readouterr()
+    assert rc == 0 and "warning:" not in err
+    rows = json.loads(out)["rows"]
+    assert [(r["status"], r["error"]) for r in rows] == [("stable_certified", None)] * 2
+    assert all(r["lambda0"] > 0.0 for r in rows)
+
+
+def test_sweep_row_observes_the_rate_that_simulate_reports(capsys, inputs_dir):
+    # a two-layer document decays toward its solved equilibrium, not toward 0;
+    # the document's own mu is 0
+    path = str(inputs_dir / "bam_modulated.json")
+    assert main(["simulate", path, "--t-end", "2"]) == 0
+    want = json.loads(capsys.readouterr().out)["simulation"]["lambda_hat"]
+    assert main(["sweep", path, "--param", "parameters.mu", "--values", "0",
+                 "--simulate", "--t-end", "2"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    assert want is not None and row["lambda_hat"] == want
+
+
 def test_threshold_search_propagates_programming_errors(monkeypatch, modulated_doc):
     def broken(spec, tag=None):
         raise ValueError("bug inside a criterion")

@@ -16,14 +16,15 @@ from delaystab import (
     InvalidSpecError,
     LinearConcrete,
     LinearSystemSpec,
+    SimConfig,
     bam_to_general,
     certify_decay_rate,
     require_valid,
+    simulate,
     stability_verdict,
     two_neuron_spec,
     validate,
 )
-from delaystab.sweep import default_step
 from delaystab.systems import (
     ConstantCoeff,
     ConstantLag,
@@ -357,7 +358,7 @@ def test_lag_of_absent_coupling_sets_no_bound():
     assert len(sys_.reads) == 3
     assert sys_.min_positive_lag_bound == 0.3
     assert sys_.max_lag_bound == 0.5
-    assert default_step(sys_, 0.0, 1.0) == 0.01
+    assert simulate(sys_, SimConfig(0.0, 1.0)).meta["h"] == 0.01
 
 
 def test_linear_concrete_matches_matrix_product():

@@ -22,7 +22,9 @@ def test_tracer_names_missing_from_the_program_are_the_known_ones():
                if not hasattr(importlib.import_module(module), attr)}
     assert missing == {"delaystab.sweep.parse_document", "delaystab.sweep.set_parameter",
                        "delaystab.cli.set_parameter", "delaystab.sweep.two_neuron_closed_form",
-                       "delaystab.criteria.two_neuron_closed_form"} | {
+                       "delaystab.criteria.two_neuron_closed_form",
+                       # simulate and sweep --simulate share sweep.observed_rate
+                       "delaystab.cli.fit_decay"} | {
         # one builder, test_matrix_at_rate, took over from the per-family ones
         f"delaystab.criteria.test_matrix_{family}" for family in (
             "general", "no_self_coupling", "undelayed_decay", "linear", "linear_undelayed",

@@ -25,7 +25,6 @@ import pytest
 
 from delaystab import GeneralConcrete, GeneralSystemSpec, SimConfig, parse_document, simulate
 from delaystab.specio import load_json
-from delaystab.sweep import default_step
 from delaystab.systems import (ConstantCoeff, ConstantLag, ShiftedAbsSinLag, Sinusoid,
                                TanhActivation)
 
@@ -81,7 +80,7 @@ CASES = {
 def run(name):
     build, t_end = CASES[name]
     system = build()
-    cfg = SimConfig(0.0, t_end, default_step(system, 0.0, t_end), record_every=RECORD_EVERY)
+    cfg = SimConfig(0.0, t_end, record_every=RECORD_EVERY)
     return simulate(system, cfg)
 
 
