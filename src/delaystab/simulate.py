@@ -24,12 +24,14 @@ stage times, t + c h for c = 1/2 and 1.  A read at t - lag(t) is one of:
 A constant lag of at least one step reads q = c - lag / h steps from node k
 in every step k, so it is range-checked once and each stage offset plans
 its node offset or Hermite weights once, for the steps whose read lies past
-t0 + h; other lags, and constant ones before then, are read anew at each
-stage time.  Only stage reads depend on more than the stage time and the
-completed steps, so a stage time without them evaluates once: k3 is k2,
+t0 + h, and a constant history's value (`systems.ConstantHistory`) for the
+steps whose read lies at or before t0; other reads are resolved anew at
+each stage time.  Only stage reads depend on more than the stage time and
+the completed steps, so a stage time without them evaluates once: k3 is k2,
 and the node derivative (kept for Hermite reads and the next step) is k4.
 
-A non-finite state aborts the run with the blow-up time.
+A step runs on Python floats in numpy's elementwise order (the same bits,
+no numpy call per step); a non-finite state aborts the run at its time.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import ConstantLag, read_time
+from .systems import ConstantHistory, ConstantLag, read_time
 
 COARSEST_STEP = 0.01
 
@@ -111,7 +113,7 @@ def _place(q: float, h: float) -> tuple:
 class _ReadPlan:
     """The reads at stage offset c of every step (see the module docstring)."""
 
-    def __init__(self, c: float, h: float, dim: int, reads: tuple):
+    def __init__(self, c: float, h: float, dim: int, reads: tuple, fixed: list):
         self.stage, self.nodes, self.hermite, self.varying, warm = [], [], [], [], []
         for slot, (comp, lag, bound, label) in enumerate(reads):
             if lag is None or isinstance(lag, ConstantLag) and lag.value == 0:
@@ -119,8 +121,11 @@ class _ReadPlan:
             elif not isinstance(lag, ConstantLag) or lag.value < h:  # may be a sub-step read
                 self.varying.append((slot, reads[slot]))
             else:
-                r, weights, _ = _place(c - lag.value / h, h)
-                warm.append((max(0, 1 - r), (slot, reads[slot]), (slot, r * dim + comp, *weights)))
+                r, weights, _ = _place(q := c - lag.value / h, h)
+                # the steps k < history read at or before t0 (k + q <= 1e-9): the fixed value
+                history = 0 if fixed[slot] is None else math.floor(1e-9 - q) + 1
+                warm.append((max(0, 1 - r), history, (slot, reads[slot]),
+                             (slot, r * dim + comp, *weights)))
         self.queue = sorted(warm, key=lambda entry: -entry[0])  # next warm-up to end on top
 
 
@@ -139,7 +144,9 @@ class _Integrator:
         if h is None:  # the default step: the coarsest allowed one that divides the span
             cap = COARSEST_STEP if min_lag is None else min(COARSEST_STEP, min_lag / 10.0)
             require_finite(step_count=span / cap)
-            h = span / max(1, math.ceil(span / cap - 1e-9))
+            n = max(1, math.ceil(span / cap - 1e-9))
+            # span / cap may lie above n by the 1e-9 slack: one more step past the lag cap
+            h = span / (n + (min_lag is not None and span / n > min_lag / 10.0 + 1e-12))
         require_finite(step_count=span / h)
         n_steps = int(round(span / h))
         if n_steps < 1 or abs(n_steps * h - span) > 1e-6 * h:
@@ -167,19 +174,24 @@ class _Integrator:
         self.rhs = system.rhs
         self.history_start = cfg.t0 - system.max_lag_bound
         self.substep_lookups = 0
-        for read in (read for read in self.reads if isinstance(read[1], ConstantLag)):
-            read_time(cfg.t0, *read[1:])  # each constant lag is range-checked once
-        self.plans = [_ReadPlan(c, h, self.dim, self.reads) for c in (0.5, 1.0)]
+        self.fixed = [None] * len(self.reads)  # a constant history's value of a planned read
+        for slot, (comp, lag, bound, label) in enumerate(self.reads):
+            if isinstance(lag, ConstantLag):  # each constant lag is range-checked once
+                tq = read_time(cfg.t0, lag, bound, label)
+                if isinstance(self.phi, ConstantHistory) and tq >= self.history_start - 1e-9:
+                    self.fixed[slot] = float(self.phi.vector[comp])
+        self.plans = [_ReadPlan(c, h, self.dim, self.reads, self.fixed) for c in (0.5, 1.0)]
 
     def _read(self, plan: _ReadPlan, t: float, k: int):
         """Every read's value at stage time t of step k; the stage reads' (slot, comp)."""
         while plan.queue and plan.queue[-1][0] <= k:  # its warm-up is over: gathered from now on
-            gather = plan.queue.pop()[2]
+            gather = plan.queue.pop()[3]
             (plan.hermite if len(gather) > 2 else plan.nodes).append(gather)
         t0, h, dim, (states, derivs) = self.cfg.t0, self.h, self.dim, self.flat
-        values = [0.0] * len(self.reads)
+        values = self.fixed.copy()  # every read that is not fixed at step k is written below
         stage, nodes, hermite = plan.stage, plan.nodes, plan.hermite
-        pending = plan.varying + [entry[1] for entry in plan.queue] if plan.queue else plan.varying
+        pending = (plan.varying + [entry[2] for entry in plan.queue if entry[1] <= k]
+                   if plan.queue else plan.varying)
         if pending:
             stage, nodes, hermite = stage.copy(), nodes.copy(), hermite.copy()
             near = 1e-12 * max(1.0, abs(t))
@@ -206,48 +218,48 @@ class _Integrator:
                             + w2 * states[at + dim] + w3 * derivs[at + dim])
         return values, stage
 
-    def _eval(self, t: float, values: list, stage: list, x: np.ndarray) -> np.ndarray:
-        if stage:
-            xs = x.tolist()
-            for slot, comp in stage:
-                values[slot] = xs[comp]
+    def _eval(self, t: float, values: list, stage: list, x: list) -> list:
+        for slot, comp in stage:
+            values[slot] = x[comp]
         return self.rhs(t, values)
 
     def run(self) -> Trajectory:
-        h = self.h
-        times, states, derivs, (half, whole) = self.times, self.states, self.derivs, self.plans
+        h, dim, (half, whole), (states, derivs) = self.h, self.dim, self.plans, self.flat
+        half_h, sixth_h = 0.5 * h, h / 6.0
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             t = self.cfg.t0
-            states[0] = np.asarray(self.phi(t), dtype=float)
+            self.states[0] = np.asarray(self.phi(t), dtype=float)
             # no plan gathers before step 1, so this reads every lag at t0
-            derivs[0] = self._eval(t, *self._read(half, t, 0), states[0])
+            self.derivs[0] = self._eval(t, *self._read(half, t, 0), self.states[0].tolist())
+            x, k1, times = self.states[0].tolist(), self.derivs[0].tolist(), self.times.tolist()
             for k in range(self.n_steps):
-                t = float(times[k])
-                t_mid, t_next = t + 0.5 * h, float(times[k + 1])
-                x = states[k]
-                k1 = derivs[k]
+                t, t_next = times[k], times[k + 1]
+                t_mid = t + half_h
                 values, stage = self._read(half, t_mid, k)
-                k2 = self._eval(t_mid, values, stage, x + (0.5 * h) * k1)
-                k3 = self._eval(t_mid, values, stage, x + (0.5 * h) * k2) if stage else k2
+                k2 = self._eval(t_mid, values, stage, [a + half_h * b for a, b in zip(x, k1)])
+                k3 = (self._eval(t_mid, values, stage, [a + half_h * b for a, b in zip(x, k2)])
+                      if stage else k2)
                 values, stage = self._read(whole, t_next, k)
-                k4 = self._eval(t_next, values, stage, x + h * k3)
-                x_next = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                if not np.all(np.isfinite(x_next)):
+                k4 = self._eval(t_next, values, stage, [a + h * b for a, b in zip(x, k3)])
+                x = [a + sixth_h * (b + 2.0 * c + 2.0 * d + e)
+                     for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+                if not all(map(math.isfinite, x)):
                     raise SimulationError(f"state became non-finite at t={t_next:.6g}", t_next)
-                states[k + 1] = x_next
                 # node derivative, stored for Hermite reads and reused as the
                 # next step's first stage; the reads at t_next are still those
                 # of k4, which never look at node k + 1
-                derivs[k + 1] = self._eval(t_next, values, stage, x_next) if stage else k4
+                k1 = self._eval(t_next, values, stage, x) if stage else k4
+                for at, (value, slope) in enumerate(zip(x, k1), (k + 1) * dim):
+                    states[at], derivs[at] = value, slope
         every = self.cfg.record_every
         meta = {
             "t0": self.cfg.t0, "t_end": self.cfg.t_end, "h": h,
             "record_every": every, "dim": self.dim,
             "substep_lookups": self.substep_lookups,
         }
-        return Trajectory(times[::every].copy(), states[::every].copy(),
-                          derivs[::every].copy(), meta)
+        return Trajectory(self.times[::every].copy(), self.states[::every].copy(),
+                          self.derivs[::every].copy(), meta)
 
 
 def simulate(system, cfg: SimConfig) -> Trajectory:

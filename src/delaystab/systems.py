@@ -549,6 +549,15 @@ def read_time(t: float, lag, bound: float, label: str) -> float:
     return t - value
 
 
+@dataclass(frozen=True, eq=False)
+class ConstantHistory:
+    """The initial history t -> `vector` of a document: the same state at every t <= t0."""
+    vector: np.ndarray
+
+    def __call__(self, t: float) -> np.ndarray:
+        return self.vector
+
+
 # -0.0 is the exact additive identity (x + -0.0 is x, even for x = -0.0): a
 # row sum starts from it and a row without input adds it
 _EXACT_ZERO = -0.0
@@ -563,7 +572,8 @@ class ConcreteSystem:
     values: (component j, lag or None, declared bound, label), each read at
     `read_time(t, lag, bound, label)`; `phis` holds each read's phi (None: the
     value itself).  `rows` holds per component (mu or None for 1, e, terms),
-    a term being (read index, weight w, coefficient function c or None).
+    a term being (read index, weight w, coefficient function c or None); a
+    constant c is folded into w, exactly, as w * c(t) * x is (w * c(t)) * x.
     `checks` lists (label, realized lower, realized upper, allowed lower,
     allowed upper) of the functions a spec bounds; each lag's bound is checked
     against its read's declared bound too.  `activations` is a two-layer
@@ -580,29 +590,27 @@ class ConcreteSystem:
                     if lo < low - 1e-9 or hi > high + 1e-9]
         if problems:
             raise InvalidSpecError(problems)
-        self.phis, self.rows, self.activations = phis, rows, activations
-        self.dim = len(rows)
+        self.rows = [(mu, e, [(k, w * c.value, None) if isinstance(c, ConstantCoeff) else (k, w, c)
+                              for k, w, c in terms]) for mu, e, terms in rows]
+        self.phis, self.activations, self.dim = phis, activations, len(rows)
         if not callable(history):
-            vec = np.asarray(history, dtype=float)
-            if vec.shape != (self.dim,):
-                raise InvalidSpecError([f"history must have shape ({self.dim},), got {vec.shape}"])
-
-            def history(t: float) -> np.ndarray:
-                return vec
+            history = ConstantHistory(np.asarray(history, dtype=float))
+            if (shape := history.vector.shape) != (self.dim,):
+                raise InvalidSpecError([f"history must have shape ({self.dim},), got {shape}"])
         self.history = history
         bounds = [value for _, _, value, _, _ in lagged]
         self.max_lag_bound = max(bounds, default=0.0)
         self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
 
-    def rhs(self, t: float, values) -> np.ndarray:
+    def rhs(self, t: float, values) -> list:
         x = [v if phi is None else phi(v) for phi, v in zip(self.phis, values)]
-        out = np.empty(self.dim)
-        for i, (mu, e, terms) in enumerate(self.rows):
+        out = []
+        for mu, e, terms in self.rows:
             acc = _EXACT_ZERO
             for k, w, c in terms:
                 acc += w * x[k] if c is None else w * c(t) * x[k]
             acc += e
-            out[i] = acc if mu is None else mu(t) * acc
+            out.append(acc if mu is None else mu(t) * acc)
         return out
 
 

@@ -23,7 +23,7 @@ from delaystab import (
     write_csv,
 )
 from delaystab.systems import (ConstantCoeff, ConstantLag, LinearActivation,
-                               ShiftedAbsSinLag, SinSquaredLag, TanhActivation)
+                               ShiftedAbsSinLag, SinSquaredLag, Sinusoid, TanhActivation)
 
 
 def pure_delay_system(tau=1.0, history=1.0):
@@ -143,11 +143,26 @@ def test_default_step_is_the_coarsest_that_divides_the_span(t0, span, lag):
     span = t_end - t0
     cap = 0.01 if lag is None else min(0.01, lag / 10.0)
     n = max(1, math.ceil(span / cap - 1e-9))
+    n += lag is not None and span / n > lag / 10.0 + 1e-12
     h = traj.meta["h"]
     assert h == span / n
     assert len(traj.times) == n + 1 and abs(n * h - span) <= 1e-6 * h
     again = simulate(system, SimConfig(t0, t_end, h))
     assert again.meta["h"] == h and np.array_equal(again.states, traj.states)
+
+
+@pytest.mark.parametrize("span, steps", [(0.010000000005, 2), (0.020000000009, 3)])
+def test_default_step_takes_one_more_step_past_the_lag_cap(span, steps):
+    # span / cap is 1.0000000005 or 2.0000000009: within the 1e-9 slack of
+    # n = 1 or 2 steps, whose step span / n exceeds the cap; an explicit step
+    # that large is still rejected
+    system = pure_delay_system(tau=0.1)
+    traj = simulate(system, SimConfig(0.0, span))
+    assert traj.meta["h"] == span / steps and len(traj.times) == steps + 1
+    with pytest.raises(ValueError) as exc:
+        simulate(system, SimConfig(0.0, span, span / (steps - 1)))
+    assert str(exc.value) == (f"step size {span / (steps - 1)} too large: must be at most a "
+                              "tenth of the smallest positive delay bound (0.01)")
 
 
 def test_record_every_decimates():
@@ -259,6 +274,10 @@ class CountingCoeff(Counting, ConstantCoeff):
     pass
 
 
+class CountingSinusoid(Counting, Sinusoid):
+    pass
+
+
 def two_neuron_system(trans_x, trans_y, rate=None):
     spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                            Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
@@ -285,8 +304,8 @@ def test_undelayed_reads_keep_four_evaluations_per_step():
     spec = LinearSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0],
                             A_off=[[0.0, 0.3], [0.3, 0.0]],
                             sigma=[[0.2, 0.0], [0.3, 0.2]])
-    coeffs = [[CountingCoeff(-1.0), CountingCoeff(0.3)],
-              [CountingCoeff(0.3), CountingCoeff(-1.0)]]
+    coeffs = [[CountingSinusoid(-1.0, 0.0), CountingSinusoid(0.3, 0.0)],
+              [CountingSinusoid(0.3, 0.0), CountingSinusoid(-1.0, 0.0)]]
     lags = [CountingVaryingLag(0.15, 0.05), CountingVaryingLag(0.2, 0.1),
             CountingVaryingLag(0.15, 0.05)]
     sys_ = LinearConcrete(spec, coeffs, [[lags[0], None], lags[1:]], [1.0, -0.5])
@@ -297,19 +316,35 @@ def test_undelayed_reads_keep_four_evaluations_per_step():
     assert [lag.calls for lag in lags] == [2 * n_steps + 1] * 3
 
 
+def test_constant_coefficients_are_folded_into_their_weights():
+    # w * c(t) * x is (w * c(t)) * x, so a constant c is never called and the
+    # run matches one whose coefficients are c + 0 * sin(t) to the last bit
+    spec = LinearSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0],
+                            A_off=[[0.0, 0.3], [0.3, 0.0]], sigma=[[0.2, 0.0], [0.3, 0.2]])
+    values = [[-1.0, 0.3], [-0.3, -1.0]]
+    lags = [[ConstantLag(0.2), None], [ShiftedAbsSinLag(0.2, 0.1), ConstantLag(0.15)]]
+    folded, called = [[CountingCoeff(v) for v in row] for row in values], None
+    for coeffs in (folded, [[Sinusoid(v, 0.0) for v in row] for row in values]):
+        traj = simulate(LinearConcrete(spec, coeffs, lags, [1.0, -0.5]), SimConfig(0.0, 2.0, 0.01))
+        assert called is None or np.array_equal(traj.states, called.states)
+        called = traj
+    assert [getattr(c, "calls", 0) for row in folded for c in row] == [0] * 4
+
+
 def test_constant_lags_are_evaluated_for_the_range_check_and_warm_up_only():
     # a constant lag of tau = 12 h reads nodes at t + h and Hermite values at
     # t + h/2, one of 13.5 h the reverse; each is evaluated once for its range
-    # check, once at the start, and at every stage time t_k + c h whose read
-    # lies before t0 + h (k + c - tau / h < 1); after that its read is planned
+    # check and at every stage time t_k + c h whose read lies in (t0, t0 + h)
+    # (0 < k + c - tau / h < 1); reads at or before t0 take the constant
+    # history's value and later ones are planned
     n_steps, h = 64, 1.0 / 32.0
     lags = [CountingLag(12 * h), CountingLag(13.5 * h)]
     rate = CountingCoeff(1.0)
     traj = simulate(two_neuron_system(*lags, rate=rate), SimConfig(0.0, n_steps * h, h))
-    warm_up = [sum(k + c - lag.value / h < 1 for k in range(n_steps) for c in (0.5, 1.0))
+    warm_up = [sum(0 < k + c - lag.value / h < 1 for k in range(n_steps) for c in (0.5, 1.0))
                for lag in lags]
-    assert warm_up == [25, 28]
-    assert [lag.calls for lag in lags] == [2 + n for n in warm_up]
+    assert warm_up == [1, 1]
+    assert [lag.calls for lag in lags] == [1 + n for n in warm_up]
     assert rate.calls == 2 * n_steps + 1
     assert traj.meta["substep_lookups"] == 0
 
@@ -344,14 +379,14 @@ LAG_STEPS = st.one_of(st.none(), st.just(0.0), st.integers(10, 40).map(float),
                       st.floats(10.0, 40.0))
 
 
-def twin_systems(family: str, lags: list, bound: float):
+def wave(t):
+    return np.array([math.cos(t), 0.5 * math.sin(2.0 * t)])
+
+
+def twin_systems(family: str, lags: list, bound: float, history=wave):
     """The same system twice: with ConstantLag delays, whose reads are planned
     once, and with ShiftedAbsSinLag(tau, 0.0), the same values resolved at
     every stage time."""
-
-    def history(t):
-        return np.array([math.cos(t), 0.5 * math.sin(2.0 * t)])
-
     out = []
     for make in (ConstantLag, lambda tau: ShiftedAbsSinLag(tau, 0.0)):
         lx, ly, tx, ty = [None if tau is None else make(tau) for tau in lags]
@@ -388,6 +423,14 @@ def assert_plans_match(family, lag_steps, h, t0, n_steps, every):
     for a, b in ((planned.states, per_stage.states),
                  (planned.derivatives, per_stage.derivatives)):
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
+    # a constant history vector plans the warm-up reads at or before t0; the
+    # same vector from a callable is read at every stage time, to the same bits
+    vector = [0.8, -0.3]
+    constant, called = (simulate(twin_systems(family, lags, bound, history)[0], cfg)
+                        for history in (vector, lambda t: np.array(vector)))
+    assert constant.meta == called.meta
+    for field in ("times", "states", "derivatives"):
+        assert np.array_equal(getattr(constant, field), getattr(called, field))
 
 
 @pytest.mark.parametrize("family", ["general", "linear", "bam"])

@@ -86,3 +86,17 @@ def test_package_solves_one_linear_system():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.linalg.solve"]
     assert len(found) == 1, found
+
+
+def test_integrator_step_loop_makes_no_numpy_call():
+    # a step works on 2 to 16 floats, where each numpy call costs more than
+    # the arithmetic: the step loop of `_Integrator.run` runs on Python floats
+    tree = ast.parse((SRC / "simulate.py").read_text())
+    run = next(node for cls in tree.body if isinstance(cls, ast.ClassDef)
+               and cls.name == "_Integrator" for node in cls.body
+               if isinstance(node, ast.FunctionDef) and node.name == "run")
+    loops = [node for node in ast.walk(run) if isinstance(node, ast.For)]
+    found = [f"simulate.py:{node.lineno} {ast.unparse(node)}"
+             for loop in loops for node in ast.walk(loop)
+             if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "np"]
+    assert loops and found == [], found
