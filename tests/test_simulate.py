@@ -323,11 +323,10 @@ def test_constant_coefficients_are_folded_into_their_weights():
                             A_off=[[0.0, 0.3], [0.3, 0.0]], sigma=[[0.2, 0.0], [0.3, 0.2]])
     values = [[-1.0, 0.3], [-0.3, -1.0]]
     lags = [[ConstantLag(0.2), None], [ShiftedAbsSinLag(0.2, 0.1), ConstantLag(0.15)]]
-    folded, called = [[CountingCoeff(v) for v in row] for row in values], None
-    for coeffs in (folded, [[Sinusoid(v, 0.0) for v in row] for row in values]):
-        traj = simulate(LinearConcrete(spec, coeffs, lags, [1.0, -0.5]), SimConfig(0.0, 2.0, 0.01))
-        assert called is None or np.array_equal(traj.states, called.states)
-        called = traj
+    folded = [[CountingCoeff(v) for v in row] for row in values]
+    runs = [simulate(LinearConcrete(spec, coeffs, lags, [1.0, -0.5]), SimConfig(0.0, 2.0, 0.01))
+            for coeffs in (folded, [[Sinusoid(v, 0.0) for v in row] for row in values])]
+    assert np.array_equal(runs[0].states, runs[1].states)
     assert [getattr(c, "calls", 0) for row in folded for c in row] == [0] * 4
 
 
@@ -384,9 +383,9 @@ def wave(t):
 
 
 def twin_systems(family: str, lags: list, bound: float, history=wave):
-    """The same system twice: with ConstantLag delays, whose reads are planned
-    once, and with ShiftedAbsSinLag(tau, 0.0), the same values resolved at
-    every stage time."""
+    """The same system twice, from `history`: with ConstantLag delays, whose
+    reads are planned once, and with ShiftedAbsSinLag(tau, 0.0), the same
+    values resolved at every stage time."""
     out = []
     for make in (ConstantLag, lambda tau: ShiftedAbsSinLag(tau, 0.0)):
         lx, ly, tx, ty = [None if tau is None else make(tau) for tau in lags]
