@@ -5,9 +5,9 @@ uniform grid (the method of steps with a continuous extension).  Its step
 must divide the span and be at most a tenth of the smallest positive delay
 bound; left out, it is the largest such step that is also at most
 COARSEST_STEP, and this module is the one place that rule lives.  A
-`systems.ConcreteSystem` lists its delayed reads in a table, (component,
-lag, bound, label) each, and evaluates its one right-hand side, the same
-for every family, from the list of read values.
+`systems.ConcreteSystem` lists its delayed reads, (component, lag, bound,
+label) each, and its rates and coefficients, and evaluates its one
+right-hand side, the same for every family, from their values.
 
 One RK4 step evaluates the right-hand side four times but at only two new
 stage times, t + c h for c = 1/2 and 1.  A read at t - lag(t) is one of:
@@ -25,10 +25,13 @@ A constant lag of at least one step reads q = c - lag / h steps from node k
 in every step k, so it is range-checked once and each stage offset plans
 its node offset or Hermite weights once, for the steps whose read lies past
 t0 + h, and a constant history's value (`systems.ConstantHistory`) for the
-steps whose read lies at or before t0; other reads are resolved anew at
-each stage time.  Only stage reads depend on more than the stage time and
-the completed steps, so a stage time without them evaluates once: k3 is k2,
-and the node derivative (kept for Hermite reads and the next step) is k4.
+steps whose read lies at or before t0.  Everything else that depends on t
+alone, the rates, coefficients and other reads' lags, range checks, classes
+and places, is tabulated with numpy on the stage times of BLOCK steps at a
+time; a read that fails raises its error when its stage time is reached.
+Only stage reads depend on more than the stage time and the completed
+steps, so a stage time without them evaluates once: k3 is k2, and the node
+derivative (kept for Hermite reads and the next step) is k4.
 
 A step runs on Python floats in numpy's elementwise order (the same bits,
 no numpy call per step); a non-finite state aborts the run at its time.
@@ -44,6 +47,7 @@ import numpy as np
 from .systems import ConstantHistory, ConstantLag, read_time
 
 COARSEST_STEP = 0.01
+BLOCK = 64  # steps whose stage times are tabulated at once
 
 
 class SimulationError(RuntimeError):
@@ -99,34 +103,44 @@ def require_finite(**values: float) -> None:
             raise ValueError(f"{name} must be finite, got {value}")
 
 
-def _place(q: float, h: float) -> tuple:
-    """(r, Hermite weights with h folded in or none, sub-step flag) of a read
-    q steps past node k: on node k + r, or between nodes k + r and k + r + 1."""
-    if q > 1e-9 or abs(q - round(q)) <= 1e-9:
-        return min(round(q), 0), (), q > 1e-9
-    r = math.floor(q)
+def _place(q: np.ndarray, h: float) -> tuple:
+    """(r, Hermite weights with h folded in, on-node flags, sub-step flags) of reads
+    q steps past node k (an array): on node k + r, or between nodes k + r and
+    k + r + 1; a sub-step read takes node k."""
+    substep = q > 1e-9
+    node = substep | (np.abs(q - np.rint(q)) <= 1e-9)
+    r = np.where(node, np.minimum(np.rint(q), 0.0), np.floor(q))
     theta, om = q - r, 1.0 - (q - r)
-    return r, ((1.0 + 2.0 * theta) * om * om, theta * om * om * h,
-               theta * theta * (3.0 - 2.0 * theta), theta * theta * (theta - 1.0) * h), False
+    return r.astype(int), ((1.0 + 2.0 * theta) * om * om, theta * om * om * h,
+                           theta * theta * (3.0 - 2.0 * theta),
+                           theta * theta * (theta - 1.0) * h), node, substep
 
 
 class _ReadPlan:
     """The reads at stage offset c of every step (see the module docstring)."""
 
     def __init__(self, c: float, h: float, dim: int, reads: tuple, fixed: list):
-        self.stage, self.nodes, self.hermite, self.varying, warm = [], [], [], [], []
+        self.stage, self.nodes, self.hermite, varying, planned = [], [], [], [], []
         for slot, (comp, lag, bound, label) in enumerate(reads):
             if lag is None or isinstance(lag, ConstantLag) and lag.value == 0:
                 self.stage.append((slot, comp))
             elif not isinstance(lag, ConstantLag) or lag.value < h:  # may be a sub-step read
-                self.varying.append((slot, reads[slot]))
+                varying.append((0, math.inf, slot, *reads[slot]))
             else:
-                r, weights, _ = _place(q := c - lag.value / h, h)
-                # the steps k < history read at or before t0 (k + q <= 1e-9): the fixed value
-                history = 0 if fixed[slot] is None else math.floor(1e-9 - q) + 1
-                warm.append((max(0, 1 - r), history, (slot, reads[slot]),
-                             (slot, r * dim + comp, *weights)))
+                planned.append((slot, comp, c - lag.value / h))
+        offsets, weights, nodes, _ = _place(np.array([q for _, _, q in planned]), h)
+        warm = []
+        for (slot, comp, q), r, node, *w in zip(planned, offsets.tolist(), nodes.tolist(),
+                                                *(w.tolist() for w in weights)):
+            # the steps k < history read at or before t0 (k + q <= 1e-9): the fixed value
+            history = 0 if fixed[slot] is None else math.floor(1e-9 - q) + 1
+            warm.append((max(0, 1 - r), history, slot,
+                         (slot, r * dim + comp) if node else (slot, r * dim + comp, *w)))
         self.queue = sorted(warm, key=lambda entry: -entry[0])  # next warm-up to end on top
+        # the reads resolved at each stage time of the steps first <= k < stop, in this order
+        self.pending = varying + [(history, end, slot, *reads[slot])
+                                  for end, history, slot, _ in self.queue]
+        self.values = fixed.copy()  # a stage time writes every read that is not fixed then
 
 
 class _Integrator:
@@ -170,46 +184,83 @@ class _Integrator:
                              f"{h:g}; shorten the span or enlarge the step") from None
         # lookups read Python floats from the flat arrays: x_i(t_j) is at j * dim + i
         self.flat = memoryview(self.states.reshape(-1)), memoryview(self.derivs.reshape(-1))
-        self.reads = system.reads
-        self.rhs = system.rhs
+        self.reads, self.rhs, self.time_functions = system.reads, system.rhs, system.time_functions
         self.history_start = cfg.t0 - system.max_lag_bound
         self.substep_lookups = 0
         self.fixed = [None] * len(self.reads)  # a constant history's value of a planned read
-        for slot, (comp, lag, bound, label) in enumerate(self.reads):
-            if isinstance(lag, ConstantLag):  # each constant lag is range-checked once
-                tq = read_time(cfg.t0, lag, bound, label)
-                if isinstance(self.phi, ConstantHistory) and tq >= self.history_start - 1e-9:
-                    self.fixed[slot] = float(self.phi.vector[comp])
+        constant = [(slot, *read) for slot, read in enumerate(self.reads)
+                    if isinstance(read[1], ConstantLag)]
+        # each constant lag is range-checked once, at t0
+        tq, error = read_time(np.full(len(constant), cfg.t0),
+                              np.array([lag(cfg.t0) for _, _, lag, _, _ in constant], dtype=float),
+                              np.array([r[3] for r in constant]), [r[4] for r in constant])
+        if error:
+            raise error
+        for (slot, comp, *_), tq in zip(constant, tq.tolist()):
+            if isinstance(self.phi, ConstantHistory) and tq >= self.history_start - 1e-9:
+                self.fixed[slot] = float(self.phi.vector[comp])
         self.plans = [_ReadPlan(c, h, self.dim, self.reads, self.fixed) for c in (0.5, 1.0)]
 
-    def _read(self, plan: _ReadPlan, t: float, k: int):
-        """Every read's value at stage time t of step k; the stage reads' (slot, comp)."""
+    def _tabulate(self, T: np.ndarray, k0: int, plans: list) -> list:
+        """The time functions' values at each stage time T[g], of step k0 + g // p with
+        plan plans[g % p] (p = len(plans)), evaluated on T at once, as are the reads
+        resolved per stage time: `self.extra[g]` holds stage g's stage, node, Hermite
+        and history reads; the first read that fails sets `self.cut` to its stage
+        and `self.failure` to its error."""
+        p, h, dim, t0, start = len(plans), self.h, self.dim, self.cfg.t0, self.history_start
+        f_t = np.empty((len(T), len(self.time_functions)))
+        for col, fn in enumerate(self.time_functions):
+            f_t[:, col] = fn(T)
+        live = [(c, lo, hi, *read) for c, plan in enumerate(plans) for first, stop, *read
+                in plan.pending if (lo := max(first - k0, 0)) < (hi := min(stop - k0, len(T)//p))]
+        self.extra, self.cut, self.failure = {}, len(T), None
+        if not live:
+            return f_t.tolist()
+        # the lag of read j at each stage g it is resolved at, taken stage by stage
+        lag, on = np.empty((len(T), len(live))), np.zeros((len(T), len(live)), dtype=bool)
+        for j, (c, lo, hi, _, _, fn, _, _) in enumerate(live):
+            at = slice(p * lo + c, p * hi, p)
+            lag[at, j], on[at, j] = fn(T[at]), True
+        at, which = np.nonzero(on)
+        slot, comp, bound, label = (np.array([entry[i] for entry in live], dtype=kind)[which]
+                                    for i, kind in ((3, int), (4, int), (6, float), (7, object)))
+        tq, self.failure = read_time(T[at], lag[at, which], bound, label)
+        m, t = len(tq), T[at[:len(tq)]]
+        stage = np.abs(tq - t) <= 1e-12 * np.maximum(1.0, np.abs(t))
+        past = ~stage & (tq <= t0)
+        if (early := np.flatnonzero(past & (tq < start - 1e-9))).size:
+            m = early[0]
+            self.failure = SimulationError(f"delayed lookup at t={tq[m]:.6g} lies before the "
+                                           f"retained history, which starts at t={start:.6g}",
+                                           float(t[m]))
+        self.cut = at[m] if m < len(at) else len(T)
+        at, tq, slot, comp, stage, past = at[:m], tq[:m], slot[:m], comp[:m], stage[:m], past[:m]
+        r, weights, node, substep = _place((tq - t0) / h - (k0 + at // p), h)
+        self.substep_lookups += int(np.count_nonzero(substep & ~stage & ~past))
+        self.extra = {g: ([], [], [], []) for g in set(at.tolist())}
+        for kind, mask, *columns in ((0, stage, comp), (1, node & ~stage & ~past, r * dim + comp),
+                                     (2, ~(node | stage | past), r * dim + comp, *weights),
+                                     (3, past, comp, tq)):
+            entries = zip(*(x[mask].tolist() for x in (slot, *columns)))
+            for g, entry in zip(at[mask].tolist(), entries):
+                self.extra[g][kind].append(entry)
+        return f_t.tolist()
+
+    def _read(self, plan: _ReadPlan, g: int, k: int) -> tuple:
+        """The plan's read values and stage reads at stage g of the tables, of step k;
+        raises the error of a read that fails there."""
+        if g == self.cut:
+            raise self.failure
         while plan.queue and plan.queue[-1][0] <= k:  # its warm-up is over: gathered from now on
             gather = plan.queue.pop()[3]
             (plan.hermite if len(gather) > 2 else plan.nodes).append(gather)
-        t0, h, dim, (states, derivs) = self.cfg.t0, self.h, self.dim, self.flat
-        values = self.fixed.copy()  # every read that is not fixed at step k is written below
-        stage, nodes, hermite = plan.stage, plan.nodes, plan.hermite
-        pending = (plan.varying + [entry[2] for entry in plan.queue if entry[1] <= k]
-                   if plan.queue else plan.varying)
-        if pending:
-            stage, nodes, hermite = stage.copy(), nodes.copy(), hermite.copy()
-            near = 1e-12 * max(1.0, abs(t))
-            for slot, (comp, lag, bound, label) in pending:
-                tq = read_time(t, lag, bound, label)
-                if abs(tq - t) <= near:
-                    stage.append((slot, comp))
-                elif tq <= t0:
-                    if tq < self.history_start - 1e-9:
-                        raise SimulationError(
-                            f"delayed lookup at t={tq:.6g} lies before the retained "
-                            f"history, which starts at t={self.history_start:.6g}", t)
-                    values[slot] = float(np.asarray(self.phi(tq), dtype=float)[comp])
-                else:
-                    r, weights, substep = _place((tq - t0) / h - k, h)
-                    self.substep_lookups += substep
-                    (hermite if weights else nodes).append((slot, r * dim + comp, *weights))
-        base = k * dim
+        values, stage, nodes, hermite, past = plan.values, plan.stage, plan.nodes, plan.hermite, ()
+        if (more := self.extra.get(g)) is not None:  # the reads resolved at this stage time
+            stage, nodes, hermite, past = (stage + more[0], nodes + more[1], hermite + more[2],
+                                           more[3])
+        dim, (states, derivs), base = self.dim, self.flat, k * self.dim
+        for slot, comp, tq in past:
+            values[slot] = float(np.asarray(self.phi(tq), dtype=float)[comp])
         for slot, at in nodes:
             values[slot] = states[base + at]
         for slot, at, w0, w1, w2, w3 in hermite:
@@ -218,40 +269,54 @@ class _Integrator:
                             + w2 * states[at + dim] + w3 * derivs[at + dim])
         return values, stage
 
-    def _eval(self, t: float, values: list, stage: list, x: list) -> list:
-        for slot, comp in stage:
-            values[slot] = x[comp]
-        return self.rhs(t, values)
+    def _block(self, start: int, stop: int) -> list:
+        """The tables of the steps start <= k < stop: half-step and end-of-step stages."""
+        times = self.times[start:stop + 1]
+        return self._tabulate(np.column_stack((times[:-1] + 0.5 * self.h, times[1:])).ravel(),
+                              start, self.plans)
 
     def run(self) -> Trajectory:
-        h, dim, (half, whole), (states, derivs) = self.h, self.dim, self.plans, self.flat
-        half_h, sixth_h = 0.5 * h, h / 6.0
+        h, dim, rhs, (half, whole) = self.h, self.dim, self.rhs, self.plans
+        half_h, sixth_h, (states, derivs) = 0.5 * h, h / 6.0, self.flat
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            t = self.cfg.t0
-            self.states[0] = np.asarray(self.phi(t), dtype=float)
+            self.states[0] = np.asarray(self.phi(self.cfg.t0), dtype=float)
+            x = self.states[0].tolist()
             # no plan gathers before step 1, so this reads every lag at t0
-            self.derivs[0] = self._eval(t, *self._read(half, t, 0), self.states[0].tolist())
-            x, k1, times = self.states[0].tolist(), self.derivs[0].tolist(), self.times.tolist()
-            for k in range(self.n_steps):
-                t, t_next = times[k], times[k + 1]
-                t_mid = t + half_h
-                values, stage = self._read(half, t_mid, k)
-                k2 = self._eval(t_mid, values, stage, [a + half_h * b for a, b in zip(x, k1)])
-                k3 = (self._eval(t_mid, values, stage, [a + half_h * b for a, b in zip(x, k2)])
-                      if stage else k2)
-                values, stage = self._read(whole, t_next, k)
-                k4 = self._eval(t_next, values, stage, [a + h * b for a, b in zip(x, k3)])
-                x = [a + sixth_h * (b + 2.0 * c + 2.0 * d + e)
-                     for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
-                if not all(map(math.isfinite, x)):
-                    raise SimulationError(f"state became non-finite at t={t_next:.6g}", t_next)
-                # node derivative, stored for Hermite reads and reused as the
-                # next step's first stage; the reads at t_next are still those
-                # of k4, which never look at node k + 1
-                k1 = self._eval(t_next, values, stage, x) if stage else k4
-                for at, (value, slope) in enumerate(zip(x, k1), (k + 1) * dim):
-                    states[at], derivs[at] = value, slope
+            f_t = self._tabulate(np.array([self.cfg.t0]), 0, [half])
+            values, stage = self._read(half, 0, 0)
+            for slot, comp in stage:
+                values[slot] = x[comp]
+            self.derivs[0] = k1 = rhs(f_t[0], values)
+            for start in range(0, self.n_steps, BLOCK):
+                f_t = self._block(start, stop := min(start + BLOCK, self.n_steps))
+                for k in range(start, stop):
+                    # a stage read takes each evaluation's state; without one, the
+                    # evaluations at a stage time are the same one
+                    values, stage = self._read(half, g := 2 * (k - start), k)
+                    for slot, comp in stage:
+                        values[slot] = x[comp] + half_h * k1[comp]
+                    k2 = rhs(f_t[g], values)
+                    for slot, comp in stage:
+                        values[slot] = x[comp] + half_h * k2[comp]
+                    k3 = rhs(f_t[g], values) if stage else k2
+                    values, stage = self._read(whole, g + 1, k)
+                    for slot, comp in stage:
+                        values[slot] = x[comp] + h * k3[comp]
+                    k4 = rhs(f_t[g + 1], values)
+                    x = [a + sixth_h * (b + 2.0 * c + 2.0 * d + e)
+                         for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
+                    if not all(map(math.isfinite, x)):
+                        t_next = float(self.times[k + 1])
+                        raise SimulationError(f"state became non-finite at t={t_next:.6g}", t_next)
+                    # node derivative, stored for Hermite reads and reused as the
+                    # next step's first stage; the reads at t_next are still those
+                    # of k4, which never look at node k + 1
+                    for slot, comp in stage:
+                        values[slot] = x[comp]
+                    k1 = rhs(f_t[g + 1], values) if stage else k4
+                    for at, (value, slope) in enumerate(zip(x, k1), (k + 1) * dim):
+                        states[at], derivs[at] = value, slope
         every = self.cfg.record_every
         meta = {
             "t0": self.cfg.t0, "t_end": self.cfg.t_end, "h": h,

@@ -84,7 +84,7 @@ def _is_number(x) -> bool:
 
 def _plain_numbers(x: list) -> bool:
     """True when every entry is exactly an int or a float (no bools)."""
-    return all(type(v) is float or type(v) is int for v in x)
+    return frozenset({int, float}).issuperset(map(type, x))
 
 
 def _num(x, path: str) -> float:

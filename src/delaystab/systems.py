@@ -40,6 +40,9 @@ class FamilyError(ValueError):
 # function catalog
 # ---------------------------------------------------------------------------
 
+# rates, coefficients and lags are numpy ufunc expressions, the same bits on a time or
+# an array of times; activations stay on `math`, whose tanh differs from numpy's
+
 @dataclass(frozen=True)
 class ConstantCoeff:
     value: float
@@ -64,7 +67,7 @@ class Sinusoid:
     amp: float
 
     def __call__(self, t: float) -> float:
-        return self.base + self.amp * math.sin(t)
+        return self.base + self.amp * np.sin(t)
 
     @property
     def lower(self) -> float:
@@ -80,7 +83,7 @@ class Cosinusoid(Sinusoid):
     """base + amp*cos(t), with the same range as the sine variant."""
 
     def __call__(self, t: float) -> float:
-        return self.base + self.amp * math.cos(t)
+        return self.base + self.amp * np.cos(t)
 
 
 @dataclass(frozen=True)
@@ -106,7 +109,7 @@ class SinSquaredLag:
     amp: float
 
     def __call__(self, t: float) -> float:
-        s = math.sin(t)
+        s = np.sin(t)
         return self.amp * s * s
 
     @property
@@ -126,7 +129,7 @@ class ShiftedAbsSinLag:
     amp: float
 
     def __call__(self, t: float) -> float:
-        return self.base + self.amp * abs(math.sin(t))
+        return self.base + self.amp * np.abs(np.sin(t))
 
     @property
     def lower(self) -> float:
@@ -142,7 +145,7 @@ class ShiftedAbsCosLag(ShiftedAbsSinLag):
     """base + amp*|cos(t)|, with the same range as the sine variant."""
 
     def __call__(self, t: float) -> float:
-        return self.base + self.amp * abs(math.cos(t))
+        return self.base + self.amp * np.abs(np.cos(t))
 
 
 @dataclass(frozen=True)
@@ -531,22 +534,20 @@ class DelayBoundError(RuntimeError):
     """A delay function left its declared bound during evaluation."""
 
 
-def read_time(t: float, lag, bound: float, label: str) -> float:
-    """The time t - lag(t) of a delayed read (t when `lag` is None).
-
-    Raises DelayBoundError, naming the read by `label`, when the lag value
-    leaves [0, bound].
+def read_time(t: np.ndarray, lag: np.ndarray, bound: np.ndarray, label) -> tuple:
+    """The times t - lag of delayed reads at the times t, up to the first read whose
+    lag leaves [0, bound], and the DelayBoundError naming that read by its label
+    (None when every lag is in range); every argument has one entry per read.
     """
-    if lag is None:
-        return t
-    value = lag(t)
-    if value < -1e-12:
-        raise DelayBoundError(f"{label} evaluates to a negative lag {value:.3e} at t={t:.6g}")
-    if value > bound + 1e-9 * max(1.0, bound):
-        raise DelayBoundError(
-            f"{label} exceeds its declared bound {bound:.6g} at t={t:.6g} (got {value:.6g})"
-        )
-    return t - value
+    negative = lag < -1e-12
+    bad = np.flatnonzero(negative | ~(lag <= bound + 1e-9 * np.maximum(1.0, bound)))
+    if not bad.size:
+        return t - lag, None
+    i = bad[0]
+    return t[:i] - lag[:i], DelayBoundError(
+        f"{label[i]} evaluates to a negative lag {lag[i]:.3e} at t={t[i]:.6g}" if negative[i]
+        else f"{label[i]} exceeds its declared bound {bound[i]:.6g} at t={t[i]:.6g} "
+             f"(got {lag[i]:.6g})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,12 +569,14 @@ class ConcreteSystem:
 
         dx_i/dt = mu_i(t) * (sum over row i's terms of w * c(t) * phi(x_j(t - lag(t))) + e_i)
 
-    `reads` lists the delayed reads in the order `rhs(t, values)` takes their
+    `reads` lists the delayed reads in the order `rhs(f_t, values)` takes their
     values: (component j, lag or None, declared bound, label), each read at
-    `read_time(t, lag, bound, label)`; `phis` holds each read's phi (None: the
-    value itself).  `rows` holds per component (mu or None for 1, e, terms),
-    a term being (read index, weight w, coefficient function c or None); a
-    constant c is folded into w, exactly, as w * c(t) * x is (w * c(t)) * x.
+    t - lag(t) (see `read_time`); `phis` keeps (read index, phi) of the reads
+    that enter through a phi.  `time_functions` lists the distinct rates mu
+    and time-varying coefficients c, and `f_t` their values at the stage time.
+    `rows` holds per component (mu's index or None for 1, e, terms), a term
+    being (read index, weight w, c's index or None); a constant c is folded
+    into w, exactly, as w * c(t) * x is (w * c(t)) * x.
     `checks` lists (label, realized lower, realized upper, allowed lower,
     allowed upper) of the functions a spec bounds; each lag's bound is checked
     against its read's declared bound too.  `activations` is a two-layer
@@ -590,9 +593,16 @@ class ConcreteSystem:
                     if lo < low - 1e-9 or hi > high + 1e-9]
         if problems:
             raise InvalidSpecError(problems)
-        self.rows = [(mu, e, [(k, w * c.value, None) if isinstance(c, ConstantCoeff) else (k, w, c)
-                              for k, w, c in terms]) for mu, e, terms in rows]
-        self.phis, self.activations, self.dim = phis, activations, len(rows)
+        rows = [(mu, e, [(k, w * c.value, None) if isinstance(c, ConstantCoeff) else (k, w, c)
+                         for k, w, c in terms]) for mu, e, terms in rows]
+        # each distinct rate or time-varying coefficient once, by identity
+        self.time_functions = list({id(fn): fn for mu, _, terms in rows for fn in (
+            mu, *(c for _, _, c in terms)) if fn is not None}.values())
+        column = {id(fn): i for i, fn in enumerate(self.time_functions)}
+        self.rows = [(column.get(id(mu)), e, [(k, w, column.get(id(c))) for k, w, c in terms])
+                     for mu, e, terms in rows]
+        self.phis = [(slot, phi) for slot, phi in enumerate(phis) if phi is not None]
+        self.activations, self.dim = activations, len(rows)
         if not callable(history):
             history = ConstantHistory(np.asarray(history, dtype=float))
             if (shape := history.vector.shape) != (self.dim,):
@@ -602,15 +612,17 @@ class ConcreteSystem:
         self.max_lag_bound = max(bounds, default=0.0)
         self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
 
-    def rhs(self, t: float, values) -> list:
-        x = [v if phi is None else phi(v) for phi, v in zip(self.phis, values)]
+    def rhs(self, f_t: list, values) -> list:
+        x = values.copy()
+        for slot, phi in self.phis:
+            x[slot] = phi(x[slot])
         out = []
         for mu, e, terms in self.rows:
             acc = _EXACT_ZERO
             for k, w, c in terms:
-                acc += w * x[k] if c is None else w * c(t) * x[k]
+                acc += w * x[k] if c is None else w * f_t[c] * x[k]
             acc += e
-            out.append(acc if mu is None else mu(t) * acc)
+            out.append(acc if mu is None else f_t[mu] * acc)
         return out
 
 

@@ -2,6 +2,7 @@
 
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,12 +19,15 @@ from delaystab import (
     SimConfig,
     SimulationError,
     fit_decay,
+    parse_file,
     simulate,
     two_neuron_spec,
     write_csv,
 )
-from delaystab.systems import (ConstantCoeff, ConstantLag, LinearActivation,
-                               ShiftedAbsSinLag, SinSquaredLag, Sinusoid, TanhActivation)
+from delaystab.simulate import _Integrator
+from delaystab.systems import (ConstantCoeff, ConstantHistory, ConstantLag, Cosinusoid,
+                               LinearActivation, ShiftedAbsCosLag, ShiftedAbsSinLag,
+                               SinSquaredLag, Sinusoid, TanhActivation)
 
 
 def pure_delay_system(tau=1.0, history=1.0):
@@ -220,12 +224,13 @@ def test_lookup_before_history_window_raises():
         max_lag_bound = 0.5
         min_positive_lag_bound = 0.5
         reads = ((0, ConstantLag(1.0), 1.0, "lag"),)
+        time_functions = ()
 
         @staticmethod
         def history(t):
             return np.ones(1)
 
-        def rhs(self, t, values):
+        def rhs(self, f_t, values):
             return np.array([-values[0]])
 
     with pytest.raises(SimulationError) as exc:
@@ -255,10 +260,11 @@ def test_negative_lag_rejected():
 # --- evaluation counts and sub-step reporting --------------------------------
 
 class Counting:
-    """Mixin for a catalog function: counts evaluations in `calls`."""
+    """Mixin for a catalog function: counts the times it is evaluated at in
+    `calls` (a call on an array of times counts each of them)."""
 
     def __call__(self, t):
-        object.__setattr__(self, "calls", getattr(self, "calls", 0) + 1)
+        object.__setattr__(self, "calls", getattr(self, "calls", 0) + np.size(t))
         return super().__call__(t)
 
 
@@ -310,9 +316,10 @@ def test_undelayed_reads_keep_four_evaluations_per_step():
             CountingVaryingLag(0.15, 0.05)]
     sys_ = LinearConcrete(spec, coeffs, [[lags[0], None], lags[1:]], [1.0, -0.5])
     simulate(sys_, SimConfig(0.0, 0.02 * n_steps, 0.02))
-    # the null lag reads each evaluation's stage state: nothing is reused,
-    # but each lag is still evaluated once per stage time
-    assert [c.calls for row in coeffs for c in row] == [4 * n_steps + 1] * 4
+    # the null lag reads each evaluation's stage state, so the right-hand
+    # side is evaluated four times per step, but each coefficient and each
+    # lag is still evaluated once per stage time
+    assert [c.calls for row in coeffs for c in row] == [2 * n_steps + 1] * 4
     assert [lag.calls for lag in lags] == [2 * n_steps + 1] * 3
 
 
@@ -465,12 +472,13 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
             dim = 1
             max_lag_bound = min_positive_lag_bound = 1.0
             reads = ((0, lag, 1.0, "lag"),)
+            time_functions = ()
 
             @staticmethod
             def history(t):
                 return np.array([math.cos(t)])
 
-            def rhs(self, t, values):
+            def rhs(self, f_t, values):
                 return np.array([-values[0]])
         return OneRead()
 
@@ -481,6 +489,146 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
     assert planned.meta == per_stage.meta
     assert planned.meta["substep_lookups"] == sub_steps
     assert np.max(np.abs(planned.states - per_stage.states)) <= 1e-13
+
+
+# --- tables per block of steps ----------------------------------------------
+
+def duck_system(reads, history, derivative, max_lag, time_functions=()):
+    """A one-component system that is not a ConcreteSystem, of the given
+    history (a callable of t): its right-hand side is derivative(values), and
+    `calls` counts its evaluations."""
+    class Duck:
+        dim, max_lag_bound, min_positive_lag_bound = 1, max_lag, 0.1
+        calls = 0
+
+        def __init__(self):
+            self.reads, self.time_functions, self.history = reads, time_functions, history
+
+        def rhs(self, f_t, values):
+            self.calls += 1
+            return [derivative(values)]
+    return Duck()
+
+
+def cosine(t):
+    return np.array([math.cos(t)])
+
+
+def test_integrator_memory_beside_its_arrays_does_not_grow_with_the_span(inputs_dir):
+    # the time functions and reads are tabulated one block of steps at a
+    # time, so beside its time, state and derivative arrays (and the rows it
+    # returns) the integrator holds as much for 5,000 steps as for 500
+    system = parse_file(str(inputs_dir / "two_neuron_sample.json")).concrete
+    beside = []
+    for t_end in (5.0, 50.0):
+        cfg = SimConfig(0.0, t_end, record_every=100)
+        simulate(system, cfg)
+        tracemalloc.start()
+        try:
+            traj = simulate(system, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = round(t_end / traj.meta["h"]) + 1
+        arrays = rows * (1 + 2 * traj.dim) * 8
+        beside.append(peak - arrays - traj.times.nbytes - traj.states.nbytes
+                      - traj.derivatives.nbytes)
+    assert beside[1] <= beside[0] + 1024, beside
+
+
+def test_catalog_lag_leaving_its_bound_raises_at_its_stage_time():
+    # 0.1 + 0.05 |sin t| passes the declared 0.12 at t = 0.415, the half-step
+    # stage of step 41: the 41 steps before it run (two evaluations each,
+    # after the one at t0), then the error names the read and the time
+    system = duck_system(((0, ShiftedAbsSinLag(0.1, 0.05), 0.12, "leak_lag[1]"),),
+                         cosine, lambda v: -v[0], 0.12)
+    with pytest.raises(DelayBoundError) as exc:
+        simulate(system, SimConfig(0.0, 2.0, 0.01))
+    assert str(exc.value) == ("leak_lag[1] exceeds its declared bound 0.12 at t=0.415 "
+                              "(got 0.120159)")
+    assert system.calls == 1 + 2 * 41
+
+
+def test_blow_up_before_a_lag_violation_is_reported_first():
+    # the state overflows in the first step, long before the lag leaves its
+    # bound at t = 0.415 in the same block of steps
+    system = duck_system(((0, None, 0.0, "x"), (0, ShiftedAbsSinLag(0.1, 0.05), 0.12, "lag")),
+                         lambda t: np.ones(1), lambda v: 1e200 * v[0], 0.12)
+    with pytest.raises(SimulationError) as exc:
+        simulate(system, SimConfig(0.0, 2.0, 0.01))
+    assert str(exc.value) == "state became non-finite at t=0.01" and exc.value.time == 0.01
+
+
+def test_time_varying_read_before_the_retained_history_raises_at_its_stage_time():
+    # t - 3 |sin t| falls below the retained history (t0 - 1) at t = 0.54,
+    # the end of step 53; its half-step stage still runs
+    system = duck_system(((0, ShiftedAbsSinLag(0.0, 3.0), 3.0, "lag"),), cosine,
+                         lambda v: -v[0], 1.0)
+    with pytest.raises(SimulationError) as exc:
+        simulate(system, SimConfig(0.0, 2.0, 0.01))
+    assert str(exc.value) == ("delayed lookup at t=-1.00241 lies before the retained "
+                              "history, which starts at t=-1")
+    assert exc.value.time == 0.54 and system.calls == 1 + 2 * 53 + 1
+
+
+def place_one(q, h):
+    """The node offset and Hermite weights (none on a node) of one read q
+    steps past node k, placed on its own: the reference for the tables."""
+    if q > 1e-9 or abs(q - round(q)) <= 1e-9:
+        return min(round(q), 0), ()
+    r = math.floor(q)
+    theta, om = q - r, 1.0 - (q - r)
+    return r, ((1.0 + 2.0 * theta) * om * om, theta * om * om * h,
+               theta * theta * (3.0 - 2.0 * theta), theta * theta * (theta - 1.0) * h)
+
+
+def bits(entry):
+    return [x.hex() if isinstance(x, float) else x for x in entry]
+
+
+RATES = st.one_of(st.builds(ConstantCoeff, st.floats(0.5, 2.0)),
+                  st.builds(Sinusoid, st.floats(0.5, 2.0), st.floats(-0.4, 0.4)),
+                  st.builds(Cosinusoid, st.floats(-2.0, 2.0), st.floats(-0.4, 0.4)))
+LAGS = st.one_of(st.builds(ConstantLag, st.floats(0.0, 1.0)),
+                 st.builds(SinSquaredLag, st.floats(0.0, 1.0)),
+                 st.builds(ShiftedAbsSinLag, st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
+                 st.builds(ShiftedAbsCosLag, st.floats(0.0, 0.5), st.floats(0.0, 0.5)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(functions=st.lists(RATES, min_size=1, max_size=3), lags=st.lists(LAGS, min_size=1,
+       max_size=4), t0=st.floats(-3.0, 3.0), h=st.sampled_from([0.01, 0.004]),
+       start=st.integers(0, 200), constant=st.booleans())
+def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start, constant):
+    # every rate and coefficient, and every read resolved per stage time, is
+    # the value, class and place that the same objects give one stage time at
+    # a time, to the last bit
+    # a constant history plans the reads of constant lags at or before t0
+    reads = tuple((0, lag, lag.bound, f"lag[{i}]") for i, lag in enumerate(lags))
+    history = ConstantHistory(np.array([0.5])) if constant else cosine
+    system = duck_system(reads, history, lambda v: 0.0, 1.0, functions)
+    integ = _Integrator(system, SimConfig(t0, t0 + (start + 80) * h, h))
+    f_t = integ._block(start, start + 80)
+    assert integ.cut == 160 and integ.failure is None
+    times = integ.times.tolist()
+    for g, row in enumerate(f_t):
+        k, plan = start + g // 2, integ.plans[g % 2]
+        t = times[k] + 0.5 * h if g % 2 == 0 else times[k + 1]
+        assert bits(row) == bits([float(fn(t)) for fn in functions])
+        want = [[], [], [], []]
+        for first, stop, slot, comp, lag, bound, label in plan.pending:
+            if first <= k < stop:
+                tq = t - float(lag(t))
+                if abs(tq - t) <= 1e-12 * max(1.0, abs(t)):
+                    want[0].append((slot, comp))
+                elif tq <= t0:
+                    want[3].append((slot, comp, tq))
+                else:
+                    r, weights = place_one((tq - t0) / h - k, h)
+                    want[2 if weights else 1].append((slot, r * integ.dim + comp, *weights))
+        got = integ.extra.get(g, ([], [], [], []))
+        assert [sorted(map(bits, entries)) for entries in got] == \
+            [sorted(map(bits, entries)) for entries in want]
 
 
 # --- decay fitting ----------------------------------------------------------

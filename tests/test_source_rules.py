@@ -100,3 +100,28 @@ def test_integrator_step_loop_makes_no_numpy_call():
              for loop in loops for node in ast.walk(loop)
              if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "np"]
     assert loops and found == [], found
+
+
+def test_integrator_step_loop_calls_no_time_function():
+    # rates, coefficients and lags depend on t alone, so they are evaluated,
+    # range-checked and placed for a block of stage times at once: neither the
+    # step loop of `_Integrator.run`, nor the integrator methods it calls, nor
+    # the system's `rhs` calls one of them, `read_time` or `_place`
+    methods = {node.name: node for name in ("simulate.py", "systems.py")
+               for cls in ast.parse((SRC / name).read_text()).body
+               if isinstance(cls, ast.ClassDef) and cls.name in ("_Integrator", "ConcreteSystem")
+               for node in cls.body if isinstance(node, ast.FunctionDef)}
+    # the step loop is the innermost loop that advances the state x
+    loops = [node for node in ast.walk(methods["run"]) if isinstance(node, ast.For)
+             and any(isinstance(n, ast.Assign) and "x" in map(ast.unparse, n.targets)
+                     for n in ast.walk(node))]
+    todo, seen, found = [loops[-1]], set(), []
+    while todo:
+        for call in (n for n in ast.walk(todo.pop()) if isinstance(n, ast.Call)):
+            name = ast.unparse(call.func).split(".")[-1]
+            if name in ("read_time", "_place", "mu", "c", "lag"):
+                found.append(ast.unparse(call))
+            elif name in methods and name not in seen:
+                seen.add(name)
+                todo.append(methods[name])
+    assert loops and found == [], found

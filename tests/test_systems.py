@@ -270,8 +270,15 @@ def test_merged_bounds_accept_a_zero_factor_and_name_entries_by_position():
 
 def rhs_over_reads(system, t, value_at):
     """The right-hand side at t, each delayed read taken from value_at(component, time)."""
-    return system.rhs(t, [value_at(comp, read_time(t, lag, bound, label))
-                          for comp, lag, bound, label in system.reads])
+    values = []
+    for comp, lag, bound, label in system.reads:
+        times = np.array([t])
+        tq, error = (times, None) if lag is None else read_time(
+            times, np.full(1, lag(times)), np.array([bound]), [label])
+        if error:
+            raise error
+        values.append(value_at(comp, float(tq[0])))
+    return system.rhs([fn(t) for fn in system.time_functions], values)
 
 
 def test_general_concrete_derivative_known_value():
