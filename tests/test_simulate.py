@@ -533,7 +533,7 @@ def test_integrator_memory_beside_its_arrays_does_not_grow_with_the_span(inputs_
         arrays = rows * (1 + 2 * traj.dim) * 8
         beside.append(peak - arrays - traj.times.nbytes - traj.states.nbytes
                       - traj.derivatives.nbytes)
-    assert beside[1] <= beside[0] + 1024, beside
+    assert beside[1] <= beside[0] + 4096, beside
 
 
 def test_catalog_lag_leaving_its_bound_raises_at_its_stage_time():
@@ -602,8 +602,8 @@ LAGS = st.one_of(st.builds(ConstantLag, st.floats(0.0, 1.0)),
 def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start, constant):
     # every rate and coefficient, and every read resolved per stage time, is
     # the value, class and place that the same objects give one stage time at
-    # a time, to the last bit
-    # a constant history plans the reads of constant lags at or before t0
+    # a time, to the last bit; a constant history plans the reads of constant
+    # lags at or before t0, a callable one leaves them to the tables
     reads = tuple((0, lag, lag.bound, f"lag[{i}]") for i, lag in enumerate(lags))
     history = ConstantHistory(np.array([0.5])) if constant else cosine
     system = duck_system(reads, history, lambda v: 0.0, 1.0, functions)
