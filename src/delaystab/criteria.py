@@ -196,8 +196,11 @@ _FAMILIES[TAG_NO_SELF] = _FAMILIES[TAG_GENERAL]
 # matrix-based verdicts and dispatch
 # ---------------------------------------------------------------------------
 
-def _matrix_verdict(matrix: np.ndarray, tag: str, tol: float) -> StabilityVerdict:
+def _matrix_verdict(spec, matrix: np.ndarray, tag: str, tol: float) -> StabilityVerdict:
     report = is_m_matrix(matrix, tol=tol)
+    if tag in (TAG_GENERAL, TAG_NO_SELF, TAG_UNDELAYED_DECAY, TAG_BAM, "cor4", "cor5", "cor11"):
+        # Theorem 1's rate-0 matrix of a general or two-layer spec: its certificate's first trial
+        object.__setattr__(spec, "_rate_zero", {tol: (report.is_m_matrix, report.margin)})
     off = matrix - np.diag(matrix.diagonal())
     checks = (
         Check("off_diagonal_signs", float(off.max()), 0.0,
@@ -247,7 +250,7 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
                               f"(expected {inferred})")
         if spec.m != 2:
             raise FamilyError(f"dimension must be 2, got {spec.m}")
-        return _matrix_verdict(comparison_matrix(spec, family), tag, tol)
+        return _matrix_verdict(spec, comparison_matrix(spec, family), tag, tol)
     if tag.startswith(("cor9-", "cor10-")):
         return _bam_dominance(spec, tag, tol)
     if tag == "cor11":
@@ -255,10 +258,10 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
         bam = _require_bam(spec)
         if bam.n != 1:
             raise FamilyError(f"closed form needs one unit per layer, got n={bam.n}")
-        return _matrix_verdict(test_matrix_at_rate(bam, 0.0), tag, tol)
+        return _matrix_verdict(bam, test_matrix_at_rate(bam, 0.0), tag, tol)
     if tag in ("gopalsamy17", "criterion18"):
         return two_neuron_comparison(spec, tol=tol)[tag == "criterion18"]
-    return _matrix_verdict(comparison_matrix(spec, tag), tag, tol)
+    return _matrix_verdict(spec, comparison_matrix(spec, tag), tag, tol)
 
 
 def comparison_matrix(spec, tag: str | None = None) -> np.ndarray:
@@ -367,9 +370,10 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
     Every rate tried, 0 and the top of the range included, is decided by
-    one `witness_trial`.  When the top fails, the certificate is the
-    bracket `switch_bracket` finds: lambda0 is its last pass, and the true
-    switchover lies within bracket_width above it.
+    one `witness_trial`; rate 0 keeps the outcome of a `stability_verdict` of
+    the spec at this tol that tested the same matrix.  When the top fails,
+    the certificate is the bracket `switch_bracket` finds: lambda0 is its
+    last pass, and the true switchover lies within bracket_width above it.
     """
     if not isinstance(spec, (GeneralSystemSpec, BamSpec)):
         raise FamilyError("decay-rate certification needs a general or "
@@ -382,7 +386,9 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
         tried.append((rate, margin))
         return ok, slack
 
-    if not trial(0.0)[0]:
+    if zero := getattr(spec, "_rate_zero", {}).get(tol):  # a verdict's test of this matrix
+        tried.append((0.0, zero[1]))
+    if not (zero[0] if zero else trial(0.0)[0]):
         raise NotCertifiedError(
             "not certified stable: the rate-zero test matrix is not an "
             f"M-matrix (margin {min(tried[0][1], -tol):.3e})")

@@ -25,16 +25,20 @@ A constant lag of at least one step reads q = c - lag / h steps from node k
 in every step k, so it is range-checked once and each stage offset plans
 its node offset or Hermite weights once, for the steps whose read lies past
 t0 + h, and a constant history's value (`systems.ConstantHistory`) for the
-steps whose read lies at or before t0.  Everything else that depends on t
-alone, the rates, coefficients and other reads' lags, range checks, classes
-and places, is tabulated with numpy on the stage times of BLOCK steps at a
-time; a read that fails raises its error when its stage time is reached.
-Only stage reads depend on more than the stage time and the completed
-steps, so a stage time without them evaluates once: k3 is k2, and the node
-derivative (kept for Hermite reads and the next step) is k4.
+steps whose read lies at or before t0; its one stage in (t0, t0 + h) is
+resolved once too.  Everything else that depends on t alone, the rates,
+coefficients and other reads' lags, range checks, classes and places, is
+tabulated with numpy on the stage times of BLOCK steps at a time; a read
+that fails raises its error when its stage time is reached.  Only stage
+reads depend on more than the stage time and the completed steps, so a
+stage time without them evaluates once: k3 is k2, and the node derivative
+(kept for Hermite reads and the next step) is k4.
 
 A step runs on Python floats in numpy's elementwise order (the same bits,
 no numpy call per step); a non-finite state aborts the run at its time.
+Nodes go to two flat lists that keep only those a read still reaches; the
+recorded rows are copied out per block, so memory is O(max lag / h * dim)
+plus those rows.
 """
 
 from __future__ import annotations
@@ -137,9 +141,11 @@ class _ReadPlan:
             warm.append((max(0, 1 - r), history, slot,
                          (slot, r * dim + comp) if node else (slot, r * dim + comp, *w)))
         self.queue = sorted(warm, key=lambda entry: -entry[0])  # next warm-up to end on top
-        # the reads resolved at each stage time of the steps first <= k < stop, in this order
-        self.pending = varying + [(history, end, slot, *reads[slot])
-                                  for end, history, slot, _ in self.queue]
+        # the reads resolved at each stage time of the steps first <= k < stop: by the tables,
+        # or once, when the run starts (a constant history's warm-up, in (t0, t0 + h))
+        warm = [(history, end, slot, *reads[slot]) for end, history, slot, _ in self.queue]
+        self.pending = varying + [w for w in warm if fixed[w[2]] is None]
+        self.early = [w for w in warm if fixed[w[2]] is not None]
         self.values = fixed.copy()  # a stage time writes every read that is not fixed then
 
 
@@ -172,20 +178,20 @@ class _Integrator:
         if cfg.record_every < 1 or n_steps % cfg.record_every != 0:
             raise ValueError("record_every must be a positive divisor of the "
                              "step count")
-        self.cfg, self.h, self.n_steps = cfg, h, n_steps
-        self.dim = system.dim
+        self.cfg, self.h, self.n_steps, self.dim = cfg, h, n_steps, system.dim
         self.phi = system.history
-        try:
-            self.times = cfg.t0 + np.arange(n_steps + 1) * h
-            self.states = np.empty((n_steps + 1, self.dim))
-            self.derivs = np.empty((n_steps + 1, self.dim))
+        try:  # the recorded rows, filled one block of steps at a time
+            self.times = cfg.t0 + np.arange(0, n_steps + 1, cfg.record_every) * h
+            self.states, self.derivs = np.empty((2, len(self.times), self.dim))
         except MemoryError:
             raise ValueError(f"cannot allocate the grid of {n_steps} steps of size "
                              f"{h:g}; shorten the span or enlarge the step") from None
-        # lookups read Python floats from the flat arrays: x_i(t_j) is at j * dim + i
-        self.flat = memoryview(self.states.reshape(-1)), memoryview(self.derivs.reshape(-1))
+        # the window of nodes that reads still reach (a lag may pass its bound by
+        # `read_time`'s slack): x_i(t_j) is xs[(j - first) * dim + i], its slope in ks
+        top = system.max_lag_bound
+        self.window = math.ceil(min((top + 1e-9 * max(1.0, top)) / h, n_steps)) + 2
+        self.first, self.xs, self.ks, self.history_start = 0, [], [], cfg.t0 - top
         self.reads, self.rhs, self.time_functions = system.reads, system.rhs, system.time_functions
-        self.history_start = cfg.t0 - system.max_lag_bound
         self.substep_lookups = 0
         self.fixed = [None] * len(self.reads)  # a constant history's value of a planned read
         constant = [(slot, *read) for slot, read in enumerate(self.reads)
@@ -200,20 +206,46 @@ class _Integrator:
             if isinstance(self.phi, ConstantHistory) and tq >= self.history_start - 1e-9:
                 self.fixed[slot] = float(self.phi.vector[comp])
         self.plans = [_ReadPlan(c, h, self.dim, self.reads, self.fixed) for c in (0.5, 1.0)]
+        # the early reads of stage 2k + c, resolved here with the tables' arithmetic
+        self.early = {}
+        if early := [(c, k, slot, comp, lag(cfg.t0)) for c, plan in enumerate(self.plans)
+                     for first, stop, slot, comp, lag, _, _ in plan.early
+                     for k in range(first, stop)]:
+            c, k, slot, comp, lag = map(np.array, zip(*early))
+            t = np.where(c == 0, (cfg.t0 + k * h) + 0.5 * h, cfg.t0 + (k + 1) * h)
+            self._resolve(self.early, 2 * k + c, t, t - lag, k, slot, comp)
 
-    def _tabulate(self, T: np.ndarray, k0: int, plans: list) -> list:
-        """The time functions' values at each stage time T[g], of step k0 + g // p with
-        plan plans[g % p] (p = len(plans)), evaluated on T at once, as are the reads
-        resolved per stage time: `self.extra[g]` holds stage g's stage, node, Hermite
-        and history reads; the first read that fails sets `self.cut` to its stage
-        and `self.failure` to its error."""
-        p, h, dim, t0, start = len(plans), self.h, self.dim, self.cfg.t0, self.history_start
+    def _resolve(self, extra: dict, key, t, tq, k, slot, comp) -> int:
+        """File reads (times t, read times tq, steps k) as extra[key]'s stage, node, Hermite or
+        history entries, up to the first before the retained history: its index, or len(tq)."""
+        h, dim, t0 = self.h, self.dim, self.cfg.t0
+        stage = np.abs(tq - t) <= 1e-12 * np.maximum(1.0, np.abs(t))
+        past = ~stage & (tq <= t0)
+        m = next(iter(np.flatnonzero(past & (tq < self.history_start - 1e-9))), len(tq))
+        key, tq, k, slot, comp, stage, past = (a[:m] for a in (key, tq, k, slot, comp, stage, past))
+        r, weights, node, substep = _place((tq - t0) / h - k, h)
+        self.substep_lookups += int(np.count_nonzero(substep & ~stage & ~past))
+        extra.update((g, ([], [], [], [])) for g in set(key.tolist()).difference(extra))
+        for kind, mask, *columns in ((0, stage, comp), (1, node & ~stage & ~past, r * dim + comp),
+                                     (2, ~(node | stage | past), r * dim + comp, *weights),
+                                     (3, past, comp, tq)):
+            entries = zip(*(x[mask].tolist() for x in (slot, *columns)))
+            for g, entry in zip(key[mask].tolist(), entries):
+                extra[g][kind].append(entry)
+        return m
+
+    def _tabulate(self, T: np.ndarray, k0: int, plans: list, extra: dict) -> list:
+        """The time functions' values at each stage time T[g] (of step k0 + g // p, plan
+        plans[g % p], p = len(plans)), evaluated on T at once, as are the reads resolved per
+        stage time: `self.extra[g]` holds stage g's stage, node, Hermite and history reads,
+        `extra`'s too; the first read that fails sets `self.cut` and `self.failure`."""
+        p, start = len(plans), self.history_start
         f_t = np.empty((len(T), len(self.time_functions)))
         for col, fn in enumerate(self.time_functions):
             f_t[:, col] = fn(T)
         live = [(c, lo, hi, *read) for c, plan in enumerate(plans) for first, stop, *read
                 in plan.pending if (lo := max(first - k0, 0)) < (hi := min(stop - k0, len(T)//p))]
-        self.extra, self.cut, self.failure = {}, len(T), None
+        self.extra, self.cut, self.failure = extra, len(T), None
         if not live:
             return f_t.tolist()
         # the lag of read j at each stage g it is resolved at, taken stage by stage
@@ -225,25 +257,12 @@ class _Integrator:
         slot, comp, bound, label = (np.array([entry[i] for entry in live], dtype=kind)[which]
                                     for i, kind in ((3, int), (4, int), (6, float), (7, object)))
         tq, self.failure = read_time(T[at], lag[at, which], bound, label)
-        m, t = len(tq), T[at[:len(tq)]]
-        stage = np.abs(tq - t) <= 1e-12 * np.maximum(1.0, np.abs(t))
-        past = ~stage & (tq <= t0)
-        if (early := np.flatnonzero(past & (tq < start - 1e-9))).size:
-            m = early[0]
+        m = self._resolve(extra, at, T[at[:len(tq)]], tq, k0 + at // p, slot, comp)
+        if m < len(tq):
             self.failure = SimulationError(f"delayed lookup at t={tq[m]:.6g} lies before the "
                                            f"retained history, which starts at t={start:.6g}",
-                                           float(t[m]))
+                                           float(T[at[m]]))
         self.cut = at[m] if m < len(at) else len(T)
-        at, tq, slot, comp, stage, past = at[:m], tq[:m], slot[:m], comp[:m], stage[:m], past[:m]
-        r, weights, node, substep = _place((tq - t0) / h - (k0 + at // p), h)
-        self.substep_lookups += int(np.count_nonzero(substep & ~stage & ~past))
-        self.extra = {g: ([], [], [], []) for g in set(at.tolist())}
-        for kind, mask, *columns in ((0, stage, comp), (1, node & ~stage & ~past, r * dim + comp),
-                                     (2, ~(node | stage | past), r * dim + comp, *weights),
-                                     (3, past, comp, tq)):
-            entries = zip(*(x[mask].tolist() for x in (slot, *columns)))
-            for g, entry in zip(at[mask].tolist(), entries):
-                self.extra[g][kind].append(entry)
         return f_t.tolist()
 
     def _read(self, plan: _ReadPlan, g: int, k: int) -> tuple:
@@ -258,7 +277,7 @@ class _Integrator:
         if (more := self.extra.get(g)) is not None:  # the reads resolved at this stage time
             stage, nodes, hermite, past = (stage + more[0], nodes + more[1], hermite + more[2],
                                            more[3])
-        dim, (states, derivs), base = self.dim, self.flat, k * self.dim
+        dim, states, derivs, base = self.dim, self.xs, self.ks, (k - self.first) * self.dim
         for slot, comp, tq in past:
             values[slot] = float(np.asarray(self.phi(tq), dtype=float)[comp])
         for slot, at in nodes:
@@ -271,23 +290,37 @@ class _Integrator:
 
     def _block(self, start: int, stop: int) -> list:
         """The tables of the steps start <= k < stop: half-step and end-of-step stages."""
-        times = self.times[start:stop + 1]
+        times = self.cfg.t0 + np.arange(start, stop + 1) * self.h
+        early = {g - 2 * start: self.early.pop(g) for g in list(self.early) if g < 2 * stop}
         return self._tabulate(np.column_stack((times[:-1] + 0.5 * self.h, times[1:])).ravel(),
-                              start, self.plans)
+                              start, self.plans, early)
+
+    def _record(self, start: int, stop: int) -> None:
+        """Write the recorded nodes start < j <= stop, and drop those no later read reaches."""
+        every, dim, first = self.cfg.record_every, self.dim, self.first
+        lo, hi = start // every + 1, stop // every + 1  # the rows lo <= i < hi, if any
+        nodes = slice((lo * every - first) * dim, ((hi - 1) * every - first + 1) * dim)
+        self.states[lo:hi] = np.reshape(self.xs[nodes], (-1, dim))[::every]
+        self.derivs[lo:hi] = np.reshape(self.ks[nodes], (-1, dim))[::every]
+        if (old := stop - self.window - first) > 0:
+            del self.xs[:old * dim], self.ks[:old * dim]
+            self.first += old
 
     def run(self) -> Trajectory:
         h, dim, rhs, (half, whole) = self.h, self.dim, self.rhs, self.plans
-        half_h, sixth_h, (states, derivs) = 0.5 * h, h / 6.0, self.flat
+        half_h, sixth_h, xs, ks = 0.5 * h, h / 6.0, self.xs, self.ks
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             self.states[0] = np.asarray(self.phi(self.cfg.t0), dtype=float)
             x = self.states[0].tolist()
             # no plan gathers before step 1, so this reads every lag at t0
-            f_t = self._tabulate(np.array([self.cfg.t0]), 0, [half])
+            f_t = self._tabulate(np.array([self.cfg.t0]), 0, [half], {})
             values, stage = self._read(half, 0, 0)
             for slot, comp in stage:
                 values[slot] = x[comp]
             self.derivs[0] = k1 = rhs(f_t[0], values)
+            xs.extend(x)
+            ks.extend(k1)
             for start in range(0, self.n_steps, BLOCK):
                 f_t = self._block(start, stop := min(start + BLOCK, self.n_steps))
                 for k in range(start, stop):
@@ -307,7 +340,7 @@ class _Integrator:
                     x = [a + sixth_h * (b + 2.0 * c + 2.0 * d + e)
                          for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
                     if not all(map(math.isfinite, x)):
-                        t_next = float(self.times[k + 1])
+                        t_next = self.cfg.t0 + (k + 1) * h
                         raise SimulationError(f"state became non-finite at t={t_next:.6g}", t_next)
                     # node derivative, stored for Hermite reads and reused as the
                     # next step's first stage; the reads at t_next are still those
@@ -315,16 +348,15 @@ class _Integrator:
                     for slot, comp in stage:
                         values[slot] = x[comp]
                     k1 = rhs(f_t[g + 1], values) if stage else k4
-                    for at, (value, slope) in enumerate(zip(x, k1), (k + 1) * dim):
-                        states[at], derivs[at] = value, slope
-        every = self.cfg.record_every
+                    xs.extend(x)
+                    ks.extend(k1)
+                self._record(start, stop)
         meta = {
             "t0": self.cfg.t0, "t_end": self.cfg.t_end, "h": h,
-            "record_every": every, "dim": self.dim,
+            "record_every": self.cfg.record_every, "dim": self.dim,
             "substep_lookups": self.substep_lookups,
         }
-        return Trajectory(self.times[::every].copy(), self.states[::every].copy(),
-                          self.derivs[::every].copy(), meta)
+        return Trajectory(self.times, self.states, self.derivs, meta)
 
 
 def simulate(system, cfg: SimConfig) -> Trajectory:
@@ -383,10 +415,9 @@ def fit_decay(traj: Trajectory, reference) -> DecayFit:
 def write_csv(traj: Trajectory, destination) -> None:
     """Write `t,x_1,...,x_m` rows at 17 significant digits with LF endings."""
     m = traj.states.shape[1]
-    header = "t," + ",".join(f"x_{i + 1}" for i in range(m))
-    lines = [header]
-    for tval, row in zip(traj.times, traj.states):
-        lines.append(",".join("%.17g" % v for v in (tval, *row)))
+    row = ",".join(["%.17g"] * (m + 1))
+    lines = ["t," + ",".join(f"x_{i + 1}" for i in range(m))]
+    lines += [row % (t, *x) for t, x in zip(traj.times.tolist(), traj.states.tolist())]
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)

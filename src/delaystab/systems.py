@@ -150,9 +150,12 @@ class ShiftedAbsCosLag(ShiftedAbsSinLag):
 
 @dataclass(frozen=True)
 class _Activation:
-    """k*phi(u) for a fixed phi of slope at most 1, hence Lipschitz constant |k|."""
+    """k*unit(u) for a fixed `unit` of slope at most 1, hence Lipschitz constant |k|."""
 
     k: float
+
+    def __call__(self, u: float) -> float:
+        return self.k * self.unit(u)
 
     @property
     def lipschitz(self) -> float:
@@ -161,22 +164,19 @@ class _Activation:
 
 @dataclass(frozen=True)
 class LinearActivation(_Activation):
-    def __call__(self, u: float) -> float:
-        return self.k * u
+    unit = float  # k * float(u) is k * u
 
 
 @dataclass(frozen=True)
 class TanhActivation(_Activation):
     """k*tanh(u): slope k at the origin, |value| <= |k u|."""
 
-    def __call__(self, u: float) -> float:
-        return self.k * math.tanh(u)
+    unit = math.tanh
 
 
 @dataclass(frozen=True)
 class SinActivation(_Activation):
-    def __call__(self, u: float) -> float:
-        return self.k * math.sin(u)
+    unit = math.sin
 
 
 @dataclass(frozen=True)
@@ -571,9 +571,10 @@ class ConcreteSystem:
 
     `reads` lists the delayed reads in the order `rhs(f_t, values)` takes their
     values: (component j, lag or None, declared bound, label), each read at
-    t - lag(t) (see `read_time`); `phis` keeps (read index, phi) of the reads
-    that enter through a phi.  `time_functions` lists the distinct rates mu
-    and time-varying coefficients c, and `f_t` their values at the stage time.
+    t - lag(t) (see `read_time`); `phis` keeps (read index, k, unit) of the
+    reads entering through phi(u) = k * unit(u): a catalog activation's k and
+    unit, else 1.0 and phi (1.0 * y is y).  `time_functions` lists the distinct
+    rates mu and time-varying coefficients c, `f_t` their values at a stage time.
     `rows` holds per component (mu's index or None for 1, e, terms), a term
     being (read index, weight w, c's index or None); a constant c is folded
     into w, exactly, as w * c(t) * x is (w * c(t)) * x.
@@ -601,7 +602,9 @@ class ConcreteSystem:
         column = {id(fn): i for i, fn in enumerate(self.time_functions)}
         self.rows = [(column.get(id(mu)), e, [(k, w, column.get(id(c))) for k, w, c in terms])
                      for mu, e, terms in rows]
-        self.phis = [(slot, phi) for slot, phi in enumerate(phis) if phi is not None]
+        # k * unit(u) of a catalog activation is its call without the call's frame
+        self.phis = [(slot, phi.k, phi.unit) if type(phi).__call__ is _Activation.__call__
+                     else (slot, 1.0, phi) for slot, phi in enumerate(phis) if phi is not None]
         self.activations, self.dim = activations, len(rows)
         if not callable(history):
             history = ConstantHistory(np.asarray(history, dtype=float))
@@ -614,8 +617,8 @@ class ConcreteSystem:
 
     def rhs(self, f_t: list, values) -> list:
         x = values.copy()
-        for slot, phi in self.phis:
-            x[slot] = phi(x[slot])
+        for slot, k, unit in self.phis:
+            x[slot] = k * unit(x[slot])
         out = []
         for mu, e, terms in self.rows:
             acc = _EXACT_ZERO

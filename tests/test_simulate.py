@@ -24,10 +24,10 @@ from delaystab import (
     two_neuron_spec,
     write_csv,
 )
-from delaystab.simulate import _Integrator
-from delaystab.systems import (ConstantCoeff, ConstantHistory, ConstantLag, Cosinusoid,
-                               LinearActivation, ShiftedAbsCosLag, ShiftedAbsSinLag,
-                               SinSquaredLag, Sinusoid, TanhActivation)
+from delaystab.simulate import BLOCK, _Integrator
+from delaystab.systems import (ConcreteSystem, ConstantCoeff, ConstantHistory, ConstantLag,
+                               Cosinusoid, LinearActivation, ShiftedAbsCosLag,
+                               ShiftedAbsSinLag, SinSquaredLag, Sinusoid, TanhActivation)
 
 
 def pure_delay_system(tau=1.0, history=1.0):
@@ -536,6 +536,59 @@ def test_integrator_memory_beside_its_arrays_does_not_grow_with_the_span(inputs_
     assert beside[1] <= beside[0] + 4096, beside
 
 
+def test_integrator_memory_does_not_grow_with_the_span(inputs_dir):
+    # the integrator keeps only the nodes that reads still reach, and writes
+    # the recorded rows as it goes: beside the rows it returns, it holds as
+    # much for 20,000 steps as for 500
+    system = parse_file(str(inputs_dir / "two_neuron_sample.json")).concrete
+    held = []
+    for t_end in (5.0, 200.0):
+        cfg = SimConfig(0.0, t_end, record_every=100)
+        simulate(system, cfg)
+        tracemalloc.start()
+        try:
+            traj = simulate(system, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held.append(peak - traj.times.nbytes - traj.states.nbytes - traj.derivatives.nbytes)
+    assert held[1] <= held[0] + 4096, held
+
+
+WINDOW_LAGS = st.one_of(st.builds(ConstantLag, st.floats(0.65, 1.5)),
+                        st.builds(ShiftedAbsSinLag, st.floats(0.65, 1.0), st.floats(0.0, 0.5)),
+                        st.builds(ShiftedAbsCosLag, st.floats(0.65, 1.0), st.floats(0.0, 0.5)),
+                        st.just(SinSquaredLag(1.5)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(lags=st.lists(WINDOW_LAGS, min_size=2, max_size=2), t0=st.floats(-2.0, 2.0),
+       every=st.sampled_from([1, 3, 64, 100]), constant=st.booleans())
+def test_window_and_recorded_rows_match_a_run_that_keeps_every_node(lags, t0, every, constant):
+    # x' = -x + tanh(y(t - lag_1)), y' = -y - 0.8 (1 + 0.3 sin t) x(t - lag_2)
+    # reads up to 150 steps back at h = 0.01, more than a block: the nodes
+    # past its reach are dropped, and the rows recorded a block at a time are
+    # those of a run that records every step and keeps every node, bit for bit
+    reads = [(1, lags[0], 1.5, "lag[1]"), (0, lags[1], 1.5, "lag[2]"),
+             (0, None, 0.0, "x"), (1, None, 0.0, "y")]
+    rows = [(None, -0.0, [(2, -1.0, None), (0, 1.0, None)]),
+            (None, -0.0, [(3, -1.0, None), (1, -0.8, Sinusoid(1.0, 0.3))])]
+    history = [1.0, -0.5] if constant else (lambda t: np.array([math.cos(t), math.sin(t)]))
+    system = ConcreteSystem(reads, [TanhActivation(1.0), None, None, None], rows, history, [])
+    n, h = every * -(-450 // every), 0.01
+    integ = _Integrator(system, SimConfig(t0, t0 + n * h, h, every))
+    thin = integ.run()
+    assert len(integ.xs) <= (integ.window + BLOCK + 1) * 2 < (n + 1) * 2
+    kept = _Integrator(system, SimConfig(t0, t0 + n * h, h))
+    kept.window = n + 1  # never trimmed
+    full = kept.run()
+    assert len(kept.xs) == (n + 1) * 2
+    for got, want in ((thin.times, full.times), (thin.states, full.states),
+                      (thin.derivatives, full.derivatives)):
+        assert got.tobytes() == want[::every].tobytes()
+    assert thin.meta == dict(full.meta, record_every=every)
+
+
 def test_catalog_lag_leaving_its_bound_raises_at_its_stage_time():
     # 0.1 + 0.05 |sin t| passes the declared 0.12 at t = 0.415, the half-step
     # stage of step 41: the 41 steps before it run (two evaluations each,
@@ -603,7 +656,8 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
     # every rate and coefficient, and every read resolved per stage time, is
     # the value, class and place that the same objects give one stage time at
     # a time, to the last bit; a constant history plans the reads of constant
-    # lags at or before t0, a callable one leaves them to the tables
+    # lags at or before t0 and resolves their warm-up in (t0, t0 + h) once,
+    # when the integrator is made, a callable one leaves them to the tables
     reads = tuple((0, lag, lag.bound, f"lag[{i}]") for i, lag in enumerate(lags))
     history = ConstantHistory(np.array([0.5])) if constant else cosine
     system = duck_system(reads, history, lambda v: 0.0, 1.0, functions)
@@ -616,7 +670,7 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
         t = times[k] + 0.5 * h if g % 2 == 0 else times[k + 1]
         assert bits(row) == bits([float(fn(t)) for fn in functions])
         want = [[], [], [], []]
-        for first, stop, slot, comp, lag, bound, label in plan.pending:
+        for first, stop, slot, comp, lag, bound, label in plan.pending + plan.early:
             if first <= k < stop:
                 tq = t - float(lag(t))
                 if abs(tq - t) <= 1e-12 * max(1.0, abs(t)):

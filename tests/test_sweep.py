@@ -8,7 +8,8 @@ import sys
 import numpy as np
 import pytest
 
-from delaystab import DocumentError, find_failure_threshold, point_parser, stability_verdict
+from delaystab import (DocumentError, certify_decay_rate, find_failure_threshold, point_parser,
+                       stability_verdict)
 from delaystab.cli import main
 
 # the package re-exports the function `sweep`, which shadows the module name
@@ -168,6 +169,45 @@ def test_sweep_reports_a_value_that_makes_the_spec_invalid():
         "spec.L[1][2] must be >= 0 (got -0.5); spec.L[2][1] must be >= 0 (got -0.5)",
         "spec.L[1][2] must be finite (got nan); spec.L[2][1] must be finite (got nan)"]
     assert all(r.status == "error" and r.criterion is None for r in rows[1:])
+
+
+def _delay_free_general():
+    doc = _coupled_general()
+    doc["spec"]["diagonal_delay_free"] = True
+    return doc
+
+
+@pytest.mark.parametrize("make, path, value, criterion, tag", [
+    (_coupled_general, "parameters.k", 0.1, None, "cor0"),
+    (_coupled_general, "parameters.k", 0.1, "theorem1", "theorem1"),
+    (_coupled_general, "parameters.k", 0.1, "cor4", "cor4"),
+    (_delay_free_general, "parameters.k", 0.1, None, "cor1"),
+    (_delay_free_general, "parameters.k", 0.1, "cor5", "cor5"),
+    ("modulated_doc", "parameters.mu", 9.0, None, "thm3"),
+    ("two_neuron_doc", "spec.coupling_xy", 0.5, "cor11", "cor11"),
+])
+def test_certified_row_takes_rate_zero_from_its_verdict(request, monkeypatch, make, path, value,
+                                                        criterion, tag):
+    # these verdicts test Theorem 1's rate-0 matrix, the certificate's first
+    # trial: a certified row runs that M-matrix test once, and its certificate
+    # is the one `certify_decay_rate` finds on its own
+    doc = request.getfixturevalue(make) if isinstance(make, str) else make()
+    points = point_parser(doc, path)
+    calls = []
+    for module in ("linalg", "criteria"):
+        target = importlib.import_module(f"delaystab.{module}")
+        test = target.witness_test
+        monkeypatch.setattr(target, "witness_test",
+                            lambda *args, test=test: calls.append(1) or test(*args))
+    (row,) = sweep_module.sweep(points, [value], criterion=criterion)
+    in_row, calls[:] = len(calls), []
+    assert row.status == "stable_certified" and row.criterion == tag
+    verdict = stability_verdict(points(value).spec, criterion=criterion)
+    alone = certify_decay_rate(points(value).spec)
+    assert verdict.stable and in_row == len(calls) - 1
+    spec = points(value).spec
+    stability_verdict(spec, criterion=criterion)
+    assert certify_decay_rate(spec) == alone and row.lambda0 == alone.lambda0
 
 
 def test_threshold_search_doubles_its_stride():

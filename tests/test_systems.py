@@ -26,6 +26,7 @@ from delaystab import (
     validate,
 )
 from delaystab.systems import (
+    ConcreteSystem,
     ConstantCoeff,
     ConstantLag,
     Cosinusoid,
@@ -132,6 +133,38 @@ def test_logistic_activation_no_overflow():
     f = LogisticActivation(1.0)
     assert abs(f(-1e4) - (-0.5)) < 1e-12
     assert abs(f(1e4) - 0.5) < 1e-12
+
+
+def test_rhs_applies_each_catalog_activation_as_its_call():
+    # rhs forms a catalog activation's k * unit(u) without calling it, and any
+    # other phi as 1.0 * phi(u): each read's term is the call's value to the
+    # last bit, the sign of a zero included, on both branches of the logistic
+    acts = [kind(k) for kind in (LinearActivation, TanhActivation, SinActivation,
+                                 LogisticActivation) for k in (-1.5, 0.0, 2.5)]
+    acts.append(lambda u: 0.5 * math.tanh(u))
+    system = ConcreteSystem([(0, None, 0.0, f"u{i}") for i in range(len(acts))], acts,
+                            [(None, -0.0, [(i, 1.0, None)]) for i in range(len(acts))],
+                            [0.0] * len(acts), [])
+    assert [len(entry) for entry in system.phis] == [3] * len(acts)
+    for u in (0.0, -0.0, 1e-300, -1e-300, 0.7, -0.7, 30.0, -30.0, 800.0, -800.0,
+              1e300, -1e300):
+        got = system.rhs([], [u] * len(acts))
+        assert [v.hex() for v in got] == [float(phi(u)).hex() for phi in acts], u
+
+
+def test_a_lambda_activation_integrates_as_its_catalog_twin():
+    # 1.0 * phi(u) is phi(u), so a callable that computes k * tanh(u) gives
+    # the catalog activation's trajectory bit for bit
+    def system(phi):
+        return ConcreteSystem([(0, ConstantLag(0.2), 0.2, "lag"), (0, None, 0.0, "x")],
+                              [phi, None], [(None, -0.0, [(1, -1.0, None), (0, -0.5, None)])],
+                              [1.0], [])
+
+    cfg = SimConfig(0.0, 2.0)
+    twin = simulate(system(TanhActivation(0.5)), cfg)
+    run = simulate(system(lambda u: 0.5 * math.tanh(u)), cfg)
+    assert run.states.tobytes() == twin.states.tobytes()
+    assert run.derivatives.tobytes() == twin.derivatives.tobytes()
 
 
 # --- validation -------------------------------------------------------------
