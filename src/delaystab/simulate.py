@@ -24,15 +24,17 @@ stage times, t + c h for c = 1/2 and 1.  A read at t - lag(t) is one of:
 A constant lag of at least one step reads q = c - lag / h steps from node k
 in every step k, so it is range-checked once and each stage offset plans
 its node offset or Hermite weights once, for the steps whose read lies past
-t0 + h, and a constant history's value (`systems.ConstantHistory`) for the
-steps whose read lies at or before t0; its one stage in (t0, t0 + h) is
-resolved once too.  Everything else that depends on t alone, the rates,
-coefficients and other reads' lags, range checks, classes and places, is
-tabulated with numpy on the stage times of BLOCK steps at a time; a read
-that fails raises its error when its stage time is reached.  Only stage
-reads depend on more than the stage time and the completed steps, so a
-stage time without them evaluates once: k3 is k2, and the node derivative
-(kept for Hermite reads and the next step) is k4.
+t0 + h.  Its warm-up stages before them are resolved once, when the
+integrator is built: from the start t0 (stage -1, the end of step -1) under
+a callable history, and past t0 under a constant one, whose value
+(`systems.ConstantHistory`) the earlier reads take.  The rates, coefficients
+and table reads (time-varying lags and constant lags below one step) depend
+on t alone and are tabulated with numpy, with range checks, classes and
+places, on the stage times of BLOCK steps at a time.  A read that fails
+raises when its stage time is reached, a table read before a planned one.
+Only stage reads depend on more than the stage time and the completed
+steps, so a stage time without them evaluates once: k3 is k2, and the node
+derivative (kept for Hermite reads and the next step) is k4.
 
 A step runs on Python floats in numpy's elementwise order (the same bits,
 no numpy call per step); a non-finite state aborts the run at its time.
@@ -121,32 +123,22 @@ def _place(q: np.ndarray, h: float) -> tuple:
 
 
 class _ReadPlan:
-    """The reads at stage offset c of every step (see the module docstring)."""
+    """The planned reads at stage offset c of every step (see the module docstring)."""
 
-    def __init__(self, c: float, h: float, dim: int, reads: tuple, fixed: list):
-        self.stage, self.nodes, self.hermite, varying, planned = [], [], [], [], []
-        for slot, (comp, lag, bound, label) in enumerate(reads):
-            if lag is None or isinstance(lag, ConstantLag) and lag.value == 0:
-                self.stage.append((slot, comp))
-            elif not isinstance(lag, ConstantLag) or lag.value < h:  # may be a sub-step read
-                varying.append((0, math.inf, slot, *reads[slot]))
-            else:
-                planned.append((slot, comp, c - lag.value / h))
-        offsets, weights, nodes, _ = _place(np.array([q for _, _, q in planned]), h)
-        warm = []
-        for (slot, comp, q), r, node, *w in zip(planned, offsets.tolist(), nodes.tolist(),
-                                                *(w.tolist() for w in weights)):
-            # the steps k < history read at or before t0 (k + q <= 1e-9): the fixed value
-            history = 0 if fixed[slot] is None else math.floor(1e-9 - q) + 1
-            warm.append((max(0, 1 - r), history, slot,
-                         (slot, r * dim + comp) if node else (slot, r * dim + comp, *w)))
-        self.queue = sorted(warm, key=lambda entry: -entry[0])  # next warm-up to end on top
-        # the reads resolved at each stage time of the steps first <= k < stop: by the tables,
-        # or once, when the run starts (a constant history's warm-up, in (t0, t0 + h))
-        warm = [(history, end, slot, *reads[slot]) for end, history, slot, _ in self.queue]
-        self.pending = varying + [w for w in warm if fixed[w[2]] is None]
-        self.early = [w for w in warm if fixed[w[2]] is not None]
-        self.values = fixed.copy()  # a stage time writes every read that is not fixed then
+    def __init__(self, c: float, h: float, dim: int, planned: list, fixed: list):
+        q = np.array([c - lag / h for _, _, lag in planned])
+        offsets, weights, nodes, _ = _place(q, h)
+        queue = []
+        for (slot, comp, _), q, r, node, *w in zip(planned, q.tolist(), offsets.tolist(),
+                                                   nodes.tolist(), *(w.tolist() for w in weights)):
+            # the warm-up steps first <= k < 1 - r: from the plan's first stage (the start is
+            # stage -1, the end of step -1), or past the steps that take the fixed value
+            first = math.ceil(-c) if fixed[slot] is None else math.floor(1e-9 - q) + 1
+            queue.append((max(0, 1 - r), first, slot,
+                          (slot, r * dim + comp) if node else (slot, r * dim + comp, *w)))
+        self.queue = sorted(queue, key=lambda entry: -entry[0])  # next warm-up to end on top
+        # a stage time writes every read that is not fixed then
+        self.nodes, self.hermite, self.values = [], [], fixed.copy()
 
 
 class _Integrator:
@@ -193,7 +185,6 @@ class _Integrator:
         self.first, self.xs, self.ks, self.history_start = 0, [], [], cfg.t0 - top
         self.reads, self.rhs, self.time_functions = system.reads, system.rhs, system.time_functions
         self.substep_lookups = 0
-        self.fixed = [None] * len(self.reads)  # a constant history's value of a planned read
         constant = [(slot, *read) for slot, read in enumerate(self.reads)
                     if isinstance(read[1], ConstantLag)]
         # each constant lag is range-checked once, at t0
@@ -202,79 +193,93 @@ class _Integrator:
                               np.array([r[3] for r in constant]), [r[4] for r in constant])
         if error:
             raise error
+        fixed = [None] * len(self.reads)  # a constant history's value of a planned read
         for (slot, comp, *_), tq in zip(constant, tq.tolist()):
             if isinstance(self.phi, ConstantHistory) and tq >= self.history_start - 1e-9:
-                self.fixed[slot] = float(self.phi.vector[comp])
-        self.plans = [_ReadPlan(c, h, self.dim, self.reads, self.fixed) for c in (0.5, 1.0)]
-        # the early reads of stage 2k + c, resolved here with the tables' arithmetic
-        self.early = {}
-        if early := [(c, k, slot, comp, lag(cfg.t0)) for c, plan in enumerate(self.plans)
-                     for first, stop, slot, comp, lag, _, _ in plan.early
-                     for k in range(first, stop)]:
-            c, k, slot, comp, lag = map(np.array, zip(*early))
-            t = np.where(c == 0, (cfg.t0 + k * h) + 0.5 * h, cfg.t0 + (k + 1) * h)
-            self._resolve(self.early, 2 * k + c, t, t - lag, k, slot, comp)
+                fixed[slot] = float(self.phi.vector[comp])
+        self.stage, table, planned = [], [], []
+        for slot, (comp, lag, bound, label) in enumerate(self.reads):
+            if lag is None or isinstance(lag, ConstantLag) and lag.value == 0:
+                self.stage.append((slot, comp))
+            elif not isinstance(lag, ConstantLag) or lag.value < h:  # may be a sub-step read
+                table.append((slot, comp, lag, bound, label))
+            else:
+                planned.append((slot, comp, lag.value))
+        self.table_lags = [lag for _, _, lag, _, _ in table]
+        self.table = [np.array([read[i] for read in table], dtype=kind)
+                      for i, kind in ((0, int), (1, int), (3, float), (4, object))]
+        self.plans = [_ReadPlan(c, h, self.dim, planned, fixed) for c in (0.5, 1.0)]
+        # every planned read's warm-up stages 2k + c, resolved once
+        self.extra, self.cut, self.failure = {}, math.inf, None
+        if warm := sorted((2 * k + c, slot, self.reads[slot][0], self.reads[slot][1].value)
+                          for c, plan in enumerate(self.plans)
+                          for end, first, slot, _ in plan.queue
+                          for k in range(first, min(end, n_steps))):
+            g, slot, comp, lag = map(np.array, zip(*warm))
+            t = self._times(g)
+            self._resolve(g, t, t - lag, slot, comp)
 
-    def _resolve(self, extra: dict, key, t, tq, k, slot, comp) -> int:
-        """File reads (times t, read times tq, steps k) as extra[key]'s stage, node, Hermite or
-        history entries, up to the first before the retained history: its index, or len(tq)."""
-        h, dim, t0 = self.h, self.dim, self.cfg.t0
+    def _times(self, g: np.ndarray) -> np.ndarray:
+        """The times of stages g: stage 2k is step k's half step, 2k + 1 its end (-1 is t0)."""
+        k, t0, h = g // 2, self.cfg.t0, self.h
+        return np.where(g % 2 == 0, (t0 + k * h) + 0.5 * h, t0 + (k + 1) * h)
+
+    def _resolve(self, g, t, tq, slot, comp, failure=None) -> None:
+        """File the reads at stages g (times t, read times tq) in self.extra[g] as stage, node,
+        Hermite or history entries, up to the first that lies before the retained history.
+        Its error, else `failure` (that of read len(tq): g, t, slot and comp may run past tq),
+        is raised at its stage unless an earlier stage fails; at one stage, the reads of a
+        later call come first (the tables' before the warm-up's, resolved when built)."""
+        h, dim, t0, n, extra = self.h, self.dim, self.cfg.t0, len(tq), self.extra
+        t = t[:n]
         stage = np.abs(tq - t) <= 1e-12 * np.maximum(1.0, np.abs(t))
         past = ~stage & (tq <= t0)
-        m = next(iter(np.flatnonzero(past & (tq < self.history_start - 1e-9))), len(tq))
-        key, tq, k, slot, comp, stage, past = (a[:m] for a in (key, tq, k, slot, comp, stage, past))
-        r, weights, node, substep = _place((tq - t0) / h - k, h)
+        m = next(iter(np.flatnonzero(past & (tq < self.history_start - 1e-9))), n)
+        if m < n:
+            failure = SimulationError(f"delayed lookup at t={tq[m]:.6g} lies before the retained "
+                                      f"history, which starts at t={self.history_start:.6g}",
+                                      float(t[m]))
+        if failure is not None and g[m] <= self.cut:
+            self.cut, self.failure = int(g[m]), failure
+        g, tq, slot, comp, stage, past = (a[:m] for a in (g, tq, slot, comp, stage, past))
+        r, weights, node, substep = _place((tq - t0) / h - g // 2, h)
         self.substep_lookups += int(np.count_nonzero(substep & ~stage & ~past))
-        extra.update((g, ([], [], [], [])) for g in set(key.tolist()).difference(extra))
+        extra.update((key, ([], [], [], [])) for key in set(g.tolist()).difference(extra))
         for kind, mask, *columns in ((0, stage, comp), (1, node & ~stage & ~past, r * dim + comp),
                                      (2, ~(node | stage | past), r * dim + comp, *weights),
                                      (3, past, comp, tq)):
             entries = zip(*(x[mask].tolist() for x in (slot, *columns)))
-            for g, entry in zip(key[mask].tolist(), entries):
-                extra[g][kind].append(entry)
-        return m
+            for key, entry in zip(g[mask].tolist(), entries):
+                extra[key][kind].append(entry)
 
-    def _tabulate(self, T: np.ndarray, k0: int, plans: list, extra: dict) -> list:
-        """The time functions' values at each stage time T[g] (of step k0 + g // p, plan
-        plans[g % p], p = len(plans)), evaluated on T at once, as are the reads resolved per
-        stage time: `self.extra[g]` holds stage g's stage, node, Hermite and history reads,
-        `extra`'s too; the first read that fails sets `self.cut` and `self.failure`."""
-        p, start = len(plans), self.history_start
-        f_t = np.empty((len(T), len(self.time_functions)))
+    def _tabulate(self, g0: int, n: int) -> list:
+        """The time functions' values at the times of stages g0 <= g < g0 + n, evaluated at
+        once, as is each table read's lag there; `_resolve` files those reads."""
+        g = np.arange(g0, g0 + n)
+        T = self._times(g)
+        f_t = np.empty((n, len(self.time_functions)))
         for col, fn in enumerate(self.time_functions):
             f_t[:, col] = fn(T)
-        live = [(c, lo, hi, *read) for c, plan in enumerate(plans) for first, stop, *read
-                in plan.pending if (lo := max(first - k0, 0)) < (hi := min(stop - k0, len(T)//p))]
-        self.extra, self.cut, self.failure = extra, len(T), None
-        if not live:
-            return f_t.tolist()
-        # the lag of read j at each stage g it is resolved at, taken stage by stage
-        lag, on = np.empty((len(T), len(live))), np.zeros((len(T), len(live)), dtype=bool)
-        for j, (c, lo, hi, _, _, fn, _, _) in enumerate(live):
-            at = slice(p * lo + c, p * hi, p)
-            lag[at, j], on[at, j] = fn(T[at]), True
-        at, which = np.nonzero(on)
-        slot, comp, bound, label = (np.array([entry[i] for entry in live], dtype=kind)[which]
-                                    for i, kind in ((3, int), (4, int), (6, float), (7, object)))
-        tq, self.failure = read_time(T[at], lag[at, which], bound, label)
-        m = self._resolve(extra, at, T[at[:len(tq)]], tq, k0 + at // p, slot, comp)
-        if m < len(tq):
-            self.failure = SimulationError(f"delayed lookup at t={tq[m]:.6g} lies before the "
-                                           f"retained history, which starts at t={start:.6g}",
-                                           float(T[at[m]]))
-        self.cut = at[m] if m < len(at) else len(T)
+        if lags := self.table_lags:
+            lag = np.empty((n, len(lags)))
+            for j, fn in enumerate(lags):
+                lag[:, j] = fn(T)
+            slot, comp, bound, label = (np.tile(column, n) for column in self.table)
+            g, t = np.repeat(g, len(lags)), np.repeat(T, len(lags))  # stage by stage
+            tq, error = read_time(t, lag.ravel(), bound, label)
+            self._resolve(g, t, tq, slot, comp, error)
         return f_t.tolist()
 
     def _read(self, plan: _ReadPlan, g: int, k: int) -> tuple:
-        """The plan's read values and stage reads at stage g of the tables, of step k;
-        raises the error of a read that fails there."""
+        """The plan's read values and the stage reads at stage g, of step k; raises the error
+        of a read that fails there."""
         if g == self.cut:
             raise self.failure
         while plan.queue and plan.queue[-1][0] <= k:  # its warm-up is over: gathered from now on
             gather = plan.queue.pop()[3]
             (plan.hermite if len(gather) > 2 else plan.nodes).append(gather)
-        values, stage, nodes, hermite, past = plan.values, plan.stage, plan.nodes, plan.hermite, ()
-        if (more := self.extra.get(g)) is not None:  # the reads resolved at this stage time
+        values, stage, nodes, hermite, past = plan.values, self.stage, plan.nodes, plan.hermite, ()
+        if (more := self.extra.pop(g, None)) is not None:  # the reads resolved at this stage
             stage, nodes, hermite, past = (stage + more[0], nodes + more[1], hermite + more[2],
                                            more[3])
         dim, states, derivs, base = self.dim, self.xs, self.ks, (k - self.first) * self.dim
@@ -288,13 +293,6 @@ class _Integrator:
                             + w2 * states[at + dim] + w3 * derivs[at + dim])
         return values, stage
 
-    def _block(self, start: int, stop: int) -> list:
-        """The tables of the steps start <= k < stop: half-step and end-of-step stages."""
-        times = self.cfg.t0 + np.arange(start, stop + 1) * self.h
-        early = {g - 2 * start: self.early.pop(g) for g in list(self.early) if g < 2 * stop}
-        return self._tabulate(np.column_stack((times[:-1] + 0.5 * self.h, times[1:])).ravel(),
-                              start, self.plans, early)
-
     def _record(self, start: int, stop: int) -> None:
         """Write the recorded nodes start < j <= stop, and drop those no later read reaches."""
         every, dim, first = self.cfg.record_every, self.dim, self.first
@@ -307,36 +305,36 @@ class _Integrator:
             self.first += old
 
     def run(self) -> Trajectory:
-        h, dim, rhs, (half, whole) = self.h, self.dim, self.rhs, self.plans
+        h, rhs, (half, whole) = self.h, self.rhs, self.plans
         half_h, sixth_h, xs, ks = 0.5 * h, h / 6.0, self.xs, self.ks
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
             self.states[0] = np.asarray(self.phi(self.cfg.t0), dtype=float)
             x = self.states[0].tolist()
-            # no plan gathers before step 1, so this reads every lag at t0
-            f_t = self._tabulate(np.array([self.cfg.t0]), 0, [half], {})
-            values, stage = self._read(half, 0, 0)
+            f_t = self._tabulate(-1, 1)  # the start: stage -1, the end of step -1
+            values, stage = self._read(whole, -1, -1)
             for slot, comp in stage:
                 values[slot] = x[comp]
             self.derivs[0] = k1 = rhs(f_t[0], values)
             xs.extend(x)
             ks.extend(k1)
             for start in range(0, self.n_steps, BLOCK):
-                f_t = self._block(start, stop := min(start + BLOCK, self.n_steps))
-                for k in range(start, stop):
+                stop = min(start + BLOCK, self.n_steps)
+                f_t = self._tabulate(2 * start, 2 * (stop - start))
+                for k, f_half, f_end in zip(range(start, stop), f_t[::2], f_t[1::2]):
                     # a stage read takes each evaluation's state; without one, the
                     # evaluations at a stage time are the same one
-                    values, stage = self._read(half, g := 2 * (k - start), k)
+                    values, stage = self._read(half, 2 * k, k)
                     for slot, comp in stage:
                         values[slot] = x[comp] + half_h * k1[comp]
-                    k2 = rhs(f_t[g], values)
+                    k2 = rhs(f_half, values)
                     for slot, comp in stage:
                         values[slot] = x[comp] + half_h * k2[comp]
-                    k3 = rhs(f_t[g], values) if stage else k2
-                    values, stage = self._read(whole, g + 1, k)
+                    k3 = rhs(f_half, values) if stage else k2
+                    values, stage = self._read(whole, 2 * k + 1, k)
                     for slot, comp in stage:
                         values[slot] = x[comp] + h * k3[comp]
-                    k4 = rhs(f_t[g + 1], values)
+                    k4 = rhs(f_end, values)
                     x = [a + sixth_h * (b + 2.0 * c + 2.0 * d + e)
                          for a, b, c, d, e in zip(x, k1, k2, k3, k4)]
                     if not all(map(math.isfinite, x)):
@@ -347,7 +345,7 @@ class _Integrator:
                     # of k4, which never look at node k + 1
                     for slot, comp in stage:
                         values[slot] = x[comp]
-                    k1 = rhs(f_t[g + 1], values) if stage else k4
+                    k1 = rhs(f_end, values) if stage else k4
                     xs.extend(x)
                     ks.extend(k1)
                 self._record(start, stop)

@@ -284,13 +284,13 @@ class CountingSinusoid(Counting, Sinusoid):
     pass
 
 
-def two_neuron_system(trans_x, trans_y, rate=None):
+def two_neuron_system(trans_x, trans_y, rate=None, history=(1.0, -0.5)):
     spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                            Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                            sigma_x=0.4, sigma_y=0.5)
     return BamConcrete(spec, [rate or ConstantCoeff(1.0)], [ConstantCoeff(1.0)],
                        [ConstantLag(0.5)], [ConstantLag(0.4)], [trans_x], [trans_y],
-                       [TanhActivation(0.5)], [TanhActivation(0.2)], [1.0, -0.5])
+                       [TanhActivation(0.5)], [TanhActivation(0.2)], history)
 
 
 def test_positive_lags_are_evaluated_once_per_stage_time():
@@ -337,20 +337,19 @@ def test_constant_coefficients_are_folded_into_their_weights():
     assert [getattr(c, "calls", 0) for row in folded for c in row] == [0] * 4
 
 
-def test_constant_lags_are_evaluated_for_the_range_check_and_warm_up_only():
+@pytest.mark.parametrize("history", [[1.0, -0.5], lambda t: np.array([1.0, -0.5])],
+                         ids=["vector", "callable"])
+def test_constant_lags_are_evaluated_once_for_the_range_check(history):
     # a constant lag of tau = 12 h reads nodes at t + h and Hermite values at
-    # t + h/2, one of 13.5 h the reverse; each is evaluated once for its range
-    # check and at every stage time t_k + c h whose read lies in (t0, t0 + h)
-    # (0 < k + c - tau / h < 1); reads at or before t0 take the constant
-    # history's value and later ones are planned
+    # t + h/2, one of 13.5 h the reverse; each is evaluated once, for its range
+    # check, under a constant history and a callable one alike: its warm-up
+    # stages, resolved when the integrator is built, take the lag's value
     n_steps, h = 64, 1.0 / 32.0
     lags = [CountingLag(12 * h), CountingLag(13.5 * h)]
     rate = CountingCoeff(1.0)
-    traj = simulate(two_neuron_system(*lags, rate=rate), SimConfig(0.0, n_steps * h, h))
-    warm_up = [sum(0 < k + c - lag.value / h < 1 for k in range(n_steps) for c in (0.5, 1.0))
-               for lag in lags]
-    assert warm_up == [1, 1]
-    assert [lag.calls for lag in lags] == [1 + n for n in warm_up]
+    traj = simulate(two_neuron_system(*lags, rate=rate, history=history),
+                    SimConfig(0.0, n_steps * h, h))
+    assert [lag.calls for lag in lags] == [1, 1]
     assert rate.calls == 2 * n_steps + 1
     assert traj.meta["substep_lookups"] == 0
 
@@ -514,28 +513,6 @@ def cosine(t):
     return np.array([math.cos(t)])
 
 
-def test_integrator_memory_beside_its_arrays_does_not_grow_with_the_span(inputs_dir):
-    # the time functions and reads are tabulated one block of steps at a
-    # time, so beside its time, state and derivative arrays (and the rows it
-    # returns) the integrator holds as much for 5,000 steps as for 500
-    system = parse_file(str(inputs_dir / "two_neuron_sample.json")).concrete
-    beside = []
-    for t_end in (5.0, 50.0):
-        cfg = SimConfig(0.0, t_end, record_every=100)
-        simulate(system, cfg)
-        tracemalloc.start()
-        try:
-            traj = simulate(system, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        rows = round(t_end / traj.meta["h"]) + 1
-        arrays = rows * (1 + 2 * traj.dim) * 8
-        beside.append(peak - arrays - traj.times.nbytes - traj.states.nbytes
-                      - traj.derivatives.nbytes)
-    assert beside[1] <= beside[0] + 4096, beside
-
-
 def test_integrator_memory_does_not_grow_with_the_span(inputs_dir):
     # the integrator keeps only the nodes that reads still reach, and writes
     # the recorded rows as it goes: beside the rows it returns, it holds as
@@ -624,6 +601,23 @@ def test_time_varying_read_before_the_retained_history_raises_at_its_stage_time(
     assert exc.value.time == 0.54 and system.calls == 1 + 2 * 53 + 1
 
 
+def test_failures_at_one_stage_report_the_table_read_then_the_first_slot():
+    # both lags of 2 read before the retained history (t0 - 1) from the start, where
+    # the time-varying lag 0.4 + 0.1 |sin t| also exceeds its bound 0.3: the table
+    # read's error is reported, and without it the first planned read's
+    far = ((0, ConstantLag(2.0), 2.0, "far"), (0, ConstantLag(3.0), 3.0, "farther"))
+    varying = (0, ShiftedAbsSinLag(0.4, 0.1), 0.3, "varying")
+    with pytest.raises(DelayBoundError) as exc:
+        simulate(duck_system(far + (varying,), cosine, lambda v: -v[0], 1.0),
+                 SimConfig(0.0, 1.0, 0.01))
+    assert str(exc.value) == "varying exceeds its declared bound 0.3 at t=0 (got 0.4)"
+    with pytest.raises(SimulationError) as exc:
+        simulate(duck_system(far, cosine, lambda v: -v[0], 1.0), SimConfig(0.0, 1.0, 0.01))
+    assert str(exc.value) == ("delayed lookup at t=-2 lies before the retained history, "
+                              "which starts at t=-1")
+    assert exc.value.time == 0.0
+
+
 def place_one(q, h):
     """The node offset and Hermite weights (none on a node) of one read q
     steps past node k, placed on its own: the reference for the tables."""
@@ -655,34 +649,49 @@ LAGS = st.one_of(st.builds(ConstantLag, st.floats(0.0, 1.0)),
 def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start, constant):
     # every rate and coefficient, and every read resolved per stage time, is
     # the value, class and place that the same objects give one stage time at
-    # a time, to the last bit; a constant history plans the reads of constant
-    # lags at or before t0 and resolves their warm-up in (t0, t0 + h) once,
-    # when the integrator is made, a callable one leaves them to the tables
+    # a time, to the last bit: the planned reads' warm-up stages, filed when
+    # the integrator is made (past a constant history's fixed value, or from
+    # the start under a callable one), and the table reads (time-varying lags
+    # and constant lags below one step) at every stage of a block
     reads = tuple((0, lag, lag.bound, f"lag[{i}]") for i, lag in enumerate(lags))
     history = ConstantHistory(np.array([0.5])) if constant else cosine
     system = duck_system(reads, history, lambda v: 0.0, 1.0, functions)
     integ = _Integrator(system, SimConfig(t0, t0 + (start + 80) * h, h))
-    f_t = integ._block(start, start + 80)
-    assert integ.cut == 160 and integ.failure is None
     times = integ.times.tolist()
-    for g, row in enumerate(f_t):
-        k, plan = start + g // 2, integ.plans[g % 2]
-        t = times[k] + 0.5 * h if g % 2 == 0 else times[k + 1]
-        assert bits(row) == bits([float(fn(t)) for fn in functions])
-        want = [[], [], [], []]
-        for first, stop, slot, comp, lag, bound, label in plan.pending + plan.early:
-            if first <= k < stop:
-                tq = t - float(lag(t))
-                if abs(tq - t) <= 1e-12 * max(1.0, abs(t)):
-                    want[0].append((slot, comp))
-                elif tq <= t0:
-                    want[3].append((slot, comp, tq))
-                else:
-                    r, weights = place_one((tq - t0) / h - k, h)
-                    want[2 if weights else 1].append((slot, r * integ.dim + comp, *weights))
+
+    def stage_time(g):  # stage 2k is step k's half step, 2k + 1 its end; -1 is t0
+        return times[g // 2 + 1] if g % 2 else times[g // 2] + 0.5 * h
+
+    def want(g, slots):
+        entries = [[], [], [], []]
+        t = stage_time(g)
+        for slot in slots:
+            tq = t - float(lags[slot](t))
+            if abs(tq - t) <= 1e-12 * max(1.0, abs(t)):
+                entries[0].append((slot, 0))
+            elif tq <= t0:
+                entries[3].append((slot, 0, tq))
+            else:
+                r, weights = place_one((tq - t0) / h - g // 2, h)
+                entries[2 if weights else 1].append((slot, r * integ.dim, *weights))
+        return [sorted(map(bits, kind)) for kind in entries]
+
+    warm = {}
+    for c, plan in enumerate(integ.plans):
+        for end, first, slot, _ in plan.queue:
+            for k in range(first, min(end, integ.n_steps)):
+                warm.setdefault(2 * k + c, []).append(slot)
+    assert {g: [sorted(map(bits, kind)) for kind in entries]
+            for g, entries in integ.extra.items()} == {g: want(g, s) for g, s in warm.items()}
+    integ.extra.clear()
+    f_t = integ._tabulate(2 * start, 160)
+    assert integ.failure is None
+    table = [slot for slot, lag in enumerate(lags)
+             if not isinstance(lag, ConstantLag) or 0 < lag.value < h]
+    for g, row in enumerate(f_t, 2 * start):
+        assert bits(row) == bits([float(fn(stage_time(g))) for fn in functions])
         got = integ.extra.get(g, ([], [], [], []))
-        assert [sorted(map(bits, entries)) for entries in got] == \
-            [sorted(map(bits, entries)) for entries in want]
+        assert [sorted(map(bits, kind)) for kind in got] == want(g, table)
 
 
 # --- decay fitting ----------------------------------------------------------
