@@ -1,0 +1,73 @@
+"""tools/same_outputs.py: its comparison, its runner and its clean-up."""
+
+import pathlib
+import sys
+from types import SimpleNamespace
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "tools"))
+import same_outputs  # noqa: E402  (tools/ is not a package)
+
+
+def test_differences_name_each_operation_and_field():
+    same = [0, "{}\n", "", "t,x_1\n0,1\n"]
+    outcomes = [same, [2, "a", "", ""], [1, "", "error: x", ""], [0, "", "", "t\n"]]
+    changed = [same, [2, "b", "", ""], ["ValueError: y", "", "error: z", ""], [0, "", "", "t\r\n"]]
+    names = ["same", "stdout", "exit", "csv"]
+    assert same_outputs.differences(names, outcomes, outcomes) == []
+    assert same_outputs.differences(names, outcomes, changed) == [
+        ("stdout", ["stdout"]), ("exit", ["exit", "stderr"]), ("csv", ["csv"])]
+
+
+def test_run_ops_captures_each_outcome_and_the_csv_bytes(tmp_path):
+    csv = tmp_path / "run.csv"
+    document = str(ROOT / "inputs" / "two_neuron_sample.json")
+    ops = [SimpleNamespace(argv=["simulate", document, "--t-end", "0.2", "--record-every", "10",
+                                 "--out", str(csv)]),
+           SimpleNamespace(argv=["simulate", str(tmp_path / "missing.json"), "--t-end", "1"])]
+    written, missing = same_outputs.run_ops(str(ROOT), ops, str(tmp_path))
+    assert written[0] == 0 and '"command": "simulate"' in written[1]
+    assert written[3].startswith("t,x_1,x_2\n0,1,1\n") and not csv.exists()
+    assert missing[0] == 1 and missing[1] == "" and "missing.json" in missing[2]
+
+
+def fake_exports(monkeypatch, tmp_path):
+    made = []
+
+    def export(rev):
+        made.append(tmp_path / rev)
+        made[-1].mkdir()
+        return rev, str(made[-1])
+
+    monkeypatch.setattr(same_outputs.bench_pair, "export", export)
+    return made
+
+
+def test_a_differing_operation_is_listed_and_fails_the_run(monkeypatch, tmp_path, capsys):
+    fake_exports(monkeypatch, tmp_path)
+
+    def run_ops(checkout, ops, scratch):
+        return [[0, "parent" if checkout.endswith("p") and i == 1 else "", "", ""]
+                for i in range(len(ops))]
+
+    monkeypatch.setattr(same_outputs, "run_ops", run_ops)
+    assert same_outputs.main(["--parent", "p", "--change", "c", "--workload", "simulate",
+                              "--seeds", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "seed 1 simulate-csv:two_neuron_dynamics: differs in stdout"
+    assert lines[1] == "1 of 25 simulate operations differ between p and c"
+
+
+def test_a_failed_run_leaves_no_export_behind(monkeypatch, tmp_path):
+    made = fake_exports(monkeypatch, tmp_path)
+
+    def run_ops(*args):
+        raise SystemExit("a run failed")
+
+    monkeypatch.setattr(same_outputs, "run_ops", run_ops)
+    with pytest.raises(SystemExit, match="a run failed"):
+        same_outputs.main(["--parent", "p", "--change", "c", "--workload", "simulate",
+                           "--seeds", "1"])
+    assert len(made) == 2 and not any(path.exists() for path in made)

@@ -1,0 +1,122 @@
+"""List the benchmark operations whose outputs differ between two commits.
+
+    python3 tools/same_outputs.py --parent HEAD~1 --change HEAD \\
+        --workload simulate --seeds 1-3,101
+
+Run from the repository root.  The workload's documents are generated once
+per seed by this checkout's `perfbench/workloads.build`, so both sides read
+the same files.  Each commit is exported with `git archive` (as
+tools/bench_pair.py does) and runs every operation once, in one fresh
+interpreter per side, through its own `delaystab.cli.main(argv)`.  An
+operation differs when its exit code (or the exception it raised), stdout,
+stderr or the bytes of the CSV file it writes differ.  The script prints
+each such operation and the fields that differ, and exits 1 if there is
+one.  The exported commits and the documents are removed when it ends.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+
+import bench_pair
+
+ROOT = bench_pair.ROOT
+FIELDS = ("exit", "stdout", "stderr", "csv")
+
+# runs the operations of argv[2] (a JSON list of [argv, csv path or null])
+# through the delaystab under argv[1], and writes their outcomes to argv[3]
+_CHILD = """
+import contextlib, io, json, os, sys
+sys.path.insert(0, sys.argv[1])
+import delaystab.cli
+with open(sys.argv[2]) as fh:
+    ops = json.load(fh)
+outcomes = []
+for argv, csv in ops:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = delaystab.cli.main(list(argv))
+        except (Exception, SystemExit) as exc:  # the operation's outcome, not the script's
+            code = f"{type(exc).__name__}: {exc}"
+    data = ""
+    if csv is not None and os.path.exists(csv):
+        with open(csv, "rb") as fh:
+            data = fh.read().decode("latin-1")
+        os.remove(csv)
+    outcomes.append([code, out.getvalue(), err.getvalue(), data])
+with open(sys.argv[3], "w") as fh:
+    json.dump(outcomes, fh)
+"""
+
+
+def csv_path(argv: list) -> str | None:
+    """The file an operation writes its trajectory to (`--out`), if any."""
+    return argv[argv.index("--out") + 1] if "--out" in argv else None
+
+
+def run_ops(checkout: str, ops: list, scratch: str) -> list:
+    """Each operation's [exit code or exception, stdout, stderr, CSV text] under the
+    delaystab of `checkout`."""
+    todo, done = os.path.join(scratch, "ops.json"), os.path.join(scratch, "outcomes.json")
+    with open(todo, "w") as fh:
+        json.dump([[op.argv, csv_path(op.argv)] for op in ops], fh)
+    subprocess.run([sys.executable, "-c", _CHILD, os.path.join(checkout, "src"), todo, done],
+                   cwd=checkout, check=True)
+    with open(done) as fh:
+        return json.load(fh)
+
+
+def differences(names: list, parent: list, change: list) -> list:
+    """(operation name, the fields that differ) for each operation whose outcomes differ."""
+    out = []
+    for name, a, b in zip(names, parent, change, strict=True):
+        if fields := [field for field, x, y in zip(FIELDS, a, b) if x != y]:
+            out.append((name, fields))
+    return out
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="commit to compare against")
+    parser.add_argument("--change", default="HEAD", help="commit under test")
+    parser.add_argument("--workload", required=True, help="benchmark workload name")
+    parser.add_argument("--seeds", required=True, type=bench_pair.seeds_arg,
+                        help="seeds of the workload, e.g. 1-3,101")
+    args = parser.parse_args(argv)
+
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    scratch = tempfile.mkdtemp(prefix="same_outputs-")
+    exports = []
+    try:
+        ops = []
+        for seed in args.seeds:
+            workdir = os.path.join(scratch, f"seed{seed}")
+            os.makedirs(workdir)
+            built = workloads.build(args.workload, seed, workdir, os.path.join(ROOT, "inputs"))
+            ops += [(f"seed {seed} {op.name}", op) for op in built]
+        for rev in (args.parent, args.change):
+            exports.append(bench_pair.export(rev))
+        outcomes = [run_ops(checkout, [op for _, op in ops], scratch) for _, checkout in exports]
+    finally:
+        for _, checkout in exports:
+            shutil.rmtree(checkout, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
+    found = differences([name for name, _ in ops], *outcomes)
+    for name, fields in found:
+        print(f"{name}: differs in {', '.join(fields)}")
+    print(f"{len(found)} of {len(ops)} {args.workload} operations differ between "
+          f"{exports[0][0][:12]} and {exports[1][0][:12]}")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
