@@ -41,7 +41,6 @@ from .systems import (
     GeneralSystemSpec,
     LinearSystemSpec,
     merged_bounds,
-    require_valid,
 )
 
 # `switch_bracket` stops at width (hi - lo) / 2**BISECT_STEPS, and within
@@ -127,7 +126,7 @@ class DecayCertificate:
 # ---------------------------------------------------------------------------
 
 def _bounds(spec):
-    # Theorem 1's (alpha, A, tau, L, sigma) of a validated spec, the one map
+    # Theorem 1's (alpha, A, tau, L, sigma) of a spec, the one map
     # from a family to its bounds: delay-free decay is tau = 0, the linear
     # family's diagonal delays are its tau and A_off is its L with the
     # diagonal, which bounds nothing, zeroed; a two-layer network is merged
@@ -135,7 +134,6 @@ def _bounds(spec):
         return merged_bounds(spec)
     if not isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
         raise FamilyError(f"unsupported spec type {type(spec).__name__}")
-    require_valid(spec)
     if isinstance(spec, GeneralSystemSpec):
         tau, L = spec.tau, spec.L
     else:
@@ -160,8 +158,8 @@ def test_matrix_at_rate(spec, rate: float) -> np.ndarray:
 def _rate_matrix(alpha: np.ndarray, A: np.ndarray, tau: np.ndarray | float, L: np.ndarray,
                  sigma: np.ndarray, rate: float = 0.0) -> np.ndarray:
     # Theorem 1's matrix of the bounds, the one body of every matrix
-    # criterion; unvalidated, so that a certificate validates its spec once,
-    # not once per trial rate.  L's diagonal is the self-coupling gain
+    # criterion; it takes the bounds, so that a certificate maps its spec to
+    # them once, not once per trial rate.  L's diagonal is the self-coupling gain
     if rate:    # at rate 0 the weights exp(rate * delay) are exactly 1
         A = A * np.exp(rate * tau)
         L = np.exp(rate * sigma) * L
@@ -197,10 +195,9 @@ _FAMILIES[TAG_NO_SELF] = _FAMILIES[TAG_GENERAL]
 # ---------------------------------------------------------------------------
 
 def _matrix_verdict(spec, matrix: np.ndarray, tag: str, tol: float) -> StabilityVerdict:
+    # every matrix verdict tests `test_matrix_at_rate(spec, 0.0)`, a certificate's first trial
     report = is_m_matrix(matrix, tol=tol)
-    if tag in (TAG_GENERAL, TAG_NO_SELF, TAG_UNDELAYED_DECAY, TAG_BAM, "cor4", "cor5", "cor11"):
-        # Theorem 1's rate-0 matrix of a general or two-layer spec: its certificate's first trial
-        object.__setattr__(spec, "_rate_zero", {tol: (report.is_m_matrix, report.margin)})
+    object.__setattr__(spec, "_rate_zero", {tol: (report.is_m_matrix, report.margin)})
     off = matrix - np.diag(matrix.diagonal())
     checks = (
         Check("off_diagonal_signs", float(off.max()), 0.0,
@@ -278,7 +275,6 @@ def comparison_matrix(spec, tag: str | None = None) -> np.ndarray:
     types, delay_free, type_error, flag_error = _FAMILIES[tag]
     if not isinstance(spec, types):
         raise FamilyError(type_error.format(type(spec).__name__))
-    require_valid(spec)
     if getattr(spec, "diagonal_delay_free", False) != delay_free:
         raise FamilyError(flag_error)
     if tag == TAG_NO_SELF and isinstance(spec, GeneralSystemSpec) \
@@ -408,7 +404,6 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 def _require_bam(spec) -> BamSpec:
     if not isinstance(spec, BamSpec):
         raise FamilyError(f"expected a two-layer network spec, got {type(spec).__name__}")
-    require_valid(spec)
     return spec
 
 
@@ -484,8 +479,9 @@ def two_neuron_comparison(bam: BamSpec,
     e_ok = applicable and all(c.satisfied for c in product)
     if g_ok and not product[0].margin > 0.0:
         # per-unit ratios multiply into the product form, so a strict pass
-        # of the first criterion forces a pass of the second
-        raise ArithmeticError(
+        # of the first criterion forces a pass of the second; a ValueError, so
+        # that the command line reports it as one error line
+        raise ValueError(
             "per-unit criterion passed but the product form did not "
             f"(margin {product[0].margin:.3e}); rounding exceeds the tolerance")
     first = StabilityVerdict(STATUS_STABLE if g_ok else STATUS_INCONCLUSIVE,

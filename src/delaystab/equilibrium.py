@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import spectral_radius
-from .systems import BamSpec, require_valid
+from .systems import BamSpec
 
 # sup-norm step threshold; at equilibria of magnitude ~1e4 a tighter value
 # would sit below float spacing and the loop could cycle forever
@@ -69,7 +69,6 @@ def build_existence_matrices(bam: BamSpec) -> tuple[np.ndarray, np.ndarray]:
     The first scales each row's incoming Lipschitz weights by that row's own
     gain; the second scales by the source unit's gain instead.
     """
-    require_valid(bam)
     n = bam.n
     first = np.zeros((2 * n, 2 * n))
     first[:n, n:] = np.abs(bam.a_conn) * bam.Lf[None, :] / bam.a[:, None]
@@ -109,7 +108,6 @@ def solve_equilibrium(bam: BamSpec, f, g, existence: ExistenceReport | None = No
     Raises DivergenceError when steps grow for 10 consecutive iterations or
     MAX_ITER iterations are exhausted.
     """
-    require_valid(bam)
     n = bam.n
     if len(f) != n or len(g) != n:
         raise ValueError(f"need {n} activations per layer, "

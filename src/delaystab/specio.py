@@ -49,7 +49,7 @@ from .systems import (
     InvalidSpecError,
     LinearConcrete,
     LinearSystemSpec,
-    require_valid,
+    SpecRuleError,
 )
 
 KINDS = ("general", "linear", "bam", "two_neuron")
@@ -242,13 +242,6 @@ def _fn_matrix(node, catalog, path, size, allow_null=False):
         out.append([_build_fn(v, catalog, f"{path}[{i}][{j}]", allow_null=allow_null)
                     for j, v in enumerate(row)])
     return out
-
-
-def _require_spec_valid(spec):
-    try:
-        return require_valid(spec)
-    except InvalidSpecError as exc:
-        raise DocumentError("; ".join(f"spec.{p}" for p in exc.violations)) from exc
 
 
 def _history_vec(doc: dict, dim: int, required: bool) -> np.ndarray | None:
@@ -469,16 +462,17 @@ def _root_kind(doc) -> str:
 
 
 def _build(resolved: dict, kind: str) -> ParsedInput:
-    # the per-kind parser of a resolved document, then the spec check, the
-    # history (required with dynamics) and the concrete system
+    # the per-kind parser of a resolved document, which builds (and so checks)
+    # the spec, then the history (required with dynamics) and the concrete
+    # system; a broken rule names its field by the document's path
     parse = _parse_flat if kind in _FLAT_KINDS else _parse_bam_like
     try:
         spec, dim, make_concrete = parse(resolved, kind)
-        _require_spec_valid(spec)
         history = _history_vec(resolved, dim, required=make_concrete is not None)
         concrete = None if make_concrete is None else make_concrete(history)
     except InvalidSpecError as exc:
-        raise DocumentError("; ".join(exc.violations)) from exc
+        prefix = "spec." if isinstance(exc, SpecRuleError) else ""
+        raise DocumentError("; ".join(prefix + p for p in exc.violations)) from exc
     return ParsedInput(kind=kind, spec=spec, concrete=concrete, document=resolved)
 
 

@@ -4,8 +4,10 @@ Two layers are kept apart on purpose.  A *spec* carries only the bounds the
 stability tests consume (decay-rate ranges, coupling Lipschitz constants,
 delay bounds).  A *concrete system* (`ConcreteSystem`, one class for every
 family) fixes actual time functions from a small catalog and is what the
-simulator integrates.  Specs are immutable value objects; their array
-fields are made read-only at construction.
+simulator integrates.  Specs are immutable value objects, checked when
+built: their array fields are made read-only, and bounds outside the
+family's rules raise InvalidSpecError, so every spec that exists meets the
+hypotheses of the stability tests.
 
 A two-layer network's bounds merge into the general family's
 (alpha, A, tau, L, sigma) in one place, `merged_bounds`; the stability
@@ -25,11 +27,17 @@ import numpy as np
 
 
 class InvalidSpecError(ValueError):
-    """Raised when an operation requires a spec that fails validation."""
+    """Raised when a spec, or a system realized on one, breaks its family's rules;
+    `violations` lists each broken rule."""
 
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid spec: " + "; ".join(self.violations))
+
+
+class SpecRuleError(InvalidSpecError):
+    """Raised when a spec is built with bounds outside its family's rules; each
+    violation names a spec field."""
 
 
 class FamilyError(ValueError):
@@ -275,6 +283,7 @@ class GeneralSystemSpec:
 
     def __post_init__(self):
         _set_arrays(self, ("alpha", "A", "tau"), ("sigma", "L"))
+        _require_rules(self, GeneralSystemSpec)
         object.__setattr__(self, "diagonal_delay_free", bool(self.diagonal_delay_free))
 
     __eq__ = _eq
@@ -301,6 +310,7 @@ class LinearSystemSpec:
 
     def __post_init__(self):
         _set_arrays(self, ("alpha", "A"), ("A_off", "sigma"))
+        _require_rules(self, LinearSystemSpec)
         object.__setattr__(self, "diagonal_delay_free", bool(self.diagonal_delay_free))
 
     __eq__ = _eq
@@ -343,6 +353,7 @@ class BamSpec:
         _set_arrays(self, ("a", "b", "Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
                            "tau_x", "tau_y", "sigma_x", "sigma_y", "I", "J"),
                     ("a_conn", "b_conn"))
+        _require_rules(self, BamSpec)
 
     __eq__ = _eq
 
@@ -417,38 +428,17 @@ def _passes(spec, groups) -> bool:
                 and (nonnegative >= 0).all() and (lower <= upper).all())
 
 
-def validate(spec) -> list[str]:
-    """Return the list of constraint violations; empty means valid.
-
-    Never raises; string entries carry field paths with 1-based indices.
-    All rules are first tested together; only a spec that fails is checked
-    field by field, for the messages.
-    """
-    for cls, rules in _RULES.items():
-        if isinstance(spec, cls):
-            break
-    else:
-        return [f"unknown spec type {type(spec).__name__}"]
+def _require_rules(spec, cls):
+    # all rules are first tested together; only a spec that fails is checked
+    # field by field, for the messages
     if _passes(spec, _GROUPS[cls]):
-        return []
+        return
     out: list[str] = []
-    for name, rule, other in rules:
+    for name, rule, other in _RULES[cls]:
         _check(out, getattr(spec, name), name, rule,
                None if other is None else getattr(spec, other))
-    return out
-
-
-def require_valid(spec):
-    """Return `spec`, or raise InvalidSpecError listing its violations.
-
-    Specs are immutable, so one that passed is marked and not checked again.
-    """
-    if not getattr(spec, "_valid", False):
-        violations = validate(spec)
-        if violations:
-            raise InvalidSpecError(violations)
-        object.__setattr__(spec, "_valid", True)
-    return spec
+    if out:
+        raise SpecRuleError(out)
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +454,6 @@ def merged_bounds(bam: BamSpec):
     Lipschitz constant and the destination row's upper rate.  A product of
     nonzero factors that underflows to 0 or overflows is an InvalidSpecError.
     """
-    require_valid(bam)
     n = bam.n
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, with the field names
         alpha = np.concatenate([bam.r_lo * bam.a, bam.p_lo * bam.b])
@@ -516,14 +505,13 @@ def two_neuron_spec(a: float, b: float, coupling_xy: float, coupling_yx: float,
     Raises InvalidSpecError when the scalar parameters violate the spec
     constraints (for example a <= 0).
     """
-    spec = BamSpec(
+    return BamSpec(
         a=[a], b=[b], a_conn=[[coupling_xy]], b_conn=[[coupling_yx]],
         Lf=[Lf], Lg=[Lg],
         r_lo=[r_lo], r_hi=[r_hi], p_lo=[p_lo], p_hi=[p_hi],
         tau_x=[tau_x], tau_y=[tau_y], sigma_x=[sigma_x], sigma_y=[sigma_y],
         I=[input_x], J=[input_y],
     )
-    return require_valid(spec)
 
 
 # ---------------------------------------------------------------------------
@@ -636,7 +624,6 @@ def GeneralConcrete(spec: GeneralSystemSpec, coeffs, leak_lags, coupling_lags, c
     A None leak lag reads x_i undelayed; a None coupling (where L[i][j] == 0)
     is an absent term, whose lag is not read.
     """
-    require_valid(spec)
     reads, phis, rows, checks = [], [], [], []
     for i, c in enumerate(coeffs):
         checks.append((f"coefficient[{i + 1}]", c.lower, c.upper, spec.alpha[i], spec.A[i]))
@@ -659,7 +646,6 @@ def GeneralConcrete(spec: GeneralSystemSpec, coeffs, leak_lags, coupling_lags, c
 
 def LinearConcrete(spec: LinearSystemSpec, coeffs, lags, history) -> ConcreteSystem:
     """Realize a LinearSystemSpec: dx_i = sum_j c_ij(t) x_j(t - lag_ij)."""
-    require_valid(spec)
     m = spec.m
     reads, checks = [], []
     for i in range(m):
@@ -680,7 +666,6 @@ def BamConcrete(bam: BamSpec, r, p, leak_x, leak_y, trans_x, trans_y, f, g,
     (-a_i x_i(t - leak_x_i) + sum_j a_conn[i][j] f_j(y_j(t - trans_y_j)) + I_i),
     and the y-layer mirrors it with p, b, b_conn, g, leak_y, trans_x and J.
     """
-    require_valid(bam)
     n = bam.n
     # read 2j carries f_j(y_j) into the x-layer and 2j + 1 carries g_j(x_j)
     # into the y-layer; the leak reads of unit i are 2(n + i) and 2(n + i) + 1

@@ -402,17 +402,22 @@ def test_certify_rejects_linear_family(linear_2x2):
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])
 @pytest.mark.parametrize("family", ["delayed", "delay_free", "two_layer"])
 def test_certificate_validates_its_spec(general_2x2, bad, family):
-    # an invalid spec is refused as such, before any trial rate is decided
+    # a spec with a bound outside its rules is refused when rebuilt, so it
+    # never reaches a certificate's trial rates
+    message = "must be > 0 (got -1.0)" if bad < 0 else "must be finite (got nan)"
     if family == "two_layer":
         valid = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                                 Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                                 sigma_x=0.4, sigma_y=0.5)
-        spec = replace(valid, a=[bad])
+        with pytest.raises(InvalidSpecError) as exc:
+            replace(valid, a=[bad])
+        assert exc.value.violations == [f"a[1] {message}"]
     else:
-        spec = replace(general_2x2, alpha=[general_2x2.alpha[0], bad],
-                       diagonal_delay_free=family == "delay_free")
-    with pytest.raises(InvalidSpecError, match="must be"):
-        certify_decay_rate(spec)
+        with pytest.raises(InvalidSpecError) as exc:
+            replace(general_2x2, alpha=[general_2x2.alpha[0], bad],
+                    diagonal_delay_free=family == "delay_free")
+        # NaN breaks both of alpha's rules, > 0 and <= A
+        assert exc.value.violations == [f"alpha[2] {message}"] * (1 if bad < 0 else 2)
 
 
 def test_isolated_decay_hits_search_top():
@@ -447,7 +452,7 @@ def rate_family(spec) -> GeneralSystemSpec:
 
 
 def rate_matrix(spec, rate):
-    """The unvalidated matrix that a certificate's trial at this rate decides."""
+    """The matrix that a certificate's trial at this rate decides."""
     return criteria._rate_matrix(spec.alpha, spec.A, spec.tau, spec.L, spec.sigma, rate)
 
 
@@ -921,5 +926,5 @@ def test_comparison_inconsistency_raises(monkeypatch):
                         sigma_x=0.1, sigma_y=0.1)
     assert two_neuron_comparison(s)[0].stable
     monkeypatch.setattr(criteria, "_check", skewed)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ValueError, match="rounding exceeds the tolerance"):
         two_neuron_comparison(s)

@@ -71,3 +71,26 @@ def test_a_failed_run_leaves_no_export_behind(monkeypatch, tmp_path):
         same_outputs.main(["--parent", "p", "--change", "c", "--workload", "simulate",
                            "--seeds", "1"])
     assert len(made) == 2 and not any(path.exists() for path in made)
+
+
+def test_several_workloads_share_one_export_and_one_run_per_commit(monkeypatch, tmp_path,
+                                                                  capsys):
+    made = fake_exports(monkeypatch, tmp_path)
+    runs = []
+
+    def run_ops(checkout, ops, scratch):
+        # the parent's last operation (the last sweep operation) differs
+        runs.append(len(ops))
+        return [[0, "parent" if checkout.endswith("p") and i == len(ops) - 1 else "", "", ""]
+                for i in range(len(ops))]
+
+    monkeypatch.setattr(same_outputs, "run_ops", run_ops)
+    assert same_outputs.main(["--parent", "p", "--change", "c", "--workload",
+                              "certify,simulate,sweep", "--seeds", "1"]) == 1
+    assert len(made) == 2 and runs == [113 + 25 + 15] * 2
+    assert capsys.readouterr().out.splitlines() == [
+        "0 of 113 certify operations differ between p and c",
+        "0 of 25 simulate operations differ between p and c",
+        "seed 1 sweep-threshold:inputs/bam_modulated: differs in stdout",
+        "1 of 15 sweep operations differ between p and c",
+    ]

@@ -396,6 +396,50 @@ def test_cli_simulate_csv(tmp_path, inputs_dir):
     assert float(first[0]) == 0.0 and float(first[1]) == 1.0
 
 
+# at tol 1e-300 the per-unit form passes and the product form ties at margin 0
+ROUNDING_TIE = {"a": 1.7612724989415074, "b": 1.9643441864735856,
+                "coupling_xy": 1.2958832601530015, "coupling_yx": 1.157050909463833,
+                "Lf": 1.3591289841444194, "Lg": 1.6977162978799651, "tau_x": 0, "tau_y": 0,
+                "sigma_x": 0.1, "sigma_y": 0.1, "r_lo": 1, "r_hi": 1, "p_lo": 1, "p_hi": 1}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--criterion", "gopalsamy17"],
+    ["analyze", "--criterion", "criterion18"],
+    ["sweep", "--param", "spec.sigma_x", "--values", "0.1", "--criterion", "criterion18"],
+], ids=["gopalsamy17", "criterion18", "sweep"])
+def test_cli_scalar_criteria_rounding_tie_is_an_error(capsys, tmp_path, argv):
+    # a rounding inconsistency between the two scalar forms: one error line,
+    # no traceback
+    path = tmp_path / "tie.json"
+    path.write_text(json.dumps({"kind": "two_neuron", "spec": ROUNDING_TIE}))
+    rc = main([argv[0], str(path), *argv[1:], "--tol", "1e-300"])
+    assert (rc, *capsys.readouterr()) == (
+        1, "", "error: per-unit criterion passed but the product form did not "
+               "(margin 0.000e+00); rounding exceeds the tolerance\n")
+
+
+_NO_BOUNDS = {key: [] for key in ("b", "a_conn", "b_conn", "Lf", "Lg", "r_lo", "r_hi",
+                                  "p_lo", "p_hi", "tau_x", "tau_y", "sigma_x", "sigma_y")}
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "general", "spec": {"alpha": [], "A": [], "tau": [], "sigma": [], "L": []}},
+     "alpha must be a nonempty vector"),
+    ({"kind": "general", "spec": {}, "history": [],
+      "dynamics": {"coefficients": [], "leak_lags": [], "coupling_lags": [], "couplings": []}},
+     "alpha must be a nonempty vector"),
+    ({"kind": "bam", "spec": dict(_NO_BOUNDS, a=[])}, "a must be a nonempty vector"),
+], ids=["general", "general_dynamics", "bam"])
+def test_cli_empty_spec_is_an_error_without_a_field_prefix(capsys, tmp_path, doc, message):
+    # a spec that cannot be built is named by its field alone; only a broken
+    # rule of a built spec is named by its document path (spec.alpha[1] ...)
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["analyze", str(path)])
+    assert (rc, *capsys.readouterr()) == (1, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--t-end", "inf"], "t_end must be finite, got inf"),
     (["--t-end", "nan"], "t_end must be finite, got nan"),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,11 +20,9 @@ from delaystab import (
     SimConfig,
     bam_to_general,
     certify_decay_rate,
-    require_valid,
     simulate,
     stability_verdict,
     two_neuron_spec,
-    validate,
 )
 from delaystab.systems import (
     ConcreteSystem,
@@ -170,18 +169,21 @@ def test_a_lambda_activation_integrates_as_its_catalog_twin():
 # --- validation -------------------------------------------------------------
 
 def test_validate_flags_each_problem(general_2x2):
-    assert validate(general_2x2) == []
-    bad = GeneralSystemSpec(alpha=[0.0, 1.0], A=[1.0, 0.5], tau=[-0.1, 0.0],
-                            sigma=[[0.0, 0.0], [0.0, 0.0]],
-                            L=[[0.0, -0.2], [0.0, 0.0]])
-    problems = validate(bad)
-    joined = " | ".join(problems)
-    assert "alpha[1]" in joined        # nonpositive lower bracket
-    assert "alpha[2]" in joined        # upper bracket below the lower one
-    assert "tau[1]" in joined
-    assert "L[1][2]" in joined
-    with pytest.raises(InvalidSpecError):
-        require_valid(bad)
+    # a spec checks its rules when built, and again when `replace` rebuilds it
+    assert dataclasses.replace(general_2x2) == general_2x2
+    problems = [
+        "alpha[1] must be > 0 (got 0.0)",                               # nonpositive lower bracket
+        "alpha[2] must be <= its upper partner (got 1.0 > 0.5)",        # upper below lower
+        "tau[1] must be >= 0 (got -0.1)",
+        "L[1][2] must be >= 0 (got -0.2)",
+    ]
+    bad = dict(alpha=[0.0, 1.0], A=[1.0, 0.5], tau=[-0.1, 0.0], L=[[0.0, -0.2], [0.0, 0.0]])
+    with pytest.raises(InvalidSpecError) as exc:
+        GeneralSystemSpec(sigma=[[0.0, 0.0], [0.0, 0.0]], **bad)
+    assert exc.value.violations == problems
+    with pytest.raises(InvalidSpecError) as exc:
+        dataclasses.replace(general_2x2, **bad)
+    assert exc.value.violations == problems
 
 
 def test_shape_mismatch_rejected_at_construction():
@@ -192,12 +194,13 @@ def test_shape_mismatch_rejected_at_construction():
 
 def test_bam_validation():
     rng = np.random.default_rng(9)
-    assert validate(random_bam(rng)) == []
-    bad = BamSpec(a=[-1.0], b=[0.5], a_conn=[[1.0]], b_conn=[[1.0]],
-                  Lf=[0.5], Lg=[0.2], r_lo=[1.0], r_hi=[1.0],
-                  p_lo=[1.0], p_hi=[1.0], tau_x=[0.1], tau_y=[0.1],
-                  sigma_x=[0.1], sigma_y=[0.1], I=[0.0], J=[0.0])
-    assert any("a[1]" in p for p in validate(bad))
+    random_bam(rng)
+    with pytest.raises(InvalidSpecError) as exc:
+        BamSpec(a=[-1.0], b=[0.5], a_conn=[[1.0]], b_conn=[[1.0]],
+                Lf=[0.5], Lg=[0.2], r_lo=[1.0], r_hi=[1.0],
+                p_lo=[1.0], p_hi=[1.0], tau_x=[0.1], tau_y=[0.1],
+                sigma_x=[0.1], sigma_y=[0.1], I=[0.0], J=[0.0])
+    assert exc.value.violations == ["a[1] must be > 0 (got -1.0)"]
     with pytest.raises(InvalidSpecError):
         two_neuron_spec(a=-1.0, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                         Lf=0.5, Lg=0.2, tau_x=0.1, tau_y=0.1,
@@ -256,7 +259,6 @@ def test_bam_to_general_random_dims():
         assert np.array_equal(g.L[:n, :n], np.zeros((n, n)))
         assert np.array_equal(g.L[n:, n:], np.zeros((n, n)))
         assert (g.L >= 0.0).all()
-        assert validate(g) == []
 
 
 TWO_NEURON = dict(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0, Lf=0.5, Lg=0.2,
@@ -429,12 +431,13 @@ def test_history_callable_and_vector():
 
 def test_validate_messages_and_order_for_every_rule():
     nan, inf = float("nan"), float("inf")
-    bad = BamSpec(a=[0.0, 1.0], b=[1.0, nan], a_conn=[[inf, 0.0], [0.0, -2.0]],
-                  b_conn=[[0.0, 0.0], [nan, 0.0]], Lf=[-1.0, 0.5], Lg=[0.5, 0.5],
-                  r_lo=[2.0, 1.0], r_hi=[1.0, 1.0], p_lo=[1.0, -1.0], p_hi=[1.0, 1.0],
-                  tau_x=[0.0, -0.5], tau_y=[0.0, 0.0], sigma_x=[0.0, 0.0],
-                  sigma_y=[inf, 0.0], I=[0.0, -inf], J=[0.0, 0.0])
-    assert validate(bad) == [
+    with pytest.raises(InvalidSpecError) as exc:
+        BamSpec(a=[0.0, 1.0], b=[1.0, nan], a_conn=[[inf, 0.0], [0.0, -2.0]],
+                b_conn=[[0.0, 0.0], [nan, 0.0]], Lf=[-1.0, 0.5], Lg=[0.5, 0.5],
+                r_lo=[2.0, 1.0], r_hi=[1.0, 1.0], p_lo=[1.0, -1.0], p_hi=[1.0, 1.0],
+                tau_x=[0.0, -0.5], tau_y=[0.0, 0.0], sigma_x=[0.0, 0.0],
+                sigma_y=[inf, 0.0], I=[0.0, -inf], J=[0.0, 0.0])
+    assert exc.value.violations == [
         "a[1] must be > 0 (got 0.0)",
         "b[2] must be finite (got nan)",
         "r_lo[1] must be <= its upper partner (got 2.0 > 1.0)",
@@ -446,9 +449,10 @@ def test_validate_messages_and_order_for_every_rule():
         "a_conn[1][1] must be finite (got inf)",
         "b_conn[2][1] must be finite (got nan)",
     ]
-    general = GeneralSystemSpec(alpha=[nan, 2.0], A=[1.0, 1.0], tau=[0.0, 0.0],
-                                sigma=[[0.0, -1.0], [0.0, 0.0]], L=[[0.0, 0.0], [inf, 0.0]])
-    assert validate(general) == [
+    with pytest.raises(InvalidSpecError) as exc:
+        GeneralSystemSpec(alpha=[nan, 2.0], A=[1.0, 1.0], tau=[0.0, 0.0],
+                          sigma=[[0.0, -1.0], [0.0, 0.0]], L=[[0.0, 0.0], [inf, 0.0]])
+    assert exc.value.violations == [
         "alpha[1] must be finite (got nan)",
         "alpha[1] must be finite (got nan)",
         "alpha[2] must be <= its upper partner (got 2.0 > 1.0)",
@@ -467,22 +471,24 @@ def test_shifted_abs_lag_bound_is_the_true_maximum():
     assert SinSquaredLag(-1.0).lower == -1.0 and ConstantLag(0.2).lower == 0.2
 
 
-def field_by_field(spec) -> list[str]:
-    """`validate` as it was written before the rules became one table: one
-    `_check` call per rule, in message order."""
+def field_by_field(cls, values) -> list[str]:
+    """The rule check of a spec built from `values`, as it was written before
+    the rules became one table: one `_check` call per rule, in message order."""
+    spec = types.SimpleNamespace(**{name: np.asarray(v, dtype=float)
+                                    for name, v in values.items()})
     out: list[str] = []
-    if isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
+    if cls in (GeneralSystemSpec, LinearSystemSpec):
         _check(out, spec.alpha, "alpha", "> 0")
         _check(out, spec.A, "A", ">= 0")
         _check(out, spec.alpha, "alpha", "<=", spec.A)
-        if isinstance(spec, GeneralSystemSpec):
+        if cls is GeneralSystemSpec:
             _check(out, spec.tau, "tau", ">= 0")
             _check(out, spec.sigma, "sigma", ">= 0")
             _check(out, spec.L, "L", ">= 0")
         else:
             _check(out, spec.A_off, "A_off", ">= 0")
             _check(out, spec.sigma, "sigma", ">= 0")
-    elif isinstance(spec, BamSpec):
+    else:
         _check(out, spec.a, "a", "> 0")
         _check(out, spec.b, "b", "> 0")
         for lo, hi in (("r_lo", "r_hi"), ("p_lo", "p_hi")):
@@ -493,8 +499,6 @@ def field_by_field(spec) -> list[str]:
             _check(out, getattr(spec, name), name, ">= 0")
         for name in ("I", "J", "a_conn", "b_conn"):
             _check(out, getattr(spec, name), name, None)
-    else:
-        out.append(f"unknown spec type {type(spec).__name__}")
     return out
 
 
@@ -504,9 +508,9 @@ _ODD = np.array([float("nan"), float("inf"), -float("inf"), -1.0, -0.0, 0.0, -1e
 
 @st.composite
 def specs_with_odd_entries(draw):
-    """Specs of every type in which a few fields have some entries replaced
-    by NaN, an infinity, zero, a negative number, or a value below or above
-    its partner's range."""
+    """The type and fields of specs of every type in which a few fields have
+    some entries replaced by NaN, an infinity, zero, a negative number, or a
+    value below or above its partner's range."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cls = draw(st.sampled_from([GeneralSystemSpec, LinearSystemSpec, BamSpec]))
     m = draw(st.integers(1, 4))
@@ -523,13 +527,20 @@ def specs_with_odd_entries(draw):
             swap = rng.random(arr.shape) < odd
             arr[swap] = rng.choice(_ODD, size=int(swap.sum()))
         values[name] = arr
-    return cls(**values)
+    return cls, values
 
 
 @settings(derandomize=True, max_examples=400, deadline=None)
 @given(specs_with_odd_entries())
-def test_validate_equals_the_field_by_field_checks(spec):
-    assert validate(spec) == field_by_field(spec)
+def test_validate_equals_the_field_by_field_checks(case):
+    cls, values = case
+    problems = field_by_field(cls, values)
+    if not problems:
+        cls(**values)
+        return
+    with pytest.raises(InvalidSpecError) as exc:
+        cls(**values)
+    assert exc.value.violations == problems
 
 
 # --- one bound check for every realization ----------------------------------

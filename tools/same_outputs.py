@@ -1,17 +1,18 @@
 """List the benchmark operations whose outputs differ between two commits.
 
     python3 tools/same_outputs.py --parent HEAD~1 --change HEAD \\
-        --workload simulate --seeds 1-3,101
+        --workload certify,simulate,sweep --seeds 1-3,101
 
-Run from the repository root.  The workload's documents are generated once
+Run from the repository root.  Each workload's documents are generated once
 per seed by this checkout's `perfbench/workloads.build`, so both sides read
-the same files.  Each commit is exported with `git archive` (as
-tools/bench_pair.py does) and runs every operation once, in one fresh
-interpreter per side, through its own `delaystab.cli.main(argv)`.  An
-operation differs when its exit code (or the exception it raised), stdout,
-stderr or the bytes of the CSV file it writes differ.  The script prints
-each such operation and the fields that differ, and exits 1 if there is
-one.  The exported commits and the documents are removed when it ends.
+the same files.  Each commit is exported once with `git archive` (as
+tools/bench_pair.py does) and runs every operation of every workload once,
+in one fresh interpreter per side, through its own
+`delaystab.cli.main(argv)`.  An operation differs when its exit code (or
+the exception it raised), stdout, stderr or the bytes of the CSV file it
+writes differ.  The script prints each such operation and the fields that
+differ, then a count per workload, and exits 1 if there is one.  The
+exported commits and the documents are removed when it ends.
 """
 
 from __future__ import annotations
@@ -86,7 +87,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--change", default="HEAD", help="commit under test")
-    parser.add_argument("--workload", required=True, help="benchmark workload name")
+    parser.add_argument("--workload", required=True, type=lambda text: text.split(","),
+                        help="benchmark workload names, comma-separated, e.g. certify,simulate")
     parser.add_argument("--seeds", required=True, type=bench_pair.seeds_arg,
                         help="seeds of the workload, e.g. 1-3,101")
     args = parser.parse_args(argv)
@@ -96,26 +98,33 @@ def main(argv=None) -> int:
 
     scratch = tempfile.mkdtemp(prefix="same_outputs-")
     exports = []
+    groups = {}     # workload -> its (name, operation) pairs, in run order
     try:
-        ops = []
-        for seed in args.seeds:
-            workdir = os.path.join(scratch, f"seed{seed}")
-            os.makedirs(workdir)
-            built = workloads.build(args.workload, seed, workdir, os.path.join(ROOT, "inputs"))
-            ops += [(f"seed {seed} {op.name}", op) for op in built]
+        for workload in args.workload:
+            groups[workload] = []
+            for seed in args.seeds:
+                workdir = os.path.join(scratch, workload, f"seed{seed}")
+                os.makedirs(workdir)
+                built = workloads.build(workload, seed, workdir, os.path.join(ROOT, "inputs"))
+                groups[workload] += [(f"seed {seed} {op.name}", op) for op in built]
+        ops = [op for group in groups.values() for _, op in group]
         for rev in (args.parent, args.change):
             exports.append(bench_pair.export(rev))
-        outcomes = [run_ops(checkout, [op for _, op in ops], scratch) for _, checkout in exports]
+        outcomes = [run_ops(checkout, ops, scratch) for _, checkout in exports]
     finally:
         for _, checkout in exports:
             shutil.rmtree(checkout, ignore_errors=True)
         shutil.rmtree(scratch, ignore_errors=True)
-    found = differences([name for name, _ in ops], *outcomes)
-    for name, fields in found:
-        print(f"{name}: differs in {', '.join(fields)}")
-    print(f"{len(found)} of {len(ops)} {args.workload} operations differ between "
-          f"{exports[0][0][:12]} and {exports[1][0][:12]}")
-    return 1 if found else 0
+    start, differing = 0, 0
+    for workload, group in groups.items():
+        stop = start + len(group)
+        found = differences([name for name, _ in group], *(out[start:stop] for out in outcomes))
+        for name, fields in found:
+            print(f"{name}: differs in {', '.join(fields)}")
+        print(f"{len(found)} of {len(group)} {workload} operations differ between "
+              f"{exports[0][0][:12]} and {exports[1][0][:12]}")
+        start, differing = stop, differing + len(found)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
