@@ -437,8 +437,7 @@ def _require_rules(spec, cls):
     for name, rule, other in _RULES[cls]:
         _check(out, getattr(spec, name), name, rule,
                None if other is None else getattr(spec, other))
-    if out:
-        raise SpecRuleError(out)
+    raise SpecRuleError(out)
 
 
 # ---------------------------------------------------------------------------
