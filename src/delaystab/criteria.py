@@ -41,6 +41,7 @@ from .systems import (
     GeneralSystemSpec,
     LinearSystemSpec,
     merged_bounds,
+    require_bam,
 )
 
 # `switch_bracket` stops at width (hi - lo) / 2**BISECT_STEPS, and within
@@ -252,7 +253,7 @@ def stability_verdict(spec, tol: float = DEFAULT_TOL,
         return _bam_dominance(spec, tag, tol)
     if tag == "cor11":
         # Corollary 11 is the same for a one-unit-per-layer network
-        bam = _require_bam(spec)
+        bam = require_bam(spec)
         if bam.n != 1:
             raise FamilyError(f"closed form needs one unit per layer, got n={bam.n}")
         return _matrix_verdict(bam, test_matrix_at_rate(bam, 0.0), tag, tol)
@@ -401,12 +402,6 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 # two-layer dominance and scalar closed forms
 # ---------------------------------------------------------------------------
 
-def _require_bam(spec) -> BamSpec:
-    if not isinstance(spec, BamSpec):
-        raise FamilyError(f"expected a two-layer network spec, got {type(spec).__name__}")
-    return spec
-
-
 def _bam_dominance(bam, tag: str, tol: float) -> StabilityVerdict:
     # Corollaries 9 and 10: dominance sufficient conditions on the two-layer
     # comparison matrix C, cheaper than its M-matrix test.  Variant 1 is strict
@@ -417,7 +412,7 @@ def _bam_dominance(bam, tag: str, tol: float) -> StabilityVerdict:
     # where C has unit diagonal
     family, which = tag.split("-")
     which = int(which)
-    bam = _require_bam(bam)
+    bam = require_bam(bam)
     if family == "cor10" and (np.any(bam.tau_x != 0.0) or np.any(bam.tau_y != 0.0)):
         raise FamilyError("this test needs zero leakage delays "
                           "(tau_x = tau_y = 0)")
@@ -447,7 +442,7 @@ def two_neuron_comparison(bam: BamSpec,
     by the first whenever it holds.  Both report the leak-delay products
     a*tau that must stay below 1 for the ratios to make sense.
     """
-    bam = _require_bam(bam)
+    bam = require_bam(bam)
     if bam.n != 1:
         raise FamilyError(f"comparison needs one unit per layer, got n={bam.n}")
     rates = np.concatenate([bam.r_lo, bam.r_hi, bam.p_lo, bam.p_hi])

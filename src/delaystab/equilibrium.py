@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import spectral_radius
-from .systems import BamSpec
+from .systems import BamSpec, require_bam
 
 # sup-norm step threshold; at equilibria of magnitude ~1e4 a tighter value
 # would sit below float spacing and the loop could cycle forever
@@ -67,9 +67,10 @@ def build_existence_matrices(bam: BamSpec) -> tuple[np.ndarray, np.ndarray]:
     """Nonnegative bound matrices controlling equilibrium existence.
 
     The first scales each row's incoming Lipschitz weights by that row's own
-    gain; the second scales by the source unit's gain instead.
+    gain; the second scales by the source unit's gain instead.  A spec of
+    another family raises FamilyError.
     """
-    n = bam.n
+    n = require_bam(bam).n
     first = np.zeros((2 * n, 2 * n))
     first[:n, n:] = np.abs(bam.a_conn) * bam.Lf[None, :] / bam.a[:, None]
     first[n:, :n] = np.abs(bam.b_conn) * bam.Lg[None, :] / bam.b[:, None]
@@ -106,9 +107,10 @@ def solve_equilibrium(bam: BamSpec, f, g, existence: ExistenceReport | None = No
     equations, which comes out below 10*STEP_TOL.
 
     Raises DivergenceError when steps grow for 10 consecutive iterations or
-    MAX_ITER iterations are exhausted.
+    MAX_ITER iterations are exhausted, and FamilyError when `bam` is a spec of
+    another family.
     """
-    n = bam.n
+    n = require_bam(bam).n
     if len(f) != n or len(g) != n:
         raise ValueError(f"need {n} activations per layer, "
                          f"got {len(f)} and {len(g)}")

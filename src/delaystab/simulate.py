@@ -30,17 +30,19 @@ a callable history, and past t0 under a constant one, whose value
 (`systems.ConstantHistory`) the earlier reads take.  The rates, coefficients
 and table reads (time-varying lags and constant lags below one step) depend
 on t alone and are tabulated with numpy, with range checks, classes and
-places, on the stage times of BLOCK steps at a time.  A read that fails
-raises when its stage time is reached, a table read before a planned one.
+places, on the stage times of BLOCK steps at a time.  A table read whose lag
+leaves its declared bound raises when its stage time is reached.
 Only stage reads depend on more than the stage time and the completed
 steps, so a stage time without them evaluates once: k3 is k2, and the node
 derivative (kept for Hermite reads and the next step) is k4.
 
 A step runs on Python floats in numpy's elementwise order (the same bits,
 no numpy call per step); a non-finite state aborts the run at its time.
-Nodes go to two flat lists that keep only those a read still reaches; the
-recorded rows are copied out per block, so memory is O(max lag / h * dim)
-plus those rows.
+Every read stays within its declared bound (`systems.read_time`), so the
+initial history and the nodes of the longest declared lag bound serve them
+all.  Nodes go to two flat lists that keep only that window; the recorded
+rows are copied out per block, so memory is O(max bound / h * dim) plus
+those rows.
 """
 
 from __future__ import annotations
@@ -175,27 +177,27 @@ class _Integrator:
         try:  # the recorded rows, filled one block of steps at a time
             self.times = cfg.t0 + np.arange(0, n_steps + 1, cfg.record_every) * h
             self.states, self.derivs = np.empty((2, len(self.times), self.dim))
-        except MemoryError:
+        except (MemoryError, ValueError):  # numpy's ValueError: beyond any array size
             raise ValueError(f"cannot allocate the grid of {n_steps} steps of size "
                              f"{h:g}; shorten the span or enlarge the step") from None
-        # the window of nodes that reads still reach (a lag may pass its bound by
-        # `read_time`'s slack): x_i(t_j) is xs[(j - first) * dim + i], its slope in ks
-        top = system.max_lag_bound
+        # the nodes a read can reach, its lag within its declared bound up to `read_time`'s
+        # slack: x_i(t_j) is xs[(j - first) * dim + i], its slope in ks
+        top = max((bound for _, lag, bound, _ in system.reads if lag is not None), default=0.0)
         self.window = math.ceil(min((top + 1e-9 * max(1.0, top)) / h, n_steps)) + 2
-        self.first, self.xs, self.ks, self.history_start = 0, [], [], cfg.t0 - top
+        self.first, self.xs, self.ks = 0, [], []
         self.reads, self.rhs, self.time_functions = system.reads, system.rhs, system.time_functions
         self.substep_lookups = 0
         constant = [(slot, *read) for slot, read in enumerate(self.reads)
                     if isinstance(read[1], ConstantLag)]
         # each constant lag is range-checked once, at t0
-        tq, error = read_time(np.full(len(constant), cfg.t0),
-                              np.array([lag(cfg.t0) for _, _, lag, _, _ in constant], dtype=float),
-                              np.array([r[3] for r in constant]), [r[4] for r in constant])
+        _, error = read_time(np.full(len(constant), cfg.t0),
+                             np.array([lag(cfg.t0) for _, _, lag, _, _ in constant], dtype=float),
+                             np.array([r[3] for r in constant]), [r[4] for r in constant])
         if error:
             raise error
         fixed = [None] * len(self.reads)  # a constant history's value of a planned read
-        for (slot, comp, *_), tq in zip(constant, tq.tolist()):
-            if isinstance(self.phi, ConstantHistory) and tq >= self.history_start - 1e-9:
+        if isinstance(self.phi, ConstantHistory):
+            for slot, comp, *_ in constant:
                 fixed[slot] = float(self.phi.vector[comp])
         self.stage, table, planned = [], [], []
         for slot, (comp, lag, bound, label) in enumerate(self.reads):
@@ -224,24 +226,12 @@ class _Integrator:
         k, t0, h = g // 2, self.cfg.t0, self.h
         return np.where(g % 2 == 0, (t0 + k * h) + 0.5 * h, t0 + (k + 1) * h)
 
-    def _resolve(self, g, t, tq, slot, comp, failure=None) -> None:
+    def _resolve(self, g, t, tq, slot, comp) -> None:
         """File the reads at stages g (times t, read times tq) in self.extra[g] as stage, node,
-        Hermite or history entries, up to the first that lies before the retained history.
-        Its error, else `failure` (that of read len(tq): g, t, slot and comp may run past tq),
-        is raised at its stage unless an earlier stage fails; at one stage, the reads of a
-        later call come first (the tables' before the warm-up's, resolved when built)."""
-        h, dim, t0, n, extra = self.h, self.dim, self.cfg.t0, len(tq), self.extra
-        t = t[:n]
+        Hermite or history entries."""
+        h, dim, t0, extra = self.h, self.dim, self.cfg.t0, self.extra
         stage = np.abs(tq - t) <= 1e-12 * np.maximum(1.0, np.abs(t))
         past = ~stage & (tq <= t0)
-        m = next(iter(np.flatnonzero(past & (tq < self.history_start - 1e-9))), n)
-        if m < n:
-            failure = SimulationError(f"delayed lookup at t={tq[m]:.6g} lies before the retained "
-                                      f"history, which starts at t={self.history_start:.6g}",
-                                      float(t[m]))
-        if failure is not None and g[m] <= self.cut:
-            self.cut, self.failure = int(g[m]), failure
-        g, tq, slot, comp, stage, past = (a[:m] for a in (g, tq, slot, comp, stage, past))
         r, weights, node, substep = _place((tq - t0) / h - g // 2, h)
         self.substep_lookups += int(np.count_nonzero(substep & ~stage & ~past))
         extra.update((key, ([], [], [], [])) for key in set(g.tolist()).difference(extra))
@@ -267,7 +257,11 @@ class _Integrator:
             slot, comp, bound, label = (np.tile(column, n) for column in self.table)
             g, t = np.repeat(g, len(lags)), np.repeat(T, len(lags))  # stage by stage
             tq, error = read_time(t, lag.ravel(), bound, label)
-            self._resolve(g, t, tq, slot, comp, error)
+            if error:  # raised at its stage, where the reads before it are filed
+                m = len(tq)
+                self.cut, self.failure = int(g[m]), error
+                g, t, slot, comp = g[:m], t[:m], slot[:m], comp[:m]
+            self._resolve(g, t, tq, slot, comp)
         return f_t.tolist()
 
     def _read(self, plan: _ReadPlan, g: int, k: int) -> tuple:

@@ -444,6 +444,13 @@ def _require_rules(spec, cls):
 # reductions and constructors
 # ---------------------------------------------------------------------------
 
+def require_bam(spec) -> BamSpec:
+    """The spec itself when it is a two-layer network spec, else FamilyError."""
+    if not isinstance(spec, BamSpec):
+        raise FamilyError(f"expected a two-layer network spec, got {type(spec).__name__}")
+    return spec
+
+
 def merged_bounds(bam: BamSpec):
     """(alpha, A, tau, L, sigma) of the two-layer network merged into dimension 2n.
 
@@ -598,9 +605,7 @@ class ConcreteSystem:
             if (shape := history.vector.shape) != (self.dim,):
                 raise InvalidSpecError([f"history must have shape ({self.dim},), got {shape}"])
         self.history = history
-        bounds = [value for _, _, value, _, _ in lagged]
-        self.max_lag_bound = max(bounds, default=0.0)
-        self.min_positive_lag_bound = min((b for b in bounds if b > 0), default=None)
+        self.min_positive_lag_bound = min((b for _, _, b, _, _ in lagged if b > 0), default=None)
 
     def rhs(self, f_t: list, values) -> list:
         x = values.copy()

@@ -9,6 +9,9 @@ import pytest
 
 from delaystab import (
     DivergenceError,
+    FamilyError,
+    GeneralSystemSpec,
+    LinearSystemSpec,
     build_existence_matrices,
     equilibrium,
     equilibrium_exists,
@@ -19,6 +22,20 @@ from delaystab.cli import main
 from delaystab.systems import LinearActivation, TanhActivation
 
 from conftest import random_bam
+
+
+@pytest.mark.parametrize("solve", [equilibrium_exists, build_existence_matrices,
+                                   lambda spec: solve_equilibrium(spec, [], [])],
+                         ids=["equilibrium_exists", "build_existence_matrices",
+                              "solve_equilibrium"])
+@pytest.mark.parametrize("spec", [
+    GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[0.0], sigma=[[0.0]], L=[[0.0]]),
+    LinearSystemSpec(alpha=[1.0], A=[1.0], A_off=[[0.0]], sigma=[[0.0]]),
+], ids=["general", "linear"])
+def test_equilibrium_needs_a_two_layer_spec(solve, spec):
+    with pytest.raises(FamilyError) as exc:
+        solve(spec)
+    assert str(exc.value) == f"expected a two-layer network spec, got {type(spec).__name__}"
 
 
 def modulated_pair():

@@ -73,8 +73,10 @@ def test_a_failed_run_leaves_no_export_behind(monkeypatch, tmp_path):
     assert len(made) == 2 and not any(path.exists() for path in made)
 
 
+@pytest.mark.parametrize("workload", [["--workload", "certify,simulate,sweep"], []],
+                         ids=["listed", "default"])
 def test_several_workloads_share_one_export_and_one_run_per_commit(monkeypatch, tmp_path,
-                                                                  capsys):
+                                                                  capsys, workload):
     made = fake_exports(monkeypatch, tmp_path)
     runs = []
 
@@ -85,8 +87,8 @@ def test_several_workloads_share_one_export_and_one_run_per_commit(monkeypatch, 
                 for i in range(len(ops))]
 
     monkeypatch.setattr(same_outputs, "run_ops", run_ops)
-    assert same_outputs.main(["--parent", "p", "--change", "c", "--workload",
-                              "certify,simulate,sweep", "--seeds", "1"]) == 1
+    # left out, --workload is every workload of the benchmark
+    assert same_outputs.main(["--parent", "p", "--change", "c", *workload, "--seeds", "1"]) == 1
     assert len(made) == 2 and runs == [113 + 25 + 15] * 2
     assert capsys.readouterr().out.splitlines() == [
         "0 of 113 certify operations differ between p and c",

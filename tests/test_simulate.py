@@ -215,13 +215,13 @@ def test_runtime_delay_violation_caught():
                               "(got 0.50125)")
 
 
-def test_lookup_before_history_window_raises():
-    # a system that reads further back than its declared largest lag: its
-    # one read has lag 1 (within that read's own bound) while the system
-    # keeps only 0.5 of history
-    class ReachesTooFar:
+def test_read_beyond_the_step_cap_bound_matches_the_exact_solution():
+    # x'(t) = -x(t - 1) with history 1: the system caps the step by a bound of
+    # 0.5, but its read declares 1, and the nodes kept reach that far.  RK4 with
+    # Hermite reads is exact on the solution 1 - t on [0, 1] and
+    # 1 - t + (t - 1)^2 / 2 on [1, 2]
+    class ReachesFar:
         dim = 1
-        max_lag_bound = 0.5
         min_positive_lag_bound = 0.5
         reads = ((0, ConstantLag(1.0), 1.0, "lag"),)
         time_functions = ()
@@ -233,11 +233,32 @@ def test_lookup_before_history_window_raises():
         def rhs(self, f_t, values):
             return np.array([-values[0]])
 
-    with pytest.raises(SimulationError) as exc:
-        simulate(ReachesTooFar(), SimConfig(0.0, 1.0, 0.05))
-    assert exc.value.time == 0.0
-    assert str(exc.value) == ("delayed lookup at t=-1 lies before the retained history, "
-                              "which starts at t=-0.5")
+    traj = simulate(ReachesFar(), SimConfig(0.0, 2.0, 0.05))
+    t = traj.times
+    exact = np.where(t <= 1.0, 1.0 - t, 1.0 - t + (t - 1.0) ** 2 / 2.0)
+    assert np.max(np.abs(traj.states[:, 0] - exact)) <= 1e-14
+
+
+@pytest.mark.parametrize("late, h", [(0.5, 0.02), (0.8, 0.01)])
+def test_window_comes_from_the_declared_bound_not_the_lags_own(late, h):
+    # the leak lag is 0.1 before t = 3 and `late` after, within the declared
+    # tau = 1 but past the 0.2 that the lag reports as its own bound: the nodes
+    # kept serve the late reads, the same bits as when the lag reports 1
+    class SteppedLag:
+        def __init__(self, bound):
+            self.bound = bound
+
+        def __call__(self, t):
+            return np.where(np.asarray(t) < 3.0, 0.1, late)
+
+    spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]], L=[[0.0]])
+    cfg = SimConfig(0.0, 6.0, h)
+    short, full = (simulate(GeneralConcrete(spec, [ConstantCoeff(1.0)], [SteppedLag(bound)],
+                                            [[None]], [[None]], [1.0]), cfg)
+                   for bound in (0.2, 1.0))
+    assert short.states.tobytes() == full.states.tobytes()
+    assert short.derivatives.tobytes() == full.derivatives.tobytes()
+    assert short.meta == full.meta
 
 
 def test_negative_lag_rejected():
@@ -469,7 +490,7 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
     def system(lag):
         class OneRead:
             dim = 1
-            max_lag_bound = min_positive_lag_bound = 1.0
+            min_positive_lag_bound = 1.0
             reads = ((0, lag, 1.0, "lag"),)
             time_functions = ()
 
@@ -492,12 +513,12 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
 
 # --- tables per block of steps ----------------------------------------------
 
-def duck_system(reads, history, derivative, max_lag, time_functions=()):
+def duck_system(reads, history, derivative, time_functions=()):
     """A one-component system that is not a ConcreteSystem, of the given
     history (a callable of t): its right-hand side is derivative(values), and
     `calls` counts its evaluations."""
     class Duck:
-        dim, max_lag_bound, min_positive_lag_bound = 1, max_lag, 0.1
+        dim, min_positive_lag_bound = 1, 0.1
         calls = 0
 
         def __init__(self):
@@ -571,7 +592,7 @@ def test_catalog_lag_leaving_its_bound_raises_at_its_stage_time():
     # stage of step 41: the 41 steps before it run (two evaluations each,
     # after the one at t0), then the error names the read and the time
     system = duck_system(((0, ShiftedAbsSinLag(0.1, 0.05), 0.12, "leak_lag[1]"),),
-                         cosine, lambda v: -v[0], 0.12)
+                         cosine, lambda v: -v[0])
     with pytest.raises(DelayBoundError) as exc:
         simulate(system, SimConfig(0.0, 2.0, 0.01))
     assert str(exc.value) == ("leak_lag[1] exceeds its declared bound 0.12 at t=0.415 "
@@ -583,39 +604,21 @@ def test_blow_up_before_a_lag_violation_is_reported_first():
     # the state overflows in the first step, long before the lag leaves its
     # bound at t = 0.415 in the same block of steps
     system = duck_system(((0, None, 0.0, "x"), (0, ShiftedAbsSinLag(0.1, 0.05), 0.12, "lag")),
-                         lambda t: np.ones(1), lambda v: 1e200 * v[0], 0.12)
+                         lambda t: np.ones(1), lambda v: 1e200 * v[0])
     with pytest.raises(SimulationError) as exc:
         simulate(system, SimConfig(0.0, 2.0, 0.01))
     assert str(exc.value) == "state became non-finite at t=0.01" and exc.value.time == 0.01
 
 
-def test_time_varying_read_before_the_retained_history_raises_at_its_stage_time():
-    # t - 3 |sin t| falls below the retained history (t0 - 1) at t = 0.54,
-    # the end of step 53; its half-step stage still runs
-    system = duck_system(((0, ShiftedAbsSinLag(0.0, 3.0), 3.0, "lag"),), cosine,
-                         lambda v: -v[0], 1.0)
-    with pytest.raises(SimulationError) as exc:
-        simulate(system, SimConfig(0.0, 2.0, 0.01))
-    assert str(exc.value) == ("delayed lookup at t=-1.00241 lies before the retained "
-                              "history, which starts at t=-1")
-    assert exc.value.time == 0.54 and system.calls == 1 + 2 * 53 + 1
-
-
-def test_failures_at_one_stage_report_the_table_read_then_the_first_slot():
-    # both lags of 2 read before the retained history (t0 - 1) from the start, where
-    # the time-varying lag 0.4 + 0.1 |sin t| also exceeds its bound 0.3: the table
-    # read's error is reported, and without it the first planned read's
+def test_failure_at_one_stage_reports_the_table_read():
+    # the time-varying lag 0.4 + 0.1 |sin t| exceeds its bound 0.3 from the
+    # start, where the two constant lags read the history: its error is reported
     far = ((0, ConstantLag(2.0), 2.0, "far"), (0, ConstantLag(3.0), 3.0, "farther"))
     varying = (0, ShiftedAbsSinLag(0.4, 0.1), 0.3, "varying")
     with pytest.raises(DelayBoundError) as exc:
-        simulate(duck_system(far + (varying,), cosine, lambda v: -v[0], 1.0),
+        simulate(duck_system(far + (varying,), cosine, lambda v: -v[0]),
                  SimConfig(0.0, 1.0, 0.01))
     assert str(exc.value) == "varying exceeds its declared bound 0.3 at t=0 (got 0.4)"
-    with pytest.raises(SimulationError) as exc:
-        simulate(duck_system(far, cosine, lambda v: -v[0], 1.0), SimConfig(0.0, 1.0, 0.01))
-    assert str(exc.value) == ("delayed lookup at t=-2 lies before the retained history, "
-                              "which starts at t=-1")
-    assert exc.value.time == 0.0
 
 
 def place_one(q, h):
@@ -655,7 +658,7 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
     # and constant lags below one step) at every stage of a block
     reads = tuple((0, lag, lag.bound, f"lag[{i}]") for i, lag in enumerate(lags))
     history = ConstantHistory(np.array([0.5])) if constant else cosine
-    system = duck_system(reads, history, lambda v: 0.0, 1.0, functions)
+    system = duck_system(reads, history, lambda v: 0.0, functions)
     integ = _Integrator(system, SimConfig(t0, t0 + (start + 80) * h, h))
     times = integ.times.tolist()
 

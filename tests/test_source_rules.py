@@ -127,18 +127,22 @@ def test_integrator_step_loop_calls_no_time_function():
     assert loops and found == [], found
 
 
-def test_integrator_computes_stage_times_and_the_retained_history_error_at_one_site():
+def test_integrator_computes_stage_times_at_one_site():
     # the tables and the warm-up resolved when the integrator is built read the
-    # same stage times and fail the same way: one formula adds the half step to
-    # a time, and `_resolve` alone builds the "before the retained history" error
+    # same stage times: one formula adds the half step to a time
     tree = ast.parse((SRC / "simulate.py").read_text())
     half_steps = [f"simulate.py:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
                   and ast.unparse(node.right).startswith("0.5 *")]
     assert len(half_steps) == 1, half_steps
-    builders = [function.name for function in ast.walk(tree)
-                if isinstance(function, ast.FunctionDef)
-                for node in ast.walk(function) if isinstance(node, ast.Call)
-                and ast.unparse(node.func) == "SimulationError"
-                and "retained history" in ast.unparse(node)]
-    assert builders == ["_resolve"], builders
+
+
+def test_no_module_reads_a_largest_lag_bound_of_the_lags_own():
+    # `read_time` holds each read to its declared bound, so the node window is
+    # sized from those; a largest bound of the lag objects' own could be
+    # shorter than a read that passes its check
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "max_lag_bound"]
+    assert found == [], found

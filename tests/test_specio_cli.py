@@ -454,13 +454,16 @@ def test_cli_simulate_rejects_non_finite_times(capsys, inputs_dir, flags, messag
     assert (rc, out, err) == (1, "", f"error: {message}\n")
 
 
-def test_cli_simulate_reports_a_grid_too_large_to_allocate(capsys, inputs_dir):
-    # 1e17 steps cannot be allocated at all, so this fails at once
+@pytest.mark.parametrize("t_end, steps", [("1e15", "100000000000000000"),
+                                          ("1e18", "100000000000000000000")])
+def test_cli_simulate_reports_a_grid_too_large_to_allocate(capsys, inputs_dir, t_end, steps):
+    # 1e17 steps cannot be allocated at all, so this fails at once; numpy
+    # refuses 1e20 as larger than any array, not as out of memory
     rc = main(["simulate", str(inputs_dir / "two_neuron_sample.json"),
-               "--t-end", "1e15", "--step", "0.01"])
+               "--t-end", t_end, "--step", "0.01"])
     out, err = capsys.readouterr()
     assert (rc, out) == (1, "")
-    assert err.startswith("error: cannot allocate the grid of 100000000000000000 steps")
+    assert err.startswith(f"error: cannot allocate the grid of {steps} steps")
     assert err.count("\n") == 1
 
 

@@ -24,6 +24,7 @@ from delaystab import (
     stability_verdict,
     two_neuron_spec,
 )
+from delaystab.simulate import _Integrator
 from delaystab.systems import (
     ConcreteSystem,
     ConstantCoeff,
@@ -382,7 +383,8 @@ def test_min_positive_lag_bound():
                             [LinearActivation(0.1), None]],
                            [1.0, 1.0])
     assert abs(sys_.min_positive_lag_bound - 0.2) < 1e-15
-    assert abs(sys_.max_lag_bound - 0.5) < 1e-15
+    # the nodes of the longest declared bound, 0.5: 51 steps, and 2 to spare
+    assert _Integrator(sys_, SimConfig(0.0, 1.0, 0.01)).window == 53
 
 
 def test_lag_of_absent_coupling_sets_no_bound():
@@ -399,7 +401,7 @@ def test_lag_of_absent_coupling_sets_no_bound():
                            [1.0, 1.0])
     assert len(sys_.reads) == 3
     assert sys_.min_positive_lag_bound == 0.3
-    assert sys_.max_lag_bound == 0.5
+    assert _Integrator(sys_, SimConfig(0.0, 1.0, 0.01)).window == 53
     assert simulate(sys_, SimConfig(0.0, 1.0)).meta["h"] == 0.01
 
 

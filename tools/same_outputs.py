@@ -1,11 +1,11 @@
 """List the benchmark operations whose outputs differ between two commits.
 
-    python3 tools/same_outputs.py --parent HEAD~1 --change HEAD \\
-        --workload certify,simulate,sweep --seeds 1-3,101
+    python3 tools/same_outputs.py --parent HEAD~1 --change HEAD --seeds 1-3,101
 
-Run from the repository root.  Each workload's documents are generated once
-per seed by this checkout's `perfbench/workloads.build`, so both sides read
-the same files.  Each commit is exported once with `git archive` (as
+Run from the repository root.  The run covers every workload of the
+benchmark, or those that `--workload certify,simulate` names.  Each
+workload's documents are generated once per seed by this checkout's
+`perfbench/workloads.build`, so both sides read the same files.  Each commit is exported once with `git archive` (as
 tools/bench_pair.py does) and runs every operation of every workload once,
 in one fresh interpreter per side, through its own
 `delaystab.cli.main(argv)`.  An operation differs when its exit code (or
@@ -84,17 +84,19 @@ def differences(names: list, parent: list, change: list) -> list:
 
 
 def main(argv=None) -> int:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="commit to compare against")
     parser.add_argument("--change", default="HEAD", help="commit under test")
-    parser.add_argument("--workload", required=True, type=lambda text: text.split(","),
-                        help="benchmark workload names, comma-separated, e.g. certify,simulate")
+    parser.add_argument("--workload", default=list(workloads.WORKLOADS),
+                        type=lambda text: text.split(","),
+                        help="benchmark workload names, comma-separated, e.g. certify,simulate "
+                             "(default: every workload)")
     parser.add_argument("--seeds", required=True, type=bench_pair.seeds_arg,
                         help="seeds of the workload, e.g. 1-3,101")
     args = parser.parse_args(argv)
-
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    import workloads
 
     scratch = tempfile.mkdtemp(prefix="same_outputs-")
     exports = []
