@@ -5,14 +5,15 @@
 Run from the repository root.  The run covers every workload of the
 benchmark, or those that `--workload certify,simulate` names.  Each
 workload's documents are generated once per seed by this checkout's
-`perfbench/workloads.build`, so both sides read the same files.  Each commit is exported once with `git archive` (as
-tools/bench_pair.py does) and runs every operation of every workload once,
-in one fresh interpreter per side, through its own
-`delaystab.cli.main(argv)`.  An operation differs when its exit code (or
-the exception it raised), stdout, stderr or the bytes of the CSV file it
-writes differ.  The script prints each such operation and the fields that
-differ, then a count per workload, and exits 1 if there is one.  The
-exported commits and the documents are removed when it ends.
+`perfbench/workloads.build`, so both sides read the same files.  Each
+commit is exported once with `git archive` (as tools/bench_pair.py does)
+and runs every operation of every workload once, in one fresh interpreter
+per side, through its own `delaystab.cli.main(argv)`.  An operation
+differs when its exit code (or the exception it raised), stdout, stderr or
+the bytes of the CSV file it writes differ.  The script prints each such
+operation and the fields that differ, then a count per workload, and exits
+1 if there is one.  The exported commits and the documents are removed
+when it ends.
 """
 
 from __future__ import annotations
