@@ -343,19 +343,17 @@ def switch_bracket(trial, lo: float, hi: float, slack_lo: float,
 
 
 def witness_trial(c: np.ndarray, tol: float) -> tuple[bool, float, float]:
-    """(verdict, slack, margin) of `witness_test`, a bracket search's trial.
+    """(verdict, slack, margin) of `witness_test` on a rate matrix: a bracket search's trial.
 
     The slack is the margin s - tol, which crosses zero smoothly at the
-    switch; a positive one on a fail, or NaN when the sign test fails,
-    means a halving.  A 1x1 matrix has no magnitude once its row is scaled,
-    so its slack is p - tol |p| of its entry p, over |p| when |p| > 1: a
-    passing rate matrix has p in (0, 1], and near the pole at the top of
-    the rate range p tends to -inf, which would pull every estimate to
-    the passing end.
+    switch; a positive one on a fail means a halving.  A rate matrix's
+    off-diagonal entries are <= 0, so the sign test always passes.  A 1x1
+    matrix has no magnitude once its row is scaled, so its slack is
+    p - tol |p| of its entry p, over |p| when |p| > 1: a passing rate matrix
+    has p in (0, 1], and near the pole at the top of the rate range p tends
+    to -inf, which would pull every estimate to the passing end.
     """
-    off_ok, ok, margin, _ = witness_test(c, tol)
-    if not off_ok:
-        return ok, nan, margin
+    _, ok, margin, _ = witness_test(c, tol)
     if len(c) > 1:
         return ok, margin, margin
     p = float(c[0, 0])

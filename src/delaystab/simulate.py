@@ -3,10 +3,10 @@
 Integration is classical explicit fourth-order Runge-Kutta marching on a
 uniform grid (the method of steps with a continuous extension).  Its step
 must divide the span and be at most a tenth of the smallest positive delay
-bound; left out, it is the largest such step that is also at most
-COARSEST_STEP, and this module is the one place that rule lives.  A
-`systems.ConcreteSystem` lists its delayed reads, (component, lag, bound,
-label) each, and its rates and coefficients, and evaluates its one
+bound that the reads declare; left out, it is the largest such step that is
+also at most COARSEST_STEP, and this module is the one place that rule
+lives.  A `systems.ConcreteSystem` lists its delayed reads, (component, lag,
+bound, label) each, and its rates and coefficients, and evaluates its one
 right-hand side, the same for every family, from their values.
 
 One RK4 step evaluates the right-hand side four times but at only two new
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import ConstantHistory, ConstantLag, read_time
+from .systems import Constant, ConstantHistory, read_time
 
 COARSEST_STEP = 0.01
 BLOCK = 64  # steps whose stage times are tabulated at once
@@ -75,7 +75,7 @@ class SimConfig:
     """Time span, step size and output decimation.
 
     `h` None is the default step: the largest that divides the span and is
-    at most COARSEST_STEP and a tenth of the smallest positive delay bound.
+    at most COARSEST_STEP and a tenth of the smallest positive declared delay bound.
     """
 
     t0: float
@@ -154,7 +154,9 @@ class _Integrator:
         if cfg.t_end <= cfg.t0:
             raise ValueError("t_end must exceed t0")
         span = cfg.t_end - cfg.t0
-        min_lag = system.min_positive_lag_bound
+        # the bounds the lagged reads declare: the smallest positive one caps the step
+        bounds = [bound for _, lag, bound, _ in system.reads if lag is not None]
+        min_lag = min((bound for bound in bounds if bound > 0), default=None)
         if h is None:  # the default step: the coarsest allowed one that divides the span
             cap = COARSEST_STEP if min_lag is None else min(COARSEST_STEP, min_lag / 10.0)
             require_finite(step_count=span / cap)
@@ -182,13 +184,13 @@ class _Integrator:
                              f"{h:g}; shorten the span or enlarge the step") from None
         # the nodes a read can reach, its lag within its declared bound up to `read_time`'s
         # slack: x_i(t_j) is xs[(j - first) * dim + i], its slope in ks
-        top = max((bound for _, lag, bound, _ in system.reads if lag is not None), default=0.0)
+        top = max(bounds, default=0.0)
         self.window = math.ceil(min((top + 1e-9 * max(1.0, top)) / h, n_steps)) + 2
         self.first, self.xs, self.ks = 0, [], []
         self.reads, self.rhs, self.time_functions = system.reads, system.rhs, system.time_functions
         self.substep_lookups = 0
         constant = [(slot, *read) for slot, read in enumerate(self.reads)
-                    if isinstance(read[1], ConstantLag)]
+                    if isinstance(read[1], Constant)]
         # each constant lag is range-checked once, at t0
         _, error = read_time(np.full(len(constant), cfg.t0),
                              np.array([lag(cfg.t0) for _, _, lag, _, _ in constant], dtype=float),
@@ -201,9 +203,9 @@ class _Integrator:
                 fixed[slot] = float(self.phi.vector[comp])
         self.stage, table, planned = [], [], []
         for slot, (comp, lag, bound, label) in enumerate(self.reads):
-            if lag is None or isinstance(lag, ConstantLag) and lag.value == 0:
+            if lag is None or isinstance(lag, Constant) and lag.value == 0:
                 self.stage.append((slot, comp))
-            elif not isinstance(lag, ConstantLag) or lag.value < h:  # may be a sub-step read
+            elif not isinstance(lag, Constant) or lag.value < h:  # may be a sub-step read
                 table.append((slot, comp, lag, bound, label))
             else:
                 planned.append((slot, comp, lag.value))

@@ -32,6 +32,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import reprlib
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -88,10 +89,19 @@ def _plain_numbers(x: list) -> bool:
 
 
 def _num(x, path: str) -> float:
+    # reprlib keeps the line short whatever the value's size or depth
     if not _is_number(x):
-        # reprlib keeps the line short whatever the value's size or depth
         _fail(path, f"expected a number, got {reprlib.repr(x)}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:  # an int beyond float range
+        _fail(path, f"expected a finite number, got {reprlib.repr(x)}")
+
+
+def _finite(x, path: str) -> float:
+    if not math.isfinite(value := _num(x, path)):
+        _fail(path, f"expected a finite number, got {value}")
+    return value
 
 
 def _num_list(x, path: str, length: int | None = None) -> list[float]:
@@ -100,7 +110,10 @@ def _num_list(x, path: str, length: int | None = None) -> list[float]:
     if length is not None and len(x) != length:
         _fail(path, f"expected {length} entries, got {len(x)}")
     if _plain_numbers(x):
-        return list(map(float, x))
+        try:
+            return list(map(float, x))
+        except OverflowError:  # raised below, at the entry's path
+            pass
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(x)]
 
 
@@ -219,7 +232,8 @@ def _build_fn(node, catalog: dict, path: str, allow_null: bool = False):
               f"unknown function {reprlib.repr(kind)} (choose from: {', '.join(sorted(catalog))})")
     cls, param_names = catalog[kind]
     _check_keys(node, path, allowed=("type",) + param_names, required=param_names)
-    fn = cls(**{name: _num(node[name], f"{path}.{name}") for name in param_names})
+    # checked at its own path: the spec fields derived from it are not the document's
+    fn = cls(**{name: _finite(node[name], f"{path}.{name}") for name in param_names})
     if catalog is LAG_CATALOG and fn.lower < 0:
         _fail(path, f"lag must stay nonnegative (minimum {fn.lower})")
     return fn
@@ -250,9 +264,8 @@ def _history_vec(doc: dict, dim: int, required: bool) -> np.ndarray | None:
             _fail("history", "required when dynamics is present")
         return None
     history = np.asarray(_num_list(doc["history"], "history", dim), dtype=float)
-    if not np.isfinite(history).all():
-        i = int(np.argmin(np.isfinite(history)))
-        _fail(f"history[{i}]", f"expected a finite number, got {history[i]}")
+    for i in np.flatnonzero(~np.isfinite(history)):
+        _finite(history[i], f"history[{i}]")
     return history
 
 

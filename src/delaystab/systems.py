@@ -52,7 +52,9 @@ class FamilyError(ValueError):
 # an array of times; activations stay on `math`, whose tanh differs from numpy's
 
 @dataclass(frozen=True)
-class ConstantCoeff:
+class Constant:
+    """The constant coefficient or lag `value`: its range and bound are the value."""
+
     value: float
 
     def __call__(self, t: float) -> float:
@@ -62,9 +64,7 @@ class ConstantCoeff:
     def lower(self) -> float:
         return self.value
 
-    @property
-    def upper(self) -> float:
-        return self.value
+    upper = bound = lower
 
 
 @dataclass(frozen=True)
@@ -92,22 +92,6 @@ class Cosinusoid(Sinusoid):
 
     def __call__(self, t: float) -> float:
         return self.base + self.amp * np.cos(t)
-
-
-@dataclass(frozen=True)
-class ConstantLag:
-    value: float
-
-    def __call__(self, t: float) -> float:
-        return self.value
-
-    @property
-    def lower(self) -> float:
-        return self.value
-
-    @property
-    def bound(self) -> float:
-        return self.value
 
 
 @dataclass(frozen=True)
@@ -184,7 +168,8 @@ class TanhActivation(_Activation):
 
 @dataclass(frozen=True)
 class SinActivation(_Activation):
-    unit = math.sin
+    # NaN, where math.sin raises, for an infinite u: the step's finiteness check reports it
+    unit = staticmethod(lambda u: math.sin(u) if math.isfinite(u) else math.nan)
 
 
 @dataclass(frozen=True)
@@ -204,13 +189,13 @@ class LogisticActivation(_Activation):
 
 
 COEFF_CATALOG = {
-    "constant": (ConstantCoeff, ("value",)),
+    "constant": (Constant, ("value",)),
     "sinusoid": (Sinusoid, ("base", "amp")),
     "cosinusoid": (Cosinusoid, ("base", "amp")),
 }
 
 LAG_CATALOG = {
-    "constant": (ConstantLag, ("value",)),
+    "constant": (Constant, ("value",)),
     "sin_squared": (SinSquaredLag, ("amp",)),
     "shifted_abs_sin": (ShiftedAbsSinLag, ("base", "amp")),
     "shifted_abs_cos": (ShiftedAbsCosLag, ("base", "amp")),
@@ -588,7 +573,7 @@ class ConcreteSystem:
                     if lo < low - 1e-9 or hi > high + 1e-9]
         if problems:
             raise InvalidSpecError(problems)
-        rows = [(mu, e, [(k, w * c.value, None) if isinstance(c, ConstantCoeff) else (k, w, c)
+        rows = [(mu, e, [(k, w * c.value, None) if isinstance(c, Constant) else (k, w, c)
                          for k, w, c in terms]) for mu, e, terms in rows]
         # each distinct rate or time-varying coefficient once, by identity
         self.time_functions = list({id(fn): fn for mu, _, terms in rows for fn in (
@@ -605,7 +590,6 @@ class ConcreteSystem:
             if (shape := history.vector.shape) != (self.dim,):
                 raise InvalidSpecError([f"history must have shape ({self.dim},), got {shape}"])
         self.history = history
-        self.min_positive_lag_bound = min((b for _, _, b, _, _ in lagged if b > 0), default=None)
 
     def rhs(self, f_t: list, values) -> list:
         x = values.copy()

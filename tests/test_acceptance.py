@@ -37,7 +37,7 @@ from delaystab import (
     two_neuron_comparison,
 )
 from delaystab.criteria import test_matrix_at_rate as matrix_at_rate
-from delaystab.systems import ConstantCoeff, ConstantLag
+from delaystab.systems import Constant
 
 from conftest import random_bam, random_general
 from oracles import leading_principal_minors
@@ -216,7 +216,7 @@ def test_7_integrator_order_against_symbolic_oracle():
 
         spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0],
                                  sigma=[[0.0]], L=[[0.0]])
-        system = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
+        system = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
                                  [[None]], [[None]], [1.0])
 
         errors = {}

@@ -25,16 +25,16 @@ from delaystab import (
     write_csv,
 )
 from delaystab.simulate import BLOCK, _Integrator
-from delaystab.systems import (ConcreteSystem, ConstantCoeff, ConstantHistory, ConstantLag,
-                               Cosinusoid, LinearActivation, ShiftedAbsCosLag,
-                               ShiftedAbsSinLag, SinSquaredLag, Sinusoid, TanhActivation)
+from delaystab.systems import (ConcreteSystem, Constant, ConstantHistory, Cosinusoid,
+                               LinearActivation, ShiftedAbsCosLag, ShiftedAbsSinLag,
+                               SinSquaredLag, Sinusoid, TanhActivation)
 
 
 def pure_delay_system(tau=1.0, history=1.0):
     """xdot(t) = -x(t - tau), constant history."""
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[tau], sigma=[[0.0]],
                              L=[[0.0]])
-    return GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(tau)],
+    return GeneralConcrete(spec, [Constant(1.0)], [Constant(tau)],
                            [[None]], [[None]], [history])
 
 
@@ -42,7 +42,7 @@ def undelayed_decay_system(rate=1.0, history=1.0):
     """xdot = -rate * x, no delay anywhere."""
     spec = GeneralSystemSpec(alpha=[rate], A=[rate], tau=[0.0], sigma=[[0.0]],
                              L=[[0.0]])
-    return GeneralConcrete(spec, [ConstantCoeff(rate)], [None],
+    return GeneralConcrete(spec, [Constant(rate)], [None],
                            [[None]], [[None]], [history])
 
 
@@ -61,8 +61,8 @@ def test_matrix_exponential_reference():
     spec = LinearSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0],
                             A_off=[[0.0, 0.4], [0.4, 0.0]],
                             sigma=np.zeros((2, 2)), diagonal_delay_free=True)
-    coeffs = [[ConstantCoeff(-1.0), ConstantCoeff(0.4)],
-              [ConstantCoeff(0.4), ConstantCoeff(-1.0)]]
+    coeffs = [[Constant(-1.0), Constant(0.4)],
+              [Constant(0.4), Constant(-1.0)]]
     sys_ = LinearConcrete(spec, coeffs, [[None, None], [None, None]], [1.0, -0.5])
     traj = simulate(sys_, SimConfig(0.0, 2.0, 0.01))
     # eigen-decomposition of the symmetric coupling gives the exact solution
@@ -179,7 +179,7 @@ def test_record_every_decimates():
 
 def test_callable_history_of_the_system():
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]], L=[[0.0]])
-    system = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
+    system = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
                              [[None]], [[None]], lambda t: np.array([2.0]))
     traj = simulate(system, SimConfig(0.0, 1.0, 0.05))
     assert np.max(np.abs(traj.states[:, 0] - (2.0 - 2.0 * traj.times))) < 1e-12
@@ -207,7 +207,7 @@ def test_runtime_delay_violation_caught():
         def __call__(self, t):
             return 0.4 + 0.05 * t  # exceeds the bound past t = 2
 
-    sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [DriftingLag()],
+    sys_ = GeneralConcrete(spec, [Constant(1.0)], [DriftingLag()],
                            [[None]], [[None]], [1.0])
     with pytest.raises(DelayBoundError) as exc:
         simulate(sys_, SimConfig(0.0, 4.0, 0.05))
@@ -216,14 +216,12 @@ def test_runtime_delay_violation_caught():
 
 
 def test_read_beyond_the_step_cap_bound_matches_the_exact_solution():
-    # x'(t) = -x(t - 1) with history 1: the system caps the step by a bound of
-    # 0.5, but its read declares 1, and the nodes kept reach that far.  RK4 with
-    # Hermite reads is exact on the solution 1 - t on [0, 1] and
-    # 1 - t + (t - 1)^2 / 2 on [1, 2]
+    # x'(t) = -x(t - 1) with history 1: its read declares 1, and the nodes kept
+    # reach that far.  RK4 with Hermite reads is exact on the solution 1 - t on
+    # [0, 1] and 1 - t + (t - 1)^2 / 2 on [1, 2]
     class ReachesFar:
         dim = 1
-        min_positive_lag_bound = 0.5
-        reads = ((0, ConstantLag(1.0), 1.0, "lag"),)
+        reads = ((0, Constant(1.0), 1.0, "lag"),)
         time_functions = ()
 
         @staticmethod
@@ -253,7 +251,7 @@ def test_window_comes_from_the_declared_bound_not_the_lags_own(late, h):
 
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]], L=[[0.0]])
     cfg = SimConfig(0.0, 6.0, h)
-    short, full = (simulate(GeneralConcrete(spec, [ConstantCoeff(1.0)], [SteppedLag(bound)],
+    short, full = (simulate(GeneralConcrete(spec, [Constant(1.0)], [SteppedLag(bound)],
                                             [[None]], [[None]], [1.0]), cfg)
                    for bound in (0.2, 1.0))
     assert short.states.tobytes() == full.states.tobytes()
@@ -271,7 +269,7 @@ def test_negative_lag_rejected():
         def __call__(self, t):
             return -0.1
 
-    sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [NegativeLag()],
+    sys_ = GeneralConcrete(spec, [Constant(1.0)], [NegativeLag()],
                            [[None]], [[None]], [1.0])
     with pytest.raises(DelayBoundError) as exc:
         simulate(sys_, SimConfig(0.0, 1.0, 0.05))
@@ -289,15 +287,11 @@ class Counting:
         return super().__call__(t)
 
 
-class CountingLag(Counting, ConstantLag):
+class CountingConstant(Counting, Constant):
     pass
 
 
 class CountingVaryingLag(Counting, ShiftedAbsSinLag):
-    pass
-
-
-class CountingCoeff(Counting, ConstantCoeff):
     pass
 
 
@@ -309,8 +303,8 @@ def two_neuron_system(trans_x, trans_y, rate=None, history=(1.0, -0.5)):
     spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                            Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                            sigma_x=0.4, sigma_y=0.5)
-    return BamConcrete(spec, [rate or ConstantCoeff(1.0)], [ConstantCoeff(1.0)],
-                       [ConstantLag(0.5)], [ConstantLag(0.4)], [trans_x], [trans_y],
+    return BamConcrete(spec, [rate or Constant(1.0)], [Constant(1.0)],
+                       [Constant(0.5)], [Constant(0.4)], [trans_x], [trans_y],
                        [TanhActivation(0.5)], [TanhActivation(0.2)], history)
 
 
@@ -318,7 +312,7 @@ def test_positive_lags_are_evaluated_once_per_stage_time():
     # time-varying lags go through the per-stage-time pass at every stage time
     n_steps = 50
     lags = [CountingVaryingLag(0.3, 0.1), CountingVaryingLag(0.4, 0.1)]
-    rate = CountingCoeff(1.0)
+    rate = CountingConstant(1.0)
     simulate(two_neuron_system(*lags, rate=rate), SimConfig(0.0, 0.04 * n_steps, 0.04))
     # the start plus two new stage times per step (t + h/2 and t + h); with
     # no zero lag every evaluation at a stage time is the same one
@@ -350,8 +344,8 @@ def test_constant_coefficients_are_folded_into_their_weights():
     spec = LinearSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0],
                             A_off=[[0.0, 0.3], [0.3, 0.0]], sigma=[[0.2, 0.0], [0.3, 0.2]])
     values = [[-1.0, 0.3], [-0.3, -1.0]]
-    lags = [[ConstantLag(0.2), None], [ShiftedAbsSinLag(0.2, 0.1), ConstantLag(0.15)]]
-    folded = [[CountingCoeff(v) for v in row] for row in values]
+    lags = [[Constant(0.2), None], [ShiftedAbsSinLag(0.2, 0.1), Constant(0.15)]]
+    folded = [[CountingConstant(v) for v in row] for row in values]
     runs = [simulate(LinearConcrete(spec, coeffs, lags, [1.0, -0.5]), SimConfig(0.0, 2.0, 0.01))
             for coeffs in (folded, [[Sinusoid(v, 0.0) for v in row] for row in values])]
     assert np.array_equal(runs[0].states, runs[1].states)
@@ -366,8 +360,8 @@ def test_constant_lags_are_evaluated_once_for_the_range_check(history):
     # check, under a constant history and a callable one alike: its warm-up
     # stages, resolved when the integrator is built, take the lag's value
     n_steps, h = 64, 1.0 / 32.0
-    lags = [CountingLag(12 * h), CountingLag(13.5 * h)]
-    rate = CountingCoeff(1.0)
+    lags = [CountingConstant(12 * h), CountingConstant(13.5 * h)]
+    rate = CountingConstant(1.0)
     traj = simulate(two_neuron_system(*lags, rate=rate, history=history),
                     SimConfig(0.0, n_steps * h, h))
     assert [lag.calls for lag in lags] == [1, 1]
@@ -378,7 +372,7 @@ def test_constant_lags_are_evaluated_once_for_the_range_check(history):
 def test_constant_negative_lag_rejected_naming_the_read():
     # the range check of a constant lag runs once, before the first step
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[0.5], sigma=[[0.0]], L=[[0.0]])
-    sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(-0.1)],
+    sys_ = GeneralConcrete(spec, [Constant(1.0)], [Constant(-0.1)],
                            [[None]], [[None]], [1.0])
     with pytest.raises(DelayBoundError) as exc:
         simulate(sys_, SimConfig(2.0, 3.0, 0.05))
@@ -390,7 +384,7 @@ def test_substep_fallbacks_are_reported():
     crossing = simulate(two_neuron_system(SinSquaredLag(0.4), SinSquaredLag(0.5)),
                         SimConfig(0.0, 4.0, 0.01))
     assert crossing.meta["substep_lookups"] > 0
-    constant = simulate(two_neuron_system(ConstantLag(0.4), ConstantLag(0.5)),
+    constant = simulate(two_neuron_system(Constant(0.4), Constant(0.5)),
                         SimConfig(0.0, 4.0, 0.01))
     assert constant.meta["substep_lookups"] == 0
 
@@ -410,30 +404,30 @@ def wave(t):
 
 
 def twin_systems(family: str, lags: list, bound: float, history=wave):
-    """The same system twice, from `history`: with ConstantLag delays, whose
+    """The same system twice, from `history`: with Constant delays, whose
     reads are planned once, and with ShiftedAbsSinLag(tau, 0.0), the same
     values resolved at every stage time."""
     out = []
-    for make in (ConstantLag, lambda tau: ShiftedAbsSinLag(tau, 0.0)):
+    for make in (Constant, lambda tau: ShiftedAbsSinLag(tau, 0.0)):
         lx, ly, tx, ty = [None if tau is None else make(tau) for tau in lags]
         if family == "general":
             spec = GeneralSystemSpec(alpha=[1.0, 0.5], A=[1.0, 0.5], tau=[bound] * 2,
                                      sigma=[[bound] * 2] * 2, L=[[0.0, 0.5], [0.4, 0.0]])
-            out.append(GeneralConcrete(spec, [ConstantCoeff(1.0), ConstantCoeff(0.5)], [lx, ly],
+            out.append(GeneralConcrete(spec, [Constant(1.0), Constant(0.5)], [lx, ly],
                                        [[None, tx], [ty, None]],
                                        [[None, TanhActivation(0.5)], [LinearActivation(0.4), None]],
                                        history))
         elif family == "linear":
             spec = LinearSystemSpec(alpha=[1.0, 0.8], A=[1.0, 0.8],
                                     A_off=[[0.0, 0.3], [0.4, 0.0]], sigma=[[bound] * 2] * 2)
-            coeffs = [[ConstantCoeff(-1.0), ConstantCoeff(0.3)],
-                      [ConstantCoeff(-0.4), ConstantCoeff(-0.8)]]
+            coeffs = [[Constant(-1.0), Constant(0.3)],
+                      [Constant(-0.4), Constant(-0.8)]]
             out.append(LinearConcrete(spec, coeffs, [[lx, tx], [ty, ly]], history))
         else:
             spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=-1.0,
                                    Lf=0.5, Lg=0.2, tau_x=bound, tau_y=bound,
                                    sigma_x=bound, sigma_y=bound, input_x=0.3)
-            out.append(BamConcrete(spec, [ConstantCoeff(1.0)], [ConstantCoeff(1.0)], [lx], [ly],
+            out.append(BamConcrete(spec, [Constant(1.0)], [Constant(1.0)], [lx], [ly],
                                    [tx], [ty], [TanhActivation(0.5)], [LinearActivation(0.2)],
                                    history))
     return out
@@ -490,7 +484,6 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
     def system(lag):
         class OneRead:
             dim = 1
-            min_positive_lag_bound = 1.0
             reads = ((0, lag, 1.0, "lag"),)
             time_functions = ()
 
@@ -504,7 +497,7 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
 
     h = 0.01
     cfg = SimConfig(0.5, 1.5, h)
-    planned = simulate(system(ConstantLag(lag_steps * h)), cfg)
+    planned = simulate(system(Constant(lag_steps * h)), cfg)
     per_stage = simulate(system(ShiftedAbsSinLag(lag_steps * h, 0.0)), cfg)
     assert planned.meta == per_stage.meta
     assert planned.meta["substep_lookups"] == sub_steps
@@ -518,7 +511,7 @@ def duck_system(reads, history, derivative, time_functions=()):
     history (a callable of t): its right-hand side is derivative(values), and
     `calls` counts its evaluations."""
     class Duck:
-        dim, min_positive_lag_bound = 1, 0.1
+        dim = 1
         calls = 0
 
         def __init__(self):
@@ -553,7 +546,7 @@ def test_integrator_memory_does_not_grow_with_the_span(inputs_dir):
     assert held[1] <= held[0] + 4096, held
 
 
-WINDOW_LAGS = st.one_of(st.builds(ConstantLag, st.floats(0.65, 1.5)),
+WINDOW_LAGS = st.one_of(st.builds(Constant, st.floats(0.65, 1.5)),
                         st.builds(ShiftedAbsSinLag, st.floats(0.65, 1.0), st.floats(0.0, 0.5)),
                         st.builds(ShiftedAbsCosLag, st.floats(0.65, 1.0), st.floats(0.0, 0.5)),
                         st.just(SinSquaredLag(1.5)))
@@ -613,7 +606,7 @@ def test_blow_up_before_a_lag_violation_is_reported_first():
 def test_failure_at_one_stage_reports_the_table_read():
     # the time-varying lag 0.4 + 0.1 |sin t| exceeds its bound 0.3 from the
     # start, where the two constant lags read the history: its error is reported
-    far = ((0, ConstantLag(2.0), 2.0, "far"), (0, ConstantLag(3.0), 3.0, "farther"))
+    far = ((0, Constant(2.0), 2.0, "far"), (0, Constant(3.0), 3.0, "farther"))
     varying = (0, ShiftedAbsSinLag(0.4, 0.1), 0.3, "varying")
     with pytest.raises(DelayBoundError) as exc:
         simulate(duck_system(far + (varying,), cosine, lambda v: -v[0]),
@@ -636,10 +629,10 @@ def bits(entry):
     return [x.hex() if isinstance(x, float) else x for x in entry]
 
 
-RATES = st.one_of(st.builds(ConstantCoeff, st.floats(0.5, 2.0)),
+RATES = st.one_of(st.builds(Constant, st.floats(0.5, 2.0)),
                   st.builds(Sinusoid, st.floats(0.5, 2.0), st.floats(-0.4, 0.4)),
                   st.builds(Cosinusoid, st.floats(-2.0, 2.0), st.floats(-0.4, 0.4)))
-LAGS = st.one_of(st.builds(ConstantLag, st.floats(0.0, 1.0)),
+LAGS = st.one_of(st.builds(Constant, st.floats(0.0, 1.0)),
                  st.builds(SinSquaredLag, st.floats(0.0, 1.0)),
                  st.builds(ShiftedAbsSinLag, st.floats(0.0, 0.5), st.floats(0.0, 0.5)),
                  st.builds(ShiftedAbsCosLag, st.floats(0.0, 0.5), st.floats(0.0, 0.5)))
@@ -655,8 +648,9 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
     # a time, to the last bit: the planned reads' warm-up stages, filed when
     # the integrator is made (past a constant history's fixed value, or from
     # the start under a callable one), and the table reads (time-varying lags
-    # and constant lags below one step) at every stage of a block
-    reads = tuple((0, lag, lag.bound, f"lag[{i}]") for i, lag in enumerate(lags))
+    # and constant lags below one step) at every stage of a block; each read declares
+    # the bound 1, which admits both steps, so lags far below ten steps are tried too
+    reads = tuple((0, lag, 1.0, f"lag[{i}]") for i, lag in enumerate(lags))
     history = ConstantHistory(np.array([0.5])) if constant else cosine
     system = duck_system(reads, history, lambda v: 0.0, functions)
     integ = _Integrator(system, SimConfig(t0, t0 + (start + 80) * h, h))
@@ -690,7 +684,7 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
     f_t = integ._tabulate(2 * start, 160)
     assert integ.failure is None
     table = [slot for slot, lag in enumerate(lags)
-             if not isinstance(lag, ConstantLag) or 0 < lag.value < h]
+             if not isinstance(lag, Constant) or 0 < lag.value < h]
     for g, row in enumerate(f_t, 2 * start):
         assert bits(row) == bits([float(fn(stage_time(g))) for fn in functions])
         got = integ.extra.get(g, ([], [], [], []))
@@ -778,7 +772,7 @@ def test_csv_multicomponent_header():
     spec = LinearSystemSpec(alpha=[1.0, 1.0, 1.0], A=[1.0, 1.0, 1.0],
                             A_off=np.zeros((3, 3)), sigma=np.zeros((3, 3)),
                             diagonal_delay_free=True)
-    coeffs = [[ConstantCoeff(-1.0) if i == j else ConstantCoeff(0.0)
+    coeffs = [[Constant(-1.0) if i == j else Constant(0.0)
                for j in range(3)] for i in range(3)]
     lags = [[None] * 3 for _ in range(3)]
     sys_ = LinearConcrete(spec, coeffs, lags, [1.0, 2.0, 3.0])

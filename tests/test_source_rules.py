@@ -59,13 +59,17 @@ def test_package_defines_one_right_hand_side():
     assert len(found) == 1, found
 
 
-def test_only_the_integrator_reads_the_smallest_lag_bound():
-    # the bound caps the step, so the module that picks the default step is
-    # the only one that knows the grid rule; systems.py defines it
-    found = {path.name for path in sorted(SRC.glob("*.py"))
+def test_no_module_names_a_second_constant_or_step_cap_bound():
+    # one catalog class is every constant function, and the integrator caps
+    # the step by the reads' declared bounds, the ones `read_time` holds each
+    # lag to, not by a smallest bound of the lag objects' own
+    gone = {"ConstantCoeff", "ConstantLag", "min_positive_lag_bound"}
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(SRC.glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
-             if isinstance(node, ast.Attribute) and node.attr == "min_positive_lag_bound"}
-    assert found - {"systems.py"} == {"simulate.py"}
+             for name in gone & {getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None)}]
+    assert found == [], found
 
 
 def test_package_fits_decay_at_one_site():

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import re
 import subprocess
@@ -15,11 +16,13 @@ from delaystab import (
     DocumentError,
     GeneralSystemSpec,
     LinearSystemSpec,
+    SimConfig,
     document_sha256,
     parse_document,
     parse_file,
     point_parser,
     set_parameter,
+    simulate,
 )
 from delaystab.cli import main
 from delaystab.systems import merged_bounds
@@ -668,6 +671,109 @@ def test_delay_free_rule_names_the_document_path(capsys, tmp_path, kind, path):
     with pytest.raises(DocumentError) as exc:
         point_parser(doc, "parameters.s")(0.25)
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("kind", ["linear", "general"])
+def test_delay_free_lag_below_the_rule_runs_as_a_zero_lag(kind):
+    # a delay-free diagonal declares the bound 0, so diagonal lags of 1e-13,
+    # under the rule's 1e-12, leave the default step at 0.01 and every bit of
+    # the run as lags of 0 give
+    runs = []
+    for value in (1e-13, 0.0):
+        doc = _delay_free_doc(kind)
+        if kind == "linear":
+            doc["dynamics"]["lags"][0][0] = doc["dynamics"]["lags"][1][1] = _constant(value)
+        else:
+            doc["dynamics"]["leak_lags"] = [_constant(value), _constant(value)]
+        runs.append(simulate(parse_document(doc).concrete, SimConfig(0.0, 1.0)))
+    tiny, zero = runs
+    assert tiny.meta == zero.meta and tiny.meta["h"] == 0.01
+    assert tiny.states.tobytes() == zero.states.tobytes()
+    assert tiny.derivatives.tobytes() == zero.derivatives.tobytes()
+
+
+def _general_dynamics_doc() -> dict:
+    return {"kind": "general", "spec": {},
+            "dynamics": {"coefficients": [_constant(1.0), _constant(1.0)],
+                         "leak_lags": [_constant(0.1), None],
+                         "coupling_lags": [[None, _constant(0.2)], [None, None]],
+                         "couplings": [[None, {"type": "linear", "k": 0.5}], [None, None]]},
+            "history": [1.0, 1.0]}
+
+
+@pytest.mark.parametrize("kind, keys, node, path, shown", [
+    ("general", ("coefficients", 0), {"type": "sinusoid", "base": math.inf, "amp": 0.1},
+     "dynamics.coefficients[0].base", "inf"),
+    ("general", ("leak_lags", 0), _constant(math.nan), "dynamics.leak_lags[0].value", "nan"),
+    ("general", ("couplings", 0, 0), {"type": "linear", "k": math.inf},
+     "dynamics.couplings[0][0].k", "inf"),
+    ("two_neuron", ("trans_x",), {"type": "sin_squared", "amp": math.nan},
+     "dynamics.trans_x.amp", "nan"),
+], ids=["coefficient-base", "leak-lag-value", "coupling-k", "two-neuron-trans-x-amp"])
+def test_non_finite_catalog_parameter_is_named_by_its_path(capsys, tmp_path, two_neuron_doc,
+                                                           kind, keys, node, path, shown):
+    # Python's json reads NaN and Infinity; the spec fields derived from the
+    # parameter are not in the document, so the parameter itself is named
+    doc = two_neuron_doc if kind == "two_neuron" else _general_dynamics_doc()
+    parent = doc["dynamics"]
+    for key in keys[:-1]:
+        parent = parent[key]
+    parent[keys[-1]] = node
+    message = f"{path}: expected a finite number, got {shown}"
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == message
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert main(["analyze", str(file)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"kind": "general", "spec": {"alpha": [10**400, 1.0], "A": [2.0, 2.0], "tau": [0.1, 0.1],
+                                  "sigma": [[0.0, 0.1], [0.1, 0.0]],
+                                  "L": [[0.0, 0.1], [0.1, 0.0]]}}, "spec.alpha[0]"),
+    ({"kind": "two_neuron", "parameters": {"mu": 10**400}, "spec": {
+        "a": "$mu", "b": 0.5, "coupling_xy": 1.0, "coupling_yx": 1.0, "Lf": 0.5, "Lg": 0.2,
+        "r_lo": 1.0, "r_hi": 1.0, "p_lo": 1.0, "p_hi": 1.0, "tau_x": 0.5, "tau_y": 0.4,
+        "sigma_x": 0.4, "sigma_y": 0.5}}, "parameters.mu"),
+], ids=["spec-entry", "parameter"])
+def test_cli_integer_beyond_float_range_is_an_input_error(capsys, tmp_path, doc, path):
+    # float() of such an int raises OverflowError; it is named like a non-finite history
+    message = f"{path}: expected a finite number, got 100000000000000000...0000000000000000000"
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    for verb in ("analyze", "certify-rate", "equilibrium"):
+        assert main([verb, str(file)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _blow_up_doc() -> dict:
+    # x1 and x2 drive each other with gain 1e300, so the state overflows in
+    # the first step, and x3 reads x1 through k sin(u)
+    linear = {"type": "linear", "k": 1e300}
+    return {"kind": "general", "spec": {},
+            "dynamics": {"coefficients": [_constant(0.1), _constant(0.1), _constant(1.0)],
+                         "leak_lags": [None] * 3, "coupling_lags": [[None] * 3] * 3,
+                         "couplings": [[None, linear, None], [linear, None, None],
+                                       [{"type": "sin_scaled", "k": 1.0}, None, None]]},
+            "history": [1.0, 1.0, 0.0]}
+
+
+def test_cli_blow_up_through_a_sine_coupling_is_a_failed_integration(capsys, tmp_path):
+    # sin of an infinite stage value is NaN, not math's ValueError, so the
+    # step's finiteness check reports the blow-up
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(_blow_up_doc()))
+    assert main(["simulate", str(file), "--t-end", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert json.loads(out)["simulation"] == {"error": "state became non-finite at t=0.01",
+                                             "failed_at": 0.01}
+    assert err == f"{file}: integration failed: state became non-finite at t=0.01\n"
+    main(["sweep", str(file), "--param", "dynamics.couplings.2.0.k", "--values", "1",
+          "--simulate", "--t-end", "5"])
+    row, = json.loads(capsys.readouterr().out)["rows"]
+    assert (row["lambda_hat"], row["error"]) == (None, None)
 
 
 def _nested(depth: int):

@@ -19,7 +19,7 @@ DOCS = {p.name: json.loads(p.read_text()) for p in sorted(INPUTS.glob("*.json"))
 
 DELETE = "<delete>"
 JUNK = [None, True, False, "x", "$nope", "", float("nan"), float("inf"),
-        -float("inf"), [], {}, -1.0, 0, 1e308, DELETE]
+        -float("inf"), [], {}, -1.0, 0, 1e308, 10**400, DELETE]
 
 
 def _paths(node, prefix=()):

@@ -27,8 +27,7 @@ from delaystab import (
 from delaystab.simulate import _Integrator
 from delaystab.systems import (
     ConcreteSystem,
-    ConstantCoeff,
-    ConstantLag,
+    Constant,
     Cosinusoid,
     LinearActivation,
     LogisticActivation,
@@ -61,10 +60,10 @@ def test_sinusoid_range_and_values():
 # every catalog entry at its parameters: the value at t (or u), then its
 # range (lower, upper), (lower, bound) or its Lipschitz constant
 CATALOG_CASES = [
-    (ConstantCoeff(1.5), lambda t: 1.5, (1.5, 1.5)),
+    (Constant(1.5), lambda t: 1.5, (1.5, 1.5)),
     (Sinusoid(2.0, -0.5), lambda t: 2.0 - 0.5 * math.sin(t), (1.5, 2.5)),
     (Cosinusoid(2.0, -0.5), lambda t: 2.0 - 0.5 * math.cos(t), (1.5, 2.5)),
-    (ConstantLag(0.25), lambda t: 0.25, (0.25, 0.25)),
+    (Constant(0.25), lambda t: 0.25, (0.25, 0.25)),
     (SinSquaredLag(0.3), lambda t: 0.3 * math.sin(t) ** 2, (0.0, 0.3)),
     (ShiftedAbsSinLag(0.5, -0.25), lambda t: 0.5 - 0.25 * abs(math.sin(t)), (0.25, 0.5)),
     (ShiftedAbsCosLag(0.5, 0.25), lambda t: 0.5 + 0.25 * abs(math.cos(t)), (0.5, 0.75)),
@@ -156,7 +155,7 @@ def test_a_lambda_activation_integrates_as_its_catalog_twin():
     # 1.0 * phi(u) is phi(u), so a callable that computes k * tanh(u) gives
     # the catalog activation's trajectory bit for bit
     def system(phi):
-        return ConcreteSystem([(0, ConstantLag(0.2), 0.2, "lag"), (0, None, 0.0, "x")],
+        return ConcreteSystem([(0, Constant(0.2), 0.2, "lag"), (0, None, 0.0, "x")],
                               [phi, None], [(None, -0.0, [(1, -1.0, None), (0, -0.5, None)])],
                               [1.0], [])
 
@@ -320,7 +319,7 @@ def rhs_over_reads(system, t, value_at):
 def test_general_concrete_derivative_known_value():
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]],
                              L=[[0.0]])
-    sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
+    sys_ = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
                            [[None]], [[None]], [1.0])
     # pure delayed decay: xdot = -x(t-1)
     out = rhs_over_reads(sys_, 0.5, lambda i, t: np.cos(t))
@@ -331,9 +330,9 @@ def test_bam_concrete_derivative_known_value():
     s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                         Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
                         sigma_x=0.4, sigma_y=0.5)
-    sys_ = BamConcrete(s, [ConstantCoeff(1.0)], [ConstantCoeff(1.0)],
-                       [ConstantLag(0.5)], [ConstantLag(0.4)],
-                       [ConstantLag(0.4)], [ConstantLag(0.5)],
+    sys_ = BamConcrete(s, [Constant(1.0)], [Constant(1.0)],
+                       [Constant(0.5)], [Constant(0.4)],
+                       [Constant(0.4)], [Constant(0.5)],
                        [TanhActivation(0.5)], [TanhActivation(0.2)],
                        [1.0, 1.0])
     value_at = lambda i, t: 2.0 if i == 0 else -1.0
@@ -348,10 +347,10 @@ def test_concrete_rejects_functions_outside_bounds():
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[0.5], sigma=[[0.0]],
                              L=[[0.0]])
     with pytest.raises(ValueError):
-        GeneralConcrete(spec, [ConstantCoeff(2.0)], [ConstantLag(0.5)],
+        GeneralConcrete(spec, [Constant(2.0)], [Constant(0.5)],
                         [[None]], [[None]], [1.0])
     with pytest.raises(ValueError):
-        GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(0.7)],
+        GeneralConcrete(spec, [Constant(1.0)], [Constant(0.7)],
                         [[None]], [[None]], [1.0])
 
 
@@ -365,26 +364,28 @@ def test_lag_bound_violation_raises_at_runtime():
         def __call__(self, t):
             return 2.0  # exceeds the declared bound
 
-    sys_ = GeneralConcrete(spec, [ConstantCoeff(1.0)], [LyingLag()],
+    sys_ = GeneralConcrete(spec, [Constant(1.0)], [LyingLag()],
                            [[None]], [[None]], [1.0])
     with pytest.raises(DelayBoundError):
         rhs_over_reads(sys_, 0.0, lambda i, t: 1.0)
 
 
 def test_min_positive_lag_bound():
+    # the smallest positive declared bound, 0.05, caps the default step at
+    # 0.005; the lag below it, 0.04, does not
     spec = GeneralSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0], tau=[0.0, 0.3],
-                             sigma=[[0.0, 0.2], [0.5, 0.0]],
+                             sigma=[[0.0, 0.05], [0.5, 0.0]],
                              L=[[0.0, 0.1], [0.1, 0.0]])
     sys_ = GeneralConcrete(spec,
-                           [ConstantCoeff(1.0), ConstantCoeff(1.0)],
-                           [None, ConstantLag(0.3)],
-                           [[None, ConstantLag(0.2)], [ConstantLag(0.5), None]],
+                           [Constant(1.0), Constant(1.0)],
+                           [None, Constant(0.3)],
+                           [[None, Constant(0.04)], [Constant(0.5), None]],
                            [[None, LinearActivation(0.1)],
                             [LinearActivation(0.1), None]],
                            [1.0, 1.0])
-    assert abs(sys_.min_positive_lag_bound - 0.2) < 1e-15
-    # the nodes of the longest declared bound, 0.5: 51 steps, and 2 to spare
-    assert _Integrator(sys_, SimConfig(0.0, 1.0, 0.01)).window == 53
+    assert simulate(sys_, SimConfig(0.0, 1.0)).meta["h"] == 0.005
+    # the nodes of the longest declared bound, 0.5: 101 steps, and 2 to spare
+    assert _Integrator(sys_, SimConfig(0.0, 1.0)).window == 103
 
 
 def test_lag_of_absent_coupling_sets_no_bound():
@@ -394,13 +395,12 @@ def test_lag_of_absent_coupling_sets_no_bound():
                              sigma=[[0.0, 0.02], [0.5, 0.0]],
                              L=[[0.0, 0.0], [0.1, 0.0]])
     sys_ = GeneralConcrete(spec,
-                           [ConstantCoeff(1.0), ConstantCoeff(1.0)],
-                           [None, ConstantLag(0.3)],
-                           [[None, ConstantLag(0.02)], [ConstantLag(0.5), None]],
+                           [Constant(1.0), Constant(1.0)],
+                           [None, Constant(0.3)],
+                           [[None, Constant(0.02)], [Constant(0.5), None]],
                            [[None, None], [LinearActivation(0.1), None]],
                            [1.0, 1.0])
     assert len(sys_.reads) == 3
-    assert sys_.min_positive_lag_bound == 0.3
     assert _Integrator(sys_, SimConfig(0.0, 1.0, 0.01)).window == 53
     assert simulate(sys_, SimConfig(0.0, 1.0)).meta["h"] == 0.01
 
@@ -410,8 +410,8 @@ def test_linear_concrete_matches_matrix_product():
                             A_off=[[0.0, 0.9], [0.9, 0.0]],
                             sigma=[[0.0, 0.0], [0.0, 0.0]],
                             diagonal_delay_free=True)
-    coeffs = [[ConstantCoeff(-1.0), ConstantCoeff(0.9)],
-              [ConstantCoeff(0.9), ConstantCoeff(-1.0)]]
+    coeffs = [[Constant(-1.0), Constant(0.9)],
+              [Constant(0.9), Constant(-1.0)]]
     lags = [[None, None], [None, None]]
     sys_ = LinearConcrete(spec, coeffs, lags, [1.0, 2.0])
     state = np.array([0.3, -0.7])
@@ -423,10 +423,10 @@ def test_linear_concrete_matches_matrix_product():
 def test_history_callable_and_vector():
     spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]],
                              L=[[0.0]])
-    sys_vec = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
+    sys_vec = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
                               [[None]], [[None]], [2.5])
     assert abs(sys_vec.history(-0.3)[0] - 2.5) < 1e-15
-    sys_fn = GeneralConcrete(spec, [ConstantCoeff(1.0)], [ConstantLag(1.0)],
+    sys_fn = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
                              [[None]], [[None]], lambda t: np.array([np.sin(t)]))
     assert abs(sys_fn.history(-0.25)[0] - np.sin(-0.25)) < 1e-15
 
@@ -470,7 +470,7 @@ def test_shifted_abs_lag_bound_is_the_true_maximum():
         assert lag.bound == 0.5 and lag.lower == pytest.approx(0.3)
         assert max(values) <= lag.bound and min(values) >= lag.lower - 1e-15
         assert cls(0.1, 0.3).bound == pytest.approx(0.4) and cls(0.1, 0.3).lower == 0.1
-    assert SinSquaredLag(-1.0).lower == -1.0 and ConstantLag(0.2).lower == 0.2
+    assert SinSquaredLag(-1.0).lower == -1.0 and Constant(0.2).lower == 0.2
 
 
 def field_by_field(cls, values) -> list[str]:
@@ -550,8 +550,8 @@ def test_validate_equals_the_field_by_field_checks(case):
 def general_system(delay_free=False, **parts):
     """A two-component general realization whose functions all sit at their
     spec's bounds, with the entries of `parts` replaced."""
-    at = dict(coeffs=[Sinusoid(1.5, 0.5)] * 2, leak=[ConstantLag(0.5)] * 2,
-              clags=[[ConstantLag(0.3)] * 2] * 2, coups=[[TanhActivation(0.5)] * 2] * 2)
+    at = dict(coeffs=[Sinusoid(1.5, 0.5)] * 2, leak=[Constant(0.5)] * 2,
+              clags=[[Constant(0.3)] * 2] * 2, coups=[[TanhActivation(0.5)] * 2] * 2)
     at.update(parts)
     spec = GeneralSystemSpec(alpha=[1.0, 1.0], A=[2.0, 2.0], tau=[0.5, 0.5],
                              sigma=[[0.3, 0.3], [0.3, 0.3]], L=[[0.5, 0.5], [0.5, 0.5]],
@@ -561,7 +561,7 @@ def general_system(delay_free=False, **parts):
 
 def linear_system(delay_free=False, **parts):
     diag, off = Sinusoid(-1.5, 0.5), Cosinusoid(0.0, 0.4)
-    at = dict(coeffs=[[diag, off], [off, diag]], lags=[[ConstantLag(0.3)] * 2] * 2)
+    at = dict(coeffs=[[diag, off], [off, diag]], lags=[[Constant(0.3)] * 2] * 2)
     at.update(parts)
     spec = LinearSystemSpec(alpha=[1.0, 1.0], A=[2.0, 2.0], A_off=[[0.0, 0.4], [0.4, 0.0]],
                             sigma=[[0.3, 0.3], [0.3, 0.3]], diagonal_delay_free=delay_free)
@@ -570,8 +570,8 @@ def linear_system(delay_free=False, **parts):
 
 def bam_system(**parts):
     at = dict(r=[Sinusoid(1.5, 0.5)] * 2, p=[Cosinusoid(1.5, 0.5)] * 2,
-              leak_x=[ConstantLag(0.5)] * 2, leak_y=[ConstantLag(0.5)] * 2,
-              trans_x=[ConstantLag(0.3)] * 2, trans_y=[ConstantLag(0.3)] * 2,
+              leak_x=[Constant(0.5)] * 2, leak_y=[Constant(0.5)] * 2,
+              trans_x=[Constant(0.3)] * 2, trans_y=[Constant(0.3)] * 2,
               f=[TanhActivation(0.5)] * 2, g=[SinActivation(0.5)] * 2)
     at.update(parts)
     spec = BamSpec(a=[1.0, 1.0], b=[1.0, 1.0], a_conn=[[0.2, -0.1], [0.3, 0.2]],
@@ -592,15 +592,15 @@ BOUND_RULES = {
     "general coefficient above A":
         lambda d: general_system(coeffs=[Sinusoid(1.5 + d, 0.5), Sinusoid(1.5, 0.5)]),
     "general leak lag on a delay-free diagonal":
-        lambda d: general_system(delay_free=True, leak=[ConstantLag(d), None]),
+        lambda d: general_system(delay_free=True, leak=[Constant(d), None]),
     "general leak lag above tau":
-        lambda d: general_system(leak=[ConstantLag(0.5 + d), ConstantLag(0.5)]),
+        lambda d: general_system(leak=[Constant(0.5 + d), Constant(0.5)]),
     "general coupling above L":
         lambda d: general_system(coups=[[TanhActivation(0.5), TanhActivation(0.5 + d)],
                                         [TanhActivation(0.5)] * 2]),
     "general coupling lag above sigma":
-        lambda d: general_system(clags=[[ConstantLag(0.3), ConstantLag(0.3 + d)],
-                                        [ConstantLag(0.3)] * 2]),
+        lambda d: general_system(clags=[[Constant(0.3), Constant(0.3 + d)],
+                                        [Constant(0.3)] * 2]),
     "linear diagonal below -A":
         lambda d: linear_system(coeffs=[[Sinusoid(-1.5 - d, 0.5), Cosinusoid(0.0, 0.4)],
                                         [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
@@ -608,8 +608,8 @@ BOUND_RULES = {
         lambda d: linear_system(coeffs=[[Sinusoid(-1.5 + d, 0.5), Cosinusoid(0.0, 0.4)],
                                         [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
     "linear diagonal lag on a delay-free diagonal":
-        lambda d: linear_system(delay_free=True, lags=[[ConstantLag(d), ConstantLag(0.3)],
-                                                       [ConstantLag(0.3), None]]),
+        lambda d: linear_system(delay_free=True, lags=[[Constant(d), Constant(0.3)],
+                                                       [Constant(0.3), None]]),
     "linear off-diagonal below -A_off":
         lambda d: linear_system(coeffs=[[Sinusoid(-1.5, 0.5), Cosinusoid(-d, 0.4)],
                                         [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
@@ -617,8 +617,8 @@ BOUND_RULES = {
         lambda d: linear_system(coeffs=[[Sinusoid(-1.5, 0.5), Cosinusoid(d, 0.4)],
                                         [Cosinusoid(0.0, 0.4), Sinusoid(-1.5, 0.5)]]),
     "linear lag above sigma":
-        lambda d: linear_system(lags=[[ConstantLag(0.3), ConstantLag(0.3 + d)],
-                                      [ConstantLag(0.3)] * 2]),
+        lambda d: linear_system(lags=[[Constant(0.3), Constant(0.3 + d)],
+                                      [Constant(0.3)] * 2]),
     "bam r below r_lo": lambda d: bam_system(r=[Sinusoid(1.5 - d, 0.5), Sinusoid(1.5, 0.5)]),
     "bam r above r_hi": lambda d: bam_system(r=[Sinusoid(1.5 + d, 0.5), Sinusoid(1.5, 0.5)]),
     "bam p below p_lo":
@@ -626,13 +626,13 @@ BOUND_RULES = {
     "bam p above p_hi":
         lambda d: bam_system(p=[Cosinusoid(1.5 + d, 0.5), Cosinusoid(1.5, 0.5)]),
     "bam leak_x above tau_x":
-        lambda d: bam_system(leak_x=[ConstantLag(0.5 + d), ConstantLag(0.5)]),
+        lambda d: bam_system(leak_x=[Constant(0.5 + d), Constant(0.5)]),
     "bam leak_y above tau_y":
-        lambda d: bam_system(leak_y=[ConstantLag(0.5 + d), ConstantLag(0.5)]),
+        lambda d: bam_system(leak_y=[Constant(0.5 + d), Constant(0.5)]),
     "bam trans_x above sigma_x":
-        lambda d: bam_system(trans_x=[ConstantLag(0.3 + d), ConstantLag(0.3)]),
+        lambda d: bam_system(trans_x=[Constant(0.3 + d), Constant(0.3)]),
     "bam trans_y above sigma_y":
-        lambda d: bam_system(trans_y=[ConstantLag(0.3 + d), ConstantLag(0.3)]),
+        lambda d: bam_system(trans_y=[Constant(0.3 + d), Constant(0.3)]),
     "bam f above Lf":
         lambda d: bam_system(f=[TanhActivation(0.5 + d), TanhActivation(0.5)]),
     "bam g above Lg": lambda d: bam_system(g=[SinActivation(0.5 + d), SinActivation(0.5)]),
@@ -650,11 +650,11 @@ def test_each_bound_rule_rejects_just_past_and_accepts_at_its_bound(build):
 
 def _coeff(rng, base):
     amp = rng.uniform(-0.4, 0.4)
-    return rng.choice([ConstantCoeff(base), Sinusoid(base, amp), Cosinusoid(base, amp)])
+    return rng.choice([Constant(base), Sinusoid(base, amp), Cosinusoid(base, amp)])
 
 
 def _lag(rng, allow_none=True):
-    kinds = [ConstantLag(rng.uniform(0.0, 1.0)), SinSquaredLag(rng.uniform(0.0, 1.0)),
+    kinds = [Constant(rng.uniform(0.0, 1.0)), SinSquaredLag(rng.uniform(0.0, 1.0)),
              ShiftedAbsSinLag(rng.uniform(0.0, 0.5), rng.uniform(0.0, 0.5))]
     return rng.choice(kinds + [None] * allow_none)
 

@@ -25,8 +25,7 @@ import pytest
 
 from delaystab import GeneralConcrete, GeneralSystemSpec, SimConfig, parse_document, simulate
 from delaystab.specio import load_json
-from delaystab.systems import (ConstantCoeff, ConstantLag, ShiftedAbsSinLag, Sinusoid,
-                               TanhActivation)
+from delaystab.systems import Constant, ShiftedAbsSinLag, Sinusoid, TanhActivation
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden_trajectories.json"
@@ -56,8 +55,8 @@ def general_with_undelayed_leak():
     spec = GeneralSystemSpec(alpha=[0.8, 1.0], A=[1.2, 1.0], tau=[0.0, 0.3],
                              sigma=[[0.0, 0.25], [0.4, 0.0]],
                              L=[[0.0, 0.4], [0.3, 0.0]])
-    return GeneralConcrete(spec, [Sinusoid(1.0, 0.2), ConstantCoeff(1.0)],
-                           [None, ConstantLag(0.3)],
+    return GeneralConcrete(spec, [Sinusoid(1.0, 0.2), Constant(1.0)],
+                           [None, Constant(0.3)],
                            [[None, ShiftedAbsSinLag(0.05, 0.2)], [None, None]],
                            [[None, TanhActivation(0.4)], [TanhActivation(0.3), None]],
                            [0.7, -0.4])
