@@ -215,7 +215,7 @@ def test_runtime_delay_violation_caught():
                               "(got 0.50125)")
 
 
-def test_read_beyond_the_step_cap_bound_matches_the_exact_solution():
+def test_read_at_its_declared_bound_matches_the_exact_solution():
     # x'(t) = -x(t - 1) with history 1: its read declares 1, and the nodes kept
     # reach that far.  RK4 with Hermite reads is exact on the solution 1 - t on
     # [0, 1] and 1 - t + (t - 1)^2 / 2 on [1, 2]
