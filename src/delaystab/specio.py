@@ -22,7 +22,8 @@ section then only carries the structural constants.  Without dynamics the
 bounds are given explicitly and the document supports analysis only, not
 simulation.
 
-All diagnostics carry the JSON field path of the offending value.  A list
+All diagnostics carry the JSON field path of the offending value; a broken
+spec rule names its field and entry (`spec.alpha[0] must be > 0 ...`).  A list
 of plain numbers is checked in one pass, and the field paths of its entries
 are formatted only when that check fails and a diagnostic is to be raised.
 """
@@ -50,7 +51,6 @@ from .systems import (
     InvalidSpecError,
     LinearConcrete,
     LinearSystemSpec,
-    SpecRuleError,
 )
 
 KINDS = ("general", "linear", "bam", "two_neuron")
@@ -236,6 +236,9 @@ def _build_fn(node, catalog: dict, path: str, allow_null: bool = False):
     fn = cls(**{name: _finite(node[name], f"{path}.{name}") for name in param_names})
     if catalog is LAG_CATALOG and fn.lower < 0:
         _fail(path, f"lag must stay nonnegative (minimum {fn.lower})")
+    for name in ("lower", "upper", "bound"):
+        if not math.isfinite(value := getattr(fn, name, 0.0)):
+            _fail(path, f"{name} overflows to {value}")
     return fn
 
 
@@ -290,8 +293,9 @@ def _general_dynamics(dyn: dict, flag: bool):
     _check_keys(dyn, "dynamics",
                 allowed=("coefficients", "leak_lags", "coupling_lags", "couplings"),
                 required=("coefficients", "leak_lags", "coupling_lags", "couplings"))
-    if not isinstance(dyn["coefficients"], list):
-        _fail("dynamics.coefficients", "expected a list of function objects")
+    # a dynamics document has no spec.alpha, so an empty one is refused here
+    if not isinstance(dyn["coefficients"], list) or not dyn["coefficients"]:
+        _fail("dynamics.coefficients", "expected a nonempty list of function objects")
     m = len(dyn["coefficients"])
     coeffs = _fn_list(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
     leak = _fn_list(dyn["leak_lags"], LAG_CATALOG, "dynamics.leak_lags", m,
@@ -320,8 +324,8 @@ def _general_dynamics(dyn: dict, flag: bool):
 def _linear_dynamics(dyn: dict, flag: bool):
     _check_keys(dyn, "dynamics", allowed=("coefficients", "lags"),
                 required=("coefficients", "lags"))
-    if not isinstance(dyn["coefficients"], list):
-        _fail("dynamics.coefficients", "expected a matrix of function objects")
+    if not isinstance(dyn["coefficients"], list) or not dyn["coefficients"]:
+        _fail("dynamics.coefficients", "expected a nonempty matrix of function objects")
     m = len(dyn["coefficients"])
     coeffs = _fn_matrix(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
     lags = _fn_matrix(dyn["lags"], LAG_CATALOG, "dynamics.lags", m, allow_null=True)
@@ -345,11 +349,11 @@ def _linear_dynamics(dyn: dict, flag: bool):
     return spec, partial(LinearConcrete, spec, coeffs, lags)
 
 
-# flat kinds: spec class, bounds-only vector and matrix fields (alpha first),
-# and the parser of the dynamics section
+# flat kinds: spec class, whose fields a bounds-only document gives, and the
+# parser of the dynamics section
 _FLAT_KINDS = {
-    "general": (GeneralSystemSpec, ("alpha", "A", "tau"), ("sigma", "L"), _general_dynamics),
-    "linear": (LinearSystemSpec, ("alpha", "A"), ("A_off", "sigma"), _linear_dynamics),
+    "general": (GeneralSystemSpec, _general_dynamics),
+    "linear": (LinearSystemSpec, _linear_dynamics),
 }
 
 
@@ -361,14 +365,14 @@ def _parse_flat(doc: dict, kind: str):
     flag = spec_node.get("diagonal_delay_free", False)
     if not isinstance(flag, bool):
         _fail("spec.diagonal_delay_free", "expected true or false")
-    cls, vec_keys, mat_keys, parse_dynamics = _FLAT_KINDS[kind]
+    cls, parse_dynamics = _FLAT_KINDS[kind]
     if dyn is None:
-        _check_keys(spec_node, "spec", allowed=vec_keys + mat_keys + ("diagonal_delay_free",),
-                    required=vec_keys + mat_keys)
+        keys = cls.VECTORS + cls.MATRICES
+        _check_keys(spec_node, "spec", allowed=keys + ("diagonal_delay_free",), required=keys)
         alpha = _num_list(spec_node["alpha"], "spec.alpha")
         m = len(alpha)
-        bounds = {key: _num_list(spec_node[key], f"spec.{key}", m) for key in vec_keys[1:]}
-        bounds.update({key: _num_matrix(spec_node[key], f"spec.{key}", m) for key in mat_keys})
+        bounds = {key: _num_list(spec_node[key], f"spec.{key}", m) for key in cls.VECTORS[1:]}
+        bounds.update({key: _num_matrix(spec_node[key], f"spec.{key}", m) for key in cls.MATRICES})
         spec, make_concrete = cls(alpha=alpha, diagonal_delay_free=flag, **bounds), None
     else:
         _check_keys(spec_node, "spec", allowed=("diagonal_delay_free",))
@@ -475,17 +479,22 @@ def _root_kind(doc) -> str:
 
 
 def _build(resolved: dict, kind: str) -> ParsedInput:
-    # the per-kind parser of a resolved document, which builds (and so checks)
-    # the spec, then the history (required with dynamics) and the concrete
-    # system; a broken rule names its field by the document's path
+    # the per-kind parser of a resolved document builds (and so checks) the
+    # spec, each broken rule naming a spec field, written as its document
+    # path; the history (required with dynamics) and the concrete system
+    # follow, whose checks cannot fail for a spec derived from the same functions
     parse = _parse_flat if kind in _FLAT_KINDS else _parse_bam_like
     try:
         spec, dim, make_concrete = parse(resolved, kind)
-        history = _history_vec(resolved, dim, required=make_concrete is not None)
-        concrete = None if make_concrete is None else make_concrete(history)
     except InvalidSpecError as exc:
-        prefix = "spec." if isinstance(exc, SpecRuleError) else ""
-        raise DocumentError("; ".join(prefix + p for p in exc.violations)) from exc
+        problems = ["spec." + p for p in exc.violations]
+        if kind == "two_neuron":  # its spec fields are scalars
+            problems = [p.replace("a_conn[0][0]", "coupling_xy")
+                        .replace("b_conn[0][0]", "coupling_yx").replace("[0]", "")
+                        for p in problems]
+        raise DocumentError("; ".join(problems)) from exc
+    history = _history_vec(resolved, dim, required=make_concrete is not None)
+    concrete = None if make_concrete is None else make_concrete(history)
     return ParsedInput(kind=kind, spec=spec, concrete=concrete, document=resolved)
 
 

@@ -5,21 +5,25 @@ stability tests consume (decay-rate ranges, coupling Lipschitz constants,
 delay bounds).  A *concrete system* (`ConcreteSystem`, one class for every
 family) fixes actual time functions from a small catalog and is what the
 simulator integrates.  Specs are immutable value objects, checked when
-built: their array fields are made read-only, and bounds outside the
-family's rules raise InvalidSpecError, so every spec that exists meets the
-hypotheses of the stability tests.
+built: each spec type declares its array fields and rules once, its fields
+are stored as read-only copies, and bounds outside the family's rules raise
+InvalidSpecError, so every spec that exists meets the hypotheses of the
+stability tests.
 
 A two-layer network's bounds merge into the general family's
 (alpha, A, tau, L, sigma) in one place, `merged_bounds`; the stability
-tests read those arrays, and `bam_to_general` wraps the same arrays as a
-general spec.
+tests read those arrays, and `bam_to_general` builds a general spec of the
+same values.
 
-Index conventions in messages are 1-based to match the usual component
-numbering in hand-worked two-neuron examples.
+Messages index the entries of a spec's fields from 0, as the arrays and a
+document's lists do (`alpha[0]`, `a_conn[0][1]`).  The labels of a concrete
+system's reads and functions (`leak_lag[1]`, `coefficient[1]`, `r[1]`)
+number components from 1, as x_1 ... x_m are numbered.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -33,11 +37,6 @@ class InvalidSpecError(ValueError):
     def __init__(self, violations: list[str]):
         self.violations = list(violations)
         super().__init__("invalid spec: " + "; ".join(self.violations))
-
-
-class SpecRuleError(InvalidSpecError):
-    """Raised when a spec is built with bounds outside its family's rules; each
-    violation names a spec field."""
 
 
 class FamilyError(ValueError):
@@ -213,43 +212,101 @@ ACTIVATION_CATALOG = {
 # spec types
 # ---------------------------------------------------------------------------
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _array(value, shape: tuple, name: str) -> np.ndarray:
+    # a copy, so the caller's array stays writable and cannot change the spec
+    arr = np.array(value, dtype=float)
+    if arr.shape != shape:
+        raise InvalidSpecError([f"{name} must have shape {shape}, got {arr.shape}"])
     arr.setflags(write=False)
     return arr
 
 
-def _array(value, shape: tuple, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != shape:
-        raise InvalidSpecError([f"{name} must have shape {shape}, got {arr.shape}"])
-    return _freeze(arr)
+def _check(out: list[str], arr: np.ndarray, name: str, rule: str | None,
+           other=None, first: bool = True):
+    # rule is "> 0", ">= 0", "<=" (against `other`) or None (finite only);
+    # numpy finds the failing entries and only those are formatted; a
+    # non-finite entry is named at its field's first rule only
+    finite = np.isfinite(arr)
+    if rule == "> 0":
+        ok = arr > 0
+    elif rule == ">= 0":
+        ok = arr >= 0
+    elif rule == "<=":
+        ok = arr <= other
+    else:
+        ok = True
+    for idx in zip(*np.nonzero(~(finite & ok) if first else finite & ~ok)):
+        v = arr[idx]
+        where = name + "".join(f"[{k}]" for k in idx)
+        if not finite[idx]:
+            out.append(f"{where} must be finite (got {v})")
+        elif rule == "<=":
+            out.append(f"{where} must be <= its upper partner (got {v} > {other[idx]})")
+        else:
+            out.append(f"{where} must be {rule} (got {v})")
 
 
-def _set_arrays(spec, vecs, mats):
-    # the first vector fixes the dimension; arrays are converted in order
-    shape = np.asarray(getattr(spec, vecs[0]), dtype=float).shape
-    if len(shape) != 1 or shape[0] == 0:
-        raise InvalidSpecError([f"{vecs[0]} must be a nonempty vector"])
-    for names, dims in ((vecs, shape), (mats, shape + shape)):
-        for name in names:
-            object.__setattr__(spec, name, _array(getattr(spec, name), dims, name))
+@functools.cache
+def _rule_groups(rules) -> tuple[list[str], ...]:
+    # field names per test of the one-pass check: finite (every field),
+    # "> 0", ">= 0", and the two sides of "<="
+    def names(*wanted):
+        return [name for name, rule, _ in rules if rule in wanted]
+
+    return ([name for name, _, _ in rules], names("> 0"), names(">= 0"), names("<="),
+            [other for _, rule, other in rules if rule == "<="])
 
 
-def _eq(a, b) -> bool:
-    if type(a) is not type(b):
-        return NotImplemented
-    for f in fields(a):
-        va, vb = getattr(a, f.name), getattr(b, f.name)
-        if isinstance(va, np.ndarray):
-            if not np.array_equal(va, vb):
+class _Spec:
+    """The base of the spec types.  Each declares its fields' layout and rules:
+    VECTORS (the first fixes the dimension) and MATRICES name its array fields,
+    and RULES lists (field, rule, partner) in message order, with rule "> 0",
+    ">= 0", "<=" (against the partner field) or None (finite only)."""
+
+    VECTORS: tuple[str, ...]
+    MATRICES: tuple[str, ...]
+    RULES: tuple[tuple[str, str | None, str | None], ...]
+
+    def __post_init__(self):
+        shape = np.asarray(getattr(self, self.VECTORS[0]), dtype=float).shape
+        if len(shape) != 1 or shape[0] == 0:
+            raise InvalidSpecError([f"{self.VECTORS[0]} must be a nonempty vector"])
+        for names, dims in ((self.VECTORS, shape), (self.MATRICES, shape + shape)):
+            for name in names:
+                object.__setattr__(self, name, _array(getattr(self, name), dims, name))
+        if hasattr(self, "diagonal_delay_free"):
+            object.__setattr__(self, "diagonal_delay_free", bool(self.diagonal_delay_free))
+        # all rules are first tested together, each group's arrays joined and
+        # tested in one call; only a spec that fails is checked field by field,
+        # for the messages
+        finite, positive, nonnegative, lower, upper = (
+            np.concatenate([getattr(self, name) for name in names], axis=None)
+            for names in _rule_groups(self.RULES))
+        if (np.isfinite(finite).all() and (positive > 0).all()
+                and (nonnegative >= 0).all() and (lower <= upper).all()):
+            return
+        out, seen = [], set()
+        for name, rule, other in self.RULES:
+            _check(out, getattr(self, name), name, rule,
+                   None if other is None else getattr(self, other), name not in seen)
+            seen.add(name)
+        raise InvalidSpecError(out)
+
+    def __eq__(self, other) -> bool:
+        if type(self) is not type(other):
+            return NotImplemented
+        for f in fields(self):
+            va, vb = getattr(self, f.name), getattr(other, f.name)
+            if isinstance(va, np.ndarray):
+                if not np.array_equal(va, vb):
+                    return False
+            elif va != vb:
                 return False
-        elif va != vb:
-            return False
-    return True
+        return True
 
 
 @dataclass(frozen=True, eq=False)
-class GeneralSystemSpec:
+class GeneralSystemSpec(_Spec):
     """Bounds for the nonlinear family with delayed self-decay.
 
     alpha/A bracket the time-varying decay coefficient of each component, tau
@@ -266,12 +323,10 @@ class GeneralSystemSpec:
     L: np.ndarray
     diagonal_delay_free: bool = False
 
-    def __post_init__(self):
-        _set_arrays(self, ("alpha", "A", "tau"), ("sigma", "L"))
-        _require_rules(self, GeneralSystemSpec)
-        object.__setattr__(self, "diagonal_delay_free", bool(self.diagonal_delay_free))
-
-    __eq__ = _eq
+    VECTORS = ("alpha", "A", "tau")
+    MATRICES = ("sigma", "L")
+    RULES = (("alpha", "> 0", None), ("A", ">= 0", None), ("alpha", "<=", "A"),
+             ("tau", ">= 0", None), ("sigma", ">= 0", None), ("L", ">= 0", None))
 
     @property
     def m(self) -> int:
@@ -279,7 +334,7 @@ class GeneralSystemSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class LinearSystemSpec:
+class LinearSystemSpec(_Spec):
     """Bounds for the linear family.
 
     alpha/A bracket the magnitude of the (negative) diagonal coefficients,
@@ -293,12 +348,10 @@ class LinearSystemSpec:
     sigma: np.ndarray
     diagonal_delay_free: bool = False
 
-    def __post_init__(self):
-        _set_arrays(self, ("alpha", "A"), ("A_off", "sigma"))
-        _require_rules(self, LinearSystemSpec)
-        object.__setattr__(self, "diagonal_delay_free", bool(self.diagonal_delay_free))
-
-    __eq__ = _eq
+    VECTORS = ("alpha", "A")
+    MATRICES = ("A_off", "sigma")
+    RULES = (("alpha", "> 0", None), ("A", ">= 0", None), ("alpha", "<=", "A"),
+             ("A_off", ">= 0", None), ("sigma", ">= 0", None))
 
     @property
     def m(self) -> int:
@@ -306,7 +359,7 @@ class LinearSystemSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class BamSpec:
+class BamSpec(_Spec):
     """Bounds for the two-layer bidirectional network.
 
     Layer x has n units with gains a, leakage delay bounds tau_x, and incoming
@@ -334,95 +387,19 @@ class BamSpec:
     I: np.ndarray
     J: np.ndarray
 
-    def __post_init__(self):
-        _set_arrays(self, ("a", "b", "Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
-                           "tau_x", "tau_y", "sigma_x", "sigma_y", "I", "J"),
-                    ("a_conn", "b_conn"))
-        _require_rules(self, BamSpec)
-
-    __eq__ = _eq
+    VECTORS = ("a", "b", "Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
+               "tau_x", "tau_y", "sigma_x", "sigma_y", "I", "J")
+    MATRICES = ("a_conn", "b_conn")
+    RULES = ((("a", "> 0", None), ("b", "> 0", None),
+              ("r_lo", "> 0", None), ("r_hi", "> 0", None), ("r_lo", "<=", "r_hi"),
+              ("p_lo", "> 0", None), ("p_hi", "> 0", None), ("p_lo", "<=", "p_hi"))
+             + tuple((name, ">= 0", None)
+                     for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"))
+             + tuple((name, None, None) for name in ("I", "J", "a_conn", "b_conn")))
 
     @property
     def n(self) -> int:
         return self.a.shape[0]
-
-
-# ---------------------------------------------------------------------------
-# validation
-# ---------------------------------------------------------------------------
-
-def _check(out: list[str], arr: np.ndarray, name: str, rule: str | None,
-           other=None):
-    # rule is "> 0", ">= 0", "<=" (against `other`) or None (finite only);
-    # numpy finds the failing entries and only those are formatted
-    finite = np.isfinite(arr)
-    if rule == "> 0":
-        ok = arr > 0
-    elif rule == ">= 0":
-        ok = arr >= 0
-    elif rule == "<=":
-        ok = arr <= other
-    else:
-        ok = True
-    for idx in zip(*np.nonzero(~(finite & ok))):
-        v = arr[idx]
-        where = name + "".join(f"[{k + 1}]" for k in idx)
-        if not finite[idx]:
-            out.append(f"{where} must be finite (got {v})")
-        elif rule == "<=":
-            out.append(f"{where} must be <= its upper partner (got {v} > {other[idx]})")
-        else:
-            out.append(f"{where} must be {rule} (got {v})")
-
-
-# the rules of each spec type, in message order: (field, rule, partner), with
-# rule "> 0", ">= 0", "<=" (against the partner field) or None (finite only)
-_RULES = {
-    GeneralSystemSpec: (("alpha", "> 0", None), ("A", ">= 0", None), ("alpha", "<=", "A"),
-                        ("tau", ">= 0", None), ("sigma", ">= 0", None), ("L", ">= 0", None)),
-    LinearSystemSpec: (("alpha", "> 0", None), ("A", ">= 0", None), ("alpha", "<=", "A"),
-                       ("A_off", ">= 0", None), ("sigma", ">= 0", None)),
-    BamSpec: (("a", "> 0", None), ("b", "> 0", None),
-              ("r_lo", "> 0", None), ("r_hi", "> 0", None), ("r_lo", "<=", "r_hi"),
-              ("p_lo", "> 0", None), ("p_hi", "> 0", None), ("p_lo", "<=", "p_hi"))
-    + tuple((name, ">= 0", None)
-            for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"))
-    + tuple((name, None, None) for name in ("I", "J", "a_conn", "b_conn")),
-}
-
-
-def _rule_groups(rules) -> tuple[list[str], ...]:
-    # field names per test of the one-pass check: finite (every field),
-    # "> 0", ">= 0", and the two sides of "<="
-    def names(*wanted):
-        return [name for name, rule, _ in rules if rule in wanted]
-
-    return ([name for name, _, _ in rules], names("> 0"), names(">= 0"), names("<="),
-            [other for _, rule, other in rules if rule == "<="])
-
-
-_GROUPS = {cls: _rule_groups(rules) for cls, rules in _RULES.items()}
-
-
-def _passes(spec, groups) -> bool:
-    # every rule at once: each group's arrays joined and tested in one call
-    finite, positive, nonnegative, lower, upper = (
-        np.concatenate([getattr(spec, name) for name in names], axis=None)
-        for names in groups)
-    return bool(np.isfinite(finite).all() and (positive > 0).all()
-                and (nonnegative >= 0).all() and (lower <= upper).all())
-
-
-def _require_rules(spec, cls):
-    # all rules are first tested together; only a spec that fails is checked
-    # field by field, for the messages
-    if _passes(spec, _GROUPS[cls]):
-        return
-    out: list[str] = []
-    for name, rule, other in _RULES[cls]:
-        _check(out, getattr(spec, name), name, rule,
-               None if other is None else getattr(spec, other))
-    raise SpecRuleError(out)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +439,7 @@ def merged_bounds(bam: BamSpec):
                     ("p_lo[{i}]*b[{i}]", alpha[n:], True), ("p_hi[{i}]*b[{i}]", upper[n:], True),
                     ("|a_conn[{i}][{j}]|*r_hi[{i}]*Lf[{j}]", L[:n, n:], xy),
                     ("|b_conn[{i}][{j}]|*p_hi[{i}]*Lg[{j}]", L[n:, :n], yx))
-        problems = [name.format(i=at[0] + 1, j=at[-1] + 1)
+        problems = [name.format(i=at[0], j=at[-1])
                     + (" overflows" if value[at] else " underflows to 0")
                     for name, value, nonzero in products
                     for at in zip(*np.nonzero(~np.isfinite(value) | (value == 0) & nonzero))]
@@ -478,8 +455,8 @@ def merged_bounds(bam: BamSpec):
 def bam_to_general(bam: BamSpec) -> GeneralSystemSpec:
     """Merge the two layers into one general spec of dimension 2n.
 
-    Its fields are the arrays of `merged_bounds`, which the test matrix of
-    the two-layer spec is built from, so both agree to the last bit.
+    Its fields are copies of the arrays of `merged_bounds`, which the test
+    matrix of the two-layer spec is built from, so both agree to the last bit.
     """
     alpha, upper, tau, L, sigma = merged_bounds(bam)
     return GeneralSystemSpec(alpha=alpha, A=upper, tau=tau, sigma=sigma, L=L)

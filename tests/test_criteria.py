@@ -411,13 +411,13 @@ def test_certificate_validates_its_spec(general_2x2, bad, family):
                                 sigma_x=0.4, sigma_y=0.5)
         with pytest.raises(InvalidSpecError) as exc:
             replace(valid, a=[bad])
-        assert exc.value.violations == [f"a[1] {message}"]
+        assert exc.value.violations == [f"a[0] {message}"]
     else:
         with pytest.raises(InvalidSpecError) as exc:
             replace(general_2x2, alpha=[general_2x2.alpha[0], bad],
                     diagonal_delay_free=family == "delay_free")
-        # NaN breaks both of alpha's rules, > 0 and <= A
-        assert exc.value.violations == [f"alpha[2] {message}"] * (1 if bad < 0 else 2)
+        # NaN breaks both of alpha's rules, > 0 and <= A, and is named once
+        assert exc.value.violations == [f"alpha[1] {message}"]
 
 
 def test_isolated_decay_hits_search_top():

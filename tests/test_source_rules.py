@@ -72,6 +72,18 @@ def test_no_module_names_a_second_constant_or_step_cap_bound():
     assert found == [], found
 
 
+def test_no_module_names_a_second_spec_error_or_layout():
+    # each spec type declares its arrays and rules once, on the class, and
+    # every broken rule is an InvalidSpecError naming one of its fields
+    gone = {"SpecRuleError", "_set_arrays", "_eq", "_RULES", "_GROUPS"}
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in gone & {getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None)}]
+    assert found == [], found
+
+
 def test_package_fits_decay_at_one_site():
     # simulate and sweep --simulate report the same observed rate, so they
     # share one fit toward one reference

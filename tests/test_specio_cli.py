@@ -27,6 +27,7 @@ from delaystab import (
 from delaystab.cli import main
 from delaystab.systems import merged_bounds
 
+from conftest import random_bam
 from oracles import serialize_spec
 
 
@@ -363,8 +364,8 @@ def test_cli_merged_bound_underflow_is_an_input_error(tmp_path, command):
     res = run_cli(command, str(path))
     assert res.returncode == 1
     assert res.stdout == ""
-    assert res.stderr == ("error: invalid spec: r_lo[1]*a[1] underflows to 0; "
-                          "r_hi[1]*a[1] underflows to 0\n")
+    assert res.stderr == ("error: invalid spec: r_lo[0]*a[0] underflows to 0; "
+                          "r_hi[0]*a[0] underflows to 0\n")
 
 
 def test_cli_equilibrium(inputs_dir):
@@ -428,15 +429,16 @@ _NO_BOUNDS = {key: [] for key in ("b", "a_conn", "b_conn", "Lf", "Lg", "r_lo", "
 
 @pytest.mark.parametrize("doc, message", [
     ({"kind": "general", "spec": {"alpha": [], "A": [], "tau": [], "sigma": [], "L": []}},
-     "alpha must be a nonempty vector"),
+     "spec.alpha must be a nonempty vector"),
     ({"kind": "general", "spec": {}, "history": [],
       "dynamics": {"coefficients": [], "leak_lags": [], "coupling_lags": [], "couplings": []}},
-     "alpha must be a nonempty vector"),
-    ({"kind": "bam", "spec": dict(_NO_BOUNDS, a=[])}, "a must be a nonempty vector"),
-], ids=["general", "general_dynamics", "bam"])
-def test_cli_empty_spec_is_an_error_without_a_field_prefix(capsys, tmp_path, doc, message):
-    # a spec that cannot be built is named by its field alone; only a broken
-    # rule of a built spec is named by its document path (spec.alpha[1] ...)
+     "dynamics.coefficients: expected a nonempty list of function objects"),
+    ({"kind": "linear", "spec": {}, "history": [], "dynamics": {"coefficients": [], "lags": []}},
+     "dynamics.coefficients: expected a nonempty matrix of function objects"),
+    ({"kind": "bam", "spec": dict(_NO_BOUNDS, a=[])}, "spec.a must be a nonempty vector"),
+], ids=["general", "general_dynamics", "linear_dynamics", "bam"])
+def test_cli_empty_spec_names_a_path_the_document_has(capsys, tmp_path, doc, message):
+    # a dynamics document has no spec.alpha: its empty list is named instead
     path = tmp_path / "empty.json"
     path.write_text(json.dumps(doc))
     rc = main(["analyze", str(path)])
@@ -701,25 +703,39 @@ def _general_dynamics_doc() -> dict:
             "history": [1.0, 1.0]}
 
 
-@pytest.mark.parametrize("kind, keys, node, path, shown", [
+_HUGE = {"base": 1e308, "amp": 1e308}
+
+
+@pytest.mark.parametrize("kind, keys, node, message", [
     ("general", ("coefficients", 0), {"type": "sinusoid", "base": math.inf, "amp": 0.1},
-     "dynamics.coefficients[0].base", "inf"),
-    ("general", ("leak_lags", 0), _constant(math.nan), "dynamics.leak_lags[0].value", "nan"),
+     "dynamics.coefficients[0].base: expected a finite number, got inf"),
+    ("general", ("leak_lags", 0), _constant(math.nan),
+     "dynamics.leak_lags[0].value: expected a finite number, got nan"),
     ("general", ("couplings", 0, 0), {"type": "linear", "k": math.inf},
-     "dynamics.couplings[0][0].k", "inf"),
+     "dynamics.couplings[0][0].k: expected a finite number, got inf"),
     ("two_neuron", ("trans_x",), {"type": "sin_squared", "amp": math.nan},
-     "dynamics.trans_x.amp", "nan"),
-], ids=["coefficient-base", "leak-lag-value", "coupling-k", "two-neuron-trans-x-amp"])
+     "dynamics.trans_x.amp: expected a finite number, got nan"),
+    ("general", ("leak_lags", 0), dict(_HUGE, type="shifted_abs_sin"),
+     "dynamics.leak_lags[0]: bound overflows to inf"),
+    ("general", ("coefficients", 0), dict(_HUGE, type="sinusoid", base=1.7e308),
+     "dynamics.coefficients[0]: upper overflows to inf"),
+    ("two_neuron", ("rate_x",), dict(_HUGE, type="cosinusoid", base=1.7e308),
+     "dynamics.rate_x: upper overflows to inf"),
+    ("two_neuron", ("trans_x",), dict(_HUGE, type="shifted_abs_cos"),
+     "dynamics.trans_x: bound overflows to inf"),
+], ids=["coefficient-base", "leak-lag-value", "coupling-k", "two-neuron-trans-x-amp",
+        "leak-lag-bound-overflow", "coefficient-upper-overflow",
+        "two-neuron-rate-x-upper-overflow", "two-neuron-trans-x-bound-overflow"])
 def test_non_finite_catalog_parameter_is_named_by_its_path(capsys, tmp_path, two_neuron_doc,
-                                                           kind, keys, node, path, shown):
+                                                           kind, keys, node, message):
     # Python's json reads NaN and Infinity; the spec fields derived from the
-    # parameter are not in the document, so the parameter itself is named
+    # parameter, or from a range or bound that overflows, are not in the
+    # document, so the parameter or the function itself is named
     doc = two_neuron_doc if kind == "two_neuron" else _general_dynamics_doc()
     parent = doc["dynamics"]
     for key in keys[:-1]:
         parent = parent[key]
     parent[keys[-1]] = node
-    message = f"{path}: expected a finite number, got {shown}"
     with pytest.raises(DocumentError) as exc:
         parse_document(doc)
     assert str(exc.value) == message
@@ -746,6 +762,30 @@ def test_cli_integer_beyond_float_range_is_an_input_error(capsys, tmp_path, doc,
     for verb in ("analyze", "certify-rate", "equilibrium"):
         assert main([verb, str(file)]) == 1
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("kind, changes, message", [
+    ("general", {"alpha": [math.inf, 1.0, 1.0]}, "spec.alpha[0] must be finite (got inf)"),
+    ("general", {"alpha": [0.0, 1.0, 1.0]}, "spec.alpha[0] must be > 0 (got 0.0)"),
+    ("bam", {"r_lo": [1.0, 1.0], "r_hi": [1.0, 0.5]},
+     "spec.r_lo[1] must be <= its upper partner (got 1.0 > 0.5)"),
+    ("two_neuron", {"tau_x": -0.1, "coupling_xy": math.inf},
+     "spec.tau_x must be >= 0 (got -0.1); spec.coupling_xy must be finite (got inf)"),
+], ids=["general-infinite", "general-zero", "bam-partner", "two-neuron-scalars"])
+def test_cli_spec_rule_names_the_entry_the_document_has(capsys, tmp_path, inputs_dir,
+                                                        kind, changes, message):
+    # entries count from 0, as the document's lists do, a non-finite entry is
+    # named once although it breaks two rules, and a two_neuron document's
+    # scalars are named without an index, the couplings by their own names
+    docs = {"general": json.loads((inputs_dir / "general_sample.json").read_text()),
+            "bam": serialize_spec(random_bam(np.random.default_rng(1), n=2)),
+            "two_neuron": {"kind": "two_neuron", "spec": dict(ROUNDING_TIE)}}
+    doc = docs[kind]
+    doc["spec"].update(changes)
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert main(["analyze", str(file)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def _blow_up_doc() -> dict:

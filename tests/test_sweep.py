@@ -166,8 +166,8 @@ def test_sweep_reports_a_value_that_makes_the_spec_invalid():
     assert rows[0].status == "stable_certified" and rows[0].criterion == "cor0"
     assert rows[0].lambda0 == 0.510621319193048
     assert [r.error for r in rows[1:]] == [
-        "spec.L[1][2] must be >= 0 (got -0.5); spec.L[2][1] must be >= 0 (got -0.5)",
-        "spec.L[1][2] must be finite (got nan); spec.L[2][1] must be finite (got nan)"]
+        "spec.L[0][1] must be >= 0 (got -0.5); spec.L[1][0] must be >= 0 (got -0.5)",
+        "spec.L[0][1] must be finite (got nan); spec.L[1][0] must be finite (got nan)"]
     assert all(r.status == "error" and r.criterion is None for r in rows[1:])
 
 

@@ -172,10 +172,10 @@ def test_validate_flags_each_problem(general_2x2):
     # a spec checks its rules when built, and again when `replace` rebuilds it
     assert dataclasses.replace(general_2x2) == general_2x2
     problems = [
-        "alpha[1] must be > 0 (got 0.0)",                               # nonpositive lower bracket
-        "alpha[2] must be <= its upper partner (got 1.0 > 0.5)",        # upper below lower
-        "tau[1] must be >= 0 (got -0.1)",
-        "L[1][2] must be >= 0 (got -0.2)",
+        "alpha[0] must be > 0 (got 0.0)",                               # nonpositive lower bracket
+        "alpha[1] must be <= its upper partner (got 1.0 > 0.5)",        # upper below lower
+        "tau[0] must be >= 0 (got -0.1)",
+        "L[0][1] must be >= 0 (got -0.2)",
     ]
     bad = dict(alpha=[0.0, 1.0], A=[1.0, 0.5], tau=[-0.1, 0.0], L=[[0.0, -0.2], [0.0, 0.0]])
     with pytest.raises(InvalidSpecError) as exc:
@@ -184,6 +184,30 @@ def test_validate_flags_each_problem(general_2x2):
     with pytest.raises(InvalidSpecError) as exc:
         dataclasses.replace(general_2x2, **bad)
     assert exc.value.violations == problems
+
+
+@pytest.mark.parametrize("cls", [GeneralSystemSpec, LinearSystemSpec, BamSpec])
+def test_each_spec_type_declares_its_fields_once(cls):
+    # the declared arrays, and the flag where the type has one, are exactly
+    # its fields, and every rule reads declared arrays
+    arrays = cls.VECTORS + cls.MATRICES
+    flag = ("diagonal_delay_free",) if hasattr(cls, "diagonal_delay_free") else ()
+    assert sorted(arrays + flag) == sorted(f.name for f in dataclasses.fields(cls))
+    assert len(set(arrays)) == len(arrays)
+    ruled = {name for field, _, partner in cls.RULES for name in (field, partner)}
+    assert ruled - {None} <= set(arrays)
+
+
+def test_spec_keeps_copies_of_the_arrays_it_is_given():
+    # the caller's arrays stay writable, and a later write to one reaches no
+    # spec, which would then hold bounds outside its rules
+    alpha, base = np.array([1.0, 1.0]), np.array([2.0, 2.0, 2.0])
+    spec = GeneralSystemSpec(alpha=alpha, A=base[:2], tau=[0.0, 0.0],
+                             sigma=np.zeros((2, 2)), L=np.zeros((2, 2)))
+    alpha[0] = 2.0
+    base[0] = -5.0
+    assert spec.alpha.tolist() == [1.0, 1.0] and spec.A.tolist() == [2.0, 2.0]
+    assert not spec.alpha.flags.writeable
 
 
 def test_shape_mismatch_rejected_at_construction():
@@ -200,7 +224,7 @@ def test_bam_validation():
                 Lf=[0.5], Lg=[0.2], r_lo=[1.0], r_hi=[1.0],
                 p_lo=[1.0], p_hi=[1.0], tau_x=[0.1], tau_y=[0.1],
                 sigma_x=[0.1], sigma_y=[0.1], I=[0.0], J=[0.0])
-    assert exc.value.violations == ["a[1] must be > 0 (got -1.0)"]
+    assert exc.value.violations == ["a[0] must be > 0 (got -1.0)"]
     with pytest.raises(InvalidSpecError):
         two_neuron_spec(a=-1.0, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
                         Lf=0.5, Lg=0.2, tau_x=0.1, tau_y=0.1,
@@ -267,10 +291,10 @@ TWO_NEURON = dict(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0, Lf=0.5, Lg=0.2
 
 @pytest.mark.parametrize("changes, problems", [
     (dict(a=1e-200, r_lo=1e-200, r_hi=1e-200),
-     ["r_lo[1]*a[1] underflows to 0", "r_hi[1]*a[1] underflows to 0"]),
+     ["r_lo[0]*a[0] underflows to 0", "r_hi[0]*a[0] underflows to 0"]),
     (dict(a=1e200, r_lo=1e100, r_hi=1e200, coupling_xy=1e200),
-     ["r_hi[1]*a[1] overflows", "|a_conn[1][1]|*r_hi[1]*Lf[1] overflows"]),
-    (dict(coupling_yx=1e-300, Lg=1e-30), ["|b_conn[1][1]|*p_hi[1]*Lg[1] underflows to 0"]),
+     ["r_hi[0]*a[0] overflows", "|a_conn[0][0]|*r_hi[0]*Lf[0] overflows"]),
+    (dict(coupling_yx=1e-300, Lg=1e-30), ["|b_conn[0][0]|*p_hi[0]*Lg[0] underflows to 0"]),
 ])
 def test_merged_bounds_outside_float_range_name_the_product(changes, problems):
     # a merged bound that is 0 or inf although no factor is would reach the
@@ -287,7 +311,7 @@ def test_merged_bounds_outside_float_range_name_the_product(changes, problems):
 
 def test_merged_bounds_accept_a_zero_factor_and_name_entries_by_position():
     # a zero connection or Lipschitz constant makes a zero coupling bound,
-    # which is no underflow; the names give 1-based row and column
+    # which is no underflow; the names give the 0-based row and column
     bam = BamSpec(a=[1.0, 1.0], b=[1.0, 1.0], a_conn=[[0.0, 1.0], [1e-300, 1.0]],
                   b_conn=[[1.0, 1.0], [1.0, 1.0]], Lf=[1e-30, 1.0], Lg=[0.0, 1.0],
                   r_lo=[1.0, 1.0], r_hi=[1.0, 1.0], p_lo=[1.0, 1.0], p_hi=[1.0, 1.0],
@@ -295,7 +319,7 @@ def test_merged_bounds_accept_a_zero_factor_and_name_entries_by_position():
                   sigma_y=[1.0, 1.0], I=[0.0, 0.0], J=[0.0, 0.0])
     with pytest.raises(InvalidSpecError) as exc:
         merged_bounds(bam)
-    assert exc.value.violations == ["|a_conn[2][1]|*r_hi[2]*Lf[1] underflows to 0"]
+    assert exc.value.violations == ["|a_conn[1][0]|*r_hi[1]*Lf[0] underflows to 0"]
     fixed = dataclasses.replace(bam, a_conn=[[0.0, 1.0], [1e-200, 1.0]])
     L = merged_bounds(fixed)[3]
     assert L[2, 0] == 0.0 and L[0, 2] == 0.0 and L[1, 2] == 1e-230
@@ -440,26 +464,26 @@ def test_validate_messages_and_order_for_every_rule():
                 tau_x=[0.0, -0.5], tau_y=[0.0, 0.0], sigma_x=[0.0, 0.0],
                 sigma_y=[inf, 0.0], I=[0.0, -inf], J=[0.0, 0.0])
     assert exc.value.violations == [
-        "a[1] must be > 0 (got 0.0)",
-        "b[2] must be finite (got nan)",
-        "r_lo[1] must be <= its upper partner (got 2.0 > 1.0)",
-        "p_lo[2] must be > 0 (got -1.0)",
-        "Lf[1] must be >= 0 (got -1.0)",
-        "tau_x[2] must be >= 0 (got -0.5)",
-        "sigma_y[1] must be finite (got inf)",
-        "I[2] must be finite (got -inf)",
-        "a_conn[1][1] must be finite (got inf)",
-        "b_conn[2][1] must be finite (got nan)",
+        "a[0] must be > 0 (got 0.0)",
+        "b[1] must be finite (got nan)",
+        "r_lo[0] must be <= its upper partner (got 2.0 > 1.0)",
+        "p_lo[1] must be > 0 (got -1.0)",
+        "Lf[0] must be >= 0 (got -1.0)",
+        "tau_x[1] must be >= 0 (got -0.5)",
+        "sigma_y[0] must be finite (got inf)",
+        "I[1] must be finite (got -inf)",
+        "a_conn[0][0] must be finite (got inf)",
+        "b_conn[1][0] must be finite (got nan)",
     ]
     with pytest.raises(InvalidSpecError) as exc:
         GeneralSystemSpec(alpha=[nan, 2.0], A=[1.0, 1.0], tau=[0.0, 0.0],
                           sigma=[[0.0, -1.0], [0.0, 0.0]], L=[[0.0, 0.0], [inf, 0.0]])
     assert exc.value.violations == [
-        "alpha[1] must be finite (got nan)",
-        "alpha[1] must be finite (got nan)",
-        "alpha[2] must be <= its upper partner (got 2.0 > 1.0)",
-        "sigma[1][2] must be >= 0 (got -1.0)",
-        "L[2][1] must be finite (got inf)",
+        # alpha[0] breaks both of alpha's rules and is named once, at the first
+        "alpha[0] must be finite (got nan)",
+        "alpha[1] must be <= its upper partner (got 2.0 > 1.0)",
+        "sigma[0][1] must be >= 0 (got -1.0)",
+        "L[1][0] must be finite (got inf)",
     ]
 
 
@@ -475,14 +499,15 @@ def test_shifted_abs_lag_bound_is_the_true_maximum():
 
 def field_by_field(cls, values) -> list[str]:
     """The rule check of a spec built from `values`, as it was written before
-    the rules became one table: one `_check` call per rule, in message order."""
+    the rules became one table: one `_check` call per rule, in message order,
+    a field's later rule naming no non-finite entry (`first=False`)."""
     spec = types.SimpleNamespace(**{name: np.asarray(v, dtype=float)
                                     for name, v in values.items()})
     out: list[str] = []
     if cls in (GeneralSystemSpec, LinearSystemSpec):
         _check(out, spec.alpha, "alpha", "> 0")
         _check(out, spec.A, "A", ">= 0")
-        _check(out, spec.alpha, "alpha", "<=", spec.A)
+        _check(out, spec.alpha, "alpha", "<=", spec.A, first=False)
         if cls is GeneralSystemSpec:
             _check(out, spec.tau, "tau", ">= 0")
             _check(out, spec.sigma, "sigma", ">= 0")
@@ -496,7 +521,7 @@ def field_by_field(cls, values) -> list[str]:
         for lo, hi in (("r_lo", "r_hi"), ("p_lo", "p_hi")):
             _check(out, getattr(spec, lo), lo, "> 0")
             _check(out, getattr(spec, hi), hi, "> 0")
-            _check(out, getattr(spec, lo), lo, "<=", getattr(spec, hi))
+            _check(out, getattr(spec, lo), lo, "<=", getattr(spec, hi), first=False)
         for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"):
             _check(out, getattr(spec, name), name, ">= 0")
         for name in ("I", "J", "a_conn", "b_conn"):
