@@ -27,7 +27,7 @@ from delaystab import (
 from delaystab.cli import main
 from delaystab.systems import merged_bounds
 
-from conftest import random_bam
+from conftest import INPUTS, random_bam
 from oracles import serialize_spec
 
 
@@ -844,3 +844,220 @@ def test_error_line_stays_short_whatever_the_value(tmp_path, two_neuron_doc, whe
     assert (res.returncode, res.stdout) == (1, "")
     assert res.stderr.startswith(f"error: {shown}: ")
     assert res.stderr.count("\n") == 1 and len(res.stderr.encode()) < 200
+
+
+# --- one spec layout per kind ------------------------------------------------
+
+def _frozen_doc(kind: str, style: str) -> dict:
+    # one document per kind and style, each giving every spec field its kind
+    # reads in that style; bam has n = 2
+    linear = {"type": "linear", "k": 0.5}
+    bam_dynamics = {"rate_x": [_constant(1.0)] * 2, "rate_y": [_constant(1.0)] * 2,
+                    "leak_x": [_constant(0.1)] * 2, "leak_y": [_constant(0.1)] * 2,
+                    "trans_x": [_constant(0.2)] * 2, "trans_y": [_constant(0.2)] * 2,
+                    "f": [linear] * 2, "g": [linear] * 2}
+    docs = {
+        ("general", "bounds"): {"kind": "general", "spec": {
+            "alpha": [1.0, 1.0], "A": [1.2, 1.2], "tau": [0.1, 0.1],
+            "sigma": [[0.1, 0.2], [0.2, 0.1]], "L": [[0.1, 0.2], [0.2, 0.1]],
+            "diagonal_delay_free": False}},
+        ("general", "dynamics"): dict(_general_dynamics_doc(),
+                                      spec={"diagonal_delay_free": False}),
+        ("linear", "bounds"): {"kind": "linear", "spec": {
+            "alpha": [1.0, 1.0], "A": [1.2, 1.2], "A_off": [[0.0, 0.3], [0.3, 0.0]],
+            "sigma": [[0.0, 0.2], [0.2, 0.0]], "diagonal_delay_free": True}},
+        ("linear", "dynamics"): json.loads((INPUTS / "linear_coupled.json").read_text()),
+        ("bam", "bounds"): {"kind": "bam", "spec": {
+            "a": [1.0, 1.2], "b": [0.9, 1.1], "a_conn": [[0.3, 0.1], [0.2, 0.4]],
+            "b_conn": [[0.1, 0.2], [0.3, 0.1]], "Lf": [0.5, 0.5], "Lg": [1.0, 1.0],
+            "r_lo": [1.0, 1.0], "r_hi": [1.0, 1.0], "p_lo": [1.0, 1.0], "p_hi": [1.0, 1.0],
+            "tau_x": [0.1, 0.1], "tau_y": [0.2, 0.2], "sigma_x": [0.1, 0.1],
+            "sigma_y": [0.2, 0.2], "I": [0.5, 0.0], "J": [0.0, 0.5]}},
+        ("bam", "dynamics"): {"kind": "bam", "spec": {
+            "a": [1.0, 1.2], "b": [0.9, 1.1], "a_conn": [[0.3, 0.1], [0.2, 0.4]],
+            "b_conn": [[0.1, 0.2], [0.3, 0.1]], "I": [0.5, 0.0], "J": [0.0, 0.5]},
+            "dynamics": bam_dynamics, "history": [1.0, 1.0, 1.0, 1.0]},
+        ("two_neuron", "bounds"): {"kind": "two_neuron", "spec": {
+            "a": 1.0, "b": 0.9, "coupling_xy": 0.3, "coupling_yx": 0.2, "Lf": 0.5,
+            "Lg": 1.0, "r_lo": 1.0, "r_hi": 1.0, "p_lo": 1.0, "p_hi": 1.0, "tau_x": 0.1,
+            "tau_y": 0.2, "sigma_x": 0.1, "sigma_y": 0.2, "I": 0.5, "J": -0.5}},
+        ("two_neuron", "dynamics"): json.loads((INPUTS / "two_neuron_sample.json").read_text()),
+    }
+    return copy.deepcopy(docs[kind, style])
+
+
+# the error line of each edit of one spec field: the field removed, set to
+# "x", or (a list) with its last entry dropped; None where the document still
+# parses, with zero inputs or diagonal_delay_free false
+_FIELD_EDIT_MESSAGES = {
+    'general-bounds-alpha-removed': "spec: missing required field 'alpha'",
+    'general-bounds-alpha-x': 'spec.alpha: expected a list of numbers, got str',
+    'general-bounds-alpha-dropped': 'spec.A: expected 1 entries, got 2',
+    'general-bounds-A-removed': "spec: missing required field 'A'",
+    'general-bounds-A-x': 'spec.A: expected a list of numbers, got str',
+    'general-bounds-A-dropped': 'spec.A: expected 2 entries, got 1',
+    'general-bounds-tau-removed': "spec: missing required field 'tau'",
+    'general-bounds-tau-x': 'spec.tau: expected a list of numbers, got str',
+    'general-bounds-tau-dropped': 'spec.tau: expected 2 entries, got 1',
+    'general-bounds-sigma-removed': "spec: missing required field 'sigma'",
+    'general-bounds-sigma-x': 'spec.sigma: expected a 2x2 matrix',
+    'general-bounds-sigma-dropped': 'spec.sigma: expected a 2x2 matrix',
+    'general-bounds-L-removed': "spec: missing required field 'L'",
+    'general-bounds-L-x': 'spec.L: expected a 2x2 matrix',
+    'general-bounds-L-dropped': 'spec.L: expected a 2x2 matrix',
+    'general-bounds-diagonal_delay_free-removed': None,
+    'general-bounds-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
+    'general-dynamics-diagonal_delay_free-removed': None,
+    'general-dynamics-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
+    'linear-bounds-alpha-removed': "spec: missing required field 'alpha'",
+    'linear-bounds-alpha-x': 'spec.alpha: expected a list of numbers, got str',
+    'linear-bounds-alpha-dropped': 'spec.A: expected 1 entries, got 2',
+    'linear-bounds-A-removed': "spec: missing required field 'A'",
+    'linear-bounds-A-x': 'spec.A: expected a list of numbers, got str',
+    'linear-bounds-A-dropped': 'spec.A: expected 2 entries, got 1',
+    'linear-bounds-A_off-removed': "spec: missing required field 'A_off'",
+    'linear-bounds-A_off-x': 'spec.A_off: expected a 2x2 matrix',
+    'linear-bounds-A_off-dropped': 'spec.A_off: expected a 2x2 matrix',
+    'linear-bounds-sigma-removed': "spec: missing required field 'sigma'",
+    'linear-bounds-sigma-x': 'spec.sigma: expected a 2x2 matrix',
+    'linear-bounds-sigma-dropped': 'spec.sigma: expected a 2x2 matrix',
+    'linear-bounds-diagonal_delay_free-removed': None,
+    'linear-bounds-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
+    'linear-dynamics-diagonal_delay_free-removed': None,
+    'linear-dynamics-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
+    'bam-bounds-a-removed': "spec: missing required field 'a'",
+    'bam-bounds-a-x': 'spec.a: expected a list of numbers, got str',
+    'bam-bounds-a-dropped': 'spec.b: expected 1 entries, got 2',
+    'bam-bounds-b-removed': "spec: missing required field 'b'",
+    'bam-bounds-b-x': 'spec.b: expected a list of numbers, got str',
+    'bam-bounds-b-dropped': 'spec.b: expected 2 entries, got 1',
+    'bam-bounds-a_conn-removed': "spec: missing required field 'a_conn'",
+    'bam-bounds-a_conn-x': 'spec.a_conn: expected a 2x2 matrix',
+    'bam-bounds-a_conn-dropped': 'spec.a_conn: expected a 2x2 matrix',
+    'bam-bounds-b_conn-removed': "spec: missing required field 'b_conn'",
+    'bam-bounds-b_conn-x': 'spec.b_conn: expected a 2x2 matrix',
+    'bam-bounds-b_conn-dropped': 'spec.b_conn: expected a 2x2 matrix',
+    'bam-bounds-Lf-removed': "spec: missing required field 'Lf'",
+    'bam-bounds-Lf-x': 'spec.Lf: expected a list of numbers, got str',
+    'bam-bounds-Lf-dropped': 'spec.Lf: expected 2 entries, got 1',
+    'bam-bounds-Lg-removed': "spec: missing required field 'Lg'",
+    'bam-bounds-Lg-x': 'spec.Lg: expected a list of numbers, got str',
+    'bam-bounds-Lg-dropped': 'spec.Lg: expected 2 entries, got 1',
+    'bam-bounds-r_lo-removed': "spec: missing required field 'r_lo'",
+    'bam-bounds-r_lo-x': 'spec.r_lo: expected a list of numbers, got str',
+    'bam-bounds-r_lo-dropped': 'spec.r_lo: expected 2 entries, got 1',
+    'bam-bounds-r_hi-removed': "spec: missing required field 'r_hi'",
+    'bam-bounds-r_hi-x': 'spec.r_hi: expected a list of numbers, got str',
+    'bam-bounds-r_hi-dropped': 'spec.r_hi: expected 2 entries, got 1',
+    'bam-bounds-p_lo-removed': "spec: missing required field 'p_lo'",
+    'bam-bounds-p_lo-x': 'spec.p_lo: expected a list of numbers, got str',
+    'bam-bounds-p_lo-dropped': 'spec.p_lo: expected 2 entries, got 1',
+    'bam-bounds-p_hi-removed': "spec: missing required field 'p_hi'",
+    'bam-bounds-p_hi-x': 'spec.p_hi: expected a list of numbers, got str',
+    'bam-bounds-p_hi-dropped': 'spec.p_hi: expected 2 entries, got 1',
+    'bam-bounds-tau_x-removed': "spec: missing required field 'tau_x'",
+    'bam-bounds-tau_x-x': 'spec.tau_x: expected a list of numbers, got str',
+    'bam-bounds-tau_x-dropped': 'spec.tau_x: expected 2 entries, got 1',
+    'bam-bounds-tau_y-removed': "spec: missing required field 'tau_y'",
+    'bam-bounds-tau_y-x': 'spec.tau_y: expected a list of numbers, got str',
+    'bam-bounds-tau_y-dropped': 'spec.tau_y: expected 2 entries, got 1',
+    'bam-bounds-sigma_x-removed': "spec: missing required field 'sigma_x'",
+    'bam-bounds-sigma_x-x': 'spec.sigma_x: expected a list of numbers, got str',
+    'bam-bounds-sigma_x-dropped': 'spec.sigma_x: expected 2 entries, got 1',
+    'bam-bounds-sigma_y-removed': "spec: missing required field 'sigma_y'",
+    'bam-bounds-sigma_y-x': 'spec.sigma_y: expected a list of numbers, got str',
+    'bam-bounds-sigma_y-dropped': 'spec.sigma_y: expected 2 entries, got 1',
+    'bam-bounds-I-removed': None,
+    'bam-bounds-I-x': 'spec.I: expected a list of numbers, got str',
+    'bam-bounds-I-dropped': 'spec.I: expected 2 entries, got 1',
+    'bam-bounds-J-removed': None,
+    'bam-bounds-J-x': 'spec.J: expected a list of numbers, got str',
+    'bam-bounds-J-dropped': 'spec.J: expected 2 entries, got 1',
+    'bam-dynamics-a-removed': "spec: missing required field 'a'",
+    'bam-dynamics-a-x': 'spec.a: expected a list of numbers, got str',
+    'bam-dynamics-a-dropped': 'spec.b: expected 1 entries, got 2',
+    'bam-dynamics-b-removed': "spec: missing required field 'b'",
+    'bam-dynamics-b-x': 'spec.b: expected a list of numbers, got str',
+    'bam-dynamics-b-dropped': 'spec.b: expected 2 entries, got 1',
+    'bam-dynamics-a_conn-removed': "spec: missing required field 'a_conn'",
+    'bam-dynamics-a_conn-x': 'spec.a_conn: expected a 2x2 matrix',
+    'bam-dynamics-a_conn-dropped': 'spec.a_conn: expected a 2x2 matrix',
+    'bam-dynamics-b_conn-removed': "spec: missing required field 'b_conn'",
+    'bam-dynamics-b_conn-x': 'spec.b_conn: expected a 2x2 matrix',
+    'bam-dynamics-b_conn-dropped': 'spec.b_conn: expected a 2x2 matrix',
+    'bam-dynamics-I-removed': None,
+    'bam-dynamics-I-x': 'spec.I: expected a list of numbers, got str',
+    'bam-dynamics-I-dropped': 'spec.I: expected 2 entries, got 1',
+    'bam-dynamics-J-removed': None,
+    'bam-dynamics-J-x': 'spec.J: expected a list of numbers, got str',
+    'bam-dynamics-J-dropped': 'spec.J: expected 2 entries, got 1',
+    'two_neuron-bounds-a-removed': "spec: missing required field 'a'",
+    'two_neuron-bounds-a-x': "spec.a: expected a number, got 'x'",
+    'two_neuron-bounds-b-removed': "spec: missing required field 'b'",
+    'two_neuron-bounds-b-x': "spec.b: expected a number, got 'x'",
+    'two_neuron-bounds-coupling_xy-removed': "spec: missing required field 'coupling_xy'",
+    'two_neuron-bounds-coupling_xy-x': "spec.coupling_xy: expected a number, got 'x'",
+    'two_neuron-bounds-coupling_yx-removed': "spec: missing required field 'coupling_yx'",
+    'two_neuron-bounds-coupling_yx-x': "spec.coupling_yx: expected a number, got 'x'",
+    'two_neuron-bounds-Lf-removed': "spec: missing required field 'Lf'",
+    'two_neuron-bounds-Lf-x': "spec.Lf: expected a number, got 'x'",
+    'two_neuron-bounds-Lg-removed': "spec: missing required field 'Lg'",
+    'two_neuron-bounds-Lg-x': "spec.Lg: expected a number, got 'x'",
+    'two_neuron-bounds-r_lo-removed': "spec: missing required field 'r_lo'",
+    'two_neuron-bounds-r_lo-x': "spec.r_lo: expected a number, got 'x'",
+    'two_neuron-bounds-r_hi-removed': "spec: missing required field 'r_hi'",
+    'two_neuron-bounds-r_hi-x': "spec.r_hi: expected a number, got 'x'",
+    'two_neuron-bounds-p_lo-removed': "spec: missing required field 'p_lo'",
+    'two_neuron-bounds-p_lo-x': "spec.p_lo: expected a number, got 'x'",
+    'two_neuron-bounds-p_hi-removed': "spec: missing required field 'p_hi'",
+    'two_neuron-bounds-p_hi-x': "spec.p_hi: expected a number, got 'x'",
+    'two_neuron-bounds-tau_x-removed': "spec: missing required field 'tau_x'",
+    'two_neuron-bounds-tau_x-x': "spec.tau_x: expected a number, got 'x'",
+    'two_neuron-bounds-tau_y-removed': "spec: missing required field 'tau_y'",
+    'two_neuron-bounds-tau_y-x': "spec.tau_y: expected a number, got 'x'",
+    'two_neuron-bounds-sigma_x-removed': "spec: missing required field 'sigma_x'",
+    'two_neuron-bounds-sigma_x-x': "spec.sigma_x: expected a number, got 'x'",
+    'two_neuron-bounds-sigma_y-removed': "spec: missing required field 'sigma_y'",
+    'two_neuron-bounds-sigma_y-x': "spec.sigma_y: expected a number, got 'x'",
+    'two_neuron-bounds-I-removed': None,
+    'two_neuron-bounds-I-x': "spec.I: expected a number, got 'x'",
+    'two_neuron-bounds-J-removed': None,
+    'two_neuron-bounds-J-x': "spec.J: expected a number, got 'x'",
+    'two_neuron-dynamics-a-removed': "spec: missing required field 'a'",
+    'two_neuron-dynamics-a-x': "spec.a: expected a number, got 'x'",
+    'two_neuron-dynamics-b-removed': "spec: missing required field 'b'",
+    'two_neuron-dynamics-b-x': "spec.b: expected a number, got 'x'",
+    'two_neuron-dynamics-coupling_xy-removed': "spec: missing required field 'coupling_xy'",
+    'two_neuron-dynamics-coupling_xy-x': "spec.coupling_xy: expected a number, got 'x'",
+    'two_neuron-dynamics-coupling_yx-removed': "spec: missing required field 'coupling_yx'",
+    'two_neuron-dynamics-coupling_yx-x': "spec.coupling_yx: expected a number, got 'x'",
+    'two_neuron-dynamics-I-removed': None,
+    'two_neuron-dynamics-I-x': "spec.I: expected a number, got 'x'",
+    'two_neuron-dynamics-J-removed': None,
+    'two_neuron-dynamics-J-x': "spec.J: expected a number, got 'x'",
+}
+
+
+@pytest.mark.parametrize("case", list(_FIELD_EDIT_MESSAGES))
+def test_each_spec_field_edit_keeps_its_message(capsys, tmp_path, case):
+    kind, style, field, edit = case.split("-")
+    doc = _frozen_doc(kind, style)
+    if edit == "removed":
+        del doc["spec"][field]
+    elif edit == "x":
+        doc["spec"][field] = "x"
+    else:
+        doc["spec"][field] = doc["spec"][field][:-1]
+    message = _FIELD_EDIT_MESSAGES[case]
+    if message is None:
+        spec = parse_document(doc).spec
+        default = getattr(spec, field)
+        if field == "diagonal_delay_free":
+            assert default is False
+        else:
+            assert np.array_equal(default, np.zeros_like(spec.a))
+        return
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert main(["analyze", str(file)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
