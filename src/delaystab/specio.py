@@ -20,7 +20,9 @@ When "dynamics" is present the analytic bounds (decay brackets, delay
 bounds, Lipschitz constants) are derived from the named functions; the spec
 section then only carries the structural constants.  Without dynamics the
 bounds are given explicitly and the document supports analysis only, not
-simulation.
+simulation.  The spec classes declare this bounds-only layout: the document
+gives every field of its kind's spec class, with I and J zero when absent
+(`two_neuron` writes the one-unit `bam` in scalars).
 
 All diagnostics carry the JSON field path of the offending value; a broken
 spec rule names its field and entry (`spec.alpha[0] must be > 0 ...`).  A list
@@ -35,8 +37,8 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import dataclass
-from functools import cached_property, partial
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -53,7 +55,6 @@ from .systems import (
     LinearSystemSpec,
 )
 
-KINDS = ("general", "linear", "bam", "two_neuron")
 # a document deeper than the interpreter's recursion limit is malformed
 _TOO_DEEP = "document nests too deeply"
 
@@ -289,7 +290,7 @@ def _require_delay_free(diagonal_lags, path: str):
                                     f"(bound {fn.bound})")
 
 
-def _general_dynamics(dyn: dict, flag: bool):
+def _general_dynamics(dyn: dict, given: dict, scalar: bool):
     _check_keys(dyn, "dynamics",
                 allowed=("coefficients", "leak_lags", "coupling_lags", "couplings"),
                 required=("coefficients", "leak_lags", "coupling_lags", "couplings"))
@@ -300,7 +301,7 @@ def _general_dynamics(dyn: dict, flag: bool):
     coeffs = _fn_list(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
     leak = _fn_list(dyn["leak_lags"], LAG_CATALOG, "dynamics.leak_lags", m,
                     allow_null=True)
-    if flag:
+    if given["diagonal_delay_free"]:
         _require_delay_free(leak, "dynamics.leak_lags[{i}]")
     clags = _fn_matrix(dyn["coupling_lags"], LAG_CATALOG, "dynamics.coupling_lags",
                        m, allow_null=True)
@@ -310,18 +311,15 @@ def _general_dynamics(dyn: dict, flag: bool):
         if c.lower <= 0:
             _fail(f"dynamics.coefficients[{i}]",
                   f"decay coefficient range must stay positive (lower {c.lower})")
-    spec = GeneralSystemSpec(
-        alpha=[c.lower for c in coeffs],
-        A=[c.upper for c in coeffs],
-        tau=[_lag_bound(f) for f in leak],
-        sigma=[[_lag_bound(f) for f in row] for row in clags],
-        L=[[0.0 if f is None else f.lipschitz for f in row] for row in coups],
-        diagonal_delay_free=flag,
-    )
-    return spec, partial(GeneralConcrete, spec, coeffs, leak, clags, coups)
+    bounds = dict(alpha=[c.lower for c in coeffs], A=[c.upper for c in coeffs],
+                  tau=[_lag_bound(f) for f in leak],
+                  sigma=[[_lag_bound(f) for f in row] for row in clags],
+                  L=[[0.0 if f is None else f.lipschitz for f in row] for row in coups])
+    return bounds, lambda spec, history: GeneralConcrete(spec, coeffs, leak, clags, coups,
+                                                         history)
 
 
-def _linear_dynamics(dyn: dict, flag: bool):
+def _linear_dynamics(dyn: dict, given: dict, scalar: bool):
     _check_keys(dyn, "dynamics", allowed=("coefficients", "lags"),
                 required=("coefficients", "lags"))
     if not isinstance(dyn["coefficients"], list) or not dyn["coefficients"]:
@@ -329,7 +327,7 @@ def _linear_dynamics(dyn: dict, flag: bool):
     m = len(dyn["coefficients"])
     coeffs = _fn_matrix(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
     lags = _fn_matrix(dyn["lags"], LAG_CATALOG, "dynamics.lags", m, allow_null=True)
-    if flag:
+    if given["diagonal_delay_free"]:
         _require_delay_free([lags[i][i] for i in range(m)], "dynamics.lags[{i}][{i}]")
     alpha, upper, off = [], [], []
     for i in range(m):
@@ -341,124 +339,95 @@ def _linear_dynamics(dyn: dict, flag: bool):
         upper.append(-diag.lower)
         off.append([max(abs(coeffs[i][j].lower), abs(coeffs[i][j].upper))
                     if j != i else 0.0 for j in range(m)])
-    spec = LinearSystemSpec(
-        alpha=alpha, A=upper, A_off=off,
-        sigma=[[_lag_bound(f) for f in row] for row in lags],
-        diagonal_delay_free=flag,
-    )
-    return spec, partial(LinearConcrete, spec, coeffs, lags)
+    bounds = dict(alpha=alpha, A=upper, A_off=off,
+                  sigma=[[_lag_bound(f) for f in row] for row in lags])
+    return bounds, lambda spec, history: LinearConcrete(spec, coeffs, lags, history)
 
 
-# flat kinds: spec class, whose fields a bounds-only document gives, and the
-# parser of the dynamics section
-_FLAT_KINDS = {
-    "general": (GeneralSystemSpec, _general_dynamics),
-    "linear": (LinearSystemSpec, _linear_dynamics),
-}
-
-
-def _parse_flat(doc: dict, kind: str):
-    spec_node = doc.get("spec")
-    if not isinstance(spec_node, dict):
-        _fail("spec", "expected an object")
-    dyn = doc.get("dynamics")
-    flag = spec_node.get("diagonal_delay_free", False)
-    if not isinstance(flag, bool):
-        _fail("spec.diagonal_delay_free", "expected true or false")
-    cls, parse_dynamics = _FLAT_KINDS[kind]
-    if dyn is None:
-        keys = cls.VECTORS + cls.MATRICES
-        _check_keys(spec_node, "spec", allowed=keys + ("diagonal_delay_free",), required=keys)
-        alpha = _num_list(spec_node["alpha"], "spec.alpha")
-        m = len(alpha)
-        bounds = {key: _num_list(spec_node[key], f"spec.{key}", m) for key in cls.VECTORS[1:]}
-        bounds.update({key: _num_matrix(spec_node[key], f"spec.{key}", m) for key in cls.MATRICES})
-        spec, make_concrete = cls(alpha=alpha, diagonal_delay_free=flag, **bounds), None
-    else:
-        _check_keys(spec_node, "spec", allowed=("diagonal_delay_free",))
-        if not isinstance(dyn, dict):
-            _fail("dynamics", "expected an object")
-        spec, make_concrete = parse_dynamics(dyn, flag)
-    return spec, spec.m, make_concrete
-
-
-_BAM_BOUND_KEYS = ("Lf", "Lg", "r_lo", "r_hi", "p_lo", "p_hi",
-                   "tau_x", "tau_y", "sigma_x", "sigma_y")
-_BAM_DYN_KEYS = ("rate_x", "rate_y", "leak_x", "leak_y", "trans_x", "trans_y",
-                 "f", "g")
-
-
-def _parse_bam_like(doc: dict, kind: str):
-    spec_node = doc.get("spec")
-    if not isinstance(spec_node, dict):
-        _fail("spec", "expected an object")
-    dyn = doc.get("dynamics")
-    scalar = kind == "two_neuron"
-    conn_keys = ("coupling_xy", "coupling_yx") if scalar else ("a_conn", "b_conn")
-
-    def values(key, path, n=None):
-        if scalar:
-            return [_num(spec_node[key], path)]
-        return _num_list(spec_node[key], path, n)
-
-    if dyn is None:
-        _check_keys(spec_node, "spec",
-                    allowed=("a", "b", "I", "J") + conn_keys + _BAM_BOUND_KEYS,
-                    required=("a", "b") + conn_keys + _BAM_BOUND_KEYS)
-    else:
-        _check_keys(spec_node, "spec", allowed=("a", "b", "I", "J") + conn_keys,
-                    required=("a", "b") + conn_keys)
-    a = values("a", "spec.a")
-    n = len(a)
-    b = values("b", "spec.b", n)
-    if scalar:
-        a_conn = [[_num(spec_node["coupling_xy"], "spec.coupling_xy")]]
-        b_conn = [[_num(spec_node["coupling_yx"], "spec.coupling_yx")]]
-    else:
-        a_conn = _num_matrix(spec_node["a_conn"], "spec.a_conn", n)
-        b_conn = _num_matrix(spec_node["b_conn"], "spec.b_conn", n)
-    inputs_i = values("I", "spec.I", n) if "I" in spec_node else [0.0] * n
-    inputs_j = values("J", "spec.J", n) if "J" in spec_node else [0.0] * n
-
-    if dyn is None:
-        bounds = {key: values(key, f"spec.{key}", n) for key in _BAM_BOUND_KEYS}
-        spec = BamSpec(a=a, b=b, a_conn=a_conn, b_conn=b_conn,
-                       I=inputs_i, J=inputs_j, **bounds)
-        return spec, 2 * n, None
-
-    if not isinstance(dyn, dict):
-        _fail("dynamics", "expected an object")
-    _check_keys(dyn, "dynamics", allowed=_BAM_DYN_KEYS, required=_BAM_DYN_KEYS)
-
-    def fns(key, catalog):
-        if scalar:
-            return [_build_fn(dyn[key], catalog, f"dynamics.{key}")]
-        return _fn_list(dyn[key], catalog, f"dynamics.{key}", n)
-
-    rate_x = fns("rate_x", COEFF_CATALOG)
-    rate_y = fns("rate_y", COEFF_CATALOG)
-    leak_x = fns("leak_x", LAG_CATALOG)
-    leak_y = fns("leak_y", LAG_CATALOG)
-    trans_x = fns("trans_x", LAG_CATALOG)
-    trans_y = fns("trans_y", LAG_CATALOG)
-    act_f = fns("f", ACTIVATION_CATALOG)
-    act_g = fns("g", ACTIVATION_CATALOG)
-    for label, rates in (("rate_x", rate_x), ("rate_y", rate_y)):
-        for i, r in enumerate(rates):
+def _bam_dynamics(dyn: dict, given: dict, scalar: bool):
+    # BamConcrete takes the functions in this order
+    catalogs = {"rate_x": COEFF_CATALOG, "rate_y": COEFF_CATALOG,
+                "leak_x": LAG_CATALOG, "leak_y": LAG_CATALOG,
+                "trans_x": LAG_CATALOG, "trans_y": LAG_CATALOG,
+                "f": ACTIVATION_CATALOG, "g": ACTIVATION_CATALOG}
+    _check_keys(dyn, "dynamics", allowed=catalogs, required=catalogs)
+    fns = {key: [_build_fn(dyn[key], catalog, f"dynamics.{key}")] if scalar
+           else _fn_list(dyn[key], catalog, f"dynamics.{key}", len(given["a"]))
+           for key, catalog in catalogs.items()}
+    for label in ("rate_x", "rate_y"):
+        for i, r in enumerate(fns[label]):
             if r.lower <= 0:
                 _fail(f"dynamics.{label}" + ("" if scalar else f"[{i}]"),
                       f"rate range must stay positive (lower {r.lower})")
-    spec = BamSpec(
-        a=a, b=b, a_conn=a_conn, b_conn=b_conn,
+    rate_x, rate_y, leak_x, leak_y, trans_x, trans_y, act_f, act_g = fns.values()
+    bounds = dict(
         Lf=[f.lipschitz for f in act_f], Lg=[g.lipschitz for g in act_g],
         r_lo=[r.lower for r in rate_x], r_hi=[r.upper for r in rate_x],
         p_lo=[p.lower for p in rate_y], p_hi=[p.upper for p in rate_y],
         tau_x=[f.bound for f in leak_x], tau_y=[f.bound for f in leak_y],
         sigma_x=[f.bound for f in trans_x], sigma_y=[f.bound for f in trans_y],
-        I=inputs_i, J=inputs_j,
     )
-    return spec, 2 * n, partial(BamConcrete, spec, rate_x, rate_y, leak_x, leak_y,
-                                trans_x, trans_y, act_f, act_g)
+    return bounds, lambda spec, history: BamConcrete(spec, *fns.values(), history)
+
+
+# kind: its spec class, the spec fields a document with dynamics still gives,
+# and the parser of its dynamics section, which returns the spec's other
+# fields and the realization of the spec
+_TWO_LAYER = (BamSpec, ("a", "b", "a_conn", "b_conn", "I", "J"), _bam_dynamics)
+_KINDS = {"general": (GeneralSystemSpec, (), _general_dynamics),
+          "linear": (LinearSystemSpec, (), _linear_dynamics),
+          "bam": _TWO_LAYER, "two_neuron": _TWO_LAYER}
+# two_neuron is the one-unit bam written in scalars, its couplings renamed
+_SCALAR_NAMES = {"a_conn": "coupling_xy", "b_conn": "coupling_yx"}
+
+
+@cache
+def _spec_keys(kind: str, with_dynamics: bool) -> dict:
+    # spec field -> document key of the spec fields a document gives, in the
+    # order they are read: with dynamics the structural fields, else every
+    # array field of the spec class, the structural ones first
+    cls, structural, _ = _KINDS[kind]
+    names = structural if with_dynamics else structural + tuple(
+        f.name for f in fields(cls) if f.name not in structural + ("diagonal_delay_free",))
+    return {name: _SCALAR_NAMES.get(name, name) if kind == "two_neuron" else name
+            for name in names}
+
+
+def _parse_spec(doc: dict, kind: str):
+    spec_node = doc.get("spec")
+    if not isinstance(spec_node, dict):
+        _fail("spec", "expected an object")
+    cls, _, parse_dynamics = _KINDS[kind]
+    scalar = kind == "two_neuron"
+    given = {}
+    if hasattr(cls, "diagonal_delay_free"):
+        given["diagonal_delay_free"] = spec_node.get("diagonal_delay_free", False)
+        if not isinstance(given["diagonal_delay_free"], bool):
+            _fail("spec.diagonal_delay_free", "expected true or false")
+    dyn = doc.get("dynamics")
+    keys = _spec_keys(kind, dyn is not None)
+    _check_keys(spec_node, "spec", allowed=(*keys.values(), *given),
+                required=[key for key in keys.values() if key not in ("I", "J")])
+    m = None  # the first field, a vector, fixes the dimension
+    for name, key in keys.items():
+        path = f"spec.{key}"
+        if key not in spec_node:  # I or J, the only optional fields: zero inputs
+            given[name] = [0.0] * m
+        elif scalar:
+            value = [_num(spec_node[key], path)]
+            given[name] = [value] if name in cls.MATRICES else value
+        elif name in cls.MATRICES:
+            given[name] = _num_matrix(spec_node[key], path, m)
+        else:
+            given[name] = _num_list(spec_node[key], path, m)
+        if m is None:
+            m = len(given[name])
+    if dyn is None:
+        return cls(**given), None
+    if not isinstance(dyn, dict):
+        _fail("dynamics", "expected an object")
+    bounds, realize = parse_dynamics(dyn, given, scalar)
+    return cls(**given, **bounds), realize
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +442,8 @@ def _root_kind(doc) -> str:
     _check_keys(doc, "", allowed=("kind", "parameters", "spec", "dynamics", "history"),
                 required=("kind", "spec"))
     kind = doc["kind"]
-    if kind not in KINDS:
-        _fail("kind", f"expected one of {', '.join(KINDS)}, got {reprlib.repr(kind)}")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        _fail("kind", f"expected one of {', '.join(_KINDS)}, got {reprlib.repr(kind)}")
     return kind
 
 
@@ -483,18 +452,19 @@ def _build(resolved: dict, kind: str) -> ParsedInput:
     # spec, each broken rule naming a spec field, written as its document
     # path; the history (required with dynamics) and the concrete system
     # follow, whose checks cannot fail for a spec derived from the same functions
-    parse = _parse_flat if kind in _FLAT_KINDS else _parse_bam_like
     try:
-        spec, dim, make_concrete = parse(resolved, kind)
+        spec, realize = _parse_spec(resolved, kind)
     except InvalidSpecError as exc:
         problems = ["spec." + p for p in exc.violations]
         if kind == "two_neuron":  # its spec fields are scalars
-            problems = [p.replace("a_conn[0][0]", "coupling_xy")
-                        .replace("b_conn[0][0]", "coupling_yx").replace("[0]", "")
-                        for p in problems]
+            for name, key in _SCALAR_NAMES.items():
+                problems = [p.replace(f"{name}[0][0]", key) for p in problems]
+            problems = [p.replace("[0]", "") for p in problems]
         raise DocumentError("; ".join(problems)) from exc
-    history = _history_vec(resolved, dim, required=make_concrete is not None)
-    concrete = None if make_concrete is None else make_concrete(history)
+    # a two-layer state holds both layers
+    dim = 2 * spec.n if isinstance(spec, BamSpec) else spec.m
+    history = _history_vec(resolved, dim, required=realize is not None)
+    concrete = None if realize is None else realize(spec, history)
     return ParsedInput(kind=kind, spec=spec, concrete=concrete, document=resolved)
 
 

@@ -14,12 +14,24 @@ def leading_principal_minors(a) -> np.ndarray:
     return np.array([np.linalg.det(arr[:k, :k]) for k in range(1, arr.shape[0] + 1)])
 
 
-def serialize_spec(spec) -> dict:
-    """Bounds-only document for a spec; parse_document round-trips it."""
+def serialize_spec(spec, scalars: bool = False) -> dict:
+    """Bounds-only document for a spec; parse_document round-trips it.
+
+    Inputs I and J that are all zero are left out, as they default to zeros.
+    With scalars, a one-unit two-layer spec is written as a two_neuron
+    document, whose couplings are coupling_xy and coupling_yx.
+    """
     kind = {GeneralSystemSpec: "general", LinearSystemSpec: "linear",
-            BamSpec: "bam"}.get(type(spec))
+            BamSpec: "two_neuron" if scalars else "bam"}.get(type(spec))
     if kind is None:
         raise TypeError(f"cannot serialize {type(spec).__name__}")
-    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
-    return {"kind": kind, "spec": {
-        name: v.tolist() if isinstance(v, np.ndarray) else v for name, v in values.items()}}
+    names = {"a_conn": "coupling_xy", "b_conn": "coupling_yx"} if scalars else {}
+    out = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if f.name in ("I", "J") and not value.any():
+            continue
+        if isinstance(value, np.ndarray):
+            value = value.item() if scalars else value.tolist()
+        out[names.get(f.name, f.name)] = value
+    return {"kind": kind, "spec": out}

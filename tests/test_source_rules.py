@@ -162,3 +162,15 @@ def test_no_module_reads_a_largest_lag_bound_of_the_lags_own():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Attribute) and node.attr == "max_lag_bound"]
     assert found == [], found
+
+
+def test_specio_calls_no_spec_class_by_name():
+    # each kind's spec class comes from one table, and specio builds every
+    # spec in one call through it
+    classes = {"GeneralSystemSpec", "LinearSystemSpec", "BamSpec"}
+    path = SRC / "specio.py"
+    found = [f"{path.name}:{node.lineno} {node.func.id}"
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id in classes]
+    assert found == [], found

@@ -7,9 +7,11 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaystab import (
     BamSpec,
@@ -1061,3 +1063,72 @@ def test_each_spec_field_edit_keeps_its_message(capsys, tmp_path, case):
     file.write_text(json.dumps(doc))
     assert main(["analyze", str(file)]) == 1
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# the spec fields a two-layer document with dynamics still gives; a general
+# or linear one gives none but diagonal_delay_free
+_TWO_LAYER_STRUCTURAL = ("a", "b", "a_conn", "b_conn", "I", "J")
+
+
+@pytest.mark.parametrize("style", ["bounds", "dynamics"])
+@pytest.mark.parametrize("kind", ["general", "linear", "bam", "two_neuron"])
+def test_unknown_spec_field_lists_the_fields_of_the_spec_class(kind, style):
+    cls = {"general": GeneralSystemSpec, "linear": LinearSystemSpec}.get(kind, BamSpec)
+    names = [f.name for f in fields(cls) if style == "bounds"
+             or f.name in _TWO_LAYER_STRUCTURAL + ("diagonal_delay_free",)]
+    if kind == "two_neuron":
+        names = [{"a_conn": "coupling_xy", "b_conn": "coupling_yx"}.get(n, n) for n in names]
+    assert ("diagonal_delay_free" in names) == (cls is not BamSpec)
+    doc = _frozen_doc(kind, style)
+    doc["spec"]["zzz"] = 1.0
+    with pytest.raises(DocumentError) as exc:
+        parse_document(doc)
+    assert str(exc.value) == f"spec.zzz: unknown field (allowed: {', '.join(sorted(names))})"
+
+
+_POSITIVE = st.floats(1e-3, 1e3)
+_NONNEGATIVE = st.floats(0.0, 1e3)
+_ANY = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def valid_specs(draw):
+    # a spec of each class, of dimension 1 to 5, with values inside its rules
+    m = draw(st.integers(1, 5))
+
+    def vector(values):
+        return draw(st.lists(values, min_size=m, max_size=m))
+
+    def matrix(values):
+        return [vector(values) for _ in range(m)]
+
+    def bracket():
+        lower = vector(_POSITIVE)
+        return lower, [lo + d for lo, d in zip(lower, vector(_NONNEGATIVE))]
+
+    family = draw(st.sampled_from(["general", "linear", "bam"]))
+    if family == "bam":
+        (r_lo, r_hi), (p_lo, p_hi) = bracket(), bracket()
+        inputs = [[0.0] * m if draw(st.booleans()) else vector(_ANY) for _ in range(2)]
+        return BamSpec(a=vector(_POSITIVE), b=vector(_POSITIVE), a_conn=matrix(_ANY),
+                       b_conn=matrix(_ANY), Lf=vector(_NONNEGATIVE), Lg=vector(_NONNEGATIVE),
+                       r_lo=r_lo, r_hi=r_hi, p_lo=p_lo, p_hi=p_hi,
+                       tau_x=vector(_NONNEGATIVE), tau_y=vector(_NONNEGATIVE),
+                       sigma_x=vector(_NONNEGATIVE), sigma_y=vector(_NONNEGATIVE),
+                       I=inputs[0], J=inputs[1])
+    alpha, upper = bracket()
+    flag = draw(st.booleans())
+    if family == "general":
+        return GeneralSystemSpec(alpha=alpha, A=upper, tau=vector(_NONNEGATIVE),
+                                 sigma=matrix(_NONNEGATIVE), L=matrix(_NONNEGATIVE),
+                                 diagonal_delay_free=flag)
+    return LinearSystemSpec(alpha=alpha, A=upper, A_off=matrix(_NONNEGATIVE),
+                            sigma=matrix(_NONNEGATIVE), diagonal_delay_free=flag)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(valid_specs())
+def test_every_valid_spec_round_trips_through_its_document(spec):
+    assert parse_document(serialize_spec(spec)).spec == spec
+    if isinstance(spec, BamSpec) and spec.n == 1:
+        assert parse_document(serialize_spec(spec, scalars=True)).spec == spec
