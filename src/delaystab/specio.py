@@ -14,7 +14,7 @@ Any number inside spec/dynamics/history may be written as the string "$name"
 to reference an entry of "parameters"; references are resolved before
 parsing, so one scalar can drive several coefficients at once (handy for
 parameter sweeps).  A sweep resolves the document once through
-`point_parser` and re-runs only the per-kind parser at each value.
+`point_parser` and re-runs only the spec parser at each value.
 
 When "dynamics" is present the analytic bounds (decay brackets, delay
 bounds, Lipschitz constants) are derived from the named functions; the spec
@@ -274,7 +274,7 @@ def _history_vec(doc: dict, dim: int, required: bool) -> np.ndarray | None:
 
 
 # ---------------------------------------------------------------------------
-# per-kind parsers
+# the spec parser and the dynamics parser of each kind
 # ---------------------------------------------------------------------------
 
 def _lag_bound(fn) -> float:
@@ -448,7 +448,7 @@ def _root_kind(doc) -> str:
 
 
 def _build(resolved: dict, kind: str) -> ParsedInput:
-    # the per-kind parser of a resolved document builds (and so checks) the
+    # the spec parser of a resolved document builds (and so checks) the
     # spec, each broken rule naming a spec field, written as its document
     # path; the history (required with dynamics) and the concrete system
     # follow, whose checks cannot fail for a spec derived from the same functions
@@ -506,7 +506,7 @@ def point_parser(doc: dict, path: str):
     names that kind, not the value); then `parameters` and every reference,
     with a placeholder at `path`.  Each call copies only the containers on the
     paths where the value lands (the leaf, and for `parameters.NAME` every
-    "$NAME" leaf too) and runs the per-kind parser.  Containers off those
+    "$NAME" leaf too) and runs the spec parser.  Containers off those
     paths are shared between the documents of different values, so treat
     `ParsedInput.document` as read only.
     """
