@@ -13,7 +13,6 @@ from .linalg import (
     DEFAULT_TOL,
     LinalgInputError,
     MMatrixReport,
-    dominance_screen,
     is_m_matrix,
     spectral_radius,
 )
@@ -32,7 +31,6 @@ from .systems import (
     LinearConcrete,
     LinearSystemSpec,
     bam_to_general,
-    two_neuron_spec,
 )
 from .criteria import (
     ALL_TAGS,
@@ -121,7 +119,6 @@ __all__ = [
     "certify_decay_rate",
     "comparison_matrix",
     "document_sha256",
-    "dominance_screen",
     "equilibrium_exists",
     "find_failure_threshold",
     "fit_decay",
@@ -138,6 +135,5 @@ __all__ = [
     "sweep",
     "test_matrix_at_rate",
     "two_neuron_comparison",
-    "two_neuron_spec",
     "write_csv",
 ]

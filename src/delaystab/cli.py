@@ -40,7 +40,7 @@ from .criteria import (
 from .equilibrium import DivergenceError, equilibrium_exists, solve_equilibrium
 from .linalg import DEFAULT_TOL
 from .simulate import SimConfig, SimulationError, simulate, write_csv
-from .specio import load_json, parse_file, point_parser
+from .specio import _plain_numbers, load_json, parse_file, point_parser
 from .sweep import find_failure_threshold, observed_rate, sweep
 from .systems import BamSpec
 
@@ -63,8 +63,9 @@ def _json(value, pad: str = "") -> str:
     """`json.dumps(value, indent=2)` of a report made JSON-safe on the way.
 
     Arrays become lists, numpy scalars Python numbers, and NaN or infinity
-    null.  A list of plain floats and ints is written by one join over
-    their reprs; "inf" and "nan" are the only such reprs with an "n".
+    null.  A list of plain numbers (`specio._plain_numbers`) is written by
+    one join over their reprs; "inf" and "nan" are the only such reprs with
+    an "n".
     Containers must be exactly dict, list or tuple, with string keys.
     """
     kind = type(value)
@@ -86,9 +87,7 @@ def _json(value, pad: str = "") -> str:
             return "[]"
         inner = pad + "  "
         sep = ",\n" + inner
-        body = None
-        if all(type(v) is float or type(v) is int for v in value):
-            body = sep.join(map(repr, value))
+        body = sep.join(map(repr, value)) if _plain_numbers(value) else None
         if body is None or "n" in body:
             body = sep.join([_json(v, inner) for v in value])
         return f"[\n{inner}{body}\n{pad}]"

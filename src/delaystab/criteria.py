@@ -40,7 +40,6 @@ from .systems import (
     FamilyError,
     GeneralSystemSpec,
     LinearSystemSpec,
-    merged_bounds,
     require_bam,
 )
 
@@ -99,10 +98,6 @@ class StabilityVerdict:
     def stable(self) -> bool:
         return self.status == STATUS_STABLE
 
-    @property
-    def margins(self) -> dict[str, float]:
-        return {c.name: c.margin for c in self.checks}
-
 
 @dataclass(frozen=True)
 class DecayCertificate:
@@ -130,16 +125,22 @@ def _bounds(spec):
     # Theorem 1's (alpha, A, tau, L, sigma) of a spec, the one map
     # from a family to its bounds: delay-free decay is tau = 0, the linear
     # family's diagonal delays are its tau and A_off is its L with the
-    # diagonal, which bounds nothing, zeroed; a two-layer network is merged
+    # diagonal, which bounds nothing, zeroed; a two-layer network is merged.
+    # An absent coupling (L_ij = 0) adds 0 at every rate, so its delay is 0:
+    # exp(rate * sigma_ij) * 0 would be NaN where the exp overflows
     if isinstance(spec, BamSpec):
-        return merged_bounds(spec)
-    if not isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
-        raise FamilyError(f"unsupported spec type {type(spec).__name__}")
-    if isinstance(spec, GeneralSystemSpec):
-        tau, L = spec.tau, spec.L
+        alpha, A, tau, L, sigma = spec.merged
+    elif isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
+        alpha, A, sigma = spec.alpha, spec.A, spec.sigma
+        if isinstance(spec, GeneralSystemSpec):
+            tau, L = spec.tau, spec.L
+        else:
+            tau, L = sigma.diagonal(), spec.A_off - np.diag(spec.A_off.diagonal())
+        if spec.diagonal_delay_free:
+            tau = 0.0
     else:
-        tau, L = spec.sigma.diagonal(), spec.A_off - np.diag(spec.A_off.diagonal())
-    return spec.alpha, spec.A, 0.0 if spec.diagonal_delay_free else tau, L, spec.sigma
+        raise FamilyError(f"unsupported spec type {type(spec).__name__}")
+    return alpha, A, tau, L, np.where(L == 0.0, 0.0, sigma)
 
 
 def test_matrix_at_rate(spec, rate: float) -> np.ndarray:
@@ -147,13 +148,15 @@ def test_matrix_at_rate(spec, rate: float) -> np.ndarray:
 
     At rate 0 this is the spec's test matrix, for every family; a nonzero
     rate must lie below the smallest decay bound.  Each entry is
-    nonincreasing in the rate.
+    nonincreasing in the rate.  An entry that overflows is +-inf or NaN,
+    which `witness_test` fails.
     """
     bounds = _bounds(spec)
     alpha = bounds[0]
     if rate and not 0.0 <= rate < float(np.min(alpha)):
         raise ValueError(f"rate must lie in [0, {np.min(alpha)}), got {rate}")
-    return _rate_matrix(*bounds, rate)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _rate_matrix(*bounds, rate)
 
 
 def _rate_matrix(alpha: np.ndarray, A: np.ndarray, tau: np.ndarray | float, L: np.ndarray,
@@ -199,7 +202,8 @@ def _matrix_verdict(spec, matrix: np.ndarray, tag: str, tol: float) -> Stability
     # every matrix verdict tests `test_matrix_at_rate(spec, 0.0)`, a certificate's first trial
     report = is_m_matrix(matrix, tol=tol)
     object.__setattr__(spec, "_rate_zero", {tol: (report.is_m_matrix, report.margin)})
-    off = matrix - np.diag(matrix.diagonal())
+    off = matrix.copy()     # the diagonal zeroed, which an infinite entry also allows
+    np.fill_diagonal(off, 0.0)
     checks = (
         Check("off_diagonal_signs", float(off.max()), 0.0,
               float(-off.max()), bool(report.off_diagonal_ok)),
@@ -351,7 +355,9 @@ def witness_trial(c: np.ndarray, tol: float) -> tuple[bool, float, float]:
     matrix has no magnitude once its row is scaled, so its slack is
     p - tol |p| of its entry p, over |p| when |p| > 1: a passing rate matrix
     has p in (0, 1], and near the pole at the top of the rate range p tends
-    to -inf, which would pull every estimate to the passing end.
+    to -inf, which would pull every estimate to the passing end.  A p that
+    overflowed to -inf, or NaN, gives a NaN slack, as a larger matrix's NaN
+    margin does.
     """
     _, ok, margin, _ = witness_test(c, tol)
     if len(c) > 1:
@@ -366,9 +372,11 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     Requires the rate-zero matrix to pass (otherwise NotCertifiedError).
     Every rate tried, 0 and the top of the range included, is decided by
     one `witness_trial`; rate 0 keeps the outcome of a `stability_verdict` of
-    the spec at this tol that tested the same matrix.  When the top fails,
-    the certificate is the bracket `switch_bracket` finds: lambda0 is its
-    last pass, and the true switchover lies within bracket_width above it.
+    the spec at this tol that tested the same matrix.  A rate whose matrix
+    has an entry that overflows fails, with a NaN slack: a halving.  When the
+    top fails, the certificate is the bracket `switch_bracket` finds: lambda0
+    is its last pass, and the true switchover lies within bracket_width
+    above it.
     """
     if not isinstance(spec, (GeneralSystemSpec, BamSpec)):
         raise FamilyError("decay-rate certification needs a general or "
@@ -383,14 +391,15 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
 
     if zero := getattr(spec, "_rate_zero", {}).get(tol):  # a verdict's test of this matrix
         tried.append((0.0, zero[1]))
-    if not (zero[0] if zero else trial(0.0)[0]):
-        raise NotCertifiedError(
-            "not certified stable: the rate-zero test matrix is not an "
-            f"M-matrix (margin {min(tried[0][1], -tol):.3e})")
-    low = float(np.min(bounds[0]))
-    top = min(low - tol, nextafter(low, 0.0))  # below the pole at min alpha for any tol
-    top_passes, slack_top = trial(top)
-    lo, hi = (top, top) if top_passes else switch_bracket(trial, 0.0, top, nan, slack_top)
+    with np.errstate(over="ignore", invalid="ignore"):  # once, not once per trial
+        if not (zero[0] if zero else trial(0.0)[0]):
+            raise NotCertifiedError(
+                "not certified stable: the rate-zero test matrix is not an "
+                f"M-matrix (margin {min(-tol, tried[0][1]):.3e})")
+        low = float(np.min(bounds[0]))
+        top = min(low - tol, nextafter(low, 0.0))  # below the pole at min alpha for any tol
+        top_passes, slack_top = trial(top)
+        lo, hi = (top, top) if top_passes else switch_bracket(trial, 0.0, top, nan, slack_top)
     return DecayCertificate(lambda0=lo, boundary_margin=dict(tried)[lo],
                             iterations=len(tried), bracket_width=hi - lo,
                             upper_failed=not top_passes)

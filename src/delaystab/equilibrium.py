@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import inf, isfinite
 
 import numpy as np
 
@@ -81,18 +82,26 @@ def build_existence_matrices(bam: BamSpec) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _norm_conditions(mat: np.ndarray, label: str, start: int) -> list[ExistenceCondition]:
-    norms = {"spectral radius": spectral_radius(mat),
+    # a norm that is not finite is inf, as is the spectral radius of a matrix
+    # with an entry that is not
+    norms = {"spectral radius": spectral_radius(mat) if np.isfinite(mat).all() else inf,
              "max row sum": np.abs(mat).sum(axis=1).max(),
              "max column sum": np.abs(mat).sum(axis=0).max(),
              "squared-entry sum": (mat * mat).sum()}
-    return [ExistenceCondition(start + i, f"{name} of {label} < 1", float(v), bool(v < 1.0))
+    return [ExistenceCondition(start + i, f"{name} of {label} < 1",
+                               float(v) if isfinite(v) else inf, bool(v < 1.0))
             for i, (name, v) in enumerate(norms.items())]
 
 
 def equilibrium_exists(bam: BamSpec) -> ExistenceReport:
-    """Evaluate the eight sufficient conditions; any one settles existence."""
-    first, second = build_existence_matrices(bam)
-    conditions = _norm_conditions(first, "A", 1) + _norm_conditions(second, "B", 5)
+    """Evaluate the eight sufficient conditions; any one settles existence.
+
+    A condition whose norm overflows, or is built from a bound that does,
+    does not hold: its value is inf.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, second = build_existence_matrices(bam)
+        conditions = _norm_conditions(first, "A", 1) + _norm_conditions(second, "B", 5)
     return ExistenceReport(tuple(conditions), any(c.holds for c in conditions))
 
 

@@ -13,6 +13,7 @@ All functions are pure and hold no global state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import nan
 
 import numpy as np
 
@@ -21,7 +22,6 @@ DEFAULT_TOL = 1e-12
 SCREEN_ROW = "row-dominance"
 SCREEN_COLUMN = "column-dominance"
 SCREEN_WEIGHTED_ROW = "weighted-row"
-SCREEN_WEIGHTED_COLUMN = "weighted-column"
 SCREEN_NONE = "none"
 
 
@@ -53,8 +53,6 @@ def as_square(a) -> np.ndarray:
         raise LinalgInputError(f"expected a square matrix, got shape {arr.shape}")
     if arr.shape[0] == 0:
         raise LinalgInputError("matrix dimension must be positive")
-    if not np.isfinite(arr).all():
-        raise LinalgInputError("matrix has a non-finite entry")
     return arr
 
 
@@ -70,39 +68,12 @@ def dominance_sums(arr: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarra
     return absoff @ weights, absoff.T @ weights, weights * diag
 
 
-def _passed_screen(arr: np.ndarray, tol: float, weights=None,
-                   tags=(SCREEN_ROW, SCREEN_COLUMN)) -> str | None:
-    row, column, bound = dominance_sums(arr, weights)
-    for sums, tag in zip((row, column), tags):
+def _passed_screen(arr: np.ndarray, tol: float) -> str | None:
+    row, column, bound = dominance_sums(arr)
+    for sums, tag in ((row, SCREEN_ROW), (column, SCREEN_COLUMN)):
         if (bound - sums > tol).all():
             return tag
     return None
-
-
-def dominance_screen(a, weights=None, tol: float = DEFAULT_TOL) -> str:
-    """Cheap sufficient screens for the M-matrix property.
-
-    Checks, in order: strict row diagonal dominance, strict column dominance,
-    then the same two with positive weights.  When no weights are supplied
-    they are the witness xi = a^-1 1 of `witness_test`, provided that test
-    accepts a with a finite witness; otherwise the weighted checks are
-    skipped.  Returns the tag of the first screen that passes, or "none".
-
-    Off-diagonal entries must be nonpositive.
-    """
-    arr = as_square(a)
-    off_ok, _, _, xi = witness_test(arr, tol)
-    if not off_ok:
-        raise LinalgInputError("dominance screens require nonpositive off-diagonal entries")
-    if weights is not None:
-        xi = np.asarray(weights, dtype=float)
-        if xi.shape != arr.shape[:1] or not np.isfinite(xi).all() or (xi <= 0).any():
-            raise LinalgInputError("weights must be a positive vector matching the dimension")
-    plain = _passed_screen(arr, tol)
-    if plain is not None or xi is None or not np.isfinite(xi).all():
-        return plain or SCREEN_NONE
-    return _passed_screen(arr, tol, xi, (SCREEN_WEIGHTED_ROW, SCREEN_WEIGHTED_COLUMN)) \
-        or SCREEN_NONE
 
 
 def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.ndarray | None]:
@@ -121,6 +92,8 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     unlike that minimum it crosses zero smoothly at the switch, so it steers
     a bracket search.  A singular b or a non-finite xi sits at the switch,
     s = 0.  A fail far from the switch can have s > 0, which only steers.
+    An entry that overflowed to +-inf, or to NaN, leaves nothing to check:
+    such an a fails with margin NaN, which steers a bracket search nowhere.
 
     A pass proves the exact R^-1 C xi > 0, for C before any rounding and
     R = diag(r), barring underflow; with u = 2^-53 and g_j = j u / (1 - j u)
@@ -140,6 +113,8 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     m = arr.shape[0]
     if np.count_nonzero(arr > 0.0) > np.count_nonzero(arr.diagonal() > 0.0):
         return False, False, -tol, None     # a positive off-diagonal entry
+    if not np.isfinite(arr).all():
+        return True, False, nan, None
     at_switch = True, False, -tol, None     # s = 0
     rows = np.abs(arr).max(axis=1)
     low = rows.min()
@@ -168,22 +143,25 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
 def is_m_matrix(a, tol: float = DEFAULT_TOL) -> MMatrixReport:
     """Classify a as a nonsingular M-matrix by `witness_test`.
 
-    A failed matrix reports a margin of at most -tol, a singular one -tol.
-    screen_passed is row or column dominance when one holds, else
-    "weighted-row" for a qualifying matrix (the weights C^-1 1 give
-    C xi = 1) and "none" otherwise.
+    A failed matrix reports a margin of at most -tol, a singular one or one
+    with a non-finite entry -tol.  screen_passed is row or column dominance
+    when one holds, else "weighted-row" for a qualifying matrix (the weights
+    C^-1 1 give C xi = 1) and "none" otherwise.
     """
     arr = as_square(a)
     off_ok, ok, margin, witness = witness_test(arr, tol)
     screen = None
-    if off_ok:
-        screen = _passed_screen(arr, tol) or (SCREEN_WEIGHTED_ROW if ok else SCREEN_NONE)
-    return MMatrixReport(ok, off_ok, margin if ok else min(margin, -tol), witness, screen)
+    if off_ok:  # a NaN margin, of a non-finite entry, passes no screen
+        plain = _passed_screen(arr, tol) if margin == margin else None
+        screen = plain or (SCREEN_WEIGHTED_ROW if ok else SCREEN_NONE)
+    return MMatrixReport(ok, off_ok, margin if ok else min(-tol, margin), witness, screen)
 
 
 def spectral_radius(a) -> float:
     """Spectral radius of an entrywise nonnegative matrix."""
     arr = as_square(a)
+    if not np.isfinite(arr).all():
+        raise LinalgInputError("matrix has a non-finite entry")
     if (arr < 0).any():
         raise LinalgInputError("spectral radius expects nonnegative entries")
     return float(np.max(np.abs(np.linalg.eigvals(arr))))

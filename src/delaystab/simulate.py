@@ -207,8 +207,8 @@ class _Integrator:
                 self.stage.append((slot, comp))
             elif not isinstance(lag, Constant) or lag.value < h:  # may be a sub-step read
                 table.append((slot, comp, lag, bound, label))
-            else:
-                planned.append((slot, comp, lag.value))
+            else:  # a lag beyond the span reads the history in every step, as one step past it does
+                planned.append((slot, comp, min(lag.value, span + h)))
         self.table_lags = [lag for _, _, lag, _, _ in table]
         self.table = [np.array([read[i] for read in table], dtype=kind)
                       for i, kind in ((0, int), (1, int), (3, float), (4, object))]
@@ -234,7 +234,8 @@ class _Integrator:
         h, dim, t0, extra = self.h, self.dim, self.cfg.t0, self.extra
         stage = np.abs(tq - t) <= 1e-12 * np.maximum(1.0, np.abs(t))
         past = ~stage & (tq <= t0)
-        r, weights, node, substep = _place((tq - t0) / h - g // 2, h)
+        # placed at t0, a past read (of the history, however far back) stays in range
+        r, weights, node, substep = _place((np.where(past, t0, tq) - t0) / h - g // 2, h)
         self.substep_lookups += int(np.count_nonzero(substep & ~stage & ~past))
         extra.update((key, ([], [], [], [])) for key in set(g.tolist()).difference(extra))
         for kind, mask, *columns in ((0, stage, comp), (1, node & ~stage & ~past, r * dim + comp),

@@ -19,7 +19,7 @@ from .criteria import (
     witness_trial,
 )
 from .equilibrium import DivergenceError, solve_equilibrium
-from .linalg import DEFAULT_TOL, LinalgInputError
+from .linalg import DEFAULT_TOL
 from .simulate import FitInapplicableError, SimConfig, SimulationError, fit_decay, simulate
 from .specio import DocumentError
 from .systems import BamSpec, InvalidSpecError
@@ -27,7 +27,7 @@ from .systems import BamSpec, InvalidSpecError
 THRESHOLD_STRIDE = 1.0
 MAX_EXPAND = 60
 # what a document unusable at one parameter value raises
-_POINT_ERRORS = (DocumentError, InvalidSpecError, FamilyError, LinalgInputError)
+_POINT_ERRORS = (DocumentError, InvalidSpecError, FamilyError)
 
 
 @dataclass(frozen=True)

@@ -11,9 +11,10 @@ InvalidSpecError, so every spec that exists meets the hypotheses of the
 stability tests.
 
 A two-layer network's bounds merge into the general family's
-(alpha, A, tau, L, sigma) in one place, `merged_bounds`; the stability
-tests read those arrays, and `bam_to_general` builds a general spec of the
-same values.
+(alpha, A, tau, L, sigma) in one place, `merged_bounds`, once, when the
+spec is built, whose rules include that every merged bound is in float
+range; the stability tests read those arrays (`BamSpec.merged`), and
+`bam_to_general` builds a general spec of the same values.
 
 Messages index the entries of a spec's fields from 0, as the arrays and a
 document's lists do (`alpha[0]`, `a_conn[0][1]`).  The labels of a concrete
@@ -367,7 +368,7 @@ class BamSpec(_Spec):
     applied to layer-y states delayed by at most sigma_y.  Layer y mirrors
     this with b, tau_y, b_conn, Lg, sigma_x.  r_lo/r_hi and p_lo/p_hi bracket
     the time-varying rate modulation of each layer; I and J are constant
-    external inputs.
+    external inputs.  `merged` holds the read-only `merged_bounds`.
     """
 
     a: np.ndarray
@@ -397,6 +398,13 @@ class BamSpec(_Spec):
                      for name in ("Lf", "Lg", "tau_x", "tau_y", "sigma_x", "sigma_y"))
              + tuple((name, None, None) for name in ("I", "J", "a_conn", "b_conn")))
 
+    def __post_init__(self):
+        super().__post_init__()
+        merged = merged_bounds(self)
+        for arr in merged:
+            arr.setflags(write=False)
+        object.__setattr__(self, "merged", merged)
+
     @property
     def n(self) -> int:
         return self.a.shape[0]
@@ -420,7 +428,9 @@ def merged_bounds(bam: BamSpec):
     bounds absorb the rate modulation brackets, and each cross-layer coupling
     inherits the connection magnitude scaled by the source activation's
     Lipschitz constant and the destination row's upper rate.  A product of
-    nonzero factors that underflows to 0 or overflows is an InvalidSpecError.
+    nonzero factors that underflows to 0 or overflows is an InvalidSpecError
+    whose name begins with a, b, a_conn or b_conn, the fields that every
+    two-layer document gives.  `BamSpec` calls this once, when it is built.
     """
     n = bam.n
     with np.errstate(over="ignore", invalid="ignore"):  # checked below, with the field names
@@ -435,10 +445,10 @@ def merged_bounds(bam: BamSpec):
             or couplings == np.count_nonzero(bam.a_conn * (bam.Lf != 0))
             + np.count_nonzero(bam.b_conn * (bam.Lg != 0)))):
         xy, yx = (bam.a_conn != 0) & (bam.Lf != 0), (bam.b_conn != 0) & (bam.Lg != 0)
-        products = (("r_lo[{i}]*a[{i}]", alpha[:n], True), ("r_hi[{i}]*a[{i}]", upper[:n], True),
-                    ("p_lo[{i}]*b[{i}]", alpha[n:], True), ("p_hi[{i}]*b[{i}]", upper[n:], True),
-                    ("|a_conn[{i}][{j}]|*r_hi[{i}]*Lf[{j}]", L[:n, n:], xy),
-                    ("|b_conn[{i}][{j}]|*p_hi[{i}]*Lg[{j}]", L[n:, :n], yx))
+        products = (("a[{i}]*r_lo[{i}]", alpha[:n], True), ("a[{i}]*r_hi[{i}]", upper[:n], True),
+                    ("b[{i}]*p_lo[{i}]", alpha[n:], True), ("b[{i}]*p_hi[{i}]", upper[n:], True),
+                    ("a_conn[{i}][{j}]*r_hi[{i}]*Lf[{j}]", L[:n, n:], xy),
+                    ("b_conn[{i}][{j}]*p_hi[{i}]*Lg[{j}]", L[n:, :n], yx))
         problems = [name.format(i=at[0], j=at[-1])
                     + (" overflows" if value[at] else " underflows to 0")
                     for name, value, nonzero in products
@@ -458,28 +468,8 @@ def bam_to_general(bam: BamSpec) -> GeneralSystemSpec:
     Its fields are copies of the arrays of `merged_bounds`, which the test
     matrix of the two-layer spec is built from, so both agree to the last bit.
     """
-    alpha, upper, tau, L, sigma = merged_bounds(bam)
+    alpha, upper, tau, L, sigma = bam.merged
     return GeneralSystemSpec(alpha=alpha, A=upper, tau=tau, sigma=sigma, L=L)
-
-
-def two_neuron_spec(a: float, b: float, coupling_xy: float, coupling_yx: float,
-                    Lf: float, Lg: float, tau_x: float, tau_y: float,
-                    sigma_x: float, sigma_y: float,
-                    r_lo: float = 1.0, r_hi: float = 1.0,
-                    p_lo: float = 1.0, p_hi: float = 1.0,
-                    input_x: float = 0.0, input_y: float = 0.0) -> BamSpec:
-    """One unit per layer: x driven by y through coupling_xy and vice versa.
-
-    Raises InvalidSpecError when the scalar parameters violate the spec
-    constraints (for example a <= 0).
-    """
-    return BamSpec(
-        a=[a], b=[b], a_conn=[[coupling_xy]], b_conn=[[coupling_yx]],
-        Lf=[Lf], Lg=[Lg],
-        r_lo=[r_lo], r_hi=[r_hi], p_lo=[p_lo], p_hi=[p_hi],
-        tau_x=[tau_x], tau_y=[tau_y], sigma_x=[sigma_x], sigma_y=[sigma_y],
-        I=[input_x], J=[input_y],
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from delaystab import BamSpec, GeneralSystemSpec, LinearSystemSpec
+from delaystab import BamSpec, GeneralSystemSpec, LinearSystemSpec, parse_document
 from delaystab.linalg import as_square
 
 
@@ -35,3 +35,13 @@ def serialize_spec(spec, scalars: bool = False) -> dict:
             value = value.item() if scalars else value.tolist()
         out[names.get(f.name, f.name)] = value
     return {"kind": kind, "spec": out}
+
+
+def two_neuron(**scalars) -> BamSpec:
+    """The spec of a bounds-only two_neuron document with these scalars.
+
+    The rate brackets r_lo, r_hi, p_lo and p_hi default to 1.  A bound
+    outside the spec's rules raises DocumentError, naming its `spec.` path.
+    """
+    spec = {"r_lo": 1.0, "r_hi": 1.0, "p_lo": 1.0, "p_hi": 1.0, **scalars}
+    return parse_document({"kind": "two_neuron", "spec": spec}).spec

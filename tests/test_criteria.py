@@ -26,14 +26,13 @@ from delaystab import (
     parse_file,
     stability_verdict,
     two_neuron_comparison,
-    two_neuron_spec,
 )
 # aliased so pytest does not mistake the builders for test functions
 from delaystab import test_matrix_at_rate as build_at_rate
 from delaystab.systems import merged_bounds
 
 from conftest import random_bam, random_general
-from oracles import leading_principal_minors
+from oracles import leading_principal_minors, two_neuron
 
 
 # frozen with exact rational arithmetic, independently of this package
@@ -190,11 +189,11 @@ def test_bam_matrix_equals_reduction_exactly():
 
 
 def test_bam_matrix_frozen_modulated_pair():
-    s = two_neuron_spec(a=1.0, b=1.0, coupling_xy=1.0 / 720.0,
-                        coupling_yx=1.0 / 200.0, Lf=1.0, Lg=1.0,
-                        tau_x=0.001, tau_y=0.001, sigma_x=2.0, sigma_y=3.0,
-                        r_lo=20.0, r_hi=20.0, p_lo=40.0, p_hi=40.0,
-                        input_x=10000.0, input_y=20000.0)
+    s = two_neuron(a=1.0, b=1.0, coupling_xy=1.0 / 720.0,
+                   coupling_yx=1.0 / 200.0, Lf=1.0, Lg=1.0,
+                   tau_x=0.001, tau_y=0.001, sigma_x=2.0, sigma_y=3.0,
+                   r_lo=20.0, r_hi=20.0, p_lo=40.0, p_hi=40.0,
+                   I=10000.0, J=20000.0)
     c = comparison_matrix(s, "thm3")
     want = np.array([[0.98, -0.0014166666666666668], [-0.0052, 0.96]])
     assert np.max(np.abs(c - want)) < 1e-15
@@ -227,9 +226,9 @@ def test_forced_tag_family_mismatch(general_2x2):
 
 
 # one unit per layer at unit rates: every two-layer tag fits it but cor10-k
-SCALAR_PAIR = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                              Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                              sigma_x=0.4, sigma_y=0.5)
+SCALAR_PAIR = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                         Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                         sigma_x=0.4, sigma_y=0.5)
 
 
 def fitting_specs(general_2x2, linear_2x2) -> dict:
@@ -406,9 +405,9 @@ def test_certificate_validates_its_spec(general_2x2, bad, family):
     # never reaches a certificate's trial rates
     message = "must be > 0 (got -1.0)" if bad < 0 else "must be finite (got nan)"
     if family == "two_layer":
-        valid = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                                Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                                sigma_x=0.4, sigma_y=0.5)
+        valid = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                           Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                           sigma_x=0.4, sigma_y=0.5)
         with pytest.raises(InvalidSpecError) as exc:
             replace(valid, a=[bad])
         assert exc.value.violations == [f"a[0] {message}"]
@@ -580,6 +579,47 @@ def test_certificate_far_below_the_top_is_a_sound_bracket(k):
     assert 0.0 < cert.lambda0 < 1e-3
 
 
+def general_sample(changes=()) -> GeneralSystemSpec:
+    """inputs/general_sample.json's bounds, with `changes` ((field, *index) -> value) applied."""
+    fields = dict(alpha=np.ones(3), A=np.ones(3), tau=np.full(3, 0.1),
+                  sigma=np.full((3, 3), 0.2), L=np.full((3, 3), 0.15))
+    np.fill_diagonal(fields["L"], 0.1)
+    for (name, *at), value in dict(changes).items():
+        fields[name][tuple(at)] = value
+    return GeneralSystemSpec(**fields)
+
+
+@pytest.mark.parametrize("L01, lambda0", [(0.15, 0.003534767583244392),
+                                          (0.0, 0.4330059295049292)])
+def test_rate_trials_that_overflow_fail_and_the_search_certifies(L01, lambda0):
+    # sigma[0][1] = 800: exp(800 rate) overflows below the top of the rate
+    # range.  An absent coupling (L01 = 0) adds 0 at every rate, and a trial
+    # whose matrix overflows fails, without a warning (an error in this suite)
+    spec = general_sample({("sigma", 0, 1): 800.0, ("L", 0, 1): L01})
+    cert = certify_decay_rate(spec)
+    assert cert.lambda0 == lambda0 and cert.upper_failed
+    # numpy's eigenvalues confirm an M-matrix at lambda0, and the bracket is tight
+    c = rate_matrix(spec, cert.lambda0)
+    assert (c - np.diag(c.diagonal()) <= 0.0).all() and np.linalg.eigvals(c).real.min() > 0.0
+    assert passes_at(spec, cert.lambda0)
+    assert not passes_at(spec, cert.lambda0 + cert.bracket_width)
+    assert build_at_rate(spec, 0.99)[0, 1] == (-np.inf if L01 else 0.0)
+    unchanged = certify_decay_rate(general_sample())
+    assert (unchanged.lambda0, unchanged.iterations) == (0.37692199281888905, 13)
+
+
+def test_test_matrix_that_overflows_is_inconclusive():
+    # A[0] = 1e200 keeps alpha <= A, but A^2 tau overflows the diagonal to
+    # -inf: no witness can be checked, so the verdict is inconclusive
+    spec = general_sample({("A", 0): 1e200})
+    verdict = stability_verdict(spec)
+    assert verdict.status == "inconclusive" and verdict.test_matrix[0, 0] == -np.inf
+    assert verdict.report.margin == -criteria.DEFAULT_TOL and verdict.report.screen_passed == "none"
+    assert [c.satisfied for c in verdict.checks] == [True, False]
+    with pytest.raises(NotCertifiedError, match=r"\(margin -1\.000e-12\)$"):
+        certify_decay_rate(spec)
+
+
 @settings(derandomize=True, max_examples=500, deadline=None)
 @given(st.sampled_from([-1.0, 1.0]), st.floats(-8.0, 6.0), st.floats(-6.0, 3.0),
        st.floats(0.0, 1.0, exclude_max=True),
@@ -687,9 +727,9 @@ def published_two_dim(spec, which) -> bool:
 
 def test_two_dim_frozen_sides():
     # merged textbook pair: hand-checked determinant sides 0.168 < 0.192
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5)
     spec = bam_to_general(s)
     v = stability_verdict(spec, criterion="cor4")
     x0, x1, coupling, decay = alpha_scaled_sides(v, spec.alpha)
@@ -826,9 +866,9 @@ def cor11_sides(v):
 
 
 def test_closed_form_textbook_pair():
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5)
     v = stability_verdict(s, criterion="cor11")
     x_decay, y_decay, coupling, decay = cor11_sides(v)
     assert abs(x_decay - 0.4) < 1e-15
@@ -844,12 +884,12 @@ def test_closed_form_modulated_pair_values():
     for amp, lhs_want, rhs_want in (
             (0.0, 7.366666666666667e-06, 0.9408),
             (18.0, 0.00038201414393939395, 0.23549127272727272)):
-        s = two_neuron_spec(a=1.0, b=1.0, coupling_xy=1.0 / 720.0,
-                            coupling_yx=1.0 / 200.0, Lf=1.0, Lg=1.0,
-                            tau_x=0.001, tau_y=0.001, sigma_x=2.0, sigma_y=3.0,
-                            r_lo=20.0 - amp, r_hi=20.0 + amp,
-                            p_lo=40.0 - amp, p_hi=40.0 + amp,
-                            input_x=10000.0, input_y=20000.0)
+        s = two_neuron(a=1.0, b=1.0, coupling_xy=1.0 / 720.0,
+                       coupling_yx=1.0 / 200.0, Lf=1.0, Lg=1.0,
+                       tau_x=0.001, tau_y=0.001, sigma_x=2.0, sigma_y=3.0,
+                       r_lo=20.0 - amp, r_hi=20.0 + amp,
+                       p_lo=40.0 - amp, p_hi=40.0 + amp,
+                       I=10000.0, J=20000.0)
         v = stability_verdict(s, criterion="cor11")
         _, _, coupling, decay = cor11_sides(v)
         assert abs(coupling - lhs_want) < 1e-15
@@ -858,9 +898,9 @@ def test_closed_form_modulated_pair_values():
 
 
 def test_comparison_pair_frozen_sides():
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5)
     per_unit, product = two_neuron_comparison(s)
     m1 = {c.name: c for c in per_unit.checks}
     assert abs(m1["unit_1_coupling"].lhs - 5.0 / 8.0) < 1e-12
@@ -879,13 +919,13 @@ def test_per_unit_pass_implies_product_pass():
         a, b = rng.uniform(0.5, 2.0, 2)
         tau_x = rng.uniform(0.0, 0.9 / a)
         tau_y = rng.uniform(0.0, 0.9 / b)
-        s = two_neuron_spec(a=a, b=b,
-                            coupling_xy=rng.normal(0.0, 1.0),
-                            coupling_yx=rng.normal(0.0, 1.0),
-                            Lf=rng.uniform(0.0, 1.0), Lg=rng.uniform(0.0, 1.0),
-                            tau_x=tau_x, tau_y=tau_y,
-                            sigma_x=rng.uniform(0.0, 1.0),
-                            sigma_y=rng.uniform(0.0, 1.0))
+        s = two_neuron(a=a, b=b,
+                       coupling_xy=rng.normal(0.0, 1.0),
+                       coupling_yx=rng.normal(0.0, 1.0),
+                       Lf=rng.uniform(0.0, 1.0), Lg=rng.uniform(0.0, 1.0),
+                       tau_x=tau_x, tau_y=tau_y,
+                       sigma_x=rng.uniform(0.0, 1.0),
+                       sigma_y=rng.uniform(0.0, 1.0))
         per_unit, product = two_neuron_comparison(s)
         if per_unit.stable:
             passes += 1
@@ -894,9 +934,9 @@ def test_per_unit_pass_implies_product_pass():
 
 
 def test_comparison_requires_unit_rate_bounds():
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5, r_hi=1.5)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5, r_hi=1.5)
     with pytest.raises(FamilyError):
         two_neuron_comparison(s)
 
@@ -905,9 +945,9 @@ def test_closed_form_coupling_antimonotone():
     # strengthening one cross coupling can only reduce the slack
     margins = []
     for k in (0.5, 1.0, 1.5):
-        s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=k, coupling_yx=1.0,
-                            Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                            sigma_x=0.4, sigma_y=0.5)
+        s = two_neuron(a=0.8, b=0.5, coupling_xy=k, coupling_yx=1.0,
+                       Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                       sigma_x=0.4, sigma_y=0.5)
         _, _, coupling, decay = cor11_sides(stability_verdict(s, criterion="cor11"))
         margins.append(decay - coupling)
     assert margins[0] > margins[1] > margins[2]
@@ -921,9 +961,9 @@ def test_comparison_inconsistency_raises(monkeypatch):
     def skewed(name, lhs, rhs, tol):
         return real(name, rhs if name == "coupling_product" else lhs, rhs, tol)
 
-    s = two_neuron_spec(a=1.0, b=1.0, coupling_xy=0.1, coupling_yx=0.1,
-                        Lf=0.5, Lg=0.5, tau_x=0.1, tau_y=0.1,
-                        sigma_x=0.1, sigma_y=0.1)
+    s = two_neuron(a=1.0, b=1.0, coupling_xy=0.1, coupling_yx=0.1,
+                   Lf=0.5, Lg=0.5, tau_x=0.1, tau_y=0.1,
+                   sigma_x=0.1, sigma_y=0.1)
     assert two_neuron_comparison(s)[0].stable
     monkeypatch.setattr(criteria, "_check", skewed)
     with pytest.raises(ValueError, match="rounding exceeds the tolerance"):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import json
 import warnings
 
 import numpy as np
@@ -16,12 +17,12 @@ from delaystab import (
     equilibrium,
     equilibrium_exists,
     solve_equilibrium,
-    two_neuron_spec,
 )
 from delaystab.cli import main
 from delaystab.systems import LinearActivation, TanhActivation
 
 from conftest import random_bam
+from oracles import serialize_spec, two_neuron
 
 
 @pytest.mark.parametrize("solve", [equilibrium_exists, build_existence_matrices,
@@ -39,17 +40,17 @@ def test_equilibrium_needs_a_two_layer_spec(solve, spec):
 
 
 def modulated_pair():
-    return two_neuron_spec(a=1.0, b=1.0, coupling_xy=1.0 / 720.0,
-                           coupling_yx=1.0 / 200.0, Lf=1.0, Lg=1.0,
-                           tau_x=0.001, tau_y=0.001, sigma_x=2.0, sigma_y=3.0,
-                           r_lo=20.0, r_hi=20.0, p_lo=40.0, p_hi=40.0,
-                           input_x=10000.0, input_y=20000.0)
+    return two_neuron(a=1.0, b=1.0, coupling_xy=1.0 / 720.0,
+                      coupling_yx=1.0 / 200.0, Lf=1.0, Lg=1.0,
+                      tau_x=0.001, tau_y=0.001, sigma_x=2.0, sigma_y=3.0,
+                      r_lo=20.0, r_hi=20.0, p_lo=40.0, p_hi=40.0,
+                      I=10000.0, J=20000.0)
 
 
 def test_existence_matrices_layout():
-    s = two_neuron_spec(a=2.0, b=4.0, coupling_xy=-3.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.8, tau_x=0.1, tau_y=0.1,
-                        sigma_x=0.1, sigma_y=0.1)
+    s = two_neuron(a=2.0, b=4.0, coupling_xy=-3.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.8, tau_x=0.1, tau_y=0.1,
+                   sigma_x=0.1, sigma_y=0.1)
     first, second = build_existence_matrices(s)
     # block-anti-diagonal: each layer only reads the other
     assert first[0, 0] == 0.0 and first[1, 1] == 0.0
@@ -117,9 +118,9 @@ def test_linear_activation_equilibria_match_direct_solve():
 
 
 def test_zero_input_zero_equilibrium():
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5)
     eq = solve_equilibrium(s, [TanhActivation(0.5)], [TanhActivation(0.2)])
     assert abs(eq.x_star[0]) < 1e-11
     assert abs(eq.y_star[0]) < 1e-11
@@ -127,9 +128,9 @@ def test_zero_input_zero_equilibrium():
 
 def test_divergence_detected():
     # expansion factor 4 through the loop: iteration cannot settle
-    s = two_neuron_spec(a=0.5, b=0.5, coupling_xy=2.0, coupling_yx=2.0,
-                        Lf=1.0, Lg=1.0, tau_x=0.1, tau_y=0.1,
-                        sigma_x=0.1, sigma_y=0.1, input_x=1.0, input_y=1.0)
+    s = two_neuron(a=0.5, b=0.5, coupling_xy=2.0, coupling_yx=2.0,
+                   Lf=1.0, Lg=1.0, tau_x=0.1, tau_y=0.1,
+                   sigma_x=0.1, sigma_y=0.1, I=1.0, J=1.0)
     with pytest.raises(DivergenceError):
         with pytest.warns(RuntimeWarning):
             solve_equilibrium(s, [LinearActivation(1.0)], [LinearActivation(1.0)])
@@ -138,9 +139,9 @@ def test_divergence_detected():
 def test_iteration_cap_stops_a_slow_contraction():
     # loop gain 0.99995**2: the existence conditions hold, so no warning,
     # but the steps shrink too slowly to settle within the cap
-    s = two_neuron_spec(a=1.0, b=1.0, coupling_xy=0.99995, coupling_yx=0.99995,
-                        Lf=1.0, Lg=1.0, tau_x=0.1, tau_y=0.1,
-                        sigma_x=0.1, sigma_y=0.1, input_x=1.0, input_y=1.0)
+    s = two_neuron(a=1.0, b=1.0, coupling_xy=0.99995, coupling_yx=0.99995,
+                   Lf=1.0, Lg=1.0, tau_x=0.1, tau_y=0.1,
+                   sigma_x=0.1, sigma_y=0.1, I=1.0, J=1.0)
     with pytest.raises(DivergenceError, match=r"^no convergence within 10000 iterations ") as info:
         solve_equilibrium(s, [LinearActivation(1.0)], [LinearActivation(1.0)])
     assert abs(info.value.ratio - 0.99995) < 1e-6
@@ -194,3 +195,20 @@ def test_solver_warns_from_the_report_it_is_given(monkeypatch):
     assert calls == []
     solve_equilibrium(s, f, g)   # without a report the solver evaluates its own
     assert len(calls) == 1
+
+
+def test_existence_condition_whose_norm_overflows_does_not_hold(tmp_path):
+    # |coupling_xy| * Lf / b overflows, so every norm of B does: those
+    # conditions do not hold (value inf), and a bounds-only document then
+    # exits 2, as when no condition holds; none of A's holds either
+    spec = two_neuron(a=0.8, b=1e-10, coupling_xy=1e308, coupling_yx=1.0, Lf=0.5, Lg=0.2,
+                      tau_x=0.5, tau_y=0.4, sigma_x=0.4, sigma_y=0.5)
+    report = equilibrium_exists(spec)
+    assert [c.value for c in report.conditions[4:]] == [np.inf] * 4
+    assert report.conditions[3].value == np.inf and not report.exists_unique
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(serialize_spec(spec, scalars=True)))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["equilibrium", str(path)]) == 2
+    assert "error" not in err.getvalue() and "warning" not in err.getvalue()

@@ -1,14 +1,17 @@
 """Dense linear algebra kernel: minors, M-matrix classification, spectral radius."""
 
+import math
+
 import numpy as np
 import pytest
 
 from delaystab import (
     LinalgInputError,
-    dominance_screen,
     is_m_matrix,
     spectral_radius,
 )
+
+from delaystab.linalg import witness_test
 
 from oracles import leading_principal_minors
 
@@ -54,7 +57,6 @@ def test_subnormal_row_keeps_its_verdict_and_a_witness_without_nan():
     rep = is_m_matrix(np.diag([1e-310, 1.0]))
     assert rep.is_m_matrix and rep.margin == is_m_matrix(np.eye(2)).margin
     assert rep.witness_xi.tolist() == [np.inf, 1.0]
-    assert dominance_screen(np.diag([1e-310, 1.0])) == "none"
     # the verdict reads only b = a / r, so scaling the row into range moves nothing
     a = np.array([[1e-310, -4e-311], [-0.5, 1.0]])
     rep, scaled = is_m_matrix(a), is_m_matrix(np.vstack([np.ldexp(a[0], 1030), a[1]]))
@@ -110,31 +112,21 @@ def test_m_property_invariant_under_symmetric_permutation():
 
 def test_row_dominance_screen():
     a = np.array([[3.0, -1.0, -1.0], [-0.5, 2.0, -0.5], [0.0, -1.0, 4.0]])
-    assert dominance_screen(a) == "row-dominance"
+    assert is_m_matrix(a).screen_passed == "row-dominance"
 
 
 def test_column_dominance_screen():
     # row sums fail in row 0 but every column is dominant
     a = np.array([[1.0, -0.6, -0.6], [-0.2, 2.0, -0.5], [-0.2, -0.5, 2.0]])
-    assert dominance_screen(a) == "column-dominance"
+    assert is_m_matrix(a).screen_passed == "column-dominance"
 
 
 def test_weighted_screen_from_inverse_witness():
     # row 0 is not dominant and column 1 is not, yet the matrix is an
     # M-matrix (det 0.76); the inverse-derived weights have to settle it
     a = np.array([[1.0, -1.5, 0.0], [0.0, 1.0, -0.4], [-0.4, 0.0, 1.0]])
-    assert dominance_screen(a) in ("weighted-row", "weighted-column")
-    assert is_m_matrix(a).is_m_matrix
-
-
-def test_explicit_weights_vector():
-    a = np.array([[1.0, -1.2], [-0.5, 1.0]])
-    # equal weights reproduce the failing plain sums
-    assert dominance_screen(a, weights=[1.0, 1.0]) == "none"
-    # the inverse-based weights certify it
-    assert dominance_screen(a) in ("weighted-row", "weighted-column")
-    with pytest.raises(LinalgInputError):
-        dominance_screen(a, weights=[1.0, -1.0])
+    rep = is_m_matrix(a)
+    assert rep.is_m_matrix and rep.screen_passed == "weighted-row"
 
 
 def test_screen_pass_implies_m_matrix():
@@ -152,8 +144,23 @@ def test_screen_pass_implies_m_matrix():
 
 
 def test_screen_rejects_positive_off_diagonal():
-    with pytest.raises(LinalgInputError):
-        dominance_screen(np.array([[1.0, 0.1], [0.0, 1.0]]))
+    rep = is_m_matrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
+    assert rep.screen_passed is None and not rep.is_m_matrix
+
+
+@pytest.mark.parametrize("entry", [-np.inf, np.inf, np.nan])
+@pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+def test_non_finite_entry_fails_with_nan_margin(entry, at):
+    # an entry that overflowed leaves no witness to check: the test fails,
+    # steering a bracket search nowhere, and the report gives -tol
+    a = np.array([[2.0, -1.0], [-1.0, 2.0]])
+    a[at] = entry
+    off_ok, ok, margin, witness = witness_test(a)
+    assert off_ok == (entry != np.inf or at == (0, 0)) and not ok and witness is None
+    assert math.isnan(margin) or not off_ok
+    rep = is_m_matrix(a)
+    assert not rep.is_m_matrix and rep.margin == -1e-12 and rep.witness_xi is None
+    assert rep.screen_passed == ("none" if off_ok else None)
 
 
 def test_spectral_radius_matches_eigvals():

@@ -19,15 +19,17 @@ from delaystab import (
     SimConfig,
     SimulationError,
     fit_decay,
+    parse_document,
     parse_file,
     simulate,
-    two_neuron_spec,
     write_csv,
 )
 from delaystab.simulate import BLOCK, _Integrator
 from delaystab.systems import (ConcreteSystem, Constant, ConstantHistory, Cosinusoid,
                                LinearActivation, ShiftedAbsCosLag, ShiftedAbsSinLag,
                                SinSquaredLag, Sinusoid, TanhActivation)
+
+from oracles import two_neuron
 
 
 def pure_delay_system(tau=1.0, history=1.0):
@@ -300,9 +302,9 @@ class CountingSinusoid(Counting, Sinusoid):
 
 
 def two_neuron_system(trans_x, trans_y, rate=None, history=(1.0, -0.5)):
-    spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                           Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                           sigma_x=0.4, sigma_y=0.5)
+    spec = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                      Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                      sigma_x=0.4, sigma_y=0.5)
     return BamConcrete(spec, [rate or Constant(1.0)], [Constant(1.0)],
                        [Constant(0.5)], [Constant(0.4)], [trans_x], [trans_y],
                        [TanhActivation(0.5)], [TanhActivation(0.2)], history)
@@ -424,9 +426,9 @@ def twin_systems(family: str, lags: list, bound: float, history=wave):
                       [Constant(-0.4), Constant(-0.8)]]
             out.append(LinearConcrete(spec, coeffs, [[lx, tx], [ty, ly]], history))
         else:
-            spec = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=-1.0,
-                                   Lf=0.5, Lg=0.2, tau_x=bound, tau_y=bound,
-                                   sigma_x=bound, sigma_y=bound, input_x=0.3)
+            spec = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=-1.0,
+                              Lf=0.5, Lg=0.2, tau_x=bound, tau_y=bound,
+                              sigma_x=bound, sigma_y=bound, I=0.3)
             out.append(BamConcrete(spec, [Constant(1.0)], [Constant(1.0)], [lx], [ly],
                                    [tx], [ty], [TanhActivation(0.5)], [LinearActivation(0.2)],
                                    history))
@@ -780,3 +782,20 @@ def test_csv_multicomponent_header():
     buf = io.StringIO()
     write_csv(traj, buf)
     assert buf.getvalue().split("\n")[0] == "t,x_1,x_2,x_3"
+
+
+@pytest.mark.parametrize("history", ["constant", "callable"])
+def test_constant_lag_beyond_the_span_reads_the_history_for_the_whole_run(
+        two_neuron_doc, history):
+    # a lag of 1e308 is inf steps of 0.01, where 1e300 is a finite number of
+    # them; both lie beyond the span, so both read the history throughout
+    runs = []
+    for lag in (1e300, 1e308):
+        two_neuron_doc["dynamics"]["leak_x"] = {"type": "constant", "value": lag}
+        system = parse_document(two_neuron_doc).concrete
+        if history == "callable":
+            system.history = lambda t: np.ones(2)
+        runs.append(simulate(system, SimConfig(0.0, 0.2)))
+    assert np.array_equal(runs[0].states, runs[1].states)
+    assert np.array_equal(runs[0].derivatives, runs[1].derivatives)
+    assert runs[0].meta["h"] == 0.01 and runs[0].states.shape == (21, 2)

@@ -174,3 +174,26 @@ def test_specio_calls_no_spec_class_by_name():
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id in classes]
     assert found == [], found
+
+
+def test_two_neuron_scalar_names_are_spelled_once():
+    # a two_neuron document is the one-unit bam written in scalars; its
+    # coupling names live in one table, which every one-unit spec is parsed by
+    found = [f"{path.name}:{number}"
+             for path in sorted(SRC.glob("*.py"))
+             for number, line in enumerate(path.read_text().splitlines(), 1)
+             if ("coupling_xy" in line or "coupling_yx" in line)
+             and not (path.name == "specio.py" and line.startswith("_SCALAR_NAMES = "))]
+    assert found == [], found
+
+
+def test_no_module_defines_a_second_screen_or_one_unit_constructor():
+    # `is_m_matrix` reports the one dominance screen, and a one-unit spec
+    # comes from a two_neuron document
+    gone = {"dominance_screen", "two_neuron_spec", "SCREEN_WEIGHTED_COLUMN"}
+    found = [f"{path.name}:{node.lineno} {name}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             for name in gone & {getattr(node, "id", None), getattr(node, "attr", None),
+                                 getattr(node, "name", None)}]
+    assert found == [], found

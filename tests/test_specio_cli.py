@@ -11,12 +11,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from delaystab import (
     BamSpec,
     DocumentError,
     GeneralSystemSpec,
+    InvalidSpecError,
     LinearSystemSpec,
     SimConfig,
     document_sha256,
@@ -355,9 +356,10 @@ def test_cli_certify_rate_wrong_family(tmp_path, linear_doc):
     assert "error:" in res.stderr
 
 
-@pytest.mark.parametrize("command", ["analyze", "certify-rate"])
+@pytest.mark.parametrize("command", ["analyze", "certify-rate", "equilibrium"])
 def test_cli_merged_bound_underflow_is_an_input_error(tmp_path, command):
-    # r_lo * a underflows to 0: an error line naming the product, no traceback
+    # a * r_lo underflows to 0: the spec is refused when built, by one error
+    # line naming the product from its field's path, and no traceback
     spec = {"a": 1e-200, "b": 0.5, "coupling_xy": 1.0, "coupling_yx": 1.0, "Lf": 0.5,
             "Lg": 0.2, "r_lo": 1e-200, "r_hi": 1e-200, "p_lo": 1.0, "p_hi": 1.0,
             "tau_x": 0.5, "tau_y": 0.4, "sigma_x": 0.4, "sigma_y": 0.5}
@@ -366,8 +368,31 @@ def test_cli_merged_bound_underflow_is_an_input_error(tmp_path, command):
     res = run_cli(command, str(path))
     assert res.returncode == 1
     assert res.stdout == ""
-    assert res.stderr == ("error: invalid spec: r_lo[0]*a[0] underflows to 0; "
-                          "r_hi[0]*a[0] underflows to 0\n")
+    assert res.stderr == "error: spec.a*r_lo underflows to 0; spec.a*r_hi underflows to 0\n"
+
+
+@pytest.mark.parametrize("command, edits, code, summary", [
+    ("certify-rate", [("sigma", 0, 1, 800.0)], 0, "certified exponential decay rate 0.00353477 "),
+    ("certify-rate", [("sigma", 0, 1, 800.0), ("L", 0, 1, 0.0)], 0,
+     "certified exponential decay rate 0.433006 "),
+    ("analyze", [("A", 0, 1e200)], 2, "inconclusive via theorem1; violated: witness_margin"),
+    ("certify-rate", [("A", 0, 1e200)], 2, "not certified stable: the rate-zero test matrix"),
+])
+def test_cli_bounds_whose_test_matrix_overflows(inputs_dir, tmp_path, capsys,
+                                               command, edits, code, summary):
+    # valid bounds never end in an error: a rate trial or a test matrix with
+    # an entry that overflows fails, and no warning is printed (in this suite
+    # a RuntimeWarning is an error)
+    doc = json.loads((inputs_dir / "general_sample.json").read_text())
+    for name, *at, value in edits:
+        node = doc["spec"][name]
+        for i in at[:-1]:
+            node = node[i]
+        node[at[-1]] = value
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert main([command, str(path)]) == code
+    assert capsys.readouterr().err.startswith(f"{path}: {summary}")
 
 
 def test_cli_equilibrium(inputs_dir):
@@ -1110,12 +1135,15 @@ def valid_specs(draw):
     if family == "bam":
         (r_lo, r_hi), (p_lo, p_hi) = bracket(), bracket()
         inputs = [[0.0] * m if draw(st.booleans()) else vector(_ANY) for _ in range(2)]
-        return BamSpec(a=vector(_POSITIVE), b=vector(_POSITIVE), a_conn=matrix(_ANY),
-                       b_conn=matrix(_ANY), Lf=vector(_NONNEGATIVE), Lg=vector(_NONNEGATIVE),
-                       r_lo=r_lo, r_hi=r_hi, p_lo=p_lo, p_hi=p_hi,
-                       tau_x=vector(_NONNEGATIVE), tau_y=vector(_NONNEGATIVE),
-                       sigma_x=vector(_NONNEGATIVE), sigma_y=vector(_NONNEGATIVE),
-                       I=inputs[0], J=inputs[1])
+        try:
+            return BamSpec(a=vector(_POSITIVE), b=vector(_POSITIVE), a_conn=matrix(_ANY),
+                           b_conn=matrix(_ANY), Lf=vector(_NONNEGATIVE), Lg=vector(_NONNEGATIVE),
+                           r_lo=r_lo, r_hi=r_hi, p_lo=p_lo, p_hi=p_hi,
+                           tau_x=vector(_NONNEGATIVE), tau_y=vector(_NONNEGATIVE),
+                           sigma_x=vector(_NONNEGATIVE), sigma_y=vector(_NONNEGATIVE),
+                           I=inputs[0], J=inputs[1])
+        except InvalidSpecError:  # the one rule not drawn inside: a merged bound underflows
+            reject()
     alpha, upper = bracket()
     flag = draw(st.booleans())
     if family == "general":

@@ -12,6 +12,7 @@ from delaystab import (
     BamConcrete,
     BamSpec,
     DelayBoundError,
+    DocumentError,
     GeneralConcrete,
     GeneralSystemSpec,
     InvalidSpecError,
@@ -19,10 +20,7 @@ from delaystab import (
     LinearSystemSpec,
     SimConfig,
     bam_to_general,
-    certify_decay_rate,
     simulate,
-    stability_verdict,
-    two_neuron_spec,
 )
 from delaystab.simulate import _Integrator
 from delaystab.systems import (
@@ -43,6 +41,7 @@ from delaystab.systems import (
 )
 
 from conftest import random_bam
+from oracles import two_neuron
 
 
 # --- catalog functions ------------------------------------------------------
@@ -225,10 +224,10 @@ def test_bam_validation():
                 p_lo=[1.0], p_hi=[1.0], tau_x=[0.1], tau_y=[0.1],
                 sigma_x=[0.1], sigma_y=[0.1], I=[0.0], J=[0.0])
     assert exc.value.violations == ["a[0] must be > 0 (got -1.0)"]
-    with pytest.raises(InvalidSpecError):
-        two_neuron_spec(a=-1.0, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.1, tau_y=0.1,
-                        sigma_x=0.1, sigma_y=0.1)
+    with pytest.raises(DocumentError, match=r"^spec\.a must be > 0 \(got -1\.0\)$"):
+        two_neuron(a=-1.0, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.1, tau_y=0.1,
+                   sigma_x=0.1, sigma_y=0.1)
 
 
 def test_spec_equality_and_hash_exclusion():
@@ -244,19 +243,19 @@ def test_spec_equality_and_hash_exclusion():
 # --- two-layer merge --------------------------------------------------------
 
 def test_two_neuron_spec_shapes():
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=-1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=-1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5)
     assert s.n == 1
     assert abs(s.a_conn[0, 0] - 1.0) < 1e-15
     assert abs(s.b_conn[0, 0] + 1.0) < 1e-15
 
 
 def test_bam_to_general_block_layout():
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=-2.0, coupling_yx=1.5,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5, r_lo=0.9, r_hi=1.1,
-                        p_lo=0.8, p_hi=1.2)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=-2.0, coupling_yx=1.5,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5, r_lo=0.9, r_hi=1.1,
+                   p_lo=0.8, p_hi=1.2)
     g = bam_to_general(s)
     assert g.m == 2
     assert abs(g.alpha[0] - 0.9 * 0.8) < 1e-15
@@ -291,38 +290,34 @@ TWO_NEURON = dict(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0, Lf=0.5, Lg=0.2
 
 @pytest.mark.parametrize("changes, problems", [
     (dict(a=1e-200, r_lo=1e-200, r_hi=1e-200),
-     ["r_lo[0]*a[0] underflows to 0", "r_hi[0]*a[0] underflows to 0"]),
+     ["a[0]*r_lo[0] underflows to 0", "a[0]*r_hi[0] underflows to 0"]),
     (dict(a=1e200, r_lo=1e100, r_hi=1e200, coupling_xy=1e200),
-     ["r_hi[0]*a[0] overflows", "|a_conn[0][0]|*r_hi[0]*Lf[0] overflows"]),
-    (dict(coupling_yx=1e-300, Lg=1e-30), ["|b_conn[0][0]|*p_hi[0]*Lg[0] underflows to 0"]),
+     ["a[0]*r_hi[0] overflows", "a_conn[0][0]*r_hi[0]*Lf[0] overflows"]),
+    (dict(coupling_yx=1e-300, Lg=1e-30), ["b_conn[0][0]*p_hi[0]*Lg[0] underflows to 0"]),
 ])
 def test_merged_bounds_outside_float_range_name_the_product(changes, problems):
     # a merged bound that is 0 or inf although no factor is would reach the
-    # comparison matrix as a non-finite entry; every two-layer user rejects it
-    spec = two_neuron_spec(**dict(TWO_NEURON, **changes))
-    calls = [merged_bounds, bam_to_general, certify_decay_rate, stability_verdict]
-    calls += [lambda s, tag=tag: stability_verdict(s, criterion=tag)
-              for tag in ("thm3", "theorem1", "cor0")]
-    for call in calls:
-        with pytest.raises(InvalidSpecError) as exc:
-            call(spec)
-        assert exc.value.violations == problems
+    # comparison matrix as a non-finite entry, so no such spec is built
+    with pytest.raises(DocumentError) as exc:
+        two_neuron(**dict(TWO_NEURON, **changes))
+    assert exc.value.__cause__.violations == problems
 
 
 def test_merged_bounds_accept_a_zero_factor_and_name_entries_by_position():
     # a zero connection or Lipschitz constant makes a zero coupling bound,
     # which is no underflow; the names give the 0-based row and column
-    bam = BamSpec(a=[1.0, 1.0], b=[1.0, 1.0], a_conn=[[0.0, 1.0], [1e-300, 1.0]],
+    fields = dict(a=[1.0, 1.0], b=[1.0, 1.0], a_conn=[[0.0, 1.0], [1e-300, 1.0]],
                   b_conn=[[1.0, 1.0], [1.0, 1.0]], Lf=[1e-30, 1.0], Lg=[0.0, 1.0],
                   r_lo=[1.0, 1.0], r_hi=[1.0, 1.0], p_lo=[1.0, 1.0], p_hi=[1.0, 1.0],
                   tau_x=[1.0, 1.0], tau_y=[1.0, 1.0], sigma_x=[1.0, 1.0],
                   sigma_y=[1.0, 1.0], I=[0.0, 0.0], J=[0.0, 0.0])
     with pytest.raises(InvalidSpecError) as exc:
-        merged_bounds(bam)
-    assert exc.value.violations == ["|a_conn[1][0]|*r_hi[1]*Lf[0] underflows to 0"]
-    fixed = dataclasses.replace(bam, a_conn=[[0.0, 1.0], [1e-200, 1.0]])
-    L = merged_bounds(fixed)[3]
+        BamSpec(**fields)
+    assert exc.value.violations == ["a_conn[1][0]*r_hi[1]*Lf[0] underflows to 0"]
+    fixed = BamSpec(**dict(fields, a_conn=[[0.0, 1.0], [1e-200, 1.0]]))
+    L = fixed.merged[3]
     assert L[2, 0] == 0.0 and L[0, 2] == 0.0 and L[1, 2] == 1e-230
+    assert all(np.array_equal(x, y) for x, y in zip(fixed.merged, merged_bounds(fixed)))
 
 
 # --- concrete systems -------------------------------------------------------
@@ -351,9 +346,9 @@ def test_general_concrete_derivative_known_value():
 
 
 def test_bam_concrete_derivative_known_value():
-    s = two_neuron_spec(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
-                        Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
-                        sigma_x=0.4, sigma_y=0.5)
+    s = two_neuron(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0,
+                   Lf=0.5, Lg=0.2, tau_x=0.5, tau_y=0.4,
+                   sigma_x=0.4, sigma_y=0.5)
     sys_ = BamConcrete(s, [Constant(1.0)], [Constant(1.0)],
                        [Constant(0.5)], [Constant(0.4)],
                        [Constant(0.4)], [Constant(0.5)],
