@@ -121,13 +121,13 @@ class DecayCertificate:
 # the test matrix
 # ---------------------------------------------------------------------------
 
-def _bounds(spec):
+def _bounds(spec, rates: bool = False):
     # Theorem 1's (alpha, A, tau, L, sigma) of a spec, the one map
     # from a family to its bounds: delay-free decay is tau = 0, the linear
     # family's diagonal delays are its tau and A_off is its L with the
     # diagonal, which bounds nothing, zeroed; a two-layer network is merged.
-    # An absent coupling (L_ij = 0) adds 0 at every rate, so its delay is 0:
-    # exp(rate * sigma_ij) * 0 would be NaN where the exp overflows
+    # For nonzero rates an absent coupling (L_ij = 0), which adds 0 at every
+    # rate, has delay 0: exp(rate * sigma_ij) * 0 is NaN where the exp overflows
     if isinstance(spec, BamSpec):
         alpha, A, tau, L, sigma = spec.merged
     elif isinstance(spec, (GeneralSystemSpec, LinearSystemSpec)):
@@ -140,7 +140,7 @@ def _bounds(spec):
             tau = 0.0
     else:
         raise FamilyError(f"unsupported spec type {type(spec).__name__}")
-    return alpha, A, tau, L, np.where(L == 0.0, 0.0, sigma)
+    return alpha, A, tau, L, np.where(L, sigma, 0.0) if rates else sigma
 
 
 def test_matrix_at_rate(spec, rate: float) -> np.ndarray:
@@ -151,12 +151,11 @@ def test_matrix_at_rate(spec, rate: float) -> np.ndarray:
     nonincreasing in the rate.  An entry that overflows is +-inf or NaN,
     which `witness_test` fails.
     """
-    bounds = _bounds(spec)
+    bounds = _bounds(spec, rates=bool(rate))
     alpha = bounds[0]
     if rate and not 0.0 <= rate < float(np.min(alpha)):
         raise ValueError(f"rate must lie in [0, {np.min(alpha)}), got {rate}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _rate_matrix(*bounds, rate)
+    return _rate_matrix(*bounds, rate)
 
 
 def _rate_matrix(alpha: np.ndarray, A: np.ndarray, tau: np.ndarray | float, L: np.ndarray,
@@ -204,9 +203,9 @@ def _matrix_verdict(spec, matrix: np.ndarray, tag: str, tol: float) -> Stability
     object.__setattr__(spec, "_rate_zero", {tol: (report.is_m_matrix, report.margin)})
     off = matrix.copy()     # the diagonal zeroed, which an infinite entry also allows
     np.fill_diagonal(off, 0.0)
+    top = float(off.max())
     checks = (
-        Check("off_diagonal_signs", float(off.max()), 0.0,
-              float(-off.max()), bool(report.off_diagonal_ok)),
+        Check("off_diagonal_signs", top, 0.0, -top, bool(report.off_diagonal_ok)),
         Check("witness_margin", 0.0, float(report.margin),
               float(report.margin), report.is_m_matrix),
     )
@@ -381,7 +380,7 @@ def certify_decay_rate(spec, tol: float = DEFAULT_TOL) -> DecayCertificate:
     if not isinstance(spec, (GeneralSystemSpec, BamSpec)):
         raise FamilyError("decay-rate certification needs a general or "
                           "two-layer spec")
-    bounds = _bounds(spec)
+    bounds = _bounds(spec, rates=True)
     tried = []      # (rate, witness margin) of each trial
 
     def trial(rate: float) -> tuple[bool, float]:

@@ -603,16 +603,19 @@ def test_rate_trials_that_overflow_fail_and_the_search_certifies(L01, lambda0):
     assert (c - np.diag(c.diagonal()) <= 0.0).all() and np.linalg.eigvals(c).real.min() > 0.0
     assert passes_at(spec, cert.lambda0)
     assert not passes_at(spec, cert.lambda0 + cert.bracket_width)
-    assert build_at_rate(spec, 0.99)[0, 1] == (-np.inf if L01 else 0.0)
+    with np.errstate(over="ignore"):
+        assert build_at_rate(spec, 0.99)[0, 1] == (-np.inf if L01 else 0.0)
     unchanged = certify_decay_rate(general_sample())
     assert (unchanged.lambda0, unchanged.iterations) == (0.37692199281888905, 13)
 
 
 def test_test_matrix_that_overflows_is_inconclusive():
     # A[0] = 1e200 keeps alpha <= A, but A^2 tau overflows the diagonal to
-    # -inf: no witness can be checked, so the verdict is inconclusive
+    # -inf, with numpy's warning: no witness can be checked, so the verdict
+    # is inconclusive
     spec = general_sample({("A", 0): 1e200})
-    verdict = stability_verdict(spec)
+    with pytest.warns(RuntimeWarning, match="overflow encountered in multiply"):
+        verdict = stability_verdict(spec)
     assert verdict.status == "inconclusive" and verdict.test_matrix[0, 0] == -np.inf
     assert verdict.report.margin == -criteria.DEFAULT_TOL and verdict.report.screen_passed == "none"
     assert [c.satisfied for c in verdict.checks] == [True, False]
