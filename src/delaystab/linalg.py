@@ -62,7 +62,8 @@ def dominance_sums(arr: np.ndarray, weights=None) -> tuple[np.ndarray, np.ndarra
     Strict dominance is bound - sums > 0.  With weights xi the sums are
     |off| xi and |off|^T xi and the bound is xi * diag, else the diagonal."""
     diag = np.diag(arr)
-    absoff = np.abs(arr - np.diag(diag))
+    absoff = np.abs(arr)    # its diagonal zeroed, which an infinite entry also allows
+    np.fill_diagonal(absoff, 0.0)
     if weights is None:
         return absoff.sum(axis=1), absoff.sum(axis=0), diag
     return absoff @ weights, absoff.T @ weights, weights * diag

@@ -609,6 +609,17 @@ def test_rate_trials_that_overflow_fail_and_the_search_certifies(L01, lambda0):
     assert (unchanged.lambda0, unchanged.iterations) == (0.37692199281888905, 13)
 
 
+@pytest.mark.parametrize("tag", ["thm3", "cor9-1", "cor9-2", "cor9-3", "cor9-4", "cor11"])
+def test_two_layer_test_matrix_that_overflows_is_inconclusive(tag):
+    # a = 1e200: A^2 tau overflows the diagonal to -inf, which numpy reports
+    # once; the dominance sums of that matrix raise no warning of their own
+    spec = two_neuron(a=1e200, b=0.7, coupling_xy=0.5, coupling_yx=0.3, Lf=0.5, Lg=0.6,
+                      tau_x=0.1, tau_y=0.2, sigma_x=0.3, sigma_y=0.4)
+    with np.errstate(over="ignore"):
+        verdict = stability_verdict(spec, criterion=tag)
+    assert verdict.status == "inconclusive" and verdict.test_matrix[0, 0] == -np.inf
+
+
 def test_test_matrix_that_overflows_is_inconclusive():
     # A[0] = 1e200 keeps alpha <= A, but A^2 tau overflows the diagonal to
     # -inf, with numpy's warning: no witness can be checked, so the verdict
