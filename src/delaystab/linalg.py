@@ -94,7 +94,8 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     a bracket search.  A singular b or a non-finite xi sits at the switch,
     s = 0.  A fail far from the switch can have s > 0, which only steers.
     An entry that overflowed to +-inf, or to NaN, leaves nothing to check:
-    such an a fails with margin NaN, which steers a bracket search nowhere.
+    such an a fails with margin NaN, which steers a bracket search nowhere,
+    and a NaN off the diagonal, which is not <= 0, fails the sign pattern too.
 
     A pass proves the exact R^-1 C xi > 0, for C before any rounding and
     R = diag(r), barring underflow; with u = 2^-53 and g_j = j u / (1 - j u)
@@ -115,7 +116,8 @@ def witness_test(a, tol: float = DEFAULT_TOL) -> tuple[bool, bool, float, np.nda
     if np.count_nonzero(arr > 0.0) > np.count_nonzero(arr.diagonal() > 0.0):
         return False, False, -tol, None     # a positive off-diagonal entry
     if not np.isfinite(arr).all():
-        return True, False, nan, None
+        nan_off = np.count_nonzero(np.isnan(arr)) > np.count_nonzero(np.isnan(arr.diagonal()))
+        return not nan_off, False, nan, None
     at_switch = True, False, -tol, None     # s = 0
     rows = np.abs(arr).max(axis=1)
     low = rows.min()

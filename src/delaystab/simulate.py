@@ -21,17 +21,18 @@ stage times, t + c h for c = 1/2 and 1.  A read at t - lag(t) is one of:
 * sub-step: inside the step being built (lag below one step), the last
   completed grid point, first-order only; `meta["substep_lookups"]` counts it.
 
-A constant lag of at least one step reads q = c - lag / h steps from node k
-in every step k, so it is range-checked once and each stage offset plans
-its node offset or Hermite weights once, for the steps whose read lies past
-t0 + h.  Its warm-up stages before them are resolved once, when the
-integrator is built: from the start t0 (stage -1, the end of step -1) under
-a callable history, and past t0 under a constant one, whose value
-(`systems.ConstantHistory`) the earlier reads take.  The rates, coefficients
-and table reads (time-varying lags and constant lags below one step) depend
-on t alone and are tabulated with numpy, with range checks, classes and
-places, on the stage times of BLOCK steps at a time.  A table read whose lag
-leaves its declared bound raises when its stage time is reached.
+The initial history is one state vector, the state at every t <= t0, so a
+read at or before t0 takes its component's entry.  A constant lag of at
+least one step reads q = c - lag / h steps from node k in every step k, so
+it is range-checked once and each stage offset plans its node offset or
+Hermite weights once, for the steps whose read lies past t0 + h.  Its
+warm-up stages before them that read past t0 are resolved once, when the
+integrator is built; the earlier ones keep the history's entry.  The rates,
+coefficients and table reads (time-varying lags and constant lags below one
+step) depend on t alone and are tabulated with numpy, with range checks,
+classes and places, on the stage times of BLOCK steps at a time.  A table
+read whose lag leaves its declared bound raises when its stage time is
+reached.
 Only stage reads depend on more than the stage time and the completed
 steps, so a stage time without them evaluates once: k3 is k2, and the node
 derivative (kept for Hermite reads and the next step) is k4.
@@ -40,9 +41,9 @@ A step runs on Python floats in numpy's elementwise order (the same bits,
 no numpy call per step); a non-finite state aborts the run at its time.
 Every read stays within its declared bound (`systems.read_time`), so the
 initial history and the nodes of the longest declared lag bound serve them
-all.  Nodes go to two flat lists that keep only that window; the recorded
-rows are copied out per block, so memory is O(max bound / h * dim) plus
-those rows.
+all.  Node values and derivatives go to two flat lists that keep only that
+window; the recorded states are copied out per block, so memory is
+O(max bound / h * dim) plus those rows.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .systems import Constant, ConstantHistory, read_time
+from .systems import Constant, read_time
 
 COARSEST_STEP = 0.01
 BLOCK = 64  # steps whose stage times are tabulated at once
@@ -88,7 +89,6 @@ class SimConfig:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray
-    derivatives: np.ndarray
     meta: dict
 
     @property
@@ -127,20 +127,18 @@ def _place(q: np.ndarray, h: float) -> tuple:
 class _ReadPlan:
     """The planned reads at stage offset c of every step (see the module docstring)."""
 
-    def __init__(self, c: float, h: float, dim: int, planned: list, fixed: list):
+    def __init__(self, c: float, h: float, dim: int, planned: list, start: list):
         q = np.array([c - lag / h for _, _, lag in planned])
         offsets, weights, nodes, _ = _place(q, h)
         queue = []
         for (slot, comp, _), q, r, node, *w in zip(planned, q.tolist(), offsets.tolist(),
                                                    nodes.tolist(), *(w.tolist() for w in weights)):
-            # the warm-up steps first <= k < 1 - r: from the plan's first stage (the start is
-            # stage -1, the end of step -1), or past the steps that take the fixed value
-            first = math.ceil(-c) if fixed[slot] is None else math.floor(1e-9 - q) + 1
-            queue.append((max(0, 1 - r), first, slot,
+            # the warm-up steps first <= k < 1 - r, past the steps that read the history
+            queue.append((max(0, 1 - r), math.floor(1e-9 - q) + 1, slot,
                           (slot, r * dim + comp) if node else (slot, r * dim + comp, *w)))
         self.queue = sorted(queue, key=lambda entry: -entry[0])  # next warm-up to end on top
-        # a stage time writes every read that is not fixed then
-        self.nodes, self.hermite, self.values = [], [], fixed.copy()
+        # each read starts at its history entry, which a stage time overwrites when it reads
+        self.nodes, self.hermite, self.values = [], [], start.copy()
 
 
 class _Integrator:
@@ -175,10 +173,10 @@ class _Integrator:
             raise ValueError("record_every must be a positive divisor of the "
                              "step count")
         self.cfg, self.h, self.n_steps, self.dim = cfg, h, n_steps, system.dim
-        self.phi = system.history
+        self.history = system.history
         try:  # the recorded rows, filled one block of steps at a time
             self.times = cfg.t0 + np.arange(0, n_steps + 1, cfg.record_every) * h
-            self.states, self.derivs = np.empty((2, len(self.times), self.dim))
+            self.states = np.empty((len(self.times), self.dim))
         except (MemoryError, ValueError):  # numpy's ValueError: beyond any array size
             raise ValueError(f"cannot allocate the grid of {n_steps} steps of size "
                              f"{h:g}; shorten the span or enlarge the step") from None
@@ -197,10 +195,6 @@ class _Integrator:
                              np.array([r[3] for r in constant]), [r[4] for r in constant])
         if error:
             raise error
-        fixed = [None] * len(self.reads)  # a constant history's value of a planned read
-        if isinstance(self.phi, ConstantHistory):
-            for slot, comp, *_ in constant:
-                fixed[slot] = float(self.phi.vector[comp])
         self.stage, table, planned = [], [], []
         for slot, (comp, lag, bound, label) in enumerate(self.reads):
             if lag is None or isinstance(lag, Constant) and lag.value == 0:
@@ -212,7 +206,8 @@ class _Integrator:
         self.table_lags = [lag for _, _, lag, _, _ in table]
         self.table = [np.array([read[i] for read in table], dtype=kind)
                       for i, kind in ((0, int), (1, int), (3, float), (4, object))]
-        self.plans = [_ReadPlan(c, h, self.dim, planned, fixed) for c in (0.5, 1.0)]
+        start = self.history[[comp for comp, *_ in self.reads]].tolist()
+        self.plans = [_ReadPlan(c, h, self.dim, planned, start) for c in (0.5, 1.0)]
         # every planned read's warm-up stages 2k + c, resolved once
         self.extra, self.cut, self.failure = {}, math.inf, None
         if warm := sorted((2 * k + c, slot, self.reads[slot][0], self.reads[slot][1].value)
@@ -240,7 +235,7 @@ class _Integrator:
         extra.update((key, ([], [], [], [])) for key in set(g.tolist()).difference(extra))
         for kind, mask, *columns in ((0, stage, comp), (1, node & ~stage & ~past, r * dim + comp),
                                      (2, ~(node | stage | past), r * dim + comp, *weights),
-                                     (3, past, comp, tq)):
+                                     (3, past, self.history[comp])):
             entries = zip(*(x[mask].tolist() for x in (slot, *columns)))
             for key, entry in zip(g[mask].tolist(), entries):
                 extra[key][kind].append(entry)
@@ -280,8 +275,8 @@ class _Integrator:
             stage, nodes, hermite, past = (stage + more[0], nodes + more[1], hermite + more[2],
                                            more[3])
         dim, states, derivs, base = self.dim, self.xs, self.ks, (k - self.first) * self.dim
-        for slot, comp, tq in past:
-            values[slot] = float(np.asarray(self.phi(tq), dtype=float)[comp])
+        for slot, value in past:
+            values[slot] = value
         for slot, at in nodes:
             values[slot] = states[base + at]
         for slot, at, w0, w1, w2, w3 in hermite:
@@ -296,7 +291,6 @@ class _Integrator:
         lo, hi = start // every + 1, stop // every + 1  # the rows lo <= i < hi, if any
         nodes = slice((lo * every - first) * dim, ((hi - 1) * every - first + 1) * dim)
         self.states[lo:hi] = np.reshape(self.xs[nodes], (-1, dim))[::every]
-        self.derivs[lo:hi] = np.reshape(self.ks[nodes], (-1, dim))[::every]
         if (old := stop - self.window - first) > 0:
             del self.xs[:old * dim], self.ks[:old * dim]
             self.first += old
@@ -306,13 +300,13 @@ class _Integrator:
         half_h, sixth_h, xs, ks = 0.5 * h, h / 6.0, self.xs, self.ks
         # a blow-up is reported by the finiteness check, not by numpy
         with np.errstate(over="ignore", invalid="ignore"):
-            self.states[0] = np.asarray(self.phi(self.cfg.t0), dtype=float)
-            x = self.states[0].tolist()
+            self.states[0] = self.history
+            x = self.history.tolist()
             f_t = self._tabulate(-1, 1)  # the start: stage -1, the end of step -1
             values, stage = self._read(whole, -1, -1)
             for slot, comp in stage:
                 values[slot] = x[comp]
-            self.derivs[0] = k1 = rhs(f_t[0], values)
+            k1 = rhs(f_t[0], values)
             xs.extend(x)
             ks.extend(k1)
             for start in range(0, self.n_steps, BLOCK):
@@ -351,7 +345,7 @@ class _Integrator:
             "record_every": self.cfg.record_every, "dim": self.dim,
             "substep_lookups": self.substep_lookups,
         }
-        return Trajectory(self.times, self.states, self.derivs, meta)
+        return Trajectory(self.times, self.states, meta)
 
 
 def simulate(system, cfg: SimConfig) -> Trajectory:
@@ -408,14 +402,11 @@ def fit_decay(traj: Trajectory, reference) -> DecayFit:
 
 
 def write_csv(traj: Trajectory, destination) -> None:
-    """Write `t,x_1,...,x_m` rows at 17 significant digits with LF endings."""
+    """Write `t,x_1,...,x_m` rows at 17 significant digits with LF endings to the
+    file at the path `destination`."""
     m = traj.states.shape[1]
     row = ",".join(["%.17g"] * (m + 1))
     lines = ["t," + ",".join(f"x_{i + 1}" for i in range(m))]
     lines += [row % (t, *x) for t, x in zip(traj.times.tolist(), traj.states.tolist())]
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        with open(destination, "w", newline="") as fh:
-            fh.write(text)
+    with open(destination, "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")

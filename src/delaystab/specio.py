@@ -105,11 +105,12 @@ def _finite(x, path: str) -> float:
     return value
 
 
-def _num_list(x, path: str, length: int | None = None) -> list[float]:
+def _num_list(x, path: str, length: int | None = None, like: str = "") -> list[float]:
+    # `like` names the field that fixed `length`
     if not isinstance(x, list):
         _fail(path, f"expected a list of numbers, got {type(x).__name__}")
     if length is not None and len(x) != length:
-        _fail(path, f"expected {length} entries, got {len(x)}")
+        _fail(path, f"expected {length} entries{like}, got {len(x)}")
     if _plain_numbers(x):
         try:
             return list(map(float, x))
@@ -118,10 +119,10 @@ def _num_list(x, path: str, length: int | None = None) -> list[float]:
     return [_num(v, f"{path}[{i}]") for i, v in enumerate(x)]
 
 
-def _num_matrix(x, path: str, size: int) -> list[list[float]]:
+def _num_matrix(x, path: str, size: int, like: str) -> list[list[float]]:
     if not isinstance(x, list) or len(x) != size:
-        _fail(path, f"expected a {size}x{size} matrix")
-    return [_num_list(row, f"{path}[{i}]", size) for i, row in enumerate(x)]
+        _fail(path, f"expected a {size}x{size} matrix{like}")
+    return [_num_list(row, f"{path}[{i}]", size, like) for i, row in enumerate(x)]
 
 
 def _short(name) -> str:
@@ -148,8 +149,8 @@ def _check_keys(node: dict, path: str, allowed, required=()):
 # parameter references
 # ---------------------------------------------------------------------------
 
-def resolve_parameters(doc: dict) -> tuple[dict, dict]:
-    """Replace "$name" strings with their values; returns (resolved, params)."""
+def resolve_parameters(doc: dict) -> dict:
+    """A copy of the document with each "$name" string replaced by its value."""
     raw = doc.get("parameters", {})
     if not isinstance(raw, dict):
         _fail("parameters", "expected an object of name -> number")
@@ -171,9 +172,8 @@ def resolve_parameters(doc: dict) -> tuple[dict, dict]:
             return [walk(v, f"{path}[{i}]") for i, v in enumerate(node)]
         return node
 
-    resolved = {k: (walk(v, k) if k not in ("parameters", "kind") else copy.deepcopy(v))
-                for k, v in doc.items()}
-    return resolved, params
+    return {k: (walk(v, k) if k not in ("parameters", "kind") else copy.deepcopy(v))
+            for k, v in doc.items()}
 
 
 def _leaf(doc, path: str):
@@ -408,7 +408,7 @@ def _parse_spec(doc: dict, kind: str):
     keys = _spec_keys(kind, dyn is not None)
     _check_keys(spec_node, "spec", allowed=(*keys.values(), *given),
                 required=[key for key in keys.values() if key not in ("I", "J")])
-    m = None  # the first field, a vector, fixes the dimension
+    m, like = None, ""  # the first field, a vector, fixes the dimension
     for name, key in keys.items():
         path = f"spec.{key}"
         if key not in spec_node:  # I or J, the only optional fields: zero inputs
@@ -417,11 +417,11 @@ def _parse_spec(doc: dict, kind: str):
             value = [_num(spec_node[key], path)]
             given[name] = [value] if name in cls.MATRICES else value
         elif name in cls.MATRICES:
-            given[name] = _num_matrix(spec_node[key], path, m)
+            given[name] = _num_matrix(spec_node[key], path, m, like)
         else:
-            given[name] = _num_list(spec_node[key], path, m)
+            given[name] = _num_list(spec_node[key], path, m, like)
         if m is None:
-            m = len(given[name])
+            m, like = len(given[name]), f" to match {path}"
     if dyn is None:
         return cls(**given), None
     if not isinstance(dyn, dict):
@@ -471,7 +471,7 @@ def _build(resolved: dict, kind: str) -> ParsedInput:
 def parse_document(doc: dict) -> ParsedInput:
     kind = _root_kind(doc)
     try:
-        resolved, _ = resolve_parameters(doc)
+        resolved = resolve_parameters(doc)
     except RecursionError:
         raise DocumentError(_TOO_DEEP) from None
     return _build(resolved, kind)
@@ -521,7 +521,7 @@ def point_parser(doc: dict, path: str):
         if refs:
             spots += _paths_to(template,
                                lambda at, key, child: isinstance(child, str) and child in refs)
-        resolved, _ = resolve_parameters(template)
+        resolved = resolve_parameters(template)
     except RecursionError:
         raise DocumentError(_TOO_DEEP) from None
     trie: dict = {}

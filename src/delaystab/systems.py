@@ -496,15 +496,6 @@ def read_time(t: np.ndarray, lag: np.ndarray, bound: np.ndarray, label) -> tuple
              f"(got {lag[i]:.6g})")
 
 
-@dataclass(frozen=True, eq=False)
-class ConstantHistory:
-    """The initial history t -> `vector` of a document: the same state at every t <= t0."""
-    vector: np.ndarray
-
-    def __call__(self, t: float) -> np.ndarray:
-        return self.vector
-
-
 # -0.0 is the exact additive identity (x + -0.0 is x, even for x = -0.0): a
 # row sum starts from it and a row without input adds it
 _EXACT_ZERO = -0.0
@@ -552,11 +543,10 @@ class ConcreteSystem:
         self.phis = [(slot, phi.k, phi.unit) if type(phi).__call__ is _Activation.__call__
                      else (slot, 1.0, phi) for slot, phi in enumerate(phis) if phi is not None]
         self.activations, self.dim = activations, len(rows)
-        if not callable(history):
-            history = ConstantHistory(np.asarray(history, dtype=float))
-            if (shape := history.vector.shape) != (self.dim,):
-                raise InvalidSpecError([f"history must have shape ({self.dim},), got {shape}"])
-        self.history = history
+        self.history = np.array(history, dtype=float)  # the state at every t <= t0
+        if (shape := self.history.shape) != (self.dim,):
+            raise InvalidSpecError([f"history must have shape ({self.dim},), got {shape}"])
+        self.history.flags.writeable = False
 
     def rhs(self, f_t: list, values) -> list:
         x = values.copy()

@@ -152,11 +152,12 @@ def test_screen_rejects_positive_off_diagonal():
 @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
 def test_non_finite_entry_fails_with_nan_margin(entry, at):
     # an entry that overflowed leaves no witness to check: the test fails,
-    # steering a bracket search nowhere, and the report gives -tol
+    # steering a bracket search nowhere, and the report gives -tol; off the
+    # diagonal, +inf and NaN are not <= 0, so the sign pattern fails too
     a = np.array([[2.0, -1.0], [-1.0, 2.0]])
     a[at] = entry
     off_ok, ok, margin, witness = witness_test(a)
-    assert off_ok == (entry != np.inf or at == (0, 0)) and not ok and witness is None
+    assert off_ok == (entry == -np.inf or at == (0, 0)) and not ok and witness is None
     assert math.isnan(margin) or not off_ok
     rep = is_m_matrix(a)
     assert not rep.is_m_matrix and rep.margin == -1e-12 and rep.witness_xi is None

@@ -116,9 +116,6 @@ def describe(x):
         return (type(x).__name__, [describe(v) for v in x])
     if isinstance(x, dict):
         return ("dict", json.dumps(x, sort_keys=True))
-    if callable(x) and getattr(x, "__closure__", None):
-        # a concrete system's history is a closure over the history vector
-        return (type(x).__name__, [describe(cell.cell_contents) for cell in x.__closure__])
     if dataclasses.is_dataclass(x):
         return (type(x).__name__, [(f.name, describe(getattr(x, f.name)))
                                    for f in dataclasses.fields(x)])

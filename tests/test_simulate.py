@@ -1,6 +1,5 @@
 """Method-of-steps integrator, decay fitting, trajectory CSV output."""
 
-import io
 import math
 import tracemalloc
 
@@ -25,7 +24,7 @@ from delaystab import (
     write_csv,
 )
 from delaystab.simulate import BLOCK, _Integrator
-from delaystab.systems import (ConcreteSystem, Constant, ConstantHistory, Cosinusoid,
+from delaystab.systems import (ConcreteSystem, Constant, Cosinusoid,
                                LinearActivation, ShiftedAbsCosLag, ShiftedAbsSinLag,
                                SinSquaredLag, Sinusoid, TanhActivation)
 
@@ -179,14 +178,6 @@ def test_record_every_decimates():
     assert abs(thin.times[-1] - 2.0) < 1e-12
 
 
-def test_callable_history_of_the_system():
-    spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]], L=[[0.0]])
-    system = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
-                             [[None]], [[None]], lambda t: np.array([2.0]))
-    traj = simulate(system, SimConfig(0.0, 1.0, 0.05))
-    assert np.max(np.abs(traj.states[:, 0] - (2.0 - 2.0 * traj.times))) < 1e-12
-
-
 def test_nonautonomous_rate_modulation():
     # xdot = (2 + sin t) * (-x): exact solution known in closed form
     from delaystab.systems import Sinusoid
@@ -225,10 +216,7 @@ def test_read_at_its_declared_bound_matches_the_exact_solution():
         dim = 1
         reads = ((0, Constant(1.0), 1.0, "lag"),)
         time_functions = ()
-
-        @staticmethod
-        def history(t):
-            return np.ones(1)
+        history = np.ones(1)
 
         def rhs(self, f_t, values):
             return np.array([-values[0]])
@@ -257,7 +245,6 @@ def test_window_comes_from_the_declared_bound_not_the_lags_own(late, h):
                                             [[None]], [[None]], [1.0]), cfg)
                    for bound in (0.2, 1.0))
     assert short.states.tobytes() == full.states.tobytes()
-    assert short.derivatives.tobytes() == full.derivatives.tobytes()
     assert short.meta == full.meta
 
 
@@ -354,18 +341,15 @@ def test_constant_coefficients_are_folded_into_their_weights():
     assert [getattr(c, "calls", 0) for row in folded for c in row] == [0] * 4
 
 
-@pytest.mark.parametrize("history", [[1.0, -0.5], lambda t: np.array([1.0, -0.5])],
-                         ids=["vector", "callable"])
-def test_constant_lags_are_evaluated_once_for_the_range_check(history):
+def test_constant_lags_are_evaluated_once_for_the_range_check():
     # a constant lag of tau = 12 h reads nodes at t + h and Hermite values at
     # t + h/2, one of 13.5 h the reverse; each is evaluated once, for its range
-    # check, under a constant history and a callable one alike: its warm-up
-    # stages, resolved when the integrator is built, take the lag's value
+    # check: its warm-up stages, resolved when the integrator is built, take
+    # the lag's value
     n_steps, h = 64, 1.0 / 32.0
     lags = [CountingConstant(12 * h), CountingConstant(13.5 * h)]
     rate = CountingConstant(1.0)
-    traj = simulate(two_neuron_system(*lags, rate=rate, history=history),
-                    SimConfig(0.0, n_steps * h, h))
+    traj = simulate(two_neuron_system(*lags, rate=rate), SimConfig(0.0, n_steps * h, h))
     assert [lag.calls for lag in lags] == [1, 1]
     assert rate.calls == 2 * n_steps + 1
     assert traj.meta["substep_lookups"] == 0
@@ -401,11 +385,11 @@ LAG_STEPS = st.one_of(st.none(), st.just(0.0), st.integers(10, 40).map(float),
                       st.floats(10.0, 40.0))
 
 
-def wave(t):
-    return np.array([math.cos(t), 0.5 * math.sin(2.0 * t)])
+# distinct entries, so that a read of the wrong component shows
+WAVE = np.array([0.8, -0.3])
 
 
-def twin_systems(family: str, lags: list, bound: float, history=wave):
+def twin_systems(family: str, lags: list, bound: float, history=WAVE):
     """The same system twice, from `history`: with Constant delays, whose
     reads are planned once, and with ShiftedAbsSinLag(tau, 0.0), the same
     values resolved at every stage time."""
@@ -442,17 +426,8 @@ def assert_plans_match(family, lag_steps, h, t0, n_steps, every):
     planned, per_stage = (simulate(sys_, cfg) for sys_ in twin_systems(family, lags, bound))
     assert planned.meta == per_stage.meta
     assert np.array_equal(planned.times, per_stage.times)
-    for a, b in ((planned.states, per_stage.states),
-                 (planned.derivatives, per_stage.derivatives)):
-        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b))
-    # a constant history vector plans the warm-up reads at or before t0; the
-    # same vector from a callable is read at every stage time, to the same bits
-    vector = [0.8, -0.3]
-    constant, called = (simulate(twin_systems(family, lags, bound, history)[0], cfg)
-                        for history in (vector, lambda t: np.array(vector)))
-    assert constant.meta == called.meta
-    for field in ("times", "states", "derivatives"):
-        assert np.array_equal(getattr(constant, field), getattr(called, field))
+    b = per_stage.states
+    assert np.max(np.abs(planned.states - b)) <= 1e-13 * np.max(np.abs(b))
 
 
 @pytest.mark.parametrize("family", ["general", "linear", "bam"])
@@ -488,10 +463,7 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
             dim = 1
             reads = ((0, lag, 1.0, "lag"),)
             time_functions = ()
-
-            @staticmethod
-            def history(t):
-                return np.array([math.cos(t)])
+            history = np.array([0.6])
 
             def rhs(self, f_t, values):
                 return np.array([-values[0]])
@@ -510,8 +482,8 @@ def test_planned_sub_step_reads_are_counted(lag_steps, sub_steps):
 
 def duck_system(reads, history, derivative, time_functions=()):
     """A one-component system that is not a ConcreteSystem, of the given
-    history (a callable of t): its right-hand side is derivative(values), and
-    `calls` counts its evaluations."""
+    history (a vector of one entry): its right-hand side is derivative(values),
+    and `calls` counts its evaluations."""
     class Duck:
         dim = 1
         calls = 0
@@ -525,8 +497,7 @@ def duck_system(reads, history, derivative, time_functions=()):
     return Duck()
 
 
-def cosine(t):
-    return np.array([math.cos(t)])
+COSINE = np.array([0.6])
 
 
 def test_integrator_memory_does_not_grow_with_the_span(inputs_dir):
@@ -544,7 +515,7 @@ def test_integrator_memory_does_not_grow_with_the_span(inputs_dir):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held.append(peak - traj.times.nbytes - traj.states.nbytes - traj.derivatives.nbytes)
+        held.append(peak - traj.times.nbytes - traj.states.nbytes)
     assert held[1] <= held[0] + 4096, held
 
 
@@ -556,8 +527,8 @@ WINDOW_LAGS = st.one_of(st.builds(Constant, st.floats(0.65, 1.5)),
 
 @settings(max_examples=25, deadline=None)
 @given(lags=st.lists(WINDOW_LAGS, min_size=2, max_size=2), t0=st.floats(-2.0, 2.0),
-       every=st.sampled_from([1, 3, 64, 100]), constant=st.booleans())
-def test_window_and_recorded_rows_match_a_run_that_keeps_every_node(lags, t0, every, constant):
+       every=st.sampled_from([1, 3, 64, 100]))
+def test_window_and_recorded_rows_match_a_run_that_keeps_every_node(lags, t0, every):
     # x' = -x + tanh(y(t - lag_1)), y' = -y - 0.8 (1 + 0.3 sin t) x(t - lag_2)
     # reads up to 150 steps back at h = 0.01, more than a block: the nodes
     # past its reach are dropped, and the rows recorded a block at a time are
@@ -566,8 +537,7 @@ def test_window_and_recorded_rows_match_a_run_that_keeps_every_node(lags, t0, ev
              (0, None, 0.0, "x"), (1, None, 0.0, "y")]
     rows = [(None, -0.0, [(2, -1.0, None), (0, 1.0, None)]),
             (None, -0.0, [(3, -1.0, None), (1, -0.8, Sinusoid(1.0, 0.3))])]
-    history = [1.0, -0.5] if constant else (lambda t: np.array([math.cos(t), math.sin(t)]))
-    system = ConcreteSystem(reads, [TanhActivation(1.0), None, None, None], rows, history, [])
+    system = ConcreteSystem(reads, [TanhActivation(1.0), None, None, None], rows, [1.0, -0.5], [])
     n, h = every * -(-450 // every), 0.01
     integ = _Integrator(system, SimConfig(t0, t0 + n * h, h, every))
     thin = integ.run()
@@ -576,8 +546,7 @@ def test_window_and_recorded_rows_match_a_run_that_keeps_every_node(lags, t0, ev
     kept.window = n + 1  # never trimmed
     full = kept.run()
     assert len(kept.xs) == (n + 1) * 2
-    for got, want in ((thin.times, full.times), (thin.states, full.states),
-                      (thin.derivatives, full.derivatives)):
+    for got, want in ((thin.times, full.times), (thin.states, full.states)):
         assert got.tobytes() == want[::every].tobytes()
     assert thin.meta == dict(full.meta, record_every=every)
 
@@ -587,7 +556,7 @@ def test_catalog_lag_leaving_its_bound_raises_at_its_stage_time():
     # stage of step 41: the 41 steps before it run (two evaluations each,
     # after the one at t0), then the error names the read and the time
     system = duck_system(((0, ShiftedAbsSinLag(0.1, 0.05), 0.12, "leak_lag[1]"),),
-                         cosine, lambda v: -v[0])
+                         COSINE, lambda v: -v[0])
     with pytest.raises(DelayBoundError) as exc:
         simulate(system, SimConfig(0.0, 2.0, 0.01))
     assert str(exc.value) == ("leak_lag[1] exceeds its declared bound 0.12 at t=0.415 "
@@ -599,7 +568,7 @@ def test_blow_up_before_a_lag_violation_is_reported_first():
     # the state overflows in the first step, long before the lag leaves its
     # bound at t = 0.415 in the same block of steps
     system = duck_system(((0, None, 0.0, "x"), (0, ShiftedAbsSinLag(0.1, 0.05), 0.12, "lag")),
-                         lambda t: np.ones(1), lambda v: 1e200 * v[0])
+                         np.ones(1), lambda v: 1e200 * v[0])
     with pytest.raises(SimulationError) as exc:
         simulate(system, SimConfig(0.0, 2.0, 0.01))
     assert str(exc.value) == "state became non-finite at t=0.01" and exc.value.time == 0.01
@@ -611,7 +580,7 @@ def test_failure_at_one_stage_reports_the_table_read():
     far = ((0, Constant(2.0), 2.0, "far"), (0, Constant(3.0), 3.0, "farther"))
     varying = (0, ShiftedAbsSinLag(0.4, 0.1), 0.3, "varying")
     with pytest.raises(DelayBoundError) as exc:
-        simulate(duck_system(far + (varying,), cosine, lambda v: -v[0]),
+        simulate(duck_system(far + (varying,), COSINE, lambda v: -v[0]),
                  SimConfig(0.0, 1.0, 0.01))
     assert str(exc.value) == "varying exceeds its declared bound 0.3 at t=0 (got 0.4)"
 
@@ -643,18 +612,17 @@ LAGS = st.one_of(st.builds(Constant, st.floats(0.0, 1.0)),
 @settings(max_examples=60, deadline=None)
 @given(functions=st.lists(RATES, min_size=1, max_size=3), lags=st.lists(LAGS, min_size=1,
        max_size=4), t0=st.floats(-3.0, 3.0), h=st.sampled_from([0.01, 0.004]),
-       start=st.integers(0, 200), constant=st.booleans())
-def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start, constant):
+       start=st.integers(0, 200), x0=st.sampled_from([0.5, -0.7]))
+def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start, x0):
     # every rate and coefficient, and every read resolved per stage time, is
     # the value, class and place that the same objects give one stage time at
     # a time, to the last bit: the planned reads' warm-up stages, filed when
-    # the integrator is made (past a constant history's fixed value, or from
-    # the start under a callable one), and the table reads (time-varying lags
-    # and constant lags below one step) at every stage of a block; each read declares
-    # the bound 1, which admits both steps, so lags far below ten steps are tried too
+    # the integrator is made (those past t0; the earlier ones keep the history
+    # x0), and the table reads (time-varying lags and constant lags below one
+    # step) at every stage of a block; each read declares the bound 1, which
+    # admits both steps, so lags far below ten steps are tried too
     reads = tuple((0, lag, 1.0, f"lag[{i}]") for i, lag in enumerate(lags))
-    history = ConstantHistory(np.array([0.5])) if constant else cosine
-    system = duck_system(reads, history, lambda v: 0.0, functions)
+    system = duck_system(reads, np.array([x0]), lambda v: 0.0, functions)
     integ = _Integrator(system, SimConfig(t0, t0 + (start + 80) * h, h))
     times = integ.times.tolist()
 
@@ -669,7 +637,7 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
             if abs(tq - t) <= 1e-12 * max(1.0, abs(t)):
                 entries[0].append((slot, 0))
             elif tq <= t0:
-                entries[3].append((slot, 0, tq))
+                entries[3].append((slot, x0))
             else:
                 r, weights = place_one((tq - t0) / h - g // 2, h)
                 entries[2 if weights else 1].append((slot, r * integ.dim, *weights))
@@ -700,8 +668,7 @@ def synthetic_decay(lam=0.7, amp=3.0, t_end=20.0, h=0.01):
     x = amp * np.exp(-lam * t)
     from delaystab.simulate import Trajectory
     states = x[:, None]
-    return Trajectory(times=t, states=states,
-                      derivatives=(-lam) * states, meta={})
+    return Trajectory(times=t, states=states, meta={})
 
 
 def test_fit_recovers_synthetic_rate():
@@ -720,8 +687,7 @@ def test_fit_uses_late_window_only():
 def test_fit_rejects_flat_trajectory():
     from delaystab.simulate import Trajectory
     t = np.arange(0.0, 10.0, 0.01)
-    traj = Trajectory(times=t, states=np.ones((len(t), 1)),
-                      derivatives=np.zeros((len(t), 1)), meta={})
+    traj = Trajectory(times=t, states=np.ones((len(t), 1)), meta={})
     with pytest.raises(FitInapplicableError):
         fit_decay(traj, np.zeros(1))
 
@@ -730,7 +696,7 @@ def test_fit_rejects_growth():
     t = np.arange(0.0, 10.0, 0.01)
     from delaystab.simulate import Trajectory
     x = np.exp(0.3 * t)[:, None]
-    traj = Trajectory(times=t, states=x, derivatives=0.3 * x, meta={})
+    traj = Trajectory(times=t, states=x, meta={})
     with pytest.raises(FitInapplicableError):
         fit_decay(traj, np.zeros(1))
 
@@ -744,11 +710,10 @@ def test_fit_on_real_decaying_run():
 
 # --- CSV output -------------------------------------------------------------
 
-def test_csv_format():
+def test_csv_format(tmp_path):
     traj = simulate(pure_delay_system(), SimConfig(0.0, 0.5, 0.1))
-    buf = io.StringIO()
-    write_csv(traj, buf)
-    text = buf.getvalue()
+    write_csv(traj, str(tmp_path / "traj.csv"))
+    text = (tmp_path / "traj.csv").read_bytes().decode()
     lines = text.split("\n")
     assert lines[0] == "t,x_1"
     assert len(lines) == 7 + 1  # header + 6 rows + trailing newline
@@ -770,7 +735,7 @@ def test_csv_round_trip_file(tmp_path):
     assert np.array_equal(np.asarray(data["x_1"]), traj.states[:, 0])
 
 
-def test_csv_multicomponent_header():
+def test_csv_multicomponent_header(tmp_path):
     spec = LinearSystemSpec(alpha=[1.0, 1.0, 1.0], A=[1.0, 1.0, 1.0],
                             A_off=np.zeros((3, 3)), sigma=np.zeros((3, 3)),
                             diagonal_delay_free=True)
@@ -779,23 +744,16 @@ def test_csv_multicomponent_header():
     lags = [[None] * 3 for _ in range(3)]
     sys_ = LinearConcrete(spec, coeffs, lags, [1.0, 2.0, 3.0])
     traj = simulate(sys_, SimConfig(0.0, 1.0, 0.5))
-    buf = io.StringIO()
-    write_csv(traj, buf)
-    assert buf.getvalue().split("\n")[0] == "t,x_1,x_2,x_3"
+    write_csv(traj, str(tmp_path / "traj.csv"))
+    assert (tmp_path / "traj.csv").read_text().split("\n")[0] == "t,x_1,x_2,x_3"
 
 
-@pytest.mark.parametrize("history", ["constant", "callable"])
-def test_constant_lag_beyond_the_span_reads_the_history_for_the_whole_run(
-        two_neuron_doc, history):
+def test_constant_lag_beyond_the_span_reads_the_history_for_the_whole_run(two_neuron_doc):
     # a lag of 1e308 is inf steps of 0.01, where 1e300 is a finite number of
     # them; both lie beyond the span, so both read the history throughout
     runs = []
     for lag in (1e300, 1e308):
         two_neuron_doc["dynamics"]["leak_x"] = {"type": "constant", "value": lag}
-        system = parse_document(two_neuron_doc).concrete
-        if history == "callable":
-            system.history = lambda t: np.ones(2)
-        runs.append(simulate(system, SimConfig(0.0, 0.2)))
+        runs.append(simulate(parse_document(two_neuron_doc).concrete, SimConfig(0.0, 0.2)))
     assert np.array_equal(runs[0].states, runs[1].states)
-    assert np.array_equal(runs[0].derivatives, runs[1].derivatives)
     assert runs[0].meta["h"] == 0.01 and runs[0].states.shape == (21, 2)

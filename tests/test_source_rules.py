@@ -1,9 +1,11 @@
 """Rules that the package source itself must keep."""
 
 import ast
+import dataclasses
 import pathlib
 
 import delaystab
+from delaystab.simulate import Trajectory
 
 SRC = pathlib.Path(delaystab.__file__).parent
 
@@ -197,3 +199,16 @@ def test_no_module_defines_a_second_screen_or_one_unit_constructor():
              for name in gone & {getattr(node, "id", None), getattr(node, "attr", None),
                                  getattr(node, "name", None)}]
     assert found == [], found
+
+
+def test_history_is_one_vector_and_a_trajectory_holds_no_derivatives():
+    # a document gives its initial history as one state vector, which no
+    # module wraps or calls, and no reader takes node derivatives from a run
+    found = [f"{path.name}:{node.lineno} {ast.unparse(node)}"
+             for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if "ConstantHistory" in {getattr(node, "id", None), getattr(node, "attr", None),
+                                      getattr(node, "name", None)}
+             or isinstance(node, ast.Call) and ast.unparse(node.func).endswith("history")]
+    assert found == [], found
+    assert [f.name for f in dataclasses.fields(Trajectory)] == ["times", "states", "meta"]

@@ -60,7 +60,7 @@ def test_two_neuron_with_dynamics(inputs_dir, two_neuron_doc):
     assert abs(parsed.spec.sigma_x[0] - 0.4) < 1e-15
     assert abs(parsed.spec.sigma_y[0] - 0.5) < 1e-15
     # the validated history is handed to the concrete system
-    assert np.array_equal(parsed.concrete.history(0.0), [1.0, 1.0])
+    assert np.array_equal(parsed.concrete.history, [1.0, 1.0])
 
 
 def test_linear_with_dynamics(linear_doc):
@@ -195,7 +195,7 @@ def test_non_numeric_value(two_neuron_doc):
     ("alpha", [1], True, "spec.alpha[1]: expected a number, got True"),
     ("L", [0, 1], "x", "spec.L[0][1]: expected a number, got 'x'"),
     ("L", [0, 1], "$x", "spec.L[0][1]: unknown parameter reference '$x'"),
-    ("L", [1], [0.1, 0.1], "spec.L[1]: expected 3 entries, got 2"),
+    ("L", [1], [0.1, 0.1], "spec.L[1]: expected 3 entries to match spec.alpha, got 2"),
 ])
 def test_diagnostic_names_the_entry(inputs_dir, field, index, value, message):
     doc = json.loads((inputs_dir / "general_sample.json").read_text())
@@ -725,7 +725,6 @@ def test_delay_free_lag_below_the_rule_runs_as_a_zero_lag(kind):
     tiny, zero = runs
     assert tiny.meta == zero.meta and tiny.meta["h"] == 0.01
     assert tiny.states.tobytes() == zero.states.tobytes()
-    assert tiny.derivatives.tobytes() == zero.derivatives.tobytes()
 
 
 def _general_dynamics_doc() -> dict:
@@ -926,105 +925,105 @@ def _frozen_doc(kind: str, style: str) -> dict:
 _FIELD_EDIT_MESSAGES = {
     'general-bounds-alpha-removed': "spec: missing required field 'alpha'",
     'general-bounds-alpha-x': 'spec.alpha: expected a list of numbers, got str',
-    'general-bounds-alpha-dropped': 'spec.A: expected 1 entries, got 2',
+    'general-bounds-alpha-dropped': 'spec.A: expected 1 entries to match spec.alpha, got 2',
     'general-bounds-A-removed': "spec: missing required field 'A'",
     'general-bounds-A-x': 'spec.A: expected a list of numbers, got str',
-    'general-bounds-A-dropped': 'spec.A: expected 2 entries, got 1',
+    'general-bounds-A-dropped': 'spec.A: expected 2 entries to match spec.alpha, got 1',
     'general-bounds-tau-removed': "spec: missing required field 'tau'",
     'general-bounds-tau-x': 'spec.tau: expected a list of numbers, got str',
-    'general-bounds-tau-dropped': 'spec.tau: expected 2 entries, got 1',
+    'general-bounds-tau-dropped': 'spec.tau: expected 2 entries to match spec.alpha, got 1',
     'general-bounds-sigma-removed': "spec: missing required field 'sigma'",
-    'general-bounds-sigma-x': 'spec.sigma: expected a 2x2 matrix',
-    'general-bounds-sigma-dropped': 'spec.sigma: expected a 2x2 matrix',
+    'general-bounds-sigma-x': 'spec.sigma: expected a 2x2 matrix to match spec.alpha',
+    'general-bounds-sigma-dropped': 'spec.sigma: expected a 2x2 matrix to match spec.alpha',
     'general-bounds-L-removed': "spec: missing required field 'L'",
-    'general-bounds-L-x': 'spec.L: expected a 2x2 matrix',
-    'general-bounds-L-dropped': 'spec.L: expected a 2x2 matrix',
+    'general-bounds-L-x': 'spec.L: expected a 2x2 matrix to match spec.alpha',
+    'general-bounds-L-dropped': 'spec.L: expected a 2x2 matrix to match spec.alpha',
     'general-bounds-diagonal_delay_free-removed': None,
     'general-bounds-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
     'general-dynamics-diagonal_delay_free-removed': None,
     'general-dynamics-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
     'linear-bounds-alpha-removed': "spec: missing required field 'alpha'",
     'linear-bounds-alpha-x': 'spec.alpha: expected a list of numbers, got str',
-    'linear-bounds-alpha-dropped': 'spec.A: expected 1 entries, got 2',
+    'linear-bounds-alpha-dropped': 'spec.A: expected 1 entries to match spec.alpha, got 2',
     'linear-bounds-A-removed': "spec: missing required field 'A'",
     'linear-bounds-A-x': 'spec.A: expected a list of numbers, got str',
-    'linear-bounds-A-dropped': 'spec.A: expected 2 entries, got 1',
+    'linear-bounds-A-dropped': 'spec.A: expected 2 entries to match spec.alpha, got 1',
     'linear-bounds-A_off-removed': "spec: missing required field 'A_off'",
-    'linear-bounds-A_off-x': 'spec.A_off: expected a 2x2 matrix',
-    'linear-bounds-A_off-dropped': 'spec.A_off: expected a 2x2 matrix',
+    'linear-bounds-A_off-x': 'spec.A_off: expected a 2x2 matrix to match spec.alpha',
+    'linear-bounds-A_off-dropped': 'spec.A_off: expected a 2x2 matrix to match spec.alpha',
     'linear-bounds-sigma-removed': "spec: missing required field 'sigma'",
-    'linear-bounds-sigma-x': 'spec.sigma: expected a 2x2 matrix',
-    'linear-bounds-sigma-dropped': 'spec.sigma: expected a 2x2 matrix',
+    'linear-bounds-sigma-x': 'spec.sigma: expected a 2x2 matrix to match spec.alpha',
+    'linear-bounds-sigma-dropped': 'spec.sigma: expected a 2x2 matrix to match spec.alpha',
     'linear-bounds-diagonal_delay_free-removed': None,
     'linear-bounds-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
     'linear-dynamics-diagonal_delay_free-removed': None,
     'linear-dynamics-diagonal_delay_free-x': 'spec.diagonal_delay_free: expected true or false',
     'bam-bounds-a-removed': "spec: missing required field 'a'",
     'bam-bounds-a-x': 'spec.a: expected a list of numbers, got str',
-    'bam-bounds-a-dropped': 'spec.b: expected 1 entries, got 2',
+    'bam-bounds-a-dropped': 'spec.b: expected 1 entries to match spec.a, got 2',
     'bam-bounds-b-removed': "spec: missing required field 'b'",
     'bam-bounds-b-x': 'spec.b: expected a list of numbers, got str',
-    'bam-bounds-b-dropped': 'spec.b: expected 2 entries, got 1',
+    'bam-bounds-b-dropped': 'spec.b: expected 2 entries to match spec.a, got 1',
     'bam-bounds-a_conn-removed': "spec: missing required field 'a_conn'",
-    'bam-bounds-a_conn-x': 'spec.a_conn: expected a 2x2 matrix',
-    'bam-bounds-a_conn-dropped': 'spec.a_conn: expected a 2x2 matrix',
+    'bam-bounds-a_conn-x': 'spec.a_conn: expected a 2x2 matrix to match spec.a',
+    'bam-bounds-a_conn-dropped': 'spec.a_conn: expected a 2x2 matrix to match spec.a',
     'bam-bounds-b_conn-removed': "spec: missing required field 'b_conn'",
-    'bam-bounds-b_conn-x': 'spec.b_conn: expected a 2x2 matrix',
-    'bam-bounds-b_conn-dropped': 'spec.b_conn: expected a 2x2 matrix',
+    'bam-bounds-b_conn-x': 'spec.b_conn: expected a 2x2 matrix to match spec.a',
+    'bam-bounds-b_conn-dropped': 'spec.b_conn: expected a 2x2 matrix to match spec.a',
     'bam-bounds-Lf-removed': "spec: missing required field 'Lf'",
     'bam-bounds-Lf-x': 'spec.Lf: expected a list of numbers, got str',
-    'bam-bounds-Lf-dropped': 'spec.Lf: expected 2 entries, got 1',
+    'bam-bounds-Lf-dropped': 'spec.Lf: expected 2 entries to match spec.a, got 1',
     'bam-bounds-Lg-removed': "spec: missing required field 'Lg'",
     'bam-bounds-Lg-x': 'spec.Lg: expected a list of numbers, got str',
-    'bam-bounds-Lg-dropped': 'spec.Lg: expected 2 entries, got 1',
+    'bam-bounds-Lg-dropped': 'spec.Lg: expected 2 entries to match spec.a, got 1',
     'bam-bounds-r_lo-removed': "spec: missing required field 'r_lo'",
     'bam-bounds-r_lo-x': 'spec.r_lo: expected a list of numbers, got str',
-    'bam-bounds-r_lo-dropped': 'spec.r_lo: expected 2 entries, got 1',
+    'bam-bounds-r_lo-dropped': 'spec.r_lo: expected 2 entries to match spec.a, got 1',
     'bam-bounds-r_hi-removed': "spec: missing required field 'r_hi'",
     'bam-bounds-r_hi-x': 'spec.r_hi: expected a list of numbers, got str',
-    'bam-bounds-r_hi-dropped': 'spec.r_hi: expected 2 entries, got 1',
+    'bam-bounds-r_hi-dropped': 'spec.r_hi: expected 2 entries to match spec.a, got 1',
     'bam-bounds-p_lo-removed': "spec: missing required field 'p_lo'",
     'bam-bounds-p_lo-x': 'spec.p_lo: expected a list of numbers, got str',
-    'bam-bounds-p_lo-dropped': 'spec.p_lo: expected 2 entries, got 1',
+    'bam-bounds-p_lo-dropped': 'spec.p_lo: expected 2 entries to match spec.a, got 1',
     'bam-bounds-p_hi-removed': "spec: missing required field 'p_hi'",
     'bam-bounds-p_hi-x': 'spec.p_hi: expected a list of numbers, got str',
-    'bam-bounds-p_hi-dropped': 'spec.p_hi: expected 2 entries, got 1',
+    'bam-bounds-p_hi-dropped': 'spec.p_hi: expected 2 entries to match spec.a, got 1',
     'bam-bounds-tau_x-removed': "spec: missing required field 'tau_x'",
     'bam-bounds-tau_x-x': 'spec.tau_x: expected a list of numbers, got str',
-    'bam-bounds-tau_x-dropped': 'spec.tau_x: expected 2 entries, got 1',
+    'bam-bounds-tau_x-dropped': 'spec.tau_x: expected 2 entries to match spec.a, got 1',
     'bam-bounds-tau_y-removed': "spec: missing required field 'tau_y'",
     'bam-bounds-tau_y-x': 'spec.tau_y: expected a list of numbers, got str',
-    'bam-bounds-tau_y-dropped': 'spec.tau_y: expected 2 entries, got 1',
+    'bam-bounds-tau_y-dropped': 'spec.tau_y: expected 2 entries to match spec.a, got 1',
     'bam-bounds-sigma_x-removed': "spec: missing required field 'sigma_x'",
     'bam-bounds-sigma_x-x': 'spec.sigma_x: expected a list of numbers, got str',
-    'bam-bounds-sigma_x-dropped': 'spec.sigma_x: expected 2 entries, got 1',
+    'bam-bounds-sigma_x-dropped': 'spec.sigma_x: expected 2 entries to match spec.a, got 1',
     'bam-bounds-sigma_y-removed': "spec: missing required field 'sigma_y'",
     'bam-bounds-sigma_y-x': 'spec.sigma_y: expected a list of numbers, got str',
-    'bam-bounds-sigma_y-dropped': 'spec.sigma_y: expected 2 entries, got 1',
+    'bam-bounds-sigma_y-dropped': 'spec.sigma_y: expected 2 entries to match spec.a, got 1',
     'bam-bounds-I-removed': None,
     'bam-bounds-I-x': 'spec.I: expected a list of numbers, got str',
-    'bam-bounds-I-dropped': 'spec.I: expected 2 entries, got 1',
+    'bam-bounds-I-dropped': 'spec.I: expected 2 entries to match spec.a, got 1',
     'bam-bounds-J-removed': None,
     'bam-bounds-J-x': 'spec.J: expected a list of numbers, got str',
-    'bam-bounds-J-dropped': 'spec.J: expected 2 entries, got 1',
+    'bam-bounds-J-dropped': 'spec.J: expected 2 entries to match spec.a, got 1',
     'bam-dynamics-a-removed': "spec: missing required field 'a'",
     'bam-dynamics-a-x': 'spec.a: expected a list of numbers, got str',
-    'bam-dynamics-a-dropped': 'spec.b: expected 1 entries, got 2',
+    'bam-dynamics-a-dropped': 'spec.b: expected 1 entries to match spec.a, got 2',
     'bam-dynamics-b-removed': "spec: missing required field 'b'",
     'bam-dynamics-b-x': 'spec.b: expected a list of numbers, got str',
-    'bam-dynamics-b-dropped': 'spec.b: expected 2 entries, got 1',
+    'bam-dynamics-b-dropped': 'spec.b: expected 2 entries to match spec.a, got 1',
     'bam-dynamics-a_conn-removed': "spec: missing required field 'a_conn'",
-    'bam-dynamics-a_conn-x': 'spec.a_conn: expected a 2x2 matrix',
-    'bam-dynamics-a_conn-dropped': 'spec.a_conn: expected a 2x2 matrix',
+    'bam-dynamics-a_conn-x': 'spec.a_conn: expected a 2x2 matrix to match spec.a',
+    'bam-dynamics-a_conn-dropped': 'spec.a_conn: expected a 2x2 matrix to match spec.a',
     'bam-dynamics-b_conn-removed': "spec: missing required field 'b_conn'",
-    'bam-dynamics-b_conn-x': 'spec.b_conn: expected a 2x2 matrix',
-    'bam-dynamics-b_conn-dropped': 'spec.b_conn: expected a 2x2 matrix',
+    'bam-dynamics-b_conn-x': 'spec.b_conn: expected a 2x2 matrix to match spec.a',
+    'bam-dynamics-b_conn-dropped': 'spec.b_conn: expected a 2x2 matrix to match spec.a',
     'bam-dynamics-I-removed': None,
     'bam-dynamics-I-x': 'spec.I: expected a list of numbers, got str',
-    'bam-dynamics-I-dropped': 'spec.I: expected 2 entries, got 1',
+    'bam-dynamics-I-dropped': 'spec.I: expected 2 entries to match spec.a, got 1',
     'bam-dynamics-J-removed': None,
     'bam-dynamics-J-x': 'spec.J: expected a list of numbers, got str',
-    'bam-dynamics-J-dropped': 'spec.J: expected 2 entries, got 1',
+    'bam-dynamics-J-dropped': 'spec.J: expected 2 entries to match spec.a, got 1',
     'two_neuron-bounds-a-removed': "spec: missing required field 'a'",
     'two_neuron-bounds-a-x': "spec.a: expected a number, got 'x'",
     'two_neuron-bounds-b-removed': "spec: missing required field 'b'",

@@ -162,7 +162,6 @@ def test_a_lambda_activation_integrates_as_its_catalog_twin():
     twin = simulate(system(TanhActivation(0.5)), cfg)
     run = simulate(system(lambda u: 0.5 * math.tanh(u)), cfg)
     assert run.states.tobytes() == twin.states.tobytes()
-    assert run.derivatives.tobytes() == twin.derivatives.tobytes()
 
 
 # --- validation -------------------------------------------------------------
@@ -437,17 +436,6 @@ def test_linear_concrete_matches_matrix_product():
     out = rhs_over_reads(sys_, 1.0, lambda i, t: state[i])
     ref = np.array([[-1.0, 0.9], [0.9, -1.0]]) @ state
     assert np.max(np.abs(out - ref)) < 1e-15
-
-
-def test_history_callable_and_vector():
-    spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]],
-                             L=[[0.0]])
-    sys_vec = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
-                              [[None]], [[None]], [2.5])
-    assert abs(sys_vec.history(-0.3)[0] - 2.5) < 1e-15
-    sys_fn = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)],
-                             [[None]], [[None]], lambda t: np.array([np.sin(t)]))
-    assert abs(sys_fn.history(-0.25)[0] - np.sin(-0.25)) < 1e-15
 
 
 def test_validate_messages_and_order_for_every_rule():

@@ -1,8 +1,8 @@
-"""Golden trajectories: recorded states and node derivatives of whole runs.
+"""Golden trajectories: recorded states of whole runs.
 
 `golden_trajectories.json` holds every tenth row (`record_every=10`) of the
-`states` and `derivatives` of five integrations, recorded before the
-integrator resolved delayed reads once per stage time:
+`states` of five integrations, recorded before the integrator resolved
+delayed reads once per stage time:
 
 * the shipped two-neuron, linear and two-layer documents,
 * an inline two-neuron document whose sin^2 transmission lags cross zero (so
@@ -87,18 +87,16 @@ def record() -> dict:
     out = {}
     for name in CASES:
         traj = run(name)
-        out[name] = {"states": traj.states.tolist(), "derivatives": traj.derivatives.tolist()}
+        out[name] = {"states": traj.states.tolist()}
     return out
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_trajectory_matches_golden(name):
-    want = json.loads(GOLDEN.read_text())[name]
-    traj = run(name)
-    for field, got in (("states", traj.states), ("derivatives", traj.derivatives)):
-        expected = np.asarray(want[field])
-        assert got.shape == expected.shape, field
-        np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0.0, err_msg=field)
+    got = run(name).states
+    expected = np.asarray(json.loads(GOLDEN.read_text())[name]["states"])
+    assert got.shape == expected.shape
+    np.testing.assert_allclose(got, expected, rtol=RTOL, atol=0.0)
 
 
 def test_golden_covers_every_case():
