@@ -438,6 +438,17 @@ def test_linear_concrete_matches_matrix_product():
     assert np.max(np.abs(out - ref)) < 1e-15
 
 
+def test_history_is_a_read_only_copy_of_one_state_vector():
+    spec = GeneralSystemSpec(alpha=[1.0], A=[1.0], tau=[1.0], sigma=[[0.0]], L=[[0.0]])
+    given = np.array([2.5])
+    sys_ = GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)], [[None]], [[None]], given)
+    given[0] = 0.0
+    assert sys_.history.tolist() == [2.5] and not sys_.history.flags.writeable
+    with pytest.raises(InvalidSpecError) as exc:
+        GeneralConcrete(spec, [Constant(1.0)], [Constant(1.0)], [[None]], [[None]], [1.0, 2.0])
+    assert exc.value.violations == ["history must have shape (1,), got (2,)"]
+
+
 def test_validate_messages_and_order_for_every_rule():
     nan, inf = float("nan"), float("inf")
     with pytest.raises(InvalidSpecError) as exc:
