@@ -178,6 +178,22 @@ def test_record_every_decimates():
     assert abs(thin.times[-1] - 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("lag", [Constant(1.0), ShiftedAbsSinLag(1.0, 0.0)],
+                         ids=["planned", "table"])
+def test_reads_at_or_before_t0_take_their_own_components_history_entry(lag):
+    # x_i' = -x_i(t - 1) from the history (2, -3): until t = 1 each leak reads
+    # its own component's entry, so x_1 = 2 - 2t and x_2 = -3 + 3t exactly,
+    # whether the lag is planned once or resolved at every stage time
+    spec = GeneralSystemSpec(alpha=[1.0, 1.0], A=[1.0, 1.0], tau=[1.0, 1.0],
+                             sigma=[[0.0, 0.0], [0.0, 0.0]], L=[[0.0, 0.0], [0.0, 0.0]])
+    system = GeneralConcrete(spec, [Constant(1.0)] * 2, [lag] * 2,
+                             [[None, None], [None, None]], [[None, None], [None, None]],
+                             [2.0, -3.0])
+    traj = simulate(system, SimConfig(0.0, 1.0, 0.05))
+    exact = np.column_stack([2.0 - 2.0 * traj.times, -3.0 + 3.0 * traj.times])
+    assert np.max(np.abs(traj.states - exact)) < 1e-12
+
+
 def test_nonautonomous_rate_modulation():
     # xdot = (2 + sin t) * (-x): exact solution known in closed form
     from delaystab.systems import Sinusoid

@@ -25,6 +25,7 @@ from delaystab import (
     parse_document,
     parse_file,
     point_parser,
+    resolve_parameters,
     set_parameter,
     simulate,
 )
@@ -78,6 +79,15 @@ def test_parameter_reference_resolution(modulated_doc):
     # mu = 0 zeroes the oscillation amplitudes, so rate bounds collapse
     assert abs(parsed.spec.a[0] - 1.0) < 1e-15
     assert abs(parsed.spec.b[0] - 1.0) < 1e-15
+
+
+def test_resolve_parameters_returns_only_the_resolved_copy(modulated_doc):
+    modulated_doc["parameters"]["mu"] = 3.5
+    resolved = resolve_parameters(modulated_doc)
+    assert isinstance(resolved, dict)
+    assert resolved["dynamics"]["rate_x"]["amp"] == resolved["dynamics"]["rate_y"]["amp"] == 3.5
+    assert resolved["parameters"] == {"mu": 3.5}
+    assert modulated_doc["dynamics"]["rate_x"]["amp"] == "$mu"  # original untouched
 
 
 def test_unknown_parameter_reference(modulated_doc):
