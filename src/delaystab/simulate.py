@@ -25,9 +25,8 @@ The initial history is one state vector, the state at every t <= t0, so a
 read at or before t0 takes its component's entry.  A constant lag of at
 least one step reads q = c - lag / h steps from node k in every step k, so
 it is range-checked once and each stage offset plans its node offset or
-Hermite weights once, for the steps whose read lies past t0 + h.  Its
-warm-up stages before them that read past t0 are resolved once, when the
-integrator is built; the earlier ones keep the history's entry.  The rates,
+Hermite weights once.  The read keeps its history entry until the first
+step whose read lies past t0, and is gathered from then on.  The rates,
 coefficients and table reads (time-varying lags and constant lags below one
 step) depend on t alone and are tabulated with numpy, with range checks,
 classes and places, on the stage times of BLOCK steps at a time.  A table
@@ -133,11 +132,11 @@ class _ReadPlan:
         queue = []
         for (slot, comp, _), q, r, node, *w in zip(planned, q.tolist(), offsets.tolist(),
                                                    nodes.tolist(), *(w.tolist() for w in weights)):
-            # the warm-up steps first <= k < 1 - r, past the steps that read the history
-            queue.append((max(0, 1 - r), math.floor(1e-9 - q) + 1, slot,
+            # gathered from the first step whose read lies past t0
+            queue.append((math.floor(1e-9 - q) + 1,
                           (slot, r * dim + comp) if node else (slot, r * dim + comp, *w)))
-        self.queue = sorted(queue, key=lambda entry: -entry[0])  # next warm-up to end on top
-        # each read starts at its history entry, which a stage time overwrites when it reads
+        self.queue = sorted(queue, key=lambda entry: -entry[0])  # the next to start on top
+        # each read keeps its history entry until it is gathered
         self.nodes, self.hermite, self.values = [], [], start.copy()
 
 
@@ -208,25 +207,32 @@ class _Integrator:
                       for i, kind in ((0, int), (1, int), (3, float), (4, object))]
         start = self.history[[comp for comp, *_ in self.reads]].tolist()
         self.plans = [_ReadPlan(c, h, self.dim, planned, start) for c in (0.5, 1.0)]
-        # every planned read's warm-up stages 2k + c, resolved once
         self.extra, self.cut, self.failure = {}, math.inf, None
-        if warm := sorted((2 * k + c, slot, self.reads[slot][0], self.reads[slot][1].value)
-                          for c, plan in enumerate(self.plans)
-                          for end, first, slot, _ in plan.queue
-                          for k in range(first, min(end, n_steps))):
-            g, slot, comp, lag = map(np.array, zip(*warm))
-            t = self._times(g)
-            self._resolve(g, t, t - lag, slot, comp)
 
-    def _times(self, g: np.ndarray) -> np.ndarray:
-        """The times of stages g: stage 2k is step k's half step, 2k + 1 its end (-1 is t0)."""
-        k, t0, h = g // 2, self.cfg.t0, self.h
-        return np.where(g % 2 == 0, (t0 + k * h) + 0.5 * h, t0 + (k + 1) * h)
-
-    def _resolve(self, g, t, tq, slot, comp) -> None:
-        """File the reads at stages g (times t, read times tq) in self.extra[g] as stage, node,
-        Hermite or history entries."""
+    def _tabulate(self, g0: int, n: int) -> list:
+        """The time functions' values at the times of stages g0 <= g < g0 + n (stage 2k is
+        step k's half step, 2k + 1 its end, -1 is t0), evaluated at once, as is each table
+        read's lag there; each such read is filed in self.extra[g] as a stage, node, Hermite
+        or history entry."""
         h, dim, t0, extra = self.h, self.dim, self.cfg.t0, self.extra
+        g = np.arange(g0, g0 + n)
+        k = g // 2
+        T = np.where(g % 2 == 0, (t0 + k * h) + 0.5 * h, t0 + (k + 1) * h)
+        f_t = np.empty((n, len(self.time_functions)))
+        for col, fn in enumerate(self.time_functions):
+            f_t[:, col] = fn(T)
+        if not (lags := self.table_lags):
+            return f_t.tolist()
+        lag = np.empty((n, len(lags)))
+        for j, fn in enumerate(lags):
+            lag[:, j] = fn(T)
+        slot, comp, bound, label = (np.tile(column, n) for column in self.table)
+        g, t = np.repeat(g, len(lags)), np.repeat(T, len(lags))  # stage by stage
+        tq, error = read_time(t, lag.ravel(), bound, label)
+        if error:  # raised at its stage, where the reads before it are filed
+            m = len(tq)
+            self.cut, self.failure = int(g[m]), error
+            g, t, slot, comp = g[:m], t[:m], slot[:m], comp[:m]
         stage = np.abs(tq - t) <= 1e-12 * np.maximum(1.0, np.abs(t))
         past = ~stage & (tq <= t0)
         # placed at t0, a past read (of the history, however far back) stays in range
@@ -239,27 +245,6 @@ class _Integrator:
             entries = zip(*(x[mask].tolist() for x in (slot, *columns)))
             for key, entry in zip(g[mask].tolist(), entries):
                 extra[key][kind].append(entry)
-
-    def _tabulate(self, g0: int, n: int) -> list:
-        """The time functions' values at the times of stages g0 <= g < g0 + n, evaluated at
-        once, as is each table read's lag there; `_resolve` files those reads."""
-        g = np.arange(g0, g0 + n)
-        T = self._times(g)
-        f_t = np.empty((n, len(self.time_functions)))
-        for col, fn in enumerate(self.time_functions):
-            f_t[:, col] = fn(T)
-        if lags := self.table_lags:
-            lag = np.empty((n, len(lags)))
-            for j, fn in enumerate(lags):
-                lag[:, j] = fn(T)
-            slot, comp, bound, label = (np.tile(column, n) for column in self.table)
-            g, t = np.repeat(g, len(lags)), np.repeat(T, len(lags))  # stage by stage
-            tq, error = read_time(t, lag.ravel(), bound, label)
-            if error:  # raised at its stage, where the reads before it are filed
-                m = len(tq)
-                self.cut, self.failure = int(g[m]), error
-                g, t, slot, comp = g[:m], t[:m], slot[:m], comp[:m]
-            self._resolve(g, t, tq, slot, comp)
         return f_t.tolist()
 
     def _read(self, plan: _ReadPlan, g: int, k: int) -> tuple:
@@ -267,8 +252,8 @@ class _Integrator:
         of a read that fails there."""
         if g == self.cut:
             raise self.failure
-        while plan.queue and plan.queue[-1][0] <= k:  # its warm-up is over: gathered from now on
-            gather = plan.queue.pop()[3]
+        while plan.queue and plan.queue[-1][0] <= k:  # its read lies past t0 from now on
+            gather = plan.queue.pop()[1]
             (plan.hermite if len(gather) > 2 else plan.nodes).append(gather)
         values, stage, nodes, hermite, past = plan.values, self.stage, plan.nodes, plan.hermite, ()
         if (more := self.extra.pop(g, None)) is not None:  # the reads resolved at this stage

@@ -243,31 +243,31 @@ def _build_fn(node, catalog: dict, path: str, allow_null: bool = False):
     return fn
 
 
-def _fn_list(node, catalog, path, length, allow_null=False):
+def _fn_list(node, catalog, path, length, allow_null=False, like=""):
     if not isinstance(node, list) or len(node) != length:
-        _fail(path, f"expected a list of {length} function objects")
+        _fail(path, f"expected a list of {length} function objects{like}")
     return [_build_fn(v, catalog, f"{path}[{i}]", allow_null=allow_null)
             for i, v in enumerate(node)]
 
 
-def _fn_matrix(node, catalog, path, size, allow_null=False):
+def _fn_matrix(node, catalog, path, size, allow_null=False, like=""):
     if not isinstance(node, list) or len(node) != size:
-        _fail(path, f"expected a {size}x{size} matrix of function objects")
+        _fail(path, f"expected a {size}x{size} matrix of function objects{like}")
     out = []
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != size:
-            _fail(f"{path}[{i}]", f"expected {size} entries")
+            _fail(f"{path}[{i}]", f"expected {size} entries{like}")
         out.append([_build_fn(v, catalog, f"{path}[{i}][{j}]", allow_null=allow_null)
                     for j, v in enumerate(row)])
     return out
 
 
-def _history_vec(doc: dict, dim: int, required: bool) -> np.ndarray | None:
+def _history_vec(doc: dict, dim: int, like: str, required: bool) -> np.ndarray | None:
     if "history" not in doc:
         if required:
             _fail("history", "required when dynamics is present")
         return None
-    history = np.asarray(_num_list(doc["history"], "history", dim), dtype=float)
+    history = np.asarray(_num_list(doc["history"], "history", dim, like), dtype=float)
     for i in np.flatnonzero(~np.isfinite(history)):
         _finite(history[i], f"history[{i}]")
     return history
@@ -297,16 +297,16 @@ def _general_dynamics(dyn: dict, given: dict, scalar: bool):
     # a dynamics document has no spec.alpha, so an empty one is refused here
     if not isinstance(dyn["coefficients"], list) or not dyn["coefficients"]:
         _fail("dynamics.coefficients", "expected a nonempty list of function objects")
-    m = len(dyn["coefficients"])
+    m, like = len(dyn["coefficients"]), " to match dynamics.coefficients"
     coeffs = _fn_list(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
     leak = _fn_list(dyn["leak_lags"], LAG_CATALOG, "dynamics.leak_lags", m,
-                    allow_null=True)
+                    allow_null=True, like=like)
     if given["diagonal_delay_free"]:
         _require_delay_free(leak, "dynamics.leak_lags[{i}]")
     clags = _fn_matrix(dyn["coupling_lags"], LAG_CATALOG, "dynamics.coupling_lags",
-                       m, allow_null=True)
+                       m, allow_null=True, like=like)
     coups = _fn_matrix(dyn["couplings"], ACTIVATION_CATALOG, "dynamics.couplings",
-                       m, allow_null=True)
+                       m, allow_null=True, like=like)
     for i, c in enumerate(coeffs):
         if c.lower <= 0:
             _fail(f"dynamics.coefficients[{i}]",
@@ -326,7 +326,8 @@ def _linear_dynamics(dyn: dict, given: dict, scalar: bool):
         _fail("dynamics.coefficients", "expected a nonempty matrix of function objects")
     m = len(dyn["coefficients"])
     coeffs = _fn_matrix(dyn["coefficients"], COEFF_CATALOG, "dynamics.coefficients", m)
-    lags = _fn_matrix(dyn["lags"], LAG_CATALOG, "dynamics.lags", m, allow_null=True)
+    lags = _fn_matrix(dyn["lags"], LAG_CATALOG, "dynamics.lags", m, allow_null=True,
+                      like=" to match dynamics.coefficients")
     if given["diagonal_delay_free"]:
         _require_delay_free([lags[i][i] for i in range(m)], "dynamics.lags[{i}][{i}]")
     alpha, upper, off = [], [], []
@@ -352,7 +353,8 @@ def _bam_dynamics(dyn: dict, given: dict, scalar: bool):
                 "f": ACTIVATION_CATALOG, "g": ACTIVATION_CATALOG}
     _check_keys(dyn, "dynamics", allowed=catalogs, required=catalogs)
     fns = {key: [_build_fn(dyn[key], catalog, f"dynamics.{key}")] if scalar
-           else _fn_list(dyn[key], catalog, f"dynamics.{key}", len(given["a"]))
+           else _fn_list(dyn[key], catalog, f"dynamics.{key}", len(given["a"]),
+                         like=" to match spec.a")
            for key, catalog in catalogs.items()}
     for label in ("rate_x", "rate_y"):
         for i, r in enumerate(fns[label]):
@@ -461,9 +463,14 @@ def _build(resolved: dict, kind: str) -> ParsedInput:
                 problems = [p.replace(f"{name}[0][0]", key) for p in problems]
             problems = [p.replace("[0]", "") for p in problems]
         raise DocumentError("; ".join(problems)) from exc
-    # a two-layer state holds both layers
-    dim = 2 * spec.n if isinstance(spec, BamSpec) else spec.m
-    history = _history_vec(resolved, dim, required=realize is not None)
+    # a two-layer state holds both layers; the field that fixed the dimension
+    # is named with a length refusal
+    if isinstance(spec, BamSpec):
+        dim, like = 2 * spec.n, " for both layers of spec.a"
+    else:
+        dim, like = spec.m, " to match " + ("spec.alpha" if realize is None
+                                           else "dynamics.coefficients")
+    history = _history_vec(resolved, dim, like, required=realize is not None)
     concrete = None if realize is None else realize(spec, history)
     return ParsedInput(kind=kind, spec=spec, concrete=concrete, document=resolved)
 

@@ -1,5 +1,6 @@
 """Comparison matrices, verdicts, decay-rate certification, closed forms."""
 
+import json
 from dataclasses import asdict, replace
 from math import inf, nan, nextafter, ulp
 from unittest import mock
@@ -27,6 +28,7 @@ from delaystab import (
     stability_verdict,
     two_neuron_comparison,
 )
+from delaystab.cli import main
 # aliased so pytest does not mistake the builders for test functions
 from delaystab import test_matrix_at_rate as build_at_rate
 from delaystab.systems import merged_bounds
@@ -945,6 +947,29 @@ def test_per_unit_pass_implies_product_pass():
             passes += 1
             assert product.stable
     assert passes > 100
+
+
+@pytest.mark.parametrize("tau_x, tau_y", [(1.25, 0.4), (0.5, 2.5)], ids=["x-at-1", "y-above-1"])
+def test_comparison_with_a_leak_delay_product_of_one_is_inconclusive(capsys, tmp_path,
+                                                                      tau_x, tau_y):
+    # 0.8 * 1.25 rounds to 1 and 0.5 * 2.5 is 1.25: the ratios (1 - a tau) /
+    # (1 + a tau) are then not tried, so both forms are inconclusive on the two
+    # leak-delay products alone
+    scalars = dict(a=0.8, b=0.5, coupling_xy=1.0, coupling_yx=1.0, Lf=0.5, Lg=0.2,
+                   tau_x=tau_x, tau_y=tau_y, sigma_x=0.4, sigma_y=0.5,
+                   r_lo=1.0, r_hi=1.0, p_lo=1.0, p_hi=1.0)
+    for verdict, tag in zip(two_neuron_comparison(two_neuron(**scalars)),
+                            ("gopalsamy17", "criterion18")):
+        assert (verdict.status, verdict.criterion_used) == ("inconclusive", tag)
+        assert [(c.name, c.satisfied) for c in verdict.checks] == [
+            ("leak_delay_product_1", tau_x < 1.25), ("leak_delay_product_2", tau_y < 2.5)]
+    path = tmp_path / "long_leak.json"
+    path.write_text(json.dumps({"kind": "two_neuron", "spec": scalars}))
+    assert main(["analyze", str(path), "--criterion", "gopalsamy17"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"]["status"] == "inconclusive"
+    assert [c["name"] for c in report["verdict"]["checks"]] == [
+        "leak_delay_product_1", "leak_delay_product_2"]
 
 
 def test_comparison_requires_unit_rate_bounds():

@@ -21,6 +21,26 @@ def test_differences_name_each_operation_and_field():
         ("stdout", ["stdout"]), ("exit", ["exit", "stderr"]), ("csv", ["csv"])]
 
 
+def test_a_difference_only_in_numbers_is_sized():
+    # JSON stdout or CSV files of the same shape: the largest |a - b| / max(|a|, |b|)
+    # of their numbers; a difference in anything else is named as before
+    csv = "t,x_1,x_2\n0,1,-2\n0.5,0.25,-1\n"
+    outcomes = [[0, '{"x": [1.0, 2.0], "tag": "a", "ok": false}\n', "", csv]] * 4
+    changed = [[0, '{"x": [1.0, 2.0000000000000004], "tag": "a", "ok": false}\n', "",
+                csv.replace("0.25", "0.2500000001")],
+               [0, '{"x": [1.0, 2.0], "tag": "b", "ok": false}\n', "",
+                csv.replace("-1\n", "-1\n1,0,0\n")],
+               [0, '{"x": [1.0, NaN], "tag": "a", "ok": false}\n', "", csv.replace("-2", "-3")],
+               [0, '{"x": [1.0, 2.0], "tag": "a", "ok": 0}\n', "", csv.replace("t,", "time,")]]
+    assert same_outputs.differences(["numbers", "shape", "nan", "ok"], outcomes, changed) == [
+        ("numbers", ["stdout (largest relative difference 2.2e-16)",
+                     "csv (largest relative difference 4e-10)"]),
+        ("shape", ["stdout", "csv"]),
+        ("nan", ["stdout (largest relative difference inf)",
+                 "csv (largest relative difference 0.33)"]),
+        ("ok", ["stdout", "csv"])]
+
+
 def test_run_ops_captures_each_outcome_and_the_csv_bytes(tmp_path):
     csv = tmp_path / "run.csv"
     document = str(ROOT / "inputs" / "two_neuron_sample.json")

@@ -360,8 +360,7 @@ def test_constant_coefficients_are_folded_into_their_weights():
 def test_constant_lags_are_evaluated_once_for_the_range_check():
     # a constant lag of tau = 12 h reads nodes at t + h and Hermite values at
     # t + h/2, one of 13.5 h the reverse; each is evaluated once, for its range
-    # check: its warm-up stages, resolved when the integrator is built, take
-    # the lag's value
+    # check: its node offset and Hermite weights are planned from the value
     n_steps, h = 64, 1.0 / 32.0
     lags = [CountingConstant(12 * h), CountingConstant(13.5 * h)]
     rate = CountingConstant(1.0)
@@ -369,6 +368,30 @@ def test_constant_lags_are_evaluated_once_for_the_range_check():
     assert [lag.calls for lag in lags] == [1, 1]
     assert rate.calls == 2 * n_steps + 1
     assert traj.meta["substep_lookups"] == 0
+
+
+def test_building_the_integrator_places_no_read(monkeypatch):
+    # a planned read keeps its history entry until its first step past t0
+    # and is gathered from then on, so the lags of 12 h and 13.5 h, whose
+    # first reads past t0 lie inside the first step, are placed only by their
+    # plans: building the integrator files no read and calls none of its
+    # other methods
+    h = 1.0 / 32.0
+    called = []
+    for name, method in vars(_Integrator).items():
+        if callable(method) and name != "__init__":
+            monkeypatch.setattr(_Integrator, name,
+                                lambda *args, name=name: called.append(name))
+    integ = _Integrator(two_neuron_system(Constant(12 * h), Constant(13.5 * h)),
+                        SimConfig(0.0, 64 * h, h))
+    assert integ.extra == {} and called == []
+    # each is gathered from the first step k whose read t0 + (k + c) h - lag
+    # lies past t0
+    for c, plan in zip((0.5, 1.0), integ.plans):
+        assert len(plan.queue) == 4  # the two leak lags and the two above
+        for first, (slot, *_) in plan.queue:
+            lag = integ.reads[slot][1].value
+            assert (first - 1 + c) * h - lag <= 0 < (first + c) * h - lag
 
 
 def test_constant_negative_lag_rejected_naming_the_read():
@@ -630,13 +653,11 @@ LAGS = st.one_of(st.builds(Constant, st.floats(0.0, 1.0)),
        max_size=4), t0=st.floats(-3.0, 3.0), h=st.sampled_from([0.01, 0.004]),
        start=st.integers(0, 200), x0=st.sampled_from([0.5, -0.7]))
 def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start, x0):
-    # every rate and coefficient, and every read resolved per stage time, is
-    # the value, class and place that the same objects give one stage time at
-    # a time, to the last bit: the planned reads' warm-up stages, filed when
-    # the integrator is made (those past t0; the earlier ones keep the history
-    # x0), and the table reads (time-varying lags and constant lags below one
-    # step) at every stage of a block; each read declares the bound 1, which
-    # admits both steps, so lags far below ten steps are tried too
+    # every rate and coefficient, and every table read (time-varying lags and
+    # constant lags below one step) at every stage of a block, is the value,
+    # class and place that the same objects give one stage time at a time, to
+    # the last bit; each read declares the bound 1, which admits both steps,
+    # so lags far below ten steps are tried too
     reads = tuple((0, lag, 1.0, f"lag[{i}]") for i, lag in enumerate(lags))
     system = duck_system(reads, np.array([x0]), lambda v: 0.0, functions)
     integ = _Integrator(system, SimConfig(t0, t0 + (start + 80) * h, h))
@@ -659,14 +680,6 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
                 entries[2 if weights else 1].append((slot, r * integ.dim, *weights))
         return [sorted(map(bits, kind)) for kind in entries]
 
-    warm = {}
-    for c, plan in enumerate(integ.plans):
-        for end, first, slot, _ in plan.queue:
-            for k in range(first, min(end, integ.n_steps)):
-                warm.setdefault(2 * k + c, []).append(slot)
-    assert {g: [sorted(map(bits, kind)) for kind in entries]
-            for g, entries in integ.extra.items()} == {g: want(g, s) for g, s in warm.items()}
-    integ.extra.clear()
     f_t = integ._tabulate(2 * start, 160)
     assert integ.failure is None
     table = [slot for slot, lag in enumerate(lags)
@@ -715,6 +728,24 @@ def test_fit_rejects_growth():
     traj = Trajectory(times=t, states=x, meta={})
     with pytest.raises(FitInapplicableError):
         fit_decay(traj, np.zeros(1))
+
+
+@pytest.mark.parametrize("deviation, message", [
+    # on t = 0, 1: the window (the last 80% of the run) holds t = 1 alone
+    ([1.0, 0.5], "fit window holds fewer than 3 samples"),
+    ([0.0] * 10, "trajectory is constant at the reference"),
+    # below the initial deviation, but flat across the window t >= 1.8
+    ([1.0] + [0.5] * 9, "deviation envelope does not decrease across the fit window"),
+    # the envelope's one positive sample is the window's first
+    ([1.0, 0.7, 0.5] + [0.0] * 7, "deviation envelope vanishes inside the window"),
+], ids=["short-window", "constant", "flat-envelope", "vanishing-envelope"])
+def test_fit_refusals(deviation, message):
+    from delaystab.simulate import Trajectory
+    t = np.arange(float(len(deviation)))
+    states = np.column_stack([np.array(deviation), -0.5 * np.array(deviation)]) + 2.0
+    with pytest.raises(FitInapplicableError) as exc:
+        fit_decay(Trajectory(times=t, states=states, meta={}), np.full(2, 2.0))
+    assert str(exc.value) == message
 
 
 def test_fit_on_real_decaying_run():

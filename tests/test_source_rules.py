@@ -146,8 +146,8 @@ def test_integrator_step_loop_calls_no_time_function():
 
 
 def test_integrator_computes_stage_times_at_one_site():
-    # the tables and the warm-up resolved when the integrator is built read the
-    # same stage times: one formula adds the half step to a time
+    # the time functions and the table reads of a block share its stage times:
+    # one formula adds the half step to a time
     tree = ast.parse((SRC / "simulate.py").read_text())
     half_steps = [f"simulate.py:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)

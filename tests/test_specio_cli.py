@@ -1106,6 +1106,56 @@ def test_each_spec_field_edit_keeps_its_message(capsys, tmp_path, case):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+_BY_COEFFS = " to match dynamics.coefficients"
+
+
+# a length refusal outside the spec section names the field that fixed the
+# dimension, as those inside it do: a history one entry too long, or a
+# dynamics list with its last entry dropped
+@pytest.mark.parametrize("kind, style, where, message", [
+    ("general", "bounds", ("history",), "history: expected 2 entries to match spec.alpha, got 3"),
+    ("general", "dynamics", ("history",), f"history: expected 2 entries{_BY_COEFFS}, got 3"),
+    ("general", "dynamics", ("dynamics", "leak_lags"),
+     f"dynamics.leak_lags: expected a list of 2 function objects{_BY_COEFFS}"),
+    ("general", "dynamics", ("dynamics", "coupling_lags"),
+     f"dynamics.coupling_lags: expected a 2x2 matrix of function objects{_BY_COEFFS}"),
+    ("general", "dynamics", ("dynamics", "couplings", 1),
+     f"dynamics.couplings[1]: expected 2 entries{_BY_COEFFS}"),
+    ("linear", "bounds", ("history",), "history: expected 2 entries to match spec.alpha, got 3"),
+    ("linear", "dynamics", ("history",), f"history: expected 2 entries{_BY_COEFFS}, got 3"),
+    ("linear", "dynamics", ("dynamics", "lags"),
+     f"dynamics.lags: expected a 2x2 matrix of function objects{_BY_COEFFS}"),
+    ("linear", "dynamics", ("dynamics", "lags", 0),
+     f"dynamics.lags[0]: expected 2 entries{_BY_COEFFS}"),
+    ("bam", "bounds", ("history",), "history: expected 4 entries for both layers of spec.a, got 5"),
+    ("bam", "dynamics", ("history",),
+     "history: expected 4 entries for both layers of spec.a, got 5"),
+    ("bam", "dynamics", ("dynamics", "rate_x"),
+     "dynamics.rate_x: expected a list of 2 function objects to match spec.a"),
+    ("bam", "dynamics", ("dynamics", "g"),
+     "dynamics.g: expected a list of 2 function objects to match spec.a"),
+    ("two_neuron", "bounds", ("history",),
+     "history: expected 2 entries for both layers of spec.a, got 3"),
+    ("two_neuron", "dynamics", ("history",),
+     "history: expected 2 entries for both layers of spec.a, got 3"),
+])
+def test_length_refusals_name_the_field_that_fixed_the_dimension(capsys, tmp_path, kind, style,
+                                                                 where, message):
+    doc = _frozen_doc(kind, style)
+    if where == ("history",):
+        spec = parse_document(doc).spec
+        doc["history"] = [0.0] * ((2 * spec.n if kind in ("bam", "two_neuron") else spec.m) + 1)
+    else:
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = node[where[-1]][:-1]
+    file = tmp_path / "doc.json"
+    file.write_text(json.dumps(doc))
+    assert main(["analyze", str(file)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 # the spec fields a two-layer document with dynamics still gives; a general
 # or linear one gives none but diagonal_delay_free
 _TWO_LAYER_STRUCTURAL = ("a", "b", "a_conn", "b_conn", "I", "J")

@@ -12,7 +12,9 @@ per side, through its own `delaystab.cli.main(argv)`.  An operation
 differs when its exit code (or the exception it raised), stdout, stderr or
 the bytes of the CSV file it writes differ.  The script prints each such
 operation and the fields that differ, then a count per workload, and exits
-1 if there is one.  The exported commits and the documents are removed
+1 if there is one.  Where both sides' stdout (JSON) or CSV file differ only
+in their numbers, the field is followed by the largest relative difference
+|a - b| / max(|a|, |b|) of those numbers.  The exported commits and the documents are removed
 when it ends.
 """
 
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -75,11 +78,69 @@ def run_ops(checkout: str, ops: list, scratch: str) -> list:
         return json.load(fh)
 
 
+_NUMBER = object()  # a number's place, equal to no JSON value (where 0 == false)
+
+
+def _split(node, numbers: list):
+    """The JSON value `node` with each number replaced by _NUMBER, and sent to `numbers`."""
+    if isinstance(node, list):
+        return [_split(x, numbers) for x in node]
+    if isinstance(node, dict):
+        return {key: _split(x, numbers) for key, x in node.items()}
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        numbers.append(float(node))
+        return _NUMBER
+    return node
+
+
+def _cells(text: str) -> list:
+    """The comma-separated cells of each line of a CSV text, each number as a float."""
+    rows = []
+    for line in text.split("\n"):
+        row = []
+        for cell in line.split(","):
+            try:
+                row.append(float(cell))
+            except ValueError:
+                row.append(cell)
+        rows.append(row)
+    return rows
+
+
+def number_difference(field: str, a: str, b: str) -> float | None:
+    """The largest relative difference of the numbers of two stdout (JSON) or CSV texts,
+    or None unless they parse alike and differ only in their numbers."""
+    if field not in ("stdout", "csv"):
+        return None
+    shapes, numbers = [], ([], [])
+    for text, found in zip((a, b), numbers):
+        try:
+            shapes.append(_split(json.loads(text) if field == "stdout" else _cells(text), found))
+        except ValueError:  # not JSON
+            return None
+    if shapes[0] != shapes[1]:
+        return None
+    largest = 0.0
+    for x, y in zip(*numbers):
+        if x != y and not (math.isnan(x) and math.isnan(y)):
+            size = abs(x - y) / max(abs(x), abs(y))  # NaN against a number, or an infinity
+            largest = max(largest, size if math.isfinite(size) else math.inf)
+    return largest
+
+
 def differences(names: list, parent: list, change: list) -> list:
-    """(operation name, the fields that differ) for each operation whose outcomes differ."""
+    """(operation name, the fields that differ) for each operation whose outcomes differ;
+    a field is followed by the largest relative difference of its numbers where
+    `number_difference` sizes one."""
     out = []
     for name, a, b in zip(names, parent, change, strict=True):
-        if fields := [field for field, x, y in zip(FIELDS, a, b) if x != y]:
+        fields = []
+        for field, x, y in zip(FIELDS, a, b):
+            if x != y:
+                size = number_difference(field, x, y)
+                fields.append(field if size is None
+                              else f"{field} (largest relative difference {size:.2g})")
+        if fields:
             out.append((name, fields))
     return out
 
