@@ -373,7 +373,7 @@ def test_constant_lags_are_evaluated_once_for_the_range_check():
 def test_building_the_integrator_places_no_read(monkeypatch):
     # a planned read keeps its history entry until its first step past t0
     # and is gathered from then on, so the lags of 12 h and 13.5 h, whose
-    # first reads past t0 lie inside the first step, are placed only by their
+    # first reads past t0 fall in (t0, t0 + h], are placed only by their
     # plans: building the integrator files no read and calls none of its
     # other methods
     h = 1.0 / 32.0

@@ -14,8 +14,8 @@ the bytes of the CSV file it writes differ.  The script prints each such
 operation and the fields that differ, then a count per workload, and exits
 1 if there is one.  Where both sides' stdout (JSON) or CSV file differ only
 in their numbers, the field is followed by the largest relative difference
-|a - b| / max(|a|, |b|) of those numbers.  The exported commits and the documents are removed
-when it ends.
+|a - b| / max(|a|, |b|) of those numbers.  The exported commits and the
+documents are removed when it ends.
 """
 
 from __future__ import annotations
@@ -123,7 +123,7 @@ def number_difference(field: str, a: str, b: str) -> float | None:
     largest = 0.0
     for x, y in zip(*numbers):
         if x != y and not (math.isnan(x) and math.isnan(y)):
-            size = abs(x - y) / max(abs(x), abs(y))  # NaN against a number, or an infinity
+            size = abs(x - y) / max(abs(x), abs(y))  # not finite if either is NaN or infinite
             largest = max(largest, size if math.isfinite(size) else math.inf)
     return largest
 
