@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import product
 from math import inf, isfinite
 
 import numpy as np
@@ -81,16 +82,20 @@ def build_existence_matrices(bam: BamSpec) -> tuple[np.ndarray, np.ndarray]:
     return first, second
 
 
-def _norm_conditions(mat: np.ndarray, label: str, start: int) -> list[ExistenceCondition]:
-    # a norm that is not finite is inf, as is the spectral radius of a matrix
-    # with an entry that is not
-    norms = {"spectral radius": spectral_radius(mat) if np.isfinite(mat).all() else inf,
-             "max row sum": np.abs(mat).sum(axis=1).max(),
-             "max column sum": np.abs(mat).sum(axis=0).max(),
-             "squared-entry sum": (mat * mat).sum()}
-    return [ExistenceCondition(start + i, f"{name} of {label} < 1",
-                               float(v) if isfinite(v) else inf, bool(v < 1.0))
-            for i, (name, v) in enumerate(norms.items())]
+def _conditions(bam: BamSpec):
+    """The eight conditions in report order, each evaluated when it is asked for; a norm that
+    is not finite is inf, as is the spectral radius of a matrix with an entry that is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = build_existence_matrices(bam)
+    norms = (("spectral radius", lambda m: spectral_radius(m) if np.isfinite(m).all() else inf),
+             ("max row sum", lambda m: np.abs(m).sum(axis=1).max()),
+             ("max column sum", lambda m: np.abs(m).sum(axis=0).max()),
+             ("squared-entry sum", lambda m: (m * m).sum()))
+    for index, ((label, mat), (name, norm)) in enumerate(product(zip("AB", matrices), norms), 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            v = norm(mat)
+        yield ExistenceCondition(index, f"{name} of {label} < 1",
+                                 float(v) if isfinite(v) else inf, bool(v < 1.0))
 
 
 def equilibrium_exists(bam: BamSpec) -> ExistenceReport:
@@ -99,21 +104,19 @@ def equilibrium_exists(bam: BamSpec) -> ExistenceReport:
     A condition whose norm overflows, or is built from a bound that does,
     does not hold: its value is inf.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        first, second = build_existence_matrices(bam)
-        conditions = _norm_conditions(first, "A", 1) + _norm_conditions(second, "B", 5)
-    return ExistenceReport(tuple(conditions), any(c.holds for c in conditions))
+    conditions = tuple(_conditions(bam))
+    return ExistenceReport(conditions, any(c.holds for c in conditions))
 
 
 def solve_equilibrium(bam: BamSpec, f, g, existence: ExistenceReport | None = None) -> Equilibrium:
     """Fixed-point iteration for the equilibrium, started from the inputs.
 
     f and g are the activation functions of each layer (catalog objects or
-    plain callables).  Warns when `existence`, by default
-    `equilibrium_exists(bam)`, certifies nothing.  Iterates until the
-    sup-norm step drops below STEP_TOL, then back-substitutes x = u/a,
-    y = v/b and reports the residual of the original equilibrium
-    equations, which comes out below 10*STEP_TOL.
+    plain callables).  Warns when `existence` certifies nothing or, left out,
+    when none of the conditions holds (they are evaluated up to the first
+    that does).  Iterates until the sup-norm step drops below STEP_TOL, then
+    back-substitutes x = u/a, y = v/b and reports the residual of the
+    original equilibrium equations, which comes out below 10*STEP_TOL.
 
     Raises DivergenceError when steps grow for 10 consecutive iterations or
     MAX_ITER iterations are exhausted, and FamilyError when `bam` is a spec of
@@ -123,7 +126,7 @@ def solve_equilibrium(bam: BamSpec, f, g, existence: ExistenceReport | None = No
     if len(f) != n or len(g) != n:
         raise ValueError(f"need {n} activations per layer, "
                          f"got {len(f)} and {len(g)}")
-    if not (existence or equilibrium_exists(bam)).exists_unique:
+    if not (existence.exists_unique if existence else any(c.holds for c in _conditions(bam))):
         warnings.warn("none of the existence conditions holds; iterating "
                       "with a divergence guard", RuntimeWarning, stacklevel=2)
 

@@ -29,9 +29,9 @@ Hermite weights once.  The read keeps its history entry until the first
 step whose read lies past t0, and is gathered from then on.  The rates,
 coefficients and table reads (time-varying lags and constant lags below one
 step) depend on t alone and are tabulated with numpy, with range checks,
-classes and places, on the stage times of BLOCK steps at a time.  A table
-read whose lag leaves its declared bound raises when its stage time is
-reached.
+classes and places, on the stage times of BLOCK steps at a time, into one
+flat list of table reads per block that each stage reads in place.  A table
+read whose lag leaves its declared bound raises when its stage is reached.
 Only stage reads depend on more than the stage time and the completed
 steps, so a stage time without them evaluates once: k3 is k2, and the node
 derivative (kept for Hermite reads and the next step) is k4.
@@ -207,14 +207,15 @@ class _Integrator:
                       for i, kind in ((0, int), (1, int), (3, float), (4, object))]
         start = self.history[[comp for comp, *_ in self.reads]].tolist()
         self.plans = [_ReadPlan(c, h, self.dim, planned, start) for c in (0.5, 1.0)]
-        self.extra, self.cut, self.failure = {}, math.inf, None
+        self.g0, self.entries, self.cut, self.failure = -1, [], math.inf, None
 
     def _tabulate(self, g0: int, n: int) -> list:
         """The time functions' values at the times of stages g0 <= g < g0 + n (stage 2k is
         step k's half step, 2k + 1 its end, -1 is t0), evaluated at once, as is each table
-        read's lag there; each such read is filed in self.extra[g] as a stage, node, Hermite
-        or history entry."""
-        h, dim, t0, extra = self.h, self.dim, self.cfg.t0, self.extra
+        read's lag there; self.entries keeps their reads, stage by stage from stage self.g0,
+        as (kind, slot, at, w0, w1, w2, w3, value), kind 0 to 3 a stage, node, Hermite or
+        history read."""
+        h, dim, t0 = self.h, self.dim, self.cfg.t0
         g = np.arange(g0, g0 + n)
         k = g // 2
         T = np.where(g % 2 == 0, (t0 + k * h) + 0.5 * h, t0 + (k + 1) * h)
@@ -224,12 +225,12 @@ class _Integrator:
         if not (lags := self.table_lags):
             return f_t.tolist()
         lag = np.empty((n, len(lags)))
-        for j, fn in enumerate(lags):
+        for j, fn in enumerate(self.table_lags):
             lag[:, j] = fn(T)
         slot, comp, bound, label = (np.tile(column, n) for column in self.table)
         g, t = np.repeat(g, len(lags)), np.repeat(T, len(lags))  # stage by stage
         tq, error = read_time(t, lag.ravel(), bound, label)
-        if error:  # raised at its stage, where the reads before it are filed
+        if error:  # raised at its stage, before it is served
             m = len(tq)
             self.cut, self.failure = int(g[m]), error
             g, t, slot, comp = g[:m], t[:m], slot[:m], comp[:m]
@@ -238,36 +239,40 @@ class _Integrator:
         # placed at t0, a past read (of the history, however far back) stays in range
         r, weights, node, substep = _place((np.where(past, t0, tq) - t0) / h - g // 2, h)
         self.substep_lookups += int(np.count_nonzero(substep & ~stage & ~past))
-        extra.update((key, ([], [], [], [])) for key in set(g.tolist()).difference(extra))
-        for kind, mask, *columns in ((0, stage, comp), (1, node & ~stage & ~past, r * dim + comp),
-                                     (2, ~(node | stage | past), r * dim + comp, *weights),
-                                     (3, past, self.history[comp])):
-            entries = zip(*(x[mask].tolist() for x in (slot, *columns)))
-            for key, entry in zip(g[mask].tolist(), entries):
-                extra[key][kind].append(entry)
+        kind = np.where(stage, 0, np.where(past, 3, 2 - node))
+        columns = (kind, slot, np.where(stage, comp, r * dim + comp), *weights, self.history[comp])
+        self.g0, self.entries = g0, list(zip(*(x.tolist() for x in columns)))
         return f_t.tolist()
 
     def _read(self, plan: _ReadPlan, g: int, k: int) -> tuple:
-        """The plan's read values and the stage reads at stage g, of step k; raises the error
-        of a read that fails there."""
+        """The plan's read values and the stage reads at stage g, of step k, with the table
+        reads served in place from self.entries; raises the error of a read that fails there."""
         if g == self.cut:
             raise self.failure
         while plan.queue and plan.queue[-1][0] <= k:  # its read lies past t0 from now on
             gather = plan.queue.pop()[1]
             (plan.hermite if len(gather) > 2 else plan.nodes).append(gather)
-        values, stage, nodes, hermite, past = plan.values, self.stage, plan.nodes, plan.hermite, ()
-        if (more := self.extra.pop(g, None)) is not None:  # the reads resolved at this stage
-            stage, nodes, hermite, past = (stage + more[0], nodes + more[1], hermite + more[2],
-                                           more[3])
+        values, stage = plan.values, self.stage
         dim, states, derivs, base = self.dim, self.xs, self.ks, (k - self.first) * self.dim
-        for slot, value in past:
-            values[slot] = value
-        for slot, at in nodes:
+        for slot, at in plan.nodes:
             values[slot] = states[base + at]
-        for slot, at, w0, w1, w2, w3 in hermite:
+        for slot, at, w0, w1, w2, w3 in plan.hermite:
             at += base
             values[slot] = (w0 * states[at] + w1 * derivs[at]
                             + w2 * states[at + dim] + w3 * derivs[at + dim])
+        if entries := self.entries:  # stage g's table reads, the commonest kind (Hermite) first
+            lo = (g - self.g0) * (width := len(self.table_lags))
+            for kind, slot, at, w0, w1, w2, w3, value in entries[lo:lo + width]:
+                if kind == 2:
+                    at += base
+                    values[slot] = (w0 * states[at] + w1 * derivs[at]
+                                    + w2 * states[at + dim] + w3 * derivs[at + dim])
+                elif kind == 1:
+                    values[slot] = states[base + at]
+                elif kind == 3:
+                    values[slot] = value
+                else:  # a zero lag at this stage
+                    stage = stage + [(slot, at)]
         return values, stage
 
     def _record(self, start: int, stop: int) -> None:

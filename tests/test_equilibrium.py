@@ -197,6 +197,32 @@ def test_solver_warns_from_the_report_it_is_given(monkeypatch):
     assert len(calls) == 1
 
 
+def test_solver_without_a_report_stops_at_the_first_condition_that_holds(monkeypatch):
+    # the first condition, A's spectral radius, holds for modulated_pair: the
+    # solver without a report evaluates that one, and B's radius never
+    calls, radius = [], equilibrium.spectral_radius
+    monkeypatch.setattr(equilibrium, "spectral_radius",
+                        lambda mat: calls.append(mat) or radius(mat))
+    linear = [LinearActivation(1.0)]
+    s = modulated_pair()
+    assert equilibrium_exists(s).conditions[0].holds and len(calls) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solve_equilibrium(s, linear, linear)
+    assert len(calls) == 3
+    # where none holds, it evaluates all eight and warns as the full report does
+    s = two_neuron(a=0.5, b=0.5, coupling_xy=2.0, coupling_yx=2.0, Lf=1.0, Lg=1.0,
+                   tau_x=0.1, tau_y=0.1, sigma_x=0.1, sigma_y=0.1, I=1.0, J=1.0)
+    messages = []
+    for report in (equilibrium_exists(s), None):
+        with pytest.raises(DivergenceError), pytest.warns(RuntimeWarning) as record:
+            solve_equilibrium(s, linear, linear, report)
+        messages.append([str(w.message) for w in record])
+    assert messages == [["none of the existence conditions holds; iterating with a "
+                         "divergence guard"]] * 2
+    assert len(calls) == 3 + 2 + 2
+
+
 def test_existence_condition_whose_norm_overflows_does_not_hold(tmp_path):
     # |coupling_xy| * Lf / b overflows, so every norm of B does: those
     # conditions do not hold (value inf), and a bounds-only document then

@@ -1,5 +1,6 @@
 """Method-of-steps integrator, decay fitting, trajectory CSV output."""
 
+import importlib
 import math
 import tracemalloc
 
@@ -384,7 +385,7 @@ def test_building_the_integrator_places_no_read(monkeypatch):
                                 lambda *args, name=name: called.append(name))
     integ = _Integrator(two_neuron_system(Constant(12 * h), Constant(13.5 * h)),
                         SimConfig(0.0, 64 * h, h))
-    assert integ.extra == {} and called == []
+    assert integ.entries == [] and called == []
     # each is gathered from the first step k whose read t0 + (k + c) h - lag
     # lies past t0
     for c, plan in zip((0.5, 1.0), integ.plans):
@@ -624,6 +625,33 @@ def test_failure_at_one_stage_reports_the_table_read():
     assert str(exc.value) == "varying exceeds its declared bound 0.3 at t=0 (got 0.4)"
 
 
+def test_block_size_changes_no_state_and_no_failure(monkeypatch):
+    # a block's table reads are served per stage, so how many steps a block
+    # holds changes nothing: sin^2 lags touch zero at t = 0, the end of step 31
+    # of a run from t0 = -0.32, where reads are stage, sub-step, node, Hermite
+    # and history ones; and a lag that leaves its bound at t = 0.415, the half
+    # step of step 41, fails there with the same error after the same calls
+    module = importlib.import_module("delaystab.simulate")
+    runs, failures = [], []
+    for block in (1, 7, 64):
+        monkeypatch.setattr(module, "BLOCK", block)
+        system = two_neuron_system(SinSquaredLag(0.3), SinSquaredLag(0.2))
+        calls, rhs = [], system.rhs
+        system.rhs = lambda *args: calls.append(1) or rhs(*args)
+        traj = simulate(system, SimConfig(-0.32, 0.68, 0.01))
+        runs.append((traj.states.tobytes(), traj.meta, len(calls)))
+        system = duck_system(((0, ShiftedAbsSinLag(0.1, 0.05), 0.12, "leak_lag[1]"),),
+                             COSINE, lambda v: -v[0])
+        with pytest.raises(DelayBoundError) as exc:
+            simulate(system, SimConfig(0.0, 2.0, 0.01))
+        failures.append((str(exc.value), system.calls))
+    assert runs == [runs[-1]] * 3 and failures == [failures[-1]] * 3
+    # the zero lag adds evaluations to the 1 + 2 * 100 of a run without one
+    assert runs[-1][2] > 1 + 2 * 100 and runs[-1][1]["substep_lookups"] > 0
+    assert failures[-1] == ("leak_lag[1] exceeds its declared bound 0.12 at t=0.415 "
+                            "(got 0.120159)", 1 + 2 * 41)
+
+
 def place_one(q, h):
     """The node offset and Hermite weights (none on a node) of one read q
     steps past node k, placed on its own: the reference for the tables."""
@@ -684,9 +712,15 @@ def test_tables_match_per_stage_scalar_evaluation(functions, lags, t0, h, start,
     assert integ.failure is None
     table = [slot for slot, lag in enumerate(lags)
              if not isinstance(lag, Constant) or 0 < lag.value < h]
+    assert (integ.g0, len(integ.entries)) == ((2 * start, 160 * len(table)) if table else (-1, 0))
     for g, row in enumerate(f_t, 2 * start):
         assert bits(row) == bits([float(fn(stage_time(g))) for fn in functions])
-        got = integ.extra.get(g, ([], [], [], []))
+        # stage g's entries, one per table read, in the fields each kind is read by
+        got = [[], [], [], []]
+        lo = (g - integ.g0) * len(table)
+        for kind, slot, at, *weights, value in integ.entries[lo:lo + len(table)]:
+            got[kind].append((slot, at, *weights) if kind == 2 else (slot, value) if kind == 3
+                             else (slot, at))
         assert [sorted(map(bits, kind)) for kind in got] == want(g, table)
 
 

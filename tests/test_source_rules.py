@@ -145,6 +145,25 @@ def test_integrator_step_loop_calls_no_time_function():
     assert loops and found == [], found
 
 
+def test_integrator_tabulates_whole_columns_and_files_no_read():
+    # a block's table reads are classified as whole columns and zipped into one
+    # flat list, so `_Integrator._tabulate` appends nothing, its loops run over
+    # the time functions and the table lags, and its comprehensions over columns
+    tree = ast.parse((SRC / "simulate.py").read_text())
+    tabulate = next(node for cls in tree.body if isinstance(cls, ast.ClassDef)
+                    and cls.name == "_Integrator" for node in cls.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_tabulate")
+    nodes = list(ast.walk(tabulate))
+    appends = [f"simulate.py:{node.lineno}" for node in nodes if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute) and node.func.attr == "append"]
+    loops = [ast.unparse(node.iter if isinstance(node, ast.For) else node) for node in nodes
+             if isinstance(node, (ast.For, ast.While))]
+    columns = {ast.unparse(node.iter) for node in nodes if isinstance(node, ast.comprehension)}
+    assert appends == [], appends
+    assert loops == ["enumerate(self.time_functions)", "enumerate(self.table_lags)"], loops
+    assert columns <= {"self.table", "columns"}, columns
+
+
 def test_integrator_computes_stage_times_at_one_site():
     # the time functions and the table reads of a block share its stage times:
     # one formula adds the half step to a time
