@@ -67,7 +67,6 @@ from .simulate import (
 from .specio import (
     DocumentError,
     ParsedInput,
-    document_sha256,
     parse_document,
     parse_file,
     point_parser,
@@ -118,7 +117,6 @@ __all__ = [
     "build_existence_matrices",
     "certify_decay_rate",
     "comparison_matrix",
-    "document_sha256",
     "equilibrium_exists",
     "find_failure_threshold",
     "fit_decay",

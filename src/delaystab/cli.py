@@ -106,9 +106,16 @@ def _emit(report: dict):
     print(_json(report))
 
 
-def _base_report(command: str, path: str, parsed, tol: float) -> dict:
+def _base_report(command: str, tol: float, source: dict) -> dict:
     return {"tool": "delaystab", "version": __version__, "command": command, "tolerance": tol,
-            "input": {"path": path, "kind": parsed.kind, "sha256": parsed.sha256}}
+            "input": source}
+
+
+def _parse_input(command: str, path: str, tol: float):
+    """The parsed document file and a report that names it."""
+    parsed = parse_file(path)
+    return parsed, _base_report(command, tol, {"path": path, "kind": parsed.kind,
+                                               "sha256": parsed.sha256})
 
 
 def _verdict_dict(verdict) -> dict:
@@ -148,9 +155,8 @@ def _verdict_summary(name: str, verdict) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args, tol: float) -> int:
-    parsed = parse_file(args.document)
+    parsed, report = _parse_input("analyze", args.document, tol)
     verdict = stability_verdict(parsed.spec, tol=tol, criterion=args.criterion)
-    report = _base_report("analyze", args.document, parsed, tol)
     report["verdict"] = _verdict_dict(verdict)
     _emit(report)
     _say(_verdict_summary(args.document, verdict))
@@ -158,8 +164,7 @@ def cmd_analyze(args, tol: float) -> int:
 
 
 def cmd_certify_rate(args, tol: float) -> int:
-    parsed = parse_file(args.document)
-    report = _base_report("certify-rate", args.document, parsed, tol)
+    parsed, report = _parse_input("certify-rate", args.document, tol)
     try:
         cert = certify_decay_rate(parsed.spec, tol=tol)
     except NotCertifiedError as exc:
@@ -177,13 +182,12 @@ def cmd_certify_rate(args, tol: float) -> int:
 
 
 def cmd_equilibrium(args, tol: float) -> int:
-    parsed = parse_file(args.document)
+    parsed, report = _parse_input("equilibrium", args.document, tol)
     if not isinstance(parsed.spec, BamSpec):
         raise UsageError("equilibrium analysis needs a two-layer document "
                          f"(got kind '{parsed.kind}')")
     spec = parsed.spec
     existence = equilibrium_exists(spec)
-    report = _base_report("equilibrium", args.document, parsed, tol)
     report["existence"] = {
         "exists_unique": existence.exists_unique,
         "conditions": [asdict(c) for c in existence.conditions],
@@ -214,12 +218,11 @@ def cmd_equilibrium(args, tol: float) -> int:
 
 
 def cmd_simulate(args, tol: float) -> int:
-    parsed = parse_file(args.document)
+    parsed, report = _parse_input("simulate", args.document, tol)
     if parsed.concrete is None:
         raise UsageError("document has no dynamics section; nothing to integrate")
     t0 = args.t0
     cfg = SimConfig(t0=t0, t_end=args.t_end, h=args.step, record_every=args.record_every)
-    report = _base_report("simulate", args.document, parsed, tol)
     try:
         traj = simulate(parsed.concrete, cfg)
     except SimulationError as exc:
@@ -263,9 +266,8 @@ def cmd_sweep(args, tol: float) -> int:
         raise UsageError("--simulate needs --t-end")
     rows = sweep(points, values, tol=tol, criterion=args.criterion,
                  simulate_until=simulate_until, step=args.step)
-    report = {"tool": "delaystab", "version": __version__, "command": "sweep", "tolerance": tol,
-              "input": {"path": args.document, "parameter": args.param},
-              "rows": [r.as_dict() for r in rows]}
+    report = _base_report("sweep", tol, {"path": args.document, "parameter": args.param})
+    report["rows"] = [r.as_dict() for r in rows]
     threshold = None
     if args.threshold_start is not None:
         threshold = find_failure_threshold(points, start=args.threshold_start, tol=tol)

@@ -37,8 +37,8 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import dataclass, fields
-from functools import cache, cached_property
+from dataclasses import dataclass, fields, replace
+from functools import cache
 
 import numpy as np
 
@@ -68,12 +68,7 @@ class ParsedInput:
     kind: str
     spec: object
     concrete: object | None
-    document: dict
-
-    @cached_property
-    def sha256(self) -> str:
-        """`document_sha256` of the resolved document, computed on first read."""
-        return document_sha256(self.document)
+    sha256: str | None = None  # of the bytes `parse_file` read; None for a dict
 
 
 def _fail(path: str, message: str):
@@ -209,11 +204,6 @@ def set_parameter(doc: dict, path: str, value: float) -> dict:
     node, key = _leaf(out, path)
     node[key] = float(value)
     return out
-
-
-def document_sha256(doc: dict) -> str:
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +462,7 @@ def _build(resolved: dict, kind: str) -> ParsedInput:
                                            else "dynamics.coefficients")
     history = _history_vec(resolved, dim, like, required=realize is not None)
     concrete = None if realize is None else realize(spec, history)
-    return ParsedInput(kind=kind, spec=spec, concrete=concrete, document=resolved)
+    return ParsedInput(kind=kind, spec=spec, concrete=concrete)
 
 
 def parse_document(doc: dict) -> ParsedInput:
@@ -513,9 +503,7 @@ def point_parser(doc: dict, path: str):
     names that kind, not the value); then `parameters` and every reference,
     with a placeholder at `path`.  Each call copies only the containers on the
     paths where the value lands (the leaf, and for `parameters.NAME` every
-    "$NAME" leaf too) and runs the spec parser.  Containers off those
-    paths are shared between the documents of different values, so treat
-    `ParsedInput.document` as read only.
+    "$NAME" leaf too) and runs the spec parser.
     """
     try:
         template = copy.deepcopy(doc)
@@ -544,13 +532,17 @@ def point_parser(doc: dict, path: str):
     return parse_at
 
 
-def load_json(path: str):
-    """Read a JSON file; unreadable or malformed files raise DocumentError."""
+def _read(path: str) -> tuple[object, str]:
+    # the JSON value and sha256 of a file's bytes, read once; decoded as
+    # UTF-8, which keeps a BOM, so that a BOM is refused as invalid JSON
     try:
-        with open(path) as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise DocumentError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
@@ -559,5 +551,12 @@ def load_json(path: str):
         raise DocumentError(f"{path}: {_TOO_DEEP}") from None
 
 
+def load_json(path: str):
+    """Read a JSON file; unreadable or malformed files raise DocumentError."""
+    return _read(path)[0]
+
+
 def parse_file(path: str) -> ParsedInput:
-    return parse_document(load_json(path))
+    """Parse a document file; `sha256` is the digest of its bytes (`sha256sum`)."""
+    doc, digest = _read(path)
+    return replace(parse_document(doc), sha256=digest)

@@ -16,7 +16,9 @@ meant something new:
   certificates' `iterations` and one sweep's `threshold.evaluations`, when
   the checked witness solve replaced the elimination;
 - the `document` echo, deleted from every report (nothing else moved)
-  when reports came to identify their input by `input` alone.
+  when reports came to identify their input by `input` alone;
+- every `input.sha256`, when it became the sha256 of the input file's
+  bytes instead of a hash of the resolved document (nothing else moved).
 Strings, booleans, integers and nulls must match exactly; floats must agree
 to rtol 1e-9.  The one exception is a certificate's `boundary_margin`: it is
 the witness margin at the last rate that passed, so it sits at the decision

@@ -5,34 +5,38 @@ file pins the encoding itself: every report is `json.dumps(report,
 indent=2)` of its JSON-safe form followed by one newline (invocations
 that exit with status 1 print no report).  The CLI's writer is checked
 against that definition on random reports, with the cleaner it replaced
-as the reference.  A report names its input by path, kind and the hash of
-the resolved document, and does not repeat the document.
+as the reference.  A report names its input by path, kind and the sha256
+of the file's bytes (what `sha256sum` prints), and does not repeat the
+document: the same document written another way gets the same report but
+for that digest.
 """
 
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import os
+import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from delaystab import document_sha256, parse_file
+from delaystab import parse_file
 from delaystab.cli import _json, main
 
 from test_golden_cli import GOLDEN, ROOT, _invocations
 
 
-@functools.cache
-def _printed() -> dict:
-    """stdout of every golden invocation that prints a report, by argv."""
-    cwd = os.getcwd()
-    os.chdir(ROOT)
+def _stdout(argvs, cwd) -> dict:
+    """stdout of each invocation run from `cwd` that prints a report, by argv."""
+    back = os.getcwd()
+    os.chdir(cwd)
     try:
         reports = {}
-        for argv in _invocations():
+        for argv in argvs:
             out = io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                 main(argv)
@@ -40,7 +44,13 @@ def _printed() -> dict:
                 reports[" ".join(argv)] = out.getvalue()
         return reports
     finally:
-        os.chdir(cwd)
+        os.chdir(back)
+
+
+@functools.cache
+def _printed() -> dict:
+    """stdout of every golden invocation that prints a report, by argv."""
+    return _stdout(_invocations(), ROOT)
 
 
 def test_golden_reports_are_indent_2_json():
@@ -59,12 +69,52 @@ def test_reports_identify_their_input_without_echoing_it():
         if command == "sweep":
             continue
         report = json.loads(text)
-        parsed = parse_file(ROOT / path)
+        digest = hashlib.sha256((ROOT / path).read_bytes()).hexdigest()
         assert "document" not in report, argv
-        assert report["input"] == {"path": path, "kind": parsed.kind,
-                                   "sha256": document_sha256(parsed.document)}, argv
+        assert report["input"] == {"path": path, "kind": parse_file(ROOT / path).kind,
+                                   "sha256": digest}, argv
         seen.add(command)
     assert seen == {"analyze", "certify-rate", "equilibrium", "simulate"}
+
+
+def _shuffled(node, rng: random.Random):
+    """The JSON value with the keys of every object in an order drawn from rng."""
+    if isinstance(node, dict):
+        keys = list(node)
+        rng.shuffle(keys)
+        return {key: _shuffled(node[key], rng) for key in keys}
+    if isinstance(node, list):
+        return [_shuffled(x, rng) for x in node]
+    return node
+
+
+INPUT_NAMES = sorted(p.name for p in (ROOT / "inputs").glob("*.json"))
+
+
+@pytest.mark.parametrize("name", INPUT_NAMES)
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(indent=st.sampled_from([None, 0, 1, 2, 4, "\t"]),
+       separators=st.sampled_from([(",", ":"), (", ", ": "), (",", ": "), (" , ", " : ")]),
+       rng=st.randoms(use_true_random=False))
+def test_a_rewritten_document_changes_only_the_digest(tmp_path_factory, name, indent,
+                                                     separators, rng):
+    # written under inputs/ of a fresh directory, the file has the golden
+    # argv's relative path, so everything but input.sha256 must match byte for byte
+    doc = json.loads((ROOT / "inputs" / name).read_text())
+    data = json.dumps(_shuffled(doc, rng), indent=indent, separators=separators).encode()
+    where = tmp_path_factory.mktemp("rewritten")
+    (where / "inputs").mkdir()
+    (where / "inputs" / name).write_bytes(data)
+    digest = hashlib.sha256(data).hexdigest()
+    argvs = [["analyze", f"inputs/{name}"], ["certify-rate", f"inputs/{name}"]]
+    reports = _stdout(argvs, where)
+    # certify-rate refuses a linear document without a report, on either file
+    assert reports.keys() == {" ".join(argv) for argv in argvs} & _printed().keys()
+    for argv, text in reports.items():
+        assert json.loads(text)["input"]["sha256"] == digest, argv
+        golden = _printed()[argv]
+        golden_digest = json.loads(golden)["input"]["sha256"]
+        assert text.replace(digest, golden_digest) == golden, argv
 
 
 def reference_clean(value):

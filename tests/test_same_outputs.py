@@ -1,5 +1,6 @@
 """tools/same_outputs.py: its comparison, its runner and its clean-up."""
 
+import json
 import pathlib
 import sys
 from types import SimpleNamespace
@@ -23,7 +24,7 @@ def test_differences_name_each_operation_and_field():
 
 def test_a_difference_only_in_numbers_is_sized():
     # JSON stdout or CSV files of the same shape: the largest |a - b| / max(|a|, |b|)
-    # of their numbers; a difference in anything else is named as before
+    # of their numbers; a JSON stdout names where else it differs, a CSV file does not
     csv = "t,x_1,x_2\n0,1,-2\n0.5,0.25,-1\n"
     outcomes = [[0, '{"x": [1.0, 2.0], "tag": "a", "ok": false}\n', "", csv]] * 4
     changed = [[0, '{"x": [1.0, 2.0000000000000004], "tag": "a", "ok": false}\n', "",
@@ -35,10 +36,50 @@ def test_a_difference_only_in_numbers_is_sized():
     assert same_outputs.differences(["numbers", "shape", "nan", "ok"], outcomes, changed) == [
         ("numbers", ["stdout (largest relative difference 2.2e-16)",
                      "csv (largest relative difference 4e-10)"]),
-        ("shape", ["stdout", "csv"]),
+        ("shape", ["stdout at tag", "csv"]),
         ("nan", ["stdout (largest relative difference inf)",
                  "csv (largest relative difference 0.33)"]),
-        ("ok", ["stdout", "csv"])]
+        ("ok", ["stdout at ok", "csv"])]
+
+
+def test_a_json_stdout_names_the_key_paths_where_it_differs():
+    report = {"input": {"path": "a.json", "sha256": "0" * 64},
+              "rows": [{"status": "stable", "rate": 0.5}, {"status": "stable", "rate": 0.25}]}
+
+    def changed(edit):
+        out = json.loads(json.dumps(report))
+        edit(out)
+        return [0, json.dumps(out, indent=2) + "\n", "", ""]
+
+    def sha(out):
+        out["input"]["sha256"] = "1" * 64
+
+    def sha_and_rate(out):
+        sha(out)
+        out["rows"][1]["rate"] = 0.3
+
+    def keys_and_rows(out):
+        del out["input"]["path"]
+        out["input"]["parameter"] = "spec.a"
+        out["rows"].append({})
+
+    def statuses(out):
+        out["tool"] = None
+        for row in out["rows"]:
+            row["status"] = "inconclusive"
+        out["rows"][0]["rate"] = True
+        out["input"]["sha256"] = 1
+
+    cases = {"sha": sha, "sha_and_rate": sha_and_rate, "keys_and_rows": keys_and_rows,
+             "statuses": statuses}
+    parent = [[0, json.dumps(report, indent=2) + "\n", "", ""]] * len(cases)
+    assert same_outputs.differences(list(cases), parent,
+                                    [changed(edit) for edit in cases.values()]) == [
+        ("sha", ["stdout at input.sha256"]),
+        ("sha_and_rate", ["stdout at input.sha256 and in numbers "
+                          "(largest relative difference 0.17)"]),
+        ("keys_and_rows", ["stdout at input.path and input.parameter and rows"]),
+        ("statuses", ["stdout at input.sha256 and rows[0].status and rows[0].rate and 2 more"])]
 
 
 def test_run_ops_captures_each_outcome_and_the_csv_bytes(tmp_path):

@@ -1,6 +1,7 @@
 """JSON document layer and the command-line interface."""
 
 import copy
+import hashlib
 import json
 import math
 import os
@@ -21,7 +22,6 @@ from delaystab import (
     InvalidSpecError,
     LinearSystemSpec,
     SimConfig,
-    document_sha256,
     parse_document,
     parse_file,
     point_parser,
@@ -44,7 +44,8 @@ def test_general_bounds_only(inputs_dir):
     assert parsed.concrete is None
     assert isinstance(parsed.spec, GeneralSystemSpec)
     assert np.array_equal(parsed.spec.alpha, [1.0, 1.0, 1.0])
-    assert len(parsed.sha256) == 64
+    data = (inputs_dir / "general_sample.json").read_bytes()
+    assert parsed.sha256 == hashlib.sha256(data).hexdigest()
 
 
 def test_two_neuron_with_dynamics(inputs_dir, two_neuron_doc):
@@ -74,11 +75,12 @@ def test_linear_with_dynamics(linear_doc):
 
 
 def test_parameter_reference_resolution(modulated_doc):
-    parsed = parse_document(modulated_doc)
-    assert parsed.document["parameters"] == {"mu": 0.0}
+    spec = parse_document(modulated_doc).spec
     # mu = 0 zeroes the oscillation amplitudes, so rate bounds collapse
-    assert abs(parsed.spec.a[0] - 1.0) < 1e-15
-    assert abs(parsed.spec.b[0] - 1.0) < 1e-15
+    assert (spec.r_lo[0], spec.r_hi[0], spec.p_lo[0], spec.p_hi[0]) == (20.0, 20.0, 40.0, 40.0)
+    modulated_doc["parameters"]["mu"] = 3.0
+    spec = parse_document(modulated_doc).spec
+    assert (spec.r_lo[0], spec.r_hi[0], spec.p_lo[0], spec.p_hi[0]) == (17.0, 23.0, 37.0, 43.0)
 
 
 def test_resolve_parameters_returns_only_the_resolved_copy(modulated_doc):
@@ -270,12 +272,38 @@ def test_parameter_path_indices_are_ascii_digits(tmp_path, digit):
     assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
-def test_sha_stable_and_sensitive(two_neuron_doc):
-    a = document_sha256(two_neuron_doc)
-    b = document_sha256(copy.deepcopy(two_neuron_doc))
-    assert a == b
-    changed = set_parameter(two_neuron_doc, "spec.a", 0.81)
-    assert document_sha256(changed) != a
+def test_sha256_is_the_digest_of_the_bytes_read(tmp_path, two_neuron_doc):
+    # the same document written two ways gets two digests, each that of its
+    # bytes; a document given as a dict has none
+    assert parse_document(two_neuron_doc).sha256 is None
+    digests = set()
+    for text in (json.dumps(two_neuron_doc), json.dumps(two_neuron_doc, indent=2)):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        parsed = parse_file(str(path))
+        assert parsed.sha256 == hashlib.sha256(text.encode()).hexdigest()
+        assert parsed.spec == parse_document(two_neuron_doc).spec
+        digests.add(parsed.sha256)
+    assert len(digests) == 2
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"\xff\xfe{}", "not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 0: "
+                    "invalid start byte)"),
+    (b"\xef\xbb\xbf{}", "invalid JSON at line 1, column 1: "
+                       "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+], ids=["utf16_bom", "utf8_bom"])
+def test_a_file_that_is_not_utf8_json_names_its_path(tmp_path, data, message):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
+    message = f"{path}: {message}"
+    with pytest.raises(DocumentError) as exc:
+        parse_file(str(path))
+    assert str(exc.value) == message
+    for argv in (["analyze", str(path)],
+                 ["sweep", str(path), "--param", "spec.a", "--values", "1"]):
+        res = run_cli(*argv)
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
 def test_serialize_round_trip(two_neuron_doc, general_2x2, linear_2x2):

@@ -12,10 +12,12 @@ per side, through its own `delaystab.cli.main(argv)`.  An operation
 differs when its exit code (or the exception it raised), stdout, stderr or
 the bytes of the CSV file it writes differ.  The script prints each such
 operation and the fields that differ, then a count per workload, and exits
-1 if there is one.  Where both sides' stdout (JSON) or CSV file differ only
-in their numbers, the field is followed by the largest relative difference
-|a - b| / max(|a|, |b|) of those numbers.  The exported commits and the
-documents are removed when it ends.
+1 if there is one.  Where both sides' stdout parses as JSON, the field is
+followed by the key paths where they differ other than by a number (for
+example `stdout at input.sha256`, at most three named).  Where stdout or
+the CSV file differs in numbers, the field is followed by the largest
+relative difference |a - b| / max(|a|, |b|) of the numbers at the same
+places.  The exported commits and the documents are removed when it ends.
 """
 
 from __future__ import annotations
@@ -78,19 +80,27 @@ def run_ops(checkout: str, ops: list, scratch: str) -> list:
         return json.load(fh)
 
 
-_NUMBER = object()  # a number's place, equal to no JSON value (where 0 == false)
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)  # 0 == false otherwise
 
 
-def _split(node, numbers: list):
-    """The JSON value `node` with each number replaced by _NUMBER, and sent to `numbers`."""
-    if isinstance(node, list):
-        return [_split(x, numbers) for x in node]
-    if isinstance(node, dict):
-        return {key: _split(x, numbers) for key, x in node.items()}
-    if isinstance(node, (int, float)) and not isinstance(node, bool):
-        numbers.append(float(node))
-        return _NUMBER
-    return node
+def _walk(a, b, path: str, others: list, pairs: list):
+    """Compare two JSON values side by side: each pair of numbers at the same place goes
+    to `pairs`, and the key path of every other difference to `others`."""
+    if _is_number(a) and _is_number(b):
+        pairs.append((float(a), float(b)))
+    elif type(a) is dict and type(b) is dict:
+        for key in {**a, **b}:
+            at = f"{path}.{key}" if path else key
+            if key in a and key in b:
+                _walk(a[key], b[key], at, others, pairs)
+            else:
+                others.append(at)
+    elif type(a) is list and type(b) is list and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            _walk(x, y, f"{path}[{i}]", others, pairs)
+    elif type(a) is not type(b) or a != b:
+        others.append(path or "(root)")
 
 
 def _cells(text: str) -> list:
@@ -107,39 +117,49 @@ def _cells(text: str) -> list:
     return rows
 
 
-def number_difference(field: str, a: str, b: str) -> float | None:
-    """The largest relative difference of the numbers of two stdout (JSON) or CSV texts,
-    or None unless they parse alike and differ only in their numbers."""
+def number_difference(field: str, a: str, b: str) -> tuple[list, float] | None:
+    """The key paths where two stdout (JSON) texts differ other than by a number, and the
+    largest relative difference of the numbers they hold at the same places; None unless
+    both parse.  CSV texts give no paths: None unless they differ only in their numbers."""
     if field not in ("stdout", "csv"):
         return None
-    shapes, numbers = [], ([], [])
-    for text, found in zip((a, b), numbers):
-        try:
-            shapes.append(_split(json.loads(text) if field == "stdout" else _cells(text), found))
-        except ValueError:  # not JSON
-            return None
-    if shapes[0] != shapes[1]:
+    try:
+        values = [json.loads(text) if field == "stdout" else _cells(text) for text in (a, b)]
+    except ValueError:  # not JSON
+        return None
+    others, pairs = [], []
+    _walk(*values, "", others, pairs)
+    if others and field == "csv":
         return None
     largest = 0.0
-    for x, y in zip(*numbers):
+    for x, y in pairs:
         if x != y and not (math.isnan(x) and math.isnan(y)):
             size = abs(x - y) / max(abs(x), abs(y))  # not finite if either is NaN or infinite
             largest = max(largest, size if math.isfinite(size) else math.inf)
-    return largest
+    return others, largest
+
+
+def _describe(field: str, a: str, b: str) -> str:
+    found = number_difference(field, a, b)
+    if found is None:
+        return field
+    others, largest = found
+    sized = f"largest relative difference {largest:.2g}"
+    if not others:
+        return f"{field} ({sized})"
+    more = f" and {len(others) - 3} more" if len(others) > 3 else ""
+    numbers = f" and in numbers ({sized})" if largest else ""
+    return f"{field} at {' and '.join(others[:3])}{more}{numbers}"
 
 
 def differences(names: list, parent: list, change: list) -> list:
-    """(operation name, the fields that differ) for each operation whose outcomes differ;
-    a field is followed by the largest relative difference of its numbers where
-    `number_difference` sizes one."""
+    """(operation name, the fields that differ) for each operation whose outcomes differ.
+    A stdout field is followed by the key paths where it differs other than by a number,
+    and a stdout or CSV field by the largest relative difference of its numbers, where
+    `number_difference` finds them."""
     out = []
     for name, a, b in zip(names, parent, change, strict=True):
-        fields = []
-        for field, x, y in zip(FIELDS, a, b):
-            if x != y:
-                size = number_difference(field, x, y)
-                fields.append(field if size is None
-                              else f"{field} (largest relative difference {size:.2g})")
+        fields = [_describe(field, x, y) for field, x, y in zip(FIELDS, a, b) if x != y]
         if fields:
             out.append((name, fields))
     return out
