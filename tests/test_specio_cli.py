@@ -306,6 +306,24 @@ def test_a_file_that_is_not_utf8_json_names_its_path(tmp_path, data, message):
         assert (res.returncode, res.stdout, res.stderr) == (1, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("verb, extra", [
+    ("analyze", []), ("certify-rate", []), ("equilibrium", []),
+    ("simulate", ["--t-end", "0.05"]),
+    ("sweep", ["--param", "parameters.mu", "--values", "0,1"])])
+def test_each_verb_opens_its_input_once(monkeypatch, capsys, inputs_dir, verb, extra):
+    # the digest comes from the bytes the document was parsed from
+    path = str(inputs_dir / "bam_modulated.json")
+    opened, real_open = [], open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main([verb, path, *extra]) == 0
+    assert opened.count(path) == 1
+
+
 def test_serialize_round_trip(two_neuron_doc, general_2x2, linear_2x2):
     bam = parse_document(two_neuron_doc).spec
     for spec in (bam, general_2x2, linear_2x2):
