@@ -13,7 +13,9 @@ A document is a single JSON object:
 Any number inside spec/dynamics/history may be written as the string "$name"
 to reference an entry of "parameters"; references are resolved before
 parsing, so one scalar can drive several coefficients at once (handy for
-parameter sweeps).  A sweep resolves the document once through
+parameter sweeps); a document without "parameters" is parsed as read and
+walked only when that fails, as an unknown reference or a too-deep document
+is reported first.  A sweep resolves the document once through
 `point_parser` and re-runs only the spec parser at each value.
 
 When "dynamics" is present the analytic bounds (decay brackets, delay
@@ -26,8 +28,9 @@ gives every field of its kind's spec class, with I and J zero when absent
 
 All diagnostics carry the JSON field path of the offending value; a broken
 spec rule names its field and entry (`spec.alpha[0] must be > 0 ...`).  A list
-of plain numbers is checked in one pass, and the field paths of its entries
-are formatted only when that check fails and a diagnostic is to be raised.
+of plain numbers (a matrix: all its rows) is checked in one pass and converted
+by one numpy call; the field paths of its entries are formatted only when that
+check fails and a diagnostic is to be raised.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from .systems import (
 
 # a document deeper than the interpreter's recursion limit is malformed
 _TOO_DEEP = "document nests too deeply"
+_PLAIN = frozenset({int, float})  # the types of a plain number
 
 
 class DocumentError(ValueError):
@@ -81,7 +85,7 @@ def _is_number(x) -> bool:
 
 def _plain_numbers(x: list) -> bool:
     """True when every entry is exactly an int or a float (no bools)."""
-    return frozenset({int, float}).issuperset(map(type, x))
+    return _PLAIN.issuperset(map(type, x))
 
 
 def _num(x, path: str) -> float:
@@ -100,7 +104,7 @@ def _finite(x, path: str) -> float:
     return value
 
 
-def _num_list(x, path: str, length: int | None = None, like: str = "") -> list[float]:
+def _num_list(x, path: str, length: int | None = None, like: str = "") -> np.ndarray:
     # `like` names the field that fixed `length`
     if not isinstance(x, list):
         _fail(path, f"expected a list of numbers, got {type(x).__name__}")
@@ -108,16 +112,21 @@ def _num_list(x, path: str, length: int | None = None, like: str = "") -> list[f
         _fail(path, f"expected {length} entries{like}, got {len(x)}")
     if _plain_numbers(x):
         try:
-            return list(map(float, x))
+            return np.array(x, dtype=float)
         except OverflowError:  # raised below, at the entry's path
             pass
-    return [_num(v, f"{path}[{i}]") for i, v in enumerate(x)]
+    return np.array([_num(v, f"{path}[{i}]") for i, v in enumerate(x)], dtype=float)
 
 
-def _num_matrix(x, path: str, size: int, like: str) -> list[list[float]]:
+def _num_matrix(x, path: str, size: int, like: str) -> np.ndarray:
     if not isinstance(x, list) or len(x) != size:
         _fail(path, f"expected a {size}x{size} matrix{like}")
-    return [_num_list(row, f"{path}[{i}]", size, like) for i, row in enumerate(x)]
+    if all(isinstance(row, list) and len(row) == size and _plain_numbers(row) for row in x):
+        try:
+            return np.array(x, dtype=float)
+        except OverflowError:  # raised below, at the entry's path
+            pass
+    return np.array([_num_list(row, f"{path}[{i}]", size, like) for i, row in enumerate(x)])
 
 
 def _short(name) -> str:
@@ -257,7 +266,7 @@ def _history_vec(doc: dict, dim: int, like: str, required: bool) -> np.ndarray |
         if required:
             _fail("history", "required when dynamics is present")
         return None
-    history = np.asarray(_num_list(doc["history"], "history", dim, like), dtype=float)
+    history = _num_list(doc["history"], "history", dim, like)
     for i in np.flatnonzero(~np.isfinite(history)):
         _finite(history[i], f"history[{i}]")
     return history
@@ -467,6 +476,13 @@ def _build(resolved: dict, kind: str) -> ParsedInput:
 
 def parse_document(doc: dict) -> ParsedInput:
     kind = _root_kind(doc)
+    if "parameters" not in doc:
+        # no "$name" can resolve: parse as read, and walk the document only
+        # when that fails, for a reference or depth error that comes first
+        try:
+            return _build(doc, kind)
+        except DocumentError:
+            pass
     try:
         resolved = resolve_parameters(doc)
     except RecursionError:

@@ -4,8 +4,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from delaystab import BamSpec, GeneralSystemSpec, LinearSystemSpec, parse_document
+from delaystab import BamSpec, DocumentError, GeneralSystemSpec, LinearSystemSpec, parse_document
 from delaystab.linalg import as_square
+from delaystab.specio import _TOO_DEEP, _build, _root_kind, resolve_parameters
 
 
 def leading_principal_minors(a) -> np.ndarray:
@@ -45,3 +46,15 @@ def two_neuron(**scalars) -> BamSpec:
     """
     spec = {"r_lo": 1.0, "r_hi": 1.0, "p_lo": 1.0, "p_hi": 1.0, **scalars}
     return parse_document({"kind": "two_neuron", "spec": spec}).spec
+
+
+def parse_by_walk(doc):
+    """parse_document composed so that it walks every document: the root
+    checks, the reference walk (a document too deep for it is an error),
+    then the spec parser on the resolved copy."""
+    kind = _root_kind(doc)
+    try:
+        resolved = resolve_parameters(doc)
+    except RecursionError:
+        raise DocumentError(_TOO_DEEP) from None
+    return _build(resolved, kind)

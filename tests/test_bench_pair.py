@@ -87,3 +87,20 @@ def test_output_counts_each_sides_source_lines(monkeypatch, tmp_path):
     out = bench_pair.compare(args, sides, 1.0,
                              {"ops_per_s": {"better": "higher", "bound": 0.15}})
     assert out["source_lines"] == {"parent": 3, "change": 1}
+
+
+def test_run_ends_with_the_figures_behind_each_verdict(monkeypatch, capsys):
+    def run(checkout, workload, seed, seconds, trace):
+        ops = (100.0 if checkout == "parent-dir" else 110.0) + seed
+        return {"attempted": 2, "failed": 0, "metrics": {"ops_per_s": ops, "op_p50_ms": 5.0}}
+
+    monkeypatch.setattr(bench_pair, "run", run)
+    args = argparse.Namespace(pr=0, note="", workload=["certify"], seeds=[[1, 2, 3, 4, 5]],
+                              trace_seed=None)
+    bench_pair.compare(args, {"parent": ("p", "parent-dir"), "change": ("c", "change-dir")},
+                       1.0, {"ops_per_s": {"better": "higher", "bound": 0.15},
+                             "op_p50_ms": {"better": "lower", "bound": 0.2}})
+    assert capsys.readouterr().err.splitlines()[-2:] == [
+        "certify ops_per_s: parent 103 [102, 104], change 113 [112, 114], change won 5/5: gain",
+        "certify op_p50_ms: parent 5 [5, 5], change 5 [5, 5], change won 0/5: within bound",
+    ]

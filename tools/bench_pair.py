@@ -16,7 +16,8 @@ run's end-to-end metrics, each side's median and quartiles per metric,
 how many pairs the change won per metric (ties count for neither side),
 failed/attempted operations, and a verdict per metric (see `verdict`).
 `source_lines` gives each side's `wc -l src/delaystab/*.py`.
-With --trace-seed, one traced run per side (`--trace 1`) adds the
+At the end, one stderr line per workload and end-to-end metric gives the
+figures behind its verdict (see `verdict_line`).  With --trace-seed, one traced run per side (`--trace 1`) adds the
 per-layer metrics.  The exported commits are removed when the script
 ends, also when a run fails.
 """
@@ -123,6 +124,17 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     return "within bound"
 
 
+def verdict_line(workload: str, metric: str, entry: dict) -> str:
+    """Each side's median [q1, q3] of one metric of a workload's entry, the
+    pairs the change won out of all, and the verdict."""
+    def figures(side: str) -> str:
+        s = entry[side]["metrics"][metric]
+        return f"{side} {s['median']:.4g} [{s['q1']:.4g}, {s['q3']:.4g}]"
+
+    return (f"{workload} {metric}: {figures('parent')}, {figures('change')}, change won "
+            f"{entry['change_wins'][metric]}/{entry['pairs']}: {entry['verdicts'][metric]}")
+
+
 def compare(args, sides: dict, seconds: float, metrics: dict) -> dict:
     """Run every pair and summarise it; `sides` maps parent/change to (sha, checkout)."""
     out = {
@@ -167,6 +179,9 @@ def compare(args, sides: dict, seconds: float, metrics: dict) -> dict:
                 side: run(sides[side][1], workload, args.trace_seed, seconds, trace=1)
                 for side in sides}}
         out["workloads"][workload] = entry
+    for workload, entry in out["workloads"].items():
+        for metric in entry["change_wins"]:
+            print(verdict_line(workload, metric, entry), file=sys.stderr)
     return out
 
 
