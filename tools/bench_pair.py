@@ -16,10 +16,11 @@ run's end-to-end metrics, each side's median and quartiles per metric,
 how many pairs the change won per metric (ties count for neither side),
 failed/attempted operations, and a verdict per metric (see `verdict`).
 `source_lines` gives each side's `wc -l src/delaystab/*.py`.
-At the end, one stderr line per workload and end-to-end metric gives the
-figures behind its verdict (see `verdict_line`).  With --trace-seed, one traced run per side (`--trace 1`) adds the
-per-layer metrics.  The exported commits are removed when the script
-ends, also when a run fails.
+With --trace-seed, one traced run per side (`--trace 1`) adds the
+per-layer metrics.  The run ends with one stderr line per workload and
+end-to-end metric, the figures behind its verdict (see `verdict_line`).
+The exported commits are removed when the script ends, also when a run
+fails.
 """
 
 from __future__ import annotations
