@@ -76,62 +76,3 @@ from .specio import (
 from .sweep import SweepRow, Threshold, find_failure_threshold, sweep
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ACTIVATION_CATALOG",
-    "ALL_TAGS",
-    "BamConcrete",
-    "BamSpec",
-    "COEFF_CATALOG",
-    "Check",
-    "ConcreteSystem",
-    "DEFAULT_TOL",
-    "DecayCertificate",
-    "DecayFit",
-    "DelayBoundError",
-    "DivergenceError",
-    "DocumentError",
-    "Equilibrium",
-    "ExistenceReport",
-    "FamilyError",
-    "FitInapplicableError",
-    "GeneralConcrete",
-    "GeneralSystemSpec",
-    "InvalidSpecError",
-    "LAG_CATALOG",
-    "LinalgInputError",
-    "LinearConcrete",
-    "LinearSystemSpec",
-    "MMatrixReport",
-    "NotCertifiedError",
-    "ParsedInput",
-    "STATUS_INCONCLUSIVE",
-    "STATUS_STABLE",
-    "SimConfig",
-    "SimulationError",
-    "StabilityVerdict",
-    "SweepRow",
-    "Threshold",
-    "Trajectory",
-    "bam_to_general",
-    "build_existence_matrices",
-    "certify_decay_rate",
-    "comparison_matrix",
-    "equilibrium_exists",
-    "find_failure_threshold",
-    "fit_decay",
-    "is_m_matrix",
-    "parse_document",
-    "parse_file",
-    "point_parser",
-    "resolve_parameters",
-    "set_parameter",
-    "simulate",
-    "solve_equilibrium",
-    "spectral_radius",
-    "stability_verdict",
-    "sweep",
-    "test_matrix_at_rate",
-    "two_neuron_comparison",
-    "write_csv",
-]

@@ -24,7 +24,6 @@ import functools
 import os
 import sys
 import warnings
-from dataclasses import asdict
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
@@ -123,7 +122,7 @@ def _verdict_dict(verdict) -> dict:
         "status": verdict.status,
         "stable": verdict.stable,
         "criterion": verdict.criterion_used,
-        "checks": [asdict(c) for c in verdict.checks],
+        "checks": [c._asdict() for c in verdict.checks],
         "test_matrix": verdict.test_matrix,
     }
     rep = verdict.report
@@ -173,7 +172,7 @@ def cmd_certify_rate(args, tol: float) -> int:
         _emit(report)
         _say(f"{args.document}: {exc}")
         return 2
-    report["certificate"] = asdict(cert)
+    report["certificate"] = cert._asdict()
     _emit(report)
     _say(f"{args.document}: certified exponential decay rate {cert.lambda0:.6g} "
          f"(boundary margin {cert.boundary_margin:.3g}, "
@@ -190,14 +189,14 @@ def cmd_equilibrium(args, tol: float) -> int:
     existence = equilibrium_exists(spec)
     report["existence"] = {
         "exists_unique": existence.exists_unique,
-        "conditions": [asdict(c) for c in existence.conditions],
+        "conditions": [c._asdict() for c in existence.conditions],
     }
     held = sum(c.holds for c in existence.conditions)
     solution = None
     if parsed.concrete is not None:
         try:
             solution = solve_equilibrium(spec, *parsed.concrete.activations, existence)
-            report["equilibrium"] = asdict(solution)
+            report["equilibrium"] = solution._asdict()
         except DivergenceError as exc:
             report["equilibrium"] = None
             report["error"] = str(exc)
@@ -267,13 +266,11 @@ def cmd_sweep(args, tol: float) -> int:
     rows = sweep(points, values, tol=tol, criterion=args.criterion,
                  simulate_until=simulate_until, step=args.step)
     report = _base_report("sweep", tol, {"path": args.document, "parameter": args.param})
-    report["rows"] = [r.as_dict() for r in rows]
+    report["rows"] = [r._asdict() for r in rows]
     threshold = None
     if args.threshold_start is not None:
         threshold = find_failure_threshold(points, start=args.threshold_start, tol=tol)
-        report["threshold"] = {"value": threshold.value,
-                               "bracket": list(threshold.bracket),
-                               "evaluations": threshold.evaluations}
+        report["threshold"] = threshold._asdict()
     _emit(report)
     for r in rows:
         bits = [f"{args.param}={r.value:g}: {r.status}"]

@@ -29,8 +29,8 @@ FamilyError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf, nan, nextafter, ulp
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class NotCertifiedError(RuntimeError):
     """Decay-rate certification requested for a spec that is not certified stable."""
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One scalar inequality lhs < rhs with its slack."""
 
     name: str
@@ -86,8 +85,7 @@ def _check(name: str, lhs: float, rhs: float, tol: float) -> Check:
     return Check(name, float(lhs), float(rhs), margin, bool(margin > tol))
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     status: str
     criterion_used: str
     test_matrix: np.ndarray | None
@@ -99,8 +97,7 @@ class StabilityVerdict:
         return self.status == STATUS_STABLE
 
 
-@dataclass(frozen=True)
-class DecayCertificate:
+class DecayCertificate(NamedTuple):
     """A decay rate certified by the last pass of a pass/fail bracket.
 
     lambda0 is the last rate at which the test matrix passed; boundary_margin

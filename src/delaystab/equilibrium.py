@@ -13,9 +13,9 @@ hold.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import product
 from math import inf, isfinite
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,22 +42,19 @@ class DivergenceError(RuntimeError):
         self.ratio = ratio
 
 
-@dataclass(frozen=True)
-class ExistenceCondition:
+class ExistenceCondition(NamedTuple):
     index: int
     description: str
     value: float
     holds: bool
 
 
-@dataclass(frozen=True)
-class ExistenceReport:
+class ExistenceReport(NamedTuple):
     conditions: tuple[ExistenceCondition, ...]
     exists_unique: bool
 
 
-@dataclass(frozen=True)
-class Equilibrium:
+class Equilibrium(NamedTuple):
     x_star: np.ndarray
     y_star: np.ndarray
     residual: float

@@ -12,8 +12,8 @@ All functions are pure and hold no global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import nan
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ class LinalgInputError(ValueError):
     """Raised for inputs that violate a precondition (shape, finiteness, sign)."""
 
 
-@dataclass(frozen=True)
-class MMatrixReport:
+class MMatrixReport(NamedTuple):
     """Outcome of the nonsingular M-matrix classification.
 
     is_m_matrix records whether `witness_test` accepted its checked witness,

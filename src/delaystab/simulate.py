@@ -48,7 +48,7 @@ O(max bound / h * dim) plus those rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,8 +70,7 @@ class FitInapplicableError(RuntimeError):
     """The trajectory does not support an exponential-decay fit."""
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(NamedTuple):
     """Time span, step size and output decimation.
 
     `h` None is the default step: the largest that divides the span and is
@@ -84,8 +83,7 @@ class SimConfig:
     record_every: int = 1
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     times: np.ndarray
     states: np.ndarray
     meta: dict
@@ -95,8 +93,7 @@ class Trajectory:
         return self.states.shape[1]
 
 
-@dataclass(frozen=True)
-class DecayFit:
+class DecayFit(NamedTuple):
     lambda_hat: float
     amplitude: float
     fit_window: tuple[float, float]

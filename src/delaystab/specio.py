@@ -40,8 +40,9 @@ import hashlib
 import json
 import math
 import reprlib
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +68,7 @@ class DocumentError(ValueError):
     """A system document is malformed; the message names the field path."""
 
 
-@dataclass(frozen=True)
-class ParsedInput:
+class ParsedInput(NamedTuple):
     kind: str
     spec: object
     concrete: object | None
@@ -394,21 +394,27 @@ def _spec_keys(kind: str, with_dynamics: bool) -> dict:
             for name in names}
 
 
-def _parse_spec(doc: dict, kind: str):
+def _spec_layout(doc: dict, kind: str):
+    # the spec checks that read no number, so no swept value can change them:
+    # (spec object, its flag as given, spec field -> document key)
     spec_node = doc.get("spec")
     if not isinstance(spec_node, dict):
         _fail("spec", "expected an object")
-    cls, _, parse_dynamics = _KINDS[kind]
-    scalar = kind == "two_neuron"
     given = {}
-    if hasattr(cls, "diagonal_delay_free"):
+    if hasattr(_KINDS[kind][0], "diagonal_delay_free"):
         given["diagonal_delay_free"] = spec_node.get("diagonal_delay_free", False)
         if not isinstance(given["diagonal_delay_free"], bool):
             _fail("spec.diagonal_delay_free", "expected true or false")
-    dyn = doc.get("dynamics")
-    keys = _spec_keys(kind, dyn is not None)
+    keys = _spec_keys(kind, doc.get("dynamics") is not None)
     _check_keys(spec_node, "spec", allowed=(*keys.values(), *given),
                 required=[key for key in keys.values() if key not in ("I", "J")])
+    return spec_node, given, keys
+
+
+def _parse_spec(doc: dict, kind: str):
+    spec_node, given, keys = _spec_layout(doc, kind)
+    cls, _, parse_dynamics = _KINDS[kind]
+    scalar = kind == "two_neuron"
     m, like = None, ""  # the first field, a vector, fixes the dimension
     for name, key in keys.items():
         path = f"spec.{key}"
@@ -423,6 +429,7 @@ def _parse_spec(doc: dict, kind: str):
             given[name] = _num_list(spec_node[key], path, m, like)
         if m is None:
             m, like = len(given[name]), f" to match {path}"
+    dyn = doc.get("dynamics")
     if dyn is None:
         return cls(**given), None
     if not isinstance(dyn, dict):
@@ -517,9 +524,10 @@ def point_parser(doc: dict, path: str):
     parse meets it, and raises DocumentError with the same text: the path; the
     root object, its keys and kind (as given, so a path into a non-string kind
     names that kind, not the value); then `parameters` and every reference,
-    with a placeholder at `path`.  Each call copies only the containers on the
-    paths where the value lands (the leaf, and for `parameters.NAME` every
-    "$NAME" leaf too) and runs the spec parser.
+    with a placeholder at `path`; then the spec object, its flag and its
+    field names.  Each call copies only the containers on the paths where the
+    value lands (the leaf, and for `parameters.NAME` every "$NAME" leaf too)
+    and runs the spec parser.
     """
     try:
         template = copy.deepcopy(doc)
@@ -535,6 +543,7 @@ def point_parser(doc: dict, path: str):
         resolved = resolve_parameters(template)
     except RecursionError:
         raise DocumentError(_TOO_DEEP) from None
+    _spec_layout(resolved, kind)
     trie: dict = {}
     for keys in spots:
         branch = trie
@@ -548,13 +557,13 @@ def point_parser(doc: dict, path: str):
     return parse_at
 
 
-def _read(path: str) -> tuple[object, str]:
-    # the JSON value and sha256 of a file's bytes, read once; decoded as
-    # UTF-8, which keeps a BOM, so that a BOM is refused as invalid JSON
+def _read(path: str) -> tuple[object, bytes]:
+    # the JSON value of a file and the bytes it was read from, read once;
+    # decoded as UTF-8, which keeps a BOM, so that a BOM is refused as invalid JSON
     try:
         with open(path, "rb") as fh:
             data = fh.read()
-        return json.loads(data.decode("utf-8")), hashlib.sha256(data).hexdigest()
+        return json.loads(data.decode("utf-8")), data
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
@@ -574,5 +583,5 @@ def load_json(path: str):
 
 def parse_file(path: str) -> ParsedInput:
     """Parse a document file; `sha256` is the digest of its bytes (`sha256sum`)."""
-    doc, digest = _read(path)
-    return replace(parse_document(doc), sha256=digest)
+    doc, data = _read(path)
+    return parse_document(doc)._replace(sha256=hashlib.sha256(data).hexdigest())

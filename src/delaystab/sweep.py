@@ -3,8 +3,8 @@ the decay rate observed in a simulated trajectory."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from math import nan
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ MAX_EXPAND = 60
 _POINT_ERRORS = (DocumentError, InvalidSpecError, FamilyError)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep point: certification outcome, optional rate and fit."""
 
     value: float
@@ -44,9 +43,6 @@ class SweepRow:
     @property
     def stable(self) -> bool:
         return self.status == STATUS_STABLE
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 def observed_rate(parsed, traj) -> float | None:
@@ -113,8 +109,7 @@ def _simulated_rate(parsed, t_end: float, step: float | None) -> float | None:
     return observed_rate(parsed, traj)
 
 
-@dataclass(frozen=True)
-class Threshold:
+class Threshold(NamedTuple):
     """Largest certified-stable value, its (pass, fail) bracket and the values tried."""
 
     value: float

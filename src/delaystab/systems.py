@@ -86,7 +86,6 @@ class Sinusoid:
         return self.base + abs(self.amp)
 
 
-@dataclass(frozen=True)
 class Cosinusoid(Sinusoid):
     """base + amp*cos(t), with the same range as the sine variant."""
 
@@ -132,7 +131,6 @@ class ShiftedAbsSinLag:
         return self.base + max(self.amp, 0.0)
 
 
-@dataclass(frozen=True)
 class ShiftedAbsCosLag(ShiftedAbsSinLag):
     """base + amp*|cos(t)|, with the same range as the sine variant."""
 
@@ -154,25 +152,21 @@ class _Activation:
         return abs(self.k)
 
 
-@dataclass(frozen=True)
 class LinearActivation(_Activation):
     unit = float  # k * float(u) is k * u
 
 
-@dataclass(frozen=True)
 class TanhActivation(_Activation):
     """k*tanh(u): slope k at the origin, |value| <= |k u|."""
 
     unit = math.tanh
 
 
-@dataclass(frozen=True)
 class SinActivation(_Activation):
     # NaN, where math.sin raises, for an infinite u: the step's finiteness check reports it
     unit = staticmethod(lambda u: math.sin(u) if math.isfinite(u) else math.nan)
 
 
-@dataclass(frozen=True)
 class LogisticActivation(_Activation):
     """k*(sigmoid(u) - 1/2): zero at zero, max slope k/4."""
 

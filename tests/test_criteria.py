@@ -1,7 +1,7 @@
 """Comparison matrices, verdicts, decay-rate certification, closed forms."""
 
 import json
-from dataclasses import asdict, replace
+from dataclasses import replace
 from math import inf, nan, nextafter, ulp
 from unittest import mock
 
@@ -496,7 +496,7 @@ def bits(cert: DecayCertificate) -> list:
     # every field but iterations, which the halvings fixed at 60 (0 when the
     # top passes) and the search sets to its tests
     return [(type(v), v.hex() if isinstance(v, float) else v)
-            for name, v in asdict(cert).items() if name != "iterations"]
+            for name, v in cert._asdict().items() if name != "iterations"]
 
 
 def counted_certificate(spec):

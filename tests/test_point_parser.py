@@ -79,6 +79,9 @@ DOCS.update({
     "parameter_reference": {"kind": "general", "parameters": {"s": "$s"},
                             "spec": {"alpha": ["$s"], "A": [1.0], "tau": [0.0],
                                      "sigma": [[0.0]], "L": [["$s"]]}},
+    "unknown_spec_field": {"kind": "general", "parameters": {"s": 0.5},
+                           "spec": {"alpha": ["$s"], "A": [1.0], "tau": [0.0],
+                                    "sigma": [[0.0]], "L": [["$s"]], "bogus": 1}},
 })
 
 

@@ -1,7 +1,6 @@
 """Rules that the package source itself must keep."""
 
 import ast
-import dataclasses
 import pathlib
 
 import delaystab
@@ -43,13 +42,23 @@ def test_package_modules_use_every_name_they_import():
     assert found == []
 
 
-def test_package_exports_exactly_what_it_imports():
-    # a deleted function must not linger in __all__, and nothing is
-    # imported into the package namespace without being exported
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = [name for node in tree.body if isinstance(node, (ast.Import, ast.ImportFrom))
-                for name in _bound_names(node)]
-    assert sorted(imported) == sorted(delaystab.__all__)
+def test_only_specs_and_catalog_bases_are_dataclasses():
+    # result and configuration records are named tuples, and a catalog
+    # variant that declares no field inherits its base's generated methods
+    found = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ClassDef) and any(
+                    ast.unparse(d).split("(")[0] in ("dataclass", "dataclasses.dataclass")
+                    for d in node.decorator_list):
+                found[node.name] = node
+    assert sorted(found) == sorted([
+        "GeneralSystemSpec", "LinearSystemSpec", "BamSpec", "Constant", "Sinusoid",
+        "SinSquaredLag", "ShiftedAbsSinLag", "_Activation"])
+    fieldless = [name for name, node in found.items()
+                 if any(ast.unparse(base) in found for base in node.bases)
+                 and not any(isinstance(stmt, ast.AnnAssign) for stmt in node.body)]
+    assert fieldless == []
 
 
 def test_package_defines_one_right_hand_side():
@@ -230,4 +239,4 @@ def test_history_is_one_vector_and_a_trajectory_holds_no_derivatives():
                                       getattr(node, "name", None)}
              or isinstance(node, ast.Call) and ast.unparse(node.func).endswith("history")]
     assert found == [], found
-    assert [f.name for f in dataclasses.fields(Trajectory)] == ["times", "states", "meta"]
+    assert Trajectory._fields == ("times", "states", "meta")

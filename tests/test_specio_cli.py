@@ -30,6 +30,7 @@ from delaystab import (
     simulate,
 )
 from delaystab.cli import main
+from delaystab.specio import load_json
 from delaystab.systems import merged_bounds
 
 from conftest import INPUTS, random_bam
@@ -322,6 +323,28 @@ def test_each_verb_opens_its_input_once(monkeypatch, capsys, inputs_dir, verb, e
     monkeypatch.setattr("builtins.open", counting_open)
     assert main([verb, path, *extra]) == 0
     assert opened.count(path) == 1
+
+
+def test_only_a_parsed_file_takes_a_digest(monkeypatch, capsys, inputs_dir):
+    # `parse_file` hashes the bytes it parsed; `load_json`, the reader of a
+    # sweep, keeps no digest, so it takes none
+    path = str(inputs_dir / "bam_modulated.json")
+    taken, real_sha256 = [], hashlib.sha256
+
+    def counting_sha256(*args, **kwargs):
+        taken.append(args)
+        return real_sha256(*args, **kwargs)
+
+    monkeypatch.setattr(hashlib, "sha256", counting_sha256)
+    load_json(path)
+    assert taken == []
+    for verb, extra, digests in [
+            ("analyze", [], 1), ("certify-rate", [], 1), ("equilibrium", [], 1),
+            ("simulate", ["--t-end", "0.05"], 1),
+            ("sweep", ["--param", "parameters.mu", "--values", "0,1"], 0)]:
+        taken.clear()
+        assert main([verb, path, *extra]) == 0
+        assert len(taken) == digests, verb
 
 
 def test_serialize_round_trip(two_neuron_doc, general_2x2, linear_2x2):

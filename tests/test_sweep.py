@@ -136,6 +136,8 @@ _BAD_DOCUMENTS = [
             [{"type": "constant", "value": -1.0}, {"type": "constant", "value": "$q"}],
             [{"type": "constant", "value": "$s"}, {"type": "constant", "value": -1.0}]])),
      "dynamics.coefficients[0][1].value: unknown parameter reference '$q'"),
+    ("parameters.s", lambda doc: dict(doc, spec=dict(doc["spec"], bogus=1)),
+     "spec.bogus: unknown field (allowed: diagonal_delay_free)"),
 ]
 
 
@@ -146,6 +148,22 @@ def test_sweep_gives_one_error_row_per_value_for_a_bad_document(linear_doc, path
     with pytest.raises(DocumentError) as exc:
         point_parser(edit(linear_doc), path)
     assert str(exc.value) == message
+
+
+def test_sweep_refuses_an_unknown_spec_field_once(tmp_path, inputs_dir):
+    # no value can make the field known, so the sweep stops before any row,
+    # as `analyze` does
+    doc = json.loads((inputs_dir / "general_sample.json").read_text())
+    doc["spec"]["bogus"] = 1
+    path = tmp_path / "bogus.json"
+    path.write_text(json.dumps(doc))
+    message = ("error: spec.bogus: unknown field "
+               "(allowed: A, L, alpha, diagonal_delay_free, sigma, tau)\n")
+    for argv in (["sweep", str(path), "--param", "spec.alpha.0", "--values", "1,2"],
+                 ["analyze", str(path)]):
+        res = subprocess.run([sys.executable, "-m", "delaystab", *argv],
+                             capture_output=True, text=True)
+        assert (res.returncode, res.stdout, res.stderr) == (1, "", message), argv
 
 
 def test_threshold_search_with_a_bad_path_rejects_the_start(linear_doc):
